@@ -34,12 +34,7 @@ from scipy.stats import qmc
 
 from .errors import EmptySublevel, OutOfRange, ZeroRadius
 from .indicators import MuProfile, mu_profile, rho_of_r, sur_indicator, unit_ball_points
-from .lifting import (
-    LiftOptions,
-    lift_line_horizontal,
-    lift_line_square,
-    weighted_path_length,
-)
+from .lifting import LiftOptions, lift_lines, weighted_path_length
 from .maps import AnalyticFacts, MapModel, evaluate, jacobian
 
 Array = np.ndarray
@@ -140,12 +135,6 @@ def unit_sphere_points(m: int, count: int, seed: int) -> Array:
     return np.vstack([np.array(axes), z / norms[:, None]])
 
 
-def _auto_lift(model: MapModel, x0, w, opts: LiftOptions):
-    if model.n == model.m:
-        return lift_line_square(model, x0, w, opts)
-    return lift_line_horizontal(model, x0, w, opts)
-
-
 def graves_certificate(
     model: MapModel,
     x0,
@@ -179,8 +168,7 @@ def graves_certificate(
         completed = 0
         max_residual = 0.0
         max_distance = 0.0
-        for d in dirs:
-            out = _auto_lift(model, x0v, boundary_scale * rho * d, lift_opts)
+        for out in lift_lines(model, x0v, boundary_scale * rho * dirs, lift_opts):
             statuses.append(out.status.kind)
             if out.status.is_complete:
                 completed += 1
@@ -527,10 +515,8 @@ def weighted_certificate(
     rho_total = rho_of_r(profile, profile.r_max)
     if test_lift_count > 0 and rho_total > 0.0:
         lift_opts = opts or LiftOptions()
-        dirs = unit_sphere_points(model.m, test_lift_count, seed)
-        for d in dirs:
-            w = 0.5 * rho_total * d
-            out = _auto_lift(model, x0v, w, lift_opts)
+        targets = 0.5 * rho_total * unit_sphere_points(model.m, test_lift_count, seed)
+        for w, out in zip(targets, lift_lines(model, x0v, targets, lift_opts)):
             if not out.status.is_complete or out.trajectory.points.shape[0] < 2:
                 continue
             wl = weighted_path_length(out.trajectory, weight, x_ref=x0v)

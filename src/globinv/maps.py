@@ -3,8 +3,8 @@
 A :class:`MapModel` wraps a pure vector function f: R^n -> R^m together with an
 optional analytic Jacobian and an optional certified lower bound on the local
 invertibility indicator over centered balls.  Everything downstream (profiles,
-lifts, certificates, the CLI) consumes models through :func:`evaluate` and
-:func:`jacobian` only.
+lifts, certificates, the CLI) consumes models through :func:`evaluate`,
+:func:`jacobian` and, for batched lifts, :func:`jacobian_stack` only.
 """
 
 from __future__ import annotations
@@ -91,6 +91,20 @@ def evaluate(model: MapModel, x) -> Array:
     return y
 
 
+def _fd_jacobian(model: MapModel, xv: Array) -> Array:
+    """Central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3)."""
+    J = np.empty((model.m, model.n))
+    for i in range(model.n):
+        h = max(abs(xv[i]), 1.0) * _FD_SCALE
+        xp = xv.copy()
+        xm = xv.copy()
+        xp[i] += h
+        xm[i] -= h
+        # the realized step absorbs rounding in x_i +/- h
+        J[:, i] = (evaluate(model, xp) - evaluate(model, xm)) / (xp[i] - xm[i])
+    return J
+
+
 def jacobian(model: MapModel, x) -> Array:
     """The m x n Jacobian of f at x: analytic when available, otherwise a
     central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3)."""
@@ -102,18 +116,45 @@ def jacobian(model: MapModel, x) -> Array:
                 f"jacobian({model.name}): returned shape {J.shape}, expected ({model.m}, {model.n})"
             )
     else:
-        J = np.empty((model.m, model.n))
-        for i in range(model.n):
-            h = max(abs(xv[i]), 1.0) * _FD_SCALE
-            xp = xv.copy()
-            xm = xv.copy()
-            xp[i] += h
-            xm[i] -= h
-            # the realized step absorbs rounding in x_i +/- h
-            J[:, i] = (evaluate(model, xp) - evaluate(model, xm)) / (xp[i] - xm[i])
+        J = _fd_jacobian(model, xv)
     if not np.all(np.isfinite(J)):
         raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={xv!r}")
     return J
+
+
+def _fd_jacobian_or_nan(model: MapModel, xv: Array) -> Array:
+    try:
+        return _fd_jacobian(model, xv)
+    except NonFinite:
+        return np.full((model.m, model.n), np.nan)
+
+
+def jacobian_stack(model: MapModel, X) -> tuple:
+    """Jacobians at the K rows of X as one (K, m, n) stack, and a (K,) mask
+    of the rows whose Jacobian is finite.
+
+    Each row is computed as jacobian() computes it; the shape and the
+    finiteness are checked once for the whole stack.  A non-finite row
+    (including a finite difference that hits a non-finite value) is flagged
+    in the mask instead of raised, so batched callers drop that row and go
+    on with the others.
+    """
+    Xv = np.asarray(X, dtype=float)
+    if Xv.ndim != 2 or Xv.shape[1] != model.n:
+        raise DimensionMismatch(
+            f"jacobian_stack({model.name}): expected shape (K, {model.n}), got {Xv.shape}"
+        )
+    if model.jac_fn is not None:
+        rows = [model.jac_fn(x) for x in Xv]
+    else:
+        rows = [_fd_jacobian_or_nan(model, x) for x in Xv]
+    J = np.array(rows, dtype=float) if rows else np.empty((0, model.m, model.n))
+    if J.shape != (Xv.shape[0], model.m, model.n):
+        raise DimensionMismatch(
+            f"jacobian_stack({model.name}): stack has shape {J.shape}, "
+            f"expected ({Xv.shape[0]}, {model.m}, {model.n})"
+        )
+    return J, np.isfinite(J).all(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from globinv.cli import main, run_job
+from globinv.indicators import MuProfile, rho_of_r
 
 
 def _read_report(out_dir):
@@ -61,6 +62,40 @@ def test_invalid_jobs_exit_2(job, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 2
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"map": "arctan1d", "command": "solve", "y": [NaN]}',
+        '{"map": "arctan1d", "command": "certify", "r": Infinity}',
+        '{"map": "identity_2", "command": "indicators", "x0": [0.0, -Infinity]}',
+        '{"map": "identity_1", "command": "solve", "y": [1.0], "opts": {"r_escape": Infinity}}',
+        '{"map": "arctan1d", "command": "certify", "r": 1' + "0" * 400 + "}",
+    ],
+    ids=["nan_y", "infinite_r", "infinite_x0", "infinite_option", "huge_integer_r"],
+)
+def test_non_finite_job_numbers_exit_2(text, tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(job_file), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert err["error"]["type"] == "JobValidationError"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("c", [-2.0, -0.3, 0.0, 1.25])
+def test_overdetermined_solve_job(c, tmp_path):
+    job = {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [c, 2.0 * c]}
+    assert run_job(job, out_override=tmp_path) == 0
+    res = _read_report(tmp_path)["result"]
+    assert res["strategy"] == "GradientFlow"
+    assert res["flow_verdict"]["kind"] == "converged"
+    assert set(res["flow_verdict"]) == {"kind", "level", "grad_norm"}
+    x = res["solution"][0]
+    assert np.linalg.norm([x - c, 2.0 * x - 2.0 * c]) <= 1e-8
 
 
 def test_solve_without_solution_exits_3(tmp_path, capsys):
@@ -150,6 +185,25 @@ def test_profile_csvs_certified_arctan(tmp_path):
     r_last, rho_last = (float(v) for v in rlines[-1].split(","))
     assert r_last == 1.0
     assert abs(rho_last - np.pi / 4) <= 1e-3
+
+
+def test_rho_curve_matches_rho_of_r(tmp_path):
+    job = {"map": "arctan1d", "command": "indicators", "x0": [0.0], "r": 3.0, "grid_size": 2000}
+    assert run_job(job, out_override=tmp_path) == 0
+    res = _read_report(tmp_path)["result"]
+    p = res["profile"]
+    profile = MuProfile(
+        base_point=p["base_point"], radii=p["radii"], eta_values=p["eta_values"],
+        certified=p["certified"], indicator_kind=p["indicator_kind"],
+    )
+    rows = [
+        [float(v) for v in line.split(",")]
+        for line in (tmp_path / "rho_curve.csv").read_text().splitlines()[1:]
+    ]
+    assert [r for r, _ in rows] == p["radii"][1:]
+    for r, rho in rows:
+        assert rho == pytest.approx(rho_of_r(profile, r), rel=1e-12)
+    assert rows[-1][1] == res["rho_at_r"]
 
 
 def test_rho_curve_identity(tmp_path):

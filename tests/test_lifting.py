@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from globinv.errors import DimensionMismatch, OutOfRange, TooFewPoints
+from globinv.errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
 from globinv.lifting import (
+    FlowVerdict,
     LiftOptions,
+    LiftStats,
     LiftStatus,
     LiftTrajectory,
     gradient_flow,
     lift_line_horizontal,
     lift_line_square,
+    lift_lines,
     path_length,
     weighted_path_length,
 )
@@ -170,6 +173,157 @@ def test_length_times_min_mu_bound():
         assert out.status.is_complete
         lhs = out.trajectory.length * float(np.min(out.trajectory.mu_values))
         assert lhs <= np.linalg.norm(w) * (1.0 + 1e-6)
+
+
+def test_lift_stats_count_the_work():
+    m = registry_get("monotone1d")
+    out = lift_line_square(m, [0.0], [5.0])
+    st = out.stats
+    assert st.accepted == out.trajectory.times.size - 1
+    assert st.rejected_singular == st.rejected_nonfinite == 0
+    # one Jacobian and one SVD at x0, then six per attempt (FSAL)
+    attempts = st.accepted + st.rejected_error
+    assert st.jacobians == st.svds == 1 + 6 * attempts
+    # f(x0), then f at every candidate that passed the error test
+    assert st.evals == 1 + st.accepted
+    steps = np.diff(out.trajectory.times)
+    assert st.h_min == pytest.approx(float(np.min(steps)), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_lift_stats_rejections_by_cause():
+    edge = lift_line_square(registry_get("arctan1d"), [0.0], [2.0])
+    assert edge.status.kind == "Singular"
+    assert edge.stats.rejected_singular > 0
+    # e^x overflows in the stages of a lift that ends just below log(max float)
+    over = lift_line_square(registry_get("exp1d"), [705.0], [1.7e308], LiftOptions(r_escape=None))
+    assert over.status.is_complete
+    assert over.stats.rejected_nonfinite > 0
+    assert over.stats.svds < over.stats.jacobians  # no SVD of a non-finite Jacobian
+    zero = lift_line_square(registry_get("identity_1"), [2.0], [0.0])
+    assert zero.stats == LiftStats(evals=1, jacobians=1, svds=1)
+
+
+@pytest.mark.parametrize("lift", [
+    lambda m, w: lift_line_square(m, [0.0], w),
+    lambda m, w: lift_lines(m, [0.0], [w])[0],
+], ids=["single", "lockstep"])
+def test_bad_first_velocity_ends_the_lift(lift):
+    out = lift(registry_get("identity_1"), [np.nan])
+    assert out.status == LiftStatus.step_failure(0.0)
+    assert out.trajectory.times.tolist() == [0.0]
+    assert out.stats.accepted == 0
+
+
+def test_gradient_flow_rejects_a_non_finite_target():
+    m = linear_map([[1.0], [2.0]])
+    with pytest.raises(NonFinite):
+        gradient_flow(m, [0.0], [np.nan, 0.0])
+
+
+def test_gradient_flow_stats():
+    out, _ = gradient_flow(registry_get("monotone1d"), np.array([2.0]), np.array([0.0]))
+    st = out.stats
+    assert st.accepted == out.trajectory.times.size - 1
+    # every stage evaluates f, J and one SVD
+    assert st.evals == st.jacobians == st.svds == 1 + 6 * (st.accepted + st.rejected_error)
+
+
+def test_flow_verdict_json():
+    assert FlowVerdict("converged", level=0.0, grad_norm=1e-13).to_json_dict() == {
+        "kind": "converged", "level": 0.0, "grad_norm": 1e-13,
+    }
+    assert FlowVerdict("diverged").to_json_dict()["level"] is None
+
+
+# ---------------------------------------------------------------------------
+# lockstep lifting: every lane matches its sequential lift
+
+
+def _fd_complex_exp():
+    """complex_exp without an analytic Jacobian (finite-difference fallback)."""
+    f = registry_get("complex_exp").eval_fn
+    return MapModel(name="complex_exp_fd", n=2, m=2, eval_fn=f)
+
+
+def _lane_targets(m: int, scale: float) -> np.ndarray:
+    rng = np.random.default_rng(m)
+    dirs = rng.normal(size=(5, m))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return np.vstack([scale * dirs, 3.0 * scale * dirs[:2], np.zeros((1, m))])
+
+
+LOCKSTEP_CASES = [
+    # (label, model, x0, targets, opts)
+    ("identity_1", registry_get("identity_1"), [0.5], _lane_targets(1, 1.0), None),
+    ("identity_2", registry_get("identity_2"), [0.0, 0.0], _lane_targets(2, 1.0), None),
+    ("identity_3", registry_get("identity_3"), [0.0, 1.0, 0.0], _lane_targets(3, 1.0), None),
+    ("linear", linear_map([[2.0, 1.0], [0.0, 0.5]]), [0.0, 0.0], _lane_targets(2, 1.0), None),
+    ("monotone1d", registry_get("monotone1d"), [0.0], _lane_targets(1, 4.0), None),
+    ("asinh1d", registry_get("asinh1d"), [0.0], _lane_targets(1, 3.0), None),
+    ("complex_exp", registry_get("complex_exp"), [0.0, 0.0], _lane_targets(2, 0.9), None),
+    ("projection2to1", registry_get("projection2to1"), [0.5, 3.0], _lane_targets(1, 1.0), None),
+    ("parabola_sub", registry_get("parabola_sub"), [0.0, 0.5], _lane_targets(1, 1.5), None),
+    # Singular beyond pi/2, Complete inside, w = 0
+    ("arctan1d", registry_get("arctan1d"), [0.0], [[2.0], [-2.0], [0.7], [-1.5], [0.0]], None),
+    # non-finite stages where e^x overflows just below log(max float)
+    ("exp1d", registry_get("exp1d"), [705.0], [[1.7e308], [1e308], [1e306], [0.0]],
+     LiftOptions(r_escape=None)),
+    # StepFailure once the step budget runs out
+    ("budget", registry_get("monotone1d"), [0.0], [[40.0], [0.01], [-40.0]],
+     LiftOptions(max_steps=4)),
+    # Escaped lanes next to Complete ones
+    ("escape", registry_get("complex_exp"), [0.0, 0.0], [[3.0, 0.0], [0.2, 0.1], [-0.5, 0.4]],
+     LiftOptions(r_escape=0.5)),
+    ("checkpoints_stride", registry_get("complex_exp"), [0.2, -0.1], _lane_targets(2, 0.8),
+     LiftOptions(t_checkpoints=(0.25, 0.5, 0.75), record_stride=3)),
+    ("finite_difference", _fd_complex_exp(), [0.0, 0.0], _lane_targets(2, 0.9), None),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "label, model, x0, targets, opts", LOCKSTEP_CASES, ids=[c[0] for c in LOCKSTEP_CASES]
+)
+def test_lift_lines_match_sequential_lifts(label, model, x0, targets, opts):
+    lift = lift_line_square if model.n == model.m else lift_line_horizontal
+    batch = lift_lines(model, x0, targets, opts)
+    assert len(batch) == len(targets)
+    for w, got in zip(targets, batch):
+        want = lift(model, x0, w, opts)
+        assert got.status.kind == want.status.kind, w
+        assert got.status.t == want.status.t, w
+        assert got.trajectory.times.size == want.trajectory.times.size, w
+        assert got.stats == want.stats, w
+        np.testing.assert_allclose(got.trajectory.points[-1], want.trajectory.points[-1], rtol=1e-12)
+        for a, b in [
+            (got.target_residual, want.target_residual),
+            (got.trajectory.length, want.trajectory.length),
+            (got.max_drift, want.max_drift),
+        ]:
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0), w
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_lift_lines_cover_every_terminal_status():
+    kinds = {
+        out.status.kind
+        for _, model, x0, targets, opts in LOCKSTEP_CASES
+        for out in lift_lines(model, x0, targets, opts)
+    }
+    assert kinds == {"Complete", "Singular", "Escaped", "StepFailure"}
+
+
+def test_lift_lines_argument_checks():
+    m = registry_get("identity_2")
+    assert lift_lines(m, [0.0, 0.0], np.zeros((0, 2))) == []
+    with pytest.raises(DimensionMismatch):
+        lift_lines(m, [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        lift_lines(m, [0.0], [[1.0, 1.0]])
+    tall = MapModel(name="embed", n=1, m=2, eval_fn=lambda x: np.array([x[0], x[0]]))
+    with pytest.raises(DimensionMismatch):
+        lift_lines(tall, [0.0], [[1.0, 1.0]])
 
 
 def test_options_validation():

@@ -6,6 +6,7 @@ from globinv.maps import (
     MapModel,
     evaluate,
     jacobian,
+    jacobian_stack,
     linear_map,
     list_map_names,
     registry_entry,
@@ -70,6 +71,41 @@ def test_jacobian_shape_validation():
     bad = MapModel(name="badjac", n=2, m=1, eval_fn=lambda x: x[:1], jac_fn=lambda x: np.eye(2))
     with pytest.raises(DimensionMismatch):
         jacobian(bad, [0.0, 0.0])
+
+
+def test_jacobian_stack_rows_match_jacobian():
+    for k, name in enumerate(ALL_NAMES):
+        model = registry_get(name)
+        stripped = MapModel(name=model.name, n=model.n, m=model.m, eval_fn=model.eval_fn)
+        X = _sample_points(model.n, 4, seed=200 + k)
+        for m in (model, stripped):
+            J, finite = jacobian_stack(m, X)
+            assert J.shape == (4, m.m, m.n) and finite.all(), name
+            for x, Jx in zip(X, J):
+                assert np.array_equal(Jx, jacobian(m, x)), name
+
+
+def test_jacobian_stack_flags_non_finite_rows():
+    exp1d = registry_get("exp1d")
+    X = np.array([[0.0], [800.0], [1.0]])  # e^800 overflows
+    stripped = MapModel(name="exp_fd", n=1, m=1, eval_fn=exp1d.eval_fn)
+    for m in (exp1d, stripped):
+        with np.errstate(over="ignore"):
+            J, finite = jacobian_stack(m, X)
+            with pytest.raises(NonFinite):
+                jacobian(m, X[1])
+        assert finite.tolist() == [True, False, True]
+
+
+def test_jacobian_stack_shape_validation():
+    bad = MapModel(name="badjac", n=2, m=1, eval_fn=lambda x: x[:1], jac_fn=lambda x: np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        jacobian_stack(bad, np.zeros((3, 2)))
+    good = registry_get("identity_2")
+    with pytest.raises(DimensionMismatch):
+        jacobian_stack(good, np.zeros(2))
+    J, finite = jacobian_stack(good, np.zeros((0, 2)))
+    assert J.shape == (0, 2, 2) and finite.shape == (0,)
 
 
 def test_registry_names():
