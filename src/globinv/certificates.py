@@ -29,11 +29,17 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm as _normal
-from scipy.stats import qmc
 
 from .errors import EmptySublevel, OutOfRange, ZeroRadius
-from .indicators import MuProfile, mu_profile, rho_of_r, sur_indicator, unit_ball_points
+from .indicators import (
+    MuProfile,
+    _sobol,
+    _unit_directions,
+    mu_profile,
+    rho_of_r,
+    sur_indicator,
+    unit_ball_points,
+)
 from .lifting import LiftOptions, lift_lines, weighted_path_length
 from .maps import AnalyticFacts, MapModel, evaluate, jacobian
 
@@ -120,19 +126,8 @@ def unit_sphere_points(m: int, count: int, seed: int) -> Array:
             # alternate +1, -1 so both rays are covered for any count
             return np.array([axes[k % 2] for k in range(count)])
         return np.array(axes[:count])
-    extra = count - len(axes)
-    size = 1
-    while size < extra:
-        size *= 2
-    sampler = qmc.Sobol(d=m, scramble=True, seed=seed)
-    u = sampler.random(size)[:extra]
-    z = _normal.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    degenerate = norms == 0.0
-    if np.any(degenerate):
-        z[degenerate] = np.eye(m)[0]
-        norms[degenerate] = 1.0
-    return np.vstack([np.array(axes), z / norms[:, None]])
+    extra = _unit_directions(_sobol(m, count - len(axes), seed))
+    return np.vstack([np.array(axes), extra])
 
 
 def graves_certificate(
@@ -199,6 +194,17 @@ def graves_certificate(
     )
 
 
+def _witness_points(facts: Optional[AnalyticFacts]) -> Optional[list]:
+    """Points x_k of the facts' analytic witness, along which the indicator
+    vanishes, for k = 2, 8, ..., 2^19; None when the facts supply no
+    witness or no exact indicator to evaluate along it."""
+    if facts is None or facts.mu_exact is None or facts.mu_vanishing_witness is None:
+        return None
+    return [
+        np.asarray(facts.mu_vanishing_witness(2 ** j), dtype=float) for j in range(1, 21, 2)
+    ]
+
+
 def hadamard_levy_check(
     profile: MuProfile,
     facts: Optional[AnalyticFacts] = None,
@@ -208,9 +214,9 @@ def hadamard_levy_check(
     """Uniform inverse bound (C10).  Holds asserts indicator >= 1/beta over the
     examined ball when the profile is certified; an analytic vanishing witness
     in the facts refutes it outright; otherwise the verdict is heuristic."""
-    if facts is not None and facts.mu_exact is not None and facts.mu_vanishing_witness is not None:
-        ks = [2 ** j for j in range(1, 21, 2)]
-        vals = [float(facts.mu_exact(np.asarray(facts.mu_vanishing_witness(k), dtype=float))) for k in ks]
+    witness = _witness_points(facts)
+    if witness is not None:
+        vals = [float(facts.mu_exact(p)) for p in witness]
         if vals[-1] < min(vals[0] * 1e-3, 1e-5):
             return DiagnosticsEntry(
                 "C10",
@@ -278,14 +284,6 @@ def hadamard_integral_check(
     return DiagnosticsEntry("C15", VERDICT_HEURISTIC_FAIL, evidence)
 
 
-def _cube_points(n: int, count: int, seed: int) -> Array:
-    size = 1
-    while size < count:
-        size *= 2
-    sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    return 2.0 * sampler.random(size)[:count] - 1.0
-
-
 def katriel_check(
     model: MapModel,
     y0,
@@ -310,22 +308,19 @@ def katriel_check(
     if any(v <= 0.0 for v in levels) or any(b <= a for a, b in zip(levels, levels[1:])):
         raise OutOfRange("katriel_check: levels must be positive and increasing")
     center = np.zeros(model.n) if box_center is None else np.asarray(box_center, dtype=float)
+    witness = _witness_points(facts)
 
     per_level = []
     worst = VERDICT_HEURISTIC_PASS
     rank = {VERDICT_HEURISTIC_PASS: 0, VERDICT_HEURISTIC_FAIL: 1, VERDICT_FAILS: 2}
     for li, level in enumerate(levels):
         if (
-            facts is not None
-            and facts.mu_exact is not None
-            and facts.mu_vanishing_witness is not None
+            witness is not None
             and facts.witness_image_limit is not None
             and float(np.linalg.norm(np.asarray(facts.witness_image_limit) - y0v)) < level
         ):
-            ks = [2 ** j for j in range(1, 21, 2)]
-            pts = [np.asarray(facts.mu_vanishing_witness(k), dtype=float) for k in ks]
-            mus = [float(facts.mu_exact(p)) for p in pts]
-            residuals = [float(np.linalg.norm(evaluate(model, p) - y0v)) for p in pts]
+            mus = [float(facts.mu_exact(p)) for p in witness]
+            residuals = [float(np.linalg.norm(evaluate(model, p) - y0v)) for p in witness]
             per_level.append(
                 {
                     "level": level,
@@ -345,9 +340,8 @@ def katriel_check(
             if sampler is not None:
                 pts = np.asarray(sampler(half_width, samples_per_box), dtype=float)
             else:
-                pts = center[None, :] + half_width * _cube_points(
-                    model.n, samples_per_box, seed + 1000 * li + j
-                )
+                cube = 2.0 * _sobol(model.n, samples_per_box, seed + 1000 * li + j) - 1.0
+                pts = center[None, :] + half_width * cube
             for p in pts:
                 try:
                     res = float(np.linalg.norm(evaluate(model, p) - y0v))
@@ -493,13 +487,12 @@ def weighted_certificate(
         products.append(eta * om)
     alpha = float(min(products))
 
-    if facts is not None and facts.mu_exact is not None and facts.mu_vanishing_witness is not None:
-        ks = [2 ** j for j in range(1, 21, 2)]
-        vals = []
-        for k in ks:
-            xk = np.asarray(facts.mu_vanishing_witness(k), dtype=float)
-            rk = float(np.linalg.norm(xk - x0v))
-            vals.append(float(facts.mu_exact(xk)) * float(weight(rk)))
+    witness = _witness_points(facts)
+    if witness is not None:
+        vals = [
+            float(facts.mu_exact(xk)) * float(weight(float(np.linalg.norm(xk - x0v))))
+            for xk in witness
+        ]
         if vals[-1] < min(vals[0] * 1e-3, 1e-5):
             return DiagnosticsEntry(
                 "C22",

@@ -19,14 +19,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .certificates import build_diagnostics, graves_certificate
-from .errors import GlobinvError, JobValidationError, UnknownMap
+from .errors import GlobinvError, JobValidationError, StrategyMismatch, UnknownMap
 from .indicators import (
     fredholm_data,
     inj_indicator,
@@ -36,48 +36,25 @@ from .indicators import (
 )
 from .lifting import LiftOptions
 from .maps import (
+    MapModel,
     RegistryEntry,
-    evaluate,
+    default_point,
     jacobian,
     linear_entry,
     list_map_names,
     registry_entry,
 )
-from .solver import fibre_enumerate, solve, star_probe
+from .solver import _resolve_strategy, fibre_enumerate, solve, star_probe
 
 SCHEMA_VERSION = "1"
 
-_COMMANDS = ("indicators", "certify", "solve", "star", "fibre", "diagnose")
-
 _TOP_FIELDS = {"map", "command", "parameters", "output_dir", "seed"}
-
-_OPTS_FIELDS = {
-    "rel_tol",
-    "abs_tol",
-    "mu_floor",
-    "r_escape",
-    "max_steps",
-    "record_stride",
-}
-
-_PARAM_FIELDS = {
-    "indicators": {"x0", "r", "grid_size", "mode", "indicator_kind", "sample_count"},
-    "certify": {"x0", "r", "grid_size", "mode", "sample_count", "verify_targets", "opts"},
-    "solve": {"y", "seed_point", "strategy", "opts"},
-    "star": {"seed_point", "directions", "t_budget", "rel_tol", "opts"},
-    "fibre": {"y", "seeds", "loop", "seed_point", "max_points", "opts"},
-    "diagnose": {"x0", "r", "grid_size", "mode", "levels", "weight", "sample_count", "opts"},
-}
 
 _WEIGHTS = {
     "unit": (lambda rho: 1.0, True),
     "one_plus_rho": (lambda rho: 1.0 + rho, True),
     "one_plus_rho_sq": (lambda rho: (1.0 + rho) ** 2, False),
 }
-
-
-def _fail(msg: str) -> JobValidationError:
-    return JobValidationError(msg)
 
 
 def _is_number(v) -> bool:
@@ -91,212 +68,244 @@ def _is_number(v) -> bool:
         return False
 
 
-def _check_vector(v, what: str) -> list:
+def _vector(v, what: str) -> list:
     if not isinstance(v, list) or not v or not all(_is_number(c) for c in v):
-        raise _fail(f"{what} must be a non-empty list of numbers")
+        raise JobValidationError(f"{what} must be a non-empty list of numbers")
     return [float(c) for c in v]
 
 
-def _check_vector_list(v, what: str) -> list:
+def _vectors(v, what: str) -> list:
     if not isinstance(v, list) or not v:
-        raise _fail(f"{what} must be a non-empty list of vectors")
-    return [_check_vector(row, f"{what}[{i}]") for i, row in enumerate(v)]
+        raise JobValidationError(f"{what} must be a non-empty list of vectors")
+    return [_vector(row, f"{what}[{i}]") for i, row in enumerate(v)]
 
 
-def _resolve_map(raw: dict) -> RegistryEntry:
+# Parameter checks: check(value, what, model) returns the value as the
+# defaulted job records it, or raises JobValidationError naming `what`.
+
+
+def _point(dim: str):
+    """A vector of length model.n (dim "n") or model.m (dim "m")."""
+
+    def check(v, what, model):
+        v = _vector(v, what)
+        if len(v) != getattr(model, dim):
+            raise JobValidationError(f"{what} must have length {getattr(model, dim)}")
+        return v
+
+    return check
+
+
+def _points(dim: str):
+    """A non-empty list of vectors, each of length model.n or model.m."""
+
+    def check(v, what, model):
+        rows = _vectors(v, what)
+        if any(len(row) != getattr(model, dim) for row in rows):
+            raise JobValidationError(f"each row of {what} must have length {getattr(model, dim)}")
+        return rows
+
+    return check
+
+
+def _positive(v, what, model):
+    if not _is_number(v) or not v > 0:
+        raise JobValidationError(f"{what} must be a positive number")
+    return float(v)
+
+
+def _integer(minimum: int):
+    def check(v, what, model):
+        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+            raise JobValidationError(f"{what} must be an integer >= {minimum}")
+        return v
+
+    return check
+
+
+def _choice(*options):
+    def check(v, what, model):
+        if v not in options:
+            raise JobValidationError(f"{what} must be one of {list(options)}")
+        return v
+
+    return check
+
+
+def _strategy(v, what, model):
+    if not isinstance(v, str):
+        raise JobValidationError(f"{what} must be a string")
+    try:
+        _resolve_strategy(model, v)
+    except StrategyMismatch as exc:
+        raise JobValidationError(f"{what}: {exc}") from None
+    return v  # the report keeps the name as written
+
+
+def _levels(v, what, model):
+    levels = _vector(v, what)
+    if any(x <= 0 for x in levels) or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise JobValidationError(f"{what} must be positive and increasing")
+    return levels
+
+
+_LIFT_OPTIONS = {
+    "rel_tol": _positive,
+    "abs_tol": _positive,
+    "mu_floor": _positive,
+    "r_escape": _positive,
+    "max_steps": _integer(1),
+    "record_stride": _integer(1),
+}
+
+
+def _lift_options(v, what, model):
+    if not isinstance(v, dict):
+        raise JobValidationError(f"{what} must be an object")
+    for key, val in v.items():
+        if key not in _LIFT_OPTIONS:
+            raise JobValidationError(f"unknown lift option {key!r}")
+        _LIFT_OPTIONS[key](val, f"lift option {key!r}", model)
+    return dict(v)  # as written: the report keeps integer tolerances as integers
+
+
+def _default_point(model) -> list:
+    return default_point(model).tolist()
+
+
+def _default_mode(model) -> str:
+    return "certified" if model.mu_bound is not None else "sampled"
+
+
+_REQUIRED = object()  # the job must give the parameter
+_ABSENT = object()  # a parameter left out stays out of the defaulted job
+
+
+def _profile_params(r: float, grid_size: int) -> dict:
+    """Parameters of the commands that build an indicator profile around x0."""
+    return {
+        "x0": (_point("n"), _default_point),
+        "r": (_positive, r),
+        "grid_size": (_integer(1), grid_size),
+        "mode": (_choice("certified", "sampled"), _default_mode),
+        "sample_count": (_integer(1), 64),
+    }
+
+
+_OPTS = (_lift_options, {})
+_SEED_POINT = (_point("n"), _default_point)
+
+# command -> parameter -> (check, default).  A default is a value, a
+# function of the model, _REQUIRED or _ABSENT.  A default passes the same
+# check as a given value, except a default of None (star's "directions":
+# the signed coordinate axes).
+_SPECS = {
+    "indicators": {
+        **_profile_params(1.0, 256),
+        "indicator_kind": (_choice("inj", "sur"), "sur"),
+    },
+    "certify": {
+        **_profile_params(1.0, 1024),
+        "verify_targets": (_integer(0), 0),
+        "opts": _OPTS,
+    },
+    "solve": {
+        "y": (_point("m"), _REQUIRED),
+        "seed_point": _SEED_POINT,
+        "strategy": (_strategy, "auto"),
+        "opts": _OPTS,
+    },
+    "star": {
+        "seed_point": _SEED_POINT,
+        "directions": (_points("m"), None),
+        "t_budget": (_positive, 10.0),
+        "rel_tol": (_positive, 1e-3),
+        "opts": _OPTS,
+    },
+    "fibre": {
+        "y": (_point("m"), _REQUIRED),
+        "seeds": (_points("n"), _ABSENT),
+        "loop": (_points("m"), _ABSENT),
+        "seed_point": (_point("n"), _ABSENT),
+        "max_points": (_integer(1), 8),
+        "opts": _OPTS,
+    },
+    "diagnose": {
+        **_profile_params(10.0, 512),
+        "levels": (_levels, [1.0, 2.0]),
+        "weight": (_choice(*_WEIGHTS), "one_plus_rho"),
+        "opts": _OPTS,
+    },
+}
+
+
+def _resolve_map(raw) -> tuple:
+    """The job's registry entry, and the checked matrix rows of a 'linear'
+    job (None for every other map)."""
+    if not isinstance(raw, dict):
+        raise JobValidationError("job must be a JSON object")
     name = raw.get("map")
     if not isinstance(name, str):
-        raise _fail("field 'map' is required and must be a string")
-    if name == "linear":
-        params = raw.get("parameters")
-        matrix = None
-        if isinstance(params, dict):
-            matrix = params.get("matrix")
-        if matrix is None:
-            matrix = raw.get("matrix")
-        if matrix is None:
-            raise _fail("map 'linear' needs a 'matrix' parameter (list of rows)")
-        rows = _check_vector_list(matrix, "matrix")
-        if len({len(r) for r in rows}) != 1:
-            raise _fail("matrix rows must all have the same length")
-        return linear_entry(rows)
-    return registry_entry(name)
+        raise JobValidationError("field 'map' is required and must be a string")
+    if name != "linear":
+        return registry_entry(name), None
+    params = raw.get("parameters")
+    matrix = params.get("matrix") if isinstance(params, dict) else None
+    if matrix is None:
+        matrix = raw.get("matrix")
+    if matrix is None:
+        raise JobValidationError("map 'linear' needs a 'matrix' parameter (list of rows)")
+    rows = _vectors(matrix, "parameter 'matrix'")
+    if len({len(r) for r in rows}) != 1:
+        raise JobValidationError("matrix rows must all have the same length")
+    return linear_entry(rows), rows
 
 
-def _validate_job(raw: dict, entry: RegistryEntry) -> dict:
-    if not isinstance(raw, dict):
-        raise _fail("job must be a JSON object")
+def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
+    """The fully defaulted job: every parameter of the command checked
+    against _SPECS, and given inline or under 'parameters'."""
     command = raw.get("command")
-    if command not in _COMMANDS:
-        raise _fail(f"field 'command' must be one of {list(_COMMANDS)}")
-    allowed = _PARAM_FIELDS[command] | ({"matrix"} if raw.get("map") == "linear" else set())
-
+    if not isinstance(command, str) or command not in _SPECS:
+        raise JobValidationError(f"field 'command' must be one of {list(_SPECS)}")
     params = raw.get("parameters", {})
     if not isinstance(params, dict):
-        raise _fail("field 'parameters' must be an object")
+        raise JobValidationError("field 'parameters' must be an object")
     params = dict(params)
-    for key in list(raw.keys()):
-        if key in _TOP_FIELDS:
-            continue
-        if key in allowed:
+    for key, value in raw.items():
+        if key not in _TOP_FIELDS:
             if key in params:
-                raise _fail(f"parameter {key!r} given both inline and in 'parameters'")
-            params[key] = raw[key]
-        else:
-            raise _fail(f"unknown field {key!r} for command {command!r}")
+                raise JobValidationError(f"parameter {key!r} given both inline and in 'parameters'")
+            params[key] = value
     for key in params:
-        if key not in allowed:
-            raise _fail(f"unknown parameter {key!r} for command {command!r}")
+        if key not in _SPECS[command] and not (key == "matrix" and matrix is not None):
+            raise JobValidationError(f"unknown parameter {key!r} for command {command!r}")
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
-        raise _fail("field 'output_dir' must be a string")
+        raise JobValidationError("field 'output_dir' must be a string")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise _fail("field 'seed' must be an integer")
+        raise JobValidationError("field 'seed' must be an integer")
 
-    model = entry.model
-    out = {
+    p = {} if matrix is None else {"matrix": matrix}
+    for key, (check, default) in _SPECS[command].items():
+        what = f"parameter {key!r}"
+        if key in params:
+            p[key] = check(params[key], what, model)
+        elif default is _REQUIRED:
+            raise JobValidationError(f"command {command!r} requires {what}")
+        elif default is not _ABSENT:
+            value = default(model) if callable(default) else default
+            p[key] = None if value is None else check(value, what, model)
+    if command == "fibre" and ("seeds" in p) == ("loop" in p):
+        raise JobValidationError("command 'fibre' needs exactly one of 'seeds' or 'loop'")
+    return {
         "map": raw["map"],
         "command": command,
-        "parameters": {},
+        "parameters": p,
         "output_dir": output_dir,
         "seed": seed,
     }
-    p = out["parameters"]
-    if raw.get("map") == "linear" and "matrix" in params:
-        p["matrix"] = _check_vector_list(params["matrix"], "matrix")
-
-    def vec_param(key, default=None, dim=None):
-        if key in params:
-            v = _check_vector(params[key], key)
-        elif default is not None:
-            v = [float(c) for c in default]
-        else:
-            raise _fail(f"command {command!r} requires parameter {key!r}")
-        if dim is not None and len(v) != dim:
-            raise _fail(f"parameter {key!r} must have length {dim}")
-        return v
-
-    def num_param(key, default, positive=True):
-        v = params.get(key, default)
-        if not _is_number(v) or (positive and not v > 0):
-            raise _fail(f"parameter {key!r} must be a positive number")
-        return float(v)
-
-    def int_param(key, default, minimum=1):
-        v = params.get(key, default)
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise _fail(f"parameter {key!r} must be an integer >= {minimum}")
-        return v
-
-    def mode_param():
-        default = "certified" if model.mu_bound is not None else "sampled"
-        v = params.get("mode", default)
-        if v not in ("certified", "sampled"):
-            raise _fail("parameter 'mode' must be 'certified' or 'sampled'")
-        return v
-
-    def opts_param():
-        v = params.get("opts", {})
-        if not isinstance(v, dict):
-            raise _fail("parameter 'opts' must be an object")
-        for key, val in v.items():
-            if key not in _OPTS_FIELDS:
-                raise _fail(f"unknown lift option {key!r}")
-            if key in ("max_steps", "record_stride"):
-                if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                    raise _fail(f"lift option {key!r} must be a positive integer")
-            elif not _is_number(val) or not val > 0:
-                raise _fail(f"lift option {key!r} must be a positive number")
-        return dict(v)
-
-    default_x0 = (
-        list(model.base_point) if model.base_point is not None else [0.0] * model.n
-    )
-
-    if command == "indicators":
-        p["x0"] = vec_param("x0", default_x0, model.n)
-        p["r"] = num_param("r", 1.0)
-        p["grid_size"] = int_param("grid_size", 256)
-        p["mode"] = mode_param()
-        kind = params.get("indicator_kind", "sur")
-        if kind not in ("inj", "sur"):
-            raise _fail("parameter 'indicator_kind' must be 'inj' or 'sur'")
-        p["indicator_kind"] = kind
-        p["sample_count"] = int_param("sample_count", 64)
-    elif command == "certify":
-        p["x0"] = vec_param("x0", default_x0, model.n)
-        p["r"] = num_param("r", 1.0)
-        p["grid_size"] = int_param("grid_size", 1024)
-        p["mode"] = mode_param()
-        p["sample_count"] = int_param("sample_count", 64)
-        p["verify_targets"] = int_param("verify_targets", 0, minimum=0)
-        p["opts"] = opts_param()
-    elif command == "solve":
-        p["y"] = vec_param("y", dim=model.m)
-        p["seed_point"] = vec_param("seed_point", default_x0, model.n)
-        strategy = params.get("strategy", "auto")
-        if not isinstance(strategy, str):
-            raise _fail("parameter 'strategy' must be a string")
-        p["strategy"] = strategy
-        p["opts"] = opts_param()
-    elif command == "star":
-        p["seed_point"] = vec_param("seed_point", default_x0, model.n)
-        if "directions" in params:
-            dirs = _check_vector_list(params["directions"], "directions")
-            if any(len(d) != model.m for d in dirs):
-                raise _fail(f"each direction must have length {model.m}")
-            p["directions"] = dirs
-        else:
-            p["directions"] = None
-        p["t_budget"] = num_param("t_budget", 10.0)
-        p["rel_tol"] = num_param("rel_tol", 1e-3)
-        p["opts"] = opts_param()
-    elif command == "fibre":
-        p["y"] = vec_param("y", dim=model.m)
-        has_seeds = "seeds" in params
-        has_loop = "loop" in params
-        if has_seeds == has_loop:
-            raise _fail("command 'fibre' needs exactly one of 'seeds' or 'loop'")
-        if has_seeds:
-            seeds = _check_vector_list(params["seeds"], "seeds")
-            if any(len(s) != model.n for s in seeds):
-                raise _fail(f"each seed must have length {model.n}")
-            p["seeds"] = seeds
-        else:
-            loop = _check_vector_list(params["loop"], "loop")
-            if any(len(v) != model.m for v in loop):
-                raise _fail(f"each loop vertex must have length {model.m}")
-            p["loop"] = loop
-        if "seed_point" in params:
-            p["seed_point"] = vec_param("seed_point", dim=model.n)
-        p["max_points"] = int_param("max_points", 8)
-        p["opts"] = opts_param()
-    elif command == "diagnose":
-        p["x0"] = vec_param("x0", default_x0, model.n)
-        p["r"] = num_param("r", 10.0)
-        p["grid_size"] = int_param("grid_size", 512)
-        p["mode"] = mode_param()
-        levels = params.get("levels", [1.0, 2.0])
-        levels = _check_vector(levels, "levels")
-        if any(v <= 0 for v in levels) or any(
-            b <= a for a, b in zip(levels, levels[1:])
-        ):
-            raise _fail("parameter 'levels' must be positive and increasing")
-        p["levels"] = levels
-        weight = params.get("weight", "one_plus_rho")
-        if weight not in _WEIGHTS:
-            raise _fail(f"parameter 'weight' must be one of {sorted(_WEIGHTS)}")
-        p["weight"] = weight
-        p["sample_count"] = int_param("sample_count", 64)
-        p["opts"] = opts_param()
-    return out
-
-
-def _lift_options(p: dict) -> LiftOptions:
-    opts = p.get("opts", {})
-    return replace(LiftOptions(), **opts) if opts else LiftOptions()
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -326,8 +335,9 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
     p = job["parameters"]
     seed = job["seed"]
     command = job["command"]
+    opts = LiftOptions(**p.get("opts", {}))  # indicators takes no lift options
 
-    if command == "indicators":
+    if command in ("indicators", "certify", "diagnose"):
         x0 = np.array(p["x0"])
         profile = mu_profile(
             model,
@@ -336,45 +346,51 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
             p["grid_size"],
             mode=p["mode"],
             sample_count=p["sample_count"],
-            indicator_kind=p["indicator_kind"],
+            indicator_kind=p.get("indicator_kind", "sur"),
             seed=seed,
         )
-        J = jacobian(model, x0)
-        result = {
-            "profile": profile.to_json_dict(),
-            "rho_at_r": rho_of_r(profile, p["r"]),
-            "inj_at_x0": inj_indicator(J),
-            "sur_at_x0": sur_indicator(J),
-            "fredholm_at_x0": asdict(fredholm_data(J)),
-        }
+        ok = True
+        if command == "indicators":
+            J = jacobian(model, x0)
+            result = {
+                "profile": profile.to_json_dict(),
+                "rho_at_r": rho_of_r(profile, p["r"]),
+                "inj_at_x0": inj_indicator(J),
+                "sur_at_x0": sur_indicator(J),
+                "fredholm_at_x0": asdict(fredholm_data(J)),
+            }
+        elif command == "certify":
+            cert = graves_certificate(
+                model,
+                x0,
+                p["r"],
+                profile,
+                verify_targets=p["verify_targets"],
+                opts=opts,
+                seed=seed,
+            )
+            result = cert.to_json_dict()
+            ok = cert.verification is None or (
+                cert.verification["inside"] == cert.verification["targets"]
+            )
+        else:
+            weight_fn, divergent = _WEIGHTS[p["weight"]]
+            report = build_diagnostics(
+                model,
+                x0,
+                profile,
+                facts=entry.facts,
+                weight=weight_fn,
+                weight_divergent=divergent,
+                levels=p["levels"],
+                opts=opts,
+                seed=seed,
+            )
+            result = report.to_json_dict()
+            result["profile"] = profile.to_json_dict()
+        # after the command: a job that fails (exit 3) leaves no profile CSVs
         _profile_csvs(profile, out_dir)
-        return result, True
-
-    if command == "certify":
-        x0 = np.array(p["x0"])
-        profile = mu_profile(
-            model,
-            x0,
-            p["r"],
-            p["grid_size"],
-            mode=p["mode"],
-            sample_count=p["sample_count"],
-            seed=seed,
-        )
-        cert = graves_certificate(
-            model,
-            x0,
-            p["r"],
-            profile,
-            verify_targets=p["verify_targets"],
-            opts=_lift_options(p),
-            seed=seed,
-        )
-        _profile_csvs(profile, out_dir)
-        ok = cert.verification is None or (
-            cert.verification["inside"] == cert.verification["targets"]
-        )
-        return cert.to_json_dict(), ok
+        return result, ok
 
     if command == "solve":
         rep = solve(
@@ -382,7 +398,7 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
             np.array(p["y"]),
             x_seed=np.array(p["seed_point"]),
             strategy=p["strategy"],
-            opts=_lift_options(p),
+            opts=opts,
         )
         rep.outcome.trajectory.to_csv(out_dir / "traj_0.csv")
         return rep.to_json_dict(), rep.solution is not None
@@ -393,7 +409,7 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
             np.array(p["seed_point"]),
             directions=None if p["directions"] is None else np.array(p["directions"]),
             t_budget=p["t_budget"],
-            opts=_lift_options(p),
+            opts=opts,
             rel_tol=p["rel_tol"],
         )
         rows = [
@@ -404,44 +420,16 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
         _write_csv(out_dir / "star_reach.csv", header, rows)
         return rep.to_json_dict(), True
 
-    if command == "fibre":
-        kwargs = {"max_points": p["max_points"], "opts": _lift_options(p)}
-        if "seeds" in p:
-            kwargs["seeds"] = [np.array(s) for s in p["seeds"]]
-        else:
-            kwargs["loop"] = [np.array(v) for v in p["loop"]]
-        if "seed_point" in p:
-            kwargs["x_seed"] = np.array(p["seed_point"])
-        rep = fibre_enumerate(model, np.array(p["y"]), **kwargs)
-        return rep.to_json_dict(), len(rep.points) > 0
-
-    # diagnose
-    x0 = np.array(p["x0"])
-    profile = mu_profile(
-        model,
-        x0,
-        p["r"],
-        p["grid_size"],
-        mode=p["mode"],
-        sample_count=p["sample_count"],
-        seed=seed,
-    )
-    weight_fn, divergent = _WEIGHTS[p["weight"]]
-    report = build_diagnostics(
-        model,
-        x0,
-        profile,
-        facts=entry.facts,
-        weight=weight_fn,
-        weight_divergent=divergent,
-        levels=p["levels"],
-        opts=_lift_options(p),
-        seed=seed,
-    )
-    _profile_csvs(profile, out_dir)
-    result = report.to_json_dict()
-    result["profile"] = profile.to_json_dict()
-    return result, True
+    # fibre
+    kwargs = {"max_points": p["max_points"], "opts": opts}
+    if "seeds" in p:
+        kwargs["seeds"] = [np.array(s) for s in p["seeds"]]
+    else:
+        kwargs["loop"] = [np.array(v) for v in p["loop"]]
+    if "seed_point" in p:
+        kwargs["x_seed"] = np.array(p["seed_point"])
+    rep = fibre_enumerate(model, np.array(p["y"]), **kwargs)
+    return rep.to_json_dict(), len(rep.points) > 0
 
 
 def _emit_error(exc: Exception, code: int) -> int:
@@ -467,16 +455,11 @@ def _write_report(out_dir: Path, job: dict, result: dict) -> None:
 def run_job(raw, out_override=None) -> int:
     """Validate and execute one job dict; returns the process exit code."""
     try:
-        if not isinstance(raw, dict):
-            raise _fail("job must be a JSON object")
-        entry = _resolve_map(raw)
+        entry, matrix = _resolve_map(raw)
+        job = _validate_job(raw, entry.model, matrix)
     except UnknownMap as exc:
         return _emit_error(exc, 4)
     except GlobinvError as exc:
-        return _emit_error(exc, 2)
-    try:
-        job = _validate_job(raw, entry)
-    except JobValidationError as exc:
         return _emit_error(exc, 2)
     if out_override is not None:
         job["output_dir"] = str(out_override)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import norm, qmc
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
-from .maps import MapModel, jacobian
+from .maps import MapModel, default_point, jacobian
 
 Array = np.ndarray
 
@@ -126,6 +126,28 @@ class MuProfile:
         }
 
 
+def _sobol(d: int, count: int, seed: int) -> Array:
+    """The first count points of a scrambled Sobol sequence in [0, 1)^d,
+    drawn as a power-of-two batch (where the sequence is balanced)."""
+    size = 1
+    while size < count:
+        size *= 2
+    return qmc.Sobol(d=d, scramble=True, seed=seed).random(size)[:count]
+
+
+def _unit_directions(u: Array) -> Array:
+    """Rows of u in (0, 1)^d sent through the normal quantile and scaled to
+    unit length: directions spread evenly over the sphere."""
+    z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(z, axis=1)
+    # a zero direction is essentially impossible with scrambling; guard anyway
+    degenerate = norms == 0.0
+    if np.any(degenerate):
+        z[degenerate] = np.eye(u.shape[1])[0]
+        norms[degenerate] = 1.0
+    return z / norms[:, None]
+
+
 def unit_ball_points(n: int, count: int, seed: int) -> Array:
     """Deterministic low-discrepancy points in the closed unit ball of R^n.
 
@@ -135,20 +157,9 @@ def unit_ball_points(n: int, count: int, seed: int) -> Array:
     """
     if count < 1:
         raise OutOfRange("unit_ball_points: count must be >= 1")
-    size = 1
-    while size < count:
-        size *= 2
-    sampler = qmc.Sobol(d=n + 1, scramble=True, seed=seed)
-    u = sampler.random(size)[:count]
-    z = norm.ppf(np.clip(u[:, :n], 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    # a zero direction is essentially impossible with scrambling; guard anyway
-    degenerate = norms == 0.0
-    if np.any(degenerate):
-        z[degenerate] = np.eye(n)[0]
-        norms[degenerate] = 1.0
+    u = _sobol(n + 1, count, seed)
     radii = u[:, n] ** (1.0 / n)
-    return z / norms[:, None] * radii[:, None]
+    return _unit_directions(u[:, :n]) * radii[:, None]
 
 
 def _indicator_at(model: MapModel, x: Array, kind: str) -> float:
@@ -191,12 +202,7 @@ def mu_profile(
     if mode == "certified":
         if model.mu_bound is None:
             raise MissingBound(f"map {model.name!r} carries no analytic bound")
-        base = (
-            np.zeros(model.n)
-            if model.base_point is None
-            else np.asarray(model.base_point, dtype=float)
-        )
-        shift = float(np.linalg.norm(x0v - base))
+        shift = float(np.linalg.norm(x0v - default_point(model)))
         eta = np.array([float(model.mu_bound(shift + rho)) for rho in radii])
         if not np.all(np.isfinite(eta)):
             raise NonFinite("mu_profile: analytic bound returned non-finite values")

@@ -71,6 +71,13 @@ class RegistryEntry:
     facts: Optional[AnalyticFacts] = None
 
 
+def default_point(model: MapModel) -> Array:
+    """The model's base point, or the origin when it has none."""
+    if model.base_point is None:
+        return np.zeros(model.n)
+    return np.array(model.base_point, dtype=float)
+
+
 def _vector(x, n: int, what: str) -> Array:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (n,):

@@ -25,7 +25,7 @@ from .lifting import (
     lift_line_horizontal,
     lift_line_square,
 )
-from .maps import MapModel, evaluate, jacobian
+from .maps import MapModel, default_point, evaluate, jacobian
 
 Array = np.ndarray
 
@@ -183,14 +183,7 @@ def solve(
     yv = np.asarray(y, dtype=float)
     if yv.shape != (model.m,):
         raise OutOfRange(f"solve: target must have shape ({model.m},)")
-    if x_seed is None:
-        seed = (
-            np.array(model.base_point, dtype=float)
-            if model.base_point is not None
-            else np.zeros(model.n)
-        )
-    else:
-        seed = np.asarray(x_seed, dtype=float)
+    seed = default_point(model) if x_seed is None else np.asarray(x_seed, dtype=float)
     name = _resolve_strategy(model, strategy)
     lift_opts = opts or LiftOptions()
 
@@ -246,10 +239,11 @@ def star_probe(
     """Probe the star of reachable targets around y0 = f(x_seed).
 
     Per direction, tries the full budget first; on failure bisects for the
-    largest t whose lift completes, to within rel_tol * t_budget.  The reach
-    is a numerical witness of the star boundary, not a proof.  A lift that
-    dies by step collapse is reported as Singular (that is how the integrator
-    manifests a boundary singularity).
+    largest t whose lift completes, to within rel_tol * t_budget or to float
+    resolution, whichever is coarser.  The reach is a numerical witness of
+    the star boundary, not a proof.  A lift that dies by step collapse is
+    reported as Singular (that is how the integrator manifests a boundary
+    singularity).
     """
     if model.n != model.m:
         raise StrategyMismatch("star_probe needs a square map")
@@ -287,6 +281,8 @@ def star_probe(
         fail_kind = out.status.kind
         while hi - lo > rel_tol * t_budget:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # lo and hi are adjacent floats
+                break
             out = lift_line_square(model, seed, mid * d, lift_opts)
             if out.status.is_complete:
                 lo = mid
@@ -357,15 +353,7 @@ def fibre_enumerate(
     if float(np.linalg.norm(vertices[-1] - vertices[0])) > 1e-12:
         vertices = vertices + [vertices[0]]
 
-    start = (
-        np.asarray(x_seed, dtype=float)
-        if x_seed is not None
-        else (
-            np.array(model.base_point, dtype=float)
-            if model.base_point is not None
-            else np.zeros(model.n)
-        )
-    )
+    start = default_point(model) if x_seed is None else np.asarray(x_seed, dtype=float)
     start, res0 = _newton_polish(model, start, yv)
     if res0 > tol:
         raise LoopNotInImage("fibre_enumerate: no fibre point found at the loop base")

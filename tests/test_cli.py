@@ -55,6 +55,8 @@ def test_missing_command_exits_2(tmp_path, capsys):
             "r": 1.0,
             "parameters": {"r": 2.0},
         },
+        {"map": "projection2to1", "command": "solve", "y": [0.0], "strategy": "mystery"},
+        {"map": "projection2to1", "command": "solve", "y": [0.0], "strategy": "wazewski"},
     ],
 )
 def test_invalid_jobs_exit_2(job, tmp_path, capsys):
@@ -145,6 +147,54 @@ def test_report_schema_and_defaults(tmp_path):
     # keys are emitted sorted, so the layout is reproducible
     assert text.index('"job"') < text.index('"result"')
     assert text.index('"result"') < text.index('"schema_version"')
+
+
+@pytest.mark.parametrize(
+    "job, expected",
+    [
+        (
+            {"map": "arctan1d", "command": "indicators", "x0": [0], "r": 2},
+            {"x0": [0.0], "r": 2.0, "grid_size": 256, "mode": "certified",
+             "indicator_kind": "sur", "sample_count": 64},
+        ),
+        (
+            {"map": "arctan1d", "command": "certify"},
+            {"x0": [0.0], "r": 1.0, "grid_size": 1024, "mode": "certified",
+             "sample_count": 64, "verify_targets": 0, "opts": {}},
+        ),
+        (
+            {"map": "arctan1d", "command": "solve", "y": [0.5]},
+            {"y": [0.5], "seed_point": [0.0], "strategy": "auto", "opts": {}},
+        ),
+        (
+            {"map": "identity_1", "command": "star"},
+            {"seed_point": [0.0], "directions": None, "t_budget": 10.0, "rel_tol": 0.001,
+             "opts": {}},
+        ),
+        (
+            {"map": "identity_1", "command": "fibre", "y": [1.0], "seeds": [[0.0]]},
+            {"y": [1.0], "seeds": [[0.0]], "max_points": 8, "opts": {}},
+        ),
+        (
+            {"map": "identity_2", "command": "fibre", "y": [1.0, 0.0],
+             "loop": [[0.0, 1.0], [-1.0, 0.0]]},
+            {"y": [1.0, 0.0], "loop": [[0.0, 1.0], [-1.0, 0.0]], "max_points": 8,
+             "opts": {}},
+        ),
+        (
+            {"map": "identity_1", "command": "diagnose"},
+            {"x0": [0.0], "r": 10.0, "grid_size": 512, "mode": "certified",
+             "levels": [1.0, 2.0], "weight": "one_plus_rho", "sample_count": 64,
+             "opts": {}},
+        ),
+    ],
+    ids=["indicators", "certify", "solve", "star", "fibre_seeds", "fibre_loop", "diagnose"],
+)
+def test_defaulted_job_parameters(job, expected, tmp_path):
+    assert run_job(job, out_override=tmp_path) == 0
+    j = _read_report(tmp_path)["job"]
+    assert j["parameters"] == expected
+    assert (j["map"], j["command"], j["seed"]) == (job["map"], job["command"], 0)
 
 
 def test_solve_report_and_trajectory(tmp_path):

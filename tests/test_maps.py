@@ -4,6 +4,7 @@ import pytest
 from globinv.errors import DimensionMismatch, NonFinite, UnknownMap
 from globinv.maps import (
     MapModel,
+    default_point,
     evaluate,
     jacobian,
     jacobian_stack,
@@ -202,3 +203,13 @@ def test_monodromy_fact():
 def test_model_dimension_validation():
     with pytest.raises(DimensionMismatch):
         MapModel(name="zero", n=0, m=1, eval_fn=lambda x: x)
+
+
+def test_default_point_is_base_point_or_origin():
+    assert default_point(registry_get("identity_3")).tolist() == [0.0, 0.0, 0.0]
+    base = np.array([1.0, -2.0])
+    shifted = MapModel("shifted", 2, 2, eval_fn=lambda x: x - base, base_point=base)
+    point = default_point(shifted)
+    assert point.tolist() == [1.0, -2.0]
+    point[0] = 5.0  # a copy: the model's base point is untouched
+    assert base.tolist() == [1.0, -2.0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from globinv import solver
 from globinv.certificates import graves_certificate
 from globinv.errors import LiftAborted, LoopNotInImage, OutOfRange, StrategyMismatch
 from globinv.indicators import mu_profile
@@ -184,6 +185,24 @@ def test_star_budget_consistency():
     for a, b in zip(small.reaches, large.reaches):
         assert b >= a - 2 * 1e-4 * 2.0
         assert abs(a - b) <= 2 * (1e-4 * 8.0 + 1e-4 * 2.0)
+
+
+def test_star_bisection_ends_at_float_resolution(monkeypatch):
+    """A rel_tol below float spacing stops once lo and hi are adjacent
+    floats instead of bisecting forever."""
+    calls = []
+    lift = solver.lift_line_square
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 200:
+            raise RuntimeError("star bisection did not end")
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "lift_line_square", counted)
+    rep = star_probe(registry_get("exp1d"), [0.0], directions=[[-1.0]], t_budget=2.0, rel_tol=1e-300)
+    assert abs(rep.reaches[0] - 1.0) <= 1e-6
+    assert rep.reasons == ("Singular",)
 
 
 def test_star_validation():
