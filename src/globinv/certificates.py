@@ -284,6 +284,7 @@ def hadamard_integral_check(
     return DiagnosticsEntry("C15", VERDICT_HEURISTIC_FAIL, evidence)
 
 
+@np.errstate(over="ignore")  # an overflowed residual norm is +inf and fails the test
 def katriel_check(
     model: MapModel,
     y0,
@@ -405,6 +406,7 @@ def _segment_min_ratio(model: MapModel, u: Array, x: Array) -> float:
     return best
 
 
+@np.errstate(over="ignore")  # an overflowed ratio is +inf and never the minimum
 def expansive_estimate(
     model: MapModel,
     pair_sampler: Optional[Callable[[int, float], tuple]] = None,

@@ -219,7 +219,7 @@ _SPECS = {
         "seed_point": _SEED_POINT,
         "directions": (_points("m"), None),
         "t_budget": (_positive, 10.0),
-        "rel_tol": (_positive, 1e-3),
+        "rel_tol": (_positive, 1e-3),  # schema "1": checked and echoed, not used
         "opts": _OPTS,
     },
     "fibre": {
@@ -299,6 +299,10 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
             p[key] = None if value is None else check(value, what, model)
     if command == "fibre" and ("seeds" in p) == ("loop" in p):
         raise JobValidationError("command 'fibre' needs exactly one of 'seeds' or 'loop'")
+    if (command == "star" or "loop" in p) and model.n != model.m:
+        raise JobValidationError("a star probe or a fibre loop needs a square map")
+    if command == "star" and any(np.linalg.norm(d) == 0.0 for d in p["directions"] or ()):
+        raise JobValidationError("parameter 'directions' must not hold a zero direction")
     return {
         "map": raw["map"],
         "command": command,
@@ -410,7 +414,6 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
             directions=None if p["directions"] is None else np.array(p["directions"]),
             t_budget=p["t_budget"],
             opts=opts,
-            rel_tol=p["rel_tol"],
         )
         rows = [
             tuple(d) + (t, reason)

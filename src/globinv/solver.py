@@ -1,11 +1,11 @@
 """High-level solving built on line lifting.
 
 solve() turns f(x)=y into a lift of the segment from f(x_seed) to y and
-polishes the endpoint with damped Newton steps.  star_probe() bisects along
-codomain rays for the largest liftable target.  fibre_enumerate() collects
-distinct solutions by multistart or by lifting closed polygonal loops
-(monodromy).  trivialize() sends nearby points of a submersion's domain to
-the fibre over y along horizontal lifts.
+polishes the endpoint with damped Newton steps.  star_probe() lifts one
+codomain ray per direction and reads the reach off the time the lift
+stopped.  fibre_enumerate() collects distinct solutions by multistart or by
+lifting closed polygonal loops (monodromy).  trivialize() sends nearby
+points of a submersion's domain to the fibre over y along horizontal lifts.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .maps import MapModel, default_point, evaluate, jacobian
 Array = np.ndarray
 
 SOLVE_TOL = 1e-8
+
+# Star ray reason by lift status kind; any other stop reads as Singular.
+_STAR_REASONS = {"Complete": "BudgetExhausted", "Escaped": "Escaped"}
 
 _STRATEGY_NAMES = {
     "auto": "auto",
@@ -74,6 +77,7 @@ class StarReport:
     directions: Array
     reaches: tuple
     reasons: tuple
+    statuses: tuple  # the LiftStatus of each ray's lift
     t_budget: float
 
     def to_json_dict(self) -> dict:
@@ -86,8 +90,11 @@ class StarReport:
                     "direction": [float(c) for c in d],
                     "reach": float(t),
                     "reason": reason,
+                    "status": status.to_json_dict(),
                 }
-                for d, t, reason in zip(self.directions, self.reaches, self.reasons)
+                for d, t, reason, status in zip(
+                    self.directions, self.reaches, self.reasons, self.statuses
+                )
             ],
         }
 
@@ -234,16 +241,16 @@ def star_probe(
     directions=None,
     t_budget: float = 10.0,
     opts: Optional[LiftOptions] = None,
-    rel_tol: float = 1e-3,
 ) -> StarReport:
     """Probe the star of reachable targets around y0 = f(x_seed).
 
-    Per direction, tries the full budget first; on failure bisects for the
-    largest t whose lift completes, to within rel_tol * t_budget or to float
-    resolution, whichever is coarser.  The reach is a numerical witness of
-    the star boundary, not a proof.  A lift that dies by step collapse is
-    reported as Singular (that is how the integrator manifests a boundary
-    singularity).
+    Per direction d, lifts the segment from y0 to y0 + t_budget * d once.  The
+    lift of t * d for t < t_budget is a prefix of it, so the reach is the stop
+    time (a fraction of the segment, 1 when complete) times t_budget.  The
+    reach is a numerical witness of the star boundary, not a proof.  A lift
+    that stops other than by escaping is reported as Singular (step collapse
+    is how the integrator manifests a boundary singularity); statuses keeps
+    each lift's own stop.
     """
     if model.n != model.m:
         raise StrategyMismatch("star_probe needs a square map")
@@ -269,34 +276,14 @@ def star_probe(
         dirs = dirs / norms[:, None]
     lift_opts = opts or LiftOptions()
 
-    reaches = []
-    reasons = []
-    for d in dirs:
-        out = lift_line_square(model, seed, t_budget * d, lift_opts)
-        if out.status.is_complete:
-            reaches.append(float(t_budget))
-            reasons.append("BudgetExhausted")
-            continue
-        lo, hi = 0.0, float(t_budget)
-        fail_kind = out.status.kind
-        while hi - lo > rel_tol * t_budget:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # lo and hi are adjacent floats
-                break
-            out = lift_line_square(model, seed, mid * d, lift_opts)
-            if out.status.is_complete:
-                lo = mid
-            else:
-                hi = mid
-                fail_kind = out.status.kind
-        reaches.append(lo)
-        reasons.append("Escaped" if fail_kind == "Escaped" else "Singular")
+    statuses = tuple(lift_line_square(model, seed, t_budget * d, lift_opts).status for d in dirs)
     return StarReport(
         x_seed=seed,
         y0=y0,
         directions=dirs,
-        reaches=tuple(reaches),
-        reasons=tuple(reasons),
+        reaches=tuple(s.t * t_budget for s in statuses),
+        reasons=tuple(_STAR_REASONS.get(s.kind, "Singular") for s in statuses),
+        statuses=statuses,
         t_budget=float(t_budget),
     )
 

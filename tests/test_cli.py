@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from globinv import solver
 from globinv.cli import main, run_job
 from globinv.indicators import MuProfile, rho_of_r
 
@@ -57,6 +59,9 @@ def test_missing_command_exits_2(tmp_path, capsys):
         },
         {"map": "projection2to1", "command": "solve", "y": [0.0], "strategy": "mystery"},
         {"map": "projection2to1", "command": "solve", "y": [0.0], "strategy": "wazewski"},
+        {"map": "projection2to1", "command": "star"},
+        {"map": "identity_2", "command": "star", "directions": [[0.0, 0.0]]},
+        {"map": "projection2to1", "command": "fibre", "y": [1.0], "loop": [[2.0], [3.0]]},
     ],
 )
 def test_invalid_jobs_exit_2(job, tmp_path, capsys):
@@ -280,7 +285,30 @@ def test_star_csv(tmp_path):
         assert abs(float(reach) - np.pi / 2) <= 1e-2
         assert reason in ("Singular", "Escaped")
     rep = _read_report(tmp_path)
-    assert len(rep["result"]["rays"]) == 2
+    rays = rep["result"]["rays"]
+    assert len(rays) == 2
+    # each ray records why its lift stopped; the reach is its stop time
+    for ray in rays:
+        assert ray["status"]["kind"] in ("Singular", "StepFailure", "Escaped")
+        assert ray["reach"] == ray["status"]["t"] * 2.0
+
+
+def test_star_huge_budget_one_lift_per_ray(tmp_path, monkeypatch):
+    """A budget near the float limit ends after one lift per ray."""
+    calls = []
+    lift = solver.lift_line_square
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 10:
+            raise RuntimeError("more than 10 lifts")
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "lift_line_square", counted)
+    job = {"map": "complex_exp", "command": "star", "t_budget": 1e308}
+    assert run_job(job, out_override=tmp_path) == 0
+    rays = _read_report(tmp_path)["result"]["rays"]
+    assert len(calls) == len(rays) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +349,16 @@ def test_diagnose_job(tmp_path):
     assert by_id["C17"]["verdict"] == "Fails"
     assert res["profile"]["certified"] is True
     assert (tmp_path / "eta_profile.csv").exists()
+
+
+def test_diagnose_exp_overflow_is_silent(tmp_path):
+    """Residual norms of far-out exp1d samples overflow to +inf and fail the
+    level test without a RuntimeWarning."""
+    job = {"map": "exp1d", "command": "diagnose", "r": 3}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_job(job, out_override=tmp_path) == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_star_identity_budget_exhausted():
 
 def test_star_arctan_half_pi():
     m = registry_get("arctan1d")
-    rep = star_probe(m, [0.0], t_budget=2.0, rel_tol=1e-3)
+    rep = star_probe(m, [0.0], t_budget=2.0)
     assert len(rep.reaches) == 2
     for reach, reason in zip(rep.reaches, rep.reasons):
         assert abs(reach - np.pi / 2) <= 1e-2
@@ -168,7 +168,7 @@ def test_star_arctan_half_pi():
 
 def test_star_exp_asymmetric():
     m = registry_get("exp1d")  # at x=0, image ray down hits 0 at distance 1
-    rep = star_probe(m, [0.0], t_budget=2.0, rel_tol=1e-3)
+    rep = star_probe(m, [0.0], t_budget=2.0)
     by_dir = dict(zip(tuple(d[0] for d in np.asarray(rep.directions)), range(2)))
     down = rep.reaches[by_dir[-1.0]]
     up_reason = rep.reasons[by_dir[1.0]]
@@ -177,30 +177,51 @@ def test_star_exp_asymmetric():
 
 
 def test_star_budget_consistency():
-    """A larger budget never shrinks a reach; bisected reaches agree within
-    resolution."""
+    """A larger budget never shrinks a reach, and both budgets find the same
+    edge: each reach is read off one lift's stop time."""
     m = registry_get("arctan1d")
-    small = star_probe(m, [0.0], t_budget=2.0, rel_tol=1e-4)
-    large = star_probe(m, [0.0], t_budget=8.0, rel_tol=1e-4)
+    small = star_probe(m, [0.0], t_budget=2.0)
+    large = star_probe(m, [0.0], t_budget=8.0)
     for a, b in zip(small.reaches, large.reaches):
         assert b >= a - 2 * 1e-4 * 2.0
         assert abs(a - b) <= 2 * (1e-4 * 8.0 + 1e-4 * 2.0)
 
 
-def test_star_bisection_ends_at_float_resolution(monkeypatch):
-    """A rel_tol below float spacing stops once lo and hi are adjacent
-    floats instead of bisecting forever."""
+def _count_lifts(monkeypatch, limit):
+    """Count the star probe's lifts; raise once more than `limit` are made."""
     calls = []
     lift = solver.lift_line_square
 
     def counted(*args, **kwargs):
         calls.append(1)
-        if len(calls) > 200:
-            raise RuntimeError("star bisection did not end")
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} lifts")
         return lift(*args, **kwargs)
 
     monkeypatch.setattr(solver, "lift_line_square", counted)
-    rep = star_probe(registry_get("exp1d"), [0.0], directions=[[-1.0]], t_budget=2.0, rel_tol=1e-300)
+    return calls
+
+
+def test_star_one_lift_per_ray(monkeypatch):
+    """Each ray costs exactly one lift, whether it stops at the edge or
+    finishes the budget; the reach is the stop time times the budget."""
+    calls = _count_lifts(monkeypatch, 10)
+    rep = star_probe(registry_get("exp1d"), [0.0], directions=[[-1.0]], t_budget=2.0)
+    assert len(calls) == 1
+    assert abs(rep.reaches[0] - 1.0) <= 1e-6
+    assert rep.reasons == ("Singular",)
+    assert rep.reaches[0] == rep.statuses[0].t * 2.0
+
+    rep = star_probe(registry_get("exp1d"), [0.0], t_budget=2.0)
+    assert len(calls) == 3
+    assert rep.reasons == ("BudgetExhausted", "Singular")
+    assert rep.reaches[0] == 2.0 and rep.statuses[0].is_complete
+
+
+def test_star_huge_budget_finds_edge():
+    """A budget far beyond the edge still finds it: the reach is not limited
+    to a resolution proportional to the budget."""
+    rep = star_probe(registry_get("exp1d"), [0.0], directions=[[-1.0]], t_budget=1e6)
     assert abs(rep.reaches[0] - 1.0) <= 1e-6
     assert rep.reasons == ("Singular",)
 
