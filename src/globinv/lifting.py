@@ -16,15 +16,20 @@ jumping across them.
 lift_line_square and lift_line_horizontal run one lift.  lift_lines(model,
 x0, W, opts) runs the K lifts from one base point, one per row of W, in
 lockstep as a single (K, n) state: every stage builds one stacked Jacobian
-and takes one stacked SVD over the lanes still live.  Per-lane contract:
-each lane keeps its own t, step size, step controller, recorder and status;
-a lane whose stage fails leaves the rest of that attempt, and a lane that
-stops leaves the batch; lane k returns the LiftOutcome, LiftStats included,
-that the single lift of W[k] returns.  Batching pays when several lifts share
-a base point (verification sweeps); a single lift runs faster on the scalar
-stage code, so both stage codes stay and share one step controller.
-Every LiftOutcome carries LiftStats, the deterministic work counters of its
-lift.
+and takes one stacked SVD over the lanes still live.  Each lane keeps its
+own t, step size, recorder and status, and returns the LiftOutcome,
+LiftStats included, that the single lift of its row returns.  Batching pays
+when lifts share a base point (verification sweeps); a single lift runs
+faster on the scalar stage code.
+
+gradient_flow integrates x' = -grad F_y under the same step controller
+(_Lift: t, step size and budget, rejection and step collapse, error norm,
+recorder, counters, escape stop).  Two judges take or reject the attempts
+whose stages all succeeded: _LineLift (drift and residual against the line,
+the mu-decay guard) and _FlowLift (F must not rise; time-doubling windows
+give the verdict).  One driver, _integrate, runs either judge on the scalar
+stage code; _lockstep_attempt drives the lanes of lift_lines.  Every
+LiftOutcome carries LiftStats, the work counters of its integration.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ class LiftOptions:
     r_escape: Optional[float] = 1e6
     max_steps: int = 20000
     record_stride: int = 1
-    t_checkpoints: tuple = ()
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -89,9 +93,6 @@ class LiftOptions:
             raise OutOfRange("LiftOptions: r_escape must be positive or None")
         if self.max_steps < 1 or self.record_stride < 1:
             raise OutOfRange("LiftOptions: max_steps and record_stride must be >= 1")
-        cps = tuple(float(c) for c in self.t_checkpoints)
-        if any(not c > 0.0 for c in cps) or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise OutOfRange("LiftOptions: t_checkpoints must be positive and increasing")
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,6 @@ class LiftTrajectory:
     points: Array
     mu_values: Array
     length: float
-    weighted_length: Optional[float] = None
 
     def to_csv(self, path_or_handle) -> None:
         """Columns t, x_1..x_n, mu, cumulative_length (chords of these rows)."""
@@ -305,53 +305,137 @@ class _Recorder:
         )
 
 
-class _LineLift:
-    """State and step control of one line lift.
+class _Lift:
+    """The step controller shared by every integration, t from 0 to t_end.
+    A judge subclass adds vel (the stage slope) and finish (take or reject
+    an attempt whose stages all succeeded)."""
 
-    The stage code (scalar in _lift_line, batched in _lockstep_attempt)
-    computes Dormand-Prince attempts; this class owns everything per lift:
-    t, the step size and its controller with the mu-decay guard, the
-    checkpoints, the recorder, the counters, and the singular, escape, drift
-    and residual stops.
-    """
+    t_end = 1.0
+
+    def __init__(self, model: MapModel, x0v: Array, opts: LiftOptions):
+        self.model, self.x0, self.opts = model, x0v, opts
+        self.stats = LiftStats()
+        self.rtol = opts.rel_tol / _SAFETY_DIV
+        self.atol = opts.abs_tol / _SAFETY_DIV
+        self.rec = _Recorder(opts.record_stride)
+        self.t = 0.0
+        self.q = x0v
+        self.k1 = None
+        self.h = 0.0
+        self.mu = None  # the indicator at q
+        self.length = 0.0
+        self.status = None
+        self.last_singular_mu = None
+
+    def begin_attempt(self) -> bool:
+        """Size the next attempt; False once the integration has stopped."""
+        if self.status is not None or self.t >= self.t_end - 1e-15:
+            return False
+        if self.stats.accepted >= self.opts.max_steps:
+            self.status = LiftStatus.step_failure(self.t)
+            return False
+        self.h = min(self.h, self.t_end - self.t)
+        return True
+
+    def reject(self, cause: str, mu: Optional[float] = None, err_norm: float = np.inf) -> None:
+        """Reject the attempt (cause "error", "singular" or "nonfinite") and
+        shrink the step; a step that collapses ends the integration."""
+        if cause == "singular":
+            self.stats.rejected_singular += 1
+            self.last_singular_mu = mu
+        elif cause == "nonfinite":
+            self.stats.rejected_nonfinite += 1
+        else:
+            self.stats.rejected_error += 1
+        shrink = 0.5 if not np.isfinite(err_norm) else max(0.1, min(0.5, 0.9 * err_norm ** -0.2))
+        self.h *= shrink
+        if self.h < _H_MIN * max(1.0, self.t):
+            if self.last_singular_mu is not None:
+                self.status = LiftStatus.singular(self.t, self.last_singular_mu)
+            else:
+                self.status = LiftStatus.step_failure(self.t)
+
+    def error_norm(self, q5: Array, err: Array) -> float:
+        scale = self.atol + self.rtol * np.maximum(np.abs(self.q), np.abs(q5))
+        return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+    def grown(self, err_norm: float) -> float:
+        """The next step size after taking a step of this error norm, uncapped."""
+        fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        return self.h * fac
+
+    def accept(self, q5: Array, k7: Array, mu: float) -> None:
+        """Take the attempted step of size h to q5, where the slope is k7."""
+        self.stats.accepted += 1
+        self.stats.h_min = min(self.stats.h_min, self.h)
+        t_new = self.t + self.h
+        if self.t_end - t_new < 1e-15:
+            t_new = self.t_end
+        self.length += _norm(q5 - self.q)
+        self.q, self.t, self.k1, self.mu = q5, t_new, k7, mu
+        self.last_singular_mu = None
+        self.rec.record(t_new, q5, mu, force=t_new >= self.t_end)
+
+    def stop(self, status: LiftStatus) -> None:
+        self.rec.force_last(self.t, self.q, self.mu)
+        self.status = status
+
+    def stop_if_escaped(self) -> bool:
+        dist = _norm(self.q - self.x0)
+        if self.opts.r_escape is not None and dist > self.opts.r_escape:
+            self.stop(LiftStatus.escaped(self.t, dist))
+        return self.status is not None
+
+    def trajectory(self) -> LiftTrajectory:
+        self.rec.force_last(self.t, self.q, self.mu)
+        return self.rec.build(self.length)
+
+
+def _integrate(lift: _Lift) -> None:
+    """Run one integration on the scalar stage code until it stops."""
+    while lift.begin_attempt():
+        try:
+            q5, k7, extra7, err = _dp_attempt(lift.vel, lift.q, lift.k1, lift.h)
+        except _StageSingular as exc:
+            lift.reject("singular", exc.mu)
+        except (_StageBad, NonFinite):
+            lift.reject("nonfinite")
+        else:
+            lift.finish(q5, k7, extra7, err)
+
+
+class _LineLift(_Lift):
+    """The judge of one line lift: the residual and drift of f(q) against
+    the line, the mu-decay step guard, and the singular stop at x0."""
 
     def __init__(self, model: MapModel, x0v: Array, wv: Array, opts: LiftOptions):
-        self.model, self.x0, self.w, self.opts = model, x0v, wv, opts
-        self.stats = LiftStats()
+        super().__init__(model, x0v, opts)
+        self.w = wv
         self.stats.evals += 1
         self.f0 = evaluate(model, x0v)
         self.f = self.f0  # f(q), known from the step that accepted q
         self.norm_w = _norm(wv)
         self.complete_tol = 10.0 * opts.rel_tol * max(self.norm_w, 1.0) + 100.0 * opts.abs_tol
         self.drift_cap = max(1e3 * self.complete_tol, 1e-6 * max(self.norm_w, 1.0))
-        self.rtol = opts.rel_tol / _SAFETY_DIV
-        self.atol = opts.abs_tol / _SAFETY_DIV
-        self.checkpoints = sorted(c for c in opts.t_checkpoints if 0.0 < c < 1.0)
-        self.cp_idx = 0
-        self.rec = _Recorder(opts.record_stride)
-        self.t = 0.0
-        self.q = x0v
-        self.k1 = None
-        self.h = 0.0
-        self.mu_prev = None
-        self.length = 0.0
         self.max_drift = 0.0
-        self.status = None
-        self.last_singular_mu = None
+
+    def vel(self, x: Array):
+        self.stats.jacobians += 1
+        J = jacobian(self.model, x)  # NonFinite from the model surfaces as a bad stage
+        self.stats.svds += 1
+        return _velocity(*np.linalg.svd(J, full_matrices=False), self.w, self.opts.mu_floor)
 
     def start(self, U: Array, s: Array, Vt: Array) -> None:
         """Set up from the SVD of J(x0): record the base point, stop at once
         when it is singular or w = 0, else take the first slope and step."""
-        mu0 = float(s[-1])
-        self.mu_prev = mu0
-        self.rec.record(0.0, self.x0, mu0, force=True)
-        if mu0 < self.opts.mu_floor:
-            self.status = LiftStatus.singular(0.0, mu0)
+        self.mu = float(s[-1])
+        self.rec.record(0.0, self.x0, self.mu, force=True)
+        if self.mu < self.opts.mu_floor:
+            self.status = LiftStatus.singular(0.0, self.mu)
             return
         if self.norm_w == 0.0:
             self.t = 1.0
-            self.rec.force_last(1.0, self.x0, mu0)
-            self.status = LiftStatus.complete(1.0)
+            self.stop(LiftStatus.complete(1.0))
             return
         # Every attempt starts from this slope, so no step size can repair a
         # bad one: stop as the step collapse after such a stage would.
@@ -365,44 +449,10 @@ class _LineLift:
             return
         self.h = min(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _norm(self.k1)))
 
-    def begin_attempt(self) -> bool:
-        """Size the next attempt; False once the lift has stopped."""
-        if self.status is not None or self.t >= 1.0 - 1e-15:
-            return False
-        if self.stats.accepted >= self.opts.max_steps:
-            self.status = LiftStatus.step_failure(self.t)
-            return False
-        cps = self.checkpoints
-        while self.cp_idx < len(cps) and cps[self.cp_idx] <= self.t + 1e-15:
-            self.cp_idx += 1
-        self.h = min(self.h, 1.0 - self.t)
-        if self.cp_idx < len(cps):
-            self.h = min(self.h, cps[self.cp_idx] - self.t)
-        return True
-
-    def reject(self, cause: str, mu: Optional[float] = None, err_norm: float = np.inf) -> None:
-        """Reject the attempt (cause "error", "singular" or "nonfinite") and
-        shrink the step; a step that collapses ends the lift."""
-        if cause == "singular":
-            self.stats.rejected_singular += 1
-            self.last_singular_mu = mu
-        elif cause == "nonfinite":
-            self.stats.rejected_nonfinite += 1
-        else:
-            self.stats.rejected_error += 1
-        shrink = 0.5 if not np.isfinite(err_norm) else max(0.1, min(0.5, 0.9 * err_norm ** -0.2))
-        self.h *= shrink
-        if self.h < _H_MIN:
-            if self.last_singular_mu is not None:
-                self.status = LiftStatus.singular(self.t, self.last_singular_mu)
-            else:
-                self.status = LiftStatus.step_failure(self.t)
-
     def finish(self, q5: Array, k7: Array, mu_new: float, err: Array) -> None:
         """Judge an attempt whose stages all succeeded: reject it on the
         error estimate or a non-finite f(q5), else take the step."""
-        scale = self.atol + self.rtol * np.maximum(np.abs(self.q), np.abs(q5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        err_norm = self.error_norm(q5, err)
         if not err_norm <= 1.0:
             self.reject("error", err_norm=err_norm)
             return
@@ -412,47 +462,129 @@ class _LineLift:
         except NonFinite:
             self.reject("nonfinite")
             return
-
-        h_used = self.h
-        self.stats.accepted += 1
-        self.stats.h_min = min(self.stats.h_min, h_used)
-        t_new = self.t + h_used
-        if 1.0 - t_new < 1e-15:
-            t_new = 1.0
-        drift = _norm(f_new - (self.f0 + t_new * self.w))
+        mu_prev = self.mu
+        self.accept(q5, k7, mu_new)
+        self.f = f_new
+        drift = _norm(f_new - (self.f0 + self.t * self.w))
         self.max_drift = max(self.max_drift, drift)
-        self.length += _norm(q5 - self.q)
-        cps = self.checkpoints
-        at_checkpoint = self.cp_idx < len(cps) and abs(t_new - cps[self.cp_idx]) <= 1e-12
-        self.q, self.t, self.k1, self.f = q5, t_new, k7, f_new
-        self.rec.record(t_new, q5, mu_new, force=at_checkpoint or t_new >= 1.0)
         if drift > self.drift_cap:
-            self.rec.force_last(t_new, q5, mu_new)
-            self.status = LiftStatus.step_failure(t_new)
+            self.stop(LiftStatus.step_failure(self.t))
             return
-        dist = _norm(q5 - self.x0)
-        if self.opts.r_escape is not None and dist > self.opts.r_escape:
-            self.rec.force_last(t_new, q5, mu_new)
-            self.status = LiftStatus.escaped(t_new, dist)
+        if self.stop_if_escaped():
             return
-        fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        h_next = h_used * fac
-        if mu_new < self.mu_prev:
-            guard = 0.1 * h_used * mu_new / max(self.mu_prev - mu_new, 1e-300)
+        h_next = self.grown(err_norm)
+        if mu_new < mu_prev:
+            guard = 0.1 * self.h * mu_new / max(mu_prev - mu_new, 1e-300)
             h_next = min(h_next, guard)
-        self.mu_prev = mu_new
-        self.last_singular_mu = None
         self.h = min(h_next, _H_MAX)
 
     def outcome(self) -> LiftOutcome:
-        self.rec.force_last(self.t, self.q, self.mu_prev)
+        trajectory = self.trajectory()
         residual = _norm(self.f - (self.f0 + self.t * self.w))
         status = self.status
         if status is None:
             status = LiftStatus.complete(1.0) if residual <= self.complete_tol else LiftStatus.step_failure(1.0)
-        return LiftOutcome(
-            self.rec.build(self.length), status, float(residual), float(self.max_drift), self.stats
-        )
+        return LiftOutcome(trajectory, status, float(residual), float(self.max_drift), self.stats)
+
+
+class _FlowLift(_Lift):
+    """The judge of the residual gradient flow x' = -grad F_y: a step must
+    not raise F, and every time-doubling window ends in a verdict or goes
+    on.  The flow runs until a verdict, the escape stop or the step budget."""
+
+    t_end = math.inf
+
+    def __init__(self, model: MapModel, x0v: Array, yv: Array, opts: LiftOptions):
+        super().__init__(model, x0v, opts)
+        self.y = yv
+        self.grad_tol = opts.abs_tol
+        # residual scale below which a plateau is a root, not a PS level
+        self.res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
+        self.F = self.gn = self.h0 = None  # F, |grad F| at q; the first step size
+        self.verdict = None
+        self.window = None  # (t, q, F) where the current window began
+        self.window_dx = None  # how far q moved over the last window
+
+    def vel(self, x: Array):
+        """The slope -grad F at x, with (mu, F, |grad F|) as the extra."""
+        self.stats.evals += 1
+        r = evaluate(self.model, x) - self.y
+        self.stats.jacobians += 1
+        J = jacobian(self.model, x)
+        g = J.T @ r
+        self.stats.svds += 1
+        mu = float(np.linalg.svd(J, compute_uv=False)[-1])
+        if not np.all(np.isfinite(g)):
+            raise _StageBad()
+        return -g, (mu, 0.5 * float(r @ r), _norm(g))
+
+    def start(self) -> None:
+        try:
+            self.k1, (self.mu, self.F, self.gn) = self.vel(self.x0)
+        except _StageBad:
+            raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient at x0") from None
+        self.rec.record(0.0, self.x0, self.mu, force=True)
+        if self.gn <= self.grad_tol:
+            self.conclude("converged", LiftStatus.complete(0.0))
+        self.h0 = self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
+
+    def finish(self, q5: Array, k7: Array, extra7: tuple, err: Array) -> None:
+        """Judge an attempt whose stages all succeeded: reject it on the
+        error estimate or when it raises F, else take the step and judge the
+        window it may close."""
+        mu7, F7, gn7 = extra7
+        err_norm = self.error_norm(q5, err)
+        if not err_norm <= 1.0:
+            self.reject("error", err_norm=err_norm)
+            return
+        if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
+            self.reject("error")
+            return
+        self.accept(q5, k7, mu7)
+        self.F, self.gn = F7, gn7
+        if self.stop_if_escaped():
+            self.conclude("diverged")
+            return
+        if self.window is None:
+            self.window = (self.t, q5, F7)
+        elif self.t >= 2.0 * self.window[0]:
+            _, q_w, F_w = self.window
+            dx = _norm(q5 - q_w)
+            stabilized = dx <= _STAB_TOL * (1.0 + _norm(q5))
+            near_root = np.sqrt(2.0 * F7) <= self.res_tol
+            if (gn7 <= self.grad_tol or near_root) and (stabilized or near_root):
+                self.conclude("converged", LiftStatus.complete(self.t))
+                return
+            if (
+                F_w - F7 <= _PS_STALL_TOL
+                and gn7 <= _PS_GRAD_TOL
+                and not near_root
+                and self.window_dx is not None
+                and dx > 0.5 * self.window_dx
+            ):
+                self.conclude("ps_candidate", LiftStatus.escaped(self.t, _norm(q5 - self.x0)))
+                return
+            self.window_dx = dx
+            self.window = (self.t, q5, F7)
+        self.h = min(self.grown(err_norm), 10.0 * max(self.t, self.h0), _H_MAX)
+
+    def conclude(self, kind: str, status: Optional[LiftStatus] = None) -> None:
+        """Give the verdict at the current level and, with a status, stop."""
+        self.verdict = FlowVerdict(kind, level=self.F, grad_norm=self.gn)
+        if status is not None:
+            self.stop(status)
+
+    def outcome(self):
+        trajectory = self.trajectory()
+        if self.verdict is None:  # stopped by the step budget or a step collapse
+            if np.sqrt(2.0 * self.F) <= self.res_tol:
+                self.conclude("converged")
+            elif self.gn <= _PS_GRAD_TOL:
+                self.conclude("ps_candidate")
+            else:
+                self.conclude("diverged")
+        residual = float(np.sqrt(2.0 * self.F))
+        return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
 
 
 def _check_line_args(model: MapModel, x0, what: str) -> Array:
@@ -468,27 +600,11 @@ def _lift_line(model: MapModel, x0, w, opts: LiftOptions) -> LiftOutcome:
     if wv.shape != (model.m,):
         raise DimensionMismatch(f"lift: w shape {wv.shape}, expected ({model.m},)")
     lift = _LineLift(model, x0v, wv, opts)
-    stats = lift.stats
-
-    def vel(x):
-        stats.jacobians += 1
-        J = jacobian(model, x)  # NonFinite from the model surfaces as a bad stage
-        stats.svds += 1
-        return _velocity(*np.linalg.svd(J, full_matrices=False), wv, opts.mu_floor)
-
-    stats.jacobians += 1
+    lift.stats.jacobians += 1
     J0 = jacobian(model, x0v)
-    stats.svds += 1
+    lift.stats.svds += 1
     lift.start(*np.linalg.svd(J0, full_matrices=False))
-    while lift.begin_attempt():
-        try:
-            q5, k7, mu_new, err = _dp_attempt(vel, lift.q, lift.k1, lift.h)
-        except _StageSingular as exc:
-            lift.reject("singular", exc.mu)
-        except (_StageBad, NonFinite):
-            lift.reject("nonfinite")
-        else:
-            lift.finish(q5, k7, mu_new, err)
+    _integrate(lift)
     return lift.outcome()
 
 
@@ -625,138 +741,14 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     diverged when the flow leaves the escape ball.
     """
     opts = opts or LiftOptions()
-    x0v = np.asarray(x0, dtype=float)
+    x0v = _check_line_args(model, x0, "gradient_flow")
     yv = np.asarray(y, dtype=float)
-    if x0v.shape != (model.n,):
-        raise DimensionMismatch(f"gradient_flow: x0 shape {x0v.shape}, expected ({model.n},)")
     if yv.shape != (model.m,):
         raise DimensionMismatch(f"gradient_flow: y shape {yv.shape}, expected ({model.m},)")
-
-    stats = LiftStats()
-
-    def eval_state(x):
-        stats.evals += 1
-        fx = evaluate(model, x)
-        stats.jacobians += 1
-        J = jacobian(model, x)
-        r = fx - yv
-        g = J.T @ r
-        F = 0.5 * float(r @ r)
-        stats.svds += 1
-        mu = float(np.linalg.svd(J, compute_uv=False)[-1])
-        return -g, (mu, F, _norm(g))
-
-    def vel(x):
-        v, extra = eval_state(x)
-        if not np.all(np.isfinite(v)):
-            raise _StageBad()
-        return v, extra
-
-    grad_tol = opts.abs_tol
-    # residual scale below which a plateau is a root, not a PS level
-    res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
-    rtol = opts.rel_tol / _SAFETY_DIV
-    atol = opts.abs_tol / _SAFETY_DIV
-
-    try:
-        v0, (mu0, F0, gn0) = vel(x0v)
-    except _StageBad:
-        raise NonFinite(f"gradient_flow({model.name}): non-finite gradient at x0") from None
-    rec = _Recorder(opts.record_stride)
-    rec.record(0.0, x0v, mu0, force=True)
-    if gn0 <= grad_tol:
-        outcome = LiftOutcome(
-            rec.build(0.0), LiftStatus.complete(0.0), float(np.sqrt(2 * F0)), 0.0, stats
-        )
-        return outcome, FlowVerdict("converged", level=F0, grad_norm=gn0)
-
-    h0 = min(0.1, 0.01 * (1.0 + _norm(x0v)) / (1.0 + gn0))
-    h = h0
-    t = 0.0
-    q = x0v.copy()
-    k1, F, gn, mu = v0, F0, gn0, mu0
-    length = 0.0
-    status = None
-    verdict = None
-    cp = None  # (t, x, F) of the last checkpoint
-    prev_window_dx = None
-    nsteps = 0
-
-    while status is None:
-        if nsteps >= opts.max_steps:
-            status = LiftStatus.step_failure(t)
-            break
-        stage_failed = False
-        try:
-            q5, k7, (mu7, F7, gn7), err = _dp_attempt(vel, q, k1, h)
-            scale = atol + rtol * np.maximum(np.abs(q), np.abs(q5))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            monotone_ok = F7 <= F + 1e-12 * (1.0 + abs(F))
-        except (_StageBad, _StageSingular, NonFinite):
-            stage_failed, err_norm, monotone_ok = True, np.inf, False
-
-        if err_norm <= 1.0 and monotone_ok:
-            nsteps += 1
-            h_used = h
-            stats.accepted += 1
-            stats.h_min = min(stats.h_min, h_used)
-            length += _norm(q5 - q)
-            t += h_used
-            q, k1, F, gn, mu = q5, k7, F7, gn7, mu7
-            rec.record(t, q, mu)
-            dist = _norm(q - x0v)
-            if opts.r_escape is not None and dist > opts.r_escape:
-                rec.force_last(t, q, mu)
-                status = LiftStatus.escaped(t, dist)
-                verdict = FlowVerdict("diverged", level=F, grad_norm=gn)
-                break
-            if cp is None:
-                cp = (t, q.copy(), F)
-            elif t >= 2.0 * cp[0]:
-                dF = cp[2] - F
-                dx = _norm(q - cp[1])
-                stabilized = dx <= _STAB_TOL * (1.0 + _norm(q))
-                near_root = np.sqrt(2.0 * F) <= res_tol
-                if (gn <= grad_tol or near_root) and (stabilized or near_root):
-                    rec.force_last(t, q, mu)
-                    status = LiftStatus.complete(t)
-                    verdict = FlowVerdict("converged", level=F, grad_norm=gn)
-                    break
-                if (
-                    dF <= _PS_STALL_TOL
-                    and gn <= _PS_GRAD_TOL
-                    and not near_root
-                    and prev_window_dx is not None
-                    and dx > 0.5 * prev_window_dx
-                ):
-                    rec.force_last(t, q, mu)
-                    status = LiftStatus.escaped(t, dist)
-                    verdict = FlowVerdict("ps_candidate", level=F, grad_norm=gn)
-                    break
-                prev_window_dx = dx
-                cp = (t, q.copy(), F)
-            fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-            h = min(h * fac, 10.0 * max(t, h0), _H_MAX)
-        else:
-            if stage_failed:
-                stats.rejected_nonfinite += 1
-            else:
-                stats.rejected_error += 1
-            h *= 0.5 if not np.isfinite(err_norm) else max(0.1, min(0.5, 0.9 * err_norm ** -0.2))
-            if h < _H_MIN * max(1.0, t):
-                status = LiftStatus.step_failure(t)
-                break
-
-    rec.force_last(t, q, mu)
-    if verdict is None:
-        if np.sqrt(2.0 * F) <= res_tol:
-            verdict = FlowVerdict("converged", level=F, grad_norm=gn)
-        elif gn <= _PS_GRAD_TOL:
-            verdict = FlowVerdict("ps_candidate", level=F, grad_norm=gn)
-        else:
-            verdict = FlowVerdict("diverged", level=F, grad_norm=gn)
-    residual = float(np.sqrt(2.0 * F))
-    return LiftOutcome(rec.build(length), status, residual, 0.0, stats), verdict
+    flow = _FlowLift(model, x0v, yv, opts)
+    flow.start()
+    _integrate(flow)
+    return flow.outcome()
 
 
 def path_length(trajectory: LiftTrajectory) -> float:

@@ -97,14 +97,6 @@ def test_zero_direction_completes_immediately():
     assert out.trajectory.length == 0.0
 
 
-def test_checkpoints_are_sampled():
-    m = registry_get("monotone1d")
-    cps = (0.25, 0.5, 0.75)
-    out = lift_line_square(m, [0.0], [2.0], LiftOptions(t_checkpoints=cps))
-    for c in cps:
-        assert np.min(np.abs(out.trajectory.times - c)) <= 1e-12
-
-
 def test_record_stride_keeps_endpoints():
     m = registry_get("monotone1d")
     full = lift_line_square(m, [0.0], [5.0])
@@ -276,7 +268,7 @@ LOCKSTEP_CASES = [
     ("escape", registry_get("complex_exp"), [0.0, 0.0], [[3.0, 0.0], [0.2, 0.1], [-0.5, 0.4]],
      LiftOptions(r_escape=0.5)),
     ("checkpoints_stride", registry_get("complex_exp"), [0.2, -0.1], _lane_targets(2, 0.8),
-     LiftOptions(t_checkpoints=(0.25, 0.5, 0.75), record_stride=3)),
+     LiftOptions(record_stride=3)),
     ("finite_difference", _fd_complex_exp(), [0.0, 0.0], _lane_targets(2, 0.9), None),
 ]
 
@@ -333,8 +325,6 @@ def test_options_validation():
         LiftOptions(mu_floor=-1.0)
     with pytest.raises(OutOfRange):
         LiftOptions(max_steps=0)
-    with pytest.raises(OutOfRange):
-        LiftOptions(t_checkpoints=(0.5, 0.4))
 
 
 def test_status_constructors_and_json():
