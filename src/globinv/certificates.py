@@ -33,6 +33,7 @@ from scipy.optimize import minimize
 from .errors import EmptySublevel, OutOfRange, ZeroRadius
 from .indicators import (
     MuProfile,
+    _signed_axes,
     _sobol,
     _unit_directions,
     mu_profile,
@@ -115,19 +116,11 @@ def unit_sphere_points(m: int, count: int, seed: int) -> Array:
     low-discrepancy directions."""
     if count < 1:
         raise OutOfRange("unit_sphere_points: count must be >= 1")
-    axes = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        axes.append(e.copy())
-        axes.append(-e)
+    axes = _signed_axes(m)
     if count <= len(axes):
-        if m == 1:
-            # alternate +1, -1 so both rays are covered for any count
-            return np.array([axes[k % 2] for k in range(count)])
-        return np.array(axes[:count])
+        return axes[:count]
     extra = _unit_directions(_sobol(m, count - len(axes), seed))
-    return np.vstack([np.array(axes), extra])
+    return np.vstack([axes, extra])
 
 
 def graves_certificate(
@@ -428,13 +421,8 @@ def expansive_estimate(
         else:
             ball = unit_ball_points(model.n, 2 * pairs_per_radius, seed + 17 * ri)
             us, xs = R * ball[:pairs_per_radius], R * ball[pairs_per_radius:]
-            axes = []
-            for i in range(model.n):
-                e = np.zeros(model.n)
-                e[i] = R
-                axes.append((e, -e))
-            us = np.vstack([us] + [a for a, _ in axes])
-            xs = np.vstack([xs] + [b for _, b in axes])
+            axes = R * _signed_axes(model.n)  # the pairs (R e_i, -R e_i)
+            us, xs = np.vstack([us, axes[0::2]]), np.vstack([xs, axes[1::2]])
         best = np.inf
         worst_pair = None
         for u, x in zip(us, xs):

@@ -44,7 +44,7 @@ from .maps import (
     list_map_names,
     registry_entry,
 )
-from .solver import _resolve_strategy, fibre_enumerate, solve, star_probe
+from .solver import _direction_norms, _resolve_strategy, fibre_enumerate, solve, star_probe
 
 SCHEMA_VERSION = "1"
 
@@ -301,7 +301,7 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
         raise JobValidationError("command 'fibre' needs exactly one of 'seeds' or 'loop'")
     if (command == "star" or "loop" in p) and model.n != model.m:
         raise JobValidationError("a star probe or a fibre loop needs a square map")
-    if command == "star" and any(np.linalg.norm(d) == 0.0 for d in p["directions"] or ()):
+    if command == "star" and p["directions"] and np.any(_direction_norms(p["directions"])[1] == 0.0):
         raise JobValidationError("parameter 'directions' must not hold a zero direction")
     return {
         "map": raw["map"],

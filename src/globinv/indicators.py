@@ -135,6 +135,12 @@ def _sobol(d: int, count: int, seed: int) -> Array:
     return qmc.Sobol(d=d, scramble=True, seed=seed).random(size)[:count]
 
 
+def _signed_axes(m: int) -> Array:
+    """The 2m signed coordinate axes e_1, -e_1, ..., e_m, -e_m as rows."""
+    eye = np.eye(m)
+    return np.stack([eye, -eye], axis=1).reshape(2 * m, m)
+
+
 def _unit_directions(u: Array) -> Array:
     """Rows of u in (0, 1)^d sent through the normal quantile and scaled to
     unit length: directions spread evenly over the sphere."""

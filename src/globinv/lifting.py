@@ -68,8 +68,8 @@ _H_MIN = 1e-14
 _H_MAX = 1e15
 
 # gradient-flow verdict constants
-_PS_STALL_TOL = 2e-5  # absolute F stall per time-doubling window
-_PS_GRAD_TOL = 1e-3
+_PS_STALL_TOL = 2e-5  # F stall per time-doubling window, relative to F
+_PS_GRAD_TOL = 1e-3  # gradient norm, relative to min(1, |grad F(x0)|)
 _STAB_TOL = 1e-7
 
 
@@ -279,18 +279,16 @@ class _Recorder:
         self.mus: list = []
         self._since = 0
 
-    def record(self, t: float, x: Array, mu: float, force: bool = False):
-        if self.times and not force and self._since + 1 < self.stride:
+    def record(self, t: float, x: Array, mu: float):
+        """Keep the first point and every stride-th one after it."""
+        if self.times and self._since + 1 < self.stride:
             self._since += 1
             return
-        if self.times and abs(self.times[-1] - t) < 1e-300:
-            return
-        self.times.append(float(t))
-        self.points.append(np.array(x, dtype=float))
-        self.mus.append(float(mu))
         self._since = 0
+        self.force_last(t, x, mu)
 
     def force_last(self, t: float, x: Array, mu: float):
+        """Keep the point unless its time is the last one kept."""
         if not self.times or self.times[-1] != t:
             self.times.append(float(t))
             self.points.append(np.array(x, dtype=float))
@@ -374,7 +372,7 @@ class _Lift:
         self.length += _norm(q5 - self.q)
         self.q, self.t, self.k1, self.mu = q5, t_new, k7, mu
         self.last_singular_mu = None
-        self.rec.record(t_new, q5, mu, force=t_new >= self.t_end)
+        self.rec.record(t_new, q5, mu)
 
     def stop(self, status: LiftStatus) -> None:
         self.rec.force_last(self.t, self.q, self.mu)
@@ -429,7 +427,7 @@ class _LineLift(_Lift):
         """Set up from the SVD of J(x0): record the base point, stop at once
         when it is singular or w = 0, else take the first slope and step."""
         self.mu = float(s[-1])
-        self.rec.record(0.0, self.x0, self.mu, force=True)
+        self.rec.record(0.0, self.x0, self.mu)
         if self.mu < self.opts.mu_floor:
             self.status = LiftStatus.singular(0.0, self.mu)
             return
@@ -501,6 +499,7 @@ class _FlowLift(_Lift):
         # residual scale below which a plateau is a root, not a PS level
         self.res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
         self.F = self.gn = self.h0 = None  # F, |grad F| at q; the first step size
+        self.ps_grad_tol = None  # gradient norm below which a plateau may be PS
         self.verdict = None
         self.window = None  # (t, q, F) where the current window began
         self.window_dx = None  # how far q moved over the last window
@@ -523,7 +522,8 @@ class _FlowLift(_Lift):
             self.k1, (self.mu, self.F, self.gn) = self.vel(self.x0)
         except _StageBad:
             raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient at x0") from None
-        self.rec.record(0.0, self.x0, self.mu, force=True)
+        self.rec.record(0.0, self.x0, self.mu)
+        self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
             self.conclude("converged", LiftStatus.complete(0.0))
         self.h0 = self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
@@ -556,8 +556,8 @@ class _FlowLift(_Lift):
                 self.conclude("converged", LiftStatus.complete(self.t))
                 return
             if (
-                F_w - F7 <= _PS_STALL_TOL
-                and gn7 <= _PS_GRAD_TOL
+                F_w - F7 <= _PS_STALL_TOL * F7
+                and gn7 <= self.ps_grad_tol
                 and not near_root
                 and self.window_dx is not None
                 and dx > 0.5 * self.window_dx
@@ -579,7 +579,7 @@ class _FlowLift(_Lift):
         if self.verdict is None:  # stopped by the step budget or a step collapse
             if np.sqrt(2.0 * self.F) <= self.res_tol:
                 self.conclude("converged")
-            elif self.gn <= _PS_GRAD_TOL:
+            elif self.gn <= self.ps_grad_tol:
                 self.conclude("ps_candidate")
             else:
                 self.conclude("diverged")
@@ -587,19 +587,17 @@ class _FlowLift(_Lift):
         return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
 
 
-def _check_line_args(model: MapModel, x0, what: str) -> Array:
-    x0v = np.asarray(x0, dtype=float)
-    if x0v.shape != (model.n,):
-        raise DimensionMismatch(f"{what}: x0 shape {x0v.shape}, expected ({model.n},)")
-    return x0v
+def _vector_arg(v, size: int, what: str) -> Array:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise DimensionMismatch(f"{what} shape {v.shape}, expected ({size},)")
+    return v
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
 def _lift_line(model: MapModel, x0, w, opts: LiftOptions) -> LiftOutcome:
-    x0v = _check_line_args(model, x0, "lift")
-    wv = np.asarray(w, dtype=float)
-    if wv.shape != (model.m,):
-        raise DimensionMismatch(f"lift: w shape {wv.shape}, expected ({model.m},)")
-    lift = _LineLift(model, x0v, wv, opts)
+    x0v = _vector_arg(x0, model.n, "lift: x0")
+    lift = _LineLift(model, x0v, _vector_arg(w, model.m, "lift: w"), opts)
     lift.stats.jacobians += 1
     J0 = jacobian(model, x0v)
     lift.stats.svds += 1
@@ -690,6 +688,7 @@ def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
             lane.reject(*fail)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
 def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> list:
     """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W at once.
 
@@ -705,7 +704,7 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
         raise DimensionMismatch(
             f"lift_lines: map {model.name!r} is {model.m}x{model.n}, need m <= n"
         )
-    x0v = _check_line_args(model, x0, "lift_lines")
+    x0v = _vector_arg(x0, model.n, "lift_lines: x0")
     Wv = np.asarray(W, dtype=float)
     if Wv.ndim != 2 or Wv.shape[1] != model.m:
         raise DimensionMismatch(f"lift_lines: W shape {Wv.shape}, expected (K, {model.m})")
@@ -730,22 +729,21 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     return [lane.outcome() for lane in lanes]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
 def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     """Integrate x' = -grad F_y with F_y(x) = |f(x) - y|^2 / 2.
 
     Returns (LiftOutcome, FlowVerdict).  Recorded F values are nonincreasing
     (steps that would raise F are rejected).  Verdicts: converged when the
     state has stabilized and either the gradient is below abs_tol or the
-    residual is at root scale; ps_candidate when F stalls at a level c above
-    root scale while the gradient is small and the iterates keep drifting;
-    diverged when the flow leaves the escape ball.
+    residual is at root scale; ps_candidate when F stalls (relative to its
+    level c above root scale) while the gradient is small (relative to its
+    start) and the iterates keep drifting; diverged when the flow leaves the
+    escape ball.
     """
     opts = opts or LiftOptions()
-    x0v = _check_line_args(model, x0, "gradient_flow")
-    yv = np.asarray(y, dtype=float)
-    if yv.shape != (model.m,):
-        raise DimensionMismatch(f"gradient_flow: y shape {yv.shape}, expected ({model.m},)")
-    flow = _FlowLift(model, x0v, yv, opts)
+    x0v = _vector_arg(x0, model.n, "gradient_flow: x0")
+    flow = _FlowLift(model, x0v, _vector_arg(y, model.m, "gradient_flow: y"), opts)
     flow.start()
     _integrate(flow)
     return flow.outcome()

@@ -17,6 +17,7 @@ import numpy as np
 
 from .certificates import RadiusCertificate
 from .errors import LiftAborted, LoopNotInImage, OutOfRange, StrategyMismatch
+from .indicators import _signed_axes
 from .lifting import (
     FlowVerdict,
     LiftOptions,
@@ -235,6 +236,23 @@ def solve(
     )
 
 
+@np.errstate(over="ignore")  # an overflowed norm is rescaled below
+def _direction_norms(directions) -> tuple:
+    """The rows of directions and their norms.  A row whose norm underflows
+    to 0 or overflows to inf, though its largest |component| is positive and
+    finite, is first divided by that component; other rows stay as given.
+    A norm of 0 marks a zero direction."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    norms = np.linalg.norm(dirs, axis=1)
+    peak = np.max(np.abs(dirs), axis=1)
+    rescale = ((norms == 0.0) | np.isinf(norms)) & (peak > 0.0) & np.isfinite(peak)
+    if rescale.any():
+        dirs = dirs.copy()
+        dirs[rescale] /= peak[rescale, None]
+        norms[rescale] = np.linalg.norm(dirs[rescale], axis=1)
+    return dirs, norms
+
+
 def star_probe(
     model: MapModel,
     x_seed,
@@ -259,18 +277,9 @@ def star_probe(
     seed = np.asarray(x_seed, dtype=float)
     y0 = evaluate(model, seed)
     if directions is None:
-        dirs = []
-        for i in range(model.m):
-            e = np.zeros(model.m)
-            e[i] = 1.0
-            dirs.append(e.copy())
-            dirs.append(-e)
-        dirs = np.array(dirs)
+        dirs = _signed_axes(model.m)
     else:
-        dirs = np.asarray(directions, dtype=float)
-        if dirs.ndim == 1:
-            dirs = dirs[None, :]
-        norms = np.linalg.norm(dirs, axis=1)
+        dirs, norms = _direction_norms(directions)
         if np.any(norms == 0.0):
             raise OutOfRange("star_probe: zero direction")
         dirs = dirs / norms[:, None]

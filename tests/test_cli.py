@@ -105,6 +105,17 @@ def test_overdetermined_solve_job(c, tmp_path):
     assert np.linalg.norm([x - c, 2.0 * x - 2.0 * c]) <= 1e-8
 
 
+def test_overdetermined_solve_small_target(tmp_path):
+    # The flow's stall and gradient tests once used absolute thresholds, so
+    # a target this small read as a Palais-Smale plateau (ps_candidate).
+    c = -0.0018075723517507747
+    job = {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [c, 2.0 * c]}
+    assert run_job(job, out_override=tmp_path) == 0
+    res = _read_report(tmp_path)["result"]
+    assert res["flow_verdict"]["kind"] == "converged"
+    assert abs(res["solution"][0] - c) <= 1e-9
+
+
 def test_solve_without_solution_exits_3(tmp_path, capsys):
     job = {"map": "arctan1d", "command": "solve", "y": [2.0]}
     assert run_job(job, out_override=tmp_path) == 3
@@ -309,6 +320,26 @@ def test_star_huge_budget_one_lift_per_ray(tmp_path, monkeypatch):
     assert run_job(job, out_override=tmp_path) == 0
     rays = _read_report(tmp_path)["result"]["rays"]
     assert len(calls) == len(rays) == 4
+
+
+def test_star_huge_budget_is_silent(tmp_path):
+    """Stages that overflow on a huge target are rejected without a
+    RuntimeWarning."""
+    job = {"map": "complex_exp", "command": "star", "t_budget": 1e308}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_job(job, out_override=tmp_path) == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_star_direction_norm_out_of_float_range(scale, tmp_path):
+    """A direction whose norm overflows or underflows is divided by its
+    largest component before it is normalised."""
+    job = {"map": "identity_2", "command": "star", "directions": [[scale, scale]], "t_budget": 1.0}
+    assert run_job(job, out_override=tmp_path) == 0
+    (ray,) = _read_report(tmp_path)["result"]["rays"]
+    assert ray["direction"] == pytest.approx([np.sqrt(0.5)] * 2, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

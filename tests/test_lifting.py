@@ -182,7 +182,6 @@ def test_lift_stats_count_the_work():
     assert st.h_min == pytest.approx(float(np.min(steps)), rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_lift_stats_rejections_by_cause():
     edge = lift_line_square(registry_get("arctan1d"), [0.0], [2.0])
     assert edge.status.kind == "Singular"
@@ -273,7 +272,6 @@ LOCKSTEP_CASES = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "label, model, x0, targets, opts", LOCKSTEP_CASES, ids=[c[0] for c in LOCKSTEP_CASES]
 )
@@ -296,7 +294,6 @@ def test_lift_lines_match_sequential_lifts(label, model, x0, targets, opts):
             assert a == pytest.approx(b, rel=1e-12, abs=0.0), w
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_lift_lines_cover_every_terminal_status():
     kinds = {
         out.status.kind

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from globinv import solver
 from globinv.certificates import graves_certificate
 from globinv.errors import LiftAborted, LoopNotInImage, OutOfRange, StrategyMismatch
 from globinv.indicators import mu_profile
 from globinv.lifting import LiftOptions
-from globinv.maps import MapModel, registry_get
+from globinv.maps import MapModel, linear_map, registry_get
 from globinv.solver import fibre_enumerate, solve, star_probe, trivialize
 
 
@@ -97,6 +99,31 @@ def test_solve_gradient_flow_unreachable_target():
     assert rep.solution is None
     assert rep.flow_verdict is not None
     assert rep.flow_verdict.kind in ("ps_candidate", "diverged")
+
+
+@st.composite
+def _consistent_overdetermined_system(draw):
+    """A full-column-rank m x n matrix A (n < m <= 4) and x* of norm
+    1e-6 to 1e2; the target y = A x* has the exact solution x*."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n + 1, 4))
+    unit = st.floats(-1.0, 1.0)
+    A = np.array(draw(st.lists(unit, min_size=m * n, max_size=m * n))).reshape(m, n)
+    assume(np.linalg.svd(A, compute_uv=False)[-1] >= 0.05)
+    d = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    assume(np.linalg.norm(d) >= 0.1)
+    x_star = d / np.linalg.norm(d) * 10.0 ** draw(st.floats(-6.0, 2.0))
+    return A, x_star
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_consistent_overdetermined_system())
+def test_solve_overdetermined_linear_finds_the_solution(system):
+    A, x_star = system
+    rep = solve(linear_map(A), A @ x_star)
+    assert rep.strategy == "GradientFlow"
+    assert rep.solution is not None, rep.flow_verdict
+    assert np.linalg.norm(rep.solution - x_star) <= 1e-6 * np.linalg.norm(x_star)
 
 
 def test_solve_strategy_mismatch():
