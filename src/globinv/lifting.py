@@ -27,7 +27,7 @@ gradient_flow integrates x' = -grad F_y under the same step controller
 recorder, counters, escape stop).  Two judges take or reject the attempts
 whose stages all succeeded: _LineLift (drift and residual against the line,
 the mu-decay guard) and _FlowLift (F must not rise; time-doubling windows
-give the verdict).  One driver, _integrate, runs either judge on the scalar
+give the verdict).  One loop, _integrate, runs either judge on the scalar
 stage code; _lockstep_attempt drives the lanes of lift_lines.  Every
 LiftOutcome carries LiftStats, the work counters of its integration.
 """
