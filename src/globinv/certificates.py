@@ -20,6 +20,29 @@ conditions, ordered from strongest to weakest:
 Verdicts are Holds/Fails only when backed by an analytic bound or witness;
 every sampled judgement is HeuristicPass/HeuristicFail because sampling can
 refute but never certify an infimum.
+
+Each check's thresholds and sample sizes are fixed module constants:
+
+  Graves  verification targets at 0.99 rho
+  C8      192 ball pairs per radius plus the axis pairs; fails when the last
+          radius's alpha is <= 1e-9 or below 0.1 times the first radius's
+  C10     passes when inf eta > 1e-12 and inf eta >= 0.05 eta(0)
+  C14     96 sphere directions at r_max/27, r_max/9, r_max/3 and r_max;
+          growing when the last increment is >= 0.5 times the first;
+          positive when inf eta > 1e-9
+  C15     rho at r_max/8, r_max/4, r_max/2 and r_max; passes when
+          rho(r_max) >= 1.3 rho(r_max/2)
+  C17     9 boxes of 256 Sobol points each, of half width (1 + |y0|) 2^j;
+          a level fails when its infimum estimate is <= 1e-6
+  C22     2 test lifts to 0.5 rho(r_max); fails when alpha < 1e-9
+  PS      the 2m signed axes, 128 ball points per radius; a direction
+          collapses when its last infimum is <= 1e-8 or below 0.05 times its
+          first
+
+The evidence records the ones a verdict is read against (the Graves scale,
+the C14 radii, the C15 schedule, the C17 floor).  A sample whose map or
+Jacobian evaluation raises is dropped; a radius with no sample left reads
+0.0 in C14 and PS and inf in C8.
 """
 
 from __future__ import annotations
@@ -52,6 +75,15 @@ VERDICT_HOLDS = "Holds"
 VERDICT_FAILS = "Fails"
 VERDICT_HEURISTIC_PASS = "HeuristicPass"
 VERDICT_HEURISTIC_FAIL = "HeuristicFail"
+
+_BOUNDARY_SCALE = 0.99
+_C8_PAIRS, _C8_FAIL_RATIO, _C8_FLOOR = 192, 0.1, 1e-9
+_C10_FLOOR, _C10_DECAY_RATIO = 1e-12, 0.05
+_C14_SAMPLES, _C14_GROWTH_INC_RATIO, _C14_FLOOR = 96, 0.5, 1e-9
+_C15_GROWTH_RATIO = 1.3
+_C17_BOXES, _C17_BOX_SAMPLES, _C17_FLOOR = 9, 256, 1e-6
+_C22_TEST_LIFTS, _C22_FLOOR = 2, 1e-9
+_PS_SAMPLES, _PS_FAIL_RATIO, _PS_FLOOR = 128, 0.05, 1e-8
 
 
 @dataclass(frozen=True)
@@ -123,6 +155,17 @@ def unit_sphere_points(m: int, count: int, seed: int) -> Array:
     return np.vstack([axes, extra])
 
 
+def _kept(fn: Callable, items):
+    """Yield (item, fn(item)) for each sample whose call does not raise; the
+    samples whose call raises are dropped."""
+    for item in items:
+        try:
+            value = fn(item)
+        except Exception:
+            continue
+        yield item, value
+
+
 def graves_certificate(
     model: MapModel,
     x0,
@@ -131,11 +174,10 @@ def graves_certificate(
     verify_targets: int = 0,
     opts: Optional[LiftOptions] = None,
     seed: int = 0,
-    boundary_scale: float = 0.99,
 ) -> RadiusCertificate:
     """Accessible-radius certificate at domain radius r, optionally verified
-    by lifting boundary targets at boundary_scale * rho and checking that every
-    lift completes inside the domain ball."""
+    by lifting boundary targets at 0.99 rho and checking that every lift
+    completes inside the domain ball."""
     x0v = np.asarray(x0, dtype=float)
     if not np.allclose(x0v, profile.base_point, atol=1e-12):
         raise OutOfRange("graves_certificate: profile is centered at a different point")
@@ -156,7 +198,7 @@ def graves_certificate(
         completed = 0
         max_residual = 0.0
         max_distance = 0.0
-        for out in lift_lines(model, x0v, boundary_scale * rho * dirs, lift_opts):
+        for out in lift_lines(model, x0v, _BOUNDARY_SCALE * rho * dirs, lift_opts):
             statuses.append(out.status.kind)
             if out.status.is_complete:
                 completed += 1
@@ -167,7 +209,7 @@ def graves_certificate(
                 max_residual = max(max_residual, out.target_residual)
         verification = {
             "targets": int(verify_targets),
-            "boundary_scale": float(boundary_scale),
+            "boundary_scale": _BOUNDARY_SCALE,
             "completed": completed,
             "inside": inside,
             "max_residual": max_residual,
@@ -199,10 +241,7 @@ def _witness_points(facts: Optional[AnalyticFacts]) -> Optional[list]:
 
 
 def hadamard_levy_check(
-    profile: MuProfile,
-    facts: Optional[AnalyticFacts] = None,
-    floor: float = 1e-12,
-    decay_ratio: float = 0.05,
+    profile: MuProfile, facts: Optional[AnalyticFacts] = None
 ) -> DiagnosticsEntry:
     """Uniform inverse bound (C10).  Holds asserts indicator >= 1/beta over the
     examined ball when the profile is certified; an analytic vanishing witness
@@ -221,14 +260,14 @@ def hadamard_levy_check(
             )
     eta0 = float(profile.eta_values[0])
     inf_eta = float(profile.eta_values[-1])
-    decaying = eta0 <= 0.0 or inf_eta < decay_ratio * eta0
+    decaying = eta0 <= 0.0 or inf_eta < _C10_DECAY_RATIO * eta0
     evidence = {
         "inf_eta": inf_eta,
         "eta_at_zero": eta0,
         "r_max": profile.r_max,
         "certified_profile": bool(profile.certified),
     }
-    if inf_eta > floor and not decaying:
+    if inf_eta > _C10_FLOOR and not decaying:
         evidence["beta"] = 1.0 / inf_eta
         if profile.certified:
             return DiagnosticsEntry("C10", VERDICT_HOLDS, evidence)
@@ -238,22 +277,13 @@ def hadamard_levy_check(
 
 
 def hadamard_integral_check(
-    profile: MuProfile,
-    r_schedule=None,
-    facts: Optional[AnalyticFacts] = None,
-    growth_ratio: float = 1.3,
+    profile: MuProfile, facts: Optional[AnalyticFacts] = None
 ) -> DiagnosticsEntry:
     """Divergent accessible radius (C15).  Numerics cannot decide divergence;
     the verdict is Holds only with an analytic tail in the facts, otherwise a
     growth heuristic over the schedule, flagged non-conclusive."""
     rmax = profile.r_max
-    if r_schedule is None:
-        r_schedule = [rmax / 8.0, rmax / 4.0, rmax / 2.0, rmax]
-    r_schedule = [float(r) for r in r_schedule]
-    if any(
-        not 0.0 < r <= rmax * (1.0 + 1e-12) for r in r_schedule
-    ) or any(b <= a for a, b in zip(r_schedule, r_schedule[1:])):
-        raise OutOfRange("hadamard_integral_check: r_schedule must increase within (0, r_max]")
+    r_schedule = [rmax / 8.0, rmax / 4.0, rmax / 2.0, rmax]
     rho_values = [rho_of_r(profile, r) for r in r_schedule]
     evidence = {
         "r_schedule": r_schedule,
@@ -272,7 +302,7 @@ def hadamard_integral_check(
     half = rho_of_r(profile, r_schedule[-1] / 2.0)
     observed = rho_values[-1] / half if half > 0.0 else 0.0
     evidence["growth_ratio_observed"] = observed
-    if rho_values[-1] > 0.0 and observed >= growth_ratio:
+    if rho_values[-1] > 0.0 and observed >= _C15_GROWTH_RATIO:
         return DiagnosticsEntry("C15", VERDICT_HEURISTIC_PASS, evidence)
     return DiagnosticsEntry("C15", VERDICT_HEURISTIC_FAIL, evidence)
 
@@ -282,12 +312,8 @@ def katriel_check(
     model: MapModel,
     y0,
     varrho_levels,
-    sampler: Optional[Callable[[float, int], Array]] = None,
     facts: Optional[AnalyticFacts] = None,
     box_center=None,
-    box_levels: int = 9,
-    samples_per_box: int = 256,
-    floor: float = 1e-6,
     seed: int = 0,
 ) -> DiagnosticsEntry:
     """Indicator positivity on residual sublevel sets (C17).
@@ -303,6 +329,9 @@ def katriel_check(
         raise OutOfRange("katriel_check: levels must be positive and increasing")
     center = np.zeros(model.n) if box_center is None else np.asarray(box_center, dtype=float)
     witness = _witness_points(facts)
+
+    def residual(p):
+        return float(np.linalg.norm(evaluate(model, p) - y0v))
 
     per_level = []
     worst = VERDICT_HEURISTIC_PASS
@@ -329,18 +358,10 @@ def katriel_check(
         hits = 0
         est = np.inf
         worst_point = None
-        for j in range(box_levels):
+        for j in range(_C17_BOXES):
             half_width = (1.0 + float(np.linalg.norm(y0v))) * (2.0 ** j)
-            if sampler is not None:
-                pts = np.asarray(sampler(half_width, samples_per_box), dtype=float)
-            else:
-                cube = 2.0 * _sobol(model.n, samples_per_box, seed + 1000 * li + j) - 1.0
-                pts = center[None, :] + half_width * cube
-            for p in pts:
-                try:
-                    res = float(np.linalg.norm(evaluate(model, p) - y0v))
-                except Exception:
-                    continue
+            cube = 2.0 * _sobol(model.n, _C17_BOX_SAMPLES, seed + 1000 * li + j) - 1.0
+            for p, res in _kept(residual, center[None, :] + half_width * cube):
                 if res < level:
                     hits += 1
                     mu = sur_indicator(jacobian(model, p))
@@ -366,7 +387,7 @@ def katriel_check(
         )
         if refined.fun < est and refined.fun < 5.0:
             est = float(refined.fun)
-        verdict = VERDICT_HEURISTIC_FAIL if est <= floor else VERDICT_HEURISTIC_PASS
+        verdict = VERDICT_HEURISTIC_FAIL if est <= _C17_FLOOR else VERDICT_HEURISTIC_PASS
         per_level.append(
             {"level": level, "verdict": verdict, "inf_estimate": float(est), "hits": hits}
         )
@@ -376,7 +397,7 @@ def katriel_check(
     return DiagnosticsEntry(
         "C17",
         worst,
-        {"y0": [float(v) for v in y0v], "levels": per_level, "floor": floor},
+        {"y0": [float(v) for v in y0v], "levels": per_level, "floor": _C17_FLOOR},
     )
 
 
@@ -387,52 +408,40 @@ def _segment_min_ratio(model: MapModel, u: Array, x: Array) -> float:
         return np.inf
     d = (u - x) / gap
     delta = gap / 64.0
-    best = np.inf
-    for s in np.linspace(0.0, 1.0, 33):
+    half = 0.5 * delta * d
+
+    def quotient(s):
         c = x + s * (u - x)
-        a, b = c - 0.5 * delta * d, c + 0.5 * delta * d
-        try:
-            val = float(np.linalg.norm(evaluate(model, b) - evaluate(model, a))) / delta
-        except Exception:
-            continue
-        best = min(best, val)
-    return best
+        return float(np.linalg.norm(evaluate(model, c + half) - evaluate(model, c - half))) / delta
+
+    return min((val for _, val in _kept(quotient, np.linspace(0.0, 1.0, 33))), default=np.inf)
 
 
 @np.errstate(over="ignore")  # an overflowed ratio is +inf and never the minimum
 def expansive_estimate(
-    model: MapModel,
-    pair_sampler: Optional[Callable[[int, float], tuple]] = None,
-    radii=(1.0, 10.0, 100.0),
-    pairs_per_radius: int = 192,
-    seed: int = 0,
-    fail_ratio: float = 0.1,
-    floor: float = 1e-9,
+    model: MapModel, radii=(1.0, 10.0, 100.0), seed: int = 0
 ) -> DiagnosticsEntry:
     """Global expansiveness (C8): alpha_hat = min |f(u)-f(x)|/|u-x| over
     sampled pairs, per radius, with a refinement sweep along the worst pair.
     Sampling upper-bounds the true infimum, so it can only refute."""
+
+    def pair_ratio(pair):  # a degenerate pair reads inf and is never the minimum
+        u, x = pair
+        gap = float(np.linalg.norm(u - x))
+        if gap <= 1e-12:
+            return np.inf
+        return float(np.linalg.norm(evaluate(model, u) - evaluate(model, x))) / gap
+
     per_radius = []
     overall = np.inf
     for ri, R in enumerate(radii):
-        if pair_sampler is not None:
-            us, xs = pair_sampler(pairs_per_radius, float(R))
-            us, xs = np.asarray(us, dtype=float), np.asarray(xs, dtype=float)
-        else:
-            ball = unit_ball_points(model.n, 2 * pairs_per_radius, seed + 17 * ri)
-            us, xs = R * ball[:pairs_per_radius], R * ball[pairs_per_radius:]
-            axes = R * _signed_axes(model.n)  # the pairs (R e_i, -R e_i)
-            us, xs = np.vstack([us, axes[0::2]]), np.vstack([xs, axes[1::2]])
+        ball = unit_ball_points(model.n, 2 * _C8_PAIRS, seed + 17 * ri)
+        us, xs = R * ball[:_C8_PAIRS], R * ball[_C8_PAIRS:]
+        axes = R * _signed_axes(model.n)  # the pairs (R e_i, -R e_i)
+        us, xs = np.vstack([us, axes[0::2]]), np.vstack([xs, axes[1::2]])
         best = np.inf
         worst_pair = None
-        for u, x in zip(us, xs):
-            gap = float(np.linalg.norm(u - x))
-            if gap <= 1e-12:
-                continue
-            try:
-                ratio = float(np.linalg.norm(evaluate(model, u) - evaluate(model, x))) / gap
-            except Exception:
-                continue
+        for (u, x), ratio in _kept(pair_ratio, zip(us, xs)):
             if ratio < best:
                 best, worst_pair = ratio, (u, x)
         if worst_pair is not None:
@@ -445,7 +454,7 @@ def expansive_estimate(
         "alpha_hat": float(overall),
         "note": "sampled estimate upper-bounds the true infimum; it can refute, not certify",
     }
-    if last <= floor or last < fail_ratio * first:
+    if last <= _C8_FLOOR or last < _C8_FAIL_RATIO * first:
         return DiagnosticsEntry("C8", VERDICT_HEURISTIC_FAIL, evidence)
     return DiagnosticsEntry("C8", VERDICT_HEURISTIC_PASS, evidence)
 
@@ -457,9 +466,7 @@ def weighted_certificate(
     profile: MuProfile,
     weight_divergent: Optional[bool] = None,
     facts: Optional[AnalyticFacts] = None,
-    test_lift_count: int = 2,
     opts: Optional[LiftOptions] = None,
-    floor: float = 1e-9,
     seed: int = 0,
 ) -> DiagnosticsEntry:
     """Weighted indicator bound (C22): checks eta(rho) * weight(rho) >= alpha
@@ -496,9 +503,9 @@ def weighted_certificate(
 
     lift_ratios = []
     rho_total = rho_of_r(profile, profile.r_max)
-    if test_lift_count > 0 and rho_total > 0.0:
+    if rho_total > 0.0:
         lift_opts = opts or LiftOptions()
-        targets = 0.5 * rho_total * unit_sphere_points(model.m, test_lift_count, seed)
+        targets = 0.5 * rho_total * unit_sphere_points(model.m, _C22_TEST_LIFTS, seed)
         for w, out in zip(targets, lift_lines(model, x0v, targets, lift_opts)):
             if not out.status.is_complete or out.trajectory.points.shape[0] < 2:
                 continue
@@ -521,7 +528,7 @@ def weighted_certificate(
         "alpha_stabilized": not still_falling,
         "lift_bound_ratios": lift_ratios,
     }
-    if alpha < floor:
+    if alpha < _C22_FLOOR:
         return DiagnosticsEntry("C22", VERDICT_HEURISTIC_FAIL, evidence)
     if profile.certified and bool(weight_divergent) and not still_falling:
         return DiagnosticsEntry("C22", VERDICT_HOLDS, evidence)
@@ -532,37 +539,27 @@ def plastock_check(
     model: MapModel,
     x0,
     profile: MuProfile,
-    radii=None,
-    samples: int = 96,
     facts: Optional[AnalyticFacts] = None,
     seed: int = 0,
-    growth_inc_ratio: float = 0.5,
-    floor: float = 1e-9,
 ) -> DiagnosticsEntry:
     """Coercivity plus local indicator positivity (C14).  Holds only when the
     facts assert coercivity and the certified profile stays positive."""
     x0v = np.asarray(x0, dtype=float)
     rmax = profile.r_max
-    if radii is None:
-        radii = [rmax / 27.0, rmax / 9.0, rmax / 3.0, rmax]
-    radii = [float(r) for r in radii]
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise OutOfRange("plastock_check: need at least three increasing radii")
+    radii = [rmax / 27.0, rmax / 9.0, rmax / 3.0, rmax]
     f0 = evaluate(model, x0v)
-    dirs = unit_sphere_points(model.n, samples, seed)
-    m_values = []
-    for R in radii:
-        vals = []
-        for d in dirs:
-            try:
-                vals.append(float(np.linalg.norm(evaluate(model, x0v + R * d) - f0)))
-            except Exception:
-                continue
-        m_values.append(min(vals) if vals else 0.0)
+
+    def residual(x):
+        return float(np.linalg.norm(evaluate(model, x) - f0))
+
+    dirs = unit_sphere_points(model.n, _C14_SAMPLES, seed)
+    m_values = [
+        min((v for _, v in _kept(residual, x0v + R * dirs)), default=0.0) for R in radii
+    ]
     inc_first = m_values[1] - m_values[0]
     inc_last = m_values[-1] - m_values[-2]
-    growing = inc_last > 0.0 and inc_last >= growth_inc_ratio * inc_first
-    positive = float(profile.eta_values[-1]) > floor
+    growing = inc_last > 0.0 and inc_last >= _C14_GROWTH_INC_RATIO * inc_first
+    positive = float(profile.eta_values[-1]) > _C14_FLOOR
     evidence = {
         "radii": radii,
         "coercivity_minima": m_values,
@@ -578,37 +575,23 @@ def plastock_check(
 
 
 def ps_direction_scan(
-    model: MapModel,
-    directions=None,
-    radii=(1.0, 10.0, 100.0),
-    samples: int = 128,
-    seed: int = 0,
-    fail_ratio: float = 0.05,
-    floor: float = 1e-8,
+    model: MapModel, radii=(1.0, 10.0, 100.0), seed: int = 0
 ) -> DiagnosticsEntry:
-    """Per-direction residual scan: for each codomain direction v, tracks the
-    sampled infimum of |J(x)^T v| over growing balls.  A direction whose
+    """Per-direction residual scan: for each signed codomain axis v, tracks
+    the sampled infimum of |J(x)^T v| over growing balls.  A direction whose
     infimum collapses signals candidate escaping sequences for targets far out
     along v.  No implication claims are made either way."""
-    if directions is None:
-        dirs = unit_sphere_points(model.m, 2 * model.m, seed)
-    else:
-        dirs = np.asarray(directions, dtype=float)
-        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     per_direction = []
     any_fail = False
-    for di, v in enumerate(dirs):
+    for di, v in enumerate(_signed_axes(model.m)):
+        def stretch(p):
+            return float(np.linalg.norm(jacobian(model, p).T @ v))
+
         g_values = []
         for ri, R in enumerate(radii):
-            pts = R * unit_ball_points(model.n, samples, seed + 31 * di + 7 * ri)
-            vals = []
-            for p in pts:
-                try:
-                    vals.append(float(np.linalg.norm(jacobian(model, p).T @ v)))
-                except Exception:
-                    continue
-            g_values.append(min(vals) if vals else 0.0)
-        failed = g_values[-1] <= floor or g_values[-1] < fail_ratio * g_values[0]
+            pts = R * unit_ball_points(model.n, _PS_SAMPLES, seed + 31 * di + 7 * ri)
+            g_values.append(min((g for _, g in _kept(stretch, pts)), default=0.0))
+        failed = g_values[-1] <= _PS_FLOOR or g_values[-1] < _PS_FAIL_RATIO * g_values[0]
         any_fail = any_fail or failed
         per_direction.append(
             {
@@ -633,13 +616,12 @@ def build_diagnostics(
     weight: Optional[Callable[[float], float]] = None,
     weight_divergent: Optional[bool] = None,
     levels=(1.0, 2.0),
-    y0=None,
     opts: Optional[LiftOptions] = None,
     seed: int = 0,
 ) -> DiagnosticsReport:
     """Run the full condition ladder and assemble entries in ladder order."""
     x0v = np.asarray(x0, dtype=float)
-    y0v = evaluate(model, x0v) if y0 is None else np.asarray(y0, dtype=float)
+    y0v = evaluate(model, x0v)
     if weight is None:
         weight = lambda rho: 1.0 + rho  # noqa: E731
         weight_divergent = True

@@ -9,8 +9,9 @@ writes report.json (schema version "1") plus CSV plot data into the output
 directory.  Reruns with the same seed are byte-identical apart from the
 timestamp field.
 
-Exit codes: 0 success, 2 invalid job, 3 numerical failure, 4 unknown map.
-Failures also print a JSON error object to stderr.
+Exit codes: 0 success, 2 invalid job, 3 the job failed while running
+(report.json names the error), 4 unknown map.  Failures also print a JSON
+error object to stderr.
 """
 
 from __future__ import annotations
@@ -473,7 +474,7 @@ def run_job(raw, out_override=None) -> int:
         return _emit_error(exc, 2)
     try:
         result, ok = _execute(job, entry, out_dir)
-    except GlobinvError as exc:
+    except Exception as exc:  # numpy and allocation errors fail the job too
         _write_report(
             out_dir,
             job,

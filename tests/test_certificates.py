@@ -15,7 +15,7 @@ from globinv.certificates import (
     weighted_certificate,
 )
 from globinv.errors import EmptySublevel, OutOfRange, ZeroRadius
-from globinv.indicators import mu_profile, rho_of_r
+from globinv.indicators import MuProfile, mu_profile, rho_of_r
 from globinv.maps import MapModel, linear_entry, registry_entry, registry_get
 
 
@@ -170,14 +170,6 @@ def test_hadamard_integral_verdicts():
     assert np.arctan(10.0) - 5e-3 <= got <= np.arctan(10.0)
 
 
-def test_hadamard_integral_schedule_validation():
-    prof = _profile("identity_1", [0.0], 4.0)
-    with pytest.raises(OutOfRange):
-        hadamard_integral_check(prof, r_schedule=[1.0, 0.5])
-    with pytest.raises(OutOfRange):
-        hadamard_integral_check(prof, r_schedule=[1.0, 8.0])
-
-
 def test_katriel_monotone_passes_with_half():
     m = registry_get("monotone1d")
     entry = katriel_check(m, [0.0], [1.0, 10.0], seed=0)
@@ -231,15 +223,19 @@ def test_katriel_level_validation():
 
 
 def test_expansive_linear_attains_sigma_min():
-    ent = linear_entry(np.diag([2.0, 0.5]))
-    entry = expansive_estimate(ent.model, seed=0)
-    assert entry.condition_id == "C8"
-    assert entry.verdict == "HeuristicPass"
-    alpha = entry.evidence["alpha_hat"]
-    assert 0.5 - 1e-9 <= alpha <= 0.55
-    # the minimal stretch 0.5 is approached at every radius
-    for row in entry.evidence["per_radius"]:
-        assert 0.5 - 1e-9 <= row["alpha_hat"] <= 0.55
+    # the minimal stretch sigma_min is approached at every radius; an
+    # isometry reads it exactly
+    for model, sigma_min, upper in (
+        (linear_entry(np.diag([2.0, 0.5])).model, 0.5, 0.55),
+        (registry_get("identity_2"), 1.0, 1.0 + 1e-9),
+    ):
+        entry = expansive_estimate(model, seed=0)
+        assert entry.condition_id == "C8"
+        assert entry.verdict == "HeuristicPass"
+        alpha = entry.evidence["alpha_hat"]
+        assert sigma_min - 1e-9 <= alpha <= upper
+        for row in entry.evidence["per_radius"]:
+            assert sigma_min - 1e-9 <= row["alpha_hat"] <= upper
 
 
 def test_expansive_monotone_half():
@@ -256,18 +252,6 @@ def test_expansive_arctan_trend_fails():
     last = entry.evidence["per_radius"][-1]
     assert last["radius"] == 100.0
     assert last["alpha_hat"] <= np.pi / 200.0 + 1e-6
-
-
-def test_expansive_custom_pair_sampler():
-    m = registry_get("identity_2")
-
-    def pairs(count, radius):
-        us = np.tile(np.array([radius, 0.0]), (count, 1))
-        xs = np.tile(np.array([0.0, radius]), (count, 1))
-        return us, xs
-
-    entry = expansive_estimate(m, pair_sampler=pairs, seed=0)
-    assert entry.evidence["alpha_hat"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_weighted_identity_holds():
@@ -390,6 +374,38 @@ def test_ps_direction_scan_verdicts():
 
     cexp = registry_get("complex_exp")
     assert ps_direction_scan(cexp, seed=0).verdict == "HeuristicFail"
+
+
+def test_sampled_checks_drop_failing_samples():
+    # the identity on the ball of radius 2, NaN outside it: evaluate raises
+    # NonFinite there, and so does the finite-difference Jacobian
+    def f(x):
+        return x.copy() if np.linalg.norm(x) <= 2.0 else np.full(2, np.nan)
+
+    m = MapModel(name="ball_identity", n=2, m=2, eval_fn=f)
+    # C14: every sphere sample beyond the ball is dropped, and a radius
+    # with no sample left reads 0.0
+    prof = MuProfile([0.0, 0.0], [0.0, 27.0], [1.0, 1.0], False, "sur")
+    entry = plastock_check(m, [0.0, 0.0], prof, seed=0)
+    assert entry.evidence["radii"] == [1.0, 3.0, 9.0, 27.0]
+    assert entry.evidence["coercivity_minima"][0] == pytest.approx(1.0, abs=1e-12)
+    assert entry.evidence["coercivity_minima"][1:] == [0.0, 0.0, 0.0]
+    assert entry.verdict == "HeuristicFail"
+
+    # PS: no Jacobian can be formed anywhere in the ball of radius 1000
+    entry = ps_direction_scan(m, radii=(0.5, 1000.0), seed=0)
+    for d in entry.evidence["directions"]:
+        assert d["inf_adjoint_stretch"][0] == pytest.approx(1.0, abs=1e-9)
+        assert d["inf_adjoint_stretch"][1] == 0.0
+        assert d["collapses"]
+
+    # C8: pairs with an end outside the ball are ignored, not read as 0;
+    # a radius whose every pair is dropped reads inf
+    entry = expansive_estimate(m, radii=(1.0, 4.0, 1000.0), seed=0)
+    alphas = [row["alpha_hat"] for row in entry.evidence["per_radius"]]
+    assert alphas[:2] == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert alphas[2] == np.inf
+    assert entry.evidence["alpha_hat"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_diagnostics_order_and_contrast():

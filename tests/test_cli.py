@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from globinv import solver
+from globinv import cli, solver
 from globinv.cli import main, run_job
 from globinv.indicators import MuProfile, rho_of_r
 
@@ -117,6 +117,30 @@ def test_solve_without_solution_exits_3(tmp_path, capsys):
     rep = _read_report(tmp_path)
     assert rep["result"]["solution"] is None
     assert rep["result"]["status"]["kind"] in ("Singular", "Escaped")
+
+
+# an exception that is not a package error (numpy's LinAlgError, an
+# allocation that fails under a memory cap) is a numerical failure: exit 3
+# with a report that names it, never a traceback
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError("cannot allocate"), np.linalg.LinAlgError("SVD did not converge")],
+    ids=["MemoryError", "LinAlgError"],
+)
+def test_foreign_exception_exits_3_with_report(exc, tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "mu_profile", boom)
+    job = {"map": "identity_2", "command": "indicators"}
+    assert run_job(job, out_override=tmp_path) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 3
+    assert err["error"]["type"] == type(exc).__name__
+    assert _read_report(tmp_path)["result"]["error"] == {
+        "type": type(exc).__name__,
+        "message": str(exc),
+    }
 
 
 def test_certify_success_exit_0(tmp_path):
