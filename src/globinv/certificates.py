@@ -42,7 +42,7 @@ Each check's thresholds and sample sizes are fixed module constants:
 The evidence records the ones a verdict is read against (the Graves scale,
 the C14 radii, the C15 schedule, the C17 floor).  A sample whose map or
 Jacobian evaluation raises is dropped; a radius with no sample left reads
-0.0 in C14 and PS and inf in C8.
+0.0 in C8, C14 and PS.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .indicators import (
     unit_ball_points,
 )
 from .lifting import LiftOptions, lift_lines, weighted_path_length
-from .maps import AnalyticFacts, MapModel, evaluate, jacobian
+from .maps import AnalyticFacts, MapModel, _vector, evaluate, jacobian
 
 Array = np.ndarray
 
@@ -178,7 +178,7 @@ def graves_certificate(
     """Accessible-radius certificate at domain radius r, optionally verified
     by lifting boundary targets at 0.99 rho and checking that every lift
     completes inside the domain ball."""
-    x0v = np.asarray(x0, dtype=float)
+    x0v = _vector(x0, model.n, "graves_certificate: x0")
     if not np.allclose(x0v, profile.base_point, atol=1e-12):
         raise OutOfRange("graves_certificate: profile is centered at a different point")
     if not 0.0 < r <= profile.r_max * (1.0 + 1e-12):
@@ -299,7 +299,7 @@ def hadamard_integral_check(
         evidence["analytic_tail"] = facts.integral_tail or "divergent by analytic bound"
         evidence["non_conclusive"] = False
         return DiagnosticsEntry("C15", VERDICT_HOLDS, evidence)
-    half = rho_of_r(profile, r_schedule[-1] / 2.0)
+    half = rho_values[2]  # rho(r_max / 2)
     observed = rho_values[-1] / half if half > 0.0 else 0.0
     evidence["growth_ratio_observed"] = observed
     if rho_values[-1] > 0.0 and observed >= _C15_GROWTH_RATIO:
@@ -439,9 +439,10 @@ def expansive_estimate(
         us, xs = R * ball[:_C8_PAIRS], R * ball[_C8_PAIRS:]
         axes = R * _signed_axes(model.n)  # the pairs (R e_i, -R e_i)
         us, xs = np.vstack([us, axes[0::2]]), np.vstack([xs, axes[1::2]])
-        best = np.inf
+        kept = list(_kept(pair_ratio, zip(us, xs)))
+        best = np.inf if kept else 0.0  # no pair left: nothing shows expansion
         worst_pair = None
-        for (u, x), ratio in _kept(pair_ratio, zip(us, xs)):
+        for (u, x), ratio in kept:
             if ratio < best:
                 best, worst_pair = ratio, (u, x)
         if worst_pair is not None:

@@ -10,8 +10,9 @@ directory.  Reruns with the same seed are byte-identical apart from the
 timestamp field.
 
 Exit codes: 0 success, 2 invalid job, 3 the job failed while running
-(report.json names the error), 4 unknown map.  Failures also print a JSON
-error object to stderr.
+(report.json names the error), 4 unknown map.  report.json is strict JSON:
+a result holding a NaN or an infinity fails the job with exit 3.  Failures
+also print a JSON error object to stderr.
 """
 
 from __future__ import annotations
@@ -452,7 +453,9 @@ def _write_report(out_dir: Path, job: dict, result: dict) -> None:
         "job": job,
         "result": result,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # strict JSON: a NaN or an infinity raises ValueError instead of being
+    # written as a bare NaN or Infinity token
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     (out_dir / "report.json").write_text(text)
 
 
@@ -474,14 +477,14 @@ def run_job(raw, out_override=None) -> int:
         return _emit_error(exc, 2)
     try:
         result, ok = _execute(job, entry, out_dir)
-    except Exception as exc:  # numpy and allocation errors fail the job too
+        _write_report(out_dir, job, result)
+    except Exception as exc:  # numpy, allocation and strict-JSON errors fail the job too
         _write_report(
             out_dir,
             job,
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
         )
         return _emit_error(exc, 3)
-    _write_report(out_dir, job, result)
     if not ok:
         return _emit_error(GlobinvError("job completed without the required solution"), 3)
     return 0

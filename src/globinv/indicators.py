@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import norm, qmc
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
-from .maps import MapModel, default_point, jacobian
+from .maps import MapModel, _vector, default_point, jacobian
 
 Array = np.ndarray
 
@@ -89,7 +89,6 @@ class MuProfile:
     eta_values: Array
     certified: bool
     indicator_kind: str
-    sample_count: int = 0
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -192,11 +191,7 @@ def mu_profile(
     records the running minimum of the pointwise indicator, an optimistic
     (upper) estimate of the true infimum.
     """
-    x0v = np.asarray(x0, dtype=float)
-    if x0v.shape != (model.n,):
-        raise DimensionMismatch(
-            f"mu_profile: x0 shape {x0v.shape}, expected ({model.n},)"
-        )
+    x0v = _vector(x0, model.n, "mu_profile: x0")
     if not r_max > 0.0:
         raise OutOfRange(f"mu_profile: r_max must be positive, got {r_max}")
     if grid_size < 1:
@@ -220,7 +215,6 @@ def mu_profile(
             eta_values=eta,
             certified=True,
             indicator_kind=indicator_kind,
-            sample_count=0,
             seed=None,
         )
 
@@ -241,7 +235,6 @@ def mu_profile(
         eta_values=eta,
         certified=False,
         indicator_kind=indicator_kind,
-        sample_count=int(sample_count),
         seed=int(seed),
     )
 

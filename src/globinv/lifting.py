@@ -34,7 +34,6 @@ LiftOutcome carries LiftStats, the work counters of its integration.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
-from .maps import MapModel, evaluate, jacobian, jacobian_stack
+from .maps import MapModel, _vector, evaluate, jacobian, jacobian_stack
 
 Array = np.ndarray
 
@@ -144,7 +143,7 @@ class LiftTrajectory:
     mu_values: Array
     length: float
 
-    def to_csv(self, path_or_handle) -> None:
+    def to_csv(self, path) -> None:
         """Columns t, x_1..x_n, mu, cumulative_length (chords of these rows)."""
         n = self.points.shape[1]
         header = ",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["mu", "cumulative_length"])
@@ -157,12 +156,8 @@ class LiftTrajectory:
             cells += [repr(float(v)) for v in self.points[k]]
             cells += [repr(float(self.mu_values[k])), repr(cum)]
             rows.append(",".join(cells))
-        text = "\n".join(rows) + "\n"
-        if isinstance(path_or_handle, io.TextIOBase):
-            path_or_handle.write(text)
-        else:
-            with open(path_or_handle, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("\n".join(rows) + "\n")
 
 
 @dataclass
@@ -227,7 +222,16 @@ class _StageBad(Exception):
 
 
 def _norm(v: Array) -> float:
-    return float(np.linalg.norm(v))
+    """|v|.  When the plain norm of a finite v overflows, v is first divided
+    by its largest |component|; every other norm is the plain one.  Callers
+    run under np.errstate(over="ignore"), as the lift entry points do, so
+    the overflow is silent."""
+    norm = float(np.linalg.norm(v))
+    if norm == math.inf:
+        peak = float(np.max(np.abs(v)))
+        if peak < math.inf:
+            norm = peak * float(np.linalg.norm(v / peak))
+    return norm
 
 
 def _velocity(U: Array, s: Array, Vt: Array, w: Array, mu_floor: float):
@@ -505,7 +509,8 @@ class _FlowLift(_Lift):
         self.window_dx = None  # how far q moved over the last window
 
     def vel(self, x: Array):
-        """The slope -grad F at x, with (mu, F, |grad F|) as the extra."""
+        """The slope -grad F at x, with (mu, F, |grad F|) as the extra; a
+        non-finite gradient or energy F makes a bad stage."""
         self.stats.evals += 1
         r = evaluate(self.model, x) - self.y
         self.stats.jacobians += 1
@@ -513,15 +518,18 @@ class _FlowLift(_Lift):
         g = J.T @ r
         self.stats.svds += 1
         mu = float(np.linalg.svd(J, compute_uv=False)[-1])
-        if not np.all(np.isfinite(g)):
+        F = 0.5 * float(r @ r)
+        if not (np.all(np.isfinite(g)) and F < math.inf):
             raise _StageBad()
-        return -g, (mu, 0.5 * float(r @ r), _norm(g))
+        return -g, (mu, F, _norm(g))
 
     def start(self) -> None:
         try:
             self.k1, (self.mu, self.F, self.gn) = self.vel(self.x0)
         except _StageBad:
-            raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient at x0") from None
+            raise NonFinite(
+                f"gradient_flow({self.model.name}): non-finite gradient or energy at x0"
+            ) from None
         self.rec.record(0.0, self.x0, self.mu)
         self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
@@ -587,17 +595,10 @@ class _FlowLift(_Lift):
         return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
 
 
-def _vector_arg(v, size: int, what: str) -> Array:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (size,):
-        raise DimensionMismatch(f"{what} shape {v.shape}, expected ({size},)")
-    return v
-
-
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
 def _lift_line(model: MapModel, x0, w, opts: LiftOptions) -> LiftOutcome:
-    x0v = _vector_arg(x0, model.n, "lift: x0")
-    lift = _LineLift(model, x0v, _vector_arg(w, model.m, "lift: w"), opts)
+    x0v = _vector(x0, model.n, "lift: x0")
+    lift = _LineLift(model, x0v, _vector(w, model.m, "lift: w"), opts)
     lift.stats.jacobians += 1
     J0 = jacobian(model, x0v)
     lift.stats.svds += 1
@@ -704,7 +705,7 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
         raise DimensionMismatch(
             f"lift_lines: map {model.name!r} is {model.m}x{model.n}, need m <= n"
         )
-    x0v = _vector_arg(x0, model.n, "lift_lines: x0")
+    x0v = _vector(x0, model.n, "lift_lines: x0")
     Wv = np.asarray(W, dtype=float)
     if Wv.ndim != 2 or Wv.shape[1] != model.m:
         raise DimensionMismatch(f"lift_lines: W shape {Wv.shape}, expected (K, {model.m})")
@@ -742,8 +743,8 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     escape ball.
     """
     opts = opts or LiftOptions()
-    x0v = _vector_arg(x0, model.n, "gradient_flow: x0")
-    flow = _FlowLift(model, x0v, _vector_arg(y, model.m, "gradient_flow: y"), opts)
+    x0v = _vector(x0, model.n, "gradient_flow: x0")
+    flow = _FlowLift(model, x0v, _vector(y, model.m, "gradient_flow: y"), opts)
     flow.start()
     _integrate(flow)
     return flow.outcome()

@@ -59,10 +59,8 @@ class AnalyticFacts:
     coercive: Optional[bool] = None
     integral_divergent: Optional[bool] = None
     integral_tail: Optional[str] = None
-    hl_beta: Optional[float] = None
     star_interval: Optional[tuple] = None
     monodromy_shift: Optional[Array] = None
-    fibre_note: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -182,8 +180,6 @@ def _identity_entry(n: int) -> RegistryEntry:
         coercive=True,
         integral_divergent=True,
         integral_tail="eta(rho) == 1 for all rho",
-        hl_beta=1.0,
-        fibre_note="every fibre is a single point",
     )
     return RegistryEntry(model, facts)
 
@@ -209,15 +205,13 @@ def linear_map(matrix, name: str = "linear") -> MapModel:
 
 def linear_entry(matrix, name: str = "linear") -> RegistryEntry:
     model = linear_map(matrix, name=name)
-    A = np.asarray(matrix, dtype=float)
-    smin = float(np.linalg.svd(A, compute_uv=False)[-1])
-    square = A.shape[0] == A.shape[1]
+    smin = model.mu_bound(0.0)
+    square = model.n == model.m
     facts = AnalyticFacts(
         mu_exact=lambda x: smin,
         coercive=bool(square and smin > 0.0),
         integral_divergent=bool(smin > 0.0),
         integral_tail=f"eta(rho) == {smin} for all rho" if smin > 0.0 else None,
-        hl_beta=(1.0 / smin) if (square and smin > 0.0) else None,
     )
     return RegistryEntry(model, facts)
 
@@ -239,7 +233,6 @@ def _arctan1d_entry() -> RegistryEntry:
         integral_divergent=False,
         integral_tail="integral of 1/(1+rho^2) converges to pi/2",
         star_interval=(-np.pi / 2, np.pi / 2),
-        fibre_note="fibres over (-pi/2, pi/2) are single points; empty outside",
     )
     return RegistryEntry(model, facts)
 
@@ -258,8 +251,6 @@ def _monotone1d_entry() -> RegistryEntry:
         coercive=True,
         integral_divergent=True,
         integral_tail="eta(rho) >= 1/2, so the integral grows at least like rho/2",
-        hl_beta=2.0,
-        fibre_note="strictly increasing, every fibre is a single point",
     )
     return RegistryEntry(model, facts)
 
@@ -281,7 +272,6 @@ def _exp1d_entry() -> RegistryEntry:
         integral_divergent=False,
         integral_tail="integral of exp(-rho) converges to 1",
         star_interval=(0.0, np.inf),
-        fibre_note="fibres over (0, inf) are single points; empty otherwise",
     )
     return RegistryEntry(model, facts)
 
@@ -311,7 +301,6 @@ def _complex_exp_entry() -> RegistryEntry:
         coercive=False,
         integral_divergent=False,
         monodromy_shift=np.array([0.0, 2.0 * np.pi]),
-        fibre_note="covering of the punctured plane; fibres are (x, y + 2 pi k)",
     )
     return RegistryEntry(model, facts)
 
@@ -330,7 +319,6 @@ def _projection2to1_entry() -> RegistryEntry:
         coercive=False,
         integral_divergent=True,
         integral_tail="eta(rho) == 1 for all rho",
-        fibre_note="fibre over c is the vertical line x = c",
     )
     return RegistryEntry(model, facts)
 
@@ -349,7 +337,6 @@ def _parabola_sub_entry() -> RegistryEntry:
         coercive=False,
         integral_divergent=True,
         integral_tail="eta(rho) == 1 for all rho",
-        fibre_note="fibre over c is the parabola x = y^2 + c",
     )
     return RegistryEntry(model, facts)
 
@@ -370,7 +357,6 @@ def _asinh1d_entry() -> RegistryEntry:
         coercive=True,
         integral_divergent=True,
         integral_tail="integral of 1/sqrt(1+rho^2) is arcsinh(r), unbounded",
-        fibre_note="global diffeomorphism of the line; indicator decays like 1/rho",
     )
     return RegistryEntry(model, facts)
 

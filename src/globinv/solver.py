@@ -5,7 +5,8 @@ polishes the endpoint with damped Newton steps.  star_probe() lifts one
 codomain ray per direction and reads the reach off the time the lift
 stopped.  fibre_enumerate() collects distinct solutions by multistart or by
 lifting closed polygonal loops (monodromy).  trivialize() sends nearby
-points of a submersion's domain to the fibre over y along horizontal lifts.
+points of a submersion's domain to the fibre over y, each by a horizontal
+solve().
 """
 
 from __future__ import annotations
@@ -15,22 +16,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certificates import RadiusCertificate
 from .errors import LiftAborted, LoopNotInImage, OutOfRange, StrategyMismatch
 from .indicators import _signed_axes
 from .lifting import (
     FlowVerdict,
     LiftOptions,
     LiftOutcome,
+    _norm,
     gradient_flow,
     lift_line_horizontal,
     lift_line_square,
 )
-from .maps import MapModel, default_point, evaluate, jacobian
+from .maps import MapModel, _vector, default_point, evaluate, jacobian
 
 Array = np.ndarray
 
 SOLVE_TOL = 1e-8
+_POLISH_ITERS = 12  # Newton steps of the endpoint polish
 
 # Star ray reason by lift status kind; any other stop reads as Singular.
 _STAR_REASONS = {"Complete": "BudgetExhausted", "Escaped": "Escaped"}
@@ -53,7 +55,6 @@ class SolveReport:
     residual: Optional[float]
     outcome: LiftOutcome
     flow_verdict: Optional[FlowVerdict] = None
-    within_radius: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -66,8 +67,6 @@ class SolveReport:
         }
         if self.flow_verdict is not None:
             out["flow_verdict"] = self.flow_verdict.to_json_dict()
-        if self.within_radius is not None:
-            out["within_radius"] = bool(self.within_radius)
         return out
 
 
@@ -120,14 +119,15 @@ class FibreReport:
         }
 
 
-def _newton_polish(model: MapModel, x: Array, y: Array, max_iter: int = 12):
+@np.errstate(over="ignore")  # _norm rescales an overflowed residual norm
+def _newton_polish(model: MapModel, x: Array, y: Array):
     """Damped Newton / minimum-norm Gauss-Newton refinement of an approximate
     solution.  Returns (point, residual); stops at stagnation or rank loss."""
     x = np.array(x, dtype=float)
     r = evaluate(model, x) - y
-    best = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if best <= 1e-15 * (1.0 + float(np.linalg.norm(y))):
+    best = _norm(r)
+    for _ in range(_POLISH_ITERS):
+        if best <= 1e-15 * (1.0 + _norm(y)):
             break
         J = jacobian(model, x)
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
@@ -143,7 +143,7 @@ def _newton_polish(model: MapModel, x: Array, y: Array, max_iter: int = 12):
             except Exception:
                 step *= 0.5
                 continue
-            nn = float(np.linalg.norm(rn))
+            nn = _norm(rn)
             if nn < best:
                 x, r, best = xn, rn, nn
                 improved = True
@@ -172,25 +172,21 @@ def _resolve_strategy(model: MapModel, strategy: str) -> str:
     return name
 
 
+@np.errstate(over="ignore")  # _norm rescales an overflowed residual norm
 def solve(
     model: MapModel,
     y,
     x_seed=None,
     strategy: str = "auto",
     opts: Optional[LiftOptions] = None,
-    certificate: Optional[RadiusCertificate] = None,
-    tol: float = SOLVE_TOL,
 ) -> SolveReport:
     """Solve f(x)=y by lifting the segment from f(x_seed) to y (or by
     gradient descent on the residual), then polishing the endpoint.
 
-    The solution field is set only when |f(x*) - y| <= tol holds under direct
-    re-evaluation.  With a certificate supplied, within_radius records whether
-    the solution landed strictly inside the certified domain ball.
+    The solution field is set only when |f(x*) - y| <= SOLVE_TOL holds under
+    direct re-evaluation.
     """
-    yv = np.asarray(y, dtype=float)
-    if yv.shape != (model.m,):
-        raise OutOfRange(f"solve: target must have shape ({model.m},)")
+    yv = _vector(y, model.m, "solve: target")
     seed = default_point(model) if x_seed is None else np.asarray(x_seed, dtype=float)
     name = _resolve_strategy(model, strategy)
     lift_opts = opts or LiftOptions()
@@ -212,17 +208,10 @@ def solve(
     if attempt_polish:
         point, res = _newton_polish(model, candidate, yv)
         residual = res
-        if res <= tol:
+        if res <= SOLVE_TOL:
             solution = point
     else:
-        residual = float(np.linalg.norm(evaluate(model, candidate) - yv))
-
-    within = None
-    if certificate is not None:
-        within = bool(
-            solution is not None
-            and float(np.linalg.norm(solution - certificate.x0)) < certificate.r
-        )
+        residual = _norm(evaluate(model, candidate) - yv)
 
     return SolveReport(
         y=yv,
@@ -232,7 +221,6 @@ def solve(
         residual=residual,
         outcome=outcome,
         flow_verdict=flow_verdict,
-        within_radius=within,
     )
 
 
@@ -310,7 +298,6 @@ def fibre_enumerate(
     x_seed=None,
     opts: Optional[LiftOptions] = None,
     max_points: int = 8,
-    tol: float = SOLVE_TOL,
 ) -> FibreReport:
     """Enumerate points of the fibre over y.
 
@@ -328,7 +315,7 @@ def fibre_enumerate(
         found = []
         residuals = []
         for s in seeds:
-            rep = solve(model, yv, x_seed=s, opts=lift_opts, tol=tol)
+            rep = solve(model, yv, x_seed=s, opts=lift_opts)
             if rep.solution is None:
                 continue
             thr = _dedup_threshold(found + [rep.solution])
@@ -351,7 +338,7 @@ def fibre_enumerate(
 
     start = default_point(model) if x_seed is None else np.asarray(x_seed, dtype=float)
     start, res0 = _newton_polish(model, start, yv)
-    if res0 > tol:
+    if res0 > SOLVE_TOL:
         raise LoopNotInImage("fibre_enumerate: no fibre point found at the loop base")
 
     points = [start]
@@ -377,7 +364,7 @@ def fibre_enumerate(
         if aborted:
             break
         x_cur, res = _newton_polish(model, x_cur, yv)
-        if res > tol:
+        if res > SOLVE_TOL:
             break
         shifts.append(x_cur - loop_start)
         thr = _dedup_threshold(points + [x_cur])
@@ -411,31 +398,21 @@ def trivialize(
     y,
     points: Sequence,
     opts: Optional[LiftOptions] = None,
-    tol: float = SOLVE_TOL,
 ):
     """Local trivialization for a submersion (m < n): each point p is sent
-    along the horizontal lift of the segment from f(p) to y, landing on the
-    fibre over y.  Returns a list of (f(p), fibre_point) pairs."""
+    to the fibre over y by solve's horizontal lift of the segment from f(p)
+    to y and its endpoint polish.  Returns a list of (f(p), fibre_point)
+    pairs; raises LiftAborted when a point yields no fibre point."""
     if model.m >= model.n:
         raise StrategyMismatch("trivialize needs a submersion with m < n")
-    yv = np.asarray(y, dtype=float)
-    lift_opts = opts or LiftOptions()
     out_pairs = []
     for p in points:
-        pv = np.asarray(p, dtype=float)
-        fp = evaluate(model, pv)
-        outcome = lift_line_horizontal(model, pv, yv - fp, lift_opts)
-        if not outcome.status.is_complete:
+        rep = solve(model, y, x_seed=p, strategy="horizontal", opts=opts)
+        if rep.solution is None:
             raise LiftAborted(
-                f"trivialize: lift from point {pv.tolist()} ended "
-                f"{outcome.status.kind}",
-                outcome=outcome,
+                f"trivialize: no fibre point from {rep.x_seed.tolist()}: lift ended "
+                f"{rep.outcome.status.kind}, residual {rep.residual!r}",
+                outcome=rep.outcome,
             )
-        q, res = _newton_polish(model, outcome.trajectory.points[-1], yv)
-        if res > tol:
-            raise LiftAborted(
-                "trivialize: endpoint polish left residual above tolerance",
-                outcome=outcome,
-            )
-        out_pairs.append((fp, q))
+        out_pairs.append((evaluate(model, rep.x_seed), rep.solution))
     return out_pairs

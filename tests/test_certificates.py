@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -400,12 +402,27 @@ def test_sampled_checks_drop_failing_samples():
         assert d["collapses"]
 
     # C8: pairs with an end outside the ball are ignored, not read as 0;
-    # a radius whose every pair is dropped reads inf
+    # a radius whose every pair is dropped reads 0.0
     entry = expansive_estimate(m, radii=(1.0, 4.0, 1000.0), seed=0)
     alphas = [row["alpha_hat"] for row in entry.evidence["per_radius"]]
     assert alphas[:2] == pytest.approx([1.0, 1.0], abs=1e-9)
-    assert alphas[2] == np.inf
-    assert entry.evidence["alpha_hat"] == pytest.approx(1.0, abs=1e-9)
+    assert alphas[2] == 0.0
+    assert entry.evidence["alpha_hat"] == 0.0
+
+
+def test_expansive_emptied_last_radius_fails():
+    """A last radius with no pair left reads 0.0 and fails C8, and the
+    evidence is strict JSON; it read inf, a pass and an Infinity token."""
+    def f(x):
+        return x.copy() if np.linalg.norm(x) <= 2.0 else np.full(2, np.nan)
+
+    m = MapModel(name="ball_identity", n=2, m=2, eval_fn=f)
+    entry = expansive_estimate(m, radii=(0.15, 1.5, 15.0), seed=1)
+    alphas = [row["alpha_hat"] for row in entry.evidence["per_radius"]]
+    assert alphas[:2] == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert alphas[2] == 0.0
+    assert entry.verdict == "HeuristicFail"
+    json.dumps(entry.to_json_dict(), allow_nan=False)
 
 
 def test_build_diagnostics_order_and_contrast():

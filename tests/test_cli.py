@@ -11,8 +11,13 @@ from globinv.cli import main, run_job
 from globinv.indicators import MuProfile, rho_of_r
 
 
+def _reject_constant(token):
+    raise ValueError(f"report.json holds the non-standard token {token}")
+
+
 def _read_report(out_dir):
-    return json.loads((out_dir / "report.json").read_text())
+    """The parsed report.json, which must be strict JSON (no NaN or Infinity)."""
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=_reject_constant)
 
 
 def _strip_timestamp(text: str) -> str:
@@ -141,6 +146,27 @@ def test_foreign_exception_exits_3_with_report(exc, tmp_path, capsys, monkeypatc
         "type": type(exc).__name__,
         "message": str(exc),
     }
+
+
+def test_non_finite_result_exits_3_with_strict_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_execute", lambda job, entry, out_dir: ({"value": np.inf}, True))
+    job = {"map": "identity_2", "command": "indicators"}
+    assert run_job(job, out_override=tmp_path) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 3
+    assert err["error"]["type"] == "ValueError"
+    assert _read_report(tmp_path)["result"]["error"]["type"] == "ValueError"
+
+
+def test_solve_overflowing_energy_exits_3(tmp_path, capsys):
+    """x = 1e160 solves the system, but the flow energy overflows at the
+    seed: the job fails with a strict-JSON report instead of a converged
+    verdict at an infinite level."""
+    job = {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [1e160, 2e160]}
+    assert run_job(job, out_override=tmp_path) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonFinite"
+    error = _read_report(tmp_path)["result"]["error"]
+    assert error["type"] == "NonFinite" and "energy" in error["message"]
 
 
 def test_certify_success_exit_0(tmp_path):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -186,9 +184,10 @@ def test_lift_stats_rejections_by_cause():
     edge = lift_line_square(registry_get("arctan1d"), [0.0], [2.0])
     assert edge.status.kind == "Singular"
     assert edge.stats.rejected_singular > 0
-    # e^x overflows in the stages of a lift that ends just below log(max float)
+    # e^x overflows in the stages of a lift that ends just below log(max
+    # float); the end misses the 1.7e300 tolerance (residual about 5.6e300)
     over = lift_line_square(registry_get("exp1d"), [705.0], [1.7e308], LiftOptions(r_escape=None))
-    assert over.status.is_complete
+    assert over.status == LiftStatus.step_failure(1.0) and np.isfinite(over.target_residual)
     assert over.stats.rejected_nonfinite > 0
     assert over.stats.svds < over.stats.jacobians  # no SVD of a non-finite Jacobian
     zero = lift_line_square(registry_get("identity_1"), [2.0], [0.0])
@@ -334,12 +333,11 @@ def test_status_constructors_and_json():
     assert e.to_json_dict()["distance"] == 7.0
 
 
-def test_trajectory_csv_roundtrip():
+def test_trajectory_csv_roundtrip(tmp_path):
     m = registry_get("monotone1d")
     out = lift_line_square(m, [0.0], [2.0])
-    buf = io.StringIO()
-    out.trajectory.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    out.trajectory.to_csv(tmp_path / "traj.csv")
+    lines = (tmp_path / "traj.csv").read_text().strip().split("\n")
     assert lines[0] == "t,x_1,mu,cumulative_length"
     assert len(lines) == out.trajectory.times.shape[0] + 1
     row = lines[-1].split(",")

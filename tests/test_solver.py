@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 
 from globinv import solver
 from globinv.certificates import graves_certificate
-from globinv.errors import LiftAborted, LoopNotInImage, OutOfRange, StrategyMismatch
+from globinv.errors import (
+    DimensionMismatch,
+    LiftAborted,
+    LoopNotInImage,
+    OutOfRange,
+    StrategyMismatch,
+)
 from globinv.indicators import mu_profile
-from globinv.lifting import LiftOptions
+from globinv.lifting import LiftOptions, lift_line_square
 from globinv.maps import MapModel, linear_map, registry_get
 from globinv.solver import fibre_enumerate, solve, star_probe, trivialize
 
@@ -150,18 +156,17 @@ def test_solve_strategy_aliases():
     assert solve(proj, [1.0], strategy="auto").strategy == "Horizontal"
 
 
-def test_solve_within_radius():
-    m = registry_get("arctan1d")
-    prof = mu_profile(m, [0.0], 1.0, 2000)
-    cert = graves_certificate(m, [0.0], 1.0, prof)
-    y = [0.99 * cert.rho]
-    rep = solve(m, y, certificate=cert)
-    assert rep.solution is not None
-    assert rep.within_radius is True
-    plain = solve(m, y)
-    assert plain.within_radius is None
-    d = rep.to_json_dict()
-    assert d["within_radius"] is True and d["strategy"] == "Wazewski"
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: solve(m, [1.0, 2.0, 3.0]),
+        lambda m: graves_certificate(m, [0.0, 0.0, 0.0], 1.0, mu_profile(m, [0.0, 0.0], 1.0, 16)),
+    ],
+    ids=["solve_target", "graves_x0"],
+)
+def test_wrong_shape_vector_raises_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call(registry_get("identity_2"))
 
 
 def test_solve_seed_defaults_to_base_point():
@@ -251,6 +256,21 @@ def test_star_huge_budget_finds_edge():
     rep = star_probe(registry_get("exp1d"), [0.0], directions=[[-1.0]], t_budget=1e6)
     assert abs(rep.reaches[0] - 1.0) <= 1e-6
     assert rep.reasons == ("Singular",)
+
+
+@pytest.mark.parametrize("t_budget", [1e160, 1e200])
+def test_star_huge_finite_budget_escapes(t_budget):
+    """|t_budget d|^2 overflows, yet the lift norms stay finite: each ray of
+    the identity leaves the escape ball within a few steps, where an
+    infinite |w| gave a zero first step and a stall at reach 0."""
+    m = registry_get("identity_2")
+    opts = LiftOptions(max_steps=100)
+    rep = star_probe(m, [0.0, 0.0], t_budget=t_budget, opts=opts)
+    assert rep.reasons == ("Escaped",) * 4
+    for d in rep.directions:
+        out = lift_line_square(m, [0.0, 0.0], t_budget * d, opts)
+        assert out.status.kind == "Escaped"
+        assert out.stats.accepted == 13
 
 
 def test_star_validation():
