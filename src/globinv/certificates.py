@@ -40,9 +40,17 @@ Each check's thresholds and sample sizes are fixed module constants:
           first
 
 The evidence records the ones a verdict is read against (the Graves scale,
-the C14 radii, the C15 schedule, the C17 floor).  A sample whose map or
-Jacobian evaluation raises is dropped; a radius with no sample left reads
-0.0 in C8, C14 and PS.
+the C14 radii, the C15 schedule, the C17 floor).  The samples of C8, C14,
+C17 and PS are stacked: one evaluate_stack or jacobian_stack and at most one
+SVD per batch.  A Jacobian batch holds at most 4096 points and 2**20 floats,
+so its memory stays bounded in any dimension; a value stack holds one
+m-vector per sample, no more floats than the sample points.  A sample is dropped only when its value or Jacobian is
+non-finite, and the evidence counts the dropped samples (`dropped`: per C8
+radius, counting pairs; per C14 radius; per C17 level; per PS direction and
+radius); a radius with no sample left reads 0.0 in C8, C14 and PS.  An
+exception raised by the map itself, or a value of the wrong shape,
+propagates.  A C17 sample inside the sublevel set whose Jacobian is
+non-finite raises NonFinite.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ from scipy.optimize import minimize
 from .errors import EmptySublevel, OutOfRange, ZeroRadius
 from .indicators import (
     MuProfile,
+    _batches,
+    _indicators_at,
     _signed_axes,
     _sobol,
     _unit_directions,
@@ -65,7 +75,15 @@ from .indicators import (
     unit_ball_points,
 )
 from .lifting import LiftOptions, lift_lines, weighted_path_length
-from .maps import AnalyticFacts, MapModel, _vector, evaluate, jacobian
+from .maps import (
+    AnalyticFacts,
+    MapModel,
+    _vector,
+    evaluate,
+    evaluate_stack,
+    jacobian,
+    jacobian_stack,
+)
 
 Array = np.ndarray
 
@@ -155,15 +173,31 @@ def unit_sphere_points(m: int, count: int, seed: int) -> Array:
     return np.vstack([axes, extra])
 
 
-def _kept(fn: Callable, items):
-    """Yield (item, fn(item)) for each sample whose call does not raise; the
-    samples whose call raises are dropped."""
-    for item in items:
-        try:
-            value = fn(item)
-        except Exception:
-            continue
-        yield item, value
+@np.errstate(over="ignore")  # an overflowed norm is +inf, as np.linalg.norm gives
+def _row_norms(D: Array) -> Array:
+    """The Euclidean norm of each row of D.  Each row goes through the same
+    dot product as np.linalg.norm, so every norm equals the row's own
+    np.linalg.norm bit for bit (np.linalg.norm(D, axis=1) does not)."""
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+
+
+def _values(model: MapModel, X: Array) -> tuple:
+    """f at the rows of X, the non-finite rows zeroed, and the (K,) mask of
+    the rows whose value is finite."""
+    Y, finite = evaluate_stack(model, X)
+    Y[~finite] = 0.0
+    return Y, finite
+
+
+def _kept_minima(values: Array, kept: Array) -> list:
+    """Per row of a (G, S) array, the minimum over the kept samples; 0.0 for
+    a row with none left."""
+    return [float(v[k].min()) if k.any() else 0.0 for v, k in zip(values, kept)]
+
+
+def _dropped(kept: Array) -> list:
+    """Per row of a (G, S) mask, the count of samples not kept."""
+    return [int(c) for c in np.sum(~kept, axis=1)]
 
 
 def graves_certificate(
@@ -329,9 +363,7 @@ def katriel_check(
         raise OutOfRange("katriel_check: levels must be positive and increasing")
     center = np.zeros(model.n) if box_center is None else np.asarray(box_center, dtype=float)
     witness = _witness_points(facts)
-
-    def residual(p):
-        return float(np.linalg.norm(evaluate(model, p) - y0v))
+    scale = 1.0 + float(np.linalg.norm(y0v))
 
     per_level = []
     worst = VERDICT_HEURISTIC_PASS
@@ -350,27 +382,28 @@ def katriel_check(
                     "verdict": VERDICT_FAILS,
                     "witness_mu_values": mus,
                     "witness_residuals": residuals,
+                    "dropped": 0,
                 }
             )
             worst = VERDICT_FAILS
             continue
 
-        hits = 0
-        est = np.inf
-        worst_point = None
+        boxes = []
         for j in range(_C17_BOXES):
-            half_width = (1.0 + float(np.linalg.norm(y0v))) * (2.0 ** j)
+            half_width = scale * (2.0 ** j)
             cube = 2.0 * _sobol(model.n, _C17_BOX_SAMPLES, seed + 1000 * li + j) - 1.0
-            for p, res in _kept(residual, center[None, :] + half_width * cube):
-                if res < level:
-                    hits += 1
-                    mu = sur_indicator(jacobian(model, p))
-                    if mu < est:
-                        est, worst_point = mu, p
+            boxes.append(center[None, :] + half_width * cube)
+        pts = np.vstack(boxes)
+        Y, finite = _values(model, pts)
+        inside = pts[finite & (_row_norms(Y - y0v) < level)]
+        hits = inside.shape[0]
         if hits == 0:
             raise EmptySublevel(
                 f"katriel_check: no sample hit the sublevel set at level {level}"
             )
+        mus = _indicators_at(model, inside, "sur")
+        i = int(np.argmin(mus))  # the first minimum
+        est, worst_point = mus[i], inside[i]
 
         def objective(x):
             try:
@@ -389,7 +422,13 @@ def katriel_check(
             est = float(refined.fun)
         verdict = VERDICT_HEURISTIC_FAIL if est <= _C17_FLOOR else VERDICT_HEURISTIC_PASS
         per_level.append(
-            {"level": level, "verdict": verdict, "inf_estimate": float(est), "hits": hits}
+            {
+                "level": level,
+                "verdict": verdict,
+                "inf_estimate": float(est),
+                "hits": hits,
+                "dropped": int(np.sum(~finite)),
+            }
         )
         if rank[verdict] > rank[worst]:
             worst = verdict
@@ -401,20 +440,30 @@ def katriel_check(
     )
 
 
+def _pair_ratios(model: MapModel, U: Array, X: Array) -> tuple:
+    """|f(u) - f(x)| / |u - x| for the row pairs of U and X, and the mask of
+    the pairs kept: both values finite.  A pair with |u - x| <= 1e-12 reads
+    inf and is always kept; a dropped pair reads inf too."""
+    K = U.shape[0]
+    Y, finite = _values(model, np.vstack([U, X]))
+    gap = _row_norms(U - X)
+    live = gap > 1e-12
+    kept = (finite[:K] & finite[K:]) | ~live
+    ratios = np.full(K, np.inf)
+    np.divide(_row_norms(Y[:K] - Y[K:]), gap, out=ratios, where=live & kept)
+    return ratios, kept
+
+
 def _segment_min_ratio(model: MapModel, u: Array, x: Array) -> float:
     """Minimum difference-quotient ratio over tight sub-pairs along [x, u]."""
     gap = float(np.linalg.norm(u - x))
-    if gap <= 1e-12:
-        return np.inf
     d = (u - x) / gap
     delta = gap / 64.0
     half = 0.5 * delta * d
-
-    def quotient(s):
-        c = x + s * (u - x)
-        return float(np.linalg.norm(evaluate(model, c + half) - evaluate(model, c - half))) / delta
-
-    return min((val for _, val in _kept(quotient, np.linspace(0.0, 1.0, 33))), default=np.inf)
+    c = x + np.linspace(0.0, 1.0, 33)[:, None] * (u - x)
+    Y, finite = _values(model, np.vstack([c + half, c - half]))
+    quotients = _row_norms(Y[:33] - Y[33:]) / delta
+    return float(np.min(quotients[finite[:33] & finite[33:]], initial=np.inf))
 
 
 @np.errstate(over="ignore")  # an overflowed ratio is +inf and never the minimum
@@ -424,30 +473,21 @@ def expansive_estimate(
     """Global expansiveness (C8): alpha_hat = min |f(u)-f(x)|/|u-x| over
     sampled pairs, per radius, with a refinement sweep along the worst pair.
     Sampling upper-bounds the true infimum, so it can only refute."""
-
-    def pair_ratio(pair):  # a degenerate pair reads inf and is never the minimum
-        u, x = pair
-        gap = float(np.linalg.norm(u - x))
-        if gap <= 1e-12:
-            return np.inf
-        return float(np.linalg.norm(evaluate(model, u) - evaluate(model, x))) / gap
-
     per_radius = []
     overall = np.inf
     for ri, R in enumerate(radii):
         ball = unit_ball_points(model.n, 2 * _C8_PAIRS, seed + 17 * ri)
-        us, xs = R * ball[:_C8_PAIRS], R * ball[_C8_PAIRS:]
         axes = R * _signed_axes(model.n)  # the pairs (R e_i, -R e_i)
-        us, xs = np.vstack([us, axes[0::2]]), np.vstack([xs, axes[1::2]])
-        kept = list(_kept(pair_ratio, zip(us, xs)))
-        best = np.inf if kept else 0.0  # no pair left: nothing shows expansion
-        worst_pair = None
-        for (u, x), ratio in kept:
-            if ratio < best:
-                best, worst_pair = ratio, (u, x)
-        if worst_pair is not None:
-            best = min(best, _segment_min_ratio(model, worst_pair[0], worst_pair[1]))
-        per_radius.append({"radius": float(R), "alpha_hat": float(best)})
+        us = np.vstack([R * ball[:_C8_PAIRS], axes[0::2]])
+        xs = np.vstack([R * ball[_C8_PAIRS:], axes[1::2]])
+        ratios, kept = _pair_ratios(model, us, xs)
+        best = np.inf if kept.any() else 0.0  # no pair left: nothing shows expansion
+        i = int(np.argmin(ratios))  # the first minimum
+        if ratios[i] < best:  # refine along the worst pair
+            best = min(float(ratios[i]), _segment_min_ratio(model, us[i], xs[i]))
+        per_radius.append(
+            {"radius": float(R), "alpha_hat": float(best), "dropped": int(np.sum(~kept))}
+        )
         overall = min(overall, best)
     first, last = per_radius[0]["alpha_hat"], per_radius[-1]["alpha_hat"]
     evidence = {
@@ -549,14 +589,12 @@ def plastock_check(
     rmax = profile.r_max
     radii = [rmax / 27.0, rmax / 9.0, rmax / 3.0, rmax]
     f0 = evaluate(model, x0v)
-
-    def residual(x):
-        return float(np.linalg.norm(evaluate(model, x) - f0))
-
     dirs = unit_sphere_points(model.n, _C14_SAMPLES, seed)
-    m_values = [
-        min((v for _, v in _kept(residual, x0v + R * dirs)), default=0.0) for R in radii
-    ]
+    pts = np.vstack([x0v + R * dirs for R in radii])
+    Y, finite = _values(model, pts)
+    residuals = _row_norms(Y - f0).reshape(len(radii), -1)
+    kept = finite.reshape(len(radii), -1)
+    m_values = _kept_minima(residuals, kept)
     inc_first = m_values[1] - m_values[0]
     inc_last = m_values[-1] - m_values[-2]
     growing = inc_last > 0.0 and inc_last >= _C14_GROWTH_INC_RATIO * inc_first
@@ -564,6 +602,7 @@ def plastock_check(
     evidence = {
         "radii": radii,
         "coercivity_minima": m_values,
+        "dropped": _dropped(kept),
         "eta_min": float(profile.eta_values[-1]),
         "certified_profile": bool(profile.certified),
         "facts_coercive": None if facts is None else facts.coercive,
@@ -585,13 +624,20 @@ def ps_direction_scan(
     per_direction = []
     any_fail = False
     for di, v in enumerate(_signed_axes(model.m)):
-        def stretch(p):
-            return float(np.linalg.norm(jacobian(model, p).T @ v))
-
-        g_values = []
-        for ri, R in enumerate(radii):
-            pts = R * unit_ball_points(model.n, _PS_SAMPLES, seed + 31 * di + 7 * ri)
-            g_values.append(min((g for _, g in _kept(stretch, pts)), default=0.0))
+        pts = np.vstack([
+            R * unit_ball_points(model.n, _PS_SAMPLES, seed + 31 * di + 7 * ri)
+            for ri, R in enumerate(radii)
+        ])
+        stretch = np.empty(len(pts))
+        kept = np.empty(len(pts), dtype=bool)
+        for rows in _batches(len(pts), model.m * model.n):
+            J, finite = jacobian_stack(model, pts[rows])
+            J[~finite] = 0.0
+            # v = +-e_i, so J^T v is +-(row i of J) exactly, with the same norm
+            stretch[rows], kept[rows] = _row_norms(J[:, di // 2]), finite
+        shape = (len(radii), _PS_SAMPLES)
+        stretch, kept = stretch.reshape(shape), kept.reshape(shape)
+        g_values = _kept_minima(stretch, kept)
         failed = g_values[-1] <= _PS_FLOOR or g_values[-1] < _PS_FAIL_RATIO * g_values[0]
         any_fail = any_fail or failed
         per_direction.append(
@@ -599,6 +645,7 @@ def ps_direction_scan(
                 "direction": [float(c) for c in v],
                 "inf_adjoint_stretch": g_values,
                 "collapses": bool(failed),
+                "dropped": _dropped(kept),
             }
         )
     verdict = VERDICT_HEURISTIC_FAIL if any_fail else VERDICT_HEURISTIC_PASS

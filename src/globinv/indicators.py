@@ -23,9 +23,13 @@ import numpy as np
 from scipy.stats import norm, qmc
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
-from .maps import MapModel, _vector, default_point, jacobian
+from .maps import MapModel, _vector, default_point, jacobian, jacobian_stack
 
 Array = np.ndarray
+
+# A stacked batch of samples holds at most this many points, and its Jacobian
+# stack at most this many floats, so its memory is bounded in any dimension.
+_STACK_ROWS, _STACK_FLOATS = 4096, 1 << 20
 
 
 def _matrix(J) -> Array:
@@ -37,22 +41,27 @@ def _matrix(J) -> Array:
     return arr
 
 
+def _indicator_stack(J: Array, kind: str) -> Array:
+    """inj or sur of each matrix of a finite (K, m, n) stack, with one
+    stacked SVD."""
+    K, m, n = J.shape
+    if kind == "sur":
+        if n < m:
+            return np.zeros(K)
+        return np.linalg.svd(J.transpose(0, 2, 1), compute_uv=False)[:, -1]
+    if m < n:
+        return np.zeros(K)
+    return np.linalg.svd(J, compute_uv=False)[:, -1]
+
+
 def inj_indicator(J) -> float:
     """Smallest stretch of J over the unit sphere of the domain."""
-    arr = _matrix(J)
-    m, n = arr.shape
-    if m < n:
-        return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[-1])
+    return float(_indicator_stack(_matrix(J)[None], "inj")[0])
 
 
 def sur_indicator(J) -> float:
     """Smallest stretch of the adjoint J^T over the unit sphere of the codomain."""
-    arr = _matrix(J)
-    m, n = arr.shape
-    if n < m:
-        return 0.0
-    return float(np.linalg.svd(arr.T, compute_uv=False)[-1])
+    return float(_indicator_stack(_matrix(J)[None], "sur")[0])
 
 
 @dataclass(frozen=True)
@@ -167,9 +176,27 @@ def unit_ball_points(n: int, count: int, seed: int) -> Array:
     return _unit_directions(u[:, :n]) * radii[:, None]
 
 
-def _indicator_at(model: MapModel, x: Array, kind: str) -> float:
-    J = jacobian(model, x)
-    return sur_indicator(J) if kind == "sur" else inj_indicator(J)
+def _batches(total: int, floats_per_row: int) -> list:
+    """Consecutive slices covering range(total), each short enough that the
+    stack of its rows, floats_per_row floats each, holds at most _STACK_ROWS
+    rows and _STACK_FLOATS floats (but always at least one row)."""
+    step = max(1, min(_STACK_ROWS, _STACK_FLOATS // floats_per_row))
+    return [slice(start, min(start + step, total)) for start in range(0, total, step)]
+
+
+def _indicators_at(model: MapModel, X: Array, kind: str) -> Array:
+    """inj or sur at each row of X: one Jacobian stack and one SVD per batch
+    of rows.  The first non-finite Jacobian raises jacobian()'s error there;
+    an error the map raises anywhere in that row's batch comes first."""
+    vals = []
+    for rows in _batches(X.shape[0], model.m * model.n):
+        J, finite = jacobian_stack(model, X[rows])
+        if not finite.all():
+            bad = X[rows][int(np.argmin(finite))]
+            jacobian(model, bad)  # raises NonFinite with the scalar message
+            raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={bad!r}")
+        vals.append(_indicator_stack(J, kind))
+    return np.concatenate(vals)
 
 
 def mu_profile(
@@ -189,7 +216,12 @@ def mu_profile(
     shifts the radius by the offset, keeping the bound valid (enclosing ball).
     Sampled mode takes sample_count low-discrepancy points per ball and
     records the running minimum of the pointwise indicator, an optimistic
-    (upper) estimate of the true infimum.
+    (upper) estimate of the true infimum.  The grid_size * sample_count
+    points are stacked in batches of at most 4096 points and 2**20 Jacobian
+    floats: one Jacobian stack and one SVD per batch, so memory stays
+    bounded.  A non-finite Jacobian raises NonFinite at the first such point
+    in radius-major order, unless the map raises an error of its own
+    anywhere in that point's batch.
     """
     x0v = _vector(x0, model.n, "mu_profile: x0")
     if not r_max > 0.0:
@@ -221,13 +253,14 @@ def mu_profile(
     if mode != "sampled":
         raise OutOfRange(f"mu_profile: mode must be 'certified' or 'sampled', got {mode!r}")
     ball = unit_ball_points(model.n, sample_count, seed)
-    center_value = _indicator_at(model, x0v, indicator_kind)
-    eta = np.empty(radii.size)
-    eta[0] = center_value
-    for k in range(1, radii.size):
-        pts = x0v[None, :] + radii[k] * ball
-        vals = [_indicator_at(model, p, indicator_kind) for p in pts]
-        eta[k] = min(center_value, min(vals))
+    indicator = sur_indicator if indicator_kind == "sur" else inj_indicator
+    eta = np.full(radii.size, indicator(jacobian(model, x0v)))
+    # the grid_size * sample_count points, radius-major, in batches of rows
+    for batch in _batches(grid_size * sample_count, model.m * model.n):
+        rows = np.arange(batch.start, batch.stop)
+        k = 1 + rows // sample_count
+        pts = x0v[None, :] + radii[k, None] * ball[rows % sample_count]
+        np.minimum.at(eta, k, _indicators_at(model, pts, indicator_kind))
     eta = np.minimum.accumulate(eta)
     return MuProfile(
         base_point=x0v,

@@ -4,7 +4,8 @@ A :class:`MapModel` wraps a pure vector function f: R^n -> R^m together with an
 optional analytic Jacobian and an optional certified lower bound on the local
 invertibility indicator over centered balls.  Everything downstream (profiles,
 lifts, certificates, the CLI) consumes models through :func:`evaluate`,
-:func:`jacobian` and, for batched lifts, :func:`jacobian_stack` only.
+:func:`jacobian` and, for batched lifts and samples, :func:`evaluate_stack`
+and :func:`jacobian_stack` only.
 """
 
 from __future__ import annotations
@@ -96,6 +97,43 @@ def evaluate(model: MapModel, x) -> Array:
     return y
 
 
+def _stack_points(model: MapModel, X, what: str) -> Array:
+    Xv = np.asarray(X, dtype=float)
+    if Xv.ndim != 2 or Xv.shape[1] != model.n:
+        raise DimensionMismatch(
+            f"{what}({model.name}): expected shape (K, {model.n}), got {Xv.shape}"
+        )
+    return Xv
+
+
+def _stack_rows(model: MapModel, rows: list, shape: tuple, what: str) -> Array:
+    """The per-point results as one float array of shape (K, *shape); the
+    first result of another shape raises DimensionMismatch."""
+    try:
+        stack = np.array(rows, dtype=float) if rows else np.empty((0, *shape))
+        if stack.shape == (len(rows), *shape):
+            return stack
+    except ValueError:  # results of unequal shapes, or not numbers at all
+        if all(np.shape(r) == shape for r in rows):
+            raise
+    got = next(np.shape(r) for r in rows if np.shape(r) != shape)
+    raise DimensionMismatch(f"{what}({model.name}): returned shape {got}, expected {shape}")
+
+
+def evaluate_stack(model: MapModel, X) -> tuple:
+    """Values of f at the K rows of X as one (K, m) stack, and a (K,) mask
+    of the rows whose value is finite.
+
+    Each row is computed as evaluate() computes it; the shape is checked
+    once for the whole stack.  A non-finite row is flagged in the mask
+    instead of raised, so sampling callers drop that row and go on with the
+    others; an exception raised by the map itself propagates.
+    """
+    Xv = _stack_points(model, X, "evaluate_stack")
+    Y = _stack_rows(model, [model.eval_fn(x) for x in Xv], (model.m,), "evaluate_stack")
+    return Y, np.isfinite(Y).all(axis=1)
+
+
 def _fd_jacobian(model: MapModel, xv: Array) -> Array:
     """Central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3)."""
     J = np.empty((model.m, model.n))
@@ -144,21 +182,12 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     in the mask instead of raised, so batched callers drop that row and go
     on with the others.
     """
-    Xv = np.asarray(X, dtype=float)
-    if Xv.ndim != 2 or Xv.shape[1] != model.n:
-        raise DimensionMismatch(
-            f"jacobian_stack({model.name}): expected shape (K, {model.n}), got {Xv.shape}"
-        )
+    Xv = _stack_points(model, X, "jacobian_stack")
     if model.jac_fn is not None:
         rows = [model.jac_fn(x) for x in Xv]
     else:
         rows = [_fd_jacobian_or_nan(model, x) for x in Xv]
-    J = np.array(rows, dtype=float) if rows else np.empty((0, model.m, model.n))
-    if J.shape != (Xv.shape[0], model.m, model.n):
-        raise DimensionMismatch(
-            f"jacobian_stack({model.name}): stack has shape {J.shape}, "
-            f"expected ({Xv.shape[0]}, {model.m}, {model.n})"
-        )
+    J = _stack_rows(model, rows, (model.m, model.n), "jacobian_stack")
     return J, np.isfinite(J).all(axis=(1, 2))
 
 

@@ -34,9 +34,6 @@ Array = np.ndarray
 SOLVE_TOL = 1e-8
 _POLISH_ITERS = 12  # Newton steps of the endpoint polish
 
-# Star ray reason by lift status kind; any other stop reads as Singular.
-_STAR_REASONS = {"Complete": "BudgetExhausted", "Escaped": "Escaped"}
-
 _STRATEGY_NAMES = {
     "auto": "auto",
     "wazewski": "Wazewski",
@@ -253,10 +250,12 @@ def star_probe(
     Per direction d, lifts the segment from y0 to y0 + t_budget * d once.  The
     lift of t * d for t < t_budget is a prefix of it, so the reach is the stop
     time (a fraction of the segment, 1 when complete) times t_budget.  The
-    reach is a numerical witness of the star boundary, not a proof.  A lift
-    that stops other than by escaping is reported as Singular (step collapse
-    is how the integrator manifests a boundary singularity); statuses keeps
-    each lift's own stop.
+    reach is a numerical witness of the star boundary, not a proof.  The
+    reason is the lift's stop: BudgetExhausted for a complete lift, else
+    Singular (the indicator hit the floor, how the integrator meets a
+    boundary singularity), Escaped or StepFailure (the step budget ran out,
+    the step collapsed, the path drifted off the segment or the end missed
+    the residual tolerance); statuses keeps each lift's own stop.
     """
     if model.n != model.m:
         raise StrategyMismatch("star_probe needs a square map")
@@ -279,7 +278,7 @@ def star_probe(
         y0=y0,
         directions=dirs,
         reaches=tuple(s.t * t_budget for s in statuses),
-        reasons=tuple(_STAR_REASONS.get(s.kind, "Singular") for s in statuses),
+        reasons=tuple("BudgetExhausted" if s.is_complete else s.kind for s in statuses),
         statuses=statuses,
         t_budget=float(t_budget),
     )

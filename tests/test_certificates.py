@@ -16,8 +16,8 @@ from globinv.certificates import (
     unit_sphere_points,
     weighted_certificate,
 )
-from globinv.errors import EmptySublevel, OutOfRange, ZeroRadius
-from globinv.indicators import MuProfile, mu_profile, rho_of_r
+from globinv.errors import DimensionMismatch, EmptySublevel, OutOfRange, ZeroRadius
+from globinv.indicators import MuProfile, _sobol, mu_profile, rho_of_r
 from globinv.maps import MapModel, linear_entry, registry_entry, registry_get
 
 
@@ -392,6 +392,7 @@ def test_sampled_checks_drop_failing_samples():
     assert entry.evidence["radii"] == [1.0, 3.0, 9.0, 27.0]
     assert entry.evidence["coercivity_minima"][0] == pytest.approx(1.0, abs=1e-12)
     assert entry.evidence["coercivity_minima"][1:] == [0.0, 0.0, 0.0]
+    assert entry.evidence["dropped"] == [0, 96, 96, 96]
     assert entry.verdict == "HeuristicFail"
 
     # PS: no Jacobian can be formed anywhere in the ball of radius 1000
@@ -399,6 +400,7 @@ def test_sampled_checks_drop_failing_samples():
     for d in entry.evidence["directions"]:
         assert d["inf_adjoint_stretch"][0] == pytest.approx(1.0, abs=1e-9)
         assert d["inf_adjoint_stretch"][1] == 0.0
+        assert d["dropped"] == [0, 128]
         assert d["collapses"]
 
     # C8: pairs with an end outside the ball are ignored, not read as 0;
@@ -408,6 +410,44 @@ def test_sampled_checks_drop_failing_samples():
     assert alphas[:2] == pytest.approx([1.0, 1.0], abs=1e-9)
     assert alphas[2] == 0.0
     assert entry.evidence["alpha_hat"] == 0.0
+    dropped = [row["dropped"] for row in entry.evidence["per_radius"]]
+    assert dropped[0] == 0 and 0 < dropped[1] < 194 and dropped[2] == 194
+
+    # C17: the box samples outside the ball are dropped and counted
+    entry = katriel_check(m, [0.0, 0.0], [1.0], seed=0)
+    boxes = np.vstack([2.0 ** j * (2.0 * _sobol(2, 256, j) - 1.0) for j in range(9)])
+    level = entry.evidence["levels"][0]
+    assert level["dropped"] == int(np.sum(np.linalg.norm(boxes, axis=1) > 2.0)) > 0
+    assert level["hits"] > 0
+
+
+def _ball_only_map(outside):
+    """The identity on the ball of radius 2; outside it the map raises
+    ValueError ("raise") or returns a value of the wrong shape ("shape")."""
+    def f(x):
+        if np.linalg.norm(x) <= 2.0:
+            return x.copy()
+        if outside == "raise":
+            raise ValueError("outside the domain")
+        return np.zeros(3)
+
+    return MapModel(name="ball_only", n=2, m=2, eval_fn=f)
+
+
+@pytest.mark.parametrize("outside,error", [("raise", ValueError), ("shape", DimensionMismatch)])
+def test_sampled_checks_propagate_map_errors(outside, error):
+    """Only a non-finite value or Jacobian drops a sample; an error raised by
+    the map, or a wrong-shape value, fails the check."""
+    m = _ball_only_map(outside)
+    prof = MuProfile([0.0, 0.0], [0.0, 27.0], [1.0, 1.0], False, "sur")
+    with pytest.raises(error):
+        plastock_check(m, [0.0, 0.0], prof, seed=0)
+    with pytest.raises(error):
+        expansive_estimate(m, radii=(1.0, 10.0), seed=0)
+    with pytest.raises(error):
+        katriel_check(m, [0.0, 0.0], [1.0], seed=0)
+    with pytest.raises(error):
+        ps_direction_scan(m, radii=(1.0, 10.0), seed=0)
 
 
 def test_expansive_emptied_last_radius_fails():

@@ -9,6 +9,7 @@ import pytest
 from globinv import cli, solver
 from globinv.cli import main, run_job
 from globinv.indicators import MuProfile, rho_of_r
+from globinv.maps import MapModel, RegistryEntry
 
 
 def _reject_constant(token):
@@ -432,6 +433,25 @@ def test_diagnose_exp_overflow_is_silent(tmp_path):
         warnings.simplefilter("always")
         assert run_job(job, out_override=tmp_path) == 0
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_diagnose_map_error_exits_3(tmp_path, capsys, monkeypatch):
+    """A map that raises outside |x| <= 2 fails a diagnose job whose ladder
+    samples beyond that ball: exit 3 and a report naming the error."""
+    def f(x):
+        if np.linalg.norm(x) > 2.0:
+            raise ValueError("outside the domain")
+        return x.copy()
+
+    entry = RegistryEntry(MapModel(name="ball_only", n=2, m=2, eval_fn=f))
+    monkeypatch.setattr(cli, "registry_entry", lambda name: entry)
+    job = {"map": "ball_only", "command": "diagnose", "r": 1.0, "grid_size": 8}
+    assert run_job(job, out_override=tmp_path) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+    assert _read_report(tmp_path)["result"]["error"] == {
+        "type": "ValueError",
+        "message": "outside the domain",
+    }
 
 
 # ---------------------------------------------------------------------------

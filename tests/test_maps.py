@@ -6,6 +6,7 @@ from globinv.maps import (
     MapModel,
     default_point,
     evaluate,
+    evaluate_stack,
     jacobian,
     jacobian_stack,
     linear_map,
@@ -107,6 +108,40 @@ def test_jacobian_stack_shape_validation():
         jacobian_stack(good, np.zeros(2))
     J, finite = jacobian_stack(good, np.zeros((0, 2)))
     assert J.shape == (0, 2, 2) and finite.shape == (0,)
+
+
+def test_evaluate_stack_rows_match_evaluate():
+    for k, name in enumerate(ALL_NAMES):
+        model = registry_get(name)
+        X = _sample_points(model.n, 4, seed=300 + k)
+        Y, finite = evaluate_stack(model, X)
+        assert Y.shape == (4, model.m) and finite.all(), name
+        for x, y in zip(X, Y):
+            assert np.array_equal(y, evaluate(model, x)), name
+
+
+def test_evaluate_stack_flags_non_finite_rows():
+    exp1d = registry_get("exp1d")
+    X = np.array([[0.0], [800.0], [1.0]])  # e^800 overflows
+    with np.errstate(over="ignore"):
+        Y, finite = evaluate_stack(exp1d, X)
+        with pytest.raises(NonFinite):
+            evaluate(exp1d, X[1])
+    assert finite.tolist() == [True, False, True]
+
+
+def test_evaluate_stack_shape_validation():
+    wide = MapModel(name="wide", n=2, m=1, eval_fn=lambda x: x.copy())
+    ragged = MapModel(name="ragged", n=1, m=1, eval_fn=lambda x: x if x[0] < 1.0 else np.zeros(2))
+    with pytest.raises(DimensionMismatch, match=r"returned shape \(2,\)"):
+        evaluate_stack(wide, np.zeros((3, 2)))
+    with pytest.raises(DimensionMismatch, match=r"returned shape \(2,\)"):
+        evaluate_stack(ragged, [[0.0], [2.0]])
+    good = registry_get("identity_2")
+    with pytest.raises(DimensionMismatch):
+        evaluate_stack(good, np.zeros(2))
+    Y, finite = evaluate_stack(good, np.zeros((0, 2)))
+    assert Y.shape == (0, 2) and finite.shape == (0,)
 
 
 def test_registry_names():

@@ -273,6 +273,18 @@ def test_star_huge_finite_budget_escapes(t_budget):
         assert out.stats.accepted == 13
 
 
+def test_star_step_failure_reason():
+    """A ray whose lift ends StepFailure reports StepFailure, not Singular:
+    on complex_exp with a budget of 1e160 the +e1 lift runs to t = 1 and
+    misses the residual tolerance, far from any singular boundary; the -e1
+    ray still meets the singular edge at the origin."""
+    rep = star_probe(registry_get("complex_exp"), [0.0, 0.0],
+                     directions=[[1.0, 0.0], [-1.0, 0.0]], t_budget=1e160)
+    assert [s.kind for s in rep.statuses] == ["StepFailure", "Singular"]
+    assert rep.reasons == ("StepFailure", "Singular")
+    assert rep.reaches[0] == 1e160
+
+
 def test_star_validation():
     m = registry_get("identity_2")
     with pytest.raises(OutOfRange):
