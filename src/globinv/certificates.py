@@ -50,7 +50,9 @@ radius, counting pairs; per C14 radius; per C17 level; per PS direction and
 radius); a radius with no sample left reads 0.0 in C8, C14 and PS.  An
 exception raised by the map itself, or a value of the wrong shape,
 propagates.  A C17 sample inside the sublevel set whose Jacobian is
-non-finite raises NonFinite.
+non-finite raises NonFinite.  The C17 Nelder-Mead refinement scores a point
+with a non-finite value or Jacobian as out of bounds; a map error
+propagates there too.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import EmptySublevel, OutOfRange, ZeroRadius
+from .errors import EmptySublevel, NonFinite, OutOfRange, ZeroRadius
 from .indicators import (
     MuProfile,
     _batches,
@@ -409,7 +411,7 @@ def katriel_check(
             try:
                 res = float(np.linalg.norm(evaluate(model, x) - y0v))
                 mu = sur_indicator(jacobian(model, x))
-            except Exception:
+            except NonFinite:
                 return 1e6
             if res >= level:
                 return mu + 10.0 + (res - level)

@@ -13,14 +13,15 @@ detection.  The integrator is an embedded Dormand-Prince 4(5) pair with a
 decay-rate step guard so the solver slows down near singular loci instead of
 jumping across them.
 
-lift_line_square and lift_line_horizontal run one lift.  lift_lines(model,
-x0, W, opts) runs the K lifts from one base point, one per row of W, in
-lockstep as a single (K, n) state: every stage builds one stacked Jacobian
-and takes one stacked SVD over the lanes still live.  Each lane keeps its
-own t, step size, recorder and status, and returns the LiftOutcome,
-LiftStats included, that the single lift of its row returns.  Batching pays
-when lifts share a base point (verification sweeps); a single lift runs
-faster on the scalar stage code.
+Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
+one base point, one per row of W, with f(x0), J(x0) and its SVD computed
+once per call and counted in every lane.  lift_line_square and
+lift_line_horizontal check the shape and make a one-row call, which runs on
+the scalar stage code.  More rows run in lockstep as one (K, n) state:
+every stage builds one stacked Jacobian and takes one stacked SVD over the
+lanes still live.  Each lane keeps its own t, step size, recorder and
+status, and returns the LiftOutcome, LiftStats included, that the one-row
+call of its row returns.
 
 gradient_flow integrates x' = -grad F_y under the same step controller
 (_Lift: t, step size and budget, rejection and step collapse, error norm,
@@ -28,8 +29,9 @@ recorder, counters, escape stop).  Two judges take or reject the attempts
 whose stages all succeeded: _LineLift (drift and residual against the line,
 the mu-decay guard) and _FlowLift (F must not rise; time-doubling windows
 give the verdict).  One loop, _integrate, runs either judge on the scalar
-stage code; _lockstep_attempt drives the lanes of lift_lines.  Every
-LiftOutcome carries LiftStats, the work counters of its integration.
+stage code; _lockstep_attempt drives the lanes of a lift_lines call with
+more than one row.  Every LiftOutcome carries LiftStats, the work counters
+of its integration.
 """
 
 from __future__ import annotations
@@ -171,8 +173,9 @@ class LiftStats:
     evaluations made by the lift itself, not those inside a
     finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
     SVDs taken.  h_min: the smallest accepted step size, inf when no step
-    was accepted.  The counters are deterministic, and a lane of lift_lines
-    counts exactly what the sequential lift of its target counts.
+    was accepted.  The counters are deterministic; each lane of a lift_lines
+    call counts the shared work at x0 as its own, so it counts exactly what
+    the one-row call of its target counts.
     """
 
     accepted: int = 0
@@ -410,12 +413,11 @@ class _LineLift(_Lift):
     """The judge of one line lift: the residual and drift of f(q) against
     the line, the mu-decay step guard, and the singular stop at x0."""
 
-    def __init__(self, model: MapModel, x0v: Array, wv: Array, opts: LiftOptions):
+    def __init__(self, model: MapModel, x0v: Array, f0: Array, wv: Array, opts: LiftOptions):
         super().__init__(model, x0v, opts)
         self.w = wv
-        self.stats.evals += 1
-        self.f0 = evaluate(model, x0v)
-        self.f = self.f0  # f(q), known from the step that accepted q
+        self.f0 = f0
+        self.f = f0  # f(q), known from the step that accepted q
         self.norm_w = _norm(wv)
         self.complete_tol = 10.0 * opts.rel_tol * max(self.norm_w, 1.0) + 100.0 * opts.abs_tol
         self.drift_cap = max(1e3 * self.complete_tol, 1e-6 * max(self.norm_w, 1.0))
@@ -430,6 +432,9 @@ class _LineLift(_Lift):
     def start(self, U: Array, s: Array, Vt: Array) -> None:
         """Set up from the SVD of J(x0): record the base point, stop at once
         when it is singular or w = 0, else take the first slope and step."""
+        self.stats.evals += 1  # f(x0), J(x0) and its SVD, shared by the lanes
+        self.stats.jacobians += 1
+        self.stats.svds += 1
         self.mu = float(s[-1])
         self.rec.record(0.0, self.x0, self.mu)
         if self.mu < self.opts.mu_floor:
@@ -595,25 +600,13 @@ class _FlowLift(_Lift):
         return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
-def _lift_line(model: MapModel, x0, w, opts: LiftOptions) -> LiftOutcome:
-    x0v = _vector(x0, model.n, "lift: x0")
-    lift = _LineLift(model, x0v, _vector(w, model.m, "lift: w"), opts)
-    lift.stats.jacobians += 1
-    J0 = jacobian(model, x0v)
-    lift.stats.svds += 1
-    lift.start(*np.linalg.svd(J0, full_matrices=False))
-    _integrate(lift)
-    return lift.outcome()
-
-
 def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
     """Lift the line f(x0) + t w, t in [0, 1], through a square Jacobian."""
     if model.n != model.m:
         raise DimensionMismatch(
             f"lift_line_square: map {model.name!r} is {model.m}x{model.n}, need square"
         )
-    return _lift_line(model, x0, w, opts or LiftOptions())
+    return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
 def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
@@ -623,7 +616,7 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
         raise DimensionMismatch(
             f"lift_line_horizontal: map {model.name!r} is {model.m}x{model.n}, need m <= n"
         )
-    return _lift_line(model, x0, w, opts or LiftOptions())
+    return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
 def _drop_rows(failed: list, rows: Array, good: Array, cause: str, mus=None) -> Array:
@@ -691,14 +684,16 @@ def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
 def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> list:
-    """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W at once.
+    """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W.
 
-    The K lifts run in lockstep as one (K, n) state; each lane keeps its own
+    Every line lift runs here.  f(x0), J(x0) and its SVD are computed once
+    and counted in every lane.  One row runs on the scalar stage code.
+    More rows run in lockstep as one (K, n) state: each lane keeps its own
     t, step size, step controller, recorder and status, and leaves the batch
-    when it stops.  Every stage takes one Jacobian stack and one SVD over the
-    live lanes.  Square and wide (m <= n) maps are both served, as by
+    when it stops, and every stage takes one Jacobian stack and one SVD over
+    the live lanes.  Square and wide (m <= n) maps are both served, as by
     lift_line_square and lift_line_horizontal.  Returns one LiftOutcome per
-    row of W: the outcome the sequential lift of that row returns.
+    row of W: the outcome the one-row call of that row returns.
     """
     opts = opts or LiftOptions()
     if model.m > model.n:
@@ -709,24 +704,21 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     Wv = np.asarray(W, dtype=float)
     if Wv.ndim != 2 or Wv.shape[1] != model.m:
         raise DimensionMismatch(f"lift_lines: W shape {Wv.shape}, expected (K, {model.m})")
-    lanes = [_LineLift(model, x0v, w, opts) for w in Wv]
-    if not lanes:
+    if not len(Wv):
         return []
-    # each lane takes its own base-point Jacobian and SVD, as its sequential
-    # lift does, so the counters of the two agree
-    J0, finite = jacobian_stack(model, np.repeat(x0v[None, :], len(lanes), axis=0))
-    if not finite.all():
-        raise NonFinite(f"lift_lines({model.name}): non-finite derivative at x0={x0v!r}")
-    U, s, Vt = np.linalg.svd(J0, full_matrices=False)
-    for k, lane in enumerate(lanes):
-        lane.stats.jacobians += 1
-        lane.stats.svds += 1
-        lane.start(U[k], s[k], Vt[k])
-    while True:
-        live = [lane for lane in lanes if lane.begin_attempt()]
-        if not live:
-            break
-        _lockstep_attempt(model, live, opts.mu_floor)
+    f0 = evaluate(model, x0v)
+    U, s, Vt = np.linalg.svd(jacobian(model, x0v), full_matrices=False)
+    lanes = [_LineLift(model, x0v, f0, w, opts) for w in Wv]
+    for lane in lanes:
+        lane.start(U, s, Vt)
+    if len(lanes) == 1:
+        _integrate(lanes[0])
+    else:
+        while True:
+            live = [lane for lane in lanes if lane.begin_attempt()]
+            if not live:
+                break
+            _lockstep_attempt(model, live, opts.mu_floor)
     return [lane.outcome() for lane in lanes]
 
 

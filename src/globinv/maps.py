@@ -134,18 +134,20 @@ def evaluate_stack(model: MapModel, X) -> tuple:
     return Y, np.isfinite(Y).all(axis=1)
 
 
+@np.errstate(invalid="ignore")  # inf - inf where a value is not finite
 def _fd_jacobian(model: MapModel, xv: Array) -> Array:
-    """Central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3)."""
-    J = np.empty((model.m, model.n))
-    for i in range(model.n):
-        h = max(abs(xv[i]), 1.0) * _FD_SCALE
-        xp = xv.copy()
-        xm = xv.copy()
-        xp[i] += h
-        xm[i] -= h
-        # the realized step absorbs rounding in x_i +/- h
-        J[:, i] = (evaluate(model, xp) - evaluate(model, xm)) / (xp[i] - xm[i])
-    return J
+    """Central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3),
+    from one evaluate_stack of x + h_1 e_1, x - h_1 e_1, x + h_2 e_2, ...  A
+    non-finite value gives a non-finite column, which the caller checks."""
+    n = model.n
+    i = np.arange(n)
+    h = np.maximum(np.abs(xv), 1.0) * _FD_SCALE
+    X = np.repeat(xv[None, :], 2 * n, axis=0)
+    X[2 * i, i] += h
+    X[2 * i + 1, i] -= h
+    Y, _ = evaluate_stack(model, X)
+    # the realized step absorbs rounding in x_i +/- h
+    return (Y[0::2] - Y[1::2]).T / (X[2 * i, i] - X[2 * i + 1, i])
 
 
 def jacobian(model: MapModel, x) -> Array:
@@ -165,28 +167,21 @@ def jacobian(model: MapModel, x) -> Array:
     return J
 
 
-def _fd_jacobian_or_nan(model: MapModel, xv: Array) -> Array:
-    try:
-        return _fd_jacobian(model, xv)
-    except NonFinite:
-        return np.full((model.m, model.n), np.nan)
-
-
 def jacobian_stack(model: MapModel, X) -> tuple:
     """Jacobians at the K rows of X as one (K, m, n) stack, and a (K,) mask
     of the rows whose Jacobian is finite.
 
-    Each row is computed as jacobian() computes it; the shape and the
-    finiteness are checked once for the whole stack.  A non-finite row
-    (including a finite difference that hits a non-finite value) is flagged
-    in the mask instead of raised, so batched callers drop that row and go
-    on with the others.
+    Each row is computed as jacobian() computes it, by jac_fn or by the
+    same finite difference; the shape and the finiteness are checked once
+    for the whole stack.  A non-finite row (including a finite difference
+    that hits a non-finite value) is flagged in the mask instead of raised,
+    so batched callers drop that row and go on with the others.
     """
     Xv = _stack_points(model, X, "jacobian_stack")
     if model.jac_fn is not None:
         rows = [model.jac_fn(x) for x in Xv]
     else:
-        rows = [_fd_jacobian_or_nan(model, x) for x in Xv]
+        rows = [_fd_jacobian(model, x) for x in Xv]
     J = _stack_rows(model, rows, (model.m, model.n), "jacobian_stack")
     return J, np.isfinite(J).all(axis=(1, 2))
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import LiftAborted, LoopNotInImage, OutOfRange, StrategyMismatch
+from .errors import LiftAborted, LoopNotInImage, NonFinite, OutOfRange, StrategyMismatch
 from .indicators import _signed_axes
 from .lifting import (
     FlowVerdict,
@@ -119,7 +119,9 @@ class FibreReport:
 @np.errstate(over="ignore")  # _norm rescales an overflowed residual norm
 def _newton_polish(model: MapModel, x: Array, y: Array):
     """Damped Newton / minimum-norm Gauss-Newton refinement of an approximate
-    solution.  Returns (point, residual); stops at stagnation or rank loss."""
+    solution.  Returns (point, residual); stops at stagnation or rank loss.
+    A trial point with a non-finite value halves the step; an error raised
+    by the map propagates."""
     x = np.array(x, dtype=float)
     r = evaluate(model, x) - y
     best = _norm(r)
@@ -137,7 +139,7 @@ def _newton_polish(model: MapModel, x: Array, y: Array):
             xn = x + step * dx
             try:
                 rn = evaluate(model, xn) - y
-            except Exception:
+            except NonFinite:
                 step *= 0.5
                 continue
             nn = _norm(rn)

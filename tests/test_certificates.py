@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from globinv import certificates
 from globinv.certificates import (
     CONDITION_ORDER,
     build_diagnostics,
@@ -18,6 +19,7 @@ from globinv.certificates import (
 )
 from globinv.errors import DimensionMismatch, EmptySublevel, OutOfRange, ZeroRadius
 from globinv.indicators import MuProfile, _sobol, mu_profile, rho_of_r
+from globinv.lifting import LiftOptions
 from globinv.maps import MapModel, linear_entry, registry_entry, registry_get
 
 
@@ -216,6 +218,17 @@ def test_katriel_empty_sublevel():
         katriel_check(m, [3.0], [0.5], seed=0)
 
 
+def test_katriel_refinement_propagates_map_errors(monkeypatch):
+    """The Nelder-Mead objective scores only a non-finite point as out of
+    bounds; any other error from the map or the indicator fails the check."""
+    def broken(J):
+        raise ValueError("indicator failed")
+
+    monkeypatch.setattr(certificates, "sur_indicator", broken)
+    with pytest.raises(ValueError, match="indicator failed"):
+        katriel_check(registry_get("arctan1d"), [0.0], [0.5], seed=0)
+
+
 def test_katriel_level_validation():
     m = registry_get("identity_1")
     with pytest.raises(OutOfRange):
@@ -331,6 +344,30 @@ def test_weighted_nondivergent_weight_stays_heuristic():
     )
     assert entry.verdict == "HeuristicPass"
     assert entry.evidence["alpha"] >= 0.99
+
+
+def test_weighted_singular_map_fails_heuristically():
+    # eta = 0 everywhere, so alpha = 0 and no test lift is made
+    ent = linear_entry([[1.0, 0.0], [0.0, 0.0]])
+    prof = mu_profile(ent.model, [0.0, 0.0], 2.0, 64)
+    entry = weighted_certificate(
+        ent.model, [0.0, 0.0], lambda r: 1.0 + r, prof, weight_divergent=True
+    )
+    assert entry.verdict == "HeuristicFail"
+    assert entry.evidence["alpha"] == 0.0
+    assert entry.evidence["lift_bound_ratios"] == []
+
+
+def test_weighted_skips_incomplete_test_lifts():
+    # one step cannot finish a lift, so no test lift yields a ratio
+    ent = registry_entry("identity_2")
+    prof = _profile("identity_2", [0.0, 0.0], 5.0)
+    entry = weighted_certificate(
+        ent.model, [0.0, 0.0], lambda r: 1.0 + r, prof, weight_divergent=True,
+        opts=LiftOptions(max_steps=1),
+    )
+    assert entry.verdict == "Holds"
+    assert entry.evidence["lift_bound_ratios"] == []
 
 
 def test_weighted_rejects_bad_weight():

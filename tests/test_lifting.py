@@ -196,7 +196,7 @@ def test_lift_stats_rejections_by_cause():
 
 @pytest.mark.parametrize("lift", [
     lambda m, w: lift_line_square(m, [0.0], w),
-    lambda m, w: lift_lines(m, [0.0], [w])[0],
+    lambda m, w: lift_lines(m, [0.0], [w, [1.0]])[0],
 ], ids=["single", "lockstep"])
 def test_bad_first_velocity_ends_the_lift(lift):
     out = lift(registry_get("identity_1"), [np.nan])
@@ -205,10 +205,84 @@ def test_bad_first_velocity_ends_the_lift(lift):
     assert out.stats.accepted == 0
 
 
+# the lift of w alone, and the first lane of a two-lane lift_lines call
+ENTRY_POINTS = {
+    "single": lambda m, x0, w, opts=None: lift_line_square(m, x0, w, opts),
+    "lockstep": lambda m, x0, w, opts=None: lift_lines(m, x0, [w, np.ones(m.m)], opts)[0],
+}
+
+
+@pytest.mark.parametrize("mu_floor", [1e-8, 0.0])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_singular_base_point_stops_at_zero(entry, mu_floor):
+    # mu(x0) = 0 sits below the default floor; with floor 0 the first
+    # velocity finds the zero singular value instead
+    m = linear_map([[1.0, 0.0], [0.0, 0.0]])
+    out = ENTRY_POINTS[entry](m, [0.0, 0.0], [1.0, 1.0], LiftOptions(mu_floor=mu_floor))
+    assert out.status == LiftStatus.singular(0.0, 0.0)
+    assert out.trajectory.times.tolist() == [0.0]
+    assert out.stats == LiftStats(evals=1, jacobians=1, svds=1)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_finite_base_jacobian_raises(entry):
+    m = MapModel(name="nan_jac", n=1, m=1, eval_fn=lambda x: x.copy(),
+                 jac_fn=lambda x: np.full((1, 1), np.nan))
+    with pytest.raises(NonFinite, match=r"^jacobian\(nan_jac\): non-finite derivative"):
+        ENTRY_POINTS[entry](m, [0.0], [1.0])
+
+
+def _floor_step():
+    """x + 0.01 floor(x) with the Jacobian of x: the values jump by 0.01 at
+    every integer while the Jacobian says nothing of it."""
+    return MapModel(name="floor_step", n=1, m=1, eval_fn=lambda x: x + 0.01 * np.floor(x),
+                    jac_fn=lambda x: np.ones((1, 1)))
+
+
+def _nan_beyond_one():
+    """The identity up to x = 1 and NaN beyond, with a finite Jacobian everywhere."""
+    return MapModel(name="nan_beyond_one", n=1, m=1,
+                    eval_fn=lambda x: x.copy() if x[0] <= 1.0 else np.full(1, np.nan),
+                    jac_fn=lambda x: np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_drift_from_the_line_ends_the_lift(entry):
+    # q(t) = 4t crosses the jump at t = 0.25; the step across it drifts 0.01
+    out = ENTRY_POINTS[entry](_floor_step(), [0.0], [4.0])
+    assert out.status.kind == "StepFailure"
+    assert 0.25 < out.status.t < 0.5
+    assert out.max_drift == pytest.approx(0.01, rel=1e-9)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_finite_value_rejects_the_step(entry):
+    # q(t) = 2t leaves the finite part at t = 0.5; every step beyond is rejected
+    out = ENTRY_POINTS[entry](_nan_beyond_one(), [0.0], [2.0])
+    assert out.status.kind == "StepFailure"
+    assert out.status.t == pytest.approx(0.5, abs=1e-9)
+    assert out.stats.rejected_nonfinite > 0
+    assert out.stats.evals == 1 + out.stats.accepted + out.stats.rejected_nonfinite
+
+
 def test_gradient_flow_rejects_a_non_finite_target():
     m = linear_map([[1.0], [2.0]])
     with pytest.raises(NonFinite):
         gradient_flow(m, [0.0], [np.nan, 0.0])
+
+
+@pytest.mark.parametrize("name, x0, y, max_steps, verdict", [
+    # residual at root scale
+    ("identity_1", [1e-9], [0.0], 1, "converged"),
+    # F plateaus at 1/2 below the image of e^x, and the gradient has vanished
+    ("exp1d", [0.0], [-1.0], 200, "ps_candidate"),
+    ("monotone1d", [5.0], [0.0], 1, "diverged"),
+])
+def test_gradient_flow_verdict_when_the_budget_runs_out(name, x0, y, max_steps, verdict):
+    out, got = gradient_flow(registry_get(name), x0, y, LiftOptions(max_steps=max_steps))
+    assert out.status.kind == "StepFailure"
+    assert out.stats.accepted == max_steps
+    assert got.kind == verdict
 
 
 def test_gradient_flow_stats():
@@ -234,6 +308,12 @@ def _fd_complex_exp():
     """complex_exp without an analytic Jacobian (finite-difference fallback)."""
     f = registry_get("complex_exp").eval_fn
     return MapModel(name="complex_exp_fd", n=2, m=2, eval_fn=f)
+
+
+def _jacobian_off_x0(x0: float, value: float):
+    """The identity map with Jacobian 1 at x0 and `value` everywhere else."""
+    return MapModel(name="jacobian_off_x0", n=1, m=1, eval_fn=lambda x: x.copy(),
+                    jac_fn=lambda x: np.full((1, 1), 1.0 if x[0] == x0 else value))
 
 
 def _lane_targets(m: int, scale: float) -> np.ndarray:
@@ -268,6 +348,16 @@ LOCKSTEP_CASES = [
     ("checkpoints_stride", registry_get("complex_exp"), [0.2, -0.1], _lane_targets(2, 0.8),
      LiftOptions(record_stride=3)),
     ("finite_difference", _fd_complex_exp(), [0.0, 0.0], _lane_targets(2, 0.9), None),
+    # the drift stop and a rejected non-finite f(q5), next to Complete lanes
+    ("drift", _floor_step(), [0.0], [[4.0], [0.5], [-4.0]], None),
+    ("nan_beyond_one", _nan_beyond_one(), [0.0], [[2.0], [0.5], [-3.0]], None),
+    # every lane leaves each attempt at the same stage, with a non-finite
+    # stage point (slopes near the float limit), Jacobian or velocity
+    ("all_points_non_finite", _jacobian_off_x0(100.0, 1e-308), [100.0], [[1.0], [-1.0], [1.5]],
+     LiftOptions(mu_floor=0.0)),
+    ("all_jacobians_non_finite", _jacobian_off_x0(0.0, np.nan), [0.0], [[1.0], [-2.0]], None),
+    ("all_velocities_non_finite", _jacobian_off_x0(100.0, 1e-308), [100.0], [[10.0], [-20.0]],
+     LiftOptions(mu_floor=0.0)),
 ]
 
 

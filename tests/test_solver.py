@@ -342,6 +342,19 @@ def test_fibre_loop_not_in_image():
         fibre_enumerate(m, [-1.0], loop=[[1.0], [2.0]])
 
 
+def test_fibre_loop_first_segment_fails():
+    # arctan never reaches 2, so the first segment of the loop cannot be lifted
+    with pytest.raises(LoopNotInImage, match="first segment"):
+        fibre_enumerate(registry_get("arctan1d"), [0.0], loop=[[2.0]])
+
+
+def test_fibre_loop_later_segment_failure_ends_the_enumeration():
+    # 0 -> 1 lifts, 1 -> 2 leaves the image of arctan
+    rep = fibre_enumerate(registry_get("arctan1d"), [0.0], loop=[[1.0], [2.0]])
+    assert len(rep.points) == 1 and abs(rep.points[0][0]) <= 1e-12
+    assert rep.monodromy_shifts == ()
+
+
 def test_fibre_argument_validation():
     m = registry_get("identity_1")
     with pytest.raises(OutOfRange):
@@ -371,6 +384,28 @@ def test_fibre_seeds_keep_distinct_roots():
     rep = fibre_enumerate(cubic, [0.0], seeds=[[-2.0], [0.2], [2.0]])
     got = sorted(p[0] for p in rep.points)
     assert np.allclose(got, [-np.sqrt(3.0), 0.0, np.sqrt(3.0)], atol=1e-8)
+
+
+@pytest.mark.parametrize("outside", ["nan", "raise"])
+def test_newton_polish_propagates_map_errors(outside):
+    """A trial step with a non-finite value is halved; an error raised by
+    the map is not a bad point and propagates."""
+    def f(x):
+        if abs(x[0]) <= 1.6:
+            return np.arctan(x)
+        if outside == "raise":
+            raise ValueError("outside the domain")
+        return np.full(1, np.nan)
+
+    m = MapModel(name="arctan_bounded", n=1, m=1, eval_fn=f,
+                 jac_fn=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]))
+    # the full Newton step from 1.5 lands at -1.69
+    if outside == "raise":
+        with pytest.raises(ValueError, match="outside the domain"):
+            solver._newton_polish(m, np.array([1.5]), np.array([0.0]))
+    else:
+        x, res = solver._newton_polish(m, np.array([1.5]), np.array([0.0]))
+        assert abs(x[0]) <= 1e-12 and res <= 1e-12
 
 
 # ---------------------------------------------------------------------------
