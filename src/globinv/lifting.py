@@ -88,7 +88,7 @@ class LiftOptions:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise OutOfRange("LiftOptions: tolerances must be positive")
-        if self.mu_floor < 0.0:
+        if not self.mu_floor >= 0.0:
             raise OutOfRange("LiftOptions: mu_floor must be nonnegative")
         if self.r_escape is not None and not self.r_escape > 0.0:
             raise OutOfRange("LiftOptions: r_escape must be positive or None")

@@ -261,14 +261,16 @@ def star_probe(
     """
     if model.n != model.m:
         raise StrategyMismatch("star_probe needs a square map")
-    if t_budget <= 0.0:
-        raise OutOfRange("star_probe: t_budget must be positive")
+    if not 0.0 < t_budget < np.inf:
+        raise OutOfRange("star_probe: t_budget must be positive and finite")
     seed = np.asarray(x_seed, dtype=float)
     y0 = evaluate(model, seed)
     if directions is None:
         dirs = _signed_axes(model.m)
     else:
         dirs, norms = _direction_norms(directions)
+        if not np.isfinite(dirs).all():
+            raise OutOfRange("star_probe: non-finite direction")
         if np.any(norms == 0.0):
             raise OutOfRange("star_probe: zero direction")
         dirs = dirs / norms[:, None]

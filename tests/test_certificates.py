@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from globinv import certificates
 from globinv.certificates import (
     CONDITION_ORDER,
     build_diagnostics,
@@ -218,23 +217,23 @@ def test_katriel_empty_sublevel():
         katriel_check(m, [3.0], [0.5], seed=0)
 
 
-def test_katriel_refinement_propagates_map_errors(monkeypatch):
-    """The Nelder-Mead objective scores only a non-finite point as out of
-    bounds; any other error from the map or the indicator fails the check."""
-    def broken(J):
-        raise ValueError("indicator failed")
-
-    monkeypatch.setattr(certificates, "sur_indicator", broken)
-    with pytest.raises(ValueError, match="indicator failed"):
-        katriel_check(registry_get("arctan1d"), [0.0], [0.5], seed=0)
-
-
 def test_katriel_level_validation():
     m = registry_get("identity_1")
     with pytest.raises(OutOfRange):
         katriel_check(m, [0.0], [2.0, 1.0])
     with pytest.raises(OutOfRange):
         katriel_check(m, [0.0], [-1.0])
+
+
+@pytest.mark.parametrize("levels", [[np.nan], [1.0, np.nan], [np.nan, 1.0]])
+def test_katriel_rejects_a_nan_level(levels):
+    with pytest.raises(OutOfRange):
+        katriel_check(registry_get("identity_1"), [0.0], levels)
+
+
+def test_unit_sphere_points_needs_a_count():
+    with pytest.raises(OutOfRange):
+        unit_sphere_points(2, 0, seed=0)
 
 
 def test_expansive_linear_attains_sigma_min():

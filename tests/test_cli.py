@@ -68,6 +68,22 @@ def test_missing_command_exits_2(tmp_path, capsys):
         {"map": "projection2to1", "command": "star"},
         {"map": "identity_2", "command": "star", "directions": [[0.0, 0.0]]},
         {"map": "projection2to1", "command": "fibre", "y": [1.0], "loop": [[2.0], [3.0]]},
+        {"map": "identity_2", "command": "indicators", "x0": [0.0, "a"]},
+        {"map": "identity_2", "command": "fibre", "y": [0.0, 0.0], "seeds": "none"},
+        {"map": "identity_2", "command": "fibre", "y": [0.0, 0.0], "seeds": [[0.0]]},
+        {"map": "identity_2", "command": "indicators", "grid_size": 0},
+        {"map": "identity_2", "command": "indicators", "mode": "exact"},
+        {"map": "identity_1", "command": "solve", "y": [0.0], "strategy": 3},
+        {"map": "identity_1", "command": "diagnose", "levels": [2.0, 1.0]},
+        {"map": "identity_1", "command": "solve", "y": [0.0], "opts": []},
+        [{"map": "identity_1", "command": "solve", "y": [0.0]}],
+        {"map": 3, "command": "indicators"},
+        {"map": "linear", "command": "indicators", "matrix": [[1.0, 0.0], [1.0]]},
+        {"map": "identity_1", "command": "indicators", "parameters": [1]},
+        {"map": "identity_1", "command": "indicators", "output_dir": 3},
+        {"map": "identity_1", "command": "solve"},
+        {"map": "identity_1", "command": "fibre", "y": [0.0]},
+        {"map": "identity_1", "command": "fibre", "y": [0.0], "seeds": [[0.0]], "loop": [[1.0]]},
     ],
 )
 def test_invalid_jobs_exit_2(job, tmp_path, capsys):
@@ -403,6 +419,26 @@ def test_fibre_loop_job(tmp_path):
     for k, pt in enumerate(res["points"]):
         assert np.allclose(pt, [0.0, 2.0 * np.pi * k], atol=1e-6)
     assert res["discreteness_gap"] == pytest.approx(2.0 * np.pi, abs=1e-3)
+
+
+def test_fibre_loop_job_with_seed_point(tmp_path):
+    """The loop starts from the given fibre point, here the second sheet."""
+    job = {
+        "map": "complex_exp",
+        "command": "fibre",
+        "y": [1.0, 0.0],
+        "loop": [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        "seed_point": [0.0, 2.0 * np.pi],
+        "max_points": 3,
+    }
+    assert run_job(job, out_override=tmp_path) == 0
+    res = _read_report(tmp_path)["result"]
+    assert len(res["points"]) == 3
+    for k, pt in enumerate(res["points"]):
+        assert np.allclose(pt, [0.0, 2.0 * np.pi * (k + 1)], atol=1e-6)
+    assert len(res["monodromy_shifts"]) == 2
+    for shift in res["monodromy_shifts"]:
+        assert np.allclose(shift, [0.0, 2.0 * np.pi], atol=1e-6)
 
 
 def test_diagnose_job(tmp_path):

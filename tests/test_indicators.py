@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from globinv.errors import OutOfRange
+from globinv.errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
 from globinv.indicators import (
     FredholmData,
     MuProfile,
@@ -122,6 +122,49 @@ def test_profile_validation():
             certified=True,
             indicator_kind="sur",
         )
+
+
+@pytest.mark.parametrize("J, error", [
+    (np.ones(2), DimensionMismatch),
+    (np.array([[1.0, np.nan]]), NonFinite),
+])
+def test_indicators_reject_bad_matrices(J, error):
+    for indicator in (inj_indicator, sur_indicator, fredholm_data):
+        with pytest.raises(error):
+            indicator(J)
+
+
+@pytest.mark.parametrize("radii, eta, kind, error", [
+    ([0.0], [1.0], "sur", OutOfRange),
+    ([0.0, 1.0], [1.0], "sur", DimensionMismatch),
+    ([0.0, 1.0], [1.0, np.inf], "sur", NonFinite),
+    ([0.0, 1.0], [1.0, -0.5], "sur", NonFinite),
+    ([0.0, 1.0], [1.0, 0.5], "both", OutOfRange),
+])
+def test_profile_rejects_bad_fields(radii, eta, kind, error):
+    with pytest.raises(error):
+        MuProfile(base_point=np.zeros(1), radii=np.array(radii), eta_values=np.array(eta),
+                  certified=True, indicator_kind=kind)
+
+
+def _bound_nan_beyond_one():
+    return MapModel(name="bounded", n=1, m=1, eval_fn=lambda x: x.copy(),
+                    mu_bound=lambda rho: 1.0 if rho <= 1.0 else np.nan)
+
+
+@pytest.mark.parametrize("model, kwargs, error", [
+    (registry_get("arctan1d"), {"r_max": 0.0}, OutOfRange),
+    (registry_get("arctan1d"), {"r_max": np.nan}, OutOfRange),
+    (registry_get("arctan1d"), {"grid_size": 0}, OutOfRange),
+    (registry_get("arctan1d"), {"indicator_kind": "both"}, OutOfRange),
+    (registry_get("arctan1d"), {"mode": "exact"}, OutOfRange),
+    (MapModel(name="plain", n=1, m=1, eval_fn=lambda x: x.copy()), {}, MissingBound),
+    (_bound_nan_beyond_one(), {"r_max": 2.0}, NonFinite),
+])
+def test_profile_arguments_are_checked(model, kwargs, error):
+    args = {"r_max": 1.0, "grid_size": 4, **kwargs}
+    with pytest.raises(error):
+        mu_profile(model, [0.0], **args)
 
 
 def test_profile_json_fields():

@@ -293,6 +293,17 @@ def test_gradient_flow_stats():
     assert st.evals == st.jacobians == st.svds == 1 + 6 * (st.accepted + st.rejected_error)
 
 
+def test_gradient_flow_rejects_a_step_that_raises_F():
+    """At these loose tolerances some attempts pass the error test yet raise
+    F; rejecting them keeps the recorded F nonincreasing."""
+    A, y = np.array([[1.0], [2.0]]), np.array([1.0, -1.0])
+    out, verdict = gradient_flow(linear_map(A), [5.0], y, LiftOptions(rel_tol=0.01, abs_tol=0.01))
+    assert verdict.kind == "converged"
+    assert out.trajectory.points[-1][0] == pytest.approx(-0.2, abs=1e-6)
+    F = 0.5 * np.sum((out.trajectory.points @ A.T - y) ** 2, axis=1)
+    assert np.all(F[1:] <= F[:-1] + 1e-12 * (1.0 + F[:-1]))
+
+
 def test_flow_verdict_json():
     assert FlowVerdict("converged", level=0.0, grad_norm=1e-13).to_json_dict() == {
         "kind": "converged", "level": 0.0, "grad_norm": 1e-13,
@@ -413,6 +424,13 @@ def test_options_validation():
         LiftOptions(max_steps=0)
 
 
+@pytest.mark.parametrize("kwargs", [{"mu_floor": np.nan}, {"r_escape": 0.0}])
+def test_options_reject_bad_values(kwargs):
+    # a NaN floor would make every mu < mu_floor test False: no singular stop
+    with pytest.raises(OutOfRange):
+        LiftOptions(**kwargs)
+
+
 def test_status_constructors_and_json():
     s = LiftStatus.singular(0.5, 1e-9)
     assert s.kind == "Singular" and not s.is_complete
@@ -518,6 +536,13 @@ def test_weighted_length_respects_reference_point():
     traj = LiftTrajectory(times=ts, points=pts, mu_values=np.ones_like(ts), length=1.0)
     got = weighted_path_length(traj, lambda r: 1.0 + r, x_ref=np.array([5.0, 0.0]))
     assert abs(got - np.log(2.0)) <= 1e-4
+
+
+def test_weighted_length_needs_two_points():
+    traj = LiftTrajectory(times=np.zeros(1), points=np.zeros((1, 1)), mu_values=np.ones(1),
+                          length=0.0)
+    with pytest.raises(TooFewPoints):
+        weighted_path_length(traj, lambda r: 1.0)
 
 
 def test_weighted_length_rejects_bad_weight():

@@ -55,6 +55,13 @@ def test_evaluate_rejects_nonfinite_output():
         evaluate(m, [0.0])
 
 
+@pytest.mark.parametrize("value", [np.zeros(2), np.zeros((1, 1)), 1.0])
+def test_evaluate_rejects_a_value_of_the_wrong_shape(value):
+    m = MapModel(name="wrong_shape", n=1, m=1, eval_fn=lambda x: value)
+    with pytest.raises(DimensionMismatch, match="map returned shape"):
+        evaluate(m, [0.0])
+
+
 def test_finite_difference_jacobian_matches_analytic():
     # strip the analytic jac and compare the FD fallback against it
     for k, name in enumerate(ALL_NAMES):

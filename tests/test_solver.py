@@ -293,6 +293,19 @@ def test_star_validation():
         star_probe(registry_get("projection2to1"), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("t_budget", [0.0, np.nan, np.inf])
+def test_star_rejects_a_bad_budget(t_budget):
+    # a NaN or infinite budget would make every reach NaN
+    with pytest.raises(OutOfRange, match="t_budget"):
+        star_probe(registry_get("identity_2"), [0.0, 0.0], t_budget=t_budget)
+
+
+@pytest.mark.parametrize("direction", [[np.nan, 0.0], [np.inf, 0.0], [np.inf, -np.inf]])
+def test_star_rejects_a_non_finite_direction(direction):
+    with pytest.raises(OutOfRange, match="direction"):
+        star_probe(registry_get("identity_2"), [0.0, 0.0], directions=[[1.0, 0.0], direction])
+
+
 # ---------------------------------------------------------------------------
 # fibre_enumerate
 
@@ -305,6 +318,20 @@ def test_fibre_multistart_single_root():
     assert abs(rep.points[0][0]) <= 1e-9
     assert len(rep.monodromy_shifts) == 0
     assert rep.discreteness_gap is None
+
+
+def test_fibre_multistart_outside_the_image_finds_nothing():
+    rep = fibre_enumerate(registry_get("arctan1d"), [1.6], seeds=[[0.0], [1.0]])
+    assert rep.points == () and rep.residuals == ()
+    assert rep.discreteness_gap is None
+
+
+def test_fibre_multistart_stops_at_max_points():
+    seeds = [[0.0, 2.0 * np.pi * k] for k in range(4)]
+    rep = fibre_enumerate(registry_get("complex_exp"), [1.0, 0.0], seeds=seeds, max_points=2)
+    assert len(rep.points) == 2
+    for k, p in enumerate(rep.points):
+        assert np.allclose(p, [0.0, 2.0 * np.pi * k], atol=1e-9)
 
 
 def test_fibre_loop_complex_exp():
@@ -365,6 +392,11 @@ def test_fibre_argument_validation():
         fibre_enumerate(registry_get("projection2to1"), [0.0], loop=[[1.0], [2.0]])
 
 
+def test_fibre_empty_loop_is_rejected():
+    with pytest.raises(OutOfRange, match="empty loop"):
+        fibre_enumerate(registry_get("identity_1"), [0.0], loop=[])
+
+
 def test_fibre_max_points_truncates():
     m = registry_get("complex_exp")
     diamond = [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
@@ -406,6 +438,23 @@ def test_newton_polish_propagates_map_errors(outside):
     else:
         x, res = solver._newton_polish(m, np.array([1.5]), np.array([0.0]))
         assert abs(x[0]) <= 1e-12 and res <= 1e-12
+
+
+def test_newton_polish_halves_a_step_that_raises_the_residual():
+    """From 1.5 the full Newton step for arctan(x) = 0 lands at -1.69, where
+    |arctan| is larger; the polish halves it and still reaches the root."""
+    arctan = registry_get("arctan1d")
+    visited = []
+
+    def f(x):
+        visited.append(float(x[0]))
+        return arctan.eval_fn(x)
+
+    m = MapModel(name="arctan_spy", n=1, m=1, eval_fn=f, jac_fn=arctan.jac_fn)
+    x, res = solver._newton_polish(m, np.array([1.5]), np.array([0.0]))
+    assert (x[0], res) == (0.0, 0.0)
+    assert visited[1] == pytest.approx(-1.694, abs=1e-3)
+    assert visited[2] == pytest.approx(0.5 * (visited[0] + visited[1]), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
