@@ -12,15 +12,26 @@ eta(rho) = inf of the pointwise indicator over the closed ball of radius rho,
 and the accessible-radius function integrates eta with a right-endpoint rule,
 which under-estimates the integral of a nonincreasing eta and therefore keeps
 every downstream certificate conservative.
+
+Every sampled check draws its points from one sampler, _sobol: Sobol's
+sequence with Joe and Kuo's direction numbers (SIAM J. Sci. Comput. 30,
+2008), scrambled by Matousek's random linear matrix scramble with a digital
+shift (J. Complexity 14, 1998).  It equals scipy.stats.qmc.Sobol bit for bit
+but reads the direction-number table from scipy's data file, so importing
+globinv loads scipy.special and not scipy.stats.  Directions come from the
+normal quantile (scipy.special.ndtri) of those points.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm, qmc
+import scipy
+from scipy.special import ndtri
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
 from .maps import MapModel, _vector, default_point, jacobian, jacobian_stack
@@ -134,13 +145,83 @@ class MuProfile:
         }
 
 
+# Joe and Kuo's direction numbers as scipy ships them: the primitive
+# polynomial and the initial direction numbers of each of 21201 dimensions.
+# Reading the file directly keeps scipy.stats, a slow import, unloaded.
+_SOBOL_TABLE = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+_SOBOL_MAXDIM, _SOBOL_BITS = 21201, 30
+
+
+def _integer_in(v, lo: int, hi: int) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi
+
+
+@lru_cache(maxsize=None)
+def _sobol_table() -> tuple:
+    try:
+        with np.load(_SOBOL_TABLE) as table:
+            return table["poly"], table["vinit"]
+    except FileNotFoundError:
+        raise FileNotFoundError(f"Sobol direction numbers not found: {_SOBOL_TABLE}") from None
+
+
+@lru_cache(maxsize=None)
+def _direction_numbers(d: int) -> Array:
+    """The 30 direction numbers of each of the first d dimensions, as 30-bit
+    integers, a (d, 30) array.  Dimension 0 is the van der Corput sequence;
+    dimension i > 0 extends its initial numbers by the recurrence of its
+    primitive polynomial (Bratley and Fox, ACM TOMS 14, 1988)."""
+    poly, vinit = _sobol_table()
+    poly, vinit = poly[1:d, None], vinit[1:d]
+    deg = np.frexp(poly)[1] - 1
+    k = np.arange(vinit.shape[1])
+    # taps[i, k]: whether v[i, j - k - 1] << (k + 1) enters v[i, j]
+    taps = (k < deg) & ((poly >> np.maximum(deg - 1 - k, 0)) & 1 == 1)
+    deg, rows = deg[:, 0], np.arange(d - 1)
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for j in range(_SOBOL_BITS):
+        kj = k[:j]
+        terms = np.where(taps[:, kj], v[1:, j - 1 - kj] << (kj + 1), 0)
+        new = v[1:][rows, np.maximum(j - deg, 0)] ^ np.bitwise_xor.reduce(terms, axis=1)
+        initial = vinit[:, min(j, k.size - 1)]  # read only where j < deg <= 18
+        v[1:, j] = np.where(j < deg, initial, new)
+    return v << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
 def _sobol(d: int, count: int, seed: int) -> Array:
     """The first count points of a scrambled Sobol sequence in [0, 1)^d,
-    drawn as a power-of-two batch (where the sequence is balanced)."""
-    size = 1
-    while size < count:
-        size *= 2
-    return qmc.Sobol(d=d, scramble=True, seed=seed).random(size)[:count]
+    drawn as a power-of-two batch (where the sequence is balanced).
+
+    Sobol's sequence with Joe and Kuo's direction numbers (SIAM J. Sci.
+    Comput. 30, 2008), scrambled by a random linear matrix scramble and a
+    digital shift (Matousek, J. Complexity 14, 1998), in 30 bits.  The
+    points equal scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
+    .random(size) bit for bit: the shift bits, then the lower-triangular
+    matrices, are drawn from np.random.default_rng(seed) as scipy draws
+    them, and the points come in Gray-code order.
+    """
+    if not _integer_in(d, 1, _SOBOL_MAXDIM):
+        raise OutOfRange(f"_sobol: dimension must be an integer in [1, {_SOBOL_MAXDIM}], got {d!r}")
+    if not _integer_in(count, 0, 1 << _SOBOL_BITS):
+        raise OutOfRange(f"_sobol: count must be an integer in [0, 2**{_SOBOL_BITS}], got {count!r}")
+    rng = np.random.default_rng(seed)
+    pow2 = 1 << np.arange(_SOBOL_BITS)
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ pow2
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    diag = np.arange(_SOBOL_BITS)
+    ltm[:, diag, diag] = 1
+    # the scramble: the bits of each direction number, most significant
+    # first, times the transposed matrix of its dimension, mod 2
+    msb = pow2[::-1]
+    bits = (_direction_numbers(d)[:, :, None] & msb != 0).astype(float)
+    sv = ((bits @ ltm.transpose(0, 2, 1)).astype(np.int64) & 1) @ msb
+    # Gray-code order: points 2**b .. 2**(b+1) - 1 mirror the first 2**b
+    # with direction number b added
+    levels = max(int(count) - 1, 0).bit_length()
+    q = np.zeros((1 << levels, d), dtype=np.int64)
+    for b in range(levels):
+        q[1 << b : 2 << b] = q[(1 << b) - 1 :: -1] ^ sv[:, b]
+    return (q[:count] ^ shift) * 2.0**-_SOBOL_BITS
 
 
 def _signed_axes(m: int) -> Array:
@@ -152,7 +233,7 @@ def _signed_axes(m: int) -> Array:
 def _unit_directions(u: Array) -> Array:
     """Rows of u in (0, 1)^d sent through the normal quantile and scaled to
     unit length: directions spread evenly over the sphere."""
-    z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     # a zero direction is essentially impossible with scrambling; guard anyway
     degenerate = norms == 0.0

@@ -92,8 +92,11 @@ class LiftOptions:
             raise OutOfRange("LiftOptions: mu_floor must be nonnegative")
         if self.r_escape is not None and not self.r_escape > 0.0:
             raise OutOfRange("LiftOptions: r_escape must be positive or None")
-        if self.max_steps < 1 or self.record_stride < 1:
-            raise OutOfRange("LiftOptions: max_steps and record_stride must be >= 1")
+        for name in ("max_steps", "record_stride"):
+            v = getattr(self, name)
+            # a float (NaN or 2.5) or a bool is not a step count
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not v >= 1:
+                raise OutOfRange(f"LiftOptions: {name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)

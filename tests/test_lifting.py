@@ -431,6 +431,21 @@ def test_options_reject_bad_values(kwargs):
         LiftOptions(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["max_steps", "record_stride"])
+@pytest.mark.parametrize("value", [np.nan, 2.5, 1.0, True, 0, -3])
+def test_options_reject_counts_that_are_not_positive_integers(name, value):
+    # max_steps=nan switched the step budget off and max_steps=2.5 stopped
+    # after 3 steps: accepted >= max_steps never holds for NaN
+    with pytest.raises(OutOfRange, match=name):
+        LiftOptions(**{name: value})
+
+
+def test_options_accept_numpy_integer_counts():
+    opts = LiftOptions(max_steps=np.int64(3), record_stride=np.int32(2))
+    out = lift_line_square(registry_get("arctan1d"), [0.0], [1.5], opts)
+    assert out.status.kind == "StepFailure" and out.stats.accepted == 3
+
+
 def test_status_constructors_and_json():
     s = LiftStatus.singular(0.5, 1e-9)
     assert s.kind == "Singular" and not s.is_complete
