@@ -314,25 +314,25 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
     }
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else repr(float(c)) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write the header and one row per entry of the columns: a numeric
+    column's cells as repr of Python floats, a str column's as they are."""
+    cells = []
+    for col in map(np.asarray, columns):
+        text = col.dtype.kind == "U"
+        cells.append(col.tolist() if text else list(map(repr, col.astype(float).tolist())))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def _profile_csvs(profile, out_dir: Path) -> None:
-    _write_csv(
-        out_dir / "eta_profile.csv",
-        "rho,eta",
-        zip(profile.radii, profile.eta_values),
-    )
+    _write_csv(out_dir / "eta_profile.csv", "rho,eta", [profile.radii, profile.eta_values])
     # rho at every grid radius in one pass: the right-endpoint cells summed
     # in order.  The last row is rho_of_r(r_max) itself, so it matches the
     # reported rho to the bit; the cumulative sum agrees with it to rounding.
     rho = np.cumsum(profile.eta_values[1:] * np.diff(profile.radii))
     rho[-1] = rho_of_r(profile, profile.r_max)
-    _write_csv(out_dir / "rho_curve.csv", "r,rho", zip(profile.radii[1:], rho))
+    _write_csv(out_dir / "rho_curve.csv", "r,rho", [profile.radii[1:], rho])
 
 
 def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
@@ -417,12 +417,9 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
             t_budget=p["t_budget"],
             opts=opts,
         )
-        rows = [
-            tuple(d) + (t, reason)
-            for d, t, reason in zip(rep.directions, rep.reaches, rep.reasons)
-        ]
         header = ",".join(f"d_{i+1}" for i in range(model.m)) + ",reach,reason"
-        _write_csv(out_dir / "star_reach.csv", header, rows)
+        columns = [*np.asarray(rep.directions).T, rep.reaches, rep.reasons]
+        _write_csv(out_dir / "star_reach.csv", header, columns)
         return rep.to_json_dict(), True
 
     # fibre

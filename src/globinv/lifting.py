@@ -17,11 +17,17 @@ Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
 once per call and counted in every lane.  lift_line_square and
 lift_line_horizontal check the shape and make a one-row call, which runs on
-the scalar stage code.  More rows run in lockstep as one (K, n) state:
-every stage builds one stacked Jacobian and takes one stacked SVD over the
-lanes still live.  Each lane keeps its own t, step size, recorder and
-status, and returns the LiftOutcome, LiftStats included, that the one-row
-call of its row returns.
+the scalar stage code and the scalar judge.  More rows run in lockstep as
+one (K, n) state: every stage builds one stacked Jacobian and takes one
+stacked SVD over the lanes still live, and the lanes whose stages all
+passed are judged together (_judge_lanes): one array of error norms, one
+evaluate_stack of f(q5) and one set of row norms for the step chords, the
+drifts and the distances from x0.  The per-lane bookkeeping that follows
+(accept, recorder, h_min, the drift and escape stops, step growth and the
+mu-decay guard) is one _LineLift method, take, that the scalar judge calls
+too.  Each lane keeps its own t, step size, recorder and status, and
+returns the LiftOutcome, LiftStats included, that the one-row call of its
+row returns, bit for bit.
 
 gradient_flow integrates x' = -grad F_y under the same step controller
 (_Lift: t, step size and budget, rejection and step collapse, error norm,
@@ -29,9 +35,9 @@ recorder, counters, escape stop).  Two judges take or reject the attempts
 whose stages all succeeded: _LineLift (drift and residual against the line,
 the mu-decay guard) and _FlowLift (F must not rise; time-doubling windows
 give the verdict).  One loop, _integrate, runs either judge on the scalar
-stage code; _lockstep_attempt drives the lanes of a lift_lines call with
-more than one row.  Every LiftOutcome carries LiftStats, the work counters
-of its integration.
+stage code; _lockstep_attempt and _judge_lanes drive the lanes of a
+lift_lines call with more than one row.  Every LiftOutcome carries
+LiftStats, the work counters of its integration.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
-from .maps import MapModel, _vector, evaluate, jacobian, jacobian_stack
+from .maps import MapModel, _vector, evaluate, evaluate_stack, jacobian, jacobian_stack
 
 Array = np.ndarray
 
@@ -240,6 +246,25 @@ def _norm(v: Array) -> float:
     return norm
 
 
+def _row_norms(D: Array) -> Array:
+    """_norm of every row of D, bit for bit.  Each row's dot product goes
+    through matmul, which rounds as np.linalg.norm of the row does;
+    np.linalg.norm(D, axis=1), (D * D).sum(1) and einsum round differently
+    in some rows.  Rows whose plain norm overflows go through _norm."""
+    norms = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
+    for k in np.flatnonzero(norms == math.inf):
+        norms[k] = _norm(D[k])
+    return norms
+
+
+def _error_norms(atol: float, rtol: float, q: Array, q5: Array, err: Array):
+    """The RMS over the last axis of err / (atol + rtol max(|q|, |q5|)): the
+    error norm of one attempt, or a (K,) array of them for stacked rows,
+    each bitwise the one-row value."""
+    scale = atol + rtol * np.maximum(np.abs(q), np.abs(q5))
+    return np.sqrt(np.mean((err / scale) ** 2, axis=-1))
+
+
 def _velocity(U: Array, s: Array, Vt: Array, w: Array, mu_floor: float):
     """Solve J v = w from the SVD J = U diag(s) Vt (the exact inverse for
     square J, the minimum-norm right inverse J^T (J J^T)^{-1} otherwise).
@@ -364,22 +389,25 @@ class _Lift:
                 self.status = LiftStatus.step_failure(self.t)
 
     def error_norm(self, q5: Array, err: Array) -> float:
-        scale = self.atol + self.rtol * np.maximum(np.abs(self.q), np.abs(q5))
-        return float(np.sqrt(np.mean((err / scale) ** 2)))
+        return float(_error_norms(self.atol, self.rtol, self.q, q5, err))
 
     def grown(self, err_norm: float) -> float:
         """The next step size after taking a step of this error norm, uncapped."""
         fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         return self.h * fac
 
-    def accept(self, q5: Array, k7: Array, mu: float) -> None:
-        """Take the attempted step of size h to q5, where the slope is k7."""
+    def step_end(self) -> float:
+        """The time an accepted attempt of size h reaches: t + h, or t_end
+        when that lies within 1e-15 of it."""
+        t_new = self.t + self.h
+        return self.t_end if self.t_end - t_new < 1e-15 else t_new
+
+    def accept(self, q5: Array, k7: Array, mu: float, t_new: float, chord: float) -> None:
+        """Take the attempted step of size h to q5, where the slope is k7;
+        t_new is step_end() and chord is |q5 - q|."""
         self.stats.accepted += 1
         self.stats.h_min = min(self.stats.h_min, self.h)
-        t_new = self.t + self.h
-        if self.t_end - t_new < 1e-15:
-            t_new = self.t_end
-        self.length += _norm(q5 - self.q)
+        self.length += chord
         self.q, self.t, self.k1, self.mu = q5, t_new, k7, mu
         self.last_singular_mu = None
         self.rec.record(t_new, q5, mu)
@@ -388,8 +416,8 @@ class _Lift:
         self.rec.force_last(self.t, self.q, self.mu)
         self.status = status
 
-    def stop_if_escaped(self) -> bool:
-        dist = _norm(self.q - self.x0)
+    def stop_if_escaped(self, dist: float) -> bool:
+        """Stop as Escaped when dist = |q - x0| exceeds r_escape."""
         if self.opts.r_escape is not None and dist > self.opts.r_escape:
             self.stop(LiftStatus.escaped(self.t, dist))
         return self.status is not None
@@ -460,8 +488,10 @@ class _LineLift(_Lift):
         self.h = min(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _norm(self.k1)))
 
     def finish(self, q5: Array, k7: Array, mu_new: float, err: Array) -> None:
-        """Judge an attempt whose stages all succeeded: reject it on the
-        error estimate or a non-finite f(q5), else take the step."""
+        """Judge an attempt of a one-row call whose stages all succeeded:
+        reject it on the error estimate or a non-finite f(q5), else take
+        the step.  _judge_lanes does the same for the lanes of a lockstep
+        attempt, with the arithmetic stacked."""
         err_norm = self.error_norm(q5, err)
         if not err_norm <= 1.0:
             self.reject("error", err_norm=err_norm)
@@ -472,21 +502,37 @@ class _LineLift(_Lift):
         except NonFinite:
             self.reject("nonfinite")
             return
+        t_new = self.step_end()
+        chord, dist = _norm(q5 - self.q), _norm(q5 - self.x0)
+        drift = _norm(f_new - (self.f0 + t_new * self.w))
+        self.take(q5, k7, mu_new, err_norm, f_new, t_new, chord, drift, dist)
+
+    def take(self, q5: Array, k7: Array, mu_new: float, err_norm: float, f_new: Array,
+             t_new: float, chord: float, drift: float, dist: float) -> None:
+        """Take the attempted step to q5, the bookkeeping of both judges:
+        f_new = f(q5) is reached at t_new = step_end(), chord = |q5 - q|,
+        drift = |f_new - (f0 + t_new w)| and dist = |q5 - x0|.  Stop on the
+        drift cap or outside the escape ball, else size the next step."""
         mu_prev = self.mu
-        self.accept(q5, k7, mu_new)
+        self.accept(q5, k7, mu_new, t_new, chord)
         self.f = f_new
-        drift = _norm(f_new - (self.f0 + self.t * self.w))
         self.max_drift = max(self.max_drift, drift)
         if drift > self.drift_cap:
             self.stop(LiftStatus.step_failure(self.t))
             return
-        if self.stop_if_escaped():
+        if self.stop_if_escaped(dist):
             return
+        self.h = self.next_step(err_norm, mu_prev, mu_new)
+
+    def next_step(self, err_norm: float, mu_prev: float, mu_new: float) -> float:
+        """The step after one of size h was taken: grown on its error norm,
+        cut to a tenth of the distance to mu = 0 at the rate mu fell (the
+        mu-decay guard), capped at _H_MAX."""
         h_next = self.grown(err_norm)
         if mu_new < mu_prev:
             guard = 0.1 * self.h * mu_new / max(mu_prev - mu_new, 1e-300)
             h_next = min(h_next, guard)
-        self.h = min(h_next, _H_MAX)
+        return min(h_next, _H_MAX)
 
     def outcome(self) -> LiftOutcome:
         trajectory = self.trajectory()
@@ -556,9 +602,9 @@ class _FlowLift(_Lift):
         if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
             self.reject("error")
             return
-        self.accept(q5, k7, mu7)
+        self.accept(q5, k7, mu7, self.step_end(), _norm(q5 - self.q))
         self.F, self.gn = F7, gn7
-        if self.stop_if_escaped():
+        if self.stop_if_escaped(_norm(q5 - self.x0)):
             self.conclude("diverged")
             return
         if self.window is None:
@@ -622,11 +668,14 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
-def _drop_rows(failed: list, rows: Array, good: Array, cause: str, mus=None) -> Array:
-    """Record (cause, mu) for the lanes of rows that are not good; return the rest."""
+def _keep_good(failed: list, good: Array, cause: str, rows: Array, *arrays, mus=None) -> tuple:
+    """Record (cause, mu) for the lanes of rows that are not good; return
+    rows and arrays cut to the good ones, as they are when all are good."""
+    if good.all():
+        return (rows, *arrays)
     for k in np.flatnonzero(~good):
         failed[rows[k]] = (cause, None if mus is None else float(mus[k]))
-    return rows[good]
+    return (rows[good], *(a[good] for a in arrays))
 
 
 def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
@@ -636,6 +685,7 @@ def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
     stack and takes one SVD of it.  A lane whose stage fails leaves the rest
     of the attempt with that cause, as _dp_attempt's exception does.  Per
     lane the arithmetic is that of _dp_attempt, operation for operation.
+    The lanes whose stages all passed are judged together by _judge_lanes.
     """
     count, n = len(lanes), model.n
     Q = np.array([lane.q for lane in lanes])
@@ -646,43 +696,95 @@ def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
     jacs = np.zeros(count, dtype=int)
     svds = np.zeros(count, dtype=int)
     failed = [None] * count  # (cause, mu) of the lanes that left the attempt
-    passed = [None] * count  # (q5, k7, mu7, err) of the lanes that did not
     rows = np.arange(count)  # lanes still in the attempt
     for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
         X = Q[rows] + H[rows] * (KS[rows, :, :i] @ _DP_A[i])
-        good = np.isfinite(X).all(axis=1)
-        rows, X = _drop_rows(failed, rows, good, "nonfinite"), X[good]
+        rows, X = _keep_good(failed, np.isfinite(X).all(axis=1), "nonfinite", rows, X)
         if not rows.size:
             break
         J, good = jacobian_stack(model, X)
         jacs[rows] += 1
-        rows, X, J = _drop_rows(failed, rows, good, "nonfinite"), X[good], J[good]
+        rows, X, J = _keep_good(failed, good, "nonfinite", rows, X, J)
         if not rows.size:
             break
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
         svds[rows] += 1
         mu = s[:, -1]
         good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
-        rows, X, mu = _drop_rows(failed, rows, good, "singular", mu), X[good], mu[good]
+        rows, X, mu, U, s, Vt = _keep_good(failed, good, "singular", rows, X, mu, U, s, Vt, mus=mu)
         if not rows.size:
             break
-        V = _velocities(U[good], s[good], Vt[good], W[rows])
-        good = np.isfinite(V).all(axis=1)
-        rows, X, mu, V = _drop_rows(failed, rows, good, "nonfinite"), X[good], mu[good], V[good]
+        V = _velocities(U, s, Vt, W[rows])
+        rows, X, mu, V = _keep_good(failed, np.isfinite(V).all(axis=1), "nonfinite", rows, X, mu, V)
         if not rows.size:
             break
         KS[rows, :, i] = V
     else:
         err = H[rows] * (KS[rows] @ _DP_ERR)
-        for k, j in enumerate(rows):
-            passed[j] = (X[k], KS[j, :, 6], float(mu[k]), err[k])
-    for lane, jac, svd, fail, done in zip(lanes, jacs, svds, failed, passed):
-        lane.stats.jacobians += int(jac)
-        lane.stats.svds += int(svd)
-        if done is not None:
-            lane.finish(*done)
-        else:
+        _judge_lanes(model, [lanes[j] for j in rows], Q[rows], X, KS[rows, :, 6], mu, err, W[rows])
+    for lane, jac, svd, fail in zip(lanes, jacs.tolist(), svds.tolist(), failed):
+        lane.stats.jacobians += jac
+        lane.stats.svds += svd
+        if fail is not None:
             lane.reject(*fail)
+
+
+def _values(model: MapModel, X: Array) -> tuple:
+    """f at the rows of X and the mask of the finite ones, by one
+    evaluate_stack.  Should the map itself raise NonFinite, each row goes
+    through evaluate instead, and a row that raises is not finite: the
+    scalar judge rejects such a point as nonfinite, too."""
+    try:
+        return evaluate_stack(model, X)
+    except NonFinite:
+        F = np.full((len(X), model.m), np.nan)
+        for k, x in enumerate(X):
+            try:
+                F[k] = evaluate(model, x)
+            except NonFinite:
+                pass
+        return F, np.isfinite(F).all(axis=1)
+
+
+def _judge_lanes(
+    model: MapModel, lanes: list, Q: Array, X: Array, K7: Array, mu: Array, err: Array, W: Array
+) -> None:
+    """_LineLift.finish for the lanes of a lockstep attempt whose stages all
+    passed (row k: q, q5, k7, mu7, the error vector and w of lanes[k]).
+
+    The arithmetic is stacked: the error norms at once, f(q5) for the lanes
+    under tolerance by one evaluate_stack (a non-finite row is rejected as
+    nonfinite; evals still counts one per lane), and the step chords, the
+    drifts against the line and the distances from x0 as row norms.  Each
+    lane then takes its step through _LineLift.take, as the scalar finish
+    does, so every lane stays bitwise the lift of its one-row call.
+    """
+    first = lanes[0]  # tolerances, x0, f0: shared by the lanes of one call
+    err_norms = _error_norms(first.atol, first.rtol, Q, X, err)
+    under = err_norms <= 1.0  # a NaN norm is rejected, as in finish
+    E = err_norms.tolist()  # the step factor stays a Python float per lane
+    for k in np.flatnonzero(~under).tolist():
+        lanes[k].reject("error", err_norm=E[k])
+    idx = np.flatnonzero(under)
+    if not idx.size:
+        return
+    F, finite = _values(model, X[idx])
+    for k in idx.tolist():
+        lanes[k].stats.evals += 1
+    for k in idx[~finite].tolist():
+        lanes[k].reject("nonfinite")
+    idx, F = idx[finite], F[finite]
+    if not idx.size:
+        return
+    took = [lanes[k] for k in idx.tolist()]
+    T = [lane.step_end() for lane in took]
+    X5 = X[idx]
+    chords = _row_norms(X5 - Q[idx]).tolist()
+    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * W[idx])).tolist()
+    dists = _row_norms(X5 - first.x0).tolist()
+    mus = mu.tolist()
+    for j, (k, lane) in enumerate(zip(idx.tolist(), took)):
+        lane.take(X[k], K7[k], mus[k], E[k], F[j], T[j], chords[j], drifts[j], dists[j])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
@@ -693,10 +795,11 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     and counted in every lane.  One row runs on the scalar stage code.
     More rows run in lockstep as one (K, n) state: each lane keeps its own
     t, step size, step controller, recorder and status, and leaves the batch
-    when it stops, and every stage takes one Jacobian stack and one SVD over
-    the live lanes.  Square and wide (m <= n) maps are both served, as by
-    lift_line_square and lift_line_horizontal.  Returns one LiftOutcome per
-    row of W: the outcome the one-row call of that row returns.
+    when it stops; every stage takes one Jacobian stack and one SVD over
+    the live lanes, and one stacked judge takes or rejects their attempts.
+    Square and wide (m <= n) maps are both served, as by lift_line_square
+    and lift_line_horizontal.  Returns one LiftOutcome per row of W: the
+    outcome the one-row call of that row returns.
     """
     opts = opts or LiftOptions()
     if model.m > model.n:

@@ -339,6 +339,46 @@ def test_rho_curve_identity(tmp_path):
         assert abs(rho - r) <= 1e-12
 
 
+def _row_writer_bytes(header: str, rows) -> bytes:
+    """The row-at-a-time CSV writer _write_csv replaced: the reference."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else repr(float(c)) for c in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_matches_the_row_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=20001) * 10.0 ** rng.uniform(-320, 300, size=20001)
+    x[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0, -1e308]
+    y = np.cumsum(rng.uniform(0.0, 1e-3, size=20001))
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "rho,eta", [x, y])
+    assert path.read_bytes() == _row_writer_bytes("rho,eta", zip(x, y))
+    # mixed columns as star_reach.csv has them: floats, a tuple of floats, str
+    reasons = ("Singular", "BudgetExhausted", "Escaped")
+    columns = [x[:3], y[:3], (2.0, 0.5, float(x[8])), reasons]
+    cli._write_csv(path, "d_1,d_2,reach,reason", columns)
+    assert path.read_bytes() == _row_writer_bytes("d_1,d_2,reach,reason", zip(*columns))
+    cli._write_csv(path, "r,rho", [np.empty(0), np.empty(0)])
+    assert path.read_bytes() == b"r,rho\n"
+
+
+def test_profile_and_star_csvs_match_the_row_writer(tmp_path):
+    job = {"map": "arctan1d", "command": "indicators", "x0": [0.0], "r": 3.0, "grid_size": 20000}
+    assert run_job(job, out_override=tmp_path) == 0
+    p = _read_report(tmp_path)["result"]["profile"]
+    want = _row_writer_bytes("rho,eta", zip(p["radii"], p["eta_values"]))
+    assert (tmp_path / "eta_profile.csv").read_bytes() == want
+    job = {"map": "complex_exp", "command": "star", "directions": [[1.0, 0.0], [0.0, -1.0]],
+           "t_budget": 5.0}
+    assert run_job(job, out_override=tmp_path) == 0
+    rays = _read_report(tmp_path)["result"]["rays"]
+    rows = [(*r["direction"], r["reach"], r["reason"]) for r in rays]
+    want = _row_writer_bytes("d_1,d_2,reach,reason", rows)
+    assert (tmp_path / "star_reach.csv").read_bytes() == want
+
+
 def test_star_csv(tmp_path):
     job = {
         "map": "arctan1d",
@@ -513,6 +553,20 @@ def test_rerun_is_reproducible(tmp_path):
     assert _strip_timestamp((tmp_path / "report.json").read_text()) == first_report
     for p in sorted(tmp_path.glob("*.csv")):
         assert p.read_bytes() == first_csvs[p.name]
+
+
+def test_certify_rerun_is_reproducible(tmp_path):
+    # 64 verification targets: the sweep runs as one lockstep lift_lines call
+    job = {"map": "complex_exp", "command": "certify", "r": 1.1, "grid_size": 1024,
+           "verify_targets": 64, "seed": 7}
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run_job(job, out_override=out) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["timestamp"], report["job"]["output_dir"]
+        runs.append((report, {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}))
+    assert runs[0][0]["result"]["verification"]["inside"] == 64
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from globinv import lifting
 from globinv.errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
 from globinv.lifting import (
     FlowVerdict,
@@ -16,6 +17,8 @@ from globinv.lifting import (
     path_length,
     weighted_path_length,
 )
+from globinv.certificates import _BOUNDARY_SCALE, unit_sphere_points
+from globinv.indicators import mu_profile, rho_of_r
 from globinv.maps import MapModel, evaluate, linear_map, registry_get
 
 
@@ -246,6 +249,15 @@ def _nan_beyond_one():
                     jac_fn=lambda x: np.ones((1, 1)))
 
 
+def _raises_beyond_one():
+    """The identity up to x = 1; beyond it the map itself raises NonFinite."""
+    def f(x):
+        if x[0] > 1.0:
+            raise NonFinite("outside the domain")
+        return x.copy()
+    return MapModel(name="raises_beyond_one", n=1, m=1, eval_fn=f, jac_fn=lambda x: np.ones((1, 1)))
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_drift_from_the_line_ends_the_lift(entry):
     # q(t) = 4t crosses the jump at t = 0.25; the step across it drifts 0.01
@@ -334,6 +346,15 @@ def _lane_targets(m: int, scale: float) -> np.ndarray:
     return np.vstack([scale * dirs, 3.0 * scale * dirs[:2], np.zeros((1, m))])
 
 
+def _graves_case(label: str, name: str, x0: list, r: float, r_cert: float) -> tuple:
+    """64 boundary targets at 0.99 rho(r_cert), lifted with r_escape = r, as
+    graves_certificate's verification sweep lifts them when r_cert = r."""
+    model = registry_get(name)
+    rho = rho_of_r(mu_profile(model, x0, r_cert, 1024), r_cert)
+    targets = _BOUNDARY_SCALE * rho * unit_sphere_points(model.m, 64, seed=5)
+    return (label, model, x0, targets, LiftOptions(r_escape=r))
+
+
 LOCKSTEP_CASES = [
     # (label, model, x0, targets, opts)
     ("identity_1", registry_get("identity_1"), [0.5], _lane_targets(1, 1.0), None),
@@ -362,6 +383,7 @@ LOCKSTEP_CASES = [
     # the drift stop and a rejected non-finite f(q5), next to Complete lanes
     ("drift", _floor_step(), [0.0], [[4.0], [0.5], [-4.0]], None),
     ("nan_beyond_one", _nan_beyond_one(), [0.0], [[2.0], [0.5], [-3.0]], None),
+    ("raises_beyond_one", _raises_beyond_one(), [0.0], [[2.0], [0.5], [-3.0]], None),
     # every lane leaves each attempt at the same stage, with a non-finite
     # stage point (slopes near the float limit), Jacobian or velocity
     ("all_points_non_finite", _jacobian_off_x0(100.0, 1e-308), [100.0], [[1.0], [-1.0], [1.5]],
@@ -369,6 +391,10 @@ LOCKSTEP_CASES = [
     ("all_jacobians_non_finite", _jacobian_off_x0(0.0, np.nan), [0.0], [[1.0], [-2.0]], None),
     ("all_velocities_non_finite", _jacobian_off_x0(100.0, 1e-308), [100.0], [[10.0], [-20.0]],
      LiftOptions(mu_floor=0.0)),
+    # Graves sweeps of 64 lanes: targets past the radius certified at r (some
+    # lanes Escaped), and a horizontal sweep at the certified radius
+    _graves_case("graves_complex_exp", "complex_exp", [0.0, 0.0], 1.0, 2.0),
+    _graves_case("graves_parabola_sub", "parabola_sub", [0.0, 0.5], 1.0, 1.0),
 ]
 
 
@@ -381,17 +407,14 @@ def test_lift_lines_match_sequential_lifts(label, model, x0, targets, opts):
     assert len(batch) == len(targets)
     for w, got in zip(targets, batch):
         want = lift(model, x0, w, opts)
-        assert got.status.kind == want.status.kind, w
-        assert got.status.t == want.status.t, w
-        assert got.trajectory.times.size == want.trajectory.times.size, w
+        # bit for bit: a NaN field would compare unequal, and none arises here
+        assert got.status == want.status, w
         assert got.stats == want.stats, w
-        np.testing.assert_allclose(got.trajectory.points[-1], want.trajectory.points[-1], rtol=1e-12)
-        for a, b in [
-            (got.target_residual, want.target_residual),
-            (got.trajectory.length, want.trajectory.length),
-            (got.max_drift, want.max_drift),
-        ]:
-            assert a == pytest.approx(b, rel=1e-12, abs=0.0), w
+        for field in ("times", "points", "mu_values"):
+            assert np.array_equal(getattr(got.trajectory, field), getattr(want.trajectory, field)), (w, field)
+        assert got.trajectory.length == want.trajectory.length, w
+        assert got.max_drift == want.max_drift, w
+        assert got.target_residual == want.target_residual, w
 
 
 def test_lift_lines_cover_every_terminal_status():
@@ -401,6 +424,126 @@ def test_lift_lines_cover_every_terminal_status():
         for out in lift_lines(model, x0, targets, opts)
     }
     assert kinds == {"Complete", "Singular", "Escaped", "StepFailure"}
+
+
+def _lanes_at(model, opts, W, Q, H, T, mu):
+    """Line-lift lanes from x0 = 0 toward the rows of W, set mid-lift: at
+    q = Q[k], time T[k], step size H[k] and indicator mu[k]."""
+    x0 = np.zeros(model.n)
+    f0 = evaluate(model, x0)
+    lanes = []
+    for k in range(len(W)):
+        lane = lifting._LineLift(model, x0, f0, W[k], opts)
+        lane.q, lane.t, lane.h, lane.mu = Q[k], float(T[k]), float(H[k]), float(mu[k])
+        lanes.append(lane)
+    return lanes
+
+
+def test_stacked_judge_matches_finish_lane_by_lane():
+    """_judge_lanes against the scalar _LineLift.finish on 4000 lanes: error
+    norms from 1e-12 to past tolerance, mu rising and falling (the mu-decay
+    guard), drifts about the cap and some lanes outside the escape ball.
+
+    The step factor min(5, max(0.2, 0.9 e^-0.2)) stays a Python float per
+    lane.  A factor vectorised as np.power(E, -0.2) (or E ** -0.2 on an
+    array) rounds differently from Python's e ** -0.2 in about 5% of values
+    (numpy 2.4), so it would move the step sizes of those lanes off their
+    one-row lifts; this test fails first.
+    """
+    model, opts, K = registry_get("identity_2"), LiftOptions(r_escape=2.0), 4000
+    rng = np.random.default_rng(11)
+    W = rng.normal(size=(K, 2))
+    T, H = rng.uniform(0.0, 0.9, K), 10.0 ** rng.uniform(-5.0, -0.5, K)
+    H[:20] = 1.0 - T[:20]  # steps that end at t = 1
+    Q = T[:, None] * W
+    # q5 on the line up to a drift of about 1e-6 |w|, the drift cap
+    X = (T + H)[:, None] * W + rng.normal(size=(K, 2)) * 10.0 ** rng.uniform(-12.0, -5.0, (K, 1))
+    K7 = rng.normal(size=(K, 2))
+    mu_prev, mu_new = rng.uniform(0.1, 1.0, K), rng.uniform(0.1, 1.0, K)
+    scale = 1e-12 / 16 + 1e-9 / 16 * np.maximum(np.abs(Q), np.abs(X))
+    err = scale * rng.normal(size=(K, 2)) * 10.0 ** rng.uniform(-12.0, 0.3, (K, 1))
+    err[:5] = np.nan
+
+    stacked = _lanes_at(model, opts, W, Q, H, T, mu_prev)
+    lifting._judge_lanes(model, stacked, Q, X, K7, mu_new, err, W)
+    scalar = _lanes_at(model, opts, W, Q, H, T, mu_prev)
+    for k, lane in enumerate(scalar):
+        lane.finish(X[k], K7[k], float(mu_new[k]), err[k])
+
+    taken = 0
+    for a, b in zip(stacked, scalar):
+        assert (a.t, a.h, a.length, a.max_drift, a.mu) == (b.t, b.h, b.length, b.max_drift, b.mu)
+        assert a.stats == b.stats and a.status == b.status
+        assert a.rec.times == b.rec.times
+        taken += a.stats.accepted
+    assert 0 < taken < K
+    kinds = {lane.status.kind for lane in stacked if lane.status is not None}
+    assert kinds == {"Escaped", "StepFailure"}  # the escape and the drift stops
+
+
+def test_next_step_is_grown_with_the_mu_guard():
+    rng = np.random.default_rng(12)
+    lane = _lanes_at(registry_get("identity_1"), LiftOptions(), [[1.0]], [[0.0]], [0.1], [0.0], [1.0])[0]
+    # error norms as _judge_lanes hands them over: Python floats of an array
+    E = (10.0 ** rng.uniform(-16.0, 0.0, 20000)).tolist() + [0.0, 1.0, 5e-324]
+    for e in E:
+        h, mu_prev, mu_new = float(10.0 ** rng.uniform(-8, 0)), float(rng.uniform()), float(rng.uniform())
+        lane.h = h
+        want = h * (5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2)))
+        assert lane.grown(e) == want
+        if mu_new < mu_prev:
+            want = min(want, 0.1 * h * mu_new / max(mu_prev - mu_new, 1e-300))
+        assert lane.next_step(e, mu_prev, mu_new) == min(want, 1e15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_norms_equal_norm_row_by_row(n):
+    rng = np.random.default_rng(n)
+    D = rng.normal(size=(20000, n)) * 10.0 ** rng.uniform(-160.0, 160.0, (20000, 1))
+    D[:10] = 0.0
+    D[10:20] = 1e200  # the plain norm overflows; _norm rescales
+    D[20:30] = 1e200 * rng.normal(size=(10, n))
+    D[30:40, 0] = -1e200
+    with np.errstate(over="ignore"):
+        got = lifting._row_norms(D)
+        assert got.tolist() == [lifting._norm(row) for row in D]
+    assert np.isfinite(got).all()
+
+
+def test_lift_lines_work_counters(monkeypatch):
+    """A 64-lane call evaluates f once at x0 and then only through one
+    evaluate_stack per lockstep attempt that has a lane under tolerance."""
+    _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == "graves_complex_exp")
+    lift_evaluate, stack, attempt = lifting.evaluate, lifting.evaluate_stack, lifting._lockstep_attempt
+    evaluates, stacked_rows, per_attempt = [], [], []
+
+    def counted_evaluate(model, x):
+        evaluates.append(x)
+        return lift_evaluate(model, x)
+
+    def counted_stack(model, X):
+        stacked_rows.append(len(X))
+        return stack(model, X)
+
+    def counted_attempt(model, lanes, mu_floor):
+        calls, evals = len(stacked_rows), sum(lane.stats.evals for lane in lanes)
+        attempt(model, lanes, mu_floor)
+        per_attempt.append((len(stacked_rows) - calls, sum(lane.stats.evals for lane in lanes) - evals))
+
+    monkeypatch.setattr(lifting, "evaluate", counted_evaluate)
+    monkeypatch.setattr(lifting, "evaluate_stack", counted_stack)
+    monkeypatch.setattr(lifting, "_lockstep_attempt", counted_attempt)
+    batch = lift_lines(model, x0, targets, opts)
+    monkeypatch.undo()
+
+    assert len(evaluates) == 1 and np.array_equal(evaluates[0], x0)
+    assert len(per_attempt) > 1
+    assert all(calls == (1 if evals else 0) for calls, evals in per_attempt)
+    assert sum(stacked_rows) == sum(evals for _, evals in per_attempt)
+    # every lane counts f(x0) and its own f(q5) rows: the one-row totals
+    sequential = [lift_line_square(model, x0, w, opts) for w in targets]
+    assert sum(o.stats.evals for o in batch) == sum(o.stats.evals for o in sequential)
+    assert sum(o.stats.evals for o in batch) == len(batch) + sum(stacked_rows)
 
 
 def test_lift_lines_argument_checks():
