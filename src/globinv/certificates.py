@@ -47,9 +47,10 @@ so its memory stays bounded in any dimension; a value stack holds one
 m-vector per sample, no more floats than the sample points.  A sample is dropped only when its value or Jacobian is
 non-finite, and the evidence counts the dropped samples (`dropped`: per C8
 radius, counting pairs; per C14 radius; per C17 level; per PS direction and
-radius); a radius with no sample left reads 0.0 in C8, C14 and PS.  An
-exception raised by the map itself, or a value of the wrong shape,
-propagates.  A C17 sample inside the sublevel set whose Jacobian is
+radius); a radius with no sample left reads 0.0 in C8, C14 and PS.  A map
+that raises NonFinite at a sample reports a non-finite value there, so that
+sample is dropped too; any other exception raised by the map itself, or a
+value of the wrong shape, propagates.  A C17 sample inside the sublevel set whose Jacobian is
 non-finite raises NonFinite.
 """
 
@@ -71,7 +72,7 @@ from .indicators import (
     rho_of_r,
     unit_ball_points,
 )
-from .lifting import LiftOptions, lift_lines, weighted_path_length
+from .lifting import LiftOptions, _row_norms, lift_lines, weighted_path_length
 from .maps import (
     AnalyticFacts,
     MapModel,
@@ -167,14 +168,6 @@ def unit_sphere_points(m: int, count: int, seed: int) -> Array:
         return axes[:count]
     extra = _unit_directions(_sobol(m, count - len(axes), seed))
     return np.vstack([axes, extra])
-
-
-@np.errstate(over="ignore")  # an overflowed norm is +inf, as np.linalg.norm gives
-def _row_norms(D: Array) -> Array:
-    """The Euclidean norm of each row of D.  Each row goes through the same
-    dot product as np.linalg.norm, so every norm equals the row's own
-    np.linalg.norm bit for bit (np.linalg.norm(D, axis=1) does not)."""
-    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
 def _values(model: MapModel, X: Array) -> tuple:
@@ -337,7 +330,7 @@ def hadamard_integral_check(
     return DiagnosticsEntry("C15", VERDICT_HEURISTIC_FAIL, evidence)
 
 
-@np.errstate(over="ignore")  # an overflowed residual norm is +inf and fails the test
+@np.errstate(over="ignore")  # an overflowed residual norm is rescaled (_row_norms)
 def katriel_check(
     model: MapModel,
     y0,
@@ -554,6 +547,7 @@ def weighted_certificate(
     return DiagnosticsEntry("C22", VERDICT_HEURISTIC_PASS, evidence)
 
 
+@np.errstate(over="ignore")  # an overflowed residual norm is rescaled (_row_norms)
 def plastock_check(
     model: MapModel,
     x0,
@@ -592,6 +586,7 @@ def plastock_check(
     return DiagnosticsEntry("C14", VERDICT_HEURISTIC_FAIL, evidence)
 
 
+@np.errstate(over="ignore")  # an overflowed row norm is rescaled (_row_norms)
 def ps_direction_scan(
     model: MapModel, radii=(1.0, 10.0, 100.0), seed: int = 0
 ) -> DiagnosticsEntry:

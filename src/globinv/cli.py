@@ -36,7 +36,7 @@ from .indicators import (
     rho_of_r,
     sur_indicator,
 )
-from .lifting import LiftOptions
+from .lifting import LiftOptions, _write_csv
 from .maps import (
     MapModel,
     RegistryEntry,
@@ -312,17 +312,6 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
         "output_dir": output_dir,
         "seed": seed,
     }
-
-
-def _write_csv(path: Path, header: str, columns) -> None:
-    """Write the header and one row per entry of the columns: a numeric
-    column's cells as repr of Python floats, a str column's as they are."""
-    cells = []
-    for col in map(np.asarray, columns):
-        text = col.dtype.kind == "U"
-        cells.append(col.tolist() if text else list(map(repr, col.astype(float).tolist())))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def _profile_csvs(profile, out_dir: Path) -> None:

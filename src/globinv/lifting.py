@@ -16,27 +16,24 @@ jumping across them.
 Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
 once per call and counted in every lane.  lift_line_square and
-lift_line_horizontal check the shape and make a one-row call, which runs on
-the scalar stage code and the scalar judge.  More rows run in lockstep as
-one (K, n) state: every stage builds one stacked Jacobian and takes one
-stacked SVD over the lanes still live, and the lanes whose stages all
-passed are judged together (_judge_lanes): one array of error norms, one
-evaluate_stack of f(q5) and one set of row norms for the step chords, the
-drifts and the distances from x0.  The per-lane bookkeeping that follows
-(accept, recorder, h_min, the drift and escape stops, step growth and the
-mu-decay guard) is one _LineLift method, take, that the scalar judge calls
-too.  Each lane keeps its own t, step size, recorder and status, and
-returns the LiftOutcome, LiftStats included, that the one-row call of its
-row returns, bit for bit.
+lift_line_horizontal check the shape and make a one-row call.  One stage
+code and one judge serve every call, one row or many: the lanes run in
+lockstep as one (K, n) state (_lockstep_attempt), every stage builds one
+stacked Jacobian and takes one stacked SVD over the lanes still in the
+attempt, and the lanes whose stages all passed are judged together
+(_judge_lanes): one array of error norms, one evaluate_stack of f(q5) and
+one set of row norms for the step chords, the drifts and the distances from
+x0.  The per-lane bookkeeping that follows (accept, recorder, h_min, the
+drift and escape stops, step growth and the mu-decay guard) is one
+_LineLift method, take.  Each lane keeps its own t, step size, recorder and
+status, and its LiftOutcome, LiftStats included, does not depend on the
+other rows of the call.
 
 gradient_flow integrates x' = -grad F_y under the same step controller
 (_Lift: t, step size and budget, rejection and step collapse, error norm,
-recorder, counters, escape stop).  Two judges take or reject the attempts
-whose stages all succeeded: _LineLift (drift and residual against the line,
-the mu-decay guard) and _FlowLift (F must not rise; time-doubling windows
-give the verdict).  One loop, _integrate, runs either judge on the scalar
-stage code; _lockstep_attempt and _judge_lanes drive the lanes of a
-lift_lines call with more than one row.  Every LiftOutcome carries
+recorder, counters, escape stop).  Its judge, _FlowLift, runs on the
+scalar stage code (_integrate and _dp_attempt): F must not rise, and
+time-doubling windows give the verdict.  Every LiftOutcome carries
 LiftStats, the work counters of its integration.
 """
 
@@ -154,21 +151,14 @@ class LiftTrajectory:
     mu_values: Array
     length: float
 
+    @np.errstate(over="ignore")  # an overflowed chord is rescaled (_row_norms)
     def to_csv(self, path) -> None:
         """Columns t, x_1..x_n, mu, cumulative_length (chords of these rows)."""
         n = self.points.shape[1]
         header = ",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["mu", "cumulative_length"])
-        rows = [header]
-        cum = 0.0
-        for k in range(self.times.size):
-            if k > 0:
-                cum += float(np.linalg.norm(self.points[k] - self.points[k - 1]))
-            cells = [repr(float(self.times[k]))]
-            cells += [repr(float(v)) for v in self.points[k]]
-            cells += [repr(float(self.mu_values[k])), repr(cum)]
-            rows.append(",".join(cells))
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+        chords = _row_norms(np.diff(self.points, axis=0))
+        cum = np.cumsum(np.concatenate([[0.0], chords]))
+        _write_csv(path, header, [self.times, *self.points.T, self.mu_values, cum])
 
 
 @dataclass
@@ -224,9 +214,15 @@ class FlowVerdict:
         }
 
 
-class _StageSingular(Exception):
-    def __init__(self, mu: float):
-        self.mu = mu
+def _write_csv(path, header: str, columns) -> None:
+    """Write the header and one row per entry of the columns: a numeric
+    column's cells as repr of Python floats, a str column's as they are."""
+    cells = []
+    for col in map(np.asarray, columns):
+        text = col.dtype.kind == "U"
+        cells.append(col.tolist() if text else list(map(repr, col.astype(float).tolist())))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 class _StageBad(Exception):
@@ -250,39 +246,29 @@ def _row_norms(D: Array) -> Array:
     """_norm of every row of D, bit for bit.  Each row's dot product goes
     through matmul, which rounds as np.linalg.norm of the row does;
     np.linalg.norm(D, axis=1), (D * D).sum(1) and einsum round differently
-    in some rows.  Rows whose plain norm overflows go through _norm."""
+    in some rows.  Rows whose plain norm overflows go through _norm, so,
+    like _norm, it runs under np.errstate(over="ignore")."""
     norms = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
-    for k in np.flatnonzero(norms == math.inf):
-        norms[k] = _norm(D[k])
+    if not norms.max(initial=0.0) < math.inf:
+        for k in np.flatnonzero(norms == math.inf):
+            norms[k] = _norm(D[k])
     return norms
 
 
 def _error_norms(atol: float, rtol: float, q: Array, q5: Array, err: Array):
     """The RMS over the last axis of err / (atol + rtol max(|q|, |q5|)): the
     error norm of one attempt, or a (K,) array of them for stacked rows,
-    each bitwise the one-row value."""
+    each bitwise the one-row value.  The sum over the count is np.mean's
+    own arithmetic without its overhead."""
     scale = atol + rtol * np.maximum(np.abs(q), np.abs(q5))
-    return np.sqrt(np.mean((err / scale) ** 2, axis=-1))
-
-
-def _velocity(U: Array, s: Array, Vt: Array, w: Array, mu_floor: float):
-    """Solve J v = w from the SVD J = U diag(s) Vt (the exact inverse for
-    square J, the minimum-norm right inverse J^T (J J^T)^{-1} otherwise).
-    Returns (v, mu) where mu is the smallest singular value, and raises when
-    mu sits below the floor or v goes non-finite."""
-    mu = float(s[-1])
-    if not np.isfinite(mu) or mu <= 0.0 or mu < mu_floor:
-        raise _StageSingular(mu)
-    v = Vt.T @ ((U.T @ w) / s)
-    if not np.all(np.isfinite(v)):
-        raise _StageBad()
-    return v, mu
+    return np.sqrt(np.add.reduce((err / scale) ** 2, axis=-1) / err.shape[-1])
 
 
 def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
-    """_velocity's formula over a stack of SVDs, one row of W per matrix.
-    Each row is computed by the same BLAS operation on the same operands as
-    _velocity, so it is bitwise the same."""
+    """Solve J v = w for a stack of SVDs J = U diag(s) Vt, one row w of W
+    per matrix: the exact inverse for square J, the minimum-norm right
+    inverse J^T (J J^T)^{-1} otherwise.  Each row is computed by the same
+    BLAS operations whatever the size of the stack."""
     c = np.matmul(U.transpose(0, 2, 1), W[:, :, None])[:, :, 0] / s
     return np.matmul(Vt.transpose(0, 2, 1), c[:, :, None])[:, :, 0]
 
@@ -340,8 +326,8 @@ class _Recorder:
 
 class _Lift:
     """The step controller shared by every integration, t from 0 to t_end.
-    A judge subclass adds vel (the stage slope) and finish (take or reject
-    an attempt whose stages all succeeded)."""
+    A judge subclass takes or rejects the attempts whose stages all
+    succeeded: _LineLift through take, _FlowLift through finish."""
 
     t_end = 1.0
 
@@ -428,12 +414,11 @@ class _Lift:
 
 
 def _integrate(lift: _Lift) -> None:
-    """Run one integration on the scalar stage code until it stops."""
+    """Run one integration (the gradient flow) on the scalar stage code
+    until it stops."""
     while lift.begin_attempt():
         try:
             q5, k7, extra7, err = _dp_attempt(lift.vel, lift.q, lift.k1, lift.h)
-        except _StageSingular as exc:
-            lift.reject("singular", exc.mu)
         except (_StageBad, NonFinite):
             lift.reject("nonfinite")
         else:
@@ -441,8 +426,9 @@ def _integrate(lift: _Lift) -> None:
 
 
 class _LineLift(_Lift):
-    """The judge of one line lift: the residual and drift of f(q) against
-    the line, the mu-decay step guard, and the singular stop at x0."""
+    """One lane of a lift_lines call: the residual and drift of f(q)
+    against the line, the mu-decay step guard, and the stops at x0.  Its
+    attempts are made by _lockstep_attempt and judged by _judge_lanes."""
 
     def __init__(self, model: MapModel, x0v: Array, f0: Array, wv: Array, opts: LiftOptions):
         super().__init__(model, x0v, opts)
@@ -453,12 +439,6 @@ class _LineLift(_Lift):
         self.complete_tol = 10.0 * opts.rel_tol * max(self.norm_w, 1.0) + 100.0 * opts.abs_tol
         self.drift_cap = max(1e3 * self.complete_tol, 1e-6 * max(self.norm_w, 1.0))
         self.max_drift = 0.0
-
-    def vel(self, x: Array):
-        self.stats.jacobians += 1
-        J = jacobian(self.model, x)  # NonFinite from the model surfaces as a bad stage
-        self.stats.svds += 1
-        return _velocity(*np.linalg.svd(J, full_matrices=False), self.w, self.opts.mu_floor)
 
     def start(self, U: Array, s: Array, Vt: Array) -> None:
         """Set up from the SVD of J(x0): record the base point, stop at once
@@ -477,39 +457,18 @@ class _LineLift(_Lift):
             return
         # Every attempt starts from this slope, so no step size can repair a
         # bad one: stop as the step collapse after such a stage would.
-        try:
-            self.k1, _ = _velocity(U, s, Vt, self.w, self.opts.mu_floor)
-        except _StageSingular as exc:
-            self.status = LiftStatus.singular(0.0, exc.mu)
+        if not 0.0 < self.mu < math.inf:
+            self.status = LiftStatus.singular(0.0, self.mu)
             return
-        except _StageBad:
+        self.k1 = _velocities(U[None], s[None], Vt[None], self.w[None])[0]
+        if not np.isfinite(self.k1).all():
             self.status = LiftStatus.step_failure(0.0)
             return
         self.h = min(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _norm(self.k1)))
 
-    def finish(self, q5: Array, k7: Array, mu_new: float, err: Array) -> None:
-        """Judge an attempt of a one-row call whose stages all succeeded:
-        reject it on the error estimate or a non-finite f(q5), else take
-        the step.  _judge_lanes does the same for the lanes of a lockstep
-        attempt, with the arithmetic stacked."""
-        err_norm = self.error_norm(q5, err)
-        if not err_norm <= 1.0:
-            self.reject("error", err_norm=err_norm)
-            return
-        self.stats.evals += 1
-        try:
-            f_new = evaluate(self.model, q5)
-        except NonFinite:
-            self.reject("nonfinite")
-            return
-        t_new = self.step_end()
-        chord, dist = _norm(q5 - self.q), _norm(q5 - self.x0)
-        drift = _norm(f_new - (self.f0 + t_new * self.w))
-        self.take(q5, k7, mu_new, err_norm, f_new, t_new, chord, drift, dist)
-
     def take(self, q5: Array, k7: Array, mu_new: float, err_norm: float, f_new: Array,
              t_new: float, chord: float, drift: float, dist: float) -> None:
-        """Take the attempted step to q5, the bookkeeping of both judges:
+        """Take the attempted step to q5, which _judge_lanes passed:
         f_new = f(q5) is reached at t_new = step_end(), chord = |q5 - q|,
         drift = |f_new - (f0 + t_new w)| and dist = |q5 - x0|.  Stop on the
         drift cap or outside the escape ball, else size the next step."""
@@ -668,123 +627,120 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
-def _keep_good(failed: list, good: Array, cause: str, rows: Array, *arrays, mus=None) -> tuple:
-    """Record (cause, mu) for the lanes of rows that are not good; return
-    rows and arrays cut to the good ones, as they are when all are good."""
-    if good.all():
-        return (rows, *arrays)
-    for k in np.flatnonzero(~good):
-        failed[rows[k]] = (cause, None if mus is None else float(mus[k]))
-    return (rows[good], *(a[good] for a in arrays))
+def _leave(lanes: list, good: Array, cause: str, jacs: int, svds: int, *arrays, mus=None) -> tuple:
+    """Reject the lanes that are not good with cause, and with mus[k] as
+    the indicator of a singular one, counting the jacs Jacobians and svds
+    SVDs each took in this attempt.  Returns the good lanes and the arrays
+    cut to their rows."""
+    for k in np.flatnonzero(~good).tolist():
+        lane = lanes[k]
+        lane.stats.jacobians += jacs
+        lane.stats.svds += svds
+        lane.reject(cause, None if mus is None else float(mus[k]))
+    return _cut(lanes, good, *arrays)
+
+
+def _cut(lanes: list, good: Array, *arrays) -> tuple:
+    """The lanes where good holds, and the arrays cut to their rows (left
+    uncut when no lane is left)."""
+    kept = [lane for lane, g in zip(lanes, good.tolist()) if g]
+    return (kept, *(a[good] for a in arrays)) if kept else (kept, *arrays)
+
+
+def _surely_finite(A: Array) -> bool:
+    """True when A has no non-finite entry, by one sum.  A finite A whose
+    sum overflows reads False too, so False calls for the per-row test."""
+    return math.isfinite(np.add.reduce(A, axis=None))
 
 
 def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
     """One Dormand-Prince attempt for every lane, in lockstep.
 
     Each stage builds the Jacobians of the lanes still in the attempt as one
-    stack and takes one SVD of it.  A lane whose stage fails leaves the rest
-    of the attempt with that cause, as _dp_attempt's exception does.  Per
-    lane the arithmetic is that of _dp_attempt, operation for operation.
-    The lanes whose stages all passed are judged together by _judge_lanes.
+    stack and takes one SVD of it.  The lane arrays stay aligned with the
+    list of lanes; a lane whose stage fails leaves the attempt, rejected with
+    that cause (_leave).  Each check is one reduce over the whole stack, and
+    the per-row mask is built only when it does not pass.  The lanes whose
+    stages all passed took six Jacobians and six SVDs and are judged
+    together by _judge_lanes.
     """
-    count, n = len(lanes), model.n
     Q = np.array([lane.q for lane in lanes])
     H = np.array([[lane.h] for lane in lanes])
     W = np.array([lane.w for lane in lanes])
-    KS = np.empty((count, n, 7))  # the seven stage slopes of every lane
+    KS = np.empty((len(lanes), model.n, 7))  # the seven stage slopes of every lane
     KS[:, :, 0] = [lane.k1 for lane in lanes]
-    jacs = np.zeros(count, dtype=int)
-    svds = np.zeros(count, dtype=int)
-    failed = [None] * count  # (cause, mu) of the lanes that left the attempt
-    rows = np.arange(count)  # lanes still in the attempt
     for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
-        X = Q[rows] + H[rows] * (KS[rows, :, :i] @ _DP_A[i])
-        rows, X = _keep_good(failed, np.isfinite(X).all(axis=1), "nonfinite", rows, X)
-        if not rows.size:
-            break
+        X = Q + H * (KS[:, :, :i] @ _DP_A[i])
+        if not _surely_finite(X):
+            good = np.isfinite(X).all(axis=1)
+            lanes, Q, H, W, KS, X = _leave(lanes, good, "nonfinite", i - 1, i - 1, Q, H, W, KS, X)
+            if not lanes:
+                return
         J, good = jacobian_stack(model, X)
-        jacs[rows] += 1
-        rows, X, J = _keep_good(failed, good, "nonfinite", rows, X, J)
-        if not rows.size:
-            break
+        if not good.all():
+            lanes, Q, H, W, KS, X, J = _leave(lanes, good, "nonfinite", i, i - 1, Q, H, W, KS, X, J)
+            if not lanes:
+                return
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
-        svds[rows] += 1
         mu = s[:, -1]
-        good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
-        rows, X, mu, U, s, Vt = _keep_good(failed, good, "singular", rows, X, mu, U, s, Vt, mus=mu)
-        if not rows.size:
-            break
-        V = _velocities(U, s, Vt, W[rows])
-        rows, X, mu, V = _keep_good(failed, np.isfinite(V).all(axis=1), "nonfinite", rows, X, mu, V)
-        if not rows.size:
-            break
-        KS[rows, :, i] = V
-    else:
-        err = H[rows] * (KS[rows] @ _DP_ERR)
-        _judge_lanes(model, [lanes[j] for j in rows], Q[rows], X, KS[rows, :, 6], mu, err, W[rows])
-    for lane, jac, svd, fail in zip(lanes, jacs.tolist(), svds.tolist(), failed):
-        lane.stats.jacobians += jac
-        lane.stats.svds += svd
-        if fail is not None:
-            lane.reject(*fail)
-
-
-def _values(model: MapModel, X: Array) -> tuple:
-    """f at the rows of X and the mask of the finite ones, by one
-    evaluate_stack.  Should the map itself raise NonFinite, each row goes
-    through evaluate instead, and a row that raises is not finite: the
-    scalar judge rejects such a point as nonfinite, too."""
-    try:
-        return evaluate_stack(model, X)
-    except NonFinite:
-        F = np.full((len(X), model.m), np.nan)
-        for k, x in enumerate(X):
-            try:
-                F[k] = evaluate(model, x)
-            except NonFinite:
-                pass
-        return F, np.isfinite(F).all(axis=1)
+        low, high = mu.min(), mu.max()
+        if not (low >= mu_floor and low > 0.0 and high < math.inf):
+            good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
+            lanes, Q, H, W, KS, X, U, s, Vt, mu = _leave(
+                lanes, good, "singular", i, i, Q, H, W, KS, X, U, s, Vt, mu, mus=mu
+            )
+            if not lanes:
+                return
+        V = _velocities(U, s, Vt, W)
+        if not _surely_finite(V):
+            good = np.isfinite(V).all(axis=1)
+            lanes, Q, H, W, KS, X, mu, V = _leave(lanes, good, "nonfinite", i, i, Q, H, W, KS, X, mu, V)
+            if not lanes:
+                return
+        KS[:, :, i] = V
+    for lane in lanes:
+        lane.stats.jacobians += 6
+        lane.stats.svds += 6
+    _judge_lanes(model, lanes, Q, X, KS[:, :, 6], mu, H * (KS @ _DP_ERR), W)
 
 
 def _judge_lanes(
     model: MapModel, lanes: list, Q: Array, X: Array, K7: Array, mu: Array, err: Array, W: Array
 ) -> None:
-    """_LineLift.finish for the lanes of a lockstep attempt whose stages all
-    passed (row k: q, q5, k7, mu7, the error vector and w of lanes[k]).
+    """Take or reject the attempts of the lanes of a lockstep attempt whose
+    stages all passed (row k: q, q5, k7, mu7, the error vector and w of
+    lanes[k]).
 
     The arithmetic is stacked: the error norms at once, f(q5) for the lanes
     under tolerance by one evaluate_stack (a non-finite row is rejected as
     nonfinite; evals still counts one per lane), and the step chords, the
     drifts against the line and the distances from x0 as row norms.  Each
-    lane then takes its step through _LineLift.take, as the scalar finish
-    does, so every lane stays bitwise the lift of its one-row call.
+    lane then takes its step through _LineLift.take.
     """
     first = lanes[0]  # tolerances, x0, f0: shared by the lanes of one call
-    err_norms = _error_norms(first.atol, first.rtol, Q, X, err)
-    under = err_norms <= 1.0  # a NaN norm is rejected, as in finish
-    E = err_norms.tolist()  # the step factor stays a Python float per lane
-    for k in np.flatnonzero(~under).tolist():
-        lanes[k].reject("error", err_norm=E[k])
-    idx = np.flatnonzero(under)
-    if not idx.size:
-        return
-    F, finite = _values(model, X[idx])
-    for k in idx.tolist():
-        lanes[k].stats.evals += 1
-    for k in idx[~finite].tolist():
-        lanes[k].reject("nonfinite")
-    idx, F = idx[finite], F[finite]
-    if not idx.size:
-        return
-    took = [lanes[k] for k in idx.tolist()]
-    T = [lane.step_end() for lane in took]
-    X5 = X[idx]
-    chords = _row_norms(X5 - Q[idx]).tolist()
-    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * W[idx])).tolist()
-    dists = _row_norms(X5 - first.x0).tolist()
-    mus = mu.tolist()
-    for j, (k, lane) in enumerate(zip(idx.tolist(), took)):
-        lane.take(X[k], K7[k], mus[k], E[k], F[j], T[j], chords[j], drifts[j], dists[j])
+    E = _error_norms(first.atol, first.rtol, Q, X, err)
+    under = E <= 1.0  # a NaN norm is rejected
+    if not under.all():
+        for k in np.flatnonzero(~under).tolist():  # the step factor stays a Python float
+            lanes[k].reject("error", err_norm=float(E[k]))
+        lanes, Q, X, K7, mu, W, E = _cut(lanes, under, Q, X, K7, mu, W, E)
+        if not lanes:
+            return
+    for lane in lanes:
+        lane.stats.evals += 1
+    F, finite = evaluate_stack(model, X)
+    if not finite.all():
+        for k in np.flatnonzero(~finite).tolist():
+            lanes[k].reject("nonfinite")
+        lanes, Q, X, K7, mu, W, E, F = _cut(lanes, finite, Q, X, K7, mu, W, E, F)
+        if not lanes:
+            return
+    T = [lane.step_end() for lane in lanes]
+    chords = _row_norms(X - Q).tolist()
+    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * W)).tolist()
+    dists = _row_norms(X - first.x0).tolist()
+    for k, (lane, mu_new, err_norm) in enumerate(zip(lanes, mu.tolist(), E.tolist())):
+        lane.take(X[k], K7[k], mu_new, err_norm, F[k], T[k], chords[k], drifts[k], dists[k])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
@@ -792,13 +748,13 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W.
 
     Every line lift runs here.  f(x0), J(x0) and its SVD are computed once
-    and counted in every lane.  One row runs on the scalar stage code.
-    More rows run in lockstep as one (K, n) state: each lane keeps its own
-    t, step size, step controller, recorder and status, and leaves the batch
-    when it stops; every stage takes one Jacobian stack and one SVD over
-    the live lanes, and one stacked judge takes or rejects their attempts.
-    Square and wide (m <= n) maps are both served, as by lift_line_square
-    and lift_line_horizontal.  Returns one LiftOutcome per row of W: the
+    and counted in every lane.  The rows run in lockstep as one (K, n)
+    state, one row as many: each lane keeps its own t, step size, step
+    controller, recorder and status, and leaves the batch when it stops;
+    every stage takes one Jacobian stack and one SVD over the live lanes,
+    and one stacked judge takes or rejects their attempts.  Square and wide
+    (m <= n) maps are both served, as by lift_line_square and
+    lift_line_horizontal.  Returns one LiftOutcome per row of W: the
     outcome the one-row call of that row returns.
     """
     opts = opts or LiftOptions()
@@ -817,14 +773,11 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     lanes = [_LineLift(model, x0v, f0, w, opts) for w in Wv]
     for lane in lanes:
         lane.start(U, s, Vt)
-    if len(lanes) == 1:
-        _integrate(lanes[0])
-    else:
-        while True:
-            live = [lane for lane in lanes if lane.begin_attempt()]
-            if not live:
-                break
-            _lockstep_attempt(model, live, opts.mu_floor)
+    while True:
+        live = [lane for lane in lanes if lane.begin_attempt()]
+        if not live:
+            break
+        _lockstep_attempt(model, live, opts.mu_floor)
     return [lane.outcome() for lane in lanes]
 
 

@@ -120,17 +120,30 @@ def _stack_rows(model: MapModel, rows: list, shape: tuple, what: str) -> Array:
     raise DimensionMismatch(f"{what}({model.name}): returned shape {got}, expected {shape}")
 
 
+def _rows_of(fn: Callable[[Array], Array], Xv: Array, shape: tuple) -> list:
+    """fn at every row of Xv.  Where fn raises NonFinite, the map's own
+    signal of a point it cannot evaluate, the row is NaN of the given shape."""
+    rows = []
+    for x in Xv:
+        try:
+            rows.append(fn(x))
+        except NonFinite:
+            rows.append(np.full(shape, np.nan))
+    return rows
+
+
 def evaluate_stack(model: MapModel, X) -> tuple:
     """Values of f at the K rows of X as one (K, m) stack, and a (K,) mask
     of the rows whose value is finite.
 
     Each row is computed as evaluate() computes it; the shape is checked
-    once for the whole stack.  A non-finite row is flagged in the mask
-    instead of raised, so sampling callers drop that row and go on with the
-    others; an exception raised by the map itself propagates.
+    once for the whole stack.  A non-finite row, including one where the
+    map itself raises NonFinite, is flagged in the mask instead of raised,
+    so callers drop that row and go on with the others; any other exception
+    raised by the map propagates.
     """
     Xv = _stack_points(model, X, "evaluate_stack")
-    Y = _stack_rows(model, [model.eval_fn(x) for x in Xv], (model.m,), "evaluate_stack")
+    Y = _stack_rows(model, _rows_of(model.eval_fn, Xv, (model.m,)), (model.m,), "evaluate_stack")
     return Y, np.isfinite(Y).all(axis=1)
 
 
@@ -174,15 +187,17 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     Each row is computed as jacobian() computes it, by jac_fn or by the
     same finite difference; the shape and the finiteness are checked once
     for the whole stack.  A non-finite row (including a finite difference
-    that hits a non-finite value) is flagged in the mask instead of raised,
-    so batched callers drop that row and go on with the others.
+    that hits a non-finite value, and a row where the map raises NonFinite)
+    is flagged in the mask instead of raised, so batched callers drop that
+    row and go on with the others.
     """
     Xv = _stack_points(model, X, "jacobian_stack")
+    shape = (model.m, model.n)
     if model.jac_fn is not None:
-        rows = [model.jac_fn(x) for x in Xv]
+        rows = _rows_of(model.jac_fn, Xv, shape)
     else:
         rows = [_fd_jacobian(model, x) for x in Xv]
-    J = _stack_rows(model, rows, (model.m, model.n), "jacobian_stack")
+    J = _stack_rows(model, rows, shape, "jacobian_stack")
     return J, np.isfinite(J).all(axis=(1, 2))
 
 

@@ -16,10 +16,10 @@ from globinv.certificates import (
     unit_sphere_points,
     weighted_certificate,
 )
-from globinv.errors import DimensionMismatch, EmptySublevel, OutOfRange, ZeroRadius
+from globinv.errors import DimensionMismatch, EmptySublevel, NonFinite, OutOfRange, ZeroRadius
 from globinv.indicators import MuProfile, _sobol, mu_profile, rho_of_r
 from globinv.lifting import LiftOptions
-from globinv.maps import MapModel, linear_entry, registry_entry, registry_get
+from globinv.maps import MapModel, linear_entry, linear_map, registry_entry, registry_get
 
 
 def _profile(name, x0, r, grid=512, **kw):
@@ -455,6 +455,40 @@ def test_sampled_checks_drop_failing_samples():
     level = entry.evidence["levels"][0]
     assert level["dropped"] == int(np.sum(np.linalg.norm(boxes, axis=1) > 2.0)) > 0
     assert level["hits"] > 0
+
+
+def test_sampled_checks_drop_a_sample_where_the_map_raises_non_finite():
+    """A map that raises NonFinite outside the ball of radius 2 reads as one
+    that returns NaN there: every sampled check drops the same samples."""
+    def nan_outside(x):
+        return x.copy() if np.linalg.norm(x) <= 2.0 else np.full(2, np.nan)
+
+    def raise_outside(x):
+        if np.linalg.norm(x) > 2.0:
+            raise NonFinite("outside the domain")
+        return x.copy()
+
+    nan_map = MapModel(name="ball_identity", n=2, m=2, eval_fn=nan_outside)
+    raising = MapModel(name="ball_identity", n=2, m=2, eval_fn=raise_outside)
+    prof = MuProfile([0.0, 0.0], [0.0, 27.0], [1.0, 1.0], False, "sur")
+    checks = [
+        lambda m: plastock_check(m, [0.0, 0.0], prof, seed=0),
+        lambda m: expansive_estimate(m, radii=(1.0, 4.0, 1000.0), seed=0),
+        lambda m: katriel_check(m, [0.0, 0.0], [1.0], seed=0),
+        lambda m: ps_direction_scan(m, radii=(1.0, 10.0), seed=0),
+    ]
+    for check in checks:
+        want = check(nan_map)
+        assert check(raising) == want
+        assert "dropped" in json.dumps(want.evidence)
+
+
+def test_katriel_residual_norms_do_not_overflow():
+    """Residuals up to about 4e202 sit below the level 1e250, though their
+    plain norm overflows: every sample hits, with no overflow warning."""
+    entry = katriel_check(linear_map([[1e200, 0.0], [0.0, 1e200]]), [0.0, 0.0], [1e250], seed=0)
+    (level,) = entry.evidence["levels"]
+    assert level["hits"] == 9 * 256 and level["dropped"] == 0
 
 
 def _ball_only_map(outside):

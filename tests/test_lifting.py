@@ -249,13 +249,26 @@ def _nan_beyond_one():
                     jac_fn=lambda x: np.ones((1, 1)))
 
 
-def _raises_beyond_one():
-    """The identity up to x = 1; beyond it the map itself raises NonFinite."""
+def _raises_beyond_one(jac: bool = True):
+    """The identity up to x = 1; beyond it the map itself raises NonFinite.
+    Without jac, the Jacobian is the finite difference, which meets the
+    raise in its own evaluations."""
     def f(x):
         if x[0] > 1.0:
             raise NonFinite("outside the domain")
         return x.copy()
-    return MapModel(name="raises_beyond_one", n=1, m=1, eval_fn=f, jac_fn=lambda x: np.ones((1, 1)))
+    return MapModel(name="raises_beyond_one", n=1, m=1, eval_fn=f,
+                    jac_fn=(lambda x: np.ones((1, 1))) if jac else None)
+
+
+def _jacobian_raises_beyond_one():
+    """The identity, whose Jacobian raises NonFinite beyond x = 1."""
+    def jac(x):
+        if x[0] > 1.0:
+            raise NonFinite("outside the domain")
+        return np.ones((1, 1))
+    return MapModel(name="jacobian_raises_beyond_one", n=1, m=1, eval_fn=lambda x: x.copy(),
+                    jac_fn=jac)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -265,6 +278,23 @@ def test_drift_from_the_line_ends_the_lift(entry):
     assert out.status.kind == "StepFailure"
     assert 0.25 < out.status.t < 0.5
     assert out.max_drift == pytest.approx(0.01, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", [_raises_beyond_one(jac=False), _jacobian_raises_beyond_one()],
+                         ids=["finite_difference", "jac_fn"])
+def test_map_raising_non_finite_rejects_the_step(model):
+    """A map that raises NonFinite beyond x = 1 rejects the steps past it,
+    in one-row and two-row calls alike; neither call raises."""
+    (beyond,) = lift_lines(model, [0.0], [[2.0]])
+    (inside,) = lift_lines(model, [0.0], [[0.5]])
+    assert beyond.status.kind == "StepFailure"
+    # the finite difference meets the raise a stencil step before x = 1
+    assert beyond.status.t == pytest.approx(0.5, abs=1e-5)
+    assert beyond.stats.rejected_nonfinite > 0
+    assert inside.status == LiftStatus.complete(1.0)
+    both = lift_lines(model, [0.0], [[2.0], [0.5]])
+    assert [o.status for o in both] == [beyond.status, inside.status]
+    assert [o.stats for o in both] == [beyond.stats, inside.stats]
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -324,7 +354,7 @@ def test_flow_verdict_json():
 
 
 # ---------------------------------------------------------------------------
-# lockstep lifting: every lane matches its sequential lift
+# lockstep lifting: every lane matches its one-lane call
 
 
 def _fd_complex_exp():
@@ -384,6 +414,8 @@ LOCKSTEP_CASES = [
     ("drift", _floor_step(), [0.0], [[4.0], [0.5], [-4.0]], None),
     ("nan_beyond_one", _nan_beyond_one(), [0.0], [[2.0], [0.5], [-3.0]], None),
     ("raises_beyond_one", _raises_beyond_one(), [0.0], [[2.0], [0.5], [-3.0]], None),
+    ("raises_beyond_one_fd", _raises_beyond_one(jac=False), [0.0], [[2.0], [0.5], [-3.0]], None),
+    ("jacobian_raises_beyond_one", _jacobian_raises_beyond_one(), [0.0], [[2.0], [0.5]], None),
     # every lane leaves each attempt at the same stage, with a non-finite
     # stage point (slopes near the float limit), Jacobian or velocity
     ("all_points_non_finite", _jacobian_off_x0(100.0, 1e-308), [100.0], [[1.0], [-1.0], [1.5]],
@@ -439,16 +471,17 @@ def _lanes_at(model, opts, W, Q, H, T, mu):
     return lanes
 
 
-def test_stacked_judge_matches_finish_lane_by_lane():
-    """_judge_lanes against the scalar _LineLift.finish on 4000 lanes: error
-    norms from 1e-12 to past tolerance, mu rising and falling (the mu-decay
-    guard), drifts about the cap and some lanes outside the escape ball.
+def test_stacked_judge_matches_one_lane_judges():
+    """_judge_lanes over 4000 lanes against _judge_lanes on each lane alone:
+    error norms from 1e-12 to past tolerance, mu rising and falling (the
+    mu-decay guard), drifts about the cap and some lanes outside the escape
+    ball.  No lane's verdict or step depends on the other rows.
 
     The step factor min(5, max(0.2, 0.9 e^-0.2)) stays a Python float per
     lane.  A factor vectorised as np.power(E, -0.2) (or E ** -0.2 on an
     array) rounds differently from Python's e ** -0.2 in about 5% of values
-    (numpy 2.4), so it would move the step sizes of those lanes off their
-    one-row lifts; this test fails first.
+    (numpy 2.4), so it would make a lane's step size depend on whether its
+    error norm sits in an array of one or of many; this test fails first.
     """
     model, opts, K = registry_get("identity_2"), LiftOptions(r_escape=2.0), 4000
     rng = np.random.default_rng(11)
@@ -466,17 +499,19 @@ def test_stacked_judge_matches_finish_lane_by_lane():
 
     stacked = _lanes_at(model, opts, W, Q, H, T, mu_prev)
     lifting._judge_lanes(model, stacked, Q, X, K7, mu_new, err, W)
-    scalar = _lanes_at(model, opts, W, Q, H, T, mu_prev)
-    for k, lane in enumerate(scalar):
-        lane.finish(X[k], K7[k], float(mu_new[k]), err[k])
+    alone = _lanes_at(model, opts, W, Q, H, T, mu_prev)
+    for k, lane in enumerate(alone):
+        row = slice(k, k + 1)
+        lifting._judge_lanes(model, [lane], Q[row], X[row], K7[row], mu_new[row], err[row], W[row])
 
     taken = 0
-    for a, b in zip(stacked, scalar):
+    for a, b in zip(stacked, alone):
         assert (a.t, a.h, a.length, a.max_drift, a.mu) == (b.t, b.h, b.length, b.max_drift, b.mu)
         assert a.stats == b.stats and a.status == b.status
         assert a.rec.times == b.rec.times
         taken += a.stats.accepted
     assert 0 < taken < K
+    assert sum(lane.stats.rejected_error for lane in stacked) > 5  # the NaN norms and more
     kinds = {lane.status.kind for lane in stacked if lane.status is not None}
     assert kinds == {"Escaped", "StepFailure"}  # the escape and the drift stops
 
@@ -546,6 +581,41 @@ def test_lift_lines_work_counters(monkeypatch):
     assert sum(o.stats.evals for o in batch) == len(batch) + sum(stacked_rows)
 
 
+@pytest.mark.parametrize("label, k, stats", [
+    ("graves_complex_exp", 1, LiftStats(accepted=30, evals=31, jacobians=181, svds=181,
+                                        h_min=0.005390305596036978)),
+    ("arctan1d", 0, LiftStats(accepted=459, rejected_error=5, rejected_singular=60, evals=460,
+                              jacobians=2920, svds=2920, h_min=2.2653122436668195e-14)),
+    ("exp1d", 0, LiftStats(accepted=36, rejected_error=1, rejected_nonfinite=2, evals=37,
+                           jacobians=230, svds=228, h_min=0.0014335343006706082)),
+    ("nan_beyond_one", 0, LiftStats(accepted=20, rejected_nonfinite=84, evals=105, jacobians=625,
+                                    svds=625, h_min=4.170234289360357e-14)),
+])
+def test_one_row_work_counters(monkeypatch, label, k, stats):
+    """A one-row call takes J(x0) by jacobian and f(x0) by evaluate, and
+    after x0 only stacks: one jacobian_stack per stage and one
+    evaluate_stack per attempt under tolerance.  Its LiftStats are the
+    counts the scalar stage code made for the same lift."""
+    _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == label)
+    calls = {"jacobian": 0, "jacobian_stack": 0, "evaluate": 0, "evaluate_stack": 0}
+
+    def counted(name):
+        fn = getattr(lifting, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(lifting, name, counted(name))
+    (out,) = lift_lines(model, x0, [targets[k]], opts)
+    monkeypatch.undo()
+    assert out.stats == stats
+    assert calls == {"jacobian": 1, "jacobian_stack": stats.jacobians - 1,
+                     "evaluate": 1, "evaluate_stack": stats.evals - 1}
+
+
 def test_lift_lines_argument_checks():
     m = registry_get("identity_2")
     assert lift_lines(m, [0.0, 0.0], np.zeros((0, 2))) == []
@@ -610,6 +680,36 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert float(row[0]) == 1.0
     assert float(row[1]) == pytest.approx(out.trajectory.points[-1][0])
     assert float(row[3]) == pytest.approx(out.trajectory.length, rel=1e-12)
+
+
+def _trajectory_row_writer_bytes(traj: LiftTrajectory) -> bytes:
+    """The row-at-a-time writer to_csv replaced, with its running chord sum:
+    the reference."""
+    n = traj.points.shape[1]
+    rows = [",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["mu", "cumulative_length"])]
+    cum = 0.0
+    for k in range(traj.times.size):
+        if k > 0:
+            cum += float(np.linalg.norm(traj.points[k] - traj.points[k - 1]))
+        cells = [repr(float(traj.times[k]))] + [repr(float(v)) for v in traj.points[k]]
+        rows.append(",".join(cells + [repr(float(traj.mu_values[k])), repr(cum)]))
+    return ("\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("name, x0, w", [
+    ("arctan1d", [0.0], [1.55]),  # a crawl toward the singular edge
+    ("complex_exp", [0.0, 0.0], [0.5, -0.7]),
+    ("parabola_sub", [0.0, 0.5], [1.2]),
+    ("exp1d", [0.0], [3.0]),
+])
+def test_trajectory_csv_matches_the_row_writer(tmp_path, name, x0, w):
+    (out,) = lift_lines(registry_get(name), x0, [w])
+    out.trajectory.to_csv(tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == _trajectory_row_writer_bytes(out.trajectory)
+    single = LiftTrajectory(times=np.zeros(1), points=np.ones((1, 2)), mu_values=np.ones(1),
+                            length=0.0)
+    single.to_csv(tmp_path / "one.csv")
+    assert (tmp_path / "one.csv").read_bytes() == _trajectory_row_writer_bytes(single)
 
 
 def test_gradient_flow_converges_monotone():

@@ -137,6 +137,35 @@ def test_evaluate_stack_flags_non_finite_rows():
     assert finite.tolist() == [True, False, True]
 
 
+def test_stacks_flag_rows_where_the_map_raises_non_finite():
+    """A map that raises NonFinite beyond x = 1 gives a NaN row there, in
+    evaluate_stack, in the finite-difference jacobian_stack and, for a
+    jac_fn that raises, in jacobian_stack; any other error propagates."""
+    def f(x):
+        if x[0] > 1.0:
+            raise NonFinite("outside the domain")
+        return x.copy()
+
+    def jac(x):
+        if x[0] > 1.0:
+            raise NonFinite("outside the domain")
+        return np.ones((1, 1))
+
+    X = np.array([[0.0], [2.0], [0.5]])
+    Y, finite = evaluate_stack(MapModel(name="raises", n=1, m=1, eval_fn=f), X)
+    assert finite.tolist() == [True, False, True] and np.isnan(Y[1]).all()
+    for m in (MapModel(name="raises_fd", n=1, m=1, eval_fn=f),
+              MapModel(name="raises_jac", n=1, m=1, eval_fn=lambda x: x.copy(), jac_fn=jac)):
+        J, finite = jacobian_stack(m, X)
+        assert finite.tolist() == [True, False, True] and np.isnan(J[1]).all(), m.name
+
+    def boom(x):
+        raise ValueError("not a number")
+
+    with pytest.raises(ValueError):
+        evaluate_stack(MapModel(name="boom", n=1, m=1, eval_fn=boom), X)
+
+
 def test_evaluate_stack_shape_validation():
     wide = MapModel(name="wide", n=2, m=1, eval_fn=lambda x: x.copy())
     ragged = MapModel(name="ragged", n=1, m=1, eval_fn=lambda x: x if x[0] < 1.0 else np.zeros(2))
