@@ -106,9 +106,18 @@ def _stack_points(model: MapModel, X, what: str) -> Array:
     return Xv
 
 
-def _stack_rows(model: MapModel, rows: list, shape: tuple, what: str) -> Array:
-    """The per-point results as one float array of shape (K, *shape); the
-    first result of another shape raises DimensionMismatch."""
+def _stack_rows(model: MapModel, fn: Callable[[Array], Array], Xv: Array, shape: tuple,
+                what: str) -> Array:
+    """fn at every row of Xv as one float array of shape (K, *shape); the
+    first result of another shape raises DimensionMismatch.  Where fn raises
+    NonFinite, the map's own signal of a point it cannot evaluate, the row
+    is NaN."""
+    rows = []
+    for x in Xv:
+        try:
+            rows.append(fn(x))
+        except NonFinite:
+            rows.append(np.full(shape, np.nan))
     try:
         stack = np.array(rows, dtype=float) if rows else np.empty((0, *shape))
         if stack.shape == (len(rows), *shape):
@@ -118,18 +127,6 @@ def _stack_rows(model: MapModel, rows: list, shape: tuple, what: str) -> Array:
             raise
     got = next(np.shape(r) for r in rows if np.shape(r) != shape)
     raise DimensionMismatch(f"{what}({model.name}): returned shape {got}, expected {shape}")
-
-
-def _rows_of(fn: Callable[[Array], Array], Xv: Array, shape: tuple) -> list:
-    """fn at every row of Xv.  Where fn raises NonFinite, the map's own
-    signal of a point it cannot evaluate, the row is NaN of the given shape."""
-    rows = []
-    for x in Xv:
-        try:
-            rows.append(fn(x))
-        except NonFinite:
-            rows.append(np.full(shape, np.nan))
-    return rows
 
 
 def evaluate_stack(model: MapModel, X) -> tuple:
@@ -143,7 +140,7 @@ def evaluate_stack(model: MapModel, X) -> tuple:
     raised by the map propagates.
     """
     Xv = _stack_points(model, X, "evaluate_stack")
-    Y = _stack_rows(model, _rows_of(model.eval_fn, Xv, (model.m,)), (model.m,), "evaluate_stack")
+    Y = _stack_rows(model, model.eval_fn, Xv, (model.m,), "evaluate_stack")
     return Y, np.isfinite(Y).all(axis=1)
 
 
@@ -192,12 +189,8 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     row and go on with the others.
     """
     Xv = _stack_points(model, X, "jacobian_stack")
-    shape = (model.m, model.n)
-    if model.jac_fn is not None:
-        rows = _rows_of(model.jac_fn, Xv, shape)
-    else:
-        rows = [_fd_jacobian(model, x) for x in Xv]
-    J = _stack_rows(model, rows, shape, "jacobian_stack")
+    jac = model.jac_fn or (lambda x: _fd_jacobian(model, x))
+    J = _stack_rows(model, jac, Xv, (model.m, model.n), "jacobian_stack")
     return J, np.isfinite(J).all(axis=(1, 2))
 
 
