@@ -252,15 +252,21 @@ def graves_certificate(
     )
 
 
-def _witness_points(facts: Optional[AnalyticFacts]) -> Optional[list]:
-    """Points x_k of the facts' analytic witness, along which the indicator
-    vanishes, for k = 2, 8, ..., 2^19; None when the facts supply no
-    witness or no exact indicator to evaluate along it."""
+def _witness_points(facts: Optional[AnalyticFacts]) -> Optional[tuple]:
+    """The points x_k of the facts' analytic witness, along which the
+    indicator vanishes, for k = 2, 8, ..., 2^19, and the exact indicator
+    at each; None when the facts supply no witness or no exact indicator
+    to evaluate along it."""
     if facts is None or facts.mu_exact is None or facts.mu_vanishing_witness is None:
         return None
-    return [
-        np.asarray(facts.mu_vanishing_witness(2 ** j), dtype=float) for j in range(1, 21, 2)
-    ]
+    points = [np.asarray(facts.mu_vanishing_witness(2 ** j), dtype=float) for j in range(1, 21, 2)]
+    return points, [float(facts.mu_exact(p)) for p in points]
+
+
+def _collapses(vals: list) -> bool:
+    """Whether values along a witness fall to zero: the last below a
+    thousandth of the first and below 1e-5."""
+    return vals[-1] < min(vals[0] * 1e-3, 1e-5)
 
 
 def hadamard_levy_check(
@@ -270,17 +276,12 @@ def hadamard_levy_check(
     examined ball when the profile is certified; an analytic vanishing witness
     in the facts refutes it outright; otherwise the verdict is heuristic."""
     witness = _witness_points(facts)
-    if witness is not None:
-        vals = [float(facts.mu_exact(p)) for p in witness]
-        if vals[-1] < min(vals[0] * 1e-3, 1e-5):
-            return DiagnosticsEntry(
-                "C10",
-                VERDICT_FAILS,
-                {
-                    "witness_mu_values": vals,
-                    "note": "analytic witness drives the indicator to zero",
-                },
-            )
+    if witness is not None and _collapses(witness[1]):
+        return DiagnosticsEntry(
+            "C10",
+            VERDICT_FAILS,
+            {"witness_mu_values": witness[1], "note": "analytic witness drives the indicator to zero"},
+        )
     eta0 = float(profile.eta_values[0])
     inf_eta = float(profile.eta_values[-1])
     decaying = eta0 <= 0.0 or inf_eta < _C10_DECAY_RATIO * eta0
@@ -346,11 +347,12 @@ def katriel_check(
     expanding boxes that fall inside the set.  An applicable analytic witness (a
     sequence entering the sublevel set with vanishing indicator) upgrades the
     level to a certified Fails."""
-    y0v = np.asarray(y0, dtype=float)
+    y0v = _vector(y0, model.m, "katriel_check: y0", finite=True)
     levels = [float(v) for v in varrho_levels]
     if not (all(v > 0.0 for v in levels) and all(b > a for a, b in zip(levels, levels[1:]))):
         raise OutOfRange("katriel_check: levels must be positive and increasing")
-    center = np.zeros(model.n) if box_center is None else np.asarray(box_center, dtype=float)
+    center = np.zeros(model.n) if box_center is None else box_center
+    center = _vector(center, model.n, "katriel_check: box_center", finite=True)
     witness = _witness_points(facts)
     scale = 1.0 + float(np.linalg.norm(y0v))
 
@@ -363,8 +365,8 @@ def katriel_check(
             and facts.witness_image_limit is not None
             and float(np.linalg.norm(np.asarray(facts.witness_image_limit) - y0v)) < level
         ):
-            mus = [float(facts.mu_exact(p)) for p in witness]
-            residuals = [float(np.linalg.norm(evaluate(model, p) - y0v)) for p in witness]
+            points, mus = witness
+            residuals = [float(np.linalg.norm(evaluate(model, p) - y0v)) for p in points]
             per_level.append(
                 {
                     "level": level,
@@ -498,11 +500,8 @@ def weighted_certificate(
 
     witness = _witness_points(facts)
     if witness is not None:
-        vals = [
-            float(facts.mu_exact(xk)) * float(weight(float(np.linalg.norm(xk - x0v))))
-            for xk in witness
-        ]
-        if vals[-1] < min(vals[0] * 1e-3, 1e-5):
+        vals = [mu * float(weight(float(np.linalg.norm(xk - x0v)))) for xk, mu in zip(*witness)]
+        if _collapses(vals):
             return DiagnosticsEntry(
                 "C22",
                 VERDICT_FAILS,

@@ -16,25 +16,21 @@ jumping across them.
 Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
 once per call and counted in every lane.  lift_line_square and
-lift_line_horizontal check the shape and make a one-row call.  One stage
-code and one judge serve every call, one row or many: the lanes run in
-lockstep as one (K, n) state (_lockstep_attempt), every stage builds one
-stacked Jacobian and takes one stacked SVD over the lanes still in the
-attempt, and the lanes whose stages all passed are judged together
-(_judge_lanes): one array of error norms, one evaluate_stack of f(q5) and
-one set of row norms for the step chords, the drifts and the distances from
-x0.  The per-lane bookkeeping that follows (accept, recorder, h_min, the
-drift and escape stops, step growth and the mu-decay guard) is one
-_LineLift method, take.  Each lane keeps its own t, step size, recorder and
-status, and its LiftOutcome, LiftStats included, does not depend on the
-other rows of the call.
+lift_line_horizontal check the shape and make a one-row call.
+gradient_flow integrates x' = -grad F_y as one lane.
 
-gradient_flow integrates x' = -grad F_y under the same step controller
-(_Lift: t, step size and budget, rejection and step collapse, error norm,
-recorder, counters, escape stop).  Its judge, _FlowLift, runs on the
-scalar stage code (_integrate and _dp_attempt): F must not rise, and
-time-doubling windows give the verdict.  Every LiftOutcome carries
-LiftStats, the work counters of its integration.
+One stage code and one driver (_drive) serve both ODEs.  The lanes run in
+lockstep as one (K, n) state (_lockstep_attempt) under one step controller
+(_Lift: t, step size and budget, rejection and step collapse, recorder,
+counters, escape stop), and each stage takes one stack of model calls and
+one SVD stack over the lanes still in the attempt.  Two judges supply the
+stage slopes and take or reject the finished attempts: _LineLift (J^+ w,
+the mu floor; _judge_lanes: one evaluate_stack of f(q5) and row norms for
+the chords, the drifts against the line and the distances from x0) and
+_FlowLift (-J^T r, F and |grad F|; F must not rise, and time-doubling
+windows give the verdict).  Each lane keeps its own t, step size, recorder
+and status, and its LiftOutcome, LiftStats included, does not depend on
+the other rows of the call.
 """
 
 from __future__ import annotations
@@ -225,10 +221,6 @@ def _write_csv(path, header: str, columns) -> None:
         fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
-class _StageBad(Exception):
-    pass
-
-
 def _norm(v: Array) -> float:
     """|v|.  When the plain norm of a finite v overflows, v is first divided
     by its largest |component|; every other norm is the plain one.  Callers
@@ -273,25 +265,6 @@ def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
     return np.matmul(Vt.transpose(0, 2, 1), c[:, :, None])[:, :, 0]
 
 
-def _dp_attempt(vel, q: Array, k1: Array, h: float):
-    """One Dormand-Prince attempt from q with slope k1.  Returns
-    (q5, k7, extra7, err_vec); vel(x) -> (slope, extra)."""
-    ks = [k1]
-    for i in range(1, 6):
-        qi = q + h * (np.stack(ks, axis=1) @ _DP_A[i])
-        if not np.all(np.isfinite(qi)):
-            raise _StageBad()
-        vi, _ = vel(qi)
-        ks.append(vi)
-    q5 = q + h * (np.stack(ks, axis=1) @ _DP_A[6])
-    if not np.all(np.isfinite(q5)):
-        raise _StageBad()
-    k7, extra7 = vel(q5)
-    ks.append(k7)
-    err = h * (np.stack(ks, axis=1) @ _DP_ERR)
-    return q5, k7, extra7, err
-
-
 class _Recorder:
     def __init__(self, stride: int):
         self.stride = stride
@@ -326,13 +299,15 @@ class _Recorder:
 
 class _Lift:
     """The step controller shared by every integration, t from 0 to t_end.
-    A judge subclass takes or rejects the attempts whose stages all
-    succeeded: _LineLift through take, _FlowLift through finish."""
+    Its attempts are made by _lockstep_attempt; a judge subclass supplies
+    the stage slopes (slopes) and takes or rejects the attempts whose
+    stages all passed (judge)."""
 
     t_end = 1.0
 
-    def __init__(self, model: MapModel, x0v: Array, opts: LiftOptions):
+    def __init__(self, model: MapModel, x0v: Array, wv: Array, opts: LiftOptions):
         self.model, self.x0, self.opts = model, x0v, opts
+        self.w = wv  # the codomain vector of the ODE: the line's w, the flow's y
         self.stats = LiftStats()
         self.rtol = opts.rel_tol / _SAFETY_DIV
         self.atol = opts.abs_tol / _SAFETY_DIV
@@ -356,6 +331,11 @@ class _Lift:
         self.h = min(self.h, self.t_end - self.t)
         return True
 
+    def add_work(self, evals: int, jacobians: int, svds: int) -> None:
+        self.stats.evals += evals
+        self.stats.jacobians += jacobians
+        self.stats.svds += svds
+
     def reject(self, cause: str, mu: Optional[float] = None, err_norm: float = np.inf) -> None:
         """Reject the attempt (cause "error", "singular" or "nonfinite") and
         shrink the step; a step that collapses ends the integration."""
@@ -373,9 +353,6 @@ class _Lift:
                 self.status = LiftStatus.singular(self.t, self.last_singular_mu)
             else:
                 self.status = LiftStatus.step_failure(self.t)
-
-    def error_norm(self, q5: Array, err: Array) -> float:
-        return float(_error_norms(self.atol, self.rtol, self.q, q5, err))
 
     def grown(self, err_norm: float) -> float:
         """The next step size after taking a step of this error norm, uncapped."""
@@ -413,26 +390,116 @@ class _Lift:
         return self.rec.build(self.length)
 
 
-def _integrate(lift: _Lift) -> None:
-    """Run one integration (the gradient flow) on the scalar stage code
-    until it stops."""
-    while lift.begin_attempt():
-        try:
-            q5, k7, extra7, err = _dp_attempt(lift.vel, lift.q, lift.k1, lift.h)
-        except (_StageBad, NonFinite):
-            lift.reject("nonfinite")
-        else:
-            lift.finish(q5, k7, extra7, err)
+def _cut(lanes: list, good: Array, *arrays) -> tuple:
+    """The lanes where good holds, and the arrays cut to their rows."""
+    return ([lane for lane, g in zip(lanes, good.tolist()) if g], *(a[good] for a in arrays))
+
+
+def _surely_finite(A: Array) -> bool:
+    """True when A has no non-finite entry, by one sum.  A finite A whose
+    sum overflows reads False too, so False calls for the per-row test."""
+    return math.isfinite(np.add.reduce(A, axis=None))
+
+
+class _Attempt:
+    """The live lanes of one lockstep attempt and their rows, kept aligned
+    with the list of lanes: Q the points the step starts from, H the step
+    sizes, W the codomain vectors, KS the seven stage slopes and X the
+    current stage point."""
+
+    def __init__(self, model: MapModel, lanes: list):
+        self.lanes = lanes
+        self.Q = self.X = np.array([lane.q for lane in lanes])
+        self.H = np.array([[lane.h] for lane in lanes])
+        self.W = np.array([lane.w for lane in lanes])
+        self.KS = np.empty((len(lanes), model.n, 7))
+        self.KS[:, :, 0] = [lane.k1 for lane in lanes]
+
+    def leave(self, good: Array, cause: str, work: tuple, *arrays, mus=None) -> list:
+        """Reject the lanes that are not good with cause, and with mus[k] as
+        the indicator of a singular one, adding the work (evals, Jacobians,
+        SVDs) each did in this attempt.  Cuts the lanes and their rows to
+        the good ones and returns the arrays cut as well."""
+        for k in np.flatnonzero(~good).tolist():
+            lane = self.lanes[k]
+            lane.add_work(*work)
+            lane.reject(cause, None if mus is None else float(mus[k]))
+        self.lanes, self.Q, self.H, self.W, self.KS, self.X, *arrays = _cut(
+            self.lanes, good, self.Q, self.H, self.W, self.KS, self.X, *arrays
+        )
+        return arrays
+
+
+def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
+    """One Dormand-Prince attempt for every lane (all of one judge class),
+    in lockstep.  Each stage point is one (K, n) array, and the judge's
+    slopes take one stack of model calls and one SVD stack over the lanes
+    still in the attempt.  A lane whose stage fails leaves the attempt
+    (_Attempt.leave).  Each check is one reduce over the whole stack; the
+    per-row mask is built only when it does not pass.  The lanes whose
+    stages all passed did six stages of work and are judged together."""
+    judge = type(lanes[0])
+    a = _Attempt(model, lanes)
+    for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
+        a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
+        if not _surely_finite(a.X):  # a lane leaves with the work of the stages before
+            a.leave(np.isfinite(a.X).all(axis=1), "nonfinite", (judge.stage_evals * (i - 1), i - 1, i - 1))
+        at = judge.slopes(model, a, i, mu_floor)
+        if not a.lanes:
+            return
+    for lane in a.lanes:
+        lane.add_work(6 * judge.stage_evals, 6, 6)
+    judge.judge(model, a.lanes, a.Q, a.X, a.KS[:, :, 6], at, a.H * (a.KS @ _DP_ERR), a.W)
+
+
+def _judge_lanes(
+    model: MapModel, lanes: list, Q: Array, X: Array, K7: Array, mu: Array, err: Array, W: Array
+) -> None:
+    """Take or reject the attempts of the line lanes of a lockstep attempt
+    whose stages all passed (row k: q, q5, k7, mu7, the error vector and w
+    of lanes[k]).
+
+    The arithmetic is stacked: the error norms at once, f(q5) for the lanes
+    under tolerance by one evaluate_stack (a non-finite row is rejected as
+    nonfinite; evals still counts one per lane), and the step chords, the
+    drifts against the line and the distances from x0 as row norms.  Each
+    lane then takes its step through _LineLift.take.
+    """
+    first = lanes[0]  # tolerances, x0, f0: shared by the lanes of one call
+    E = _error_norms(first.atol, first.rtol, Q, X, err)
+    under = E <= 1.0  # a NaN norm is rejected
+    if not under.all():
+        for k in np.flatnonzero(~under).tolist():  # the step factor stays a Python float
+            lanes[k].reject("error", err_norm=float(E[k]))
+        lanes, Q, X, K7, mu, W, E = _cut(lanes, under, Q, X, K7, mu, W, E)
+        if not lanes:
+            return
+    for lane in lanes:
+        lane.stats.evals += 1
+    F, finite = evaluate_stack(model, X)
+    if not finite.all():
+        for k in np.flatnonzero(~finite).tolist():
+            lanes[k].reject("nonfinite")
+        lanes, Q, X, K7, mu, W, E, F = _cut(lanes, finite, Q, X, K7, mu, W, E, F)
+    T = [lane.step_end() for lane in lanes]
+    chords = _row_norms(X - Q).tolist()
+    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * W)).tolist()
+    dists = _row_norms(X - first.x0).tolist()
+    for k, (lane, mu_new, err_norm) in enumerate(zip(lanes, mu.tolist(), E.tolist())):
+        lane.take(X[k], K7[k], mu_new, err_norm, F[k], T[k], chords[k], drifts[k], dists[k])
 
 
 class _LineLift(_Lift):
-    """One lane of a lift_lines call: the residual and drift of f(q)
-    against the line, the mu-decay step guard, and the stops at x0.  Its
-    attempts are made by _lockstep_attempt and judged by _judge_lanes."""
+    """One lane of a lift_lines call, on q' = J(q)^+ w: the residual and
+    drift of f(q) against the line, the mu-decay step guard, and the stops
+    at x0.  Its stage slopes come from a Jacobian stack and its SVD
+    (slopes); its finished attempts are judged by _judge_lanes."""
+
+    stage_evals = 0  # f is evaluated only at q5, by the judge
+    judge = staticmethod(_judge_lanes)
 
     def __init__(self, model: MapModel, x0v: Array, f0: Array, wv: Array, opts: LiftOptions):
-        super().__init__(model, x0v, opts)
-        self.w = wv
+        super().__init__(model, x0v, wv, opts)
         self.f0 = f0
         self.f = f0  # f(q), known from the step that accepted q
         self.norm_w = _norm(wv)
@@ -440,12 +507,31 @@ class _LineLift(_Lift):
         self.drift_cap = max(1e3 * self.complete_tol, 1e-6 * max(self.norm_w, 1.0))
         self.max_drift = 0.0
 
+    @staticmethod
+    def slopes(model: MapModel, a: _Attempt, i: int, mu_floor: float):
+        """Stage i of the line lanes of a: one Jacobian stack and its SVD.
+        A lane leaves on a non-finite Jacobian, on mu below mu_floor (or not
+        positive and finite) and on a non-finite velocity.  Sets the slopes
+        KS[:, :, i] and returns mu."""
+        J, good = jacobian_stack(model, a.X)
+        if not good.all():
+            (J,) = a.leave(good, "nonfinite", (0, i, i - 1), J)
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        mu = s[:, -1]
+        low, high = np.minimum.reduce(mu, initial=math.inf), np.maximum.reduce(mu, initial=0.0)
+        if not (low >= mu_floor and low > 0.0 and high < math.inf):
+            good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
+            U, s, Vt, mu = a.leave(good, "singular", (0, i, i), U, s, Vt, mu, mus=mu)
+        V = _velocities(U, s, Vt, a.W)
+        if not _surely_finite(V):
+            mu, V = a.leave(np.isfinite(V).all(axis=1), "nonfinite", (0, i, i), mu, V)
+        a.KS[:, :, i] = V
+        return mu
+
     def start(self, U: Array, s: Array, Vt: Array) -> None:
         """Set up from the SVD of J(x0): record the base point, stop at once
         when it is singular or w = 0, else take the first slope and step."""
-        self.stats.evals += 1  # f(x0), J(x0) and its SVD, shared by the lanes
-        self.stats.jacobians += 1
-        self.stats.svds += 1
+        self.add_work(1, 1, 1)  # f(x0), J(x0) and its SVD, shared by the lanes
         self.mu = float(s[-1])
         self.rec.record(0.0, self.x0, self.mu)
         if self.mu < self.opts.mu_floor:
@@ -502,16 +588,26 @@ class _LineLift(_Lift):
         return LiftOutcome(trajectory, status, float(residual), float(self.max_drift), self.stats)
 
 
+def _descent(J: Array, R: Array) -> tuple:
+    """For a stack of Jacobians J and residuals r = f - y: grad F = J^T r,
+    mu (from the singular values alone) and F = |r|^2 / 2, each row the
+    one-row value."""
+    G = np.matmul(J.transpose(0, 2, 1), R[:, :, None])[:, :, 0]
+    mu = np.linalg.svd(J, compute_uv=False)[:, -1]
+    F = 0.5 * np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+    return G, mu, F
+
+
 class _FlowLift(_Lift):
     """The judge of the residual gradient flow x' = -grad F_y: a step must
     not raise F, and every time-doubling window ends in a verdict or goes
     on.  The flow runs until a verdict, the escape stop or the step budget."""
 
     t_end = math.inf
+    stage_evals = 1  # every stage evaluates f, J and one SVD
 
     def __init__(self, model: MapModel, x0v: Array, yv: Array, opts: LiftOptions):
-        super().__init__(model, x0v, opts)
-        self.y = yv
+        super().__init__(model, x0v, yv, opts)
         self.grad_tol = opts.abs_tol
         # residual scale below which a plateau is a root, not a PS level
         self.res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
@@ -521,40 +617,54 @@ class _FlowLift(_Lift):
         self.window = None  # (t, q, F) where the current window began
         self.window_dx = None  # how far q moved over the last window
 
-    def vel(self, x: Array):
-        """The slope -grad F at x, with (mu, F, |grad F|) as the extra; a
-        non-finite gradient or energy F makes a bad stage."""
-        self.stats.evals += 1
-        r = evaluate(self.model, x) - self.y
-        self.stats.jacobians += 1
-        J = jacobian(self.model, x)
-        g = J.T @ r
-        self.stats.svds += 1
-        mu = float(np.linalg.svd(J, compute_uv=False)[-1])
-        F = 0.5 * float(r @ r)
-        if not (np.all(np.isfinite(g)) and F < math.inf):
-            raise _StageBad()
-        return -g, (mu, F, _norm(g))
+    @staticmethod
+    def slopes(model: MapModel, a: _Attempt, i: int, mu_floor: float):
+        """Stage i of the flow lanes of a: -grad F from one evaluate_stack and
+        one Jacobian stack, with mu from its singular values.  A lane leaves
+        on a non-finite value, Jacobian, gradient or energy F.  Sets the
+        slopes KS[:, :, i] and returns (mu, F, grad F)."""
+        Y, good = evaluate_stack(model, a.X)
+        if not good.all():
+            (Y,) = a.leave(good, "nonfinite", (i, i - 1, i - 1), Y)
+        J, good = jacobian_stack(model, a.X)
+        if not good.all():
+            Y, J = a.leave(good, "nonfinite", (i, i, i - 1), Y, J)
+        G, mu, F = _descent(J, Y - a.W)
+        if not (_surely_finite(G) and _surely_finite(F)):
+            good = np.isfinite(G).all(axis=1) & (F < math.inf)
+            G, mu, F = a.leave(good, "nonfinite", (i, i, i), G, mu, F)
+        a.KS[:, :, i] = -G
+        return mu, F, G
+
+    @staticmethod
+    def judge(model: MapModel, lanes: list, Q: Array, X: Array, K7: Array, at: tuple, err: Array,
+              W: Array) -> None:
+        """Judge the flow lanes whose stages all passed through finish; at
+        holds mu, F and grad F at q5."""
+        mu, F, G = at
+        E = _error_norms(lanes[0].atol, lanes[0].rtol, Q, X, err)
+        for lane, *row in zip(lanes, X, K7, E.tolist(), mu.tolist(), F.tolist(), _row_norms(G).tolist()):
+            lane.finish(*row)
 
     def start(self) -> None:
-        try:
-            self.k1, (self.mu, self.F, self.gn) = self.vel(self.x0)
-        except _StageBad:
-            raise NonFinite(
-                f"gradient_flow({self.model.name}): non-finite gradient or energy at x0"
-            ) from None
+        """f(x0), J(x0) and the slope there; a non-finite gradient or energy
+        F at x0 raises NonFinite."""
+        self.add_work(1, 1, 1)
+        R = (evaluate(self.model, self.x0) - self.w)[None]
+        G, mu, F = _descent(np.array([jacobian(self.model, self.x0)]), R)  # C order, as in a stack
+        if not (np.isfinite(G).all() and F[0] < math.inf):
+            raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient or energy at x0")
+        self.k1, self.mu, self.F, self.gn = -G[0], float(mu[0]), float(F[0]), _norm(G[0])
         self.rec.record(0.0, self.x0, self.mu)
         self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
             self.conclude("converged", LiftStatus.complete(0.0))
         self.h0 = self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
 
-    def finish(self, q5: Array, k7: Array, extra7: tuple, err: Array) -> None:
+    def finish(self, q5: Array, k7: Array, err_norm: float, mu7: float, F7: float, gn7: float) -> None:
         """Judge an attempt whose stages all succeeded: reject it on the
         error estimate or when it raises F, else take the step and judge the
         window it may close."""
-        mu7, F7, gn7 = extra7
-        err_norm = self.error_norm(q5, err)
         if not err_norm <= 1.0:
             self.reject("error", err_norm=err_norm)
             return
@@ -608,12 +718,16 @@ class _FlowLift(_Lift):
         return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
 
 
+def _drive(model: MapModel, lanes: list, mu_floor: float) -> None:
+    """Make lockstep attempts for the lanes until every one has stopped."""
+    while live := [lane for lane in lanes if lane.begin_attempt()]:
+        _lockstep_attempt(model, live, mu_floor)
+
+
 def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
     """Lift the line f(x0) + t w, t in [0, 1], through a square Jacobian."""
     if model.n != model.m:
-        raise DimensionMismatch(
-            f"lift_line_square: map {model.name!r} is {model.m}x{model.n}, need square"
-        )
+        raise DimensionMismatch(f"lift_line_square: map {model.name!r} is {model.m}x{model.n}, need square")
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
@@ -621,126 +735,8 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     """Lift the line f(x0) + t w through the minimum-norm right inverse of a
     wide (m <= n) Jacobian; the velocity stays orthogonal to the kernel."""
     if model.m > model.n:
-        raise DimensionMismatch(
-            f"lift_line_horizontal: map {model.name!r} is {model.m}x{model.n}, need m <= n"
-        )
+        raise DimensionMismatch(f"lift_line_horizontal: map {model.name!r} is {model.m}x{model.n}, need m <= n")
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
-
-
-def _leave(lanes: list, good: Array, cause: str, jacs: int, svds: int, *arrays, mus=None) -> tuple:
-    """Reject the lanes that are not good with cause, and with mus[k] as
-    the indicator of a singular one, counting the jacs Jacobians and svds
-    SVDs each took in this attempt.  Returns the good lanes and the arrays
-    cut to their rows."""
-    for k in np.flatnonzero(~good).tolist():
-        lane = lanes[k]
-        lane.stats.jacobians += jacs
-        lane.stats.svds += svds
-        lane.reject(cause, None if mus is None else float(mus[k]))
-    return _cut(lanes, good, *arrays)
-
-
-def _cut(lanes: list, good: Array, *arrays) -> tuple:
-    """The lanes where good holds, and the arrays cut to their rows (left
-    uncut when no lane is left)."""
-    kept = [lane for lane, g in zip(lanes, good.tolist()) if g]
-    return (kept, *(a[good] for a in arrays)) if kept else (kept, *arrays)
-
-
-def _surely_finite(A: Array) -> bool:
-    """True when A has no non-finite entry, by one sum.  A finite A whose
-    sum overflows reads False too, so False calls for the per-row test."""
-    return math.isfinite(np.add.reduce(A, axis=None))
-
-
-def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
-    """One Dormand-Prince attempt for every lane, in lockstep.
-
-    Each stage builds the Jacobians of the lanes still in the attempt as one
-    stack and takes one SVD of it.  The lane arrays stay aligned with the
-    list of lanes; a lane whose stage fails leaves the attempt, rejected with
-    that cause (_leave).  Each check is one reduce over the whole stack, and
-    the per-row mask is built only when it does not pass.  The lanes whose
-    stages all passed took six Jacobians and six SVDs and are judged
-    together by _judge_lanes.
-    """
-    Q = np.array([lane.q for lane in lanes])
-    H = np.array([[lane.h] for lane in lanes])
-    W = np.array([lane.w for lane in lanes])
-    KS = np.empty((len(lanes), model.n, 7))  # the seven stage slopes of every lane
-    KS[:, :, 0] = [lane.k1 for lane in lanes]
-    for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
-        X = Q + H * (KS[:, :, :i] @ _DP_A[i])
-        if not _surely_finite(X):
-            good = np.isfinite(X).all(axis=1)
-            lanes, Q, H, W, KS, X = _leave(lanes, good, "nonfinite", i - 1, i - 1, Q, H, W, KS, X)
-            if not lanes:
-                return
-        J, good = jacobian_stack(model, X)
-        if not good.all():
-            lanes, Q, H, W, KS, X, J = _leave(lanes, good, "nonfinite", i, i - 1, Q, H, W, KS, X, J)
-            if not lanes:
-                return
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
-        mu = s[:, -1]
-        low, high = mu.min(), mu.max()
-        if not (low >= mu_floor and low > 0.0 and high < math.inf):
-            good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
-            lanes, Q, H, W, KS, X, U, s, Vt, mu = _leave(
-                lanes, good, "singular", i, i, Q, H, W, KS, X, U, s, Vt, mu, mus=mu
-            )
-            if not lanes:
-                return
-        V = _velocities(U, s, Vt, W)
-        if not _surely_finite(V):
-            good = np.isfinite(V).all(axis=1)
-            lanes, Q, H, W, KS, X, mu, V = _leave(lanes, good, "nonfinite", i, i, Q, H, W, KS, X, mu, V)
-            if not lanes:
-                return
-        KS[:, :, i] = V
-    for lane in lanes:
-        lane.stats.jacobians += 6
-        lane.stats.svds += 6
-    _judge_lanes(model, lanes, Q, X, KS[:, :, 6], mu, H * (KS @ _DP_ERR), W)
-
-
-def _judge_lanes(
-    model: MapModel, lanes: list, Q: Array, X: Array, K7: Array, mu: Array, err: Array, W: Array
-) -> None:
-    """Take or reject the attempts of the lanes of a lockstep attempt whose
-    stages all passed (row k: q, q5, k7, mu7, the error vector and w of
-    lanes[k]).
-
-    The arithmetic is stacked: the error norms at once, f(q5) for the lanes
-    under tolerance by one evaluate_stack (a non-finite row is rejected as
-    nonfinite; evals still counts one per lane), and the step chords, the
-    drifts against the line and the distances from x0 as row norms.  Each
-    lane then takes its step through _LineLift.take.
-    """
-    first = lanes[0]  # tolerances, x0, f0: shared by the lanes of one call
-    E = _error_norms(first.atol, first.rtol, Q, X, err)
-    under = E <= 1.0  # a NaN norm is rejected
-    if not under.all():
-        for k in np.flatnonzero(~under).tolist():  # the step factor stays a Python float
-            lanes[k].reject("error", err_norm=float(E[k]))
-        lanes, Q, X, K7, mu, W, E = _cut(lanes, under, Q, X, K7, mu, W, E)
-        if not lanes:
-            return
-    for lane in lanes:
-        lane.stats.evals += 1
-    F, finite = evaluate_stack(model, X)
-    if not finite.all():
-        for k in np.flatnonzero(~finite).tolist():
-            lanes[k].reject("nonfinite")
-        lanes, Q, X, K7, mu, W, E, F = _cut(lanes, finite, Q, X, K7, mu, W, E, F)
-        if not lanes:
-            return
-    T = [lane.step_end() for lane in lanes]
-    chords = _row_norms(X - Q).tolist()
-    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * W)).tolist()
-    dists = _row_norms(X - first.x0).tolist()
-    for k, (lane, mu_new, err_norm) in enumerate(zip(lanes, mu.tolist(), E.tolist())):
-        lane.take(X[k], K7[k], mu_new, err_norm, F[k], T[k], chords[k], drifts[k], dists[k])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
@@ -749,10 +745,11 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
 
     Every line lift runs here.  f(x0), J(x0) and its SVD are computed once
     and counted in every lane.  The rows run in lockstep as one (K, n)
-    state, one row as many: each lane keeps its own t, step size, step
-    controller, recorder and status, and leaves the batch when it stops;
-    every stage takes one Jacobian stack and one SVD over the live lanes,
-    and one stacked judge takes or rejects their attempts.  Square and wide
+    state, one row as many, on the stage code and driver gradient_flow
+    runs on too: each lane keeps its own t, step size, recorder and status
+    and leaves the batch when it stops; every stage takes one Jacobian
+    stack and one SVD over the live lanes, and _judge_lanes takes or
+    rejects their attempts at once.  Square and wide
     (m <= n) maps are both served, as by lift_line_square and
     lift_line_horizontal.  Returns one LiftOutcome per row of W: the
     outcome the one-row call of that row returns.
@@ -773,11 +770,7 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     lanes = [_LineLift(model, x0v, f0, w, opts) for w in Wv]
     for lane in lanes:
         lane.start(U, s, Vt)
-    while True:
-        live = [lane for lane in lanes if lane.begin_attempt()]
-        if not live:
-            break
-        _lockstep_attempt(model, live, opts.mu_floor)
+    _drive(model, lanes, opts.mu_floor)
     return [lane.outcome() for lane in lanes]
 
 
@@ -797,7 +790,7 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     x0v = _vector(x0, model.n, "gradient_flow: x0")
     flow = _FlowLift(model, x0v, _vector(y, model.m, "gradient_flow: y"), opts)
     flow.start()
-    _integrate(flow)
+    _drive(model, [flow], opts.mu_floor)
     return flow.outcome()
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, UnknownMap
+from .errors import DimensionMismatch, NonFinite, OutOfRange, UnknownMap
 
 Array = np.ndarray
 
@@ -77,10 +77,13 @@ def default_point(model: MapModel) -> Array:
     return np.array(model.base_point, dtype=float)
 
 
-def _vector(x, n: int, what: str) -> Array:
+def _vector(x, n: int, what: str, finite: bool = False) -> Array:
+    """x as a float (n,) array, else DimensionMismatch; finite: OutOfRange on a non-finite entry."""
     arr = np.asarray(x, dtype=float)
     if arr.shape != (n,):
         raise DimensionMismatch(f"{what}: expected shape ({n},), got {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise OutOfRange(f"{what}: entries must be finite, got {arr!r}")
     return arr
 
 

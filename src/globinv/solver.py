@@ -309,7 +309,7 @@ def fibre_enumerate(
     point records a monodromy shift and continues from there, until a
     traversal closes onto a known point or max_points is reached.
     """
-    yv = np.asarray(y, dtype=float)
+    yv = _vector(y, model.m, "fibre_enumerate: y", finite=True)
     if (seeds is None) == (loop is None):
         raise OutOfRange("fibre_enumerate: supply exactly one of seeds or loop")
     lift_opts = opts or LiftOptions()
@@ -331,7 +331,7 @@ def fibre_enumerate(
 
     if model.n != model.m:
         raise StrategyMismatch("loop lifting needs a square map")
-    vertices = [np.asarray(v, dtype=float) for v in loop]
+    vertices = [_vector(v, model.m, f"fibre_enumerate: loop[{i}]", finite=True) for i, v in enumerate(loop)]
     if not vertices:
         raise OutOfRange("fibre_enumerate: empty loop")
     if float(np.linalg.norm(vertices[0] - yv)) > 1e-12:

@@ -231,6 +231,18 @@ def test_katriel_rejects_a_nan_level(levels):
         katriel_check(registry_get("identity_1"), [0.0], levels)
 
 
+@pytest.mark.parametrize("name, y0, box_center, error", [
+    ("identity_2", [0.0, 0.0, 0.0], None, DimensionMismatch),  # was numpy's broadcast ValueError
+    ("identity_2", [0.0, 0.0], [5.0], DimensionMismatch),  # was broadcast to (5, 5) silently
+    ("identity_1", [np.nan], None, OutOfRange),  # read EmptySublevel
+    ("identity_1", [np.inf], None, OutOfRange),
+    ("identity_2", [0.0, 0.0], [np.nan, 0.0], OutOfRange),
+])
+def test_katriel_checks_its_points(name, y0, box_center, error):
+    with pytest.raises(error, match="katriel_check"):
+        katriel_check(registry_get(name), y0, [0.5], box_center=box_center)
+
+
 def test_unit_sphere_points_needs_a_count():
     with pytest.raises(OutOfRange):
         unit_sphere_points(2, 0, seed=0)

@@ -346,6 +346,84 @@ def test_gradient_flow_rejects_a_step_that_raises_F():
     assert np.all(F[1:] <= F[:-1] + 1e-12 * (1.0 + F[:-1]))
 
 
+def _half_line(beyond: str):
+    """x -> (x, 2x) up to x = 1; beyond it the first value is NaN ("nan"),
+    the map raises NonFinite ("raises"), the Jacobian is NaN ("jac") or
+    the values are 1e200 times larger, so F overflows ("huge")."""
+    def f(x):
+        if x[0] < 1.0 or beyond == "jac":
+            return np.array([x[0], 2.0 * x[0]])
+        if beyond == "raises":
+            raise NonFinite("outside the domain")
+        return np.array([np.nan, 2.0 * x[0]]) if beyond == "nan" else np.array([x[0], 2.0 * x[0]]) * 1e200
+
+    def jac(x):
+        return np.array([[1.0 if x[0] < 1.0 or beyond != "jac" else np.nan], [2.0]])
+    return MapModel(name=f"half_line_{beyond}", n=1, m=2, eval_fn=f, jac_fn=jac)
+
+
+_HALF_LINE_STOP = (LiftStatus.step_failure(0.08109302162183195),
+                   FlowVerdict("diverged", 10.000000000000254, 10.000000000000126), [0.9999999999999748])
+
+
+@pytest.mark.parametrize("label, model, x0, y, opts, stats, status, verdict, x_end", [
+    ("monotone1d", registry_get("monotone1d"), [2.0], [0.0], None,
+     LiftStats(362, 5, 0, 0, 2203, 2203, 2203, 0.010190558120949616), LiftStatus.complete(18.254103966891027),
+     FlowVerdict("converged", 8.959873827205678e-30, 6.349758438116016e-15), [2.822114861384896e-15]),
+    ("arctan1d", registry_get("arctan1d"), [0.0], [2.0], None,
+     LiftStats(423, 1, 0, 0, 2545, 2545, 2545, 0.0033333333333333335),
+     LiftStatus.escaped(232329224020344.72, 66881.15118113135),
+     FlowVerdict("ps_candidate", 0.09211431406673233, 9.595576662559932e-11), [66881.15118113135]),
+    ("exp1d", registry_get("exp1d"), [0.0], [-1.0], None,
+     LiftStats(259, 0, 0, 0, 1555, 1555, 1555, 0.0033333333333333335),
+     LiftStatus.escaped(211731.31460008674, 12.263132731487348),
+     FlowVerdict("ps_candidate", 0.500004722697723, 4.722708874932624e-06), [-12.263132731487348]),
+    ("complex_exp", registry_get("complex_exp"), [0.0, 0.0], [3.0, 4.0], None,
+     LiftStats(172, 1, 0, 0, 1039, 1039, 1039, 0.001827439976315568), LiftStatus.complete(1.7059022317760744),
+     FlowVerdict("converged", 1.190277775114723e-20, 7.714524531824526e-10), [1.60943791240374, 0.9272952179960924]),
+    ("parabola_sub", registry_get("parabola_sub"), [0.0, 0.5], [1.2], None,
+     LiftStats(198, 0, 0, 0, 1189, 1189, 1189, 0.0049170499162604735), LiftStatus.complete(27.35512440457149),
+     FlowVerdict("converged", 1.9365765689362797e-23, 6.2488151487881865e-12),
+     [1.2020407105837325, 0.04517422484067768]),
+    ("linear_loose", linear_map([[1.0], [2.0]]), [5.0], [1.0, -1.0], LiftOptions(rel_tol=0.01, abs_tol=0.01),
+     LiftStats(29, 33, 0, 0, 373, 373, 373, 0.0022222222222222222), LiftStatus.complete(12.508838641236515),
+     FlowVerdict("converged", 0.9000000000000036, 1.8615659636012083e-07), [-0.1999999627686807]),
+    # a rejected stage counts the work done before it: evals, Jacobians, SVDs
+    ("nan_value", _half_line("nan"), [0.0], [3.0, 6.0], None,
+     LiftStats(33, 0, 0, 73, 331, 258, 258, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+    ("raises", _half_line("raises"), [0.0], [3.0, 6.0], None,
+     LiftStats(33, 0, 0, 73, 331, 258, 258, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+    ("nan_jacobian", _half_line("jac"), [0.0], [3.0, 6.0], None,
+     LiftStats(33, 0, 0, 73, 331, 331, 258, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+    ("energy_overflow", _half_line("huge"), [0.0], [3.0, 6.0], None,
+     LiftStats(33, 0, 0, 73, 331, 331, 331, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+])
+def test_gradient_flow_pinned(label, model, x0, y, opts, stats, status, verdict, x_end):
+    """Exact LiftStats, status, verdict and end point of flows, rejected
+    non-finite stages included."""
+    out, got = gradient_flow(model, x0, y, opts)
+    assert out.stats == stats
+    assert out.status == status
+    assert got == verdict
+    assert out.trajectory.points[-1].tolist() == x_end
+
+
+def test_gradient_flow_does_not_depend_on_the_jacobian_layout():
+    """grad F = J^T r is one stacked product whatever the memory order of
+    the Jacobian a map returns; a Fortran-ordered J (as the finite
+    difference builds it) once took another BLAS path and other bits."""
+    A = np.random.default_rng(3).normal(size=(3, 3))
+
+    def model(order):
+        return MapModel(name=f"cubic_{order}", n=3, m=3, eval_fn=lambda x: A @ x + 0.1 * (A @ x) ** 3,
+                        jac_fn=lambda x: np.asarray((1.0 + 0.3 * (A @ x) ** 2)[:, None] * A, order=order))
+    y = [1.0, -2.0, 0.5]
+    c_out, c_verdict = gradient_flow(model("C"), [0.0, 0.0, 0.0], y, LiftOptions(max_steps=300))
+    f_out, f_verdict = gradient_flow(model("F"), [0.0, 0.0, 0.0], y, LiftOptions(max_steps=300))
+    assert c_out.stats == f_out.stats and c_out.status == f_out.status and c_verdict == f_verdict
+    assert np.array_equal(c_out.trajectory.points, f_out.trajectory.points)
+
+
 def test_flow_verdict_json():
     assert FlowVerdict("converged", level=0.0, grad_norm=1e-13).to_json_dict() == {
         "kind": "converged", "level": 0.0, "grad_norm": 1e-13,

@@ -392,6 +392,19 @@ def test_fibre_argument_validation():
         fibre_enumerate(registry_get("projection2to1"), [0.0], loop=[[1.0], [2.0]])
 
 
+@pytest.mark.parametrize("y, loop, error", [
+    # a 1-vector y was broadcast against the 2-D loop: 8 "fibre points" over (1, 1)
+    ([1.0], [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], DimensionMismatch),
+    ([1.0, 0.0], [[0.0, 1.0], [-1.0], [0.0, -1.0]], DimensionMismatch),
+    ([1.0, 0.0], [[0.0, 1.0], [-1.0, 0.0, 2.0], [0.0, -1.0]], DimensionMismatch),
+    ([np.nan, 0.0], [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], OutOfRange),
+    ([1.0, 0.0], [[0.0, 1.0], [-1.0, np.inf], [0.0, -1.0]], OutOfRange),
+])
+def test_fibre_loop_checks_its_points(y, loop, error):
+    with pytest.raises(error, match="fibre_enumerate"):
+        fibre_enumerate(registry_get("complex_exp"), y, loop=loop, x_seed=[0.3, 0.7])
+
+
 def test_fibre_empty_loop_is_rejected():
     with pytest.raises(OutOfRange, match="empty loop"):
         fibre_enumerate(registry_get("identity_1"), [0.0], loop=[])

@@ -1,0 +1,171 @@
+"""Interleaved A/B timing of two globinv source trees in one process.
+
+    python tools/ab_time.py BASE_SRC CHANGE_SRC [--rounds N]
+
+Each SRC is a directory that holds a globinv package, such as the src/ of
+a checkout.  Both packages are loaded side by side under distinct names,
+so one interpreter times both on the same heap and the same CPU.  Every
+round runs three workloads on each side, in alternating order (the base
+first in even rounds, the change first in odd rounds):
+
+  lines  16 one-row line lifts on registry maps;
+  sweep  one 64-lane lift_lines call on complex_exp;
+  flows  7 gradient flows, rejected non-finite stages included.
+
+For each workload it prints the median of the per-round time ratios
+change / base, their quartiles, and whether both sides gave the same
+outcomes bit for bit (status, LiftStats, end point and flow verdict).
+Wall time on a shared machine is noisy: compare medians over many rounds.
+Needs only the standard library and numpy (plus what globinv imports).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+
+def load(src: str, name: str):
+    """The globinv package under src, imported as the package `name`."""
+    root = Path(src) / "globinv"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+# (map, x0, w) of the one-row line lifts
+LINES = [
+    ("identity_2", [0.0, 0.0], [0.3, -0.4]),
+    ("identity_3", [0.0, 1.0, 0.0], [0.5, 0.2, -0.7]),
+    ("monotone1d", [0.0], [7.0]),
+    ("monotone1d", [1.0], [-4.0]),
+    ("asinh1d", [0.0], [3.0]),
+    ("asinh1d", [0.5], [-2.0]),
+    ("arctan1d", [0.0], [1.55]),  # a crawl toward the singular edge
+    ("arctan1d", [0.0], [2.0]),  # Singular beyond pi/2
+    ("exp1d", [0.0], [3.0]),
+    ("exp1d", [0.0], [-2.0]),
+    ("complex_exp", [0.0, 0.0], [0.5, -0.7]),
+    ("complex_exp", [0.0, 0.0], [3.0, 4.0]),
+    ("complex_exp", [1.0, 0.5], [-2.0, 1.0]),
+    ("parabola_sub", [0.0, 0.5], [1.2]),
+    ("projection2to1", [0.5, 3.0], [1.0]),
+    ("linear", [0.0, 0.0], [1.0, 1.0]),
+]
+
+# (map, x0, y, options) of the gradient flows
+FLOWS = [
+    ("monotone1d", [2.0], [0.0], {}),
+    ("arctan1d", [0.0], [2.0], {}),
+    ("exp1d", [0.0], [-1.0], {}),
+    ("complex_exp", [0.0, 0.0], [3.0, 4.0], {}),
+    ("parabola_sub", [0.0, 0.5], [1.2], {}),
+    ("tall", [5.0], [1.0, -1.0], {"rel_tol": 0.01, "abs_tol": 0.01}),
+    ("half_line", [0.0], [3.0, 6.0], {}),  # NaN beyond x = 1
+]
+
+
+class Side:
+    """The workloads, built from one loaded package."""
+
+    def __init__(self, pkg):
+        self.pkg = pkg
+        maps, lifting = pkg.maps, pkg.lifting
+        extra = {
+            "linear": maps.linear_map([[2.0, 1.0], [0.0, 0.5]]),
+            "tall": maps.linear_map([[1.0], [2.0]]),
+            "half_line": maps.MapModel(
+                name="half_line", n=1, m=2,
+                eval_fn=lambda x: np.array([x[0] if x[0] < 1.0 else math.nan, 2.0 * x[0]]),
+                jac_fn=lambda x: np.array([[1.0], [2.0]]),
+            ),
+        }
+
+        def model(name):
+            return extra[name] if name in extra else maps.registry_get(name)
+
+        self.lines = [(model(name), x0, w) for name, x0, w in LINES]
+        self.flows = [(model(name), x0, y, lifting.LiftOptions(**opts)) for name, x0, y, opts in FLOWS]
+        angles = 2.0 * math.pi * np.arange(64) / 64
+        self.sweep = (model("complex_exp"), [0.0, 0.0],
+                      0.6 * np.column_stack([np.cos(angles), np.sin(angles)]))
+
+    def run_lines(self):
+        lift = self.pkg.lifting.lift_lines
+        return [lift(m, x0, [w])[0] for m, x0, w in self.lines]
+
+    def run_sweep(self):
+        return self.pkg.lifting.lift_lines(*self.sweep)
+
+    def run_flows(self):
+        flow = self.pkg.lifting.gradient_flow
+        return [flow(m, x0, y, opts) for m, x0, y, opts in self.flows]
+
+
+WORKLOADS = ("lines", "sweep", "flows")
+
+
+def fingerprint(results) -> list:
+    """What must agree bit for bit between the sides."""
+    out = []
+    for r in results:
+        outcome, verdict = r if isinstance(r, tuple) else (r, None)
+        out.append((
+            outcome.status.to_json_dict(),
+            vars(outcome.stats),
+            outcome.trajectory.points[-1].tobytes(),
+            outcome.target_residual,
+            None if verdict is None else verdict.to_json_dict(),
+        ))
+    return out
+
+
+def timed(fn) -> tuple:
+    gc.collect()
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", help="directory holding the base globinv package")
+    ap.add_argument("change", help="directory holding the changed globinv package")
+    ap.add_argument("--rounds", type=int, default=30)
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    sides = (Side(load(args.base, "globinv_base")), Side(load(args.change, "globinv_change")))
+    ratios = {w: [] for w in WORKLOADS}
+    same = {w: True for w in WORKLOADS}
+    for rnd in range(args.rounds):
+        order = (0, 1) if rnd % 2 == 0 else (1, 0)
+        for w in WORKLOADS:
+            times, results = [0.0, 0.0], [None, None]
+            for k in order:
+                times[k], results[k] = timed(getattr(sides[k], f"run_{w}"))
+            ratios[w].append(times[1] / times[0])
+            same[w] = same[w] and fingerprint(results[0]) == fingerprint(results[1])
+    print(f"change / base over {args.rounds} rounds: median [quartiles], outcomes")
+    for w in WORKLOADS:
+        r = ratios[w]
+        q1, _, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0], r[0], r[0])
+        print(f"{w:6s} {statistics.median(r):.3f} [{q1:.3f}, {q3:.3f}] "
+              f"{'identical' if same[w] else 'DIFFER'}")
+    return 0 if all(same.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
