@@ -794,13 +794,6 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     return flow.outcome()
 
 
-def path_length(trajectory: LiftTrajectory) -> float:
-    """Chordal length of the recorded points."""
-    if trajectory.points.shape[0] < 2:
-        raise TooFewPoints("path_length: need at least two recorded points")
-    return float(np.sum(np.linalg.norm(np.diff(trajectory.points, axis=0), axis=1)))
-
-
 def weighted_path_length(
     trajectory: LiftTrajectory,
     weight: Callable[[float], float],

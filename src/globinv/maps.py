@@ -6,6 +6,15 @@ invertibility indicator over centered balls.  Everything downstream (profiles,
 lifts, certificates, the CLI) consumes models through :func:`evaluate`,
 :func:`jacobian` and, for batched lifts and samples, :func:`evaluate_stack`
 and :func:`jacobian_stack` only.
+
+A model declared ``stacked`` has shape-polymorphic functions: eval_fn maps a
+(..., n) array to (..., m) and jac_fn to (..., m, n).  A stack of K points
+then costs one call, and evaluate() and jacobian() make the same call on a
+one-row stack, so a point gets the same bits alone and in any stack.  Other
+models are called once per row.  Every registry map is stacked; each is
+written over x[..., i], so it also takes a single (n,) point, and squares
+with np.float_power, which rounds as the scalar x[i] ** 2 does (the array
+x ** 2 and x * x do not, in the last bit).
 """
 
 from __future__ import annotations
@@ -32,6 +41,14 @@ class MapModel:
     when given, is a certified lower bound for the invertibility indicator of
     the Jacobian over the closed ball of radius rho centered at base_point
     (the origin when base_point is None).
+
+    stacked declares eval_fn and jac_fn shape-polymorphic: given a (..., n)
+    array they return (..., m) and (..., m, n), each row computed from its
+    own point alone.  Stacks then make one call, not one per row, and a
+    single point is passed as a one-row stack.  A stacked function marks a
+    point it cannot evaluate with a non-finite value in that row; should it
+    raise NonFinite instead, the stack is evaluated again one row at a time,
+    so only the rows that raise come out NaN.
     """
 
     name: str
@@ -41,6 +58,7 @@ class MapModel:
     jac_fn: Optional[Callable[[Array], Array]] = None
     mu_bound: Optional[Callable[[float], float]] = None
     base_point: Optional[Array] = None
+    stacked: bool = False
 
     def __post_init__(self):
         if int(self.n) < 1 or int(self.m) < 1:
@@ -87,14 +105,24 @@ def _vector(x, n: int, what: str, finite: bool = False) -> Array:
     return arr
 
 
+def _at_point(model: MapModel, fn: Callable[[Array], Array], xv: Array, shape: tuple,
+              what: str) -> Array:
+    """fn at the point xv as a float array of the given shape: for a stacked
+    model, row 0 of fn on the one-row stack xv[None].  Another shape raises
+    DimensionMismatch; any exception of fn propagates."""
+    if model.stacked:
+        out, shape = np.asarray(fn(xv[None]), dtype=float), (1, *shape)
+    else:
+        out = np.asarray(fn(xv), dtype=float)
+    if out.shape != shape:
+        raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {shape}")
+    return out[0] if model.stacked else out
+
+
 def evaluate(model: MapModel, x) -> Array:
     """Evaluate f(x), validating shapes and finiteness."""
     xv = _vector(x, model.n, f"evaluate({model.name})")
-    y = np.asarray(model.eval_fn(xv), dtype=float)
-    if y.shape != (model.m,):
-        raise DimensionMismatch(
-            f"evaluate({model.name}): map returned shape {y.shape}, expected ({model.m},)"
-        )
+    y = _at_point(model, model.eval_fn, xv, (model.m,), f"evaluate({model.name}): map")
     if not np.all(np.isfinite(y)):
         raise NonFinite(f"evaluate({model.name}): non-finite value at x={xv!r}")
     return y
@@ -111,10 +139,23 @@ def _stack_points(model: MapModel, X, what: str) -> Array:
 
 def _stack_rows(model: MapModel, fn: Callable[[Array], Array], Xv: Array, shape: tuple,
                 what: str) -> Array:
-    """fn at every row of Xv as one float array of shape (K, *shape); the
-    first result of another shape raises DimensionMismatch.  Where fn raises
-    NonFinite, the map's own signal of a point it cannot evaluate, the row
-    is NaN."""
+    """fn at every row of Xv as one float array of shape (K, *shape): one call
+    on the whole stack for a stacked model, else one per row.  A result of
+    another shape raises DimensionMismatch.  Where fn raises NonFinite, the
+    map's own signal of a point it cannot evaluate, the row is NaN (a stacked
+    fn is then called again on each one-row stack)."""
+    if model.stacked and len(Xv):
+        try:
+            stack = np.asarray(fn(Xv), dtype=float)
+        except NonFinite:
+            if len(Xv) == 1:
+                return np.full((1, *shape), np.nan)
+            return np.concatenate([_stack_rows(model, fn, x[None], shape, what) for x in Xv])
+        if stack.shape != (len(Xv), *shape):
+            raise DimensionMismatch(
+                f"{what}({model.name}): returned shape {stack.shape}, expected {(len(Xv), *shape)}"
+            )
+        return stack
     rows = []
     for x in Xv:
         try:
@@ -148,33 +189,35 @@ def evaluate_stack(model: MapModel, X) -> tuple:
 
 
 @np.errstate(invalid="ignore")  # inf - inf where a value is not finite
-def _fd_jacobian(model: MapModel, xv: Array) -> Array:
-    """Central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3),
-    from one evaluate_stack of x + h_1 e_1, x - h_1 e_1, x + h_2 e_2, ...  A
-    non-finite value gives a non-finite column, which the caller checks."""
-    n = model.n
+def _fd_jacobian(model: MapModel, Xv: Array) -> Array:
+    """Central finite differences at the K rows of Xv as a (K, m, n) stack,
+    with per-coordinate step max(|x_i|, 1) * eps^(1/3), from one
+    evaluate_stack of the 2nK points x + h_1 e_1, x - h_1 e_1, x + h_2 e_2,
+    ...  Each row's arithmetic is that of a one-row call, so row k equals
+    the finite difference at row k alone.  A non-finite value gives a
+    non-finite column, which the caller checks."""
+    K, n = Xv.shape
     i = np.arange(n)
-    h = np.maximum(np.abs(xv), 1.0) * _FD_SCALE
-    X = np.repeat(xv[None, :], 2 * n, axis=0)
-    X[2 * i, i] += h
-    X[2 * i + 1, i] -= h
-    Y, _ = evaluate_stack(model, X)
+    h = np.maximum(np.abs(Xv), 1.0) * _FD_SCALE
+    X = np.repeat(Xv[:, None, :], 2 * n, axis=1)
+    X[:, 2 * i, i] += h
+    X[:, 2 * i + 1, i] -= h
+    Y, _ = evaluate_stack(model, X.reshape(2 * n * K, n))
+    Y = Y.reshape(K, 2 * n, model.m)
     # the realized step absorbs rounding in x_i +/- h
-    return (Y[0::2] - Y[1::2]).T / (X[2 * i, i] - X[2 * i + 1, i])
+    step = X[:, 2 * i, i] - X[:, 2 * i + 1, i]
+    return (Y[:, 0::2] - Y[:, 1::2]).transpose(0, 2, 1) / step[:, None, :]
 
 
 def jacobian(model: MapModel, x) -> Array:
     """The m x n Jacobian of f at x: analytic when available, otherwise a
-    central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3)."""
+    central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3)
+    (the one-row case of the stacked finite difference)."""
     xv = _vector(x, model.n, f"jacobian({model.name})")
     if model.jac_fn is not None:
-        J = np.asarray(model.jac_fn(xv), dtype=float)
-        if J.shape != (model.m, model.n):
-            raise DimensionMismatch(
-                f"jacobian({model.name}): returned shape {J.shape}, expected ({model.m}, {model.n})"
-            )
+        J = _at_point(model, model.jac_fn, xv, (model.m, model.n), f"jacobian({model.name}):")
     else:
-        J = _fd_jacobian(model, xv)
+        J = _fd_jacobian(model, xv[None])[0]
     if not np.all(np.isfinite(J)):
         raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={xv!r}")
     return J
@@ -185,15 +228,17 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     of the rows whose Jacobian is finite.
 
     Each row is computed as jacobian() computes it, by jac_fn or by the
-    same finite difference; the shape and the finiteness are checked once
-    for the whole stack.  A non-finite row (including a finite difference
-    that hits a non-finite value, and a row where the map raises NonFinite)
-    is flagged in the mask instead of raised, so batched callers drop that
-    row and go on with the others.
+    same finite difference, taken for the whole stack at once; the shape
+    and the finiteness are checked once for the whole stack.  A non-finite
+    row (including a finite difference that hits a non-finite value, and a
+    row where the map raises NonFinite) is flagged in the mask instead of
+    raised, so batched callers drop that row and go on with the others.
     """
     Xv = _stack_points(model, X, "jacobian_stack")
-    jac = model.jac_fn or (lambda x: _fd_jacobian(model, x))
-    J = _stack_rows(model, jac, Xv, (model.m, model.n), "jacobian_stack")
+    if model.jac_fn is None:  # in C order, as every stack of jac_fn rows is
+        J = np.ascontiguousarray(_fd_jacobian(model, Xv))
+    else:
+        J = _stack_rows(model, model.jac_fn, Xv, (model.m, model.n), "jacobian_stack")
     return J, np.isfinite(J).all(axis=(1, 2))
 
 
@@ -201,14 +246,23 @@ def jacobian_stack(model: MapModel, X) -> tuple:
 # registry
 
 
+def _constant(C: Array, x: Array) -> Array:
+    """A fresh copy of the matrix C for each point of the stack x."""
+    J = np.empty((*x.shape[:-1], *C.shape))
+    J[...] = C
+    return J
+
+
 def _identity_entry(n: int) -> RegistryEntry:
+    eye = np.eye(n)
     model = MapModel(
         name=f"identity_{n}",
         n=n,
         m=n,
         eval_fn=lambda x: x.copy(),
-        jac_fn=lambda x: np.eye(n),
+        jac_fn=lambda x: _constant(eye, x),
         mu_bound=lambda rho: 1.0,
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: 1.0,
@@ -232,9 +286,11 @@ def linear_map(matrix, name: str = "linear") -> MapModel:
         name=name,
         n=n,
         m=m,
-        eval_fn=lambda x: A @ x,
-        jac_fn=lambda x: A.copy(),
+        # one matrix-vector product per row, as A @ x rounds (X @ A.T does not)
+        eval_fn=lambda x: np.matmul(A, x[..., None])[..., 0],
+        jac_fn=lambda x: _constant(A, x),
         mu_bound=(lambda rho: smin),
+        stacked=True,
     )
 
 
@@ -257,8 +313,9 @@ def _arctan1d_entry() -> RegistryEntry:
         n=1,
         m=1,
         eval_fn=lambda x: np.arctan(x),
-        jac_fn=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
+        jac_fn=lambda x: (1.0 / (1.0 + np.float_power(x, 2)))[..., None],
         mu_bound=lambda rho: 1.0 / (1.0 + rho ** 2),
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: 1.0 / (1.0 + float(x[0]) ** 2),
@@ -278,8 +335,9 @@ def _monotone1d_entry() -> RegistryEntry:
         n=1,
         m=1,
         eval_fn=lambda x: x + 0.5 * np.sin(x),
-        jac_fn=lambda x: np.array([[1.0 + 0.5 * np.cos(x[0])]]),
+        jac_fn=lambda x: (1.0 + 0.5 * np.cos(x))[..., None],
         mu_bound=lambda rho: 0.5 if rho >= np.pi else 1.0 + 0.5 * np.cos(rho),
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: 1.0 + 0.5 * float(np.cos(x[0])),
@@ -296,8 +354,9 @@ def _exp1d_entry() -> RegistryEntry:
         n=1,
         m=1,
         eval_fn=lambda x: np.exp(x),
-        jac_fn=lambda x: np.array([[np.exp(x[0])]]),
+        jac_fn=lambda x: np.exp(x)[..., None],
         mu_bound=lambda rho: float(np.exp(-rho)),
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: float(np.exp(x[0])),
@@ -313,13 +372,21 @@ def _exp1d_entry() -> RegistryEntry:
 
 def _complex_exp_entry() -> RegistryEntry:
     def _eval(x):
-        ex = np.exp(x[0])
-        return np.array([ex * np.cos(x[1]), ex * np.sin(x[1])])
+        ex, y = np.exp(x[..., 0]), x[..., 1]
+        out = np.empty(x.shape)
+        out[..., 0] = ex * np.cos(y)
+        out[..., 1] = ex * np.sin(y)
+        return out
 
     def _jac(x):
-        ex = np.exp(x[0])
-        c, s = np.cos(x[1]), np.sin(x[1])
-        return np.array([[ex * c, -ex * s], [ex * s, ex * c]])
+        ex, y = np.exp(x[..., 0]), x[..., 1]
+        c, s = ex * np.cos(y), ex * np.sin(y)
+        J = np.empty((*x.shape[:-1], 2, 2))
+        J[..., 0, 0] = c
+        J[..., 0, 1] = -s
+        J[..., 1, 0] = s
+        J[..., 1, 1] = c
+        return J
 
     model = MapModel(
         name="complex_exp",
@@ -328,6 +395,7 @@ def _complex_exp_entry() -> RegistryEntry:
         eval_fn=_eval,
         jac_fn=_jac,
         mu_bound=lambda rho: float(np.exp(-rho)),
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: float(np.exp(x[0])),
@@ -345,9 +413,10 @@ def _projection2to1_entry() -> RegistryEntry:
         name="projection2to1",
         n=2,
         m=1,
-        eval_fn=lambda x: np.array([x[0]]),
-        jac_fn=lambda x: np.array([[1.0, 0.0]]),
+        eval_fn=lambda x: x[..., :1].copy(),
+        jac_fn=lambda x: _constant(np.array([[1.0, 0.0]]), x),
         mu_bound=lambda rho: 1.0,
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: 1.0,
@@ -359,13 +428,20 @@ def _projection2to1_entry() -> RegistryEntry:
 
 
 def _parabola_sub_entry() -> RegistryEntry:
+    def _jac(x):
+        J = np.empty((*x.shape[:-1], 1, 2))
+        J[..., 0, 0] = 1.0
+        J[..., 0, 1] = -2.0 * x[..., 1]
+        return J
+
     model = MapModel(
         name="parabola_sub",
         n=2,
         m=1,
-        eval_fn=lambda x: np.array([x[0] - x[1] ** 2]),
-        jac_fn=lambda x: np.array([[1.0, -2.0 * x[1]]]),
+        eval_fn=lambda x: x[..., :1] - np.float_power(x[..., 1:], 2),
+        jac_fn=_jac,
         mu_bound=lambda rho: 1.0,
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: float(np.sqrt(1.0 + 4.0 * x[1] ** 2)),
@@ -382,8 +458,9 @@ def _asinh1d_entry() -> RegistryEntry:
         n=1,
         m=1,
         eval_fn=lambda x: np.arcsinh(x),
-        jac_fn=lambda x: np.array([[1.0 / np.sqrt(1.0 + x[0] ** 2)]]),
+        jac_fn=lambda x: (1.0 / np.sqrt(1.0 + np.float_power(x, 2)))[..., None],
         mu_bound=lambda rho: 1.0 / float(np.sqrt(1.0 + rho ** 2)),
+        stacked=True,
     )
     facts = AnalyticFacts(
         mu_exact=lambda x: 1.0 / float(np.sqrt(1.0 + x[0] ** 2)),

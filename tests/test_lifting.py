@@ -14,7 +14,6 @@ from globinv.lifting import (
     lift_line_horizontal,
     lift_line_square,
     lift_lines,
-    path_length,
     weighted_path_length,
 )
 from globinv.certificates import _BOUNDARY_SCALE, unit_sphere_points
@@ -835,22 +834,6 @@ def test_gradient_flow_immediate_convergence():
     out, verdict = gradient_flow(m, np.array([0.0]), np.array([0.0]))
     assert verdict.kind == "converged"
     assert out.status.t == 0.0
-
-
-def test_path_length_oracle():
-    pts = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 8.0]])
-    traj = LiftTrajectory(
-        times=np.array([0.0, 0.5, 1.0]),
-        points=pts,
-        mu_values=np.ones(3),
-        length=9.0,
-    )
-    assert path_length(traj) == pytest.approx(9.0)
-    single = LiftTrajectory(
-        times=np.array([0.0]), points=np.zeros((1, 2)), mu_values=np.ones(1), length=0.0
-    )
-    with pytest.raises(TooFewPoints):
-        path_length(single)
 
 
 def test_weighted_length_radial_log_oracle():

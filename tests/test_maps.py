@@ -284,3 +284,206 @@ def test_default_point_is_base_point_or_origin():
     assert point.tolist() == [1.0, -2.0]
     point[0] = 5.0  # a copy: the model's base point is untouched
     assert base.tolist() == [1.0, -2.0]
+
+
+# ---------------------------------------------------------------------------
+# stacked maps
+
+
+def _ref_complex_exp_eval(x):
+    ex = np.exp(x[0])
+    return np.array([ex * np.cos(x[1]), ex * np.sin(x[1])])
+
+
+def _ref_complex_exp_jac(x):
+    ex = np.exp(x[0])
+    c, s = np.cos(x[1]), np.sin(x[1])
+    return np.array([[ex * c, -ex * s], [ex * s, ex * c]])
+
+
+_A3 = np.random.default_rng(5).normal(size=(3, 3))
+_A23 = np.random.default_rng(6).normal(size=(2, 3))
+
+# The registry's functions as they were written before they were stacked,
+# one point at a time (x[0] ** 2 squares a numpy scalar, A @ x is one
+# matrix-vector product).  The stacked functions must equal them bit for bit.
+REFERENCE = {
+    "identity_1": (lambda x: x.copy(), lambda x: np.eye(1)),
+    "identity_3": (lambda x: x.copy(), lambda x: np.eye(3)),
+    "linear_3x3": (lambda x: _A3 @ x, lambda x: _A3.copy()),
+    "linear_2x3": (lambda x: _A23 @ x, lambda x: _A23.copy()),
+    "arctan1d": (lambda x: np.arctan(x), lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]])),
+    "monotone1d": (lambda x: x + 0.5 * np.sin(x),
+                   lambda x: np.array([[1.0 + 0.5 * np.cos(x[0])]])),
+    "exp1d": (lambda x: np.exp(x), lambda x: np.array([[np.exp(x[0])]])),
+    "complex_exp": (_ref_complex_exp_eval, _ref_complex_exp_jac),
+    "projection2to1": (lambda x: np.array([x[0]]), lambda x: np.array([[1.0, 0.0]])),
+    "parabola_sub": (lambda x: np.array([x[0] - x[1] ** 2]),
+                     lambda x: np.array([[1.0, -2.0 * x[1]]])),
+    "asinh1d": (lambda x: np.arcsinh(x),
+                lambda x: np.array([[1.0 / np.sqrt(1.0 + x[0] ** 2)]])),
+}
+
+
+def _reference_model(name):
+    if name == "linear_3x3":
+        return linear_map(_A3)
+    if name == "linear_2x3":
+        return linear_map(_A23)
+    return registry_get(name)
+
+
+def _pin_points(n, seed):
+    """20,000 seeded points of magnitudes from 1e-8 to 1e8, then every
+    point whose coordinates are 0, +-1e-150, +-1e150 or +-1e300."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(20000, n)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(20000, n))
+    special = np.array([0.0, 1e-150, -1e-150, 1e150, -1e150, 1e300, -1e300])
+    grid = np.stack(np.meshgrid(*[special] * min(n, 2), indexing="ij"), axis=-1).reshape(-1, min(n, 2))
+    extra = np.zeros((len(grid), n))
+    extra[:, : grid.shape[1]] = grid
+    return np.concatenate([X, extra])
+
+
+def _bits(a):
+    """The bytes of a float array with every NaN made the same NaN."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_stacked_registry_maps_equal_the_row_functions_bit_for_bit(name):
+    """One stacked call gives, row for row, the bits of the per-row
+    functions; evaluate() and jacobian() at a point give that row too."""
+    model = _reference_model(name)
+    ref_eval, ref_jac = REFERENCE[name]
+    assert model.stacked
+    X = _pin_points(model.n, seed=len(name))
+    with np.errstate(all="ignore"):
+        Y, Y_finite = evaluate_stack(model, X)
+        J, J_finite = jacobian_stack(model, X)
+        assert _bits(Y) == _bits([ref_eval(x) for x in X]), name
+        assert _bits(J) == _bits([ref_jac(x) for x in X]), name
+        for x, y, ok in zip(X, Y, Y_finite):
+            if ok:
+                assert _bits(evaluate(model, x)) == _bits(y), (name, x)
+            else:
+                with pytest.raises(NonFinite):
+                    evaluate(model, x)
+        for x, Jx, ok in zip(X, J, J_finite):
+            if ok:
+                assert _bits(jacobian(model, x)) == _bits(Jx), (name, x)
+            else:
+                with pytest.raises(NonFinite):
+                    jacobian(model, x)
+        # a single (n,) point still works when the functions are called directly
+        assert _bits(model.eval_fn(X[0])) == _bits(ref_eval(X[0]))
+        assert _bits(model.jac_fn(X[0])) == _bits(ref_jac(X[0]))
+
+
+def test_stacked_finite_difference_rows_equal_one_row_calls():
+    """Row k of a K-row finite-difference stack equals the one-row finite
+    difference at row k bit for bit, for a stacked and a per-row map, also
+    where the map raises NonFinite (beyond x_0 = 1)."""
+    ce = registry_get("complex_exp")
+
+    def f(x):
+        if np.any(x[..., 0] > 1.0):
+            raise NonFinite("outside the domain")
+        return ce.eval_fn(x)
+
+    X = np.array([[0.0, 0.0], [0.3, -1.2], [2.0, 0.5], [-4.0, 1e6], [1.0 - 1e-9, 3.0]])
+    for stacked in (True, False):
+        for fn in (ce.eval_fn, f):
+            model = MapModel(name="fd", n=2, m=2, eval_fn=fn, stacked=stacked)
+            J, finite = jacobian_stack(model, X)
+            for k, x in enumerate(X):
+                one, one_finite = jacobian_stack(model, X[k:k + 1])
+                assert _bits(J[k]) == _bits(one[0]) and finite[k] == one_finite[0]
+                if finite[k]:
+                    assert _bits(jacobian(model, x)) == _bits(J[k])
+                else:
+                    with pytest.raises(NonFinite):
+                        jacobian(model, x)
+            assert finite.tolist() == [True, True, fn is ce.eval_fn, True, fn is ce.eval_fn]
+
+
+def _half_line(x):
+    """(x, 2x) on x < 1 and NaN beyond, over stacks."""
+    y = np.empty((*x.shape[:-1], 2))
+    y[..., 0] = np.where(x[..., 0] < 1.0, x[..., 0], np.nan)
+    y[..., 1] = 2.0 * x[..., 0]
+    return y
+
+
+def test_stacked_user_map_shape_is_checked_once_per_stack():
+    wide = MapModel(name="wide", n=1, m=1, eval_fn=lambda x: np.zeros((*x.shape[:-1], 2)),
+                    jac_fn=lambda x: np.zeros((*x.shape[:-1], 2, 1)), stacked=True)
+    with pytest.raises(DimensionMismatch, match=r"returned shape \(3, 2\), expected \(3, 1\)"):
+        evaluate_stack(wide, np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch, match=r"returned shape \(3, 2, 1\), expected \(3, 1, 1\)"):
+        jacobian_stack(wide, np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch, match=r"map returned shape \(1, 2\), expected \(1, 1\)"):
+        evaluate(wide, [0.0])
+    with pytest.raises(DimensionMismatch, match=r"returned shape \(1, 2, 1\), expected \(1, 1, 1\)"):
+        jacobian(wide, [0.0])
+    # a function that ignores the stack and returns one row
+    flat = MapModel(name="flat", n=1, m=1, eval_fn=lambda x: np.zeros(1), stacked=True)
+    with pytest.raises(DimensionMismatch, match=r"returned shape \(1,\), expected \(3, 1\)"):
+        evaluate_stack(flat, np.zeros((3, 1)))
+    Y, finite = evaluate_stack(wide, np.zeros((0, 1)))
+    assert Y.shape == (0, 1) and finite.shape == (0,)
+
+
+def test_stacked_user_map_non_finite_rows():
+    """A NaN row is cleared in the mask while the others stay finite;
+    evaluate and jacobian raise NonFinite at that point; a stacked function
+    that raises NonFinite for one row gives exactly that row NaN."""
+    calls = []
+
+    def jac(x):
+        calls.append(x.shape)
+        return np.broadcast_to([[1.0], [2.0]], (*x.shape[:-1], 2, 1)) * np.where(
+            x[..., :1, None] < 1.0, 1.0, np.nan)
+
+    model = MapModel(name="half_line", n=1, m=2, eval_fn=_half_line, jac_fn=jac, stacked=True)
+    X = np.array([[0.0], [2.0], [0.5]])
+    Y, finite = evaluate_stack(model, X)
+    assert finite.tolist() == [True, False, True]
+    assert Y[[0, 2]].tolist() == [[0.0, 0.0], [0.5, 1.0]]
+    J, finite = jacobian_stack(model, X)
+    assert finite.tolist() == [True, False, True] and calls == [(3, 1)]
+    with pytest.raises(NonFinite):
+        evaluate(model, X[1])
+    with pytest.raises(NonFinite):
+        jacobian(model, X[1])
+
+    def raises(x):
+        calls.append(x.shape)
+        if np.any(x[..., 0] > 1.0):
+            raise NonFinite("outside the domain")
+        return x.copy()
+
+    calls.clear()
+    Y, finite = evaluate_stack(MapModel(name="raises", n=1, m=1, eval_fn=raises, stacked=True), X)
+    assert finite.tolist() == [True, False, True] and np.isnan(Y[1]).all()
+    assert Y[[0, 2], 0].tolist() == [0.0, 0.5]
+    assert calls == [(3, 1), (1, 1), (1, 1), (1, 1)]  # the stack, then each row alone
+
+
+def test_stacked_map_without_jacobian_uses_the_stacked_finite_difference():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return _half_line(x)
+
+    model = MapModel(name="half_line_fd", n=1, m=2, eval_fn=f, stacked=True)
+    X = np.array([[0.0], [2.0], [0.5]])
+    J, finite = jacobian_stack(model, X)
+    assert calls == [(6, 1)]  # 2n points per row, one call
+    assert finite.tolist() == [True, False, True]
+    assert np.allclose(J[[0, 2]], [[[1.0], [2.0]]] * 2)
+    assert _bits(jacobian(model, X[2])) == _bits(J[2])
+    with pytest.raises(NonFinite):
+        jacobian(model, X[1])

@@ -5,16 +5,18 @@
 Each SRC is a directory that holds a globinv package, such as the src/ of
 a checkout.  Both packages are loaded side by side under distinct names,
 so one interpreter times both on the same heap and the same CPU.  Every
-round runs three workloads on each side, in alternating order (the base
+round runs four workloads on each side, in alternating order (the base
 first in even rounds, the change first in odd rounds):
 
-  lines  16 one-row line lifts on registry maps;
-  sweep  one 64-lane lift_lines call on complex_exp;
-  flows  7 gradient flows, rejected non-finite stages included.
+  lines    16 one-row line lifts on registry maps;
+  sweep    one 64-lane lift_lines call on complex_exp;
+  flows    7 gradient flows, rejected non-finite stages included;
+  profile  2 sampled mu_profile calls (grid 128, 64 samples per ball).
 
 For each workload it prints the median of the per-round time ratios
 change / base, their quartiles, and whether both sides gave the same
-outcomes bit for bit (status, LiftStats, end point and flow verdict).
+outcomes bit for bit (status, LiftStats, end point and flow verdict of
+each lift; the eta values of each profile).
 Wall time on a shared machine is noisy: compare medians over many rounds.
 Needs only the standard library and numpy (plus what globinv imports).
 """
@@ -77,6 +79,13 @@ FLOWS = [
 ]
 
 
+# (map, x0, r_max) of the sampled profiles
+PROFILES = [
+    ("complex_exp", [0.0, 0.0], 2.0),
+    ("parabola_sub", [0.0, 0.5], 2.0),
+]
+
+
 class Side:
     """The workloads, built from one loaded package."""
 
@@ -98,6 +107,7 @@ class Side:
 
         self.lines = [(model(name), x0, w) for name, x0, w in LINES]
         self.flows = [(model(name), x0, y, lifting.LiftOptions(**opts)) for name, x0, y, opts in FLOWS]
+        self.profiles = [(model(name), x0, r_max) for name, x0, r_max in PROFILES]
         angles = 2.0 * math.pi * np.arange(64) / 64
         self.sweep = (model("complex_exp"), [0.0, 0.0],
                       0.6 * np.column_stack([np.cos(angles), np.sin(angles)]))
@@ -113,14 +123,22 @@ class Side:
         flow = self.pkg.lifting.gradient_flow
         return [flow(m, x0, y, opts) for m, x0, y, opts in self.flows]
 
+    def run_profile(self):
+        profile = self.pkg.indicators.mu_profile
+        return [profile(m, x0, r_max, 128, mode="sampled", sample_count=64)
+                for m, x0, r_max in self.profiles]
 
-WORKLOADS = ("lines", "sweep", "flows")
+
+WORKLOADS = ("lines", "sweep", "flows", "profile")
 
 
 def fingerprint(results) -> list:
     """What must agree bit for bit between the sides."""
     out = []
     for r in results:
+        if hasattr(r, "eta_values"):  # a profile
+            out.append(r.eta_values.tobytes())
+            continue
         outcome, verdict = r if isinstance(r, tuple) else (r, None)
         out.append((
             outcome.status.to_json_dict(),
@@ -162,7 +180,7 @@ def main(argv=None) -> int:
     for w in WORKLOADS:
         r = ratios[w]
         q1, _, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0], r[0], r[0])
-        print(f"{w:6s} {statistics.median(r):.3f} [{q1:.3f}, {q3:.3f}] "
+        print(f"{w:7s} {statistics.median(r):.3f} [{q1:.3f}, {q3:.3f}] "
               f"{'identical' if same[w] else 'DIFFER'}")
     return 0 if all(same.values()) else 1
 
