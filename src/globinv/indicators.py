@@ -34,7 +34,7 @@ import scipy
 from scipy.special import ndtri
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
-from .maps import MapModel, _vector, default_point, jacobian, jacobian_stack
+from .maps import MapModel, _svd, _vector, default_point, jacobian, jacobian_stack
 
 Array = np.ndarray
 
@@ -59,10 +59,10 @@ def _indicator_stack(J: Array, kind: str) -> Array:
     if kind == "sur":
         if n < m:
             return np.zeros(K)
-        return np.linalg.svd(J.transpose(0, 2, 1), compute_uv=False)[:, -1]
+        return _svd(J.transpose(0, 2, 1), compute_uv=False)[:, -1]
     if m < n:
         return np.zeros(K)
-    return np.linalg.svd(J, compute_uv=False)[:, -1]
+    return _svd(J, compute_uv=False)[:, -1]
 
 
 def inj_indicator(J) -> float:
@@ -89,7 +89,7 @@ def fredholm_data(J, tol: float = 1e-10) -> FredholmData:
         raise OutOfRange(f"fredholm_data: tol must be positive, got {tol}")
     arr = _matrix(J)
     m, n = arr.shape
-    s = np.linalg.svd(arr, compute_uv=False)
+    s = _svd(arr, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0.0 else 0
     return FredholmData(rank=rank, dim_ker=n - rank, dim_coker=m - rank, index=n - m)

@@ -9,9 +9,11 @@ domain by integrating
 from q(0) = x0 over t in [0, 1], so f(q(t)) tracks the line exactly in
 continuous time.  Both velocities come out of one SVD per evaluation, which
 also yields the local invertibility indicator mu used for singularity
-detection.  The integrator is an embedded Dormand-Prince 4(5) pair with a
-decay-rate step guard so the solver slows down near singular loci instead of
-jumping across them.
+detection.  Every SVD is maps._svd: for a 1x1 stack whose every |J| lies in
+[1e-100, 1e100] the closed form s = |J|, U = sign(J), Vt = 1, which LAPACK
+returns there bit for bit, and LAPACK for any other stack.  The integrator
+is an embedded Dormand-Prince 4(5) pair with a decay-rate step guard so the
+solver slows down near singular loci instead of jumping across them.
 
 Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
@@ -42,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
-from .maps import MapModel, _vector, evaluate, evaluate_stack, jacobian, jacobian_stack
+from .maps import MapModel, _svd, _vector, evaluate, evaluate_stack, jacobian, jacobian_stack
 
 Array = np.ndarray
 
@@ -167,10 +169,11 @@ class LiftStats:
     a non-finite point, derivative, slope or value).  evals: model
     evaluations made by the lift itself, not those inside a
     finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
-    SVDs taken.  h_min: the smallest accepted step size, inf when no step
-    was accepted.  The counters are deterministic; each lane of a lift_lines
-    call counts the shared work at x0 as its own, so it counts exactly what
-    the one-row call of its target counts.
+    SVDs taken, a closed-form 1x1 one (maps._svd) included.  h_min: the
+    smallest accepted step size, inf when no step was accepted.  The
+    counters are deterministic; each lane of a lift_lines call counts the
+    shared work at x0 as its own, so it counts exactly what the one-row call
+    of its target counts.
     """
 
     accepted: int = 0
@@ -516,7 +519,7 @@ class _LineLift(_Lift):
         J, good = jacobian_stack(model, a.X)
         if not good.all():
             (J,) = a.leave(good, "nonfinite", (0, i, i - 1), J)
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        U, s, Vt = _svd(J)
         mu = s[:, -1]
         low, high = np.minimum.reduce(mu, initial=math.inf), np.maximum.reduce(mu, initial=0.0)
         if not (low >= mu_floor and low > 0.0 and high < math.inf):
@@ -593,7 +596,7 @@ def _descent(J: Array, R: Array) -> tuple:
     mu (from the singular values alone) and F = |r|^2 / 2, each row the
     one-row value."""
     G = np.matmul(J.transpose(0, 2, 1), R[:, :, None])[:, :, 0]
-    mu = np.linalg.svd(J, compute_uv=False)[:, -1]
+    mu = _svd(J, compute_uv=False)[:, -1]
     F = 0.5 * np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
     return G, mu, F
 
@@ -766,7 +769,7 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     if not len(Wv):
         return []
     f0 = evaluate(model, x0v)
-    U, s, Vt = np.linalg.svd(jacobian(model, x0v), full_matrices=False)
+    U, s, Vt = _svd(jacobian(model, x0v))
     lanes = [_LineLift(model, x0v, f0, w, opts) for w in Wv]
     for lane in lanes:
         lane.start(U, s, Vt)

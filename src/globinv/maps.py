@@ -242,6 +242,36 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     return J, np.isfinite(J).all(axis=(1, 2))
 
 
+# For |a| in this window LAPACK's SVD of the 1x1 matrix [a] is (sign a, |a|,
+# 1) bit for bit; it rescales only outside about [6.5e-139, 1.59e138].
+_SVD_LO, _SVD_HI = 1e-100, 1e100
+
+
+def _svd(J: Array, compute_uv: bool = True):
+    """np.linalg.svd(J, full_matrices=False) as (U, s, Vt), or s alone when
+    compute_uv is False, bit for bit, for a 2-D matrix or a (K, m, n) stack.
+
+    A 1x1 stack whose every |a| lies in [_SVD_LO, _SVD_HI] takes the closed
+    form s = |a|, U = sign(a), Vt = 1.  Every other stack goes to LAPACK: one
+    entry outside the window (0, a subnormal, inf or NaN included; NaN still
+    raises LinAlgError) sends the whole stack.  Inside the window the two
+    agree bit for bit, so a row's result does not depend on the other rows.
+    np.linalg.svd is looked up at each call, so a profiler that rebinds it
+    sees every LAPACK call."""
+    if J.shape[-2:] == (1, 1):
+        a = np.abs(J)
+        if a.size <= 32:  # a Python test of a few floats beats two reduces
+            inside = all(_SVD_LO <= v <= _SVD_HI for v in a.ravel().tolist())
+        else:
+            inside = (np.minimum.reduce(a, axis=None) >= _SVD_LO
+                      and np.maximum.reduce(a, axis=None) <= _SVD_HI)
+        if inside:  # sign(a) is 1: no entry in the window is 0 or NaN
+            return (np.sign(J), a[..., 0], np.sign(a)) if compute_uv else a[..., 0]
+    if compute_uv:
+        return np.linalg.svd(J, full_matrices=False)
+    return np.linalg.svd(J, compute_uv=False)
+
+
 # ---------------------------------------------------------------------------
 # registry
 
@@ -281,7 +311,7 @@ def linear_map(matrix, name: str = "linear") -> MapModel:
     if not np.all(np.isfinite(A)):
         raise NonFinite("linear_map: matrix has non-finite entries")
     m, n = A.shape
-    smin = float(np.linalg.svd(A, compute_uv=False)[-1]) if min(m, n) else 0.0
+    smin = float(_svd(A, compute_uv=False)[-1]) if min(m, n) else 0.0
     return MapModel(
         name=name,
         n=n,

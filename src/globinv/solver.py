@@ -27,7 +27,7 @@ from .lifting import (
     lift_line_horizontal,
     lift_line_square,
 )
-from .maps import MapModel, _vector, default_point, evaluate, jacobian
+from .maps import MapModel, _svd, _vector, default_point, evaluate, jacobian
 
 Array = np.ndarray
 
@@ -129,7 +129,7 @@ def _newton_polish(model: MapModel, x: Array, y: Array):
         if best <= 1e-15 * (1.0 + _norm(y)):
             break
         J = jacobian(model, x)
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        U, s, Vt = _svd(J)
         if s.size == 0 or s[-1] <= s[0] * 1e-13 or s[0] == 0.0:
             break
         dx = -(Vt.T @ ((U.T @ r) / s))

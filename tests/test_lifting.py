@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from globinv import lifting
+from globinv import lifting, maps
 from globinv.errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
 from globinv.lifting import (
     FlowVerdict,
@@ -500,6 +500,12 @@ LOCKSTEP_CASES = [
     ("all_jacobians_non_finite", _jacobian_off_x0(0.0, np.nan), [0.0], [[1.0], [-2.0]], None),
     ("all_velocities_non_finite", _jacobian_off_x0(100.0, 1e-308), [100.0], [[10.0], [-20.0]],
      LiftOptions(mu_floor=0.0)),
+    # the closed-form 1x1 SVD window |J| <= 1e100: the 1e120 lane crosses it
+    # and ends StepFailure; from x0 = 230 (J = 7.7e99) the stage stacks
+    # hold rows on both sides of it
+    ("svd_window_crossed", registry_get("exp1d"), [0.0], [[1e120], [3.0], [-0.5], [1e90]], None),
+    ("svd_window_mixed", registry_get("exp1d"), [230.0], [[1e101], [-1e99], [3e100], [0.0], [-7e99]],
+     None),
     # Graves sweeps of 64 lanes: targets past the radius certified at r (some
     # lanes Escaped), and a horizontal sweep at the certified radius
     _graves_case("graves_complex_exp", "complex_exp", [0.0, 0.0], 1.0, 2.0),
@@ -524,6 +530,29 @@ def test_lift_lines_match_sequential_lifts(label, model, x0, targets, opts):
         assert got.trajectory.length == want.trajectory.length, w
         assert got.max_drift == want.max_drift, w
         assert got.target_residual == want.target_residual, w
+
+
+def test_svd_window_cases_cross_the_window(monkeypatch):
+    """The svd_window cases do what their lane-equality runs rely on: a
+    lane's |J| crosses the closed-form window, and some stage SVD stacks
+    mix rows inside and outside it (so go to LAPACK as a whole)."""
+    mixed = []
+
+    def spy(J, compute_uv=True):
+        a = np.abs(J).ravel()
+        inside = (maps._SVD_LO <= a) & (a <= maps._SVD_HI)
+        mixed.append(J.shape[-2:] == (1, 1) and inside.any() and not inside.all())
+        return maps._svd(J, compute_uv)
+
+    monkeypatch.setattr(lifting, "_svd", spy)
+    cases = {c[0]: c for c in LOCKSTEP_CASES}
+    _, model, x0, targets, opts = cases["svd_window_crossed"]
+    crossed = lift_lines(model, x0, targets, opts)[0]
+    assert crossed.status.kind == "StepFailure" and crossed.stats.accepted == 3072
+    assert crossed.trajectory.mu_values.min() < maps._SVD_HI < crossed.trajectory.mu_values.max()
+    _, model, x0, targets, opts = cases["svd_window_mixed"]
+    lift_lines(model, x0, targets, opts)
+    assert sum(mixed) > 50
 
 
 def test_lift_lines_cover_every_terminal_status():

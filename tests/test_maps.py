@@ -3,7 +3,10 @@ import pytest
 
 from globinv.errors import DimensionMismatch, NonFinite, UnknownMap
 from globinv.maps import (
+    _SVD_HI,
+    _SVD_LO,
     MapModel,
+    _svd,
     default_point,
     evaluate,
     evaluate_stack,
@@ -487,3 +490,95 @@ def test_stacked_map_without_jacobian_uses_the_stacked_finite_difference():
     assert _bits(jacobian(model, X[2])) == _bits(J[2])
     with pytest.raises(NonFinite):
         jacobian(model, X[1])
+
+
+def _assert_svd_is_lapack(J):
+    """_svd(J) is np.linalg.svd(J, full_matrices=False) bit for bit, and
+    _svd(J, compute_uv=False) is np.linalg.svd(J, compute_uv=False)."""
+    for got, want in [*zip(_svd(J), np.linalg.svd(J, full_matrices=False)),
+                      (_svd(J, compute_uv=False), np.linalg.svd(J, compute_uv=False))]:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert _bits(got) == _bits(want), J.ravel()[:8]
+
+
+def test_svd_window_lies_inside_lapack_exact_range():
+    """LAPACK rescales a 1x1 matrix outside about [6.5e-139, 1.59e138] and
+    then no longer returns |a| exactly; the closed-form window must stay
+    inside that range."""
+    assert 6.6e-139 < _SVD_LO <= 1e-100 and 1e100 <= _SVD_HI < 1.58e138
+
+
+def test_svd_of_one_by_one_stacks_is_lapack_bit_for_bit():
+    """200,000 signed draws over 1e-300..1e300: as one-row stacks (every
+    tenth for s alone), as stacks of 16 and of 64 neighbours in magnitude
+    (some all inside the window, some across an edge, some outside) and as
+    one stack of the draws inside the window.  Outside about 1e+-138
+    LAPACK's s differs from |a| in about one draw in eight, so a window
+    widened that far fails here."""
+    rng = np.random.default_rng(17)
+    a = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-300.0, 300.0, 200_000)
+    J = a[:, None, None]
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)  # each row as its one-row call
+    assert (s[:, 0] != np.abs(a)).sum() > 1000  # LAPACK's rescaling does show
+    rows = [_svd(J[k:k + 1]) for k in range(len(a))]
+    for got, want in zip(zip(*rows), (U, s, Vt)):
+        assert _bits(np.concatenate(got)) == _bits(want)
+    s_only = np.concatenate([_svd(J[k:k + 1], compute_uv=False) for k in range(0, len(a), 10)])
+    assert _bits(s_only) == _bits(s[::10])
+    by_size = np.argsort(np.abs(a))
+    for size in (16, 64):  # a few rows are tested one by one, more at once
+        stacks = [by_size[k:k + size] for k in range(0, len(a), size)]
+        got = [_svd(J[rows]) for rows in stacks]
+        for part, want in zip(zip(*got), (U, s, Vt)):
+            assert _bits(np.concatenate(part)) == _bits(want[by_size])
+        s_only = np.concatenate([_svd(J[rows], compute_uv=False) for rows in stacks])
+        assert _bits(s_only) == _bits(s[by_size])
+    inside = J[(_SVD_LO <= np.abs(a)) & (np.abs(a) <= _SVD_HI)]
+    assert len(inside) > 60_000
+    _assert_svd_is_lapack(inside)
+    _assert_svd_is_lapack(inside[:, 0])  # 2-D 1x1 matrices one at a time
+    for x in inside[:100]:
+        _assert_svd_is_lapack(x)
+
+
+def test_svd_of_one_by_one_edge_values():
+    """Zeros, the least subnormal, the window edges and their neighbours on
+    either side, and infinities: each alone, in 2-D and in one stack."""
+    edges = []
+    for edge in (_SVD_LO, _SVD_HI):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    values = np.array([0.0, 5e-324, 1e-100, 1e100, np.inf, *edges, 2.0])
+    values = np.concatenate([values, -values])
+    for v in values:
+        _assert_svd_is_lapack(np.array([[[v]]]))
+        _assert_svd_is_lapack(np.array([[v]]))
+    _assert_svd_is_lapack(values[:, None, None])
+    _assert_svd_is_lapack(np.array(edges)[:, None, None])  # all inside but the outer neighbours
+
+
+def test_svd_of_a_mixed_stack_equals_its_one_row_calls():
+    """A stack with one row outside the window goes to LAPACK as a whole;
+    each row still equals its one-row result (the closed form inside)."""
+    J = np.array([3.0, -0.5, 1e120, 2e-7, -7e99])[:, None, None]
+    U, s, Vt = _svd(J)
+    for k in range(len(J)):
+        for got, want in zip((U[k], s[k], Vt[k]), _svd(J[k:k + 1])):
+            assert _bits(got) == _bits(want[0])
+        assert _bits(_svd(J, compute_uv=False)[k]) == _bits(_svd(J[k:k + 1], compute_uv=False)[0])
+    _assert_svd_is_lapack(J)
+
+
+def test_svd_of_nan_raises():
+    for J in (np.array([[[np.nan]]]), np.array([[[1.0]], [[np.nan]]]), np.array([[np.nan]])):
+        for compute_uv in (True, False):
+            with pytest.raises(np.linalg.LinAlgError):
+                _svd(J, compute_uv)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2), (2, 1), (3, 3)])
+def test_svd_of_other_shapes_is_lapack(shape):
+    rng = np.random.default_rng(len(shape) + shape[0] * 3 + shape[1])
+    J = rng.normal(size=(50, *shape))
+    _assert_svd_is_lapack(J)
+    _assert_svd_is_lapack(J[0])
+    _assert_svd_is_lapack(J[:0])
