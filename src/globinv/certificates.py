@@ -489,7 +489,7 @@ def weighted_certificate(
     divergent weight integral, and a grid minimum that has stabilized before
     r_max; an analytic vanishing witness whose weighted indicator collapses
     refutes the condition outright."""
-    x0v = np.asarray(x0, dtype=float)
+    x0v = _vector(x0, model.n, "weighted_certificate: x0")
     products = []
     for rho, eta in zip(profile.radii, profile.eta_values):
         om = float(weight(float(rho)))
@@ -556,7 +556,7 @@ def plastock_check(
 ) -> DiagnosticsEntry:
     """Coercivity plus local indicator positivity (C14).  Holds only when the
     facts assert coercivity and the certified profile stays positive."""
-    x0v = np.asarray(x0, dtype=float)
+    x0v = _vector(x0, model.n, "plastock_check: x0")
     rmax = profile.r_max
     radii = [rmax / 27.0, rmax / 9.0, rmax / 3.0, rmax]
     f0 = evaluate(model, x0v)

@@ -300,9 +300,10 @@ def mu_profile(
     (upper) estimate of the true infimum.  The grid_size * sample_count
     points are stacked in batches of at most 4096 points and 2**20 Jacobian
     floats: one Jacobian stack and one SVD per batch, so memory stays
-    bounded.  A non-finite Jacobian raises NonFinite at the first such point
-    in radius-major order, unless the map raises an error of its own
-    anywhere in that point's batch.
+    bounded; x0 is a one-row stack of its own, taken first.  A non-finite
+    Jacobian raises NonFinite at the first such point in radius-major
+    order, unless the map raises an error of its own anywhere in that
+    point's batch.
     """
     x0v = _vector(x0, model.n, "mu_profile: x0")
     if not r_max > 0.0:
@@ -334,8 +335,7 @@ def mu_profile(
     if mode != "sampled":
         raise OutOfRange(f"mu_profile: mode must be 'certified' or 'sampled', got {mode!r}")
     ball = unit_ball_points(model.n, sample_count, seed)
-    indicator = sur_indicator if indicator_kind == "sur" else inj_indicator
-    eta = np.full(radii.size, indicator(jacobian(model, x0v)))
+    eta = np.full(radii.size, _indicators_at(model, x0v[None], indicator_kind)[0])
     # the grid_size * sample_count points, radius-major, in batches of rows
     for batch in _batches(grid_size * sample_count, model.m * model.n):
         rows = np.arange(batch.start, batch.stop)

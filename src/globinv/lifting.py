@@ -24,15 +24,16 @@ gradient_flow integrates x' = -grad F_y as one lane.
 One stage code and one driver (_drive) serve both ODEs.  The lanes run in
 lockstep as one (K, n) state (_lockstep_attempt) under one step controller
 (_Lift: t, step size and budget, rejection and step collapse, recorder,
-counters, escape stop), and each stage takes one stack of model calls and
-one SVD stack over the lanes still in the attempt.  Two judges supply the
-stage slopes and take or reject the finished attempts: _LineLift (J^+ w,
-the mu floor; _judge_lanes: one evaluate_stack of f(q5) and row norms for
-the chords, the drifts against the line and the distances from x0) and
-_FlowLift (-J^T r, F and |grad F|; F must not rise, and time-doubling
-windows give the verdict).  Each lane keeps its own t, step size, recorder
-and status, and its LiftOutcome, LiftStats included, does not depend on
-the other rows of the call.
+counters, escape stop).  _Attempt keeps the books of one attempt: one work
+tally, one error test and one exit for every lane cut within it.  Two
+judges supply the stage slopes, one stack of model calls per stage, and
+take or reject the attempts under tolerance: _LineLift (J^+ w from an SVD
+stack per stage, the mu floor; _judge_lanes: f(q5), chords, drifts against
+the line and distances from x0, each stacked) and _FlowLift (-J^T r and F;
+one singular-value stack per attempt, at q5; F must not rise, and
+time-doubling windows give the verdict).  Each lane keeps its own t, step
+size, recorder and status, and its LiftOutcome, LiftStats included, does
+not depend on the other rows of the call.
 """
 
 from __future__ import annotations
@@ -169,11 +170,12 @@ class LiftStats:
     a non-finite point, derivative, slope or value).  evals: model
     evaluations made by the lift itself, not those inside a
     finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
-    SVDs taken, a closed-form 1x1 one (maps._svd) included.  h_min: the
-    smallest accepted step size, inf when no step was accepted.  The
-    counters are deterministic; each lane of a lift_lines call counts the
-    shared work at x0 as its own, so it counts exactly what the one-row call
-    of its target counts.
+    SVDs taken, a closed-form 1x1 one (maps._svd) included; a flow takes
+    one at x0 and one per attempt that reaches q5.  h_min: the smallest
+    accepted step size, inf when no step was accepted.  The counters are
+    deterministic; each lane of a lift_lines call counts the shared work at
+    x0 as its own, so it counts exactly what the one-row call of its target
+    counts.
     """
 
     accepted: int = 0
@@ -393,11 +395,6 @@ class _Lift:
         return self.rec.build(self.length)
 
 
-def _cut(lanes: list, good: Array, *arrays) -> tuple:
-    """The lanes where good holds, and the arrays cut to their rows."""
-    return ([lane for lane, g in zip(lanes, good.tolist()) if g], *(a[good] for a in arrays))
-
-
 def _surely_finite(A: Array) -> bool:
     """True when A has no non-finite entry, by one sum.  A finite A whose
     sum overflows reads False too, so False calls for the per-row test."""
@@ -408,7 +405,10 @@ class _Attempt:
     """The live lanes of one lockstep attempt and their rows, kept aligned
     with the list of lanes: Q the points the step starts from, H the step
     sizes, W the codomain vectors, KS the seven stage slopes and X the
-    current stage point."""
+    current stage point.  evals, jacobians and svds tally the stack calls
+    made so far, each raised right after its call: every lane still in the
+    attempt did that work, and adds it to its LiftStats when it leaves or
+    is judged."""
 
     def __init__(self, model: MapModel, lanes: list):
         self.lanes = lanes
@@ -417,79 +417,75 @@ class _Attempt:
         self.W = np.array([lane.w for lane in lanes])
         self.KS = np.empty((len(lanes), model.n, 7))
         self.KS[:, :, 0] = [lane.k1 for lane in lanes]
+        self.evals = self.jacobians = self.svds = 0
 
-    def leave(self, good: Array, cause: str, work: tuple, *arrays, mus=None) -> list:
-        """Reject the lanes that are not good with cause, and with mus[k] as
-        the indicator of a singular one, adding the work (evals, Jacobians,
-        SVDs) each did in this attempt.  Cuts the lanes and their rows to
-        the good ones and returns the arrays cut as well."""
+    def leave(self, good: Array, cause: str, *arrays, **values) -> list:
+        """Reject the lanes that are not good with cause, adding the tally
+        and passing values[key][k] to reject (mu= or err_norm=) as a Python
+        float, whose ** -0.2 does not depend on the other rows.  Cuts the
+        lanes and their rows, and the arrays, which it returns, to the good
+        ones."""
         for k in np.flatnonzero(~good).tolist():
             lane = self.lanes[k]
-            lane.add_work(*work)
-            lane.reject(cause, None if mus is None else float(mus[k]))
-        self.lanes, self.Q, self.H, self.W, self.KS, self.X, *arrays = _cut(
-            self.lanes, good, self.Q, self.H, self.W, self.KS, self.X, *arrays
+            lane.add_work(self.evals, self.jacobians, self.svds)
+            lane.reject(cause, **{key: float(v[k]) for key, v in values.items()})
+        self.lanes = [lane for lane, g in zip(self.lanes, good.tolist()) if g]
+        self.Q, self.H, self.W, self.KS, self.X, *arrays = (
+            A[good] for A in (self.Q, self.H, self.W, self.KS, self.X, *arrays)
         )
         return arrays
+
+    def close(self, model: MapModel, at: tuple, err: Array) -> None:
+        """Judge the lanes whose stages all passed (X is q5, at what slopes
+        returned there, err the error vectors): a lane whose error norm is
+        over tolerance leaves, the judge takes or rejects the others."""
+        first = self.lanes[0]  # tolerances: shared by the lanes of one call
+        E = _error_norms(first.atol, first.rtol, self.Q, self.X, err)
+        under = E <= 1.0  # a NaN norm is rejected
+        if not under.all():
+            *at, E = self.leave(under, "error", *at, E, err_norm=E)
+            if not self.lanes:
+                return
+        first.judge(model, self, at, E)
+        for lane in self.lanes:
+            lane.add_work(self.evals, self.jacobians, self.svds)
 
 
 def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
     """One Dormand-Prince attempt for every lane (all of one judge class),
-    in lockstep.  Each stage point is one (K, n) array, and the judge's
-    slopes take one stack of model calls and one SVD stack over the lanes
-    still in the attempt.  A lane whose stage fails leaves the attempt
-    (_Attempt.leave).  Each check is one reduce over the whole stack; the
-    per-row mask is built only when it does not pass.  The lanes whose
-    stages all passed did six stages of work and are judged together."""
-    judge = type(lanes[0])
+    in lockstep: each stage point is one (K, n) array, and a lane whose
+    stage fails leaves (_Attempt.leave).  Each check is one reduce over the
+    whole stack; the per-row mask is built only when it does not pass.  The
+    lanes whose stages all passed are judged together (_Attempt.close)."""
     a = _Attempt(model, lanes)
+    slopes = lanes[0].slopes
     for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
         a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
-        if not _surely_finite(a.X):  # a lane leaves with the work of the stages before
-            a.leave(np.isfinite(a.X).all(axis=1), "nonfinite", (judge.stage_evals * (i - 1), i - 1, i - 1))
-        at = judge.slopes(model, a, i, mu_floor)
+        if not _surely_finite(a.X):
+            a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
+        at = slopes(model, a, i, mu_floor)
         if not a.lanes:
             return
-    for lane in a.lanes:
-        lane.add_work(6 * judge.stage_evals, 6, 6)
-    judge.judge(model, a.lanes, a.Q, a.X, a.KS[:, :, 6], at, a.H * (a.KS @ _DP_ERR), a.W)
+    a.close(model, at, a.H * (a.KS @ _DP_ERR))
 
 
-def _judge_lanes(
-    model: MapModel, lanes: list, Q: Array, X: Array, K7: Array, mu: Array, err: Array, W: Array
-) -> None:
-    """Take or reject the attempts of the line lanes of a lockstep attempt
-    whose stages all passed (row k: q, q5, k7, mu7, the error vector and w
-    of lanes[k]).
-
-    The arithmetic is stacked: the error norms at once, f(q5) for the lanes
-    under tolerance by one evaluate_stack (a non-finite row is rejected as
-    nonfinite; evals still counts one per lane), and the step chords, the
-    drifts against the line and the distances from x0 as row norms.  Each
-    lane then takes its step through _LineLift.take.
-    """
-    first = lanes[0]  # tolerances, x0, f0: shared by the lanes of one call
-    E = _error_norms(first.atol, first.rtol, Q, X, err)
-    under = E <= 1.0  # a NaN norm is rejected
-    if not under.all():
-        for k in np.flatnonzero(~under).tolist():  # the step factor stays a Python float
-            lanes[k].reject("error", err_norm=float(E[k]))
-        lanes, Q, X, K7, mu, W, E = _cut(lanes, under, Q, X, K7, mu, W, E)
-        if not lanes:
-            return
-    for lane in lanes:
-        lane.stats.evals += 1
-    F, finite = evaluate_stack(model, X)
+def _judge_lanes(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
+    """Take or reject the attempts of the line lanes of a that passed the
+    error test (E their error norms, at = (mu at q5,)): f(q5) by one
+    evaluate_stack (a lane with a non-finite row leaves), and the step
+    chords, the drifts against the line and the distances from x0 as row
+    norms; each lane then takes its step through _LineLift.take."""
+    first, (mu,) = a.lanes[0], at  # x0, f0: shared by the lanes of one call
+    F, finite = evaluate_stack(model, a.X)
+    a.evals += 1
     if not finite.all():
-        for k in np.flatnonzero(~finite).tolist():
-            lanes[k].reject("nonfinite")
-        lanes, Q, X, K7, mu, W, E, F = _cut(lanes, finite, Q, X, K7, mu, W, E, F)
-    T = [lane.step_end() for lane in lanes]
-    chords = _row_norms(X - Q).tolist()
-    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * W)).tolist()
-    dists = _row_norms(X - first.x0).tolist()
-    for k, (lane, mu_new, err_norm) in enumerate(zip(lanes, mu.tolist(), E.tolist())):
-        lane.take(X[k], K7[k], mu_new, err_norm, F[k], T[k], chords[k], drifts[k], dists[k])
+        F, mu, E = a.leave(finite, "nonfinite", F, mu, E)
+    T = [lane.step_end() for lane in a.lanes]
+    chords = _row_norms(a.X - a.Q).tolist()
+    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * a.W)).tolist()
+    dists = _row_norms(a.X - first.x0).tolist()
+    for k, (lane, mu_new, err_norm) in enumerate(zip(a.lanes, mu.tolist(), E.tolist())):
+        lane.take(a.X[k], a.KS[k, :, 6], mu_new, err_norm, F[k], T[k], chords[k], drifts[k], dists[k])
 
 
 class _LineLift(_Lift):
@@ -498,7 +494,6 @@ class _LineLift(_Lift):
     at x0.  Its stage slopes come from a Jacobian stack and its SVD
     (slopes); its finished attempts are judged by _judge_lanes."""
 
-    stage_evals = 0  # f is evaluated only at q5, by the judge
     judge = staticmethod(_judge_lanes)
 
     def __init__(self, model: MapModel, x0v: Array, f0: Array, wv: Array, opts: LiftOptions):
@@ -515,21 +510,23 @@ class _LineLift(_Lift):
         """Stage i of the line lanes of a: one Jacobian stack and its SVD.
         A lane leaves on a non-finite Jacobian, on mu below mu_floor (or not
         positive and finite) and on a non-finite velocity.  Sets the slopes
-        KS[:, :, i] and returns mu."""
+        KS[:, :, i] and returns (mu,)."""
         J, good = jacobian_stack(model, a.X)
+        a.jacobians += 1
         if not good.all():
-            (J,) = a.leave(good, "nonfinite", (0, i, i - 1), J)
+            (J,) = a.leave(good, "nonfinite", J)
         U, s, Vt = _svd(J)
+        a.svds += 1
         mu = s[:, -1]
         low, high = np.minimum.reduce(mu, initial=math.inf), np.maximum.reduce(mu, initial=0.0)
         if not (low >= mu_floor and low > 0.0 and high < math.inf):
             good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
-            U, s, Vt, mu = a.leave(good, "singular", (0, i, i), U, s, Vt, mu, mus=mu)
+            U, s, Vt, mu = a.leave(good, "singular", U, s, Vt, mu, mu=mu)
         V = _velocities(U, s, Vt, a.W)
         if not _surely_finite(V):
-            mu, V = a.leave(np.isfinite(V).all(axis=1), "nonfinite", (0, i, i), mu, V)
+            mu, V = a.leave(np.isfinite(V).all(axis=1), "nonfinite", mu, V)
         a.KS[:, :, i] = V
-        return mu
+        return (mu,)
 
     def start(self, U: Array, s: Array, Vt: Array) -> None:
         """Set up from the SVD of J(x0): record the base point, stop at once
@@ -592,13 +589,11 @@ class _LineLift(_Lift):
 
 
 def _descent(J: Array, R: Array) -> tuple:
-    """For a stack of Jacobians J and residuals r = f - y: grad F = J^T r,
-    mu (from the singular values alone) and F = |r|^2 / 2, each row the
-    one-row value."""
+    """For a stack of Jacobians J and residuals r = f - y: grad F = J^T r
+    and F = |r|^2 / 2, each row the one-row value."""
     G = np.matmul(J.transpose(0, 2, 1), R[:, :, None])[:, :, 0]
-    mu = _svd(J, compute_uv=False)[:, -1]
     F = 0.5 * np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
-    return G, mu, F
+    return G, F
 
 
 class _FlowLift(_Lift):
@@ -607,7 +602,6 @@ class _FlowLift(_Lift):
     on.  The flow runs until a verdict, the escape stop or the step budget."""
 
     t_end = math.inf
-    stage_evals = 1  # every stage evaluates f, J and one SVD
 
     def __init__(self, model: MapModel, x0v: Array, yv: Array, opts: LiftOptions):
         super().__init__(model, x0v, yv, opts)
@@ -623,41 +617,47 @@ class _FlowLift(_Lift):
     @staticmethod
     def slopes(model: MapModel, a: _Attempt, i: int, mu_floor: float):
         """Stage i of the flow lanes of a: -grad F from one evaluate_stack and
-        one Jacobian stack, with mu from its singular values.  A lane leaves
-        on a non-finite value, Jacobian, gradient or energy F.  Sets the
-        slopes KS[:, :, i] and returns (mu, F, grad F)."""
+        one Jacobian stack.  A lane leaves on a non-finite value, Jacobian,
+        gradient or energy F.  Sets the slopes KS[:, :, i]; at stage 6 (q5)
+        returns (mu, F, grad F), with mu from one singular-value stack."""
         Y, good = evaluate_stack(model, a.X)
+        a.evals += 1
         if not good.all():
-            (Y,) = a.leave(good, "nonfinite", (i, i - 1, i - 1), Y)
+            (Y,) = a.leave(good, "nonfinite", Y)
         J, good = jacobian_stack(model, a.X)
+        a.jacobians += 1
         if not good.all():
-            Y, J = a.leave(good, "nonfinite", (i, i, i - 1), Y, J)
-        G, mu, F = _descent(J, Y - a.W)
+            Y, J = a.leave(good, "nonfinite", Y, J)
+        G, F = _descent(J, Y - a.W)
         if not (_surely_finite(G) and _surely_finite(F)):
             good = np.isfinite(G).all(axis=1) & (F < math.inf)
-            G, mu, F = a.leave(good, "nonfinite", (i, i, i), G, mu, F)
+            G, F, J = a.leave(good, "nonfinite", G, F, J)
         a.KS[:, :, i] = -G
-        return mu, F, G
+        if i < 6:
+            return None
+        a.svds += 1  # the attempt's one singular-value stack, at q5
+        return _svd(J, compute_uv=False)[:, -1], F, G
 
     @staticmethod
-    def judge(model: MapModel, lanes: list, Q: Array, X: Array, K7: Array, at: tuple, err: Array,
-              W: Array) -> None:
-        """Judge the flow lanes whose stages all passed through finish; at
-        holds mu, F and grad F at q5."""
+    def judge(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
+        """Judge the flow lanes of a that passed the error test through
+        finish; at holds mu, F and grad F at q5, E the error norms."""
         mu, F, G = at
-        E = _error_norms(lanes[0].atol, lanes[0].rtol, Q, X, err)
-        for lane, *row in zip(lanes, X, K7, E.tolist(), mu.tolist(), F.tolist(), _row_norms(G).tolist()):
+        rows = zip(a.lanes, a.X, a.KS[:, :, 6], E.tolist(), mu.tolist(), F.tolist(), _row_norms(G).tolist())
+        for lane, *row in rows:
             lane.finish(*row)
 
     def start(self) -> None:
-        """f(x0), J(x0) and the slope there; a non-finite gradient or energy
-        F at x0 raises NonFinite."""
+        """f(x0), J(x0), mu and the slope there; a non-finite gradient or
+        energy F at x0 raises NonFinite."""
         self.add_work(1, 1, 1)
         R = (evaluate(self.model, self.x0) - self.w)[None]
-        G, mu, F = _descent(np.array([jacobian(self.model, self.x0)]), R)  # C order, as in a stack
+        J = np.array([jacobian(self.model, self.x0)])  # C order, as in a stack
+        G, F = _descent(J, R)
         if not (np.isfinite(G).all() and F[0] < math.inf):
             raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient or energy at x0")
-        self.k1, self.mu, self.F, self.gn = -G[0], float(mu[0]), float(F[0]), _norm(G[0])
+        self.k1, self.F, self.gn = -G[0], float(F[0]), _norm(G[0])
+        self.mu = float(_svd(J, compute_uv=False)[0, -1])
         self.rec.record(0.0, self.x0, self.mu)
         self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
@@ -665,12 +665,8 @@ class _FlowLift(_Lift):
         self.h0 = self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
 
     def finish(self, q5: Array, k7: Array, err_norm: float, mu7: float, F7: float, gn7: float) -> None:
-        """Judge an attempt whose stages all succeeded: reject it on the
-        error estimate or when it raises F, else take the step and judge the
-        window it may close."""
-        if not err_norm <= 1.0:
-            self.reject("error", err_norm=err_norm)
-            return
+        """Judge an attempt that passed the error test: reject it when it
+        raises F, else take the step and judge the window it may close."""
         if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
             self.reject("error")
             return

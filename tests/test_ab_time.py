@@ -1,8 +1,13 @@
 """Smoke test of tools/ab_time.py: two rounds with this checkout on both sides."""
 
+import dataclasses
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from globinv.lifting import gradient_flow, lift_lines
+from globinv.maps import registry_get
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,3 +26,26 @@ def test_ab_time_runs_this_checkout_against_itself():
         _, median, q1, q3, verdict = row.replace("[", "").replace("]", "").replace(",", "").split()
         assert float(q1) <= float(median) <= float(q3) and float(median) > 0.0
         assert verdict == "identical"
+
+
+def test_fingerprint_names_the_fields_that_differ():
+    spec = importlib.util.spec_from_file_location("ab_time", ROOT / "tools" / "ab_time.py")
+    ab_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_time)
+    flow = gradient_flow(registry_get("monotone1d"), [2.0], [0.0])
+    line = lift_lines(registry_get("arctan1d"), [0.0], [[1.5]])[0]
+    base = ab_time.fingerprint([flow, line])
+    assert ab_time.differing(base, ab_time.fingerprint([flow, line])) == set()
+
+    outcome, verdict = flow
+    fewer_svds = dataclasses.replace(outcome, stats=dataclasses.replace(outcome.stats, svds=1))
+    assert ab_time.differing(base, ab_time.fingerprint([(fewer_svds, verdict), line])) == {"stats.svds"}
+    # a trajectory that differs only inside, not at its end point
+    trajectory = line.trajectory
+    mu_values = trajectory.mu_values.copy()
+    mu_values[1] = -mu_values[1]
+    points = trajectory.points.copy()
+    points[1, 0] += 1.0
+    moved = dataclasses.replace(line, trajectory=dataclasses.replace(trajectory, points=points, mu_values=mu_values))
+    assert ab_time.differing(base, ab_time.fingerprint([flow, moved])) == {
+        "trajectory.points", "trajectory.mu_values"}

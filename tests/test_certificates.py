@@ -389,6 +389,20 @@ def test_weighted_rejects_bad_weight():
         )
 
 
+@pytest.mark.parametrize("x0", [[5.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+@pytest.mark.parametrize("check", [
+    lambda ent, x0, prof: weighted_certificate(ent.model, x0, lambda r: 1.0 + r, prof, facts=ent.facts),
+    lambda ent, x0, prof: plastock_check(ent.model, x0, prof, facts=ent.facts, seed=0),
+], ids=["weighted_certificate", "plastock_check"])
+def test_checks_reject_a_wrong_shaped_x0(check, x0):
+    # complex_exp has a vanishing witness: a one-entry x0 was broadcast
+    # against its 2-D witness points and C22 returned a certified Fails
+    ent = registry_entry("complex_exp")
+    prof = _profile("complex_exp", [0.0, 0.0], 2.0, grid=16)
+    with pytest.raises(DimensionMismatch, match=": x0"):
+        check(ent, x0, prof)
+
+
 def test_plastock_verdicts():
     mono = registry_entry("monotone1d")
     prof = _profile("monotone1d", [0.0], 8.0)

@@ -330,8 +330,9 @@ def test_gradient_flow_stats():
     out, _ = gradient_flow(registry_get("monotone1d"), np.array([2.0]), np.array([0.0]))
     st = out.stats
     assert st.accepted == out.trajectory.times.size - 1
-    # every stage evaluates f, J and one SVD
-    assert st.evals == st.jacobians == st.svds == 1 + 6 * (st.accepted + st.rejected_error)
+    # every stage evaluates f and J; one SVD at x0 and one at q5 per attempt
+    assert st.evals == st.jacobians == 1 + 6 * (st.accepted + st.rejected_error)
+    assert st.svds == 1 + st.accepted + st.rejected_error
 
 
 def test_gradient_flow_rejects_a_step_that_raises_F():
@@ -367,35 +368,36 @@ _HALF_LINE_STOP = (LiftStatus.step_failure(0.08109302162183195),
 
 @pytest.mark.parametrize("label, model, x0, y, opts, stats, status, verdict, x_end", [
     ("monotone1d", registry_get("monotone1d"), [2.0], [0.0], None,
-     LiftStats(362, 5, 0, 0, 2203, 2203, 2203, 0.010190558120949616), LiftStatus.complete(18.254103966891027),
+     LiftStats(362, 5, 0, 0, 2203, 2203, 368, 0.010190558120949616), LiftStatus.complete(18.254103966891027),
      FlowVerdict("converged", 8.959873827205678e-30, 6.349758438116016e-15), [2.822114861384896e-15]),
     ("arctan1d", registry_get("arctan1d"), [0.0], [2.0], None,
-     LiftStats(423, 1, 0, 0, 2545, 2545, 2545, 0.0033333333333333335),
+     LiftStats(423, 1, 0, 0, 2545, 2545, 425, 0.0033333333333333335),
      LiftStatus.escaped(232329224020344.72, 66881.15118113135),
      FlowVerdict("ps_candidate", 0.09211431406673233, 9.595576662559932e-11), [66881.15118113135]),
     ("exp1d", registry_get("exp1d"), [0.0], [-1.0], None,
-     LiftStats(259, 0, 0, 0, 1555, 1555, 1555, 0.0033333333333333335),
+     LiftStats(259, 0, 0, 0, 1555, 1555, 260, 0.0033333333333333335),
      LiftStatus.escaped(211731.31460008674, 12.263132731487348),
      FlowVerdict("ps_candidate", 0.500004722697723, 4.722708874932624e-06), [-12.263132731487348]),
     ("complex_exp", registry_get("complex_exp"), [0.0, 0.0], [3.0, 4.0], None,
-     LiftStats(172, 1, 0, 0, 1039, 1039, 1039, 0.001827439976315568), LiftStatus.complete(1.7059022317760744),
+     LiftStats(172, 1, 0, 0, 1039, 1039, 174, 0.001827439976315568), LiftStatus.complete(1.7059022317760744),
      FlowVerdict("converged", 1.190277775114723e-20, 7.714524531824526e-10), [1.60943791240374, 0.9272952179960924]),
     ("parabola_sub", registry_get("parabola_sub"), [0.0, 0.5], [1.2], None,
-     LiftStats(198, 0, 0, 0, 1189, 1189, 1189, 0.0049170499162604735), LiftStatus.complete(27.35512440457149),
+     LiftStats(198, 0, 0, 0, 1189, 1189, 199, 0.0049170499162604735), LiftStatus.complete(27.35512440457149),
      FlowVerdict("converged", 1.9365765689362797e-23, 6.2488151487881865e-12),
      [1.2020407105837325, 0.04517422484067768]),
     ("linear_loose", linear_map([[1.0], [2.0]]), [5.0], [1.0, -1.0], LiftOptions(rel_tol=0.01, abs_tol=0.01),
-     LiftStats(29, 33, 0, 0, 373, 373, 373, 0.0022222222222222222), LiftStatus.complete(12.508838641236515),
+     LiftStats(29, 33, 0, 0, 373, 373, 63, 0.0022222222222222222), LiftStatus.complete(12.508838641236515),
      FlowVerdict("converged", 0.9000000000000036, 1.8615659636012083e-07), [-0.1999999627686807]),
-    # a rejected stage counts the work done before it: evals, Jacobians, SVDs
+    # a rejected stage counts the work done before it: evals and Jacobians;
+    # the one SVD of an attempt is taken at q5, after the stages passed
     ("nan_value", _half_line("nan"), [0.0], [3.0, 6.0], None,
-     LiftStats(33, 0, 0, 73, 331, 258, 258, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+     LiftStats(33, 0, 0, 73, 331, 258, 34, 1.5654789127015596e-13), *_HALF_LINE_STOP),
     ("raises", _half_line("raises"), [0.0], [3.0, 6.0], None,
-     LiftStats(33, 0, 0, 73, 331, 258, 258, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+     LiftStats(33, 0, 0, 73, 331, 258, 34, 1.5654789127015596e-13), *_HALF_LINE_STOP),
     ("nan_jacobian", _half_line("jac"), [0.0], [3.0, 6.0], None,
-     LiftStats(33, 0, 0, 73, 331, 331, 258, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+     LiftStats(33, 0, 0, 73, 331, 331, 34, 1.5654789127015596e-13), *_HALF_LINE_STOP),
     ("energy_overflow", _half_line("huge"), [0.0], [3.0, 6.0], None,
-     LiftStats(33, 0, 0, 73, 331, 331, 331, 1.5654789127015596e-13), *_HALF_LINE_STOP),
+     LiftStats(33, 0, 0, 73, 331, 331, 34, 1.5654789127015596e-13), *_HALF_LINE_STOP),
 ])
 def test_gradient_flow_pinned(label, model, x0, y, opts, stats, status, verdict, x_end):
     """Exact LiftStats, status, verdict and end point of flows, rejected
@@ -566,19 +568,29 @@ def test_lift_lines_cover_every_terminal_status():
 
 def _lanes_at(model, opts, W, Q, H, T, mu):
     """Line-lift lanes from x0 = 0 toward the rows of W, set mid-lift: at
-    q = Q[k], time T[k], step size H[k] and indicator mu[k]."""
+    q = Q[k], time T[k], step size H[k] and indicator mu[k], slope 0."""
     x0 = np.zeros(model.n)
     f0 = evaluate(model, x0)
     lanes = []
     for k in range(len(W)):
         lane = lifting._LineLift(model, x0, f0, W[k], opts)
         lane.q, lane.t, lane.h, lane.mu = Q[k], float(T[k]), float(H[k]), float(mu[k])
+        lane.k1 = np.zeros(model.n)
         lanes.append(lane)
     return lanes
 
 
+def _close_attempt(model, lanes, X, K7, mu, err):
+    """Close a lockstep attempt of the lanes whose stages reached q5 = X[k]
+    with slope K7[k], indicator mu[k] and error vector err[k]."""
+    a = lifting._Attempt(model, lanes)
+    a.X, a.KS[:, :, 6] = X, K7
+    a.close(model, (mu,), err)
+
+
 def test_stacked_judge_matches_one_lane_judges():
-    """_judge_lanes over 4000 lanes against _judge_lanes on each lane alone:
+    """The close of a 4000-lane attempt (the error test, then _judge_lanes)
+    against the close of each lane alone:
     error norms from 1e-12 to past tolerance, mu rising and falling (the
     mu-decay guard), drifts about the cap and some lanes outside the escape
     ball.  No lane's verdict or step depends on the other rows.
@@ -604,11 +616,11 @@ def test_stacked_judge_matches_one_lane_judges():
     err[:5] = np.nan
 
     stacked = _lanes_at(model, opts, W, Q, H, T, mu_prev)
-    lifting._judge_lanes(model, stacked, Q, X, K7, mu_new, err, W)
+    _close_attempt(model, stacked, X, K7, mu_new, err)
     alone = _lanes_at(model, opts, W, Q, H, T, mu_prev)
     for k, lane in enumerate(alone):
         row = slice(k, k + 1)
-        lifting._judge_lanes(model, [lane], Q[row], X[row], K7[row], mu_new[row], err[row], W[row])
+        _close_attempt(model, [lane], X[row], K7[row], mu_new[row], err[row])
 
     taken = 0
     for a, b in zip(stacked, alone):
@@ -625,7 +637,7 @@ def test_stacked_judge_matches_one_lane_judges():
 def test_next_step_is_grown_with_the_mu_guard():
     rng = np.random.default_rng(12)
     lane = _lanes_at(registry_get("identity_1"), LiftOptions(), [[1.0]], [[0.0]], [0.1], [0.0], [1.0])[0]
-    # error norms as _judge_lanes hands them over: Python floats of an array
+    # error norms as an attempt's close hands them over: Python floats of an array
     E = (10.0 ** rng.uniform(-16.0, 0.0, 20000)).tolist() + [0.0, 1.0, 5e-324]
     for e in E:
         h, mu_prev, mu_new = float(10.0 ** rng.uniform(-8, 0)), float(rng.uniform()), float(rng.uniform())

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import globinv
 from globinv.errors import DimensionMismatch, NonFinite, UnknownMap
 from globinv.maps import (
     _SVD_HI,
@@ -582,3 +586,22 @@ def test_svd_of_other_shapes_is_lapack(shape):
     _assert_svd_is_lapack(J)
     _assert_svd_is_lapack(J[0])
     _assert_svd_is_lapack(J[:0])
+
+
+def test_every_svd_of_src_is_maps_svd():
+    """numpy.linalg.svd (any attribute .svd, any imported svd) appears in
+    the package only inside maps._svd, so every SVD takes its 1x1 closed
+    form and is counted where maps._svd is."""
+    outside = []
+    for path in sorted(Path(globinv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        if path.name == "maps.py":
+            helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_svd")
+            inside = {id(node) for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.alias)) and named.split(".")[-1] == "svd":
+                if id(node) not in inside:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []

@@ -16,8 +16,10 @@ first in even rounds, the change first in odd rounds):
 
 For each workload it prints the median of the per-round time ratios
 change / base, their quartiles, and whether both sides gave the same
-outcomes bit for bit (status, LiftStats, end point and flow verdict of
-each lift; the eta values of each profile).
+outcomes bit for bit: the status, each LiftStats field, the recorded
+times, points and mu values, the length, the residual and the flow
+verdict of each lift, and the eta values of each profile.  Where they
+differ it names the fields, as in "DIFFER: stats.svds".
 Wall time on a shared machine is noisy: compare medians over many rounds.
 Needs only the standard library and numpy (plus what globinv imports).
 """
@@ -139,21 +141,30 @@ WORKLOADS = ("lines", "sweep", "sweep1d", "flows", "profile")
 
 
 def fingerprint(results) -> list:
-    """What must agree bit for bit between the sides."""
+    """What must agree bit for bit between the sides: for each result, its
+    fields by name, each as bytes or as the repr of its value."""
     out = []
     for r in results:
         if hasattr(r, "eta_values"):  # a profile
-            out.append(r.eta_values.tobytes())
+            out.append({"eta_values": r.eta_values.tobytes()})
             continue
         outcome, verdict = r if isinstance(r, tuple) else (r, None)
-        out.append((
-            outcome.status.to_json_dict(),
-            vars(outcome.stats),
-            outcome.trajectory.points[-1].tobytes(),
-            outcome.target_residual,
-            None if verdict is None else verdict.to_json_dict(),
-        ))
+        trajectory = outcome.trajectory
+        out.append({
+            "status": repr(outcome.status.to_json_dict()),
+            **{f"stats.{name}": repr(value) for name, value in vars(outcome.stats).items()},
+            **{f"trajectory.{name}": getattr(trajectory, name).tobytes()
+               for name in ("times", "points", "mu_values")},
+            "trajectory.length": repr(trajectory.length),
+            "target_residual": repr(outcome.target_residual),
+            "verdict": repr(None if verdict is None else verdict.to_json_dict()),
+        })
     return out
+
+
+def differing(base: list, change: list) -> set:
+    """The names of the fields whose fingerprints differ in any result."""
+    return {name for a, b in zip(base, change) for name in a.keys() | b.keys() if a.get(name) != b.get(name)}
 
 
 def timed(fn) -> tuple:
@@ -173,7 +184,7 @@ def main(argv=None) -> int:
         ap.error("--rounds must be at least 1")
     sides = (Side(load(args.base, "globinv_base")), Side(load(args.change, "globinv_change")))
     ratios = {w: [] for w in WORKLOADS}
-    same = {w: True for w in WORKLOADS}
+    differ = {w: set() for w in WORKLOADS}
     for rnd in range(args.rounds):
         order = (0, 1) if rnd % 2 == 0 else (1, 0)
         for w in WORKLOADS:
@@ -181,14 +192,14 @@ def main(argv=None) -> int:
             for k in order:
                 times[k], results[k] = timed(getattr(sides[k], f"run_{w}"))
             ratios[w].append(times[1] / times[0])
-            same[w] = same[w] and fingerprint(results[0]) == fingerprint(results[1])
+            differ[w] |= differing(fingerprint(results[0]), fingerprint(results[1]))
     print(f"change / base over {args.rounds} rounds: median [quartiles], outcomes")
     for w in WORKLOADS:
         r = ratios[w]
         q1, _, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0], r[0], r[0])
-        print(f"{w:7s} {statistics.median(r):.3f} [{q1:.3f}, {q3:.3f}] "
-              f"{'identical' if same[w] else 'DIFFER'}")
-    return 0 if all(same.values()) else 1
+        outcomes = f"DIFFER: {', '.join(sorted(differ[w]))}" if differ[w] else "identical"
+        print(f"{w:7s} {statistics.median(r):.3f} [{q1:.3f}, {q3:.3f}] {outcomes}")
+    return 1 if any(differ.values()) else 0
 
 
 if __name__ == "__main__":
