@@ -21,19 +21,25 @@ once per call and counted in every lane.  lift_line_square and
 lift_line_horizontal check the shape and make a one-row call.
 gradient_flow integrates x' = -grad F_y as one lane.
 
-One stage code and one driver (_drive) serve both ODEs.  The lanes run in
-lockstep as one (K, n) state (_lockstep_attempt) under one step controller
-(_Lift: t, step size and budget, rejection and step collapse, recorder,
-counters, escape stop).  _Attempt keeps the books of one attempt: one work
-tally, one error test and one exit for every lane cut within it.  Two
+One stage code and one driver (_drive) serve both ODEs.  The lanes of a
+call run in lockstep as one (K, n) state (_lockstep_attempt) under one step
+controller per call (_Lanes), which keeps what the integration reads of
+each lane (t, step size, point, slope, mu, rejections, whether it runs) as
+rows of arrays: rejection, step collapse, acceptance, the next step size
+and the stops are array operations over the rows concerned.  Per-lane
+Python is left in three places: the LiftStatus of a lane that stops, the
+step factor 0.9 e^-0.2 (Python's float power, see _step_factors) and the
+flow's window verdict.  The recorder keeps one block of rows per attempt;
+each lane's trajectory, length, h_min, drift and residual are read off the
+blocks at the end.  _Attempt keeps the books of one attempt: one work
+tally, one error test and one exit for every row cut within it.  Two
 judges supply the stage slopes, one stack of model calls per stage, and
-take or reject the attempts under tolerance: _LineLift (J^+ w from an SVD
+take or reject the attempts under tolerance: _LineLanes (J^+ w from an SVD
 stack per stage, the mu floor; _judge_lanes: f(q5), chords, drifts against
-the line and distances from x0, each stacked) and _FlowLift (-J^T r and F;
-one singular-value stack per attempt, at q5; F must not rise, and
-time-doubling windows give the verdict).  Each lane keeps its own t, step
-size, recorder and status, and its LiftOutcome, LiftStats included, does
-not depend on the other rows of the call.
+the line and distances from x0, each stacked) and _FlowLanes (-J^T r and
+F; F must not rise, then one singular-value stack at q5 per step taken,
+and time-doubling windows give the verdict).  Each lane's LiftOutcome,
+LiftStats included, does not depend on the other rows of the call.
 """
 
 from __future__ import annotations
@@ -171,7 +177,8 @@ class LiftStats:
     evaluations made by the lift itself, not those inside a
     finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
     SVDs taken, a closed-form 1x1 one (maps._svd) included; a flow takes
-    one at x0 and one per attempt that reaches q5.  h_min: the smallest
+    one at x0 and one per step taken, at q5 once the error and energy
+    tests passed.  h_min: the smallest
     accepted step size, inf when no step was accepted.  The counters are
     deterministic; each lane of a lift_lines call counts the shared work at
     x0 as its own, so it counts exactly what the one-row call of its target
@@ -239,6 +246,16 @@ def _norm(v: Array) -> float:
     return norm
 
 
+def _every(mask: Array) -> bool:
+    """mask.all(), by one count: on the short masks of an attempt a count
+    costs a third of a ufunc reduce."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _all_finite(A: Array) -> bool:
+    return _every(np.isfinite(A))
+
+
 def _row_norms(D: Array) -> Array:
     """_norm of every row of D, bit for bit.  Each row's dot product goes
     through matmul, which rounds as np.linalg.norm of the row does;
@@ -246,7 +263,7 @@ def _row_norms(D: Array) -> Array:
     in some rows.  Rows whose plain norm overflows go through _norm, so,
     like _norm, it runs under np.errstate(over="ignore")."""
     norms = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
-    if not norms.max(initial=0.0) < math.inf:
+    if not _every(norms < math.inf):
         for k in np.flatnonzero(norms == math.inf):
             norms[k] = _norm(D[k])
     return norms
@@ -266,326 +283,359 @@ def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
     per matrix: the exact inverse for square J, the minimum-norm right
     inverse J^T (J J^T)^{-1} otherwise.  Each row is computed by the same
     BLAS operations whatever the size of the stack."""
-    c = np.matmul(U.transpose(0, 2, 1), W[:, :, None])[:, :, 0] / s
-    return np.matmul(Vt.transpose(0, 2, 1), c[:, :, None])[:, :, 0]
+    c = np.matmul(U.transpose(0, 2, 1), W[:, :, None]) / s[:, :, None]
+    return np.matmul(Vt.transpose(0, 2, 1), c)[:, :, 0]
 
 
-class _Recorder:
-    def __init__(self, stride: int):
-        self.stride = stride
-        self.times: list = []
-        self.points: list = []
-        self.mus: list = []
-        self._since = 0
-
-    def record(self, t: float, x: Array, mu: float):
-        """Keep the first point and every stride-th one after it."""
-        if self.times and self._since + 1 < self.stride:
-            self._since += 1
-            return
-        self._since = 0
-        self.force_last(t, x, mu)
-
-    def force_last(self, t: float, x: Array, mu: float):
-        """Keep the point unless its time is the last one kept."""
-        if not self.times or self.times[-1] != t:
-            self.times.append(float(t))
-            self.points.append(np.array(x, dtype=float))
-            self.mus.append(float(mu))
-
-    def build(self, length: float) -> LiftTrajectory:
-        return LiftTrajectory(
-            times=np.array(self.times),
-            points=np.stack(self.points, axis=0),
-            mu_values=np.array(self.mus),
-            length=float(length),
-        )
+_CAUSES = {"error": 0, "singular": 1, "nonfinite": 2}  # columns of _Lanes.rejected
+_RECORD_RUN = 64  # record blocks merged into one, so a long lift keeps a few arrays
 
 
-class _Lift:
-    """The step controller shared by every integration, t from 0 to t_end.
-    Its attempts are made by _lockstep_attempt; a judge subclass supplies
-    the stage slopes (slopes) and takes or rejects the attempts whose
-    stages all passed (judge)."""
+def _step_factors(E: Array) -> Array:
+    """0.9 e^-0.2 for each error norm e of E, inf for e = 0.  Each power is
+    Python's float **: numpy's array ** rounds differently in about 5% of
+    values, so a lane's step would depend on how many rows its array held."""
+    return np.array([0.9 * e ** -0.2 if e else math.inf for e in E.tolist()])
+
+
+class _Lanes:
+    """The K lanes of one call under one step controller, t from 0 to
+    t_end.  Every per-lane fact the integration reads is a row of an
+    array: t, the step size h, the point q and its slope k1, mu at q, the
+    mu of the last singular rejection since a step was taken
+    (last_singular_mu, NaN for none), the rejections by cause (one column
+    per cause in _CAUSES) and whether the lane still runs.  A lane runs
+    until it stops with a LiftStatus (status[k]) or reaches t_end, and
+    every running lane is in every attempt, so a running lane has taken
+    attempts - its rejections steps.  The work (evals, Jacobians, SVDs) of
+    the rejected attempts is added up per lane (work); every step taken did
+    the work of a whole attempt (step_work, set when an attempt closes).
+
+    _lockstep_attempt makes the attempts of the rows begin_attempt returns;
+    a judge subclass supplies the stage slopes (slopes) and takes or
+    rejects the attempts whose stages all passed (judge).  The recorder
+    keeps one block per attempt with a step taken, and one for the start:
+    (rows, t, q, mu, h, chord) and what the judge adds; every _RECORD_RUN
+    new blocks are merged into one.  What only the outcome reads (the chord
+    length, h_min, and for a line the drift and f(q)) is taken from these
+    blocks at the end (recorded)."""
 
     t_end = 1.0
 
-    def __init__(self, model: MapModel, x0v: Array, wv: Array, opts: LiftOptions):
+    def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
+        K = len(W)
         self.model, self.x0, self.opts = model, x0v, opts
-        self.w = wv  # the codomain vector of the ODE: the line's w, the flow's y
-        self.stats = LiftStats()
+        self.w = W  # the codomain vectors of the ODE: the lines' w, the flow's y
         self.rtol = opts.rel_tol / _SAFETY_DIV
         self.atol = opts.abs_tol / _SAFETY_DIV
-        self.rec = _Recorder(opts.record_stride)
-        self.t = 0.0
-        self.q = x0v
-        self.k1 = None
-        self.h = 0.0
-        self.mu = None  # the indicator at q
-        self.length = 0.0
-        self.status = None
-        self.last_singular_mu = None
+        self.t, self.h, self.mu = np.zeros(K), np.zeros(K), np.zeros(K)
+        self.q, self.k1 = np.tile(x0v, (K, 1)), np.zeros((K, model.n))
+        self.last_singular_mu = np.full(K, math.nan)
+        self.rejected = np.zeros((K, 3), dtype=np.int64)
+        self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
+        self.step_work = (0, 0, 0)
+        self.status = [None] * K
+        self.running = np.ones(K, dtype=bool)
+        self.attempts = 0  # attempts made
+        self.records, self.merged = [], 0  # the first `merged` blocks are merged runs
 
-    def begin_attempt(self) -> bool:
-        """Size the next attempt; False once the integration has stopped."""
-        if self.status is not None or self.t >= self.t_end - 1e-15:
-            return False
-        if self.stats.accepted >= self.opts.max_steps:
-            self.status = LiftStatus.step_failure(self.t)
-            return False
-        self.h = min(self.h, self.t_end - self.t)
-        return True
+    def record_start(self, *extra) -> None:
+        """Record every lane's base point, at t with mu set, no step taken
+        (h inf, chord 0) and the judge's extra columns."""
+        K = len(self.t)
+        self.records.append((np.arange(K), self.t.copy(), self.q.copy(), self.mu.copy(), np.full(K, math.inf),
+                             np.zeros(K), *extra))
 
-    def add_work(self, evals: int, jacobians: int, svds: int) -> None:
-        self.stats.evals += evals
-        self.stats.jacobians += jacobians
-        self.stats.svds += svds
+    def stop(self, k: int, status: LiftStatus) -> None:
+        self.status[k] = status
+        self.running[k] = False
 
-    def reject(self, cause: str, mu: Optional[float] = None, err_norm: float = np.inf) -> None:
-        """Reject the attempt (cause "error", "singular" or "nonfinite") and
-        shrink the step; a step that collapses ends the integration."""
-        if cause == "singular":
-            self.stats.rejected_singular += 1
-            self.last_singular_mu = mu
-        elif cause == "nonfinite":
-            self.stats.rejected_nonfinite += 1
+    def begin_attempt(self) -> Array:
+        """The rows of the next attempt: the running lanes, less those whose
+        step budget is spent, which stop.  Every step size already ends at
+        or before t_end (the judges cut it so)."""
+        rows = self.running.nonzero()[0]
+        if self.attempts >= self.opts.max_steps:  # before, no lane has taken that many steps
+            spent = self.attempts - self.rejected[rows].sum(axis=1) >= self.opts.max_steps
+            for k in rows[spent].tolist():
+                self.stop(k, LiftStatus.step_failure(self.t[k]))
+            rows = rows[~spent]
+        self.attempts += 1
+        return rows
+
+    def reject(self, rows: Array, cause: str, work: tuple, mu: Optional[Array] = None,
+               err_norm: Optional[Array] = None) -> None:
+        """Reject the attempts of rows (cause "error", "singular" or
+        "nonfinite"), adding work, and shrink their steps by the step
+        factor of err_norm in [0.1, 0.5], or by half where it is absent or
+        not finite; a lane whose step collapses stops."""
+        np.add.at(self.work, rows, work)
+        self.rejected[rows, _CAUSES[cause]] += 1
+        if mu is not None:
+            self.last_singular_mu[rows] = mu
+        if err_norm is None:
+            self.h[rows] *= 0.5
         else:
-            self.stats.rejected_error += 1
-        shrink = 0.5 if not np.isfinite(err_norm) else max(0.1, min(0.5, 0.9 * err_norm ** -0.2))
-        self.h *= shrink
-        if self.h < _H_MIN * max(1.0, self.t):
-            if self.last_singular_mu is not None:
-                self.status = LiftStatus.singular(self.t, self.last_singular_mu)
-            else:
-                self.status = LiftStatus.step_failure(self.t)
+            shrink = np.maximum(0.1, np.minimum(0.5, _step_factors(err_norm)))
+            self.h[rows] *= np.where(np.isfinite(err_norm), shrink, 0.5)
+        for k in rows[self.h[rows] < _H_MIN * np.maximum(1.0, self.t[rows])].tolist():
+            t, mu_k = self.t[k], self.last_singular_mu[k]
+            self.stop(k, LiftStatus.step_failure(t) if math.isnan(mu_k) else LiftStatus.singular(t, mu_k))
 
-    def grown(self, err_norm: float) -> float:
-        """The next step size after taking a step of this error norm, uncapped."""
-        fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        return self.h * fac
+    @staticmethod
+    def grown(H: Array, E: Array) -> Array:
+        """The next step sizes after steps of sizes H and error norms E, uncapped."""
+        return H * np.minimum(5.0, np.maximum(0.2, _step_factors(E)))
 
-    def step_end(self) -> float:
-        """The time an accepted attempt of size h reaches: t + h, or t_end
-        when that lies within 1e-15 of it."""
-        t_new = self.t + self.h
-        return self.t_end if self.t_end - t_new < 1e-15 else t_new
+    def step_end(self, rows: Array, H: Array) -> Array:
+        """The times the attempts of rows, of step sizes H, reach: t + h, or
+        t_end where that lies within 1e-15 of it.  As t + h lies in [0, 2],
+        t_end - (t + h) is exact, so that is t + h >= t_end - 1e-15."""
+        T = self.t.take(rows) + H
+        T[T >= self.t_end - 1e-15] = self.t_end
+        return T
 
-    def accept(self, q5: Array, k7: Array, mu: float, t_new: float, chord: float) -> None:
-        """Take the attempted step of size h to q5, where the slope is k7;
-        t_new is step_end() and chord is |q5 - q|."""
-        self.stats.accepted += 1
-        self.stats.h_min = min(self.stats.h_min, self.h)
-        self.length += chord
-        self.q, self.t, self.k1, self.mu = q5, t_new, k7, mu
-        self.last_singular_mu = None
-        self.rec.record(t_new, q5, mu)
+    def accept(self, rows: Array, X: Array, K7: Array, mu: Array, T: Array, H: Array, chords: Array,
+               *extra) -> None:
+        """Take the attempted steps of rows, of sizes H, to X, where the
+        slopes are K7 and the indicator mu; T is step_end(rows, H), chords
+        |X - q|, extra the judge's columns of the record.  A lane that
+        reaches t_end stops running."""
+        self.records.append((rows, T, X, mu, H, chords, *extra))
+        if len(self.records) - self.merged == _RECORD_RUN:
+            self.records[self.merged:] = [tuple(map(np.concatenate, zip(*self.records[self.merged:])))]
+            self.merged += 1
+        self.q[rows], self.k1[rows], self.t[rows], self.mu[rows] = X, K7, T, mu
+        self.last_singular_mu[rows] = math.nan
+        self.running[rows] = T < self.t_end - 1e-15
 
-    def stop(self, status: LiftStatus) -> None:
-        self.rec.force_last(self.t, self.q, self.mu)
-        self.status = status
+    def recorded(self) -> tuple:
+        """The records by lane: starts, ends and the columns t, q, mu, h,
+        chord and the judge's, each sorted by lane and, within a lane, by
+        time; lane k's entries are at starts[k]:ends[k]."""
+        rows, *columns = map(np.concatenate, zip(*self.records))
+        order = np.argsort(rows, kind="stable")
+        ends = np.cumsum(np.bincount(rows, minlength=len(self.t)))
+        return (np.concatenate([[0], ends[:-1]]), ends, *(A[order] for A in columns))
 
-    def stop_if_escaped(self, dist: float) -> bool:
-        """Stop as Escaped when dist = |q - x0| exceeds r_escape."""
-        if self.opts.r_escape is not None and dist > self.opts.r_escape:
-            self.stop(LiftStatus.escaped(self.t, dist))
-        return self.status is not None
-
-    def trajectory(self) -> LiftTrajectory:
-        self.rec.force_last(self.t, self.q, self.mu)
-        return self.rec.build(self.length)
-
-
-def _surely_finite(A: Array) -> bool:
-    """True when A has no non-finite entry, by one sum.  A finite A whose
-    sum overflows reads False too, so False calls for the per-row test."""
-    return math.isfinite(np.add.reduce(A, axis=None))
+    def results(self, starts: Array, ends: Array, T: Array, X: Array, mu: Array, H: Array,
+                chords: Array) -> list:
+        """(LiftTrajectory, LiftStats) of every lane from the recorded
+        columns.  A trajectory keeps the base point and every
+        record_stride-th step after it, then the lane's final point unless
+        its time is the last one kept; its length sums the chords in step
+        order.  h_min is the least step taken, inf for none."""
+        h_min = np.minimum.reduceat(H, starts).tolist()
+        steps = ends - starts - 1  # the blocks after the start
+        work = self.work + steps[:, None] * np.array(self.step_work)
+        counts = np.column_stack([steps, self.rejected, work]).tolist()
+        stride, out = self.opts.record_stride, []
+        for k, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+            times, points, mus = T[a:b:stride], X[a:b:stride], mu[a:b:stride]
+            if times[-1] != self.t[k]:
+                times, mus = np.append(times, self.t[k]), np.append(mus, self.mu[k])
+                points = np.concatenate([points, self.q[k, None]])
+            length = float(np.cumsum(chords[a:b])[-1])  # sequential, as the steps added up
+            trajectory = LiftTrajectory(times=times, points=points, mu_values=mus, length=length)
+            out.append((trajectory, LiftStats(*counts[k], h_min[k])))
+        return out
 
 
 class _Attempt:
-    """The live lanes of one lockstep attempt and their rows, kept aligned
-    with the list of lanes: Q the points the step starts from, H the step
-    sizes, W the codomain vectors, KS the seven stage slopes and X the
-    current stage point.  evals, jacobians and svds tally the stack calls
-    made so far, each raised right after its call: every lane still in the
-    attempt did that work, and adds it to its LiftStats when it leaves or
-    is judged."""
+    """One lockstep attempt of the rows of lanes: Q the points the step
+    starts from, H the step sizes, W the codomain vectors, KS the seven
+    stage slopes and X the current stage point, each aligned with rows.
+    evals, jacobians and svds tally the stack calls made so far, each
+    raised right after its call: every row still in the attempt did that
+    work, which a row that leaves adds to its lane's work; the rows judged
+    did the whole attempt's (step_work)."""
 
-    def __init__(self, model: MapModel, lanes: list):
-        self.lanes = lanes
-        self.Q = self.X = np.array([lane.q for lane in lanes])
-        self.H = np.array([[lane.h] for lane in lanes])
-        self.W = np.array([lane.w for lane in lanes])
-        self.KS = np.empty((len(lanes), model.n, 7))
-        self.KS[:, :, 0] = [lane.k1 for lane in lanes]
+    def __init__(self, lanes: _Lanes, rows: Array):
+        self.lanes, self.rows = lanes, rows
+        self.Q = self.X = lanes.q.take(rows, axis=0)
+        self.H = lanes.h.take(rows)[:, None]
+        self.W = lanes.w.take(rows, axis=0)
+        self.KS = np.empty((len(rows), lanes.q.shape[1], 7))
+        self.KS[:, :, 0] = lanes.k1.take(rows, axis=0)
         self.evals = self.jacobians = self.svds = 0
 
     def leave(self, good: Array, cause: str, *arrays, **values) -> list:
-        """Reject the lanes that are not good with cause, adding the tally
-        and passing values[key][k] to reject (mu= or err_norm=) as a Python
-        float, whose ** -0.2 does not depend on the other rows.  Cuts the
-        lanes and their rows, and the arrays, which it returns, to the good
-        ones."""
-        for k in np.flatnonzero(~good).tolist():
-            lane = self.lanes[k]
-            lane.add_work(self.evals, self.jacobians, self.svds)
-            lane.reject(cause, **{key: float(v[k]) for key, v in values.items()})
-        self.lanes = [lane for lane, g in zip(self.lanes, good.tolist()) if g]
-        self.Q, self.H, self.W, self.KS, self.X, *arrays = (
-            A[good] for A in (self.Q, self.H, self.W, self.KS, self.X, *arrays)
+        """Reject the rows that are not good with cause, adding the tally
+        and passing values[key] of those rows to _Lanes.reject (mu= or
+        err_norm=).  Cuts the rows, their arrays and the given arrays,
+        which it returns, to the good ones."""
+        bad = ~good
+        self.lanes.reject(self.rows[bad], cause, (self.evals, self.jacobians, self.svds),
+                          **{key: v[bad] for key, v in values.items()})
+        self.rows, self.Q, self.H, self.W, self.KS, self.X, *arrays = (
+            A[good] for A in (self.rows, self.Q, self.H, self.W, self.KS, self.X, *arrays)
         )
         return arrays
 
     def close(self, model: MapModel, at: tuple, err: Array) -> None:
-        """Judge the lanes whose stages all passed (X is q5, at what slopes
-        returned there, err the error vectors): a lane whose error norm is
+        """Judge the rows whose stages all passed (X is q5, at what slopes
+        returned there, err the error vectors): a row whose error norm is
         over tolerance leaves, the judge takes or rejects the others."""
-        first = self.lanes[0]  # tolerances: shared by the lanes of one call
-        E = _error_norms(first.atol, first.rtol, self.Q, self.X, err)
+        lanes = self.lanes
+        E = _error_norms(lanes.atol, lanes.rtol, self.Q, self.X, err)
         under = E <= 1.0  # a NaN norm is rejected
-        if not under.all():
+        if not _every(under):
             *at, E = self.leave(under, "error", *at, E, err_norm=E)
-            if not self.lanes:
+            if not self.rows.size:
                 return
-        first.judge(model, self, at, E)
-        for lane in self.lanes:
-            lane.add_work(self.evals, self.jacobians, self.svds)
+        lanes.judge(model, self, at, E)
+        if self.rows.size:  # the rows left took their steps
+            lanes.step_work = (self.evals, self.jacobians, self.svds)
 
 
-def _lockstep_attempt(model: MapModel, lanes: list, mu_floor: float) -> None:
-    """One Dormand-Prince attempt for every lane (all of one judge class),
-    in lockstep: each stage point is one (K, n) array, and a lane whose
-    stage fails leaves (_Attempt.leave).  Each check is one reduce over the
-    whole stack; the per-row mask is built only when it does not pass.  The
-    lanes whose stages all passed are judged together (_Attempt.close)."""
-    a = _Attempt(model, lanes)
-    slopes = lanes[0].slopes
+def _lockstep_attempt(model: MapModel, lanes: _Lanes, rows: Array) -> None:
+    """One Dormand-Prince attempt for the rows of lanes, in lockstep: each
+    stage point is one (K, n) array, and a row whose stage fails leaves
+    (_Attempt.leave).  Each check is one test over the whole stack; the
+    per-row mask is built only when it does not pass.  The rows whose
+    stages all passed are judged together (_Attempt.close)."""
+    a = _Attempt(lanes, rows)
     for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
         a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
-        if not _surely_finite(a.X):
+        if not _all_finite(a.X):
             a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
-        at = slopes(model, a, i, mu_floor)
-        if not a.lanes:
+        at = lanes.slopes(model, a, i)
+        if not a.rows.size:
             return
     a.close(model, at, a.H * (a.KS @ _DP_ERR))
 
 
 def _judge_lanes(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
-    """Take or reject the attempts of the line lanes of a that passed the
+    """Take or reject the attempts of the line rows of a that passed the
     error test (E their error norms, at = (mu at q5,)): f(q5) by one
-    evaluate_stack (a lane with a non-finite row leaves), and the step
-    chords, the drifts against the line and the distances from x0 as row
-    norms; each lane then takes its step through _LineLift.take."""
-    first, (mu,) = a.lanes[0], at  # x0, f0: shared by the lanes of one call
+    evaluate_stack (a row with a non-finite value leaves), the step chords,
+    the drifts against the line and the distances from x0 as row norms.
+    Every row takes its step and sizes the next (next_step); a row over
+    its drift cap or outside the escape ball stops."""
+    lanes, (mu,) = a.lanes, at
     F, finite = evaluate_stack(model, a.X)
     a.evals += 1
-    if not finite.all():
+    if not _every(finite):
         F, mu, E = a.leave(finite, "nonfinite", F, mu, E)
-    T = [lane.step_end() for lane in a.lanes]
-    chords = _row_norms(a.X - a.Q).tolist()
-    drifts = _row_norms(F - (first.f0 + np.array(T)[:, None] * a.W)).tolist()
-    dists = _row_norms(a.X - first.x0).tolist()
-    for k, (lane, mu_new, err_norm) in enumerate(zip(a.lanes, mu.tolist(), E.tolist())):
-        lane.take(a.X[k], a.KS[k, :, 6], mu_new, err_norm, F[k], T[k], chords[k], drifts[k], dists[k])
+    rows, H = a.rows, a.H[:, 0]
+    T = lanes.step_end(rows, H)
+    D = [a.X - a.Q, a.X - lanes.x0, F - (lanes.f0 + T[:, None] * a.W)]
+    if model.m == model.n:  # one stack of row norms
+        chords, dists, drifts = _row_norms(np.concatenate(D)).reshape(3, -1)
+    else:
+        (chords, dists), drifts = _row_norms(np.concatenate(D[:2])).reshape(2, -1), _row_norms(D[2])
+    h_next = lanes.next_step(H, T, E, lanes.mu.take(rows), mu)
+    lanes.accept(rows, a.X, a.KS[:, :, 6], mu, T, H, chords, drifts, F)
+    lanes.h[rows] = h_next
+    capped = drifts > lanes.drift_cap.take(rows)
+    out = capped if lanes.opts.r_escape is None else capped | (dists > lanes.opts.r_escape)
+    for j in out.nonzero()[0].tolist():
+        k = int(rows[j])
+        t = lanes.t[k]
+        lanes.stop(k, LiftStatus.step_failure(t) if capped[j] else LiftStatus.escaped(t, dists[j]))
 
 
-class _LineLift(_Lift):
-    """One lane of a lift_lines call, on q' = J(q)^+ w: the residual and
-    drift of f(q) against the line, the mu-decay step guard, and the stops
-    at x0.  Its stage slopes come from a Jacobian stack and its SVD
-    (slopes); its finished attempts are judged by _judge_lanes."""
+class _LineLanes(_Lanes):
+    """The lanes of a lift_lines call, on q' = J(q)^+ w: the residual and
+    drift of f(q) against each line, the mu-decay step guard, and the stops
+    at x0.  Their stage slopes come from a Jacobian stack and its SVD
+    (slopes); their finished attempts are judged by _judge_lanes."""
 
     judge = staticmethod(_judge_lanes)
 
-    def __init__(self, model: MapModel, x0v: Array, f0: Array, wv: Array, opts: LiftOptions):
-        super().__init__(model, x0v, wv, opts)
+    def __init__(self, model: MapModel, x0v: Array, f0: Array, W: Array, opts: LiftOptions):
+        super().__init__(model, x0v, W, opts)
         self.f0 = f0
-        self.f = f0  # f(q), known from the step that accepted q
-        self.norm_w = _norm(wv)
-        self.complete_tol = 10.0 * opts.rel_tol * max(self.norm_w, 1.0) + 100.0 * opts.abs_tol
-        self.drift_cap = max(1e3 * self.complete_tol, 1e-6 * max(self.norm_w, 1.0))
-        self.max_drift = 0.0
+        self.norm_w = _row_norms(W)
+        wide = np.maximum(self.norm_w, 1.0)
+        self.complete_tol = 10.0 * opts.rel_tol * wide + 100.0 * opts.abs_tol
+        self.drift_cap = np.maximum(1e3 * self.complete_tol, 1e-6 * wide)
+
+    def record_start(self) -> None:
+        K = len(self.t)
+        super().record_start(np.zeros(K), np.tile(self.f0, (K, 1)))  # drift, f(q)
 
     @staticmethod
-    def slopes(model: MapModel, a: _Attempt, i: int, mu_floor: float):
-        """Stage i of the line lanes of a: one Jacobian stack and its SVD.
-        A lane leaves on a non-finite Jacobian, on mu below mu_floor (or not
+    def slopes(model: MapModel, a: _Attempt, i: int):
+        """Stage i of the line rows of a: one Jacobian stack and its SVD.
+        A row leaves on a non-finite Jacobian, on mu below mu_floor (or not
         positive and finite) and on a non-finite velocity.  Sets the slopes
         KS[:, :, i] and returns (mu,)."""
         J, good = jacobian_stack(model, a.X)
         a.jacobians += 1
-        if not good.all():
+        if not _every(good):
             (J,) = a.leave(good, "nonfinite", J)
         U, s, Vt = _svd(J)
         a.svds += 1
-        mu = s[:, -1]
-        low, high = np.minimum.reduce(mu, initial=math.inf), np.maximum.reduce(mu, initial=0.0)
-        if not (low >= mu_floor and low > 0.0 and high < math.inf):
+        mu, mu_floor = s[:, -1], a.lanes.opts.mu_floor
+        # mu >= max(mu_floor, 5e-324) is mu >= mu_floor and mu > 0, NaN excluded
+        if not _every((mu >= max(mu_floor, 5e-324)) & (mu < math.inf)):
             good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
             U, s, Vt, mu = a.leave(good, "singular", U, s, Vt, mu, mu=mu)
         V = _velocities(U, s, Vt, a.W)
-        if not _surely_finite(V):
+        # Each later stage point weighs the slope of stages 1-5 by a nonzero
+        # coefficient, so a non-finite one makes the next point non-finite,
+        # whose check rejects the row before any further call: same tally.
+        if i == 6 and not _all_finite(V):
             mu, V = a.leave(np.isfinite(V).all(axis=1), "nonfinite", mu, V)
         a.KS[:, :, i] = V
         return (mu,)
 
     def start(self, U: Array, s: Array, Vt: Array) -> None:
-        """Set up from the SVD of J(x0): record the base point, stop at once
-        when it is singular or w = 0, else take the first slope and step."""
-        self.add_work(1, 1, 1)  # f(x0), J(x0) and its SVD, shared by the lanes
-        self.mu = float(s[-1])
-        self.rec.record(0.0, self.x0, self.mu)
-        if self.mu < self.opts.mu_floor:
-            self.status = LiftStatus.singular(0.0, self.mu)
+        """Set up from the SVD of J(x0), shared by the lanes: record the
+        base point; every lane stops at once when it is singular, a lane
+        with w = 0 completes, the others take their first slope and step."""
+        K, mu = len(self.t), float(s[-1])
+        self.mu[:] = mu
+        self.record_start()
+        if mu < self.opts.mu_floor:
+            for k in range(K):
+                self.stop(k, LiftStatus.singular(0.0, mu))
             return
-        if self.norm_w == 0.0:
-            self.t = 1.0
-            self.stop(LiftStatus.complete(1.0))
-            return
+        zero = self.norm_w == 0.0
+        for k in np.flatnonzero(zero).tolist():
+            self.t[k] = 1.0
+            self.stop(k, LiftStatus.complete(1.0))
+        rows = np.flatnonzero(~zero)
         # Every attempt starts from this slope, so no step size can repair a
         # bad one: stop as the step collapse after such a stage would.
-        if not 0.0 < self.mu < math.inf:
-            self.status = LiftStatus.singular(0.0, self.mu)
+        if not 0.0 < mu < math.inf:
+            for k in rows.tolist():
+                self.stop(k, LiftStatus.singular(0.0, mu))
             return
-        self.k1 = _velocities(U[None], s[None], Vt[None], self.w[None])[0]
-        if not np.isfinite(self.k1).all():
-            self.status = LiftStatus.step_failure(0.0)
-            return
-        self.h = min(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _norm(self.k1)))
+        k1 = _velocities(*(np.repeat(A[None], len(rows), axis=0) for A in (U, s, Vt)), self.w[rows])
+        bad = ~np.isfinite(k1).all(axis=1)
+        for k in rows[bad].tolist():
+            self.stop(k, LiftStatus.step_failure(0.0))
+        self.k1[rows] = k1
+        self.h[rows] = np.minimum(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _row_norms(k1)))
 
-    def take(self, q5: Array, k7: Array, mu_new: float, err_norm: float, f_new: Array,
-             t_new: float, chord: float, drift: float, dist: float) -> None:
-        """Take the attempted step to q5, which _judge_lanes passed:
-        f_new = f(q5) is reached at t_new = step_end(), chord = |q5 - q|,
-        drift = |f_new - (f0 + t_new w)| and dist = |q5 - x0|.  Stop on the
-        drift cap or outside the escape ball, else size the next step."""
-        mu_prev = self.mu
-        self.accept(q5, k7, mu_new, t_new, chord)
-        self.f = f_new
-        self.max_drift = max(self.max_drift, drift)
-        if drift > self.drift_cap:
-            self.stop(LiftStatus.step_failure(self.t))
-            return
-        if self.stop_if_escaped(dist):
-            return
-        self.h = self.next_step(err_norm, mu_prev, mu_new)
+    def next_step(self, H: Array, T: Array, E: Array, mu_prev: Array, mu_new: Array) -> Array:
+        """The steps after steps of sizes H to times T: grown on their error
+        norms E, cut to a tenth of the distance to mu = 0 at the rate mu
+        fell (the mu-decay guard) and cut to end at t_end."""
+        h_next = self.grown(H, E)
+        fell = mu_new < mu_prev
+        if np.count_nonzero(fell):
+            guard = 0.1 * H * mu_new / np.maximum(mu_prev - mu_new, 1e-300)
+            np.minimum(h_next, guard, out=h_next, where=fell)
+        return np.minimum(h_next, self.t_end - T)
 
-    def next_step(self, err_norm: float, mu_prev: float, mu_new: float) -> float:
-        """The step after one of size h was taken: grown on its error norm,
-        cut to a tenth of the distance to mu = 0 at the rate mu fell (the
-        mu-decay guard), capped at _H_MAX."""
-        h_next = self.grown(err_norm)
-        if mu_new < mu_prev:
-            guard = 0.1 * self.h * mu_new / max(mu_prev - mu_new, 1e-300)
-            h_next = min(h_next, guard)
-        return min(h_next, _H_MAX)
-
-    def outcome(self) -> LiftOutcome:
-        trajectory = self.trajectory()
-        residual = _norm(self.f - (self.f0 + self.t * self.w))
-        status = self.status
-        if status is None:
-            status = LiftStatus.complete(1.0) if residual <= self.complete_tol else LiftStatus.step_failure(1.0)
-        return LiftOutcome(trajectory, status, float(residual), float(self.max_drift), self.stats)
+    def outcomes(self) -> list:
+        """The LiftOutcome of every lane: its residual against the line at
+        its last f(q), the largest drift recorded, and for a lane that ran
+        to t = 1 Complete within complete_tol, else StepFailure."""
+        starts, ends, *columns, drifts, F = self.recorded()
+        max_drift = np.fmax.reduceat(drifts, starts).tolist()  # a NaN drift is passed over
+        residuals = _row_norms(F[ends - 1] - (self.f0 + self.t[:, None] * self.w)).tolist()
+        out = []
+        for k, (trajectory, stats) in enumerate(self.results(starts, ends, *columns)):
+            status = self.status[k]
+            if status is None:
+                done = residuals[k] <= self.complete_tol[k]
+                status = LiftStatus.complete(1.0) if done else LiftStatus.step_failure(1.0)
+            out.append(LiftOutcome(trajectory, status, residuals[k], max_drift[k], stats))
+        return out
 
 
 def _descent(J: Array, R: Array) -> tuple:
@@ -596,15 +646,15 @@ def _descent(J: Array, R: Array) -> tuple:
     return G, F
 
 
-class _FlowLift(_Lift):
-    """The judge of the residual gradient flow x' = -grad F_y: a step must
-    not raise F, and every time-doubling window ends in a verdict or goes
-    on.  The flow runs until a verdict, the escape stop or the step budget."""
+class _FlowLanes(_Lanes):
+    """The residual gradient flow x' = -grad F_y, one lane: a step must not
+    raise F, and every time-doubling window ends in a verdict or goes on.
+    The flow runs until a verdict, the escape stop or the step budget."""
 
     t_end = math.inf
 
     def __init__(self, model: MapModel, x0v: Array, yv: Array, opts: LiftOptions):
-        super().__init__(model, x0v, yv, opts)
+        super().__init__(model, x0v, yv[None], opts)
         self.grad_tol = opts.abs_tol
         # residual scale below which a plateau is a root, not a PS level
         self.res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
@@ -615,75 +665,83 @@ class _FlowLift(_Lift):
         self.window_dx = None  # how far q moved over the last window
 
     @staticmethod
-    def slopes(model: MapModel, a: _Attempt, i: int, mu_floor: float):
-        """Stage i of the flow lanes of a: -grad F from one evaluate_stack and
-        one Jacobian stack.  A lane leaves on a non-finite value, Jacobian,
+    def slopes(model: MapModel, a: _Attempt, i: int):
+        """Stage i of the flow rows of a: -grad F from one evaluate_stack and
+        one Jacobian stack.  A row leaves on a non-finite value, Jacobian,
         gradient or energy F.  Sets the slopes KS[:, :, i]; at stage 6 (q5)
-        returns (mu, F, grad F), with mu from one singular-value stack."""
+        returns (J, F, grad F)."""
         Y, good = evaluate_stack(model, a.X)
         a.evals += 1
-        if not good.all():
+        if not _every(good):
             (Y,) = a.leave(good, "nonfinite", Y)
         J, good = jacobian_stack(model, a.X)
         a.jacobians += 1
-        if not good.all():
+        if not _every(good):
             Y, J = a.leave(good, "nonfinite", Y, J)
         G, F = _descent(J, Y - a.W)
-        if not (_surely_finite(G) and _surely_finite(F)):
+        # a non-finite gradient of stages 1-5 is left to the next stage
+        # point's check, as a non-finite line slope is (_LineLanes.slopes)
+        if not ((i < 6 or _all_finite(G)) and _all_finite(F)):
             good = np.isfinite(G).all(axis=1) & (F < math.inf)
             G, F, J = a.leave(good, "nonfinite", G, F, J)
         a.KS[:, :, i] = -G
-        if i < 6:
-            return None
-        a.svds += 1  # the attempt's one singular-value stack, at q5
-        return _svd(J, compute_uv=False)[:, -1], F, G
+        return (J, F, G) if i == 6 else None
 
     @staticmethod
     def judge(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
-        """Judge the flow lanes of a that passed the error test through
-        finish; at holds mu, F and grad F at q5, E the error norms."""
-        mu, F, G = at
-        rows = zip(a.lanes, a.X, a.KS[:, :, 6], E.tolist(), mu.tolist(), F.tolist(), _row_norms(G).tolist())
-        for lane, *row in rows:
-            lane.finish(*row)
+        """Judge the flow row of a that passed the error test (at holds J,
+        F and grad F at q5, E the error norm): rejected when it raises F,
+        else mu from one singular-value stack, the step taken and the
+        window it may close judged (finish)."""
+        flow, (J, F, G) = a.lanes, at
+        lower = F <= flow.F + 1e-12 * (1.0 + abs(flow.F))
+        if not _every(lower):
+            J, F, G, E = a.leave(lower, "error", J, F, G, E)
+            if not a.rows.size:
+                return
+        mu = _svd(J, compute_uv=False)[:, -1]
+        a.svds += 1
+        rows, H = a.rows, a.H[:, 0]
+        flow.accept(rows, a.X, a.KS[:, :, 6], mu, flow.step_end(rows, H), H, _row_norms(a.X - a.Q))
+        for k, F7, gn7, grown in zip(rows.tolist(), F.tolist(), _row_norms(G).tolist(), flow.grown(H, E).tolist()):
+            flow.finish(k, F7, gn7, grown)
 
     def start(self) -> None:
         """f(x0), J(x0), mu and the slope there; a non-finite gradient or
         energy F at x0 raises NonFinite."""
-        self.add_work(1, 1, 1)
-        R = (evaluate(self.model, self.x0) - self.w)[None]
+        R = (evaluate(self.model, self.x0) - self.w[0])[None]
         J = np.array([jacobian(self.model, self.x0)])  # C order, as in a stack
         G, F = _descent(J, R)
         if not (np.isfinite(G).all() and F[0] < math.inf):
             raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient or energy at x0")
-        self.k1, self.F, self.gn = -G[0], float(F[0]), _norm(G[0])
-        self.mu = float(_svd(J, compute_uv=False)[0, -1])
-        self.rec.record(0.0, self.x0, self.mu)
+        self.k1[0], self.F, self.gn = -G[0], float(F[0]), _norm(G[0])
+        self.mu[0] = _svd(J, compute_uv=False)[0, -1]
+        self.record_start()
         self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
             self.conclude("converged", LiftStatus.complete(0.0))
-        self.h0 = self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
+        self.h0 = self.h[0] = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
 
-    def finish(self, q5: Array, k7: Array, err_norm: float, mu7: float, F7: float, gn7: float) -> None:
-        """Judge an attempt that passed the error test: reject it when it
-        raises F, else take the step and judge the window it may close."""
-        if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
-            self.reject("error")
-            return
-        self.accept(q5, k7, mu7, self.step_end(), _norm(q5 - self.q))
+    def finish(self, k: int, F7: float, gn7: float, grown: float) -> None:
+        """After the step of row k to q5 with energy F7 and gradient norm
+        gn7: stop outside the escape ball, judge the window the step may
+        close, else size the next step from grown (the grown step)."""
         self.F, self.gn = F7, gn7
-        if self.stop_if_escaped(_norm(q5 - self.x0)):
+        t, q5 = float(self.t[k]), self.q[k].copy()
+        dist = _norm(q5 - self.x0)
+        if self.opts.r_escape is not None and dist > self.opts.r_escape:
+            self.stop(k, LiftStatus.escaped(t, dist))
             self.conclude("diverged")
             return
         if self.window is None:
-            self.window = (self.t, q5, F7)
-        elif self.t >= 2.0 * self.window[0]:
+            self.window = (t, q5, F7)
+        elif t >= 2.0 * self.window[0]:
             _, q_w, F_w = self.window
             dx = _norm(q5 - q_w)
             stabilized = dx <= _STAB_TOL * (1.0 + _norm(q5))
             near_root = np.sqrt(2.0 * F7) <= self.res_tol
             if (gn7 <= self.grad_tol or near_root) and (stabilized or near_root):
-                self.conclude("converged", LiftStatus.complete(self.t))
+                self.conclude("converged", LiftStatus.complete(t))
                 return
             if (
                 F_w - F7 <= _PS_STALL_TOL * F7
@@ -692,20 +750,20 @@ class _FlowLift(_Lift):
                 and self.window_dx is not None
                 and dx > 0.5 * self.window_dx
             ):
-                self.conclude("ps_candidate", LiftStatus.escaped(self.t, _norm(q5 - self.x0)))
+                self.conclude("ps_candidate", LiftStatus.escaped(t, dist))
                 return
             self.window_dx = dx
-            self.window = (self.t, q5, F7)
-        self.h = min(self.grown(err_norm), 10.0 * max(self.t, self.h0), _H_MAX)
+            self.window = (t, q5, F7)
+        self.h[k] = min(grown, 10.0 * max(t, self.h0), _H_MAX)
 
     def conclude(self, kind: str, status: Optional[LiftStatus] = None) -> None:
         """Give the verdict at the current level and, with a status, stop."""
         self.verdict = FlowVerdict(kind, level=self.F, grad_norm=self.gn)
         if status is not None:
-            self.stop(status)
+            self.stop(0, status)
 
     def outcome(self):
-        trajectory = self.trajectory()
+        ((trajectory, stats),) = self.results(*self.recorded())
         if self.verdict is None:  # stopped by the step budget or a step collapse
             if np.sqrt(2.0 * self.F) <= self.res_tol:
                 self.conclude("converged")
@@ -714,13 +772,13 @@ class _FlowLift(_Lift):
             else:
                 self.conclude("diverged")
         residual = float(np.sqrt(2.0 * self.F))
-        return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
+        return LiftOutcome(trajectory, self.status[0], residual, 0.0, stats), self.verdict
 
 
-def _drive(model: MapModel, lanes: list, mu_floor: float) -> None:
+def _drive(model: MapModel, lanes: _Lanes) -> None:
     """Make lockstep attempts for the lanes until every one has stopped."""
-    while live := [lane for lane in lanes if lane.begin_attempt()]:
-        _lockstep_attempt(model, live, mu_floor)
+    while (rows := lanes.begin_attempt()).size:
+        _lockstep_attempt(model, lanes, rows)
 
 
 def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
@@ -744,14 +802,14 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
 
     Every line lift runs here.  f(x0), J(x0) and its SVD are computed once
     and counted in every lane.  The rows run in lockstep as one (K, n)
-    state, one row as many, on the stage code and driver gradient_flow
-    runs on too: each lane keeps its own t, step size, recorder and status
-    and leaves the batch when it stops; every stage takes one Jacobian
-    stack and one SVD over the live lanes, and _judge_lanes takes or
-    rejects their attempts at once.  Square and wide
-    (m <= n) maps are both served, as by lift_line_square and
-    lift_line_horizontal.  Returns one LiftOutcome per row of W: the
-    outcome the one-row call of that row returns.
+    state under one step controller, one row as many, on the stage code
+    and driver gradient_flow runs on too: every lane's t, step size,
+    counters and status are rows of arrays, and a lane leaves the batch
+    when it stops; every stage takes one Jacobian stack and one SVD over
+    the live lanes, and _judge_lanes takes or rejects their attempts at
+    once.  Square and wide (m <= n) maps are both served, as by
+    lift_line_square and lift_line_horizontal.  Returns one LiftOutcome per
+    row of W: the outcome the one-row call of that row returns.
     """
     opts = opts or LiftOptions()
     if model.m > model.n:
@@ -766,11 +824,10 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
         return []
     f0 = evaluate(model, x0v)
     U, s, Vt = _svd(jacobian(model, x0v))
-    lanes = [_LineLift(model, x0v, f0, w, opts) for w in Wv]
-    for lane in lanes:
-        lane.start(U, s, Vt)
-    _drive(model, lanes, opts.mu_floor)
-    return [lane.outcome() for lane in lanes]
+    lanes = _LineLanes(model, x0v, f0, Wv, opts)
+    lanes.start(U, s, Vt)
+    _drive(model, lanes)
+    return lanes.outcomes()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
@@ -787,9 +844,9 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     """
     opts = opts or LiftOptions()
     x0v = _vector(x0, model.n, "gradient_flow: x0")
-    flow = _FlowLift(model, x0v, _vector(y, model.m, "gradient_flow: y"), opts)
+    flow = _FlowLanes(model, x0v, _vector(y, model.m, "gradient_flow: y"), opts)
     flow.start()
-    _drive(model, [flow], opts.mu_floor)
+    _drive(model, flow)
     return flow.outcome()
 
 

@@ -21,7 +21,7 @@ def test_ab_time_runs_this_checkout_against_itself():
     assert run.returncode == 0, run.stdout + run.stderr
     header, *rows = run.stdout.splitlines()
     assert header.startswith("change / base over 2 rounds")
-    assert [row.split()[0] for row in rows] == ["lines", "sweep", "sweep1d", "flows", "profile"]
+    assert [row.split()[0] for row in rows] == ["lines", "sweep", "sweep1d", "wide", "flows", "profile"]
     for row in rows:
         _, median, q1, q3, verdict = row.replace("[", "").replace("]", "").replace(",", "").split()
         assert float(q1) <= float(median) <= float(q3) and float(median) > 0.0

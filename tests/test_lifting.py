@@ -330,9 +330,10 @@ def test_gradient_flow_stats():
     out, _ = gradient_flow(registry_get("monotone1d"), np.array([2.0]), np.array([0.0]))
     st = out.stats
     assert st.accepted == out.trajectory.times.size - 1
-    # every stage evaluates f and J; one SVD at x0 and one at q5 per attempt
+    # every stage evaluates f and J; one SVD at x0 and one at q5 per step
+    # taken: an attempt the error or energy test rejects takes none
     assert st.evals == st.jacobians == 1 + 6 * (st.accepted + st.rejected_error)
-    assert st.svds == 1 + st.accepted + st.rejected_error
+    assert st.rejected_error > 0 and st.svds == 1 + st.accepted
 
 
 def test_gradient_flow_rejects_a_step_that_raises_F():
@@ -368,10 +369,10 @@ _HALF_LINE_STOP = (LiftStatus.step_failure(0.08109302162183195),
 
 @pytest.mark.parametrize("label, model, x0, y, opts, stats, status, verdict, x_end", [
     ("monotone1d", registry_get("monotone1d"), [2.0], [0.0], None,
-     LiftStats(362, 5, 0, 0, 2203, 2203, 368, 0.010190558120949616), LiftStatus.complete(18.254103966891027),
+     LiftStats(362, 5, 0, 0, 2203, 2203, 363, 0.010190558120949616), LiftStatus.complete(18.254103966891027),
      FlowVerdict("converged", 8.959873827205678e-30, 6.349758438116016e-15), [2.822114861384896e-15]),
     ("arctan1d", registry_get("arctan1d"), [0.0], [2.0], None,
-     LiftStats(423, 1, 0, 0, 2545, 2545, 425, 0.0033333333333333335),
+     LiftStats(423, 1, 0, 0, 2545, 2545, 424, 0.0033333333333333335),
      LiftStatus.escaped(232329224020344.72, 66881.15118113135),
      FlowVerdict("ps_candidate", 0.09211431406673233, 9.595576662559932e-11), [66881.15118113135]),
     ("exp1d", registry_get("exp1d"), [0.0], [-1.0], None,
@@ -379,17 +380,18 @@ _HALF_LINE_STOP = (LiftStatus.step_failure(0.08109302162183195),
      LiftStatus.escaped(211731.31460008674, 12.263132731487348),
      FlowVerdict("ps_candidate", 0.500004722697723, 4.722708874932624e-06), [-12.263132731487348]),
     ("complex_exp", registry_get("complex_exp"), [0.0, 0.0], [3.0, 4.0], None,
-     LiftStats(172, 1, 0, 0, 1039, 1039, 174, 0.001827439976315568), LiftStatus.complete(1.7059022317760744),
+     LiftStats(172, 1, 0, 0, 1039, 1039, 173, 0.001827439976315568), LiftStatus.complete(1.7059022317760744),
      FlowVerdict("converged", 1.190277775114723e-20, 7.714524531824526e-10), [1.60943791240374, 0.9272952179960924]),
     ("parabola_sub", registry_get("parabola_sub"), [0.0, 0.5], [1.2], None,
      LiftStats(198, 0, 0, 0, 1189, 1189, 199, 0.0049170499162604735), LiftStatus.complete(27.35512440457149),
      FlowVerdict("converged", 1.9365765689362797e-23, 6.2488151487881865e-12),
      [1.2020407105837325, 0.04517422484067768]),
     ("linear_loose", linear_map([[1.0], [2.0]]), [5.0], [1.0, -1.0], LiftOptions(rel_tol=0.01, abs_tol=0.01),
-     LiftStats(29, 33, 0, 0, 373, 373, 63, 0.0022222222222222222), LiftStatus.complete(12.508838641236515),
+     LiftStats(29, 33, 0, 0, 373, 373, 30, 0.0022222222222222222), LiftStatus.complete(12.508838641236515),
      FlowVerdict("converged", 0.9000000000000036, 1.8615659636012083e-07), [-0.1999999627686807]),
     # a rejected stage counts the work done before it: evals and Jacobians;
-    # the one SVD of an attempt is taken at q5, after the stages passed
+    # the one SVD of a step is taken at q5, after the stages, the error
+    # test and the energy test passed
     ("nan_value", _half_line("nan"), [0.0], [3.0, 6.0], None,
      LiftStats(33, 0, 0, 73, 331, 258, 34, 1.5654789127015596e-13), *_HALF_LINE_STOP),
     ("raises", _half_line("raises"), [0.0], [3.0, 6.0], None,
@@ -488,6 +490,12 @@ LOCKSTEP_CASES = [
      LiftOptions(r_escape=0.5)),
     ("checkpoints_stride", registry_get("complex_exp"), [0.2, -0.1], _lane_targets(2, 0.8),
      LiftOptions(record_stride=3)),
+    # lanes that end Complete, Escaped and StepFailure in different attempts,
+    # after odd and even step counts, recorded at every second step
+    ("mixed_stops_stride", registry_get("complex_exp"), [0.0, 0.0],
+     [[0.1, 0.0], [0.3, 0.2], [5.0, 0.0], [2.0, 1.5], [-0.9, 0.3], [-0.5, -0.8], [0.0, 2.5], [1.0, -3.0],
+      [-0.99, 0.0], [0.0, 0.0]],
+     LiftOptions(record_stride=2, max_steps=40, r_escape=1.2)),
     ("finite_difference", _fd_complex_exp(), [0.0, 0.0], _lane_targets(2, 0.9), None),
     # the drift stop and a rejected non-finite f(q5), next to Complete lanes
     ("drift", _floor_step(), [0.0], [[4.0], [0.5], [-4.0]], None),
@@ -515,6 +523,18 @@ LOCKSTEP_CASES = [
 ]
 
 
+def _assert_same_outcome(got, want, where):
+    """got and want agree bit for bit: a NaN field would compare unequal,
+    and none arises in these tests."""
+    assert got.status == want.status, where
+    assert got.stats == want.stats, where
+    for field in ("times", "points", "mu_values"):
+        assert np.array_equal(getattr(got.trajectory, field), getattr(want.trajectory, field)), (where, field)
+    assert got.trajectory.length == want.trajectory.length, where
+    assert got.max_drift == want.max_drift, where
+    assert got.target_residual == want.target_residual, where
+
+
 @pytest.mark.parametrize(
     "label, model, x0, targets, opts", LOCKSTEP_CASES, ids=[c[0] for c in LOCKSTEP_CASES]
 )
@@ -523,15 +543,7 @@ def test_lift_lines_match_sequential_lifts(label, model, x0, targets, opts):
     batch = lift_lines(model, x0, targets, opts)
     assert len(batch) == len(targets)
     for w, got in zip(targets, batch):
-        want = lift(model, x0, w, opts)
-        # bit for bit: a NaN field would compare unequal, and none arises here
-        assert got.status == want.status, w
-        assert got.stats == want.stats, w
-        for field in ("times", "points", "mu_values"):
-            assert np.array_equal(getattr(got.trajectory, field), getattr(want.trajectory, field)), (w, field)
-        assert got.trajectory.length == want.trajectory.length, w
-        assert got.max_drift == want.max_drift, w
-        assert got.target_residual == want.target_residual, w
+        _assert_same_outcome(got, lift(model, x0, w, opts), w)
 
 
 def test_svd_window_cases_cross_the_window(monkeypatch):
@@ -557,6 +569,37 @@ def test_svd_window_cases_cross_the_window(monkeypatch):
     assert sum(mixed) > 50
 
 
+def test_mixed_stops_case_stops_lanes_apart():
+    """The mixed_stops_stride case does what its lane-equality run relies
+    on: its lanes stop Complete, Escaped and StepFailure after different
+    numbers of attempts, some after an odd number of steps, so that the
+    stride-2 recorder keeps their last point by the force-last rule."""
+    _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == "mixed_stops_stride")
+    outs = lift_lines(model, x0, targets, opts)
+    attempts = {}
+    for out in outs:
+        st = out.stats
+        attempts.setdefault(out.status.kind, set()).add(st.accepted + st.rejected_error + st.rejected_singular)
+    assert set(attempts) == {"Complete", "Escaped", "StepFailure"}
+    assert len(set().union(*attempts.values())) >= 5
+    odd = [out for out in outs if out.stats.accepted % 2]
+    assert odd and all(len(out.trajectory.times) == out.stats.accepted // 2 + 2 for out in odd)
+
+
+@pytest.mark.parametrize("label", ["graves_complex_exp", "arctan1d", "exp1d", "mixed_stops_stride"])
+def test_lift_lines_do_not_depend_on_the_row_order(label):
+    """lift_lines on the targets in another order returns the outcomes in
+    that order, bit for bit: leave and the stops act on the rows of their
+    own lanes (exp1d has lanes with non-finite stages)."""
+    _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == label)
+    targets = np.asarray(targets, dtype=float)
+    perm = np.random.default_rng(7).permutation(len(targets))
+    assert not np.array_equal(perm, np.arange(len(targets)))
+    want = lift_lines(model, x0, targets, opts)
+    for k, got in zip(perm.tolist(), lift_lines(model, x0, targets[perm], opts)):
+        _assert_same_outcome(got, want[k], k)
+
+
 def test_lift_lines_cover_every_terminal_status():
     kinds = {
         out.status.kind
@@ -567,39 +610,37 @@ def test_lift_lines_cover_every_terminal_status():
 
 
 def _lanes_at(model, opts, W, Q, H, T, mu):
-    """Line-lift lanes from x0 = 0 toward the rows of W, set mid-lift: at
-    q = Q[k], time T[k], step size H[k] and indicator mu[k], slope 0."""
+    """The lanes of a lift_lines call from x0 = 0 toward the rows of W, set
+    mid-lift: lane k at q = Q[k], time T[k], step size H[k] and indicator
+    mu[k], slope 0, with that point recorded."""
     x0 = np.zeros(model.n)
-    f0 = evaluate(model, x0)
-    lanes = []
-    for k in range(len(W)):
-        lane = lifting._LineLift(model, x0, f0, W[k], opts)
-        lane.q, lane.t, lane.h, lane.mu = Q[k], float(T[k]), float(H[k]), float(mu[k])
-        lane.k1 = np.zeros(model.n)
-        lanes.append(lane)
+    lanes = lifting._LineLanes(model, x0, evaluate(model, x0), np.asarray(W, dtype=float), opts)
+    lanes.q[:], lanes.t[:], lanes.h[:], lanes.mu[:] = Q, T, H, mu
+    lanes.record_start()
     return lanes
 
 
 def _close_attempt(model, lanes, X, K7, mu, err):
-    """Close a lockstep attempt of the lanes whose stages reached q5 = X[k]
-    with slope K7[k], indicator mu[k] and error vector err[k]."""
-    a = lifting._Attempt(model, lanes)
+    """Close a lockstep attempt of every lane, whose stages reached
+    q5 = X[k] with slope K7[k], indicator mu[k] and error vector err[k]."""
+    a = lifting._Attempt(lanes, np.arange(len(lanes.t)))
     a.X, a.KS[:, :, 6] = X, K7
     a.close(model, (mu,), err)
 
 
 def test_stacked_judge_matches_one_lane_judges():
     """The close of a 4000-lane attempt (the error test, then _judge_lanes)
-    against the close of each lane alone:
+    against the close of each lane alone, as a one-lane call:
     error norms from 1e-12 to past tolerance, mu rising and falling (the
     mu-decay guard), drifts about the cap and some lanes outside the escape
-    ball.  No lane's verdict or step depends on the other rows.
+    ball.  No lane's verdict, step or outcome depends on the other rows.
 
-    The step factor min(5, max(0.2, 0.9 e^-0.2)) stays a Python float per
-    lane.  A factor vectorised as np.power(E, -0.2) (or E ** -0.2 on an
-    array) rounds differently from Python's e ** -0.2 in about 5% of values
-    (numpy 2.4), so it would make a lane's step size depend on whether its
-    error norm sits in an array of one or of many; this test fails first.
+    The step factor 0.9 e^-0.2 is Python's float power per lane
+    (_step_factors).  A factor vectorised as np.power(E, -0.2) (or E ** -0.2
+    on an array) rounds differently from Python's e ** -0.2 in about 5% of
+    values (numpy 2.4), so it would make a lane's step size depend on
+    whether its error norm sits in an array of one or of many; this test
+    fails first.
     """
     model, opts, K = registry_get("identity_2"), LiftOptions(r_escape=2.0), 4000
     rng = np.random.default_rng(11)
@@ -617,36 +658,45 @@ def test_stacked_judge_matches_one_lane_judges():
 
     stacked = _lanes_at(model, opts, W, Q, H, T, mu_prev)
     _close_attempt(model, stacked, X, K7, mu_new, err)
-    alone = _lanes_at(model, opts, W, Q, H, T, mu_prev)
-    for k, lane in enumerate(alone):
+    alone = []
+    for k in range(K):
         row = slice(k, k + 1)
-        _close_attempt(model, [lane], X[row], K7[row], mu_new[row], err[row])
+        lane = _lanes_at(model, opts, W[row], Q[row], H[row], T[row], mu_prev[row])
+        _close_attempt(model, lane, X[row], K7[row], mu_new[row], err[row])
+        alone.append(lane)
 
-    taken = 0
-    for a, b in zip(stacked, alone):
-        assert (a.t, a.h, a.length, a.max_drift, a.mu) == (b.t, b.h, b.length, b.max_drift, b.mu)
-        assert a.stats == b.stats and a.status == b.status
-        assert a.rec.times == b.rec.times
-        taken += a.stats.accepted
-    assert 0 < taken < K
-    assert sum(lane.stats.rejected_error for lane in stacked) > 5  # the NaN norms and more
-    kinds = {lane.status.kind for lane in stacked if lane.status is not None}
+    for name in ("t", "h", "mu", "rejected", "work", "running"):
+        want = np.concatenate([getattr(lane, name) for lane in alone])
+        assert np.array_equal(getattr(stacked, name), want), name
+    assert stacked.status == [lane.status[0] for lane in alone]
+    outcomes = stacked.outcomes()
+    for k, (got, lane) in enumerate(zip(outcomes, alone)):
+        _assert_same_outcome(got, lane.outcomes()[0], k)
+    assert 0 < sum(out.stats.accepted for out in outcomes) < K
+    assert stacked.rejected[:, 0].sum() > 5  # the NaN norms and more
+    kinds = {status.kind for status in stacked.status if status is not None}
     assert kinds == {"Escaped", "StepFailure"}  # the escape and the drift stops
 
 
 def test_next_step_is_grown_with_the_mu_guard():
+    """The array step rule of many lanes against the scalar rule of each,
+    with Python's float ** per lane: grown on the error norm, cut by the
+    mu-decay guard, capped at 1e15 and cut to end at t = 1."""
     rng = np.random.default_rng(12)
-    lane = _lanes_at(registry_get("identity_1"), LiftOptions(), [[1.0]], [[0.0]], [0.1], [0.0], [1.0])[0]
-    # error norms as an attempt's close hands them over: Python floats of an array
-    E = (10.0 ** rng.uniform(-16.0, 0.0, 20000)).tolist() + [0.0, 1.0, 5e-324]
-    for e in E:
-        h, mu_prev, mu_new = float(10.0 ** rng.uniform(-8, 0)), float(rng.uniform()), float(rng.uniform())
-        lane.h = h
+    E = np.concatenate([10.0 ** rng.uniform(-16.0, 0.0, 20000), [0.0, 1.0, 5e-324]])
+    K = len(E)
+    H, T = 10.0 ** rng.uniform(-8, 0, K), rng.uniform(0.0, 1.0, K)
+    mu_prev, mu_new = rng.uniform(size=K), rng.uniform(size=K)
+    lanes = _lanes_at(registry_get("identity_1"), LiftOptions(), np.ones((K, 1)), np.zeros((K, 1)), H,
+                      np.zeros(K), mu_prev)
+    grown, steps = lanes.grown(H, E).tolist(), lanes.next_step(H, T, E, mu_prev, mu_new).tolist()
+    for k, (e, h, t, m0, m1) in enumerate(zip(*(A.tolist() for A in (E, H, T, mu_prev, mu_new)))):
         want = h * (5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2)))
-        assert lane.grown(e) == want
-        if mu_new < mu_prev:
-            want = min(want, 0.1 * h * mu_new / max(mu_prev - mu_new, 1e-300))
-        assert lane.next_step(e, mu_prev, mu_new) == min(want, 1e15)
+        assert grown[k] == want
+        if m1 < m0:
+            want = min(want, 0.1 * h * m1 / max(m0 - m1, 1e-300))
+        assert steps[k] == min(want, 1e15, 1.0 - t)
+    assert 0 < sum(s == 1.0 - t for s, t in zip(steps, T.tolist())) < K
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -678,10 +728,11 @@ def test_lift_lines_work_counters(monkeypatch):
         stacked_rows.append(len(X))
         return stack(model, X)
 
-    def counted_attempt(model, lanes, mu_floor):
-        calls, evals = len(stacked_rows), sum(lane.stats.evals for lane in lanes)
-        attempt(model, lanes, mu_floor)
-        per_attempt.append((len(stacked_rows) - calls, sum(lane.stats.evals for lane in lanes) - evals))
+    def counted_attempt(model, lanes, rows):
+        calls, left, taken = len(stacked_rows), lanes.work[:, 0].sum(), len(lanes.records)
+        attempt(model, lanes, rows)
+        steps = sum(len(block[0]) for block in lanes.records[taken:])
+        per_attempt.append((len(stacked_rows) - calls, lanes.work[:, 0].sum() - left + steps * lanes.step_work[0]))
 
     monkeypatch.setattr(lifting, "evaluate", counted_evaluate)
     monkeypatch.setattr(lifting, "evaluate_stack", counted_stack)

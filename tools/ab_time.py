@@ -5,12 +5,14 @@
 Each SRC is a directory that holds a globinv package, such as the src/ of
 a checkout.  Both packages are loaded side by side under distinct names,
 so one interpreter times both on the same heap and the same CPU.  Every
-round runs five workloads on each side, in alternating order (the base
+round runs six workloads on each side, in alternating order (the base
 first in even rounds, the change first in odd rounds):
 
   lines    16 one-row line lifts on registry maps;
   sweep    one 64-lane lift_lines call on complex_exp (2x2 Jacobians);
   sweep1d  one 64-lane lift_lines call on arctan1d (1x1 Jacobians);
+  wide     one 512-lane lift_lines call on complex_exp, where the cost
+           per lane, not per attempt, shows;
   flows    7 gradient flows, rejected non-finite stages included;
   profile  2 sampled mu_profile calls (grid 128, 64 samples per ball).
 
@@ -114,6 +116,10 @@ class Side:
         angles = 2.0 * math.pi * np.arange(64) / 64
         self.sweep = (model("complex_exp"), [0.0, 0.0],
                       0.6 * np.column_stack([np.cos(angles), np.sin(angles)]))
+        # 512 directions at radii 0.3 to 0.8: lanes that take different numbers of steps
+        angles = 2.0 * math.pi * np.arange(512) / 512
+        radii = np.linspace(0.3, 0.8, 512)[:, None]
+        self.wide = (model("complex_exp"), [0.0, 0.0], radii * np.column_stack([np.cos(angles), np.sin(angles)]))
         # targets across the image (-pi/2, pi/2) of arctan1d; the ends +-1.6 lie past it (Singular)
         self.sweep1d = (model("arctan1d"), [0.0], np.linspace(-1.6, 1.6, 64)[:, None])
 
@@ -127,6 +133,9 @@ class Side:
     def run_sweep1d(self):
         return self.pkg.lifting.lift_lines(*self.sweep1d)
 
+    def run_wide(self):
+        return self.pkg.lifting.lift_lines(*self.wide)
+
     def run_flows(self):
         flow = self.pkg.lifting.gradient_flow
         return [flow(m, x0, y, opts) for m, x0, y, opts in self.flows]
@@ -137,7 +146,7 @@ class Side:
                 for m, x0, r_max in self.profiles]
 
 
-WORKLOADS = ("lines", "sweep", "sweep1d", "flows", "profile")
+WORKLOADS = ("lines", "sweep", "sweep1d", "wide", "flows", "profile")
 
 
 def fingerprint(results) -> list:
