@@ -804,8 +804,8 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     and counted in every lane.  The rows run in lockstep as one (K, n)
     state under one step controller, one row as many, on the stage code
     and driver gradient_flow runs on too: every lane's t, step size,
-    counters and status are rows of arrays, and a lane leaves the batch
-    when it stops; every stage takes one Jacobian stack and one SVD over
+    point, slope and rejections are rows of arrays, and a lane leaves the
+    batch when it stops; every stage takes one Jacobian stack and one SVD over
     the live lanes, and _judge_lanes takes or rejects their attempts at
     once.  Square and wide (m <= n) maps are both served, as by
     lift_line_square and lift_line_horizontal.  Returns one LiftOutcome per
