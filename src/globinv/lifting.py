@@ -24,13 +24,15 @@ gradient_flow integrates x' = -grad F_y as one lane.
 One stage code and one driver (_drive) serve both ODEs.  The lanes of a
 call run in lockstep as one (K, n) state (_lockstep_attempt) under one step
 controller per call (_Lanes), which keeps what the integration reads of
-each lane (t, step size, point, slope, mu, rejections, whether it runs) as
-rows of arrays: rejection, step collapse, acceptance, the next step size
-and the stops are array operations over the rows concerned.  Per-lane
-Python is left in three places: the LiftStatus of a lane that stops, the
-step factor 0.9 e^-0.2 (Python's float power, see _step_factors) and the
-flow's window verdict.  The recorder keeps one block of rows per attempt;
-each lane's trajectory, length, h_min, drift and residual are read off the
+each lane (t, step size, point, slope, mu, steps and rejections, whether
+it runs) and what its outcome reads (length, h_min, drift, f(q)) as rows
+of arrays: rejection, step collapse, acceptance, the next step size and
+the stops are array operations over the rows concerned.  Per-lane Python
+is left in three places: the LiftStatus of a lane that stops, the step
+factor 0.9 e^-0.2 (Python's float power, see _step_factors) and the
+flow's window verdict.  The steps of up to 64 attempts are folded at
+once into those arrays and into one block of recorded points (a lane's
+every record_stride-th step); each lane's trajectory is read off the
 blocks at the end.  _Attempt keeps the books of one attempt: one work
 tally, one error test and one exit for every row cut within it.  Two
 judges supply the stage slopes, one stack of model calls per stage, and
@@ -288,7 +290,7 @@ def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
 
 
 _CAUSES = {"error": 0, "singular": 1, "nonfinite": 2}  # columns of _Lanes.rejected
-_RECORD_RUN = 64  # record blocks merged into one, so a long lift keeps a few arrays
+_RECORD_RUN = 64  # attempts whose steps are folded at once, so a long lift keeps a few arrays
 
 
 def _step_factors(E: Array) -> Array:
@@ -313,12 +315,13 @@ class _Lanes:
 
     _lockstep_attempt makes the attempts of the rows begin_attempt returns;
     a judge subclass supplies the stage slopes (slopes) and takes or
-    rejects the attempts whose stages all passed (judge).  The recorder
-    keeps one block per attempt with a step taken, and one for the start:
-    (rows, t, q, mu, h, chord) and what the judge adds; every _RECORD_RUN
-    new blocks are merged into one.  What only the outcome reads (the chord
-    length, h_min, and for a line the drift and f(q)) is taken from these
-    blocks at the end (recorded)."""
+    rejects the attempts whose stages all passed (judge).  Each attempt's
+    steps wait as one block in pending, until _RECORD_RUN blocks or the
+    outcome fold them (fold) into what the outcome reads, each a row per
+    lane: the steps taken (accepted), the chord length, the least step
+    (h_min) and the judge's running facts; and into one block of the
+    record, which holds each lane's base point and every record_stride-th
+    step after it, unless its time is the last one kept (kept_t)."""
 
     t_end = 1.0
 
@@ -328,23 +331,22 @@ class _Lanes:
         self.w = W  # the codomain vectors of the ODE: the lines' w, the flow's y
         self.rtol = opts.rel_tol / _SAFETY_DIV
         self.atol = opts.abs_tol / _SAFETY_DIV
-        self.t, self.h, self.mu = np.zeros(K), np.zeros(K), np.zeros(K)
-        self.q, self.k1 = np.tile(x0v, (K, 1)), np.zeros((K, model.n))
-        self.last_singular_mu = np.full(K, math.nan)
+        self.t, self.h, self.mu, self.length = np.zeros(K), np.zeros(K), np.zeros(K), np.zeros(K)
+        self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
+        self.q, self.k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n))
+        self.accepted = np.zeros(K, dtype=np.int64)
         self.rejected = np.zeros((K, 3), dtype=np.int64)
         self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
         self.step_work = (0, 0, 0)
         self.status = [None] * K
         self.running = np.ones(K, dtype=bool)
         self.attempts = 0  # attempts made
-        self.records, self.merged = [], 0  # the first `merged` blocks are merged runs
+        self.pending, self.records = [], []
 
-    def record_start(self, *extra) -> None:
-        """Record every lane's base point, at t with mu set, no step taken
-        (h inf, chord 0) and the judge's extra columns."""
-        K = len(self.t)
-        self.records.append((np.arange(K), self.t.copy(), self.q.copy(), self.mu.copy(), np.full(K, math.inf),
-                             np.zeros(K), *extra))
+    def record_start(self) -> None:
+        """Record every lane's base point: its t, q and mu now."""
+        self.kept_t = self.t.copy()
+        self.records.append((np.arange(len(self.t)), self.t.copy(), self.q.copy(), self.mu.copy()))
 
     def stop(self, k: int, status: LiftStatus) -> None:
         self.status[k] = status
@@ -399,45 +401,73 @@ class _Lanes:
                *extra) -> None:
         """Take the attempted steps of rows, of sizes H, to X, where the
         slopes are K7 and the indicator mu; T is step_end(rows, H), chords
-        |X - q|, extra the judge's columns of the record.  A lane that
+        |X - q|, extra the judge's columns (fold_judge).  A lane that
         reaches t_end stops running."""
-        self.records.append((rows, T, X, mu, H, chords, *extra))
-        if len(self.records) - self.merged == _RECORD_RUN:
-            self.records[self.merged:] = [tuple(map(np.concatenate, zip(*self.records[self.merged:])))]
-            self.merged += 1
         self.q[rows], self.k1[rows], self.t[rows], self.mu[rows] = X, K7, T, mu
         self.last_singular_mu[rows] = math.nan
         self.running[rows] = T < self.t_end - 1e-15
+        self.pending.append((rows, T, X, mu, H, chords, *extra))
+        if len(self.pending) == _RECORD_RUN:
+            self.fold()
 
-    def recorded(self) -> tuple:
-        """The records by lane: starts, ends and the columns t, q, mu, h,
-        chord and the judge's, each sorted by lane and, within a lane, by
-        time; lane k's entries are at starts[k]:ends[k]."""
-        rows, *columns = map(np.concatenate, zip(*self.records))
+    def fold(self) -> None:
+        """Fold the pending steps, sorted by lane and in step order within
+        a lane, into accepted, length (the chords summed one by one, as
+        the steps add up), h_min, the judge's facts (fold_judge) and one
+        block of the record."""
+        if not self.pending:
+            return
+        rows, *columns = map(np.concatenate, zip(*self.pending))
+        self.pending = []
         order = np.argsort(rows, kind="stable")
-        ends = np.cumsum(np.bincount(rows, minlength=len(self.t)))
-        return (np.concatenate([[0], ends[:-1]]), ends, *(A[order] for A in columns))
+        rows, T, X, mu, H, chords, *extra = rows[order], *(A[order] for A in columns)
+        counts = np.bincount(rows, minlength=len(self.t))
+        firsts = np.cumsum(counts) - counts
+        np.add.at(self.length, rows, chords)
+        np.minimum.at(self.h_min, rows, H)
+        steps = self.accepted[rows] + np.arange(1, len(rows) + 1) - firsts[rows]  # each step's count
+        self.accepted += counts
+        self.fold_judge(rows, firsts[counts > 0] + counts[counts > 0] - 1, *extra)
+        stride = self.opts.record_stride
+        if stride > 1:
+            due = steps % stride == 0
+            rows, T, X, mu = rows[due], T[due], X[due], mu[due]
+            if not rows.size:
+                return
+        # The last time kept is that of the lane's previous due step (or
+        # kept_t before the first), so times that do not advance are dropped.
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = rows[1:] != rows[:-1]
+        before = np.concatenate([T[:1], T[:-1]])
+        before[new] = self.kept_t[rows[new]]
+        ends = np.flatnonzero(np.append(new[1:], True))
+        self.kept_t[rows[ends]] = T[ends]
+        kept = T != before
+        self.records.append((rows[kept], T[kept], X[kept], mu[kept]))
 
-    def results(self, starts: Array, ends: Array, T: Array, X: Array, mu: Array, H: Array,
-                chords: Array) -> list:
-        """(LiftTrajectory, LiftStats) of every lane from the recorded
-        columns.  A trajectory keeps the base point and every
-        record_stride-th step after it, then the lane's final point unless
-        its time is the last one kept; its length sums the chords in step
-        order.  h_min is the least step taken, inf for none."""
-        h_min = np.minimum.reduceat(H, starts).tolist()
-        steps = ends - starts - 1  # the blocks after the start
-        work = self.work + steps[:, None] * np.array(self.step_work)
-        counts = np.column_stack([steps, self.rejected, work]).tolist()
-        stride, out = self.opts.record_stride, []
-        for k, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-            times, points, mus = T[a:b:stride], X[a:b:stride], mu[a:b:stride]
-            if times[-1] != self.t[k]:
-                times, mus = np.append(times, self.t[k]), np.append(mus, self.mu[k])
-                points = np.concatenate([points, self.q[k, None]])
-            length = float(np.cumsum(chords[a:b])[-1])  # sequential, as the steps added up
-            trajectory = LiftTrajectory(times=times, points=points, mu_values=mus, length=length)
-            out.append((trajectory, LiftStats(*counts[k], h_min[k])))
+    def fold_judge(self, rows: Array, lasts: Array, *extra) -> None:
+        """Fold the judge's columns of the pending steps (rows sorted by
+        lane; lasts the index of each lane's last step)."""
+
+    def results(self) -> list:
+        """(LiftTrajectory, LiftStats) of every lane.  A trajectory keeps
+        the base point and every record_stride-th step after it, then the
+        lane's final point unless its time is the last one kept."""
+        self.fold()
+        last = np.flatnonzero(self.kept_t != self.t)
+        final = (last, self.t[last], self.q[last], self.mu[last])
+        rows, T, X, mu = map(np.concatenate, zip(*self.records, final))
+        order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
+        T, X, mu = T[order], X[order], mu[order]
+        ends = np.cumsum(np.bincount(rows, minlength=len(self.t))).tolist()
+        work = self.work + self.accepted[:, None] * np.array(self.step_work)
+        out, a = [], 0
+        for b, length, steps, rejected, work_k, h_min in zip(
+            ends, *(A.tolist() for A in (self.length, self.accepted, self.rejected, work, self.h_min))
+        ):
+            trajectory = LiftTrajectory(times=T[a:b], points=X[a:b], mu_values=mu[a:b], length=length)
+            out.append((trajectory, LiftStats(steps, *rejected, *work_k, h_min)))
+            a = b
         return out
 
 
@@ -519,11 +549,8 @@ def _judge_lanes(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
         F, mu, E = a.leave(finite, "nonfinite", F, mu, E)
     rows, H = a.rows, a.H[:, 0]
     T = lanes.step_end(rows, H)
-    D = [a.X - a.Q, a.X - lanes.x0, F - (lanes.f0 + T[:, None] * a.W)]
-    if model.m == model.n:  # one stack of row norms
-        chords, dists, drifts = _row_norms(np.concatenate(D)).reshape(3, -1)
-    else:
-        (chords, dists), drifts = _row_norms(np.concatenate(D[:2])).reshape(2, -1), _row_norms(D[2])
+    chords, dists = _row_norms(np.concatenate([a.X - a.Q, a.X - lanes.x0])).reshape(2, -1)
+    drifts = _row_norms(F - (lanes.f0 + T[:, None] * a.W))
     h_next = lanes.next_step(H, T, E, lanes.mu.take(rows), mu)
     lanes.accept(rows, a.X, a.KS[:, :, 6], mu, T, H, chords, drifts, F)
     lanes.h[rows] = h_next
@@ -536,24 +563,21 @@ def _judge_lanes(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
 
 
 class _LineLanes(_Lanes):
-    """The lanes of a lift_lines call, on q' = J(q)^+ w: the residual and
-    drift of f(q) against each line, the mu-decay step guard, and the stops
-    at x0.  Their stage slopes come from a Jacobian stack and its SVD
-    (slopes); their finished attempts are judged by _judge_lanes."""
+    """The lanes of a lift_lines call, on q' = J(q)^+ w: f at the last step
+    folded (f) and the largest drift of f(q) from each line (max_drift),
+    the mu-decay step guard, and the stops at x0.  Their stage slopes come from a Jacobian
+    stack and its SVD (slopes); their finished attempts are judged by
+    _judge_lanes."""
 
     judge = staticmethod(_judge_lanes)
 
     def __init__(self, model: MapModel, x0v: Array, f0: Array, W: Array, opts: LiftOptions):
         super().__init__(model, x0v, W, opts)
-        self.f0 = f0
+        self.f0, self.f, self.max_drift = f0, np.repeat(f0[None], len(W), axis=0), np.zeros(len(W))
         self.norm_w = _row_norms(W)
         wide = np.maximum(self.norm_w, 1.0)
         self.complete_tol = 10.0 * opts.rel_tol * wide + 100.0 * opts.abs_tol
         self.drift_cap = np.maximum(1e3 * self.complete_tol, 1e-6 * wide)
-
-    def record_start(self) -> None:
-        K = len(self.t)
-        super().record_start(np.zeros(K), np.tile(self.f0, (K, 1)))  # drift, f(q)
 
     @staticmethod
     def slopes(model: MapModel, a: _Attempt, i: int):
@@ -597,6 +621,8 @@ class _LineLanes(_Lanes):
             self.t[k] = 1.0
             self.stop(k, LiftStatus.complete(1.0))
         rows = np.flatnonzero(~zero)
+        if not rows.size:
+            return
         # Every attempt starts from this slope, so no step size can repair a
         # bad one: stop as the step collapse after such a stage would.
         if not 0.0 < mu < math.inf:
@@ -609,6 +635,10 @@ class _LineLanes(_Lanes):
             self.stop(k, LiftStatus.step_failure(0.0))
         self.k1[rows] = k1
         self.h[rows] = np.minimum(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _row_norms(k1)))
+
+    def fold_judge(self, rows: Array, lasts: Array, drifts: Array, F: Array) -> None:
+        np.fmax.at(self.max_drift, rows, drifts)  # a NaN drift is passed over
+        self.f[rows[lasts]] = F[lasts]
 
     def next_step(self, H: Array, T: Array, E: Array, mu_prev: Array, mu_new: Array) -> Array:
         """The steps after steps of sizes H to times T: grown on their error
@@ -623,18 +653,17 @@ class _LineLanes(_Lanes):
 
     def outcomes(self) -> list:
         """The LiftOutcome of every lane: its residual against the line at
-        its last f(q), the largest drift recorded, and for a lane that ran
-        to t = 1 Complete within complete_tol, else StepFailure."""
-        starts, ends, *columns, drifts, F = self.recorded()
-        max_drift = np.fmax.reduceat(drifts, starts).tolist()  # a NaN drift is passed over
-        residuals = _row_norms(F[ends - 1] - (self.f0 + self.t[:, None] * self.w)).tolist()
+        its last f(q), its largest drift, and for a lane that ran to t = 1
+        Complete within complete_tol, else StepFailure."""
+        results = self.results()  # folds the pending steps
+        residuals = _row_norms(self.f - (self.f0 + self.t[:, None] * self.w)).tolist()
         out = []
-        for k, (trajectory, stats) in enumerate(self.results(starts, ends, *columns)):
+        for k, ((trajectory, stats), drift) in enumerate(zip(results, self.max_drift.tolist())):
             status = self.status[k]
             if status is None:
                 done = residuals[k] <= self.complete_tol[k]
                 status = LiftStatus.complete(1.0) if done else LiftStatus.step_failure(1.0)
-            out.append(LiftOutcome(trajectory, status, residuals[k], max_drift[k], stats))
+            out.append(LiftOutcome(trajectory, status, residuals[k], drift, stats))
         return out
 
 
@@ -689,22 +718,20 @@ class _FlowLanes(_Lanes):
 
     @staticmethod
     def judge(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
-        """Judge the flow row of a that passed the error test (at holds J,
-        F and grad F at q5, E the error norm): rejected when it raises F,
-        else mu from one singular-value stack, the step taken and the
-        window it may close judged (finish)."""
+        """Judge the one flow row of a, which passed the error test (at
+        holds J, F and grad F at q5, E the error norm): rejected when it
+        raises F, else mu from one singular-value stack, the step taken and
+        the window it may close judged (finish)."""
         flow, (J, F, G) = a.lanes, at
-        lower = F <= flow.F + 1e-12 * (1.0 + abs(flow.F))
-        if not _every(lower):
-            J, F, G, E = a.leave(lower, "error", J, F, G, E)
-            if not a.rows.size:
-                return
+        F7 = float(F[0])
+        if not F7 <= flow.F + 1e-12 * (1.0 + abs(flow.F)):
+            a.leave(np.zeros(1, dtype=bool), "error", err_norm=E)
+            return
         mu = _svd(J, compute_uv=False)[:, -1]
         a.svds += 1
         rows, H = a.rows, a.H[:, 0]
         flow.accept(rows, a.X, a.KS[:, :, 6], mu, flow.step_end(rows, H), H, _row_norms(a.X - a.Q))
-        for k, F7, gn7, grown in zip(rows.tolist(), F.tolist(), _row_norms(G).tolist(), flow.grown(H, E).tolist()):
-            flow.finish(k, F7, gn7, grown)
+        flow.finish(F7, float(_row_norms(G)[0]), float(flow.grown(H, E)[0]))
 
     def start(self) -> None:
         """f(x0), J(x0), mu and the slope there; a non-finite gradient or
@@ -722,15 +749,15 @@ class _FlowLanes(_Lanes):
             self.conclude("converged", LiftStatus.complete(0.0))
         self.h0 = self.h[0] = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
 
-    def finish(self, k: int, F7: float, gn7: float, grown: float) -> None:
-        """After the step of row k to q5 with energy F7 and gradient norm
-        gn7: stop outside the escape ball, judge the window the step may
-        close, else size the next step from grown (the grown step)."""
+    def finish(self, F7: float, gn7: float, grown: float) -> None:
+        """After the step to q5 with energy F7 and gradient norm gn7: stop
+        outside the escape ball, judge the window the step may close, else
+        size the next step from grown (the grown step)."""
         self.F, self.gn = F7, gn7
-        t, q5 = float(self.t[k]), self.q[k].copy()
+        t, q5 = float(self.t[0]), self.q[0].copy()
         dist = _norm(q5 - self.x0)
         if self.opts.r_escape is not None and dist > self.opts.r_escape:
-            self.stop(k, LiftStatus.escaped(t, dist))
+            self.stop(0, LiftStatus.escaped(t, dist))
             self.conclude("diverged")
             return
         if self.window is None:
@@ -754,7 +781,7 @@ class _FlowLanes(_Lanes):
                 return
             self.window_dx = dx
             self.window = (t, q5, F7)
-        self.h[k] = min(grown, 10.0 * max(t, self.h0), _H_MAX)
+        self.h[0] = min(grown, 10.0 * max(t, self.h0), _H_MAX)
 
     def conclude(self, kind: str, status: Optional[LiftStatus] = None) -> None:
         """Give the verdict at the current level and, with a status, stop."""
@@ -763,7 +790,7 @@ class _FlowLanes(_Lanes):
             self.stop(0, status)
 
     def outcome(self):
-        ((trajectory, stats),) = self.results(*self.recorded())
+        ((trajectory, stats),) = self.results()
         if self.verdict is None:  # stopped by the step budget or a step collapse
             if np.sqrt(2.0 * self.F) <= self.res_tol:
                 self.conclude("converged")

@@ -106,6 +106,24 @@ def test_record_stride_keeps_endpoints():
     assert sparse.trajectory.times[-1] == full.trajectory.times[-1] == 1.0
     # recorded length is the full accumulated length either way
     assert sparse.trajectory.length == pytest.approx(full.trajectory.length, rel=1e-9)
+    # a stride longer than the lift keeps the base point and the final one
+    ends = lift_line_square(m, [0.0], [5.0], LiftOptions(record_stride=10**6))
+    assert ends.trajectory.times.tolist() == [0.0, 1.0]
+    assert ends.trajectory.length == full.trajectory.length and ends.stats == full.stats
+
+
+@pytest.mark.parametrize("stride, kept", [(1, 506), (3, 170)])
+def test_steps_that_do_not_advance_t_are_not_recorded(stride, kept):
+    """A point is recorded unless its time is the last one recorded.  With
+    no mu floor, the mu-decay guard on exp1d toward its singular edge
+    shrinks the step below half an ulp of t, so all but 505 of the 3733
+    steps taken leave t where it was; the trajectory keeps one point per
+    time."""
+    out = lift_line_square(registry_get("exp1d"), [0.0], [-2.0], LiftOptions(mu_floor=0.0, record_stride=stride))
+    times = out.trajectory.times
+    assert out.stats.accepted == 3733 and out.stats.h_min < 1e-160
+    assert len(times) == len(out.trajectory.points) == kept
+    assert np.all(np.diff(times) > 0.0) and times[-1] == out.status.t
 
 
 def test_square_dimension_check():
@@ -665,13 +683,13 @@ def test_stacked_judge_matches_one_lane_judges():
         _close_attempt(model, lane, X[row], K7[row], mu_new[row], err[row])
         alone.append(lane)
 
-    for name in ("t", "h", "mu", "rejected", "work", "running"):
-        want = np.concatenate([getattr(lane, name) for lane in alone])
-        assert np.array_equal(getattr(stacked, name), want), name
-    assert stacked.status == [lane.status[0] for lane in alone]
     outcomes = stacked.outcomes()
     for k, (got, lane) in enumerate(zip(outcomes, alone)):
         _assert_same_outcome(got, lane.outcomes()[0], k)
+    for name in ("t", "h", "mu", "accepted", "rejected", "work", "running", "length", "h_min", "f", "max_drift"):
+        want = np.concatenate([getattr(lane, name) for lane in alone])
+        assert np.array_equal(getattr(stacked, name), want), name
+    assert stacked.status == [lane.status[0] for lane in alone]
     assert 0 < sum(out.stats.accepted for out in outcomes) < K
     assert stacked.rejected[:, 0].sum() > 5  # the NaN norms and more
     kinds = {status.kind for status in stacked.status if status is not None}
@@ -718,7 +736,8 @@ def test_lift_lines_work_counters(monkeypatch):
     evaluate_stack per lockstep attempt that has a lane under tolerance."""
     _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == "graves_complex_exp")
     lift_evaluate, stack, attempt = lifting.evaluate, lifting.evaluate_stack, lifting._lockstep_attempt
-    evaluates, stacked_rows, per_attempt = [], [], []
+    accept = lifting._Lanes.accept
+    evaluates, stacked_rows, per_attempt, steps_taken = [], [], [], []
 
     def counted_evaluate(model, x):
         evaluates.append(x)
@@ -729,14 +748,19 @@ def test_lift_lines_work_counters(monkeypatch):
         return stack(model, X)
 
     def counted_attempt(model, lanes, rows):
-        calls, left, taken = len(stacked_rows), lanes.work[:, 0].sum(), len(lanes.records)
+        calls, left, taken = len(stacked_rows), lanes.work[:, 0].sum(), len(steps_taken)
         attempt(model, lanes, rows)
-        steps = sum(len(block[0]) for block in lanes.records[taken:])
+        steps = sum(steps_taken[taken:])
         per_attempt.append((len(stacked_rows) - calls, lanes.work[:, 0].sum() - left + steps * lanes.step_work[0]))
+
+    def counted_accept(lanes, rows, *columns):
+        steps_taken.append(len(rows))
+        return accept(lanes, rows, *columns)
 
     monkeypatch.setattr(lifting, "evaluate", counted_evaluate)
     monkeypatch.setattr(lifting, "evaluate_stack", counted_stack)
     monkeypatch.setattr(lifting, "_lockstep_attempt", counted_attempt)
+    monkeypatch.setattr(lifting._Lanes, "accept", counted_accept)
     batch = lift_lines(model, x0, targets, opts)
     monkeypatch.undo()
 
