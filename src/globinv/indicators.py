@@ -34,7 +34,7 @@ import scipy
 from scipy.special import ndtri
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
-from .maps import MapModel, _svd, _vector, default_point, jacobian, jacobian_stack
+from .maps import MapModel, _svd, _vector, default_point, jacobian_stack
 
 Array = np.ndarray
 
@@ -267,14 +267,15 @@ def _batches(total: int, floats_per_row: int) -> list:
 
 def _indicators_at(model: MapModel, X: Array, kind: str) -> Array:
     """inj or sur at each row of X: one Jacobian stack and one SVD per batch
-    of rows.  The first non-finite Jacobian raises jacobian()'s error there;
-    an error the map raises anywhere in that row's batch comes first."""
+    of rows.  The first row whose Jacobian is not finite (a row where the
+    map raises NonFinite included) raises NonFinite naming its point, as
+    jacobian() does; any other error the map raises in that row's batch
+    comes first."""
     vals = []
     for rows in _batches(X.shape[0], model.m * model.n):
         J, finite = jacobian_stack(model, X[rows])
         if not finite.all():
             bad = X[rows][int(np.argmin(finite))]
-            jacobian(model, bad)  # raises NonFinite with the scalar message
             raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={bad!r}")
         vals.append(_indicator_stack(J, kind))
     return np.concatenate(vals)

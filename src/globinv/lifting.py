@@ -21,27 +21,28 @@ once per call and counted in every lane.  lift_line_square and
 lift_line_horizontal check the shape and make a one-row call.
 gradient_flow integrates x' = -grad F_y as one lane.
 
-One stage code and one driver (_drive) serve both ODEs.  The lanes of a
-call run in lockstep as one (K, n) state (_lockstep_attempt) under one step
-controller per call (_Lanes), which keeps what the integration reads of
-each lane (t, step size, point, slope, mu, steps and rejections, whether
-it runs) and what its outcome reads (length, h_min, drift, f(q)) as rows
-of arrays: rejection, step collapse, acceptance, the next step size and
-the stops are array operations over the rows concerned.  Per-lane Python
-is left in three places: the LiftStatus of a lane that stops, the step
-factor 0.9 e^-0.2 (Python's float power, see _step_factors) and the
-flow's window verdict.  The steps of up to 64 attempts are folded at
-once into those arrays and into one block of recorded points (a lane's
-every record_stride-th step); each lane's trajectory is read off the
-blocks at the end.  _Attempt keeps the books of one attempt: one work
-tally, one error test and one exit for every row cut within it.  Two
-judges supply the stage slopes, one stack of model calls per stage, and
-take or reject the attempts under tolerance: _LineLanes (J^+ w from an SVD
-stack per stage, the mu floor; _judge_lanes: f(q5), chords, drifts against
-the line and distances from x0, each stacked) and _FlowLanes (-J^T r and
-F; F must not rise, then one singular-value stack at q5 per step taken,
-and time-doubling windows give the verdict).  Each lane's LiftOutcome,
-LiftStats included, does not depend on the other rows of the call.
+Each call builds one lane object (_LineLanes or _FlowLanes, both _Lanes)
+that holds the model and every lane and runs itself: start() takes the
+facts at x0, run() makes lockstep attempts (attempt) until every lane has
+stopped, and the outcome is read off it; no method below the constructor
+takes the model.  One step controller keeps each lane's t, step size,
+point, slope, mu, steps and rejections, running flag, length, h_min,
+drift and f(q) as rows of arrays, so rejection, step collapse, acceptance,
+the next step size and the stops are array operations over the rows
+concerned.  Per-lane Python is left for the LiftStatus of a lane that
+stops, the step factor 0.9 e^-0.2 (Python's float power, _step_factors)
+and the flow's window verdict.  The steps of up to 64 attempts are folded
+at once into those arrays and one block of recorded points (a lane's every
+record_stride-th step).  _Attempt keeps the books of one attempt: one work
+tally, one stack call step (stack: the call, its tally and the exit of
+the non-finite rows), one error test and one exit for every row cut.  The
+lane class supplies the stage slopes and judges the attempts under
+tolerance: _LineLanes (J^+ w from an SVD stack per stage, the mu floor;
+f(q5), chords, drifts and distances from x0 as stacks, and a stop for a
+step that cannot advance t) and _FlowLanes (-J^T r and F; F must not rise,
+one singular-value stack at q5 per step taken, time-doubling windows give
+the verdict).  Each lane's LiftOutcome, LiftStats included, does not
+depend on the other rows of the call.
 """
 
 from __future__ import annotations
@@ -313,12 +314,12 @@ class _Lanes:
     the rejected attempts is added up per lane (work); every step taken did
     the work of a whole attempt (step_work, set when an attempt closes).
 
-    _lockstep_attempt makes the attempts of the rows begin_attempt returns;
-    a judge subclass supplies the stage slopes (slopes) and takes or
-    rejects the attempts whose stages all passed (judge).  Each attempt's
-    steps wait as one block in pending, until _RECORD_RUN blocks or the
-    outcome fold them (fold) into what the outcome reads, each a row per
-    lane: the steps taken (accepted), the chord length, the least step
+    run makes attempts (attempt) of the rows begin_attempt returns until
+    every lane has stopped; a subclass supplies the stage slopes (slopes)
+    and judges the attempts whose stages all passed (judge).  Each
+    attempt's steps wait as one block in pending, until _RECORD_RUN blocks
+    or the outcome fold them (fold) into what the outcome reads, each a row
+    per lane: the steps taken (accepted), the chord length, the least step
     (h_min) and the judge's running facts; and into one block of the
     record, which holds each lane's base point and every record_stride-th
     step after it, unless its time is the last one kept (kept_t)."""
@@ -364,6 +365,27 @@ class _Lanes:
             rows = rows[~spent]
         self.attempts += 1
         return rows
+
+    def run(self) -> None:
+        """Make lockstep attempts until every lane has stopped."""
+        while (rows := self.begin_attempt()).size:
+            self.attempt(rows)
+
+    def attempt(self, rows: Array) -> None:
+        """One Dormand-Prince attempt for rows, in lockstep: each stage point
+        is one (K, n) array, and a row whose stage fails leaves
+        (_Attempt.leave).  Each check is one test over the whole stack; the
+        per-row mask is built only when it does not pass.  The rows whose
+        stages all passed are judged together (_Attempt.close)."""
+        a = _Attempt(self, rows)
+        for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
+            a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
+            if not _all_finite(a.X):
+                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
+            at = self.slopes(a, i)
+            if not a.rows.size:
+                return
+        a.close(at, a.H * (a.KS @ _DP_ERR))
 
     def reject(self, rows: Array, cause: str, work: tuple, mu: Optional[Array] = None,
                err_norm: Optional[Array] = None) -> None:
@@ -502,7 +524,22 @@ class _Attempt:
         )
         return arrays
 
-    def close(self, model: MapModel, at: tuple, err: Array) -> None:
+    def stack(self, *arrays, jac: bool) -> tuple:
+        """One stack call at the stage point X of the rows, counted in its
+        tally: jacobian_stack when jac, else evaluate_stack.  The rows whose
+        result is not finite leave (nonfinite).  Returns the result and the
+        given arrays, cut to the rows left."""
+        if jac:
+            V, good = jacobian_stack(self.lanes.model, self.X)
+            self.jacobians += 1
+        else:
+            V, good = evaluate_stack(self.lanes.model, self.X)
+            self.evals += 1
+        if _every(good):
+            return (V, *arrays)
+        return self.leave(good, "nonfinite", V, *arrays)
+
+    def close(self, at: tuple, err: Array) -> None:
         """Judge the rows whose stages all passed (X is q5, at what slopes
         returned there, err the error vectors): a row whose error norm is
         over tolerance leaves, the judge takes or rejects the others."""
@@ -513,85 +550,35 @@ class _Attempt:
             *at, E = self.leave(under, "error", *at, E, err_norm=E)
             if not self.rows.size:
                 return
-        lanes.judge(model, self, at, E)
+        lanes.judge(self, at, E)
         if self.rows.size:  # the rows left took their steps
             lanes.step_work = (self.evals, self.jacobians, self.svds)
-
-
-def _lockstep_attempt(model: MapModel, lanes: _Lanes, rows: Array) -> None:
-    """One Dormand-Prince attempt for the rows of lanes, in lockstep: each
-    stage point is one (K, n) array, and a row whose stage fails leaves
-    (_Attempt.leave).  Each check is one test over the whole stack; the
-    per-row mask is built only when it does not pass.  The rows whose
-    stages all passed are judged together (_Attempt.close)."""
-    a = _Attempt(lanes, rows)
-    for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
-        a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
-        if not _all_finite(a.X):
-            a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
-        at = lanes.slopes(model, a, i)
-        if not a.rows.size:
-            return
-    a.close(model, at, a.H * (a.KS @ _DP_ERR))
-
-
-def _judge_lanes(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
-    """Take or reject the attempts of the line rows of a that passed the
-    error test (E their error norms, at = (mu at q5,)): f(q5) by one
-    evaluate_stack (a row with a non-finite value leaves), the step chords,
-    the drifts against the line and the distances from x0 as row norms.
-    Every row takes its step and sizes the next (next_step); a row over
-    its drift cap or outside the escape ball stops."""
-    lanes, (mu,) = a.lanes, at
-    F, finite = evaluate_stack(model, a.X)
-    a.evals += 1
-    if not _every(finite):
-        F, mu, E = a.leave(finite, "nonfinite", F, mu, E)
-    rows, H = a.rows, a.H[:, 0]
-    T = lanes.step_end(rows, H)
-    chords, dists = _row_norms(np.concatenate([a.X - a.Q, a.X - lanes.x0])).reshape(2, -1)
-    drifts = _row_norms(F - (lanes.f0 + T[:, None] * a.W))
-    h_next = lanes.next_step(H, T, E, lanes.mu.take(rows), mu)
-    lanes.accept(rows, a.X, a.KS[:, :, 6], mu, T, H, chords, drifts, F)
-    lanes.h[rows] = h_next
-    capped = drifts > lanes.drift_cap.take(rows)
-    out = capped if lanes.opts.r_escape is None else capped | (dists > lanes.opts.r_escape)
-    for j in out.nonzero()[0].tolist():
-        k = int(rows[j])
-        t = lanes.t[k]
-        lanes.stop(k, LiftStatus.step_failure(t) if capped[j] else LiftStatus.escaped(t, dists[j]))
 
 
 class _LineLanes(_Lanes):
     """The lanes of a lift_lines call, on q' = J(q)^+ w: f at the last step
     folded (f) and the largest drift of f(q) from each line (max_drift),
-    the mu-decay step guard, and the stops at x0.  Their stage slopes come from a Jacobian
-    stack and its SVD (slopes); their finished attempts are judged by
-    _judge_lanes."""
+    the mu-decay step guard, and the stops at x0.  Their stage slopes come
+    from a Jacobian stack and its SVD (slopes); their finished attempts
+    are judged as arrays (judge)."""
 
-    judge = staticmethod(_judge_lanes)
-
-    def __init__(self, model: MapModel, x0v: Array, f0: Array, W: Array, opts: LiftOptions):
+    def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
         super().__init__(model, x0v, W, opts)
-        self.f0, self.f, self.max_drift = f0, np.repeat(f0[None], len(W), axis=0), np.zeros(len(W))
+        self.max_drift = np.zeros(len(W))
         self.norm_w = _row_norms(W)
         wide = np.maximum(self.norm_w, 1.0)
         self.complete_tol = 10.0 * opts.rel_tol * wide + 100.0 * opts.abs_tol
         self.drift_cap = np.maximum(1e3 * self.complete_tol, 1e-6 * wide)
 
-    @staticmethod
-    def slopes(model: MapModel, a: _Attempt, i: int):
+    def slopes(self, a: _Attempt, i: int):
         """Stage i of the line rows of a: one Jacobian stack and its SVD.
         A row leaves on a non-finite Jacobian, on mu below mu_floor (or not
         positive and finite) and on a non-finite velocity.  Sets the slopes
         KS[:, :, i] and returns (mu,)."""
-        J, good = jacobian_stack(model, a.X)
-        a.jacobians += 1
-        if not _every(good):
-            (J,) = a.leave(good, "nonfinite", J)
+        (J,) = a.stack(jac=True)
         U, s, Vt = _svd(J)
         a.svds += 1
-        mu, mu_floor = s[:, -1], a.lanes.opts.mu_floor
+        mu, mu_floor = s[:, -1], self.opts.mu_floor
         # mu >= max(mu_floor, 5e-324) is mu >= mu_floor and mu > 0, NaN excluded
         if not _every((mu >= max(mu_floor, 5e-324)) & (mu < math.inf)):
             good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
@@ -605,10 +592,41 @@ class _LineLanes(_Lanes):
         a.KS[:, :, i] = V
         return (mu,)
 
-    def start(self, U: Array, s: Array, Vt: Array) -> None:
-        """Set up from the SVD of J(x0), shared by the lanes: record the
-        base point; every lane stops at once when it is singular, a lane
-        with w = 0 completes, the others take their first slope and step."""
+    def judge(self, a: _Attempt, at: tuple, E: Array) -> None:
+        """Take or reject the attempts of the rows of a that passed the
+        error test (E their error norms, at = (mu at q5,)): f(q5) by one
+        evaluate_stack (a row with a non-finite value leaves), the step
+        chords, the drifts against the line and the distances from x0 as
+        row norms.  Every row takes its step and sizes the next
+        (next_step); a row over its drift cap, one whose next step cannot
+        advance t (below half an ulp of it, as a step collapse) or one
+        outside the escape ball stops."""
+        (mu,) = at
+        F, mu, E = a.stack(mu, E, jac=False)
+        rows, H = a.rows, a.H[:, 0]
+        T = self.step_end(rows, H)
+        chords, dists = _row_norms(np.concatenate([a.X - a.Q, a.X - self.x0])).reshape(2, -1)
+        drifts = _row_norms(F - (self.f0 + T[:, None] * a.W))
+        h_next = self.next_step(H, T, E, self.mu.take(rows), mu)
+        self.accept(rows, a.X, a.KS[:, :, 6], mu, T, H, chords, drifts, F)
+        self.h[rows] = h_next
+        failed = drifts > self.drift_cap.take(rows)
+        small = h_next < _H_MIN  # half an ulp of t <= 1 is far smaller
+        if np.count_nonzero(small):
+            failed |= small & (T + h_next == T) & (T < self.t_end)
+        out = failed if self.opts.r_escape is None else failed | (dists > self.opts.r_escape)
+        for j in out.nonzero()[0].tolist():
+            k = int(rows[j])
+            t = self.t[k]
+            self.stop(k, LiftStatus.step_failure(t) if failed[j] else LiftStatus.escaped(t, dists[j]))
+
+    def start(self) -> None:
+        """f(x0), J(x0) and its SVD, shared by the lanes: record the base
+        point; every lane stops at once when J(x0) is singular, a lane with
+        w = 0 completes, the others take their first slope and step."""
+        self.f0 = evaluate(self.model, self.x0)
+        self.f = np.repeat(self.f0[None], len(self.t), axis=0)
+        U, s, Vt = _svd(jacobian(self.model, self.x0))
         K, mu = len(self.t), float(s[-1])
         self.mu[:] = mu
         self.record_start()
@@ -693,20 +711,13 @@ class _FlowLanes(_Lanes):
         self.window = None  # (t, q, F) where the current window began
         self.window_dx = None  # how far q moved over the last window
 
-    @staticmethod
-    def slopes(model: MapModel, a: _Attempt, i: int):
+    def slopes(self, a: _Attempt, i: int):
         """Stage i of the flow rows of a: -grad F from one evaluate_stack and
         one Jacobian stack.  A row leaves on a non-finite value, Jacobian,
         gradient or energy F.  Sets the slopes KS[:, :, i]; at stage 6 (q5)
         returns (J, F, grad F)."""
-        Y, good = evaluate_stack(model, a.X)
-        a.evals += 1
-        if not _every(good):
-            (Y,) = a.leave(good, "nonfinite", Y)
-        J, good = jacobian_stack(model, a.X)
-        a.jacobians += 1
-        if not _every(good):
-            Y, J = a.leave(good, "nonfinite", Y, J)
+        (Y,) = a.stack(jac=False)
+        J, Y = a.stack(Y, jac=True)
         G, F = _descent(J, Y - a.W)
         # a non-finite gradient of stages 1-5 is left to the next stage
         # point's check, as a non-finite line slope is (_LineLanes.slopes)
@@ -716,22 +727,21 @@ class _FlowLanes(_Lanes):
         a.KS[:, :, i] = -G
         return (J, F, G) if i == 6 else None
 
-    @staticmethod
-    def judge(model: MapModel, a: _Attempt, at: tuple, E: Array) -> None:
+    def judge(self, a: _Attempt, at: tuple, E: Array) -> None:
         """Judge the one flow row of a, which passed the error test (at
         holds J, F and grad F at q5, E the error norm): rejected when it
         raises F, else mu from one singular-value stack, the step taken and
         the window it may close judged (finish)."""
-        flow, (J, F, G) = a.lanes, at
+        J, F, G = at
         F7 = float(F[0])
-        if not F7 <= flow.F + 1e-12 * (1.0 + abs(flow.F)):
+        if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
             a.leave(np.zeros(1, dtype=bool), "error", err_norm=E)
             return
         mu = _svd(J, compute_uv=False)[:, -1]
         a.svds += 1
         rows, H = a.rows, a.H[:, 0]
-        flow.accept(rows, a.X, a.KS[:, :, 6], mu, flow.step_end(rows, H), H, _row_norms(a.X - a.Q))
-        flow.finish(F7, float(_row_norms(G)[0]), float(flow.grown(H, E)[0]))
+        self.accept(rows, a.X, a.KS[:, :, 6], mu, self.step_end(rows, H), H, _row_norms(a.X - a.Q))
+        self.finish(F7, float(_row_norms(G)[0]), float(self.grown(H, E)[0]))
 
     def start(self) -> None:
         """f(x0), J(x0), mu and the slope there; a non-finite gradient or
@@ -802,12 +812,6 @@ class _FlowLanes(_Lanes):
         return LiftOutcome(trajectory, self.status[0], residual, 0.0, stats), self.verdict
 
 
-def _drive(model: MapModel, lanes: _Lanes) -> None:
-    """Make lockstep attempts for the lanes until every one has stopped."""
-    while (rows := lanes.begin_attempt()).size:
-        _lockstep_attempt(model, lanes, rows)
-
-
 def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
     """Lift the line f(x0) + t w, t in [0, 1], through a square Jacobian."""
     if model.n != model.m:
@@ -832,9 +836,9 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     state under one step controller, one row as many, on the stage code
     and driver gradient_flow runs on too: every lane's t, step size,
     point, slope and rejections are rows of arrays, and a lane leaves the
-    batch when it stops; every stage takes one Jacobian stack and one SVD over
-    the live lanes, and _judge_lanes takes or rejects their attempts at
-    once.  Square and wide (m <= n) maps are both served, as by
+    batch when it stops; every stage takes one Jacobian stack and one SVD
+    over the live lanes, and the line judge takes or rejects their
+    attempts at once.  Square and wide (m <= n) maps are both served, as by
     lift_line_square and lift_line_horizontal.  Returns one LiftOutcome per
     row of W: the outcome the one-row call of that row returns.
     """
@@ -849,11 +853,9 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
         raise DimensionMismatch(f"lift_lines: W shape {Wv.shape}, expected (K, {model.m})")
     if not len(Wv):
         return []
-    f0 = evaluate(model, x0v)
-    U, s, Vt = _svd(jacobian(model, x0v))
-    lanes = _LineLanes(model, x0v, f0, Wv, opts)
-    lanes.start(U, s, Vt)
-    _drive(model, lanes)
+    lanes = _LineLanes(model, x0v, Wv, opts)
+    lanes.start()
+    lanes.run()
     return lanes.outcomes()
 
 
@@ -873,7 +875,7 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     x0v = _vector(x0, model.n, "gradient_flow: x0")
     flow = _FlowLanes(model, x0v, _vector(y, model.m, "gradient_flow: y"), opts)
     flow.start()
-    _drive(model, flow)
+    flow.run()
     return flow.outcome()
 
 

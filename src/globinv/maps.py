@@ -3,16 +3,18 @@
 A :class:`MapModel` wraps a pure vector function f: R^n -> R^m together with an
 optional analytic Jacobian and an optional certified lower bound on the local
 invertibility indicator over centered balls.  Everything downstream (profiles,
-lifts, certificates, the CLI) consumes models through :func:`evaluate`,
-:func:`jacobian` and, for batched lifts and samples, :func:`evaluate_stack`
-and :func:`jacobian_stack` only.
+lifts, certificates, the CLI) consumes models through :func:`evaluate_stack`
+and :func:`jacobian_stack`, which take K points as one (K, n) stack, check
+the shape once and flag the rows whose result is not finite.  There is one
+call path from a caller to the map: :func:`evaluate` and :func:`jacobian`
+are row 0 of those on the one-row stack of their point, and raise NonFinite
+naming the point where the row is flagged.
 
 A model declared ``stacked`` has shape-polymorphic functions: eval_fn maps a
 (..., n) array to (..., m) and jac_fn to (..., m, n).  A stack of K points
-then costs one call, and evaluate() and jacobian() make the same call on a
-one-row stack, so a point gets the same bits alone and in any stack.  Other
-models are called once per row.  Every registry map is stacked; each is
-written over x[..., i], so it also takes a single (n,) point, and squares
+then costs one call, so a point gets the same bits alone and in any stack.
+Other models are called once per row.  Every registry map is stacked; each
+is written over x[..., i], so it also takes a single (n,) point, and squares
 with np.float_power, which rounds as the scalar x[i] ** 2 does (the array
 x ** 2 and x * x do not, in the last bit).
 """
@@ -105,29 +107,6 @@ def _vector(x, n: int, what: str, finite: bool = False) -> Array:
     return arr
 
 
-def _at_point(model: MapModel, fn: Callable[[Array], Array], xv: Array, shape: tuple,
-              what: str) -> Array:
-    """fn at the point xv as a float array of the given shape: for a stacked
-    model, row 0 of fn on the one-row stack xv[None].  Another shape raises
-    DimensionMismatch; any exception of fn propagates."""
-    if model.stacked:
-        out, shape = np.asarray(fn(xv[None]), dtype=float), (1, *shape)
-    else:
-        out = np.asarray(fn(xv), dtype=float)
-    if out.shape != shape:
-        raise DimensionMismatch(f"{what} returned shape {out.shape}, expected {shape}")
-    return out[0] if model.stacked else out
-
-
-def evaluate(model: MapModel, x) -> Array:
-    """Evaluate f(x), validating shapes and finiteness."""
-    xv = _vector(x, model.n, f"evaluate({model.name})")
-    y = _at_point(model, model.eval_fn, xv, (model.m,), f"evaluate({model.name}): map")
-    if not np.all(np.isfinite(y)):
-        raise NonFinite(f"evaluate({model.name}): non-finite value at x={xv!r}")
-    return y
-
-
 def _stack_points(model: MapModel, X, what: str) -> Array:
     Xv = np.asarray(X, dtype=float)
     if Xv.ndim != 2 or Xv.shape[1] != model.n:
@@ -153,7 +132,7 @@ def _stack_rows(model: MapModel, fn: Callable[[Array], Array], Xv: Array, shape:
             return np.concatenate([_stack_rows(model, fn, x[None], shape, what) for x in Xv])
         if stack.shape != (len(Xv), *shape):
             raise DimensionMismatch(
-                f"{what}({model.name}): returned shape {stack.shape}, expected {(len(Xv), *shape)}"
+                f"{what}({model.name}): map returned shape {stack.shape}, expected {(len(Xv), *shape)}"
             )
         return stack
     rows = []
@@ -170,22 +149,32 @@ def _stack_rows(model: MapModel, fn: Callable[[Array], Array], Xv: Array, shape:
         if all(np.shape(r) == shape for r in rows):
             raise
     got = next(np.shape(r) for r in rows if np.shape(r) != shape)
-    raise DimensionMismatch(f"{what}({model.name}): returned shape {got}, expected {shape}")
+    raise DimensionMismatch(f"{what}({model.name}): map returned shape {got}, expected {shape}")
 
 
 def evaluate_stack(model: MapModel, X) -> tuple:
     """Values of f at the K rows of X as one (K, m) stack, and a (K,) mask
     of the rows whose value is finite.
 
-    Each row is computed as evaluate() computes it; the shape is checked
-    once for the whole stack.  A non-finite row, including one where the
-    map itself raises NonFinite, is flagged in the mask instead of raised,
-    so callers drop that row and go on with the others; any other exception
-    raised by the map propagates.
+    The shape is checked once for the whole stack.  A non-finite row,
+    including one where the map itself raises NonFinite, is flagged in the
+    mask instead of raised, so callers drop that row and go on with the
+    others; any other exception raised by the map propagates.
     """
     Xv = _stack_points(model, X, "evaluate_stack")
     Y = _stack_rows(model, model.eval_fn, Xv, (model.m,), "evaluate_stack")
     return Y, np.isfinite(Y).all(axis=1)
+
+
+def evaluate(model: MapModel, x) -> Array:
+    """f(x): row 0 of evaluate_stack on the one-row stack of x.  A
+    non-finite value, a point where the map raises NonFinite included,
+    raises NonFinite naming x."""
+    xv = _vector(x, model.n, f"evaluate({model.name})")
+    Y, finite = evaluate_stack(model, xv[None])
+    if not finite[0]:
+        raise NonFinite(f"evaluate({model.name}): non-finite value at x={xv!r}")
+    return Y[0]
 
 
 @np.errstate(invalid="ignore")  # inf - inf where a value is not finite
@@ -209,29 +198,15 @@ def _fd_jacobian(model: MapModel, Xv: Array) -> Array:
     return (Y[:, 0::2] - Y[:, 1::2]).transpose(0, 2, 1) / step[:, None, :]
 
 
-def jacobian(model: MapModel, x) -> Array:
-    """The m x n Jacobian of f at x: analytic when available, otherwise a
-    central finite difference with per-coordinate step max(|x_i|, 1) * eps^(1/3)
-    (the one-row case of the stacked finite difference)."""
-    xv = _vector(x, model.n, f"jacobian({model.name})")
-    if model.jac_fn is not None:
-        J = _at_point(model, model.jac_fn, xv, (model.m, model.n), f"jacobian({model.name}):")
-    else:
-        J = _fd_jacobian(model, xv[None])[0]
-    if not np.all(np.isfinite(J)):
-        raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={xv!r}")
-    return J
-
-
 def jacobian_stack(model: MapModel, X) -> tuple:
     """Jacobians at the K rows of X as one (K, m, n) stack, and a (K,) mask
     of the rows whose Jacobian is finite.
 
-    Each row is computed as jacobian() computes it, by jac_fn or by the
-    same finite difference, taken for the whole stack at once; the shape
-    and the finiteness are checked once for the whole stack.  A non-finite
-    row (including a finite difference that hits a non-finite value, and a
-    row where the map raises NonFinite) is flagged in the mask instead of
+    Each row is computed by jac_fn or by the central finite difference
+    (_fd_jacobian), taken for the whole stack at once; the shape and the
+    finiteness are checked once for the whole stack.  A non-finite row
+    (including a finite difference that hits a non-finite value, and a row
+    where the map raises NonFinite) is flagged in the mask instead of
     raised, so batched callers drop that row and go on with the others.
     """
     Xv = _stack_points(model, X, "jacobian_stack")
@@ -240,6 +215,17 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     else:
         J = _stack_rows(model, model.jac_fn, Xv, (model.m, model.n), "jacobian_stack")
     return J, np.isfinite(J).all(axis=(1, 2))
+
+
+def jacobian(model: MapModel, x) -> Array:
+    """The m x n Jacobian of f at x: row 0 of jacobian_stack on the
+    one-row stack of x.  A non-finite derivative, a point where the map
+    raises NonFinite included, raises NonFinite naming x."""
+    xv = _vector(x, model.n, f"jacobian({model.name})")
+    J, finite = jacobian_stack(model, xv[None])
+    if not finite[0]:
+        raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={xv!r}")
+    return J[0]
 
 
 # For |a| in this window LAPACK's SVD of the 1x1 matrix [a] is (sign a, |a|,

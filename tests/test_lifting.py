@@ -114,16 +114,21 @@ def test_record_stride_keeps_endpoints():
 
 @pytest.mark.parametrize("stride, kept", [(1, 506), (3, 170)])
 def test_steps_that_do_not_advance_t_are_not_recorded(stride, kept):
-    """A point is recorded unless its time is the last one recorded.  With
-    no mu floor, the mu-decay guard on exp1d toward its singular edge
-    shrinks the step below half an ulp of t, so all but 505 of the 3733
-    steps taken leave t where it was; the trajectory keeps one point per
-    time."""
-    out = lift_line_square(registry_get("exp1d"), [0.0], [-2.0], LiftOptions(mu_floor=0.0, record_stride=stride))
-    times = out.trajectory.times
-    assert out.stats.accepted == 3733 and out.stats.h_min < 1e-160
-    assert len(times) == len(out.trajectory.points) == kept
-    assert np.all(np.diff(times) > 0.0) and times[-1] == out.status.t
+    """With no mu floor, the mu-decay guard on exp1d toward its singular
+    edge (f = -1, at t = 1/2) sizes a step below half an ulp of t.  Such a
+    step would leave t where it is, so the lane stops there with
+    StepFailure, as a step collapse does, after 505 steps that each advance
+    t, instead of taking 3228 more at a standing t.  The trajectory keeps
+    the base point, every stride-th step and the final point, one point
+    per time.  A lane of the same call that reaches t = 1 completes."""
+    opts = LiftOptions(mu_floor=0.0, record_stride=stride)
+    toward_edge, away = lift_lines(registry_get("exp1d"), [0.0], [[-2.0], [1.0]], opts)
+    times = toward_edge.trajectory.times
+    assert toward_edge.status == LiftStatus.step_failure(times[-1]) and 0.4999 < times[-1] < 0.5001
+    assert toward_edge.stats.accepted == 505 and toward_edge.stats.h_min < 1e-16
+    assert len(times) == len(toward_edge.trajectory.points) == kept
+    assert np.all(np.diff(times) > 0.0)
+    assert away.status.is_complete
 
 
 def test_square_dimension_check():
@@ -628,26 +633,26 @@ def test_lift_lines_cover_every_terminal_status():
 
 
 def _lanes_at(model, opts, W, Q, H, T, mu):
-    """The lanes of a lift_lines call from x0 = 0 toward the rows of W, set
-    mid-lift: lane k at q = Q[k], time T[k], step size H[k] and indicator
-    mu[k], slope 0, with that point recorded."""
-    x0 = np.zeros(model.n)
-    lanes = lifting._LineLanes(model, x0, evaluate(model, x0), np.asarray(W, dtype=float), opts)
+    """The lanes of a lift_lines call from x0 = 0 toward the rows of W,
+    started and then set mid-lift: lane k at q = Q[k], time T[k], step size
+    H[k] and indicator mu[k], with x0 and that point recorded."""
+    lanes = lifting._LineLanes(model, np.zeros(model.n), np.asarray(W, dtype=float), opts)
+    lanes.start()
     lanes.q[:], lanes.t[:], lanes.h[:], lanes.mu[:] = Q, T, H, mu
     lanes.record_start()
     return lanes
 
 
-def _close_attempt(model, lanes, X, K7, mu, err):
+def _close_attempt(lanes, X, K7, mu, err):
     """Close a lockstep attempt of every lane, whose stages reached
     q5 = X[k] with slope K7[k], indicator mu[k] and error vector err[k]."""
     a = lifting._Attempt(lanes, np.arange(len(lanes.t)))
     a.X, a.KS[:, :, 6] = X, K7
-    a.close(model, (mu,), err)
+    a.close((mu,), err)
 
 
 def test_stacked_judge_matches_one_lane_judges():
-    """The close of a 4000-lane attempt (the error test, then _judge_lanes)
+    """The close of a 4000-lane attempt (the error test, then the judge)
     against the close of each lane alone, as a one-lane call:
     error norms from 1e-12 to past tolerance, mu rising and falling (the
     mu-decay guard), drifts about the cap and some lanes outside the escape
@@ -675,12 +680,12 @@ def test_stacked_judge_matches_one_lane_judges():
     err[:5] = np.nan
 
     stacked = _lanes_at(model, opts, W, Q, H, T, mu_prev)
-    _close_attempt(model, stacked, X, K7, mu_new, err)
+    _close_attempt(stacked, X, K7, mu_new, err)
     alone = []
     for k in range(K):
         row = slice(k, k + 1)
         lane = _lanes_at(model, opts, W[row], Q[row], H[row], T[row], mu_prev[row])
-        _close_attempt(model, lane, X[row], K7[row], mu_new[row], err[row])
+        _close_attempt(lane, X[row], K7[row], mu_new[row], err[row])
         alone.append(lane)
 
     outcomes = stacked.outcomes()
@@ -735,7 +740,7 @@ def test_lift_lines_work_counters(monkeypatch):
     """A 64-lane call evaluates f once at x0 and then only through one
     evaluate_stack per lockstep attempt that has a lane under tolerance."""
     _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == "graves_complex_exp")
-    lift_evaluate, stack, attempt = lifting.evaluate, lifting.evaluate_stack, lifting._lockstep_attempt
+    lift_evaluate, stack, attempt = lifting.evaluate, lifting.evaluate_stack, lifting._Lanes.attempt
     accept = lifting._Lanes.accept
     evaluates, stacked_rows, per_attempt, steps_taken = [], [], [], []
 
@@ -747,9 +752,9 @@ def test_lift_lines_work_counters(monkeypatch):
         stacked_rows.append(len(X))
         return stack(model, X)
 
-    def counted_attempt(model, lanes, rows):
+    def counted_attempt(lanes, rows):
         calls, left, taken = len(stacked_rows), lanes.work[:, 0].sum(), len(steps_taken)
-        attempt(model, lanes, rows)
+        attempt(lanes, rows)
         steps = sum(steps_taken[taken:])
         per_attempt.append((len(stacked_rows) - calls, lanes.work[:, 0].sum() - left + steps * lanes.step_work[0]))
 
@@ -759,7 +764,7 @@ def test_lift_lines_work_counters(monkeypatch):
 
     monkeypatch.setattr(lifting, "evaluate", counted_evaluate)
     monkeypatch.setattr(lifting, "evaluate_stack", counted_stack)
-    monkeypatch.setattr(lifting, "_lockstep_attempt", counted_attempt)
+    monkeypatch.setattr(lifting._Lanes, "attempt", counted_attempt)
     monkeypatch.setattr(lifting._Lanes, "accept", counted_accept)
     batch = lift_lines(model, x0, targets, opts)
     monkeypatch.undo()

@@ -147,7 +147,9 @@ def test_evaluate_stack_flags_non_finite_rows():
 def test_stacks_flag_rows_where_the_map_raises_non_finite():
     """A map that raises NonFinite beyond x = 1 gives a NaN row there, in
     evaluate_stack, in the finite-difference jacobian_stack and, for a
-    jac_fn that raises, in jacobian_stack; any other error propagates."""
+    jac_fn that raises, in jacobian_stack; any other error propagates.
+    evaluate and jacobian, the one-row stacks, raise NonFinite naming the
+    point."""
     def f(x):
         if x[0] > 1.0:
             raise NonFinite("outside the domain")
@@ -165,6 +167,10 @@ def test_stacks_flag_rows_where_the_map_raises_non_finite():
               MapModel(name="raises_jac", n=1, m=1, eval_fn=lambda x: x.copy(), jac_fn=jac)):
         J, finite = jacobian_stack(m, X)
         assert finite.tolist() == [True, False, True] and np.isnan(J[1]).all(), m.name
+        with pytest.raises(NonFinite, match=r"jacobian\(raises_(fd|jac)\): non-finite derivative at x=array\(\[2\.\]\)"):
+            jacobian(m, X[1])
+    with pytest.raises(NonFinite, match=r"evaluate\(raises\): non-finite value at x=array\(\[2\.\]\)"):
+        evaluate(MapModel(name="raises", n=1, m=1, eval_fn=f), X[1])
 
     def boom(x):
         raise ValueError("not a number")
@@ -445,7 +451,9 @@ def test_stacked_user_map_shape_is_checked_once_per_stack():
 def test_stacked_user_map_non_finite_rows():
     """A NaN row is cleared in the mask while the others stay finite;
     evaluate and jacobian raise NonFinite at that point; a stacked function
-    that raises NonFinite for one row gives exactly that row NaN."""
+    that raises NonFinite for one row gives exactly that row NaN, and
+    evaluate and jacobian (by jac_fn or the finite difference) raise
+    NonFinite naming that point."""
     calls = []
 
     def jac(x):
@@ -476,6 +484,12 @@ def test_stacked_user_map_non_finite_rows():
     assert finite.tolist() == [True, False, True] and np.isnan(Y[1]).all()
     assert Y[[0, 2], 0].tolist() == [0.0, 0.5]
     assert calls == [(3, 1), (1, 1), (1, 1), (1, 1)]  # the stack, then each row alone
+    for m in (MapModel(name="raises", n=1, m=1, eval_fn=raises, stacked=True),
+              MapModel(name="raises_jac", n=1, m=1, eval_fn=raises, jac_fn=raises, stacked=True)):
+        with pytest.raises(NonFinite, match=r"evaluate\(raises(_jac)?\): non-finite value at x=array\(\[2\.\]\)"):
+            evaluate(m, X[1])
+        with pytest.raises(NonFinite, match=r"jacobian\(raises(_jac)?\): non-finite derivative at x=array\(\[2\.\]\)"):
+            jacobian(m, X[1])
 
 
 def test_stacked_map_without_jacobian_uses_the_stacked_finite_difference():

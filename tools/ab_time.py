@@ -5,8 +5,7 @@
 Each SRC is a directory that holds a globinv package, such as the src/ of
 a checkout.  Both packages are loaded side by side under distinct names,
 so one interpreter times both on the same heap and the same CPU.  Every
-round runs six workloads on each side, in alternating order (the base
-first in even rounds, the change first in odd rounds):
+round runs six workloads on each side:
 
   lines    16 one-row line lifts on registry maps;
   sweep    one 64-lane lift_lines call on complex_exp (2x2 Jacobians);
@@ -16,13 +15,23 @@ first in even rounds, the change first in odd rounds):
   flows    7 gradient flows, rejected non-finite stages included;
   profile  2 sampled mu_profile calls (grid 128, 64 samples per ball).
 
+Each workload is cut into short blocks: one lift, flow or profile each,
+and one block for a lift_lines call.  Both sides run each block back to
+back, the side that goes first alternating from block to block and from
+round to round, and each run is timed with time.process_time, the CPU
+time of this process, so time the machine gives to other processes does
+not count.  The garbage collector runs before each workload and is off
+while its blocks run.  A round's ratio for a workload is the change's
+summed block times over the base's.
+
 For each workload it prints the median of the per-round time ratios
 change / base, their quartiles, and whether both sides gave the same
 outcomes bit for bit: the status, each LiftStats field, the recorded
 times, points and mu values, the length, the residual and the flow
 verdict of each lift, and the eta values of each profile.  Where they
 differ it names the fields, as in "DIFFER: stats.svds".
-Wall time on a shared machine is noisy: compare medians over many rounds.
+CPU time still varies with the cache and the clock of a shared machine:
+compare medians over many rounds.
 Needs only the standard library and numpy (plus what globinv imports).
 """
 
@@ -123,27 +132,18 @@ class Side:
         # targets across the image (-pi/2, pi/2) of arctan1d; the ends +-1.6 lie past it (Singular)
         self.sweep1d = (model("arctan1d"), [0.0], np.linspace(-1.6, 1.6, 64)[:, None])
 
-    def run_lines(self):
-        lift = self.pkg.lifting.lift_lines
-        return [lift(m, x0, [w])[0] for m, x0, w in self.lines]
-
-    def run_sweep(self):
-        return self.pkg.lifting.lift_lines(*self.sweep)
-
-    def run_sweep1d(self):
-        return self.pkg.lifting.lift_lines(*self.sweep1d)
-
-    def run_wide(self):
-        return self.pkg.lifting.lift_lines(*self.wide)
-
-    def run_flows(self):
-        flow = self.pkg.lifting.gradient_flow
-        return [flow(m, x0, y, opts) for m, x0, y, opts in self.flows]
-
-    def run_profile(self):
-        profile = self.pkg.indicators.mu_profile
-        return [profile(m, x0, r_max, 128, mode="sampled", sample_count=64)
-                for m, x0, r_max in self.profiles]
+    def blocks(self, workload: str) -> list:
+        """The workload as a list of blocks, each a call that returns a list of results."""
+        pkg = self.pkg
+        lift_lines, flow, profile = pkg.lifting.lift_lines, pkg.lifting.gradient_flow, pkg.indicators.mu_profile
+        if workload == "lines":
+            return [lambda m=m, x0=x0, w=w: lift_lines(m, x0, [w]) for m, x0, w in self.lines]
+        if workload == "flows":
+            return [lambda args=args: [flow(*args)] for args in self.flows]
+        if workload == "profile":
+            return [lambda m=m, x0=x0, r_max=r_max: [profile(m, x0, r_max, 128, mode="sampled", sample_count=64)]
+                    for m, x0, r_max in self.profiles]
+        return [lambda: lift_lines(*getattr(self, workload))]
 
 
 WORKLOADS = ("lines", "sweep", "sweep1d", "wide", "flows", "profile")
@@ -177,10 +177,28 @@ def differing(base: list, change: list) -> set:
 
 
 def timed(fn) -> tuple:
-    gc.collect()
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     result = fn()
-    return time.perf_counter() - t0, result
+    return time.process_time() - t0, result
+
+
+def run_round(sides, workload: str, first: int) -> tuple:
+    """The workload's blocks on both sides, the side that goes first
+    alternating from block to block (side `first` at block 0): the summed
+    CPU times of each side and each side's results."""
+    blocks = [side.blocks(workload) for side in sides]
+    times, results = [0.0, 0.0], [[], []]
+    gc.collect()
+    gc.disable()
+    try:
+        for b, pair in enumerate(zip(*blocks)):
+            for k in ((first, 1 - first) if b % 2 == 0 else (1 - first, first)):
+                dt, result = timed(pair[k])
+                times[k] += dt
+                results[k] += result
+    finally:
+        gc.enable()
+    return times, results
 
 
 def main(argv=None) -> int:
@@ -195,11 +213,8 @@ def main(argv=None) -> int:
     ratios = {w: [] for w in WORKLOADS}
     differ = {w: set() for w in WORKLOADS}
     for rnd in range(args.rounds):
-        order = (0, 1) if rnd % 2 == 0 else (1, 0)
         for w in WORKLOADS:
-            times, results = [0.0, 0.0], [None, None]
-            for k in order:
-                times[k], results[k] = timed(getattr(sides[k], f"run_{w}"))
+            times, results = run_round(sides, w, rnd % 2)
             ratios[w].append(times[1] / times[0])
             differ[w] |= differing(fingerprint(results[0]), fingerprint(results[1]))
     print(f"change / base over {args.rounds} rounds: median [quartiles], outcomes")
