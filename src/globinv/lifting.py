@@ -1,19 +1,28 @@
 """Path lifting through the derivative, and the residual gradient flow.
 
 Straight lines p(t) = f(x0) + t w in the codomain are lifted back to the
-domain by integrating
+domain: q(t) solves f(q(t)) = f(x0) + t w for t in [0, 1], from q(0) = x0,
+along the curve whose slope is
 
     q' = J(q)^{-1} w                     (square Jacobian)
     q' = J(q)^T (J(q) J(q)^T)^{-1} w     (wide Jacobian, minimum-norm route)
 
-from q(0) = x0 over t in [0, 1], so f(q(t)) tracks the line exactly in
-continuous time.  Both velocities come out of one SVD per evaluation, which
-also yields the local invertibility indicator mu used for singularity
-detection.  Every SVD is maps._svd: for a 1x1 stack whose every |J| lies in
-[1e-100, 1e100] the closed form s = |J|, U = sign(J), Vt = 1, which LAPACK
-returns there bit for bit, and LAPACK for any other stack.  The integrator
-is an embedded Dormand-Prince 4(5) pair with a decay-rate step guard so the
-solver slows down near singular loci instead of jumping across them.
+The curve is an implicit one, so a line lift follows it by Euler-Newton
+continuation (Allgower & Georg, Numerical Continuation Methods, 1990,
+ch. 2 and 6; Deuflhard, Newton Methods for Nonlinear Problems, 2004,
+ch. 5): a tangent predictor q + h q', then at most _ROUNDS minimum-norm
+Newton corrections back onto the line's point.  A point is taken only when
+its residual is within complete_tol and its next Newton correction within
+x_tol, so every recorded point of a line lift lies on its line to that
+tolerance.  The slope, the Newton step and the local invertibility
+indicator mu (the least singular value, used for singularity detection)
+all come out of one SVD of J per corrector round.  Every SVD is maps._svd:
+for a 1x1 stack whose every |J| lies in [1e-100, 1e100] the closed form
+s = |J|, U = sign(J), Vt = 1, which LAPACK returns there bit for bit, and
+LAPACK for any other stack.  A decay-rate step guard makes the lift slow
+down near singular loci instead of jumping across them.  The gradient flow
+x' = -grad F_y is an ODE without a curve to return to, so it integrates
+with an embedded Dormand-Prince 4(5) pair.
 
 Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
@@ -30,19 +39,22 @@ point, slope, mu, steps and rejections, running flag, length, h_min,
 drift and f(q) as rows of arrays, so rejection, step collapse, acceptance,
 the next step size and the stops are array operations over the rows
 concerned.  Per-lane Python is left for the LiftStatus of a lane that
-stops, the step factor 0.9 e^-0.2 (Python's float power, _step_factors)
-and the flow's window verdict.  The steps of up to 64 attempts are folded
-at once into those arrays and one block of recorded points (a lane's every
-record_stride-th step).  _Attempt keeps the books of one attempt: one work
-tally, one stack call step (stack: the call, its tally and the exit of
-the non-finite rows), one error test and one exit for every row cut.  The
-lane class supplies the stage slopes and judges the attempts under
-tolerance: _LineLanes (J^+ w from an SVD stack per stage, the mu floor;
-f(q5), chords, drifts and distances from x0 as stacks, and a stop for a
-step that cannot advance t) and _FlowLanes (-J^T r and F; F must not rise,
-one singular-value stack at q5 per step taken, time-doubling windows give
-the verdict).  Each lane's LiftOutcome, LiftStats included, does not
-depend on the other rows of the call.
+stops, the flow's step factor 0.9 e^-0.2 (Python's float power,
+_step_factors) and the flow's window verdict.  The steps of up to 64
+attempts are folded at once into those arrays and one block of recorded
+points (a lane's every record_stride-th step).  _Attempt keeps the books
+of one attempt: the rows still in it and the arrays aligned with them, one
+work tally, one stack call step (stack: the call, its tally and the exit
+of the non-finite rows), one SVD step with the mu floor (decompose) and one
+exit for every row cut.  The lane class makes the attempts: _LineLanes
+(the predictor and the corrector rounds over the rows left; a row is
+taken in the round it meets both tolerances, with its chords, residuals
+and distances from x0 as stacks, and stops at the edge where the mu-decay
+guard cannot advance t) and _FlowLanes (the Dormand-Prince stages of
+-J^T r and F, the error test; F must not rise, one singular-value stack
+at q5 per step taken, time-doubling windows give the verdict).  Each
+lane's LiftOutcome, LiftStats included, does not depend on the other rows
+of the call.
 """
 
 from __future__ import annotations
@@ -75,9 +87,16 @@ _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
-_SAFETY_DIV = 16.0  # internal controller runs tighter than the public tolerance
+_SAFETY_DIV = 16.0  # the flow's error test runs tighter than the public tolerance
 _H_MIN = 1e-14
 _H_MAX = 1e15
+
+# Euler-Newton line lifts (Allgower & Georg, Numerical Continuation Methods, ch. 2 and 6)
+_ROUNDS = 3  # corrector rounds per attempt, each one f, J and SVD stack
+_GUARD = 0.5  # the first correction may be at most this share of the predictor step h |k1|
+_CONTRACTION = 0.5  # each later correction may be at most this share of the one before
+_AIM = 0.03  # the last round's correction the step size aims at, as a share of its tolerance
+_GROW = 5.0  # the largest growth of the step size from one step to the next
 
 # gradient-flow verdict constants
 _PS_STALL_TOL = 2e-5  # F stall per time-doubling window, relative to F
@@ -87,7 +106,18 @@ _STAB_TOL = 1e-7
 
 @dataclass(frozen=True)
 class LiftOptions:
-    """Shared numerical controls for every lifting operation."""
+    """Shared numerical controls for every lifting operation.
+
+    For a line lift, rel_tol and abs_tol set the tolerances every accepted
+    point meets: its residual |f(q) - f(x0) - t w| is at most
+    complete_tol = 10 rel_tol max(|w|, 1) + 100 abs_tol, and its next
+    Newton correction at most 10 rel_tol max(|q|, 1) + 100 abs_tol.  The
+    gradient flow's Dormand-Prince error test runs at a sixteenth of them.
+    mu_floor is the least singular value below which a point is rejected
+    as singular; r_escape the distance from x0 at which a lift stops
+    Escaped (None: never); max_steps the steps a lift may take; and
+    record_stride keeps every record_stride-th step in the trajectory.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -174,14 +204,18 @@ class LiftStats:
     """Work counters of one lift.
 
     accepted: accepted steps.  rejected_error, rejected_singular,
-    rejected_nonfinite: rejected attempts by cause (the error estimate,
-    or for the gradient flow the energy test; an indicator below the floor;
-    a non-finite point, derivative, slope or value).  evals: model
-    evaluations made by the lift itself, not those inside a
-    finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
-    SVDs taken, a closed-form 1x1 one (maps._svd) included; a flow takes
-    one at x0 and one per step taken, at q5 once the error and energy
-    tests passed.  h_min: the smallest
+    rejected_nonfinite: rejected attempts by cause (for a line lift the
+    corrector: a first correction longer than the distance guard, a
+    correction that does not contract, or no point within tolerance after
+    the last round; for the gradient flow the error estimate or the energy
+    test; an indicator below the floor; a non-finite point, derivative,
+    slope or value).  evals: model evaluations made by the lift itself, not
+    those inside a finite-difference Jacobian.  jacobians: Jacobian
+    evaluations.  svds: SVDs taken, a closed-form 1x1 one (maps._svd)
+    included.  A line lift takes f, J and its SVD at x0 and at every
+    corrector point whose f is finite; a flow takes one SVD at x0 and one
+    per step taken, at q5 once the error and energy tests passed.  h_min:
+    the smallest
     accepted step size, inf when no step was accepted.  The counters are
     deterministic; each lane of a lift_lines call counts the shared work at
     x0 as its own, so it counts exactly what the one-row call of its target
@@ -307,17 +341,17 @@ class _Lanes:
     array: t, the step size h, the point q and its slope k1, mu at q, the
     mu of the last singular rejection since a step was taken
     (last_singular_mu, NaN for none), the rejections by cause (one column
-    per cause in _CAUSES) and whether the lane still runs.  A lane runs
-    until it stops with a LiftStatus (status[k]) or reaches t_end, and
-    every running lane is in every attempt, so a running lane has taken
-    attempts - its rejections steps.  The work (evals, Jacobians, SVDs) of
-    the rejected attempts is added up per lane (work); every step taken did
-    the work of a whole attempt (step_work, set when an attempt closes).
+    per cause in _CAUSES), whether the lane still runs and the scale of
+    its steps (h_scale: a step below _H_MIN max(h_scale, t) has
+    collapsed).  A lane runs until it stops with a LiftStatus (status[k])
+    or reaches t_end, and every running lane is in every attempt, so a
+    running lane has taken attempts - its rejections steps.  The work
+    (evals, Jacobians, SVDs) of every attempt, rejected or taken, is added
+    up per lane (work; that of a step taken when it is folded).
 
-    run makes attempts (attempt) of the rows begin_attempt returns until
-    every lane has stopped; a subclass supplies the stage slopes (slopes)
-    and judges the attempts whose stages all passed (judge).  Each
-    attempt's steps wait as one block in pending, until _RECORD_RUN blocks
+    run makes attempts (attempt, which the subclass supplies) of the rows
+    begin_attempt returns until every lane has stopped.  Each accept's
+    steps wait as one block in pending, until _RECORD_RUN blocks
     or the outcome fold them (fold) into what the outcome reads, each a row
     per lane: the steps taken (accepted), the chord length, the least step
     (h_min) and the judge's running facts; and into one block of the
@@ -329,20 +363,18 @@ class _Lanes:
     def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
         K = len(W)
         self.model, self.x0, self.opts = model, x0v, opts
-        self.w = W  # the codomain vectors of the ODE: the lines' w, the flow's y
-        self.rtol = opts.rel_tol / _SAFETY_DIV
-        self.atol = opts.abs_tol / _SAFETY_DIV
+        self.w = W  # the codomain vectors: the lines' w, the flow's y
         self.t, self.h, self.mu, self.length = np.zeros(K), np.zeros(K), np.zeros(K), np.zeros(K)
         self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
+        self.h_scale = np.ones(K)  # a step below _H_MIN max(h_scale, t) has collapsed
         self.q, self.k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n))
         self.accepted = np.zeros(K, dtype=np.int64)
         self.rejected = np.zeros((K, 3), dtype=np.int64)
         self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
-        self.step_work = (0, 0, 0)
         self.status = [None] * K
         self.running = np.ones(K, dtype=bool)
         self.attempts = 0  # attempts made
-        self.pending, self.records = [], []
+        self.pending, self.tallies, self.records = [], [], []
 
     def record_start(self) -> None:
         """Record every lane's base point: its t, q and mu now."""
@@ -371,28 +403,13 @@ class _Lanes:
         while (rows := self.begin_attempt()).size:
             self.attempt(rows)
 
-    def attempt(self, rows: Array) -> None:
-        """One Dormand-Prince attempt for rows, in lockstep: each stage point
-        is one (K, n) array, and a row whose stage fails leaves
-        (_Attempt.leave).  Each check is one test over the whole stack; the
-        per-row mask is built only when it does not pass.  The rows whose
-        stages all passed are judged together (_Attempt.close)."""
-        a = _Attempt(self, rows)
-        for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
-            a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
-            if not _all_finite(a.X):
-                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
-            at = self.slopes(a, i)
-            if not a.rows.size:
-                return
-        a.close(at, a.H * (a.KS @ _DP_ERR))
-
     def reject(self, rows: Array, cause: str, work: tuple, mu: Optional[Array] = None,
                err_norm: Optional[Array] = None) -> None:
         """Reject the attempts of rows (cause "error", "singular" or
         "nonfinite"), adding work, and shrink their steps by the step
         factor of err_norm in [0.1, 0.5], or by half where it is absent or
-        not finite; a lane whose step collapses stops."""
+        not finite; a lane whose step collapses stops (Singular after a
+        singular rejection since its last step, else StepFailure)."""
         np.add.at(self.work, rows, work)
         self.rejected[rows, _CAUSES[cause]] += 1
         if mu is not None:
@@ -402,14 +419,9 @@ class _Lanes:
         else:
             shrink = np.maximum(0.1, np.minimum(0.5, _step_factors(err_norm)))
             self.h[rows] *= np.where(np.isfinite(err_norm), shrink, 0.5)
-        for k in rows[self.h[rows] < _H_MIN * np.maximum(1.0, self.t[rows])].tolist():
+        for k in rows[self.h[rows] < _H_MIN * np.maximum(self.h_scale[rows], self.t[rows])].tolist():
             t, mu_k = self.t[k], self.last_singular_mu[k]
             self.stop(k, LiftStatus.step_failure(t) if math.isnan(mu_k) else LiftStatus.singular(t, mu_k))
-
-    @staticmethod
-    def grown(H: Array, E: Array) -> Array:
-        """The next step sizes after steps of sizes H and error norms E, uncapped."""
-        return H * np.minimum(5.0, np.maximum(0.2, _step_factors(E)))
 
     def step_end(self, rows: Array, H: Array) -> Array:
         """The times the attempts of rows, of step sizes H, reach: t + h, or
@@ -419,28 +431,32 @@ class _Lanes:
         T[T >= self.t_end - 1e-15] = self.t_end
         return T
 
-    def accept(self, rows: Array, X: Array, K7: Array, mu: Array, T: Array, H: Array, chords: Array,
-               *extra) -> None:
-        """Take the attempted steps of rows, of sizes H, to X, where the
-        slopes are K7 and the indicator mu; T is step_end(rows, H), chords
-        |X - q|, extra the judge's columns (fold_judge).  A lane that
-        reaches t_end stops running."""
-        self.q[rows], self.k1[rows], self.t[rows], self.mu[rows] = X, K7, T, mu
+    def accept(self, a: "_Attempt", rows: Array, X: Array, K1: Array, mu: Array, T: Array, H: Array,
+               chords: Array, *extra) -> None:
+        """Take the attempted steps of rows (rows of the attempt a, whose
+        tally each of them did), of sizes H, to X, where the slopes are K1
+        and the indicator mu; T is step_end(rows, H), chords |X - q|, extra
+        the judge's columns (fold_judge).  A lane that reaches t_end stops
+        running."""
+        self.q[rows], self.k1[rows], self.t[rows], self.mu[rows] = X, K1, T, mu
         self.last_singular_mu[rows] = math.nan
         self.running[rows] = T < self.t_end - 1e-15
         self.pending.append((rows, T, X, mu, H, chords, *extra))
+        self.tallies.append((a.evals, a.jacobians, a.svds))
         if len(self.pending) == _RECORD_RUN:
             self.fold()
 
     def fold(self) -> None:
         """Fold the pending steps, sorted by lane and in step order within
-        a lane, into accepted, length (the chords summed one by one, as
-        the steps add up), h_min, the judge's facts (fold_judge) and one
-        block of the record."""
+        a lane, into work (each block's tally), accepted, length (the chords
+        summed one by one, as the steps add up), h_min, the judge's facts
+        (fold_judge) and one block of the record."""
         if not self.pending:
             return
+        sizes = [len(block[0]) for block in self.pending]
         rows, *columns = map(np.concatenate, zip(*self.pending))
-        self.pending = []
+        np.add.at(self.work, rows, np.repeat(self.tallies, sizes, axis=0))
+        self.pending, self.tallies = [], []
         order = np.argsort(rows, kind="stable")
         rows, T, X, mu, H, chords, *extra = rows[order], *(A[order] for A in columns)
         counts = np.bincount(rows, minlength=len(self.t))
@@ -482,10 +498,9 @@ class _Lanes:
         order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
         T, X, mu = T[order], X[order], mu[order]
         ends = np.cumsum(np.bincount(rows, minlength=len(self.t))).tolist()
-        work = self.work + self.accepted[:, None] * np.array(self.step_work)
         out, a = [], 0
         for b, length, steps, rejected, work_k, h_min in zip(
-            ends, *(A.tolist() for A in (self.length, self.accepted, self.rejected, work, self.h_min))
+            ends, *(A.tolist() for A in (self.length, self.accepted, self.rejected, self.work, self.h_min))
         ):
             trajectory = LiftTrajectory(times=T[a:b], points=X[a:b], mu_values=mu[a:b], length=length)
             out.append((trajectory, LiftStats(steps, *rejected, *work_k, h_min)))
@@ -495,37 +510,40 @@ class _Lanes:
 
 class _Attempt:
     """One lockstep attempt of the rows of lanes: Q the points the step
-    starts from, H the step sizes, W the codomain vectors, KS the seven
-    stage slopes and X the current stage point, each aligned with rows.
-    evals, jacobians and svds tally the stack calls made so far, each
-    raised right after its call: every row still in the attempt did that
-    work, which a row that leaves adds to its lane's work; the rows judged
-    did the whole attempt's (step_work)."""
+    starts from, H the step sizes (a column), W the codomain vectors, X
+    the current trial point and the named arrays the lane class adds
+    (aligned), each aligned with rows.  evals, jacobians and svds tally
+    the stack calls made so far, each raised right after its call: every
+    row still in the attempt did that work, which a row adds to its
+    lane's work when it leaves (rejected) or takes its step (_Lanes.accept)."""
 
-    def __init__(self, lanes: _Lanes, rows: Array):
+    def __init__(self, lanes: _Lanes, rows: Array, **aligned):
         self.lanes, self.rows = lanes, rows
         self.Q = self.X = lanes.q.take(rows, axis=0)
         self.H = lanes.h.take(rows)[:, None]
         self.W = lanes.w.take(rows, axis=0)
-        self.KS = np.empty((len(rows), lanes.q.shape[1], 7))
-        self.KS[:, :, 0] = lanes.k1.take(rows, axis=0)
+        self.names = ("rows", "Q", "H", "W", "X", *aligned)
+        self.__dict__.update(aligned)
         self.evals = self.jacobians = self.svds = 0
+
+    def keep(self, good: Array, *arrays) -> list:
+        """Cut the rows and every array aligned with them, the given arrays
+        too (returned), to the good ones."""
+        for name in self.names:
+            setattr(self, name, getattr(self, name)[good])
+        return [A[good] for A in arrays]
 
     def leave(self, good: Array, cause: str, *arrays, **values) -> list:
         """Reject the rows that are not good with cause, adding the tally
         and passing values[key] of those rows to _Lanes.reject (mu= or
-        err_norm=).  Cuts the rows, their arrays and the given arrays,
-        which it returns, to the good ones."""
+        err_norm=), and keep the good ones (keep)."""
         bad = ~good
         self.lanes.reject(self.rows[bad], cause, (self.evals, self.jacobians, self.svds),
                           **{key: v[bad] for key, v in values.items()})
-        self.rows, self.Q, self.H, self.W, self.KS, self.X, *arrays = (
-            A[good] for A in (self.rows, self.Q, self.H, self.W, self.KS, self.X, *arrays)
-        )
-        return arrays
+        return self.keep(good, *arrays)
 
     def stack(self, *arrays, jac: bool) -> tuple:
-        """One stack call at the stage point X of the rows, counted in its
+        """One stack call at the trial point X of the rows, counted in its
         tally: jacobian_stack when jac, else evaluate_stack.  The rows whose
         result is not finite leave (nonfinite).  Returns the result and the
         given arrays, cut to the rows left."""
@@ -539,86 +557,122 @@ class _Attempt:
             return (V, *arrays)
         return self.leave(good, "nonfinite", V, *arrays)
 
-    def close(self, at: tuple, err: Array) -> None:
-        """Judge the rows whose stages all passed (X is q5, at what slopes
-        returned there, err the error vectors): a row whose error norm is
-        over tolerance leaves, the judge takes or rejects the others."""
-        lanes = self.lanes
-        E = _error_norms(lanes.atol, lanes.rtol, self.Q, self.X, err)
-        under = E <= 1.0  # a NaN norm is rejected
-        if not _every(under):
-            *at, E = self.leave(under, "error", *at, E, err_norm=E)
-            if not self.rows.size:
-                return
-        lanes.judge(self, at, E)
-        if self.rows.size:  # the rows left took their steps
-            lanes.step_work = (self.evals, self.jacobians, self.svds)
+    def decompose(self, J: Array, *arrays) -> tuple:
+        """The SVD stack of J, counted in the tally, and mu, the least
+        singular value of each row.  A row whose mu is below mu_floor, or
+        not positive and finite, leaves (singular, with its mu).  Returns
+        (U, s, Vt, mu, *arrays), cut to the rows left."""
+        U, s, Vt = _svd(J)
+        self.svds += 1
+        mu, mu_floor = s[:, -1], self.lanes.opts.mu_floor
+        # mu >= max(mu_floor, 5e-324) is mu >= mu_floor and mu > 0, NaN excluded
+        if _every((mu >= max(mu_floor, 5e-324)) & (mu < math.inf)):
+            return (U, s, Vt, mu, *arrays)
+        good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
+        return self.leave(good, "singular", U, s, Vt, mu, *arrays, mu=mu)
 
 
 class _LineLanes(_Lanes):
-    """The lanes of a lift_lines call, on q' = J(q)^+ w: f at the last step
-    folded (f) and the largest drift of f(q) from each line (max_drift),
-    the mu-decay step guard, and the stops at x0.  Their stage slopes come
-    from a Jacobian stack and its SVD (slopes); their finished attempts
-    are judged as arrays (judge)."""
+    """The lanes of a lift_lines call, on the curves f(q(t)) = f(x0) + t w:
+    f at the last step folded (f) and the largest residual of an accepted
+    point (max_drift), the mu-decay step guard, and the stops at x0.  Each
+    attempt is one Euler predictor and up to _ROUNDS Newton corrector
+    rounds over the rows in lockstep (attempt)."""
 
     def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
         super().__init__(model, x0v, W, opts)
         self.max_drift = np.zeros(len(W))
         self.norm_w = _row_norms(W)
-        wide = np.maximum(self.norm_w, 1.0)
-        self.complete_tol = 10.0 * opts.rel_tol * wide + 100.0 * opts.abs_tol
-        self.drift_cap = np.maximum(1e3 * self.complete_tol, 1e-6 * wide)
+        self.complete_tol = 10.0 * opts.rel_tol * np.maximum(self.norm_w, 1.0) + 100.0 * opts.abs_tol
 
-    def slopes(self, a: _Attempt, i: int):
-        """Stage i of the line rows of a: one Jacobian stack and its SVD.
-        A row leaves on a non-finite Jacobian, on mu below mu_floor (or not
-        positive and finite) and on a non-finite velocity.  Sets the slopes
-        KS[:, :, i] and returns (mu,)."""
-        (J,) = a.stack(jac=True)
-        U, s, Vt = _svd(J)
-        a.svds += 1
-        mu, mu_floor = s[:, -1], self.opts.mu_floor
-        # mu >= max(mu_floor, 5e-324) is mu >= mu_floor and mu > 0, NaN excluded
-        if not _every((mu >= max(mu_floor, 5e-324)) & (mu < math.inf)):
-            good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
-            U, s, Vt, mu = a.leave(good, "singular", U, s, Vt, mu, mu=mu)
-        V = _velocities(U, s, Vt, a.W)
-        # Each later stage point weighs the slope of stages 1-5 by a nonzero
-        # coefficient, so a non-finite one makes the next point non-finite,
-        # whose check rejects the row before any further call: same tally.
-        if i == 6 and not _all_finite(V):
-            mu, V = a.leave(np.isfinite(V).all(axis=1), "nonfinite", mu, V)
-        a.KS[:, :, i] = V
-        return (mu,)
-
-    def judge(self, a: _Attempt, at: tuple, E: Array) -> None:
-        """Take or reject the attempts of the rows of a that passed the
-        error test (E their error norms, at = (mu at q5,)): f(q5) by one
-        evaluate_stack (a row with a non-finite value leaves), the step
-        chords, the drifts against the line and the distances from x0 as
-        row norms.  Every row takes its step and sizes the next
-        (next_step); a row over its drift cap, one whose next step cannot
-        advance t (below half an ulp of it, as a step collapse) or one
-        outside the escape ball stops."""
-        (mu,) = at
-        F, mu, E = a.stack(mu, E, jac=False)
-        rows, H = a.rows, a.H[:, 0]
+    def attempt(self, rows: Array) -> None:
+        """One predictor-corrector attempt for rows, toward the points
+        y = f(x0) + T w of their lines at T = step_end(t + h).  The
+        predictor is X = q + h k1.  Each corrector round takes f, J and its
+        SVD at X over the rows left, as stacks; a row leaves on a
+        non-finite X, f or J and on mu below the floor (_Attempt.decompose).
+        The minimum-norm Newton step there is -J^+ (f(X) - y).  A row whose
+        residual |f(X) - y| is within complete_tol and whose Newton step
+        is within x_tol = 10 rel_tol max(|X|, 1) + 100 abs_tol takes its
+        step to X (take), unless its slope J^+ w there is not finite
+        (nonfinite).  The others make their
+        Newton step, which must be at most _GUARD h |k1| long in the first
+        round (the distance to the curve) and at most _CONTRACTION times
+        the step before in the next; a row whose step is longer, or that is
+        not within tolerance after _ROUNDS rounds, is rejected (error)."""
+        H, opts = self.h.take(rows), self.opts
         T = self.step_end(rows, H)
-        chords, dists = _row_norms(np.concatenate([a.X - a.Q, a.X - self.x0])).reshape(2, -1)
-        drifts = _row_norms(F - (self.f0 + T[:, None] * a.W))
-        h_next = self.next_step(H, T, E, self.mu.take(rows), mu)
-        self.accept(rows, a.X, a.KS[:, :, 6], mu, T, H, chords, drifts, F)
+        K1 = self.k1.take(rows, axis=0)
+        # D: the longest Newton step allowed next; C0: the first one's length
+        a = _Attempt(self, rows, T=T, Y=self.f0 + T[:, None] * self.w.take(rows, axis=0),
+                     D=_GUARD * H * _row_norms(K1), C0=np.empty(len(rows)))
+        a.X = a.Q + H[:, None] * K1
+        for r in range(_ROUNDS):
+            if not _all_finite(a.X):
+                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
+                if not a.rows.size:
+                    return
+            (F,) = a.stack(jac=False)
+            if a.rows.size:
+                J, F = a.stack(F, jac=True)
+            if a.rows.size:
+                U, s, Vt, mu, F = a.decompose(J, F)
+            if not a.rows.size:
+                return
+            R = F - a.Y
+            dX = -_velocities(U, s, Vt, R)
+            res, size = _row_norms(R), _row_norms(dX)
+            if r == 0:
+                a.C0 = size
+            x_tol = 10.0 * opts.rel_tol * np.maximum(_row_norms(a.X), 1.0) + 100.0 * opts.abs_tol
+            done = (res <= self.complete_tol.take(a.rows)) & (size <= x_tol)
+            if np.count_nonzero(done):
+                K1 = _velocities(U[done], s[done], Vt[done], a.W[done])
+                if not _all_finite(K1):  # a slope past the float limit: no step to take
+                    good = np.ones(len(done), dtype=bool)
+                    good[done] = np.isfinite(K1).all(axis=1)
+                    K1 = K1[good[done]]
+                    done, U, s, Vt, mu, F, res, size, x_tol, dX = a.leave(
+                        good, "nonfinite", done, U, s, Vt, mu, F, res, size, x_tol, dX)
+                if len(K1):
+                    self.take(a, done, r, K1, *(A[done] for A in (mu, F, res, size, x_tol)))
+                U, s, Vt, dX, size = a.keep(~done, U, s, Vt, dX, size)
+                if not a.rows.size:
+                    return
+            if r == _ROUNDS - 1:
+                a.leave(np.zeros(len(a.rows), dtype=bool), "error")
+                return
+            short = size <= a.D
+            if not _every(short):
+                dX, size = a.leave(short, "error", dX, size)
+                if not a.rows.size:
+                    return
+            a.X = a.X + dX
+            a.D = _CONTRACTION * size
+
+    def take(self, a: _Attempt, done: Array, r: int, K1: Array, mu: Array, F: Array, res: Array, e: Array,
+             x_tol: Array) -> None:
+        """The rows of a that are done in corrector round r take their steps
+        to X, where the slope is K1, the indicator mu, f = F, the residual
+        res, the Newton correction e long and its tolerance x_tol (each
+        array a row per row done): the chords and distances from x0 as row
+        norms, the next step (next_step) and the stops of a lane at the
+        edge or outside the escape ball."""
+        rows, X, H, T = a.rows[done], a.X[done], a.H[done, 0], a.T[done]
+        chords, dists = _row_norms(np.concatenate([X - a.Q[done], X - self.x0])).reshape(2, -1)
+        h_next = self.next_step(H, T, r, a.C0[done], e, x_tol, self.mu.take(rows), mu)
+        self.accept(a, rows, X, K1, mu, T, H, chords, res, F)
         self.h[rows] = h_next
-        failed = drifts > self.drift_cap.take(rows)
-        small = h_next < _H_MIN  # half an ulp of t <= 1 is far smaller
-        if np.count_nonzero(small):
-            failed |= small & (T + h_next == T) & (T < self.t_end)
-        out = failed if self.opts.r_escape is None else failed | (dists > self.opts.r_escape)
+        # Only the mu-decay guard cuts a step below half an ulp of t <= 1:
+        # mu falls to 0 within a few ulps of t, at the edge of the lift.
+        edge = h_next < _H_MIN
+        if np.count_nonzero(edge):
+            edge &= (T + h_next == T) & (T < self.t_end)
+        out = edge if self.opts.r_escape is None else edge | (dists > self.opts.r_escape)
         for j in out.nonzero()[0].tolist():
             k = int(rows[j])
             t = self.t[k]
-            self.stop(k, LiftStatus.step_failure(t) if failed[j] else LiftStatus.escaped(t, dists[j]))
+            self.stop(k, LiftStatus.singular(t, self.mu[k]) if edge[j] else LiftStatus.escaped(t, dists[j]))
 
     def start(self) -> None:
         """f(x0), J(x0) and its SVD, shared by the lanes: record the base
@@ -642,7 +696,7 @@ class _LineLanes(_Lanes):
         if not rows.size:
             return
         # Every attempt starts from this slope, so no step size can repair a
-        # bad one: stop as the step collapse after such a stage would.
+        # bad one: stop as the step collapse after such an attempt would.
         if not 0.0 < mu < math.inf:
             for k in rows.tolist():
                 self.stop(k, LiftStatus.singular(0.0, mu))
@@ -653,16 +707,30 @@ class _LineLanes(_Lanes):
             self.stop(k, LiftStatus.step_failure(0.0))
         self.k1[rows] = k1
         self.h[rows] = np.minimum(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _row_norms(k1)))
+        self.h_scale[rows] = self.h[rows]  # a huge w makes every step small
 
     def fold_judge(self, rows: Array, lasts: Array, drifts: Array, F: Array) -> None:
-        np.fmax.at(self.max_drift, rows, drifts)  # a NaN drift is passed over
+        np.fmax.at(self.max_drift, rows, drifts)
         self.f[rows[lasts]] = F[lasts]
 
-    def next_step(self, H: Array, T: Array, E: Array, mu_prev: Array, mu_new: Array) -> Array:
-        """The steps after steps of sizes H to times T: grown on their error
-        norms E, cut to a tenth of the distance to mu = 0 at the rate mu
-        fell (the mu-decay guard) and cut to end at t_end."""
-        h_next = self.grown(H, E)
+    def next_step(self, H: Array, T: Array, r: int, e0: Array, e: Array, x_tol: Array, mu_prev: Array,
+                  mu_new: Array) -> Array:
+        """The steps after steps of sizes H to times T, taken in corrector
+        round r, whose first Newton correction was e0 long and whose
+        correction at the point taken e.  The last round's correction is
+        about c^7 e0^8, so it scales as h^8: it is e for r = 2 and e^3 / e0^2
+        for r = 1 (Newton's e_{k+1} = c e_k^2), and a step taken by the
+        predictor (r = 0) tells nothing of c.  The step is scaled so that
+        this correction would be _AIM x_tol, at most _GROW times; then cut
+        to a tenth of the distance to mu = 0 at the rate mu fell (the
+        mu-decay guard) and cut to end at t_end.  The eighth root is three
+        square roots, each rounded exactly, so no lane's step depends on
+        the other rows."""
+        if r == 0:
+            h_next = _GROW * H
+        else:
+            last = np.maximum(e if r == 2 else e * e * e / (e0 * e0), 1e-300)
+            h_next = H * np.fmin(_GROW, np.sqrt(np.sqrt(np.sqrt(_AIM * x_tol / last))))
         fell = mu_new < mu_prev
         if np.count_nonzero(fell):
             guard = 0.1 * H * mu_new / np.maximum(mu_prev - mu_new, 1e-300)
@@ -671,18 +739,15 @@ class _LineLanes(_Lanes):
 
     def outcomes(self) -> list:
         """The LiftOutcome of every lane: its residual against the line at
-        its last f(q), its largest drift, and for a lane that ran to t = 1
-        Complete within complete_tol, else StepFailure."""
+        its last f(q), its largest residual at an accepted point, and
+        Complete for a lane that ran to t = 1 (every accepted point is
+        within complete_tol of its line)."""
         results = self.results()  # folds the pending steps
         residuals = _row_norms(self.f - (self.f0 + self.t[:, None] * self.w)).tolist()
-        out = []
-        for k, ((trajectory, stats), drift) in enumerate(zip(results, self.max_drift.tolist())):
-            status = self.status[k]
-            if status is None:
-                done = residuals[k] <= self.complete_tol[k]
-                status = LiftStatus.complete(1.0) if done else LiftStatus.step_failure(1.0)
-            out.append(LiftOutcome(trajectory, status, residuals[k], drift, stats))
-        return out
+        return [
+            LiftOutcome(trajectory, self.status[k] or LiftStatus.complete(1.0), residuals[k], drift, stats)
+            for k, ((trajectory, stats), drift) in enumerate(zip(results, self.max_drift.tolist()))
+        ]
 
 
 def _descent(J: Array, R: Array) -> tuple:
@@ -702,6 +767,8 @@ class _FlowLanes(_Lanes):
 
     def __init__(self, model: MapModel, x0v: Array, yv: Array, opts: LiftOptions):
         super().__init__(model, x0v, yv[None], opts)
+        self.rtol = opts.rel_tol / _SAFETY_DIV
+        self.atol = opts.abs_tol / _SAFETY_DIV
         self.grad_tol = opts.abs_tol
         # residual scale below which a plateau is a root, not a PS level
         self.res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
@@ -710,6 +777,41 @@ class _FlowLanes(_Lanes):
         self.verdict = None
         self.window = None  # (t, q, F) where the current window began
         self.window_dx = None  # how far q moved over the last window
+
+    @staticmethod
+    def grown(H: Array, E: Array) -> Array:
+        """The next step sizes after steps of sizes H and error norms E, uncapped."""
+        return H * np.minimum(5.0, np.maximum(0.2, _step_factors(E)))
+
+    def attempt(self, rows: Array) -> None:
+        """One Dormand-Prince attempt for the flow row: each stage point
+        is a one-row array, and the row leaves (_Attempt.leave) when a stage
+        fails.  A row whose stages all passed is judged under its error
+        test (close)."""
+        KS = np.empty((len(rows), self.q.shape[1], 7))
+        KS[:, :, 0] = self.k1.take(rows, axis=0)
+        a = _Attempt(self, rows, KS=KS)
+        for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
+            a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
+            if not _all_finite(a.X):
+                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
+            at = self.slopes(a, i)
+            if not a.rows.size:
+                return
+        self.close(a, at, a.H * (a.KS @ _DP_ERR))
+
+    def close(self, a: _Attempt, at: tuple, err: Array) -> None:
+        """Judge the rows of a whose stages all passed (X is q5, at what
+        slopes returned there, err the error vectors): a row whose error
+        norm is over tolerance leaves, the judge takes or rejects the
+        others."""
+        E = _error_norms(self.atol, self.rtol, a.Q, a.X, err)
+        under = E <= 1.0  # a NaN norm is rejected
+        if not _every(under):
+            *at, E = a.leave(under, "error", *at, E, err_norm=E)
+            if not a.rows.size:
+                return
+        self.judge(a, at, E)
 
     def slopes(self, a: _Attempt, i: int):
         """Stage i of the flow rows of a: -grad F from one evaluate_stack and
@@ -720,7 +822,7 @@ class _FlowLanes(_Lanes):
         J, Y = a.stack(Y, jac=True)
         G, F = _descent(J, Y - a.W)
         # a non-finite gradient of stages 1-5 is left to the next stage
-        # point's check, as a non-finite line slope is (_LineLanes.slopes)
+        # point's check, whose rejection makes the same tally
         if not ((i < 6 or _all_finite(G)) and _all_finite(F)):
             good = np.isfinite(G).all(axis=1) & (F < math.inf)
             G, F, J = a.leave(good, "nonfinite", G, F, J)
@@ -740,7 +842,7 @@ class _FlowLanes(_Lanes):
         mu = _svd(J, compute_uv=False)[:, -1]
         a.svds += 1
         rows, H = a.rows, a.H[:, 0]
-        self.accept(rows, a.X, a.KS[:, :, 6], mu, self.step_end(rows, H), H, _row_norms(a.X - a.Q))
+        self.accept(a, rows, a.X, a.KS[:, :, 6], mu, self.step_end(rows, H), H, _row_norms(a.X - a.Q))
         self.finish(F7, float(_row_norms(G)[0]), float(self.grown(H, E)[0]))
 
     def start(self) -> None:
@@ -827,20 +929,24 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected
+@np.errstate(over="ignore", invalid="ignore")  # non-finite points are rejected
 def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> list:
     """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W.
 
-    Every line lift runs here.  f(x0), J(x0) and its SVD are computed once
-    and counted in every lane.  The rows run in lockstep as one (K, n)
-    state under one step controller, one row as many, on the stage code
-    and driver gradient_flow runs on too: every lane's t, step size,
-    point, slope and rejections are rows of arrays, and a lane leaves the
-    batch when it stops; every stage takes one Jacobian stack and one SVD
-    over the live lanes, and the line judge takes or rejects their
-    attempts at once.  Square and wide (m <= n) maps are both served, as by
-    lift_line_square and lift_line_horizontal.  Returns one LiftOutcome per
-    row of W: the outcome the one-row call of that row returns.
+    Every line lift runs here, by Euler-Newton continuation.  f(x0), J(x0)
+    and its SVD are computed once and counted in every lane.  The rows run
+    in lockstep as one (K, n) state under one step controller, one row as
+    many, on the driver gradient_flow runs on too: every lane's t, step
+    size, point, slope and rejections are rows of arrays, and a lane
+    leaves the batch when it stops; every attempt makes one Euler
+    predictor, then every corrector round one evaluate_stack, one Jacobian
+    stack and one SVD over the lanes still in it, and takes the lanes that
+    meet the tolerances (LiftOptions) at once.  Every accepted point lies
+    within complete_tol of its line, so max_drift, the largest residual of
+    an accepted point, is within it too.  Square and wide (m <= n) maps
+    are both served, as by lift_line_square and lift_line_horizontal.
+    Returns one LiftOutcome per row of W: the outcome the one-row call of
+    that row returns.
     """
     opts = opts or LiftOptions()
     if model.m > model.n:

@@ -26,6 +26,7 @@ from .lifting import (
     gradient_flow,
     lift_line_horizontal,
     lift_line_square,
+    lift_lines,
 )
 from .maps import MapModel, _svd, _vector, default_point, evaluate, jacobian
 
@@ -249,15 +250,16 @@ def star_probe(
 ) -> StarReport:
     """Probe the star of reachable targets around y0 = f(x_seed).
 
-    Per direction d, lifts the segment from y0 to y0 + t_budget * d once.  The
-    lift of t * d for t < t_budget is a prefix of it, so the reach is the stop
-    time (a fraction of the segment, 1 when complete) times t_budget.  The
-    reach is a numerical witness of the star boundary, not a proof.  The
-    reason is the lift's stop: BudgetExhausted for a complete lift, else
-    Singular (the indicator hit the floor, how the integrator meets a
-    boundary singularity), Escaped or StepFailure (the step budget ran out,
-    the step collapsed, the path drifted off the segment or the end missed
-    the residual tolerance); statuses keeps each lift's own stop.
+    Per direction d, lifts the segment from y0 to y0 + t_budget * d once, all
+    rays in one lift_lines call (each ray's outcome is that of its own
+    one-row lift).  The lift of t * d for t < t_budget is a prefix of it, so
+    the reach is the stop time (a fraction of the segment, 1 when complete)
+    times t_budget.  The reach is a numerical witness of the star boundary,
+    not a proof.  The reason is the lift's stop: BudgetExhausted for a
+    complete lift, else Singular (the indicator hit the floor, or fell
+    toward 0 within an ulp of t: how a lift meets a boundary singularity),
+    Escaped or StepFailure (the step budget ran out or the step collapsed);
+    statuses keeps each lift's own stop.
     """
     if model.n != model.m:
         raise StrategyMismatch("star_probe needs a square map")
@@ -276,7 +278,7 @@ def star_probe(
         dirs = dirs / norms[:, None]
     lift_opts = opts or LiftOptions()
 
-    statuses = tuple(lift_line_square(model, seed, t_budget * d, lift_opts).status for d in dirs)
+    statuses = tuple(out.status for out in lift_lines(model, seed, t_budget * dirs, lift_opts))
     return StarReport(
         x_seed=seed,
         y0=y0,

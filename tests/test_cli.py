@@ -404,21 +404,20 @@ def test_star_csv(tmp_path):
 
 
 def test_star_huge_budget_one_lift_per_ray(tmp_path, monkeypatch):
-    """A budget near the float limit ends after one lift per ray."""
+    """A budget near the float limit ends after one lift_lines call with
+    one lane per ray."""
     calls = []
-    lift = solver.lift_line_square
+    lift = solver.lift_lines
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        if len(calls) > 10:
-            raise RuntimeError("more than 10 lifts")
-        return lift(*args, **kwargs)
+    def counted(model, x0, W, opts=None):
+        calls.append(len(W))
+        return lift(model, x0, W, opts)
 
-    monkeypatch.setattr(solver, "lift_line_square", counted)
+    monkeypatch.setattr(solver, "lift_lines", counted)
     job = {"map": "complex_exp", "command": "star", "t_budget": 1e308}
     assert run_job(job, out_override=tmp_path) == 0
     rays = _read_report(tmp_path)["result"]["rays"]
-    assert len(calls) == len(rays) == 4
+    assert calls == [len(rays)] == [4]
 
 
 def test_star_huge_budget_is_silent(tmp_path):

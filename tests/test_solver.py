@@ -219,35 +219,42 @@ def test_star_budget_consistency():
         assert abs(a - b) <= 2 * (1e-4 * 8.0 + 1e-4 * 2.0)
 
 
-def _count_lifts(monkeypatch, limit):
-    """Count the star probe's lifts; raise once more than `limit` are made."""
+def _count_lifts(monkeypatch):
+    """The number of lanes of each lift_lines call the solver makes; the
+    one-row entry points raise, so every lift is counted."""
     calls = []
-    lift = solver.lift_line_square
+    lift = solver.lift_lines
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        if len(calls) > limit:
-            raise RuntimeError(f"more than {limit} lifts")
-        return lift(*args, **kwargs)
+    def counted(model, x0, W, opts=None):
+        calls.append(len(W))
+        return lift(model, x0, W, opts)
 
-    monkeypatch.setattr(solver, "lift_line_square", counted)
+    def refused(*args, **kwargs):
+        raise RuntimeError("a one-row lift")
+
+    monkeypatch.setattr(solver, "lift_lines", counted)
+    monkeypatch.setattr(solver, "lift_line_square", refused)
     return calls
 
 
 def test_star_one_lift_per_ray(monkeypatch):
-    """Each ray costs exactly one lift, whether it stops at the edge or
-    finishes the budget; the reach is the stop time times the budget."""
-    calls = _count_lifts(monkeypatch, 10)
+    """Each probe is one lift_lines call with one lane per ray, whether a
+    ray stops at the edge or finishes the budget; the reach is the stop
+    time times the budget, and each ray's outcome is its one-row lift's."""
+    calls = _count_lifts(monkeypatch)
     rep = star_probe(registry_get("exp1d"), [0.0], directions=[[-1.0]], t_budget=2.0)
-    assert len(calls) == 1
+    assert calls == [1]
     assert abs(rep.reaches[0] - 1.0) <= 1e-6
     assert rep.reasons == ("Singular",)
     assert rep.reaches[0] == rep.statuses[0].t * 2.0
 
     rep = star_probe(registry_get("exp1d"), [0.0], t_budget=2.0)
-    assert len(calls) == 3
+    assert calls == [1, 2]
     assert rep.reasons == ("BudgetExhausted", "Singular")
     assert rep.reaches[0] == 2.0 and rep.statuses[0].is_complete
+    monkeypatch.undo()
+    for d, status in zip(rep.directions, rep.statuses):
+        assert lift_line_square(registry_get("exp1d"), [0.0], 2.0 * d).status == status
 
 
 def test_star_huge_budget_finds_edge():
@@ -275,14 +282,30 @@ def test_star_huge_finite_budget_escapes(t_budget):
 
 def test_star_step_failure_reason():
     """A ray whose lift ends StepFailure reports StepFailure, not Singular:
-    on complex_exp with a budget of 1e160 the +e1 lift runs to t = 1 and
-    misses the residual tolerance, far from any singular boundary; the -e1
-    ray still meets the singular edge at the origin."""
-    rep = star_probe(registry_get("complex_exp"), [0.0, 0.0],
-                     directions=[[1.0, 0.0], [-1.0, 0.0]], t_budget=1e160)
-    assert [s.kind for s in rep.statuses] == ["StepFailure", "Singular"]
-    assert rep.reasons == ("StepFailure", "Singular")
+    on complex_exp with a budget of 5 and three steps per lift, both rays
+    run out of steps far from any singular boundary.  With the default
+    step budget and a budget of 1e160 the +e1 ray finishes the budget (its
+    lift ends at the closed-form inverse) and the -e1 ray meets the
+    singular edge at the origin."""
+    m = registry_get("complex_exp")
+    short = star_probe(m, [0.0, 0.0], directions=[[1.0, 0.0], [-1.0, 0.0]], t_budget=5.0,
+                       opts=LiftOptions(max_steps=3))
+    assert short.reasons == ("StepFailure", "StepFailure")
+    assert all(0.0 < t < 1.0 for t in (s.t for s in short.statuses))
+    rep = star_probe(m, [0.0, 0.0], directions=[[1.0, 0.0], [-1.0, 0.0]], t_budget=1e160)
+    assert [s.kind for s in rep.statuses] == ["Complete", "Singular"]
+    assert rep.reasons == ("BudgetExhausted", "Singular")
     assert rep.reaches[0] == 1e160
+
+
+@pytest.mark.parametrize("t_budget", [1e200, 1e300])
+def test_star_edge_reason_does_not_depend_on_the_budget(t_budget):
+    """The -e1 ray of complex_exp from (0, 0) meets the singular edge at the
+    origin (reach 1) and reads Singular whatever the budget's magnitude;
+    under Dormand-Prince a budget of 1e300 read StepFailure."""
+    rep = star_probe(registry_get("complex_exp"), [0.0, 0.0], directions=[[-1.0, 0.0]], t_budget=t_budget)
+    assert rep.reasons == ("Singular",)
+    assert abs(rep.reaches[0] - 1.0) <= 1e-6
 
 
 def test_star_validation():

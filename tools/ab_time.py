@@ -1,6 +1,6 @@
 """Interleaved A/B timing of two globinv source trees in one process.
 
-    python tools/ab_time.py BASE_SRC CHANGE_SRC [--rounds N]
+    python tools/ab_time.py BASE_SRC CHANGE_SRC [--rounds N] [--calls]
 
 Each SRC is a directory that holds a globinv package, such as the src/ of
 a checkout.  Both packages are loaded side by side under distinct names,
@@ -32,6 +32,15 @@ verdict of each lift, and the eta values of each profile.  Where they
 differ it names the fields, as in "DIFFER: stats.svds".
 CPU time still varies with the cache and the clock of a shared machine:
 compare medians over many rounds.
+
+--calls adds a count that does not vary: each workload runs once more on
+each side (after one untimed run), with a sys.setprofile hook that counts
+its call and c_call events, and one row per workload gives the events per
+attempt (accepted and rejected steps, from LiftStats) and per lift (a
+lane of a lift_lines call or a flow), base -> change.  The hook sees
+Python frames and builtin C functions, not a ufunc called directly (np.add),
+so the count is a proxy for interpreter overhead; it depends on the numpy
+version, so compare two trees in one environment only.
 Needs only the standard library and numpy (plus what globinv imports).
 """
 
@@ -201,11 +210,60 @@ def run_round(sides, workload: str, first: int) -> tuple:
     return times, results
 
 
+def python_calls(fn) -> tuple:
+    """The call and c_call events sys.setprofile reports while fn runs, and fn's result."""
+    events = 0
+
+    def hook(frame, event, arg):
+        nonlocal events
+        if event == "call" or event == "c_call":
+            events += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return events, result
+
+
+def call_counts(side, workload: str) -> tuple:
+    """(events, attempts, lifts) of one run of the workload's blocks, after
+    one run that is not counted, with the garbage collector off."""
+    blocks = side.blocks(workload)
+    for block in blocks:
+        block()
+    events, results = 0, []
+    gc.collect()
+    gc.disable()
+    try:
+        for block in blocks:
+            n, result = python_calls(block)
+            events += n
+            results += result
+    finally:
+        gc.enable()
+    outcomes = [r[0] if isinstance(r, tuple) else r for r in results if not hasattr(r, "eta_values")]
+    attempts = sum(o.stats.accepted + o.stats.rejected_error + o.stats.rejected_singular
+                   + o.stats.rejected_nonfinite for o in outcomes)
+    return events, attempts, len(outcomes)
+
+
+def calls_row(workload: str, base: tuple, change: tuple) -> str:
+    """One --calls row: events per attempt and per lift, base -> change."""
+    (e0, a0, l0), (e1, a1, l1) = base, change
+    if not (l0 and l1):
+        return f"{workload:7s} no lifts, {e0} -> {e1} events"
+    per_attempt = f"{e0 / a0:.1f} -> {e1 / a1:.1f}" if a0 and a1 else "-"
+    return f"{workload:7s} {per_attempt} per attempt, {e0 / l0:.1f} -> {e1 / l1:.1f} per lift"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="directory holding the base globinv package")
     ap.add_argument("change", help="directory holding the changed globinv package")
     ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--calls", action="store_true", help="also print the call and c_call events")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -223,6 +281,10 @@ def main(argv=None) -> int:
         q1, _, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0], r[0], r[0])
         outcomes = f"DIFFER: {', '.join(sorted(differ[w]))}" if differ[w] else "identical"
         print(f"{w:7s} {statistics.median(r):.3f} [{q1:.3f}, {q3:.3f}] {outcomes}")
+    if args.calls:
+        print("python call and c_call events, base -> change")
+        for w in WORKLOADS:
+            print(calls_row(w, *(call_counts(side, w) for side in sides)))
     return 1 if any(differ.values()) else 0
 
 
