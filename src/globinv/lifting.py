@@ -923,7 +923,10 @@ def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None)
 
 def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
     """Lift the line f(x0) + t w through the minimum-norm right inverse of a
-    wide (m <= n) Jacobian; the velocity stays orthogonal to the kernel."""
+    wide (m <= n) Jacobian: each predictor step and each Newton correction
+    is orthogonal to the kernel of J where it is taken, so the path follows
+    the horizontal curve to first order in the step, and every point it
+    takes is on the line to complete_tol."""
     if model.m > model.n:
         raise DimensionMismatch(f"lift_line_horizontal: map {model.name!r} is {model.m}x{model.n}, need m <= n")
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
