@@ -14,7 +14,9 @@ ch. 5): a tangent predictor q + h q', then at most _ROUNDS minimum-norm
 Newton corrections back onto the line's point.  A point is taken only when
 its residual is within complete_tol and its next Newton correction within
 x_tol, so every recorded point of a line lift lies on its line to that
-tolerance.  The slope, the Newton step and the local invertibility
+tolerance; on a wide map, where the points over a line form a fibre and
+not a curve, the lift follows the minimum-norm route to first order in the
+step.  The slope, the Newton step and the local invertibility
 indicator mu (the least singular value, used for singularity detection)
 all come out of one SVD of J per corrector round.  Every SVD is maps._svd:
 for a 1x1 stack whose every |J| lies in [1e-100, 1e100] the closed form
@@ -41,7 +43,7 @@ the next step size and the stops are array operations over the rows
 concerned.  Per-lane Python is left for the LiftStatus of a lane that
 stops, the flow's step factor 0.9 e^-0.2 (Python's float power,
 _step_factors) and the flow's window verdict.  The steps of up to 64
-attempts are folded at once into those arrays and one block of recorded
+accepts are folded at once into those arrays and one block of recorded
 points (a lane's every record_stride-th step).  _Attempt keeps the books
 of one attempt: the rows still in it and the arrays aligned with them, one
 work tally, one stack call step (stack: the call, its tally and the exit
