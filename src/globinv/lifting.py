@@ -941,9 +941,9 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     Every line lift runs here, by Euler-Newton continuation.  f(x0), J(x0)
     and its SVD are computed once and counted in every lane.  The rows run
     in lockstep as one (K, n) state under one step controller, one row as
-    many, on the driver gradient_flow runs on too: every lane's t, step
-    size, point, slope and rejections are rows of arrays, and a lane
-    leaves the batch when it stops; every attempt makes one Euler
+    many, in the attempt loop (run) that gradient_flow runs in too: every
+    lane's t, step size, point, slope and rejections are rows of arrays,
+    and a lane leaves the batch when it stops; every attempt makes one Euler
     predictor, then every corrector round one evaluate_stack, one Jacobian
     stack and one SVD over the lanes still in it, and takes the lanes that
     meet the tolerances (LiftOptions) at once.  Every accepted point lies
