@@ -30,38 +30,40 @@ Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
 once per call and counted in every lane.  lift_line_square and
 lift_line_horizontal check the shape and make a one-row call.
-gradient_flow integrates x' = -grad F_y as one lane.
+gradient_flow integrates x' = -grad F_y.  Each call builds one object that
+holds the model and runs itself: start() takes the facts at x0, run()
+makes attempts (attempt) until it has stopped, and the outcome is read off
+it; no method below the constructor takes the model.
 
-Each call builds one lane object (_LineLanes or _FlowLanes, both _Lanes)
-that holds the model and every lane and runs itself: start() takes the
-facts at x0, run() makes lockstep attempts (attempt) until every lane has
-stopped, and the outcome is read off it; no method below the constructor
-takes the model.  One step controller keeps each lane's t, step size,
-point, slope, mu, steps and rejections, running flag, length, h_min,
-drift and f(q) as rows of arrays, so rejection, step collapse, acceptance,
-the next step size and the stops are array operations over the rows
-concerned.  Per-lane Python is left for the LiftStatus of a lane that
-stops, the flow's step factor 0.9 e^-0.2 (Python's float power,
-_step_factors) and the flow's window verdict.  The steps of up to 64
-accepts are folded at once into those arrays and one block of recorded
-points (a lane's every record_stride-th step).  _Attempt keeps the books
-of one attempt: the rows still in it and the arrays aligned with them, one
-work tally, one stack call step (stack: the call, its tally and the exit
-of the non-finite rows), one SVD step with the mu floor (decompose) and one
-exit for every row cut.  The lane class makes the attempts: _LineLanes
-(the predictor and the corrector rounds over the rows left; a row is
-taken in the round it meets both tolerances, with its chords, residuals
-and distances from x0 as stacks, and stops at the edge where the mu-decay
-guard cannot advance t) and _FlowLanes (the Dormand-Prince stages of
--J^T r and F, the error test; F must not rise, one singular-value stack
-at q5 per step taken, time-doubling windows give the verdict).  Each
+_LineLanes holds the K lanes of a lift_lines call under one step
+controller: each lane's t, step size, point, slope, mu, steps and
+rejections, running flag, length, h_min, largest and last residual are
+rows of arrays, so rejection (which halves the step), step collapse,
+taking a step, the next step size and the stops are array operations over
+the rows concerned, and per-lane Python is left for the LiftStatus of a
+lane that stops.  Each attempt is the predictor and the corrector rounds
+over the rows left, in lockstep; a row takes its step in the round it
+meets both tolerances, with its chords, residuals and distances from x0 as
+stacks, and stops at the edge where the mu-decay guard cannot advance t.
+The steps of up to 64 takes are folded at once into those arrays and one
+block of recorded points (a lane's every record_stride-th step).  Each
 lane's LiftOutcome, LiftStats included, does not depend on the other rows
-of the call.
+of the call.  _Attempt keeps the books of one attempt: the rows still in
+it and the arrays aligned with them, one work tally, one corrector round
+(round: the f, J and SVD stacks with the exits of the non-finite and the
+singular rows) and one exit for every row cut.
+
+_Flow is one Dormand-Prince lane with Python scalars for its t, step
+size, F, mu and LiftStats counters, and one-row stacks for its point and
+slope: six stages of -J^T r and F, the error test, F must not rise, one
+singular-value stack at q5 per step taken, and time-doubling windows give
+the verdict.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -308,15 +310,6 @@ def _row_norms(D: Array) -> Array:
     return norms
 
 
-def _error_norms(atol: float, rtol: float, q: Array, q5: Array, err: Array):
-    """The RMS over the last axis of err / (atol + rtol max(|q|, |q5|)): the
-    error norm of one attempt, or a (K,) array of them for stacked rows,
-    each bitwise the one-row value.  The sum over the count is np.mean's
-    own arithmetic without its overhead."""
-    scale = atol + rtol * np.maximum(np.abs(q), np.abs(q5))
-    return np.sqrt(np.add.reduce((err / scale) ** 2, axis=-1) / err.shape[-1])
-
-
 def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
     """Solve J v = w for a stack of SVDs J = U diag(s) Vt, one row w of W
     per matrix: the exact inverse for square J, the minimum-norm right
@@ -326,205 +319,25 @@ def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
     return np.matmul(Vt.transpose(0, 2, 1), c)[:, :, 0]
 
 
-_CAUSES = {"error": 0, "singular": 1, "nonfinite": 2}  # columns of _Lanes.rejected
+_CAUSES = {"error": 0, "singular": 1, "nonfinite": 2}  # columns of _LineLanes.rejected
 _RECORD_RUN = 64  # attempts whose steps are folded at once, so a long lift keeps a few arrays
 
 
-def _step_factors(E: Array) -> Array:
-    """0.9 e^-0.2 for each error norm e of E, inf for e = 0.  Each power is
-    Python's float **: numpy's array ** rounds differently in about 5% of
-    values, so a lane's step would depend on how many rows its array held."""
-    return np.array([0.9 * e ** -0.2 if e else math.inf for e in E.tolist()])
-
-
-class _Lanes:
-    """The K lanes of one call under one step controller, t from 0 to
-    t_end.  Every per-lane fact the integration reads is a row of an
-    array: t, the step size h, the point q and its slope k1, mu at q, the
-    mu of the last singular rejection since a step was taken
-    (last_singular_mu, NaN for none), the rejections by cause (one column
-    per cause in _CAUSES), whether the lane still runs and the scale of
-    its steps (h_scale: a step below _H_MIN max(h_scale, t) has
-    collapsed).  A lane runs until it stops with a LiftStatus (status[k])
-    or reaches t_end, and every running lane is in every attempt, so a
-    running lane has taken attempts - its rejections steps.  The work
-    (evals, Jacobians, SVDs) of every attempt, rejected or taken, is added
-    up per lane (work; that of a step taken when it is folded).
-
-    run makes attempts (attempt, which the subclass supplies) of the rows
-    begin_attempt returns until every lane has stopped.  Each accept's
-    steps wait as one block in pending, until _RECORD_RUN blocks
-    or the outcome fold them (fold) into what the outcome reads, each a row
-    per lane: the steps taken (accepted), the chord length, the least step
-    (h_min) and the judge's running facts; and into one block of the
-    record, which holds each lane's base point and every record_stride-th
-    step after it, unless its time is the last one kept (kept_t)."""
-
-    t_end = 1.0
-
-    def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
-        K = len(W)
-        self.model, self.x0, self.opts = model, x0v, opts
-        self.w = W  # the codomain vectors: the lines' w, the flow's y
-        self.t, self.h, self.mu, self.length = np.zeros(K), np.zeros(K), np.zeros(K), np.zeros(K)
-        self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
-        self.h_scale = np.ones(K)  # a step below _H_MIN max(h_scale, t) has collapsed
-        self.q, self.k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n))
-        self.accepted = np.zeros(K, dtype=np.int64)
-        self.rejected = np.zeros((K, 3), dtype=np.int64)
-        self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
-        self.status = [None] * K
-        self.running = np.ones(K, dtype=bool)
-        self.attempts = 0  # attempts made
-        self.pending, self.tallies, self.records = [], [], []
-
-    def record_start(self) -> None:
-        """Record every lane's base point: its t, q and mu now."""
-        self.kept_t = self.t.copy()
-        self.records.append((np.arange(len(self.t)), self.t.copy(), self.q.copy(), self.mu.copy()))
-
-    def stop(self, k: int, status: LiftStatus) -> None:
-        self.status[k] = status
-        self.running[k] = False
-
-    def begin_attempt(self) -> Array:
-        """The rows of the next attempt: the running lanes, less those whose
-        step budget is spent, which stop.  Every step size already ends at
-        or before t_end (the judges cut it so)."""
-        rows = self.running.nonzero()[0]
-        if self.attempts >= self.opts.max_steps:  # before, no lane has taken that many steps
-            spent = self.attempts - self.rejected[rows].sum(axis=1) >= self.opts.max_steps
-            for k in rows[spent].tolist():
-                self.stop(k, LiftStatus.step_failure(self.t[k]))
-            rows = rows[~spent]
-        self.attempts += 1
-        return rows
-
-    def run(self) -> None:
-        """Make lockstep attempts until every lane has stopped."""
-        while (rows := self.begin_attempt()).size:
-            self.attempt(rows)
-
-    def reject(self, rows: Array, cause: str, work: tuple, mu: Optional[Array] = None,
-               err_norm: Optional[Array] = None) -> None:
-        """Reject the attempts of rows (cause "error", "singular" or
-        "nonfinite"), adding work, and shrink their steps by the step
-        factor of err_norm in [0.1, 0.5], or by half where it is absent or
-        not finite; a lane whose step collapses stops (Singular after a
-        singular rejection since its last step, else StepFailure)."""
-        np.add.at(self.work, rows, work)
-        self.rejected[rows, _CAUSES[cause]] += 1
-        if mu is not None:
-            self.last_singular_mu[rows] = mu
-        if err_norm is None:
-            self.h[rows] *= 0.5
-        else:
-            shrink = np.maximum(0.1, np.minimum(0.5, _step_factors(err_norm)))
-            self.h[rows] *= np.where(np.isfinite(err_norm), shrink, 0.5)
-        for k in rows[self.h[rows] < _H_MIN * np.maximum(self.h_scale[rows], self.t[rows])].tolist():
-            t, mu_k = self.t[k], self.last_singular_mu[k]
-            self.stop(k, LiftStatus.step_failure(t) if math.isnan(mu_k) else LiftStatus.singular(t, mu_k))
-
-    def step_end(self, rows: Array, H: Array) -> Array:
-        """The times the attempts of rows, of step sizes H, reach: t + h, or
-        t_end where that lies within 1e-15 of it.  As t + h lies in [0, 2],
-        t_end - (t + h) is exact, so that is t + h >= t_end - 1e-15."""
-        T = self.t.take(rows) + H
-        T[T >= self.t_end - 1e-15] = self.t_end
-        return T
-
-    def accept(self, a: "_Attempt", rows: Array, X: Array, K1: Array, mu: Array, T: Array, H: Array,
-               chords: Array, *extra) -> None:
-        """Take the attempted steps of rows (rows of the attempt a, whose
-        tally each of them did), of sizes H, to X, where the slopes are K1
-        and the indicator mu; T is step_end(rows, H), chords |X - q|, extra
-        the judge's columns (fold_judge).  A lane that reaches t_end stops
-        running."""
-        self.q[rows], self.k1[rows], self.t[rows], self.mu[rows] = X, K1, T, mu
-        self.last_singular_mu[rows] = math.nan
-        self.running[rows] = T < self.t_end - 1e-15
-        self.pending.append((rows, T, X, mu, H, chords, *extra))
-        self.tallies.append((a.evals, a.jacobians, a.svds))
-        if len(self.pending) == _RECORD_RUN:
-            self.fold()
-
-    def fold(self) -> None:
-        """Fold the pending steps, sorted by lane and in step order within
-        a lane, into work (each block's tally), accepted, length (the chords
-        summed one by one, as the steps add up), h_min, the judge's facts
-        (fold_judge) and one block of the record."""
-        if not self.pending:
-            return
-        sizes = [len(block[0]) for block in self.pending]
-        rows, *columns = map(np.concatenate, zip(*self.pending))
-        np.add.at(self.work, rows, np.repeat(self.tallies, sizes, axis=0))
-        self.pending, self.tallies = [], []
-        order = np.argsort(rows, kind="stable")
-        rows, T, X, mu, H, chords, *extra = rows[order], *(A[order] for A in columns)
-        counts = np.bincount(rows, minlength=len(self.t))
-        firsts = np.cumsum(counts) - counts
-        np.add.at(self.length, rows, chords)
-        np.minimum.at(self.h_min, rows, H)
-        steps = self.accepted[rows] + np.arange(1, len(rows) + 1) - firsts[rows]  # each step's count
-        self.accepted += counts
-        self.fold_judge(rows, firsts[counts > 0] + counts[counts > 0] - 1, *extra)
-        stride = self.opts.record_stride
-        if stride > 1:
-            due = steps % stride == 0
-            rows, T, X, mu = rows[due], T[due], X[due], mu[due]
-            if not rows.size:
-                return
-        # The last time kept is that of the lane's previous due step (or
-        # kept_t before the first), so times that do not advance are dropped.
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = rows[1:] != rows[:-1]
-        before = np.concatenate([T[:1], T[:-1]])
-        before[new] = self.kept_t[rows[new]]
-        ends = np.flatnonzero(np.append(new[1:], True))
-        self.kept_t[rows[ends]] = T[ends]
-        kept = T != before
-        self.records.append((rows[kept], T[kept], X[kept], mu[kept]))
-
-    def fold_judge(self, rows: Array, lasts: Array, *extra) -> None:
-        """Fold the judge's columns of the pending steps (rows sorted by
-        lane; lasts the index of each lane's last step)."""
-
-    def results(self) -> list:
-        """(LiftTrajectory, LiftStats) of every lane.  A trajectory keeps
-        the base point and every record_stride-th step after it, then the
-        lane's final point unless its time is the last one kept."""
-        self.fold()
-        last = np.flatnonzero(self.kept_t != self.t)
-        final = (last, self.t[last], self.q[last], self.mu[last])
-        rows, T, X, mu = map(np.concatenate, zip(*self.records, final))
-        order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
-        T, X, mu = T[order], X[order], mu[order]
-        ends = np.cumsum(np.bincount(rows, minlength=len(self.t))).tolist()
-        out, a = [], 0
-        for b, length, steps, rejected, work_k, h_min in zip(
-            ends, *(A.tolist() for A in (self.length, self.accepted, self.rejected, self.work, self.h_min))
-        ):
-            trajectory = LiftTrajectory(times=T[a:b], points=X[a:b], mu_values=mu[a:b], length=length)
-            out.append((trajectory, LiftStats(steps, *rejected, *work_k, h_min)))
-            a = b
-        return out
-
-
 class _Attempt:
-    """One lockstep attempt of the rows of lanes: Q the points the step
-    starts from, H the step sizes (a column), W the codomain vectors, X
-    the current trial point and the named arrays the lane class adds
-    (aligned), each aligned with rows.  evals, jacobians and svds tally
-    the stack calls made so far, each raised right after its call: every
-    row still in the attempt did that work, which a row adds to its
-    lane's work when it leaves (rejected) or takes its step (_Lanes.accept)."""
+    """One lockstep attempt of the rows of a lift_lines call (_LineLanes):
+    Q the points the step starts from, W the codomain vectors, X the
+    current trial point and the named arrays the attempt adds (aligned),
+    each aligned with rows.
+    evals, jacobians and svds tally the stack calls made so far, each
+    raised right after its call: every row still in the attempt did that
+    work, which a row adds to its lane's work when it leaves (rejected) or
+    takes its step (_LineLanes.take)."""
 
-    def __init__(self, lanes: _Lanes, rows: Array, **aligned):
+    def __init__(self, lanes: "_LineLanes", rows: Array, **aligned):
         self.lanes, self.rows = lanes, rows
         self.Q = self.X = lanes.q.take(rows, axis=0)
-        self.H = lanes.h.take(rows)[:, None]
         self.W = lanes.w.take(rows, axis=0)
-        self.names = ("rows", "Q", "H", "W", "X", *aligned)
+        self.names = ("rows", "Q", "W", "X", *aligned)
         self.__dict__.update(aligned)
         self.evals = self.jacobians = self.svds = 0
 
@@ -535,153 +348,104 @@ class _Attempt:
             setattr(self, name, getattr(self, name)[good])
         return [A[good] for A in arrays]
 
-    def leave(self, good: Array, cause: str, *arrays, **values) -> list:
+    def leave(self, good: Array, cause: str, *arrays, mu: Optional[Array] = None) -> list:
         """Reject the rows that are not good with cause, adding the tally
-        and passing values[key] of those rows to _Lanes.reject (mu= or
-        err_norm=), and keep the good ones (keep)."""
+        and passing their mu to _LineLanes.reject, and keep the good ones
+        (keep)."""
         bad = ~good
         self.lanes.reject(self.rows[bad], cause, (self.evals, self.jacobians, self.svds),
-                          **{key: v[bad] for key, v in values.items()})
+                          None if mu is None else mu[bad])
         return self.keep(good, *arrays)
 
-    def stack(self, *arrays, jac: bool) -> tuple:
-        """One stack call at the trial point X of the rows, counted in its
-        tally: jacobian_stack when jac, else evaluate_stack.  The rows whose
-        result is not finite leave (nonfinite).  Returns the result and the
-        given arrays, cut to the rows left."""
-        if jac:
-            V, good = jacobian_stack(self.lanes.model, self.X)
-            self.jacobians += 1
-        else:
-            V, good = evaluate_stack(self.lanes.model, self.X)
-            self.evals += 1
-        if _every(good):
-            return (V, *arrays)
-        return self.leave(good, "nonfinite", V, *arrays)
-
-    def decompose(self, J: Array, *arrays) -> tuple:
-        """The SVD stack of J, counted in the tally, and mu, the least
-        singular value of each row.  A row whose mu is below mu_floor, or
-        not positive and finite, leaves (singular, with its mu).  Returns
-        (U, s, Vt, mu, *arrays), cut to the rows left."""
+    def round(self) -> Optional[tuple]:
+        """One corrector round at the trial points X of the rows: f, J and
+        the SVD of J, each one stack call counted in the tally, and mu, the
+        least singular value of each row.  A row whose f or J is not finite
+        leaves (nonfinite), and so does one whose mu is below mu_floor, or
+        not positive and finite (singular, with its mu).  Returns (F, U, s,
+        Vt, mu) for the rows left, None when no row is left."""
+        model = self.lanes.model
+        F, good = evaluate_stack(model, self.X)
+        self.evals += 1
+        if not _every(good):
+            (F,) = self.leave(good, "nonfinite", F)
+            if not self.rows.size:
+                return None
+        J, good = jacobian_stack(model, self.X)
+        self.jacobians += 1
+        if not _every(good):
+            J, F = self.leave(good, "nonfinite", J, F)
+            if not self.rows.size:
+                return None
         U, s, Vt = _svd(J)
         self.svds += 1
         mu, mu_floor = s[:, -1], self.lanes.opts.mu_floor
         # mu >= max(mu_floor, 5e-324) is mu >= mu_floor and mu > 0, NaN excluded
-        if _every((mu >= max(mu_floor, 5e-324)) & (mu < math.inf)):
-            return (U, s, Vt, mu, *arrays)
-        good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
-        return self.leave(good, "singular", U, s, Vt, mu, *arrays, mu=mu)
+        if not _every((mu >= max(mu_floor, 5e-324)) & (mu < math.inf)):
+            good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
+            F, U, s, Vt, mu = self.leave(good, "singular", F, U, s, Vt, mu, mu=mu)
+            if not self.rows.size:
+                return None
+        return F, U, s, Vt, mu
 
 
-class _LineLanes(_Lanes):
-    """The lanes of a lift_lines call, on the curves f(q(t)) = f(x0) + t w:
-    f at the last step folded (f) and the largest residual of an accepted
-    point (max_drift), the mu-decay step guard, and the stops at x0.  Each
-    attempt is one Euler predictor and up to _ROUNDS Newton corrector
-    rounds over the rows in lockstep (attempt)."""
+class _LineLanes:
+    """The K lanes of a lift_lines call, on the curves f(q(t)) = f(x0) + t w
+    for t from 0 to 1, under one step controller.  Every per-lane fact the
+    lift reads is a row of an array: t, the step size h, the point q and
+    its slope k1, mu at q, the mu of the last singular rejection since a
+    step was taken (last_singular_mu, NaN for none), the rejections by
+    cause (one column per cause in _CAUSES), whether the lane still runs
+    and the scale of its steps (h_scale: a step below _H_MIN max(h_scale,
+    t) has collapsed).  A lane runs until it stops with a LiftStatus
+    (status[k]) or reaches t = 1, and every running lane is in every
+    attempt, so a running lane has taken attempts - its rejections steps.
+    The work (evals, Jacobians, SVDs) of every attempt, rejected or taken,
+    is added up per lane (work; that of a step taken when it is folded).
+
+    run makes attempts (attempt: one Euler predictor and up to _ROUNDS
+    Newton corrector rounds over the rows in lockstep) of the rows
+    begin_attempt returns until every lane has stopped.  Each take's steps
+    wait as one block in pending, until _RECORD_RUN blocks or the outcomes
+    fold them (fold) into what the outcomes read, each a row per lane: the
+    steps taken (accepted), the chord length, the least step (h_min), the
+    largest residual of a point taken (max_drift) and the residual of the
+    last one (residual); and into one block of the record, which holds each
+    lane's base point and every record_stride-th step after it, unless its
+    time is the last one kept (kept_t)."""
 
     def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
-        super().__init__(model, x0v, W, opts)
-        self.max_drift = np.zeros(len(W))
+        K = len(W)
+        self.model, self.x0, self.w, self.opts = model, x0v, W, opts
+        self.t, self.h, self.mu, self.length = np.zeros(K), np.zeros(K), np.zeros(K), np.zeros(K)
+        self.residual, self.max_drift = np.zeros(K), np.zeros(K)
+        self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
+        self.h_scale = np.ones(K)  # a step below _H_MIN max(h_scale, t) has collapsed
+        self.q, self.k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n))
+        self.accepted = np.zeros(K, dtype=np.int64)
+        self.rejected = np.zeros((K, 3), dtype=np.int64)
+        self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
+        self.status = [None] * K
+        self.running = np.ones(K, dtype=bool)
+        self.attempts = 0  # attempts made
+        self.pending, self.tallies, self.records = [], [], []
         self.norm_w = _row_norms(W)
         self.complete_tol = 10.0 * opts.rel_tol * np.maximum(self.norm_w, 1.0) + 100.0 * opts.abs_tol
 
-    def attempt(self, rows: Array) -> None:
-        """One predictor-corrector attempt for rows, toward the points
-        y = f(x0) + T w of their lines at T = step_end(t + h).  The
-        predictor is X = q + h k1.  Each corrector round takes f, J and its
-        SVD at X over the rows left, as stacks; a row leaves on a
-        non-finite X, f or J and on mu below the floor (_Attempt.decompose).
-        The minimum-norm Newton step there is -J^+ (f(X) - y).  A row whose
-        residual |f(X) - y| is within complete_tol and whose Newton step
-        is within x_tol = 10 rel_tol max(|X|, 1) + 100 abs_tol takes its
-        step to X (take), unless its slope J^+ w there is not finite
-        (nonfinite).  The others make their
-        Newton step, which must be at most _GUARD h |k1| long in the first
-        round (the distance to the curve) and at most _CONTRACTION times
-        the step before in the next; a row whose step is longer, or that is
-        not within tolerance after _ROUNDS rounds, is rejected (error)."""
-        H, opts = self.h.take(rows), self.opts
-        T = self.step_end(rows, H)
-        K1 = self.k1.take(rows, axis=0)
-        # D: the longest Newton step allowed next; C0: the first one's length
-        a = _Attempt(self, rows, T=T, Y=self.f0 + T[:, None] * self.w.take(rows, axis=0),
-                     D=_GUARD * H * _row_norms(K1), C0=np.empty(len(rows)))
-        a.X = a.Q + H[:, None] * K1
-        for r in range(_ROUNDS):
-            if not _all_finite(a.X):
-                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
-                if not a.rows.size:
-                    return
-            (F,) = a.stack(jac=False)
-            if a.rows.size:
-                J, F = a.stack(F, jac=True)
-            if a.rows.size:
-                U, s, Vt, mu, F = a.decompose(J, F)
-            if not a.rows.size:
-                return
-            R = F - a.Y
-            dX = -_velocities(U, s, Vt, R)
-            res, size = _row_norms(R), _row_norms(dX)
-            if r == 0:
-                a.C0 = size
-            x_tol = 10.0 * opts.rel_tol * np.maximum(_row_norms(a.X), 1.0) + 100.0 * opts.abs_tol
-            done = (res <= self.complete_tol.take(a.rows)) & (size <= x_tol)
-            if np.count_nonzero(done):
-                K1 = _velocities(U[done], s[done], Vt[done], a.W[done])
-                if not _all_finite(K1):  # a slope past the float limit: no step to take
-                    good = np.ones(len(done), dtype=bool)
-                    good[done] = np.isfinite(K1).all(axis=1)
-                    K1 = K1[good[done]]
-                    done, U, s, Vt, mu, F, res, size, x_tol, dX = a.leave(
-                        good, "nonfinite", done, U, s, Vt, mu, F, res, size, x_tol, dX)
-                if len(K1):
-                    self.take(a, done, r, K1, *(A[done] for A in (mu, F, res, size, x_tol)))
-                U, s, Vt, dX, size = a.keep(~done, U, s, Vt, dX, size)
-                if not a.rows.size:
-                    return
-            if r == _ROUNDS - 1:
-                a.leave(np.zeros(len(a.rows), dtype=bool), "error")
-                return
-            short = size <= a.D
-            if not _every(short):
-                dX, size = a.leave(short, "error", dX, size)
-                if not a.rows.size:
-                    return
-            a.X = a.X + dX
-            a.D = _CONTRACTION * size
+    def record_start(self) -> None:
+        """Record every lane's base point: its t, q and mu now."""
+        self.kept_t = self.t.copy()
+        self.records.append((np.arange(len(self.t)), self.t.copy(), self.q.copy(), self.mu.copy()))
 
-    def take(self, a: _Attempt, done: Array, r: int, K1: Array, mu: Array, F: Array, res: Array, e: Array,
-             x_tol: Array) -> None:
-        """The rows of a that are done in corrector round r take their steps
-        to X, where the slope is K1, the indicator mu, f = F, the residual
-        res, the Newton correction e long and its tolerance x_tol (each
-        array a row per row done): the chords and distances from x0 as row
-        norms, the next step (next_step) and the stops of a lane at the
-        edge or outside the escape ball."""
-        rows, X, H, T = a.rows[done], a.X[done], a.H[done, 0], a.T[done]
-        chords, dists = _row_norms(np.concatenate([X - a.Q[done], X - self.x0])).reshape(2, -1)
-        h_next = self.next_step(H, T, r, a.C0[done], e, x_tol, self.mu.take(rows), mu)
-        self.accept(a, rows, X, K1, mu, T, H, chords, res, F)
-        self.h[rows] = h_next
-        # Only the mu-decay guard cuts a step below half an ulp of t <= 1:
-        # mu falls to 0 within a few ulps of t, at the edge of the lift.
-        edge = h_next < _H_MIN
-        if np.count_nonzero(edge):
-            edge &= (T + h_next == T) & (T < self.t_end)
-        out = edge if self.opts.r_escape is None else edge | (dists > self.opts.r_escape)
-        for j in out.nonzero()[0].tolist():
-            k = int(rows[j])
-            t = self.t[k]
-            self.stop(k, LiftStatus.singular(t, self.mu[k]) if edge[j] else LiftStatus.escaped(t, dists[j]))
+    def stop(self, k: int, status: LiftStatus) -> None:
+        self.status[k] = status
+        self.running[k] = False
 
     def start(self) -> None:
         """f(x0), J(x0) and its SVD, shared by the lanes: record the base
         point; every lane stops at once when J(x0) is singular, a lane with
         w = 0 completes, the others take their first slope and step."""
         self.f0 = evaluate(self.model, self.x0)
-        self.f = np.repeat(self.f0[None], len(self.t), axis=0)
         U, s, Vt = _svd(jacobian(self.model, self.x0))
         K, mu = len(self.t), float(s[-1])
         self.mu[:] = mu
@@ -711,9 +475,138 @@ class _LineLanes(_Lanes):
         self.h[rows] = np.minimum(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _row_norms(k1)))
         self.h_scale[rows] = self.h[rows]  # a huge w makes every step small
 
-    def fold_judge(self, rows: Array, lasts: Array, drifts: Array, F: Array) -> None:
-        np.fmax.at(self.max_drift, rows, drifts)
-        self.f[rows[lasts]] = F[lasts]
+    def begin_attempt(self) -> Array:
+        """The rows of the next attempt: the running lanes, less those whose
+        step budget is spent, which stop.  Every step size already ends at
+        or before t = 1 (next_step cuts it so)."""
+        rows = self.running.nonzero()[0]
+        if self.attempts >= self.opts.max_steps:  # before, no lane has taken that many steps
+            spent = self.attempts - self.rejected[rows].sum(axis=1) >= self.opts.max_steps
+            for k in rows[spent].tolist():
+                self.stop(k, LiftStatus.step_failure(self.t[k]))
+            rows = rows[~spent]
+        self.attempts += 1
+        return rows
+
+    def run(self) -> None:
+        """Make lockstep attempts until every lane has stopped."""
+        while (rows := self.begin_attempt()).size:
+            self.attempt(rows)
+
+    def reject(self, rows: Array, cause: str, work: tuple, mu: Optional[Array] = None) -> None:
+        """Reject the attempts of rows (cause "error", "singular" or
+        "nonfinite", with the mu of a singular one), adding work, and halve
+        their steps; a lane whose step collapses stops (Singular after a
+        singular rejection since its last step, else StepFailure)."""
+        np.add.at(self.work, rows, work)
+        self.rejected[rows, _CAUSES[cause]] += 1
+        if mu is not None:
+            self.last_singular_mu[rows] = mu
+        self.h[rows] *= 0.5
+        for k in rows[self.h[rows] < _H_MIN * np.maximum(self.h_scale[rows], self.t[rows])].tolist():
+            t, mu_k = self.t[k], self.last_singular_mu[k]
+            self.stop(k, LiftStatus.step_failure(t) if math.isnan(mu_k) else LiftStatus.singular(t, mu_k))
+
+    def step_end(self, rows: Array, H: Array) -> Array:
+        """The times the attempts of rows, of step sizes H, reach: t + h, or
+        1 where that lies within 1e-15 of it.  As t + h lies in [0, 2],
+        1 - (t + h) is exact, so that is t + h >= 1 - 1e-15."""
+        T = self.t.take(rows) + H
+        T[T >= 1.0 - 1e-15] = 1.0
+        return T
+
+    def attempt(self, rows: Array) -> None:
+        """One predictor-corrector attempt for rows, toward the points
+        y = f(x0) + T w of their lines at T = step_end(t + h).  The
+        predictor is X = q + h k1.  Each corrector round takes f, J and its
+        SVD at X over the rows left, as stacks (_Attempt.round: a row leaves
+        on a non-finite f or J and on mu below the floor); a row also leaves
+        on a non-finite X.  The minimum-norm Newton step there is
+        -J^+ (f(X) - y).  A row whose residual |f(X) - y| is within
+        complete_tol and whose Newton step is within
+        x_tol = 10 rel_tol max(|X|, 1) + 100 abs_tol takes its step to X
+        (take), unless its slope J^+ w there is not finite (nonfinite).  The
+        others make their Newton step, which must be at most _GUARD h |k1|
+        long in the first round (the distance to the curve) and at most
+        _CONTRACTION times the step before in the next; a row whose step is
+        longer, or that is not within tolerance after _ROUNDS rounds, is
+        rejected (error)."""
+        H, opts = self.h.take(rows), self.opts
+        T = self.step_end(rows, H)
+        K1 = self.k1.take(rows, axis=0)
+        # D: the longest Newton step allowed next; C0: the first one's length
+        a = _Attempt(self, rows, H=H, T=T, Y=self.f0 + T[:, None] * self.w.take(rows, axis=0),
+                     D=_GUARD * H * _row_norms(K1), C0=np.empty(len(rows)))
+        a.X = a.Q + H[:, None] * K1
+        for r in range(_ROUNDS):
+            if not _all_finite(a.X):
+                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
+                if not a.rows.size:
+                    return
+            got = a.round()
+            if got is None:
+                return
+            F, U, s, Vt, mu = got
+            R = F - a.Y
+            dX = -_velocities(U, s, Vt, R)
+            res, size = _row_norms(R), _row_norms(dX)
+            if r == 0:
+                a.C0 = size
+            x_tol = 10.0 * opts.rel_tol * np.maximum(_row_norms(a.X), 1.0) + 100.0 * opts.abs_tol
+            done = (res <= self.complete_tol.take(a.rows)) & (size <= x_tol)
+            if np.count_nonzero(done):
+                K1 = _velocities(U[done], s[done], Vt[done], a.W[done])
+                if not _all_finite(K1):  # a slope past the float limit: no step to take
+                    good = np.ones(len(done), dtype=bool)
+                    good[done] = np.isfinite(K1).all(axis=1)
+                    K1 = K1[good[done]]
+                    done, U, s, Vt, mu, res, size, x_tol, dX = a.leave(
+                        good, "nonfinite", done, U, s, Vt, mu, res, size, x_tol, dX)
+                if len(K1):
+                    self.take(a, done, r, K1, *(A[done] for A in (mu, res, size, x_tol)))
+                U, s, Vt, dX, size = a.keep(~done, U, s, Vt, dX, size)
+                if not a.rows.size:
+                    return
+            if r == _ROUNDS - 1:
+                a.leave(np.zeros(len(a.rows), dtype=bool), "error")
+                return
+            short = size <= a.D
+            if not _every(short):
+                dX, size = a.leave(short, "error", dX, size)
+                if not a.rows.size:
+                    return
+            a.X = a.X + dX
+            a.D = _CONTRACTION * size
+
+    def take(self, a: _Attempt, done: Array, r: int, K1: Array, mu: Array, res: Array, e: Array,
+             x_tol: Array) -> None:
+        """The rows of a that are done in corrector round r take their steps
+        to X, where the slope is K1, the indicator mu, the residual res, the
+        Newton correction e long and its tolerance x_tol (each array a row
+        per row done): the chords and distances from x0 as row norms, the
+        next step (next_step), the step's block in pending (whose tally each
+        of them did), and the stops of a lane that reaches t = 1, at the
+        edge or outside the escape ball."""
+        rows, X, H, T = a.rows[done], a.X[done], a.H[done], a.T[done]
+        chords, dists = _row_norms(np.concatenate([X - a.Q[done], X - self.x0])).reshape(2, -1)
+        h_next = self.next_step(H, T, r, a.C0[done], e, x_tol, self.mu.take(rows), mu)
+        self.q[rows], self.k1[rows], self.t[rows], self.mu[rows], self.h[rows] = X, K1, T, mu, h_next
+        self.last_singular_mu[rows] = math.nan
+        self.running[rows] = T < 1.0 - 1e-15
+        self.pending.append((rows, T, X, mu, H, chords, res))
+        self.tallies.append((a.evals, a.jacobians, a.svds))
+        if len(self.pending) == _RECORD_RUN:
+            self.fold()
+        # Only the mu-decay guard cuts a step below half an ulp of t <= 1:
+        # mu falls to 0 within a few ulps of t, at the edge of the lift.
+        edge = h_next < _H_MIN
+        if np.count_nonzero(edge):
+            edge &= (T + h_next == T) & (T < 1.0)
+        out = edge if self.opts.r_escape is None else edge | (dists > self.opts.r_escape)
+        for j in out.nonzero()[0].tolist():
+            k = int(rows[j])
+            t = self.t[k]
+            self.stop(k, LiftStatus.singular(t, self.mu[k]) if edge[j] else LiftStatus.escaped(t, dists[j]))
 
     def next_step(self, H: Array, T: Array, r: int, e0: Array, e: Array, x_tol: Array, mu_prev: Array,
                   mu_new: Array) -> Array:
@@ -725,7 +618,7 @@ class _LineLanes(_Lanes):
         predictor (r = 0) tells nothing of c.  The step is scaled so that
         this correction would be _AIM x_tol, at most _GROW times; then cut
         to a tenth of the distance to mu = 0 at the rate mu fell (the
-        mu-decay guard) and cut to end at t_end.  The eighth root is three
+        mu-decay guard) and cut to end at t = 1.  The eighth root is three
         square roots, each rounded exactly, so no lane's step depends on
         the other rows."""
         if r == 0:
@@ -737,19 +630,72 @@ class _LineLanes(_Lanes):
         if np.count_nonzero(fell):
             guard = 0.1 * H * mu_new / np.maximum(mu_prev - mu_new, 1e-300)
             np.minimum(h_next, guard, out=h_next, where=fell)
-        return np.minimum(h_next, self.t_end - T)
+        return np.minimum(h_next, 1.0 - T)
+
+    def fold(self) -> None:
+        """Fold the pending steps, sorted by lane and in step order within
+        a lane, into work (each block's tally), accepted, length (the chords
+        summed one by one, as the steps add up), h_min, max_drift, residual
+        (that of each lane's last step) and one block of the record."""
+        if not self.pending:
+            return
+        sizes = [len(block[0]) for block in self.pending]
+        rows, *columns = map(np.concatenate, zip(*self.pending))
+        np.add.at(self.work, rows, np.repeat(self.tallies, sizes, axis=0))
+        self.pending, self.tallies = [], []
+        order = np.argsort(rows, kind="stable")
+        rows, T, X, mu, H, chords, res = rows[order], *(A[order] for A in columns)
+        counts = np.bincount(rows, minlength=len(self.t))
+        firsts = np.cumsum(counts) - counts
+        np.add.at(self.length, rows, chords)
+        np.minimum.at(self.h_min, rows, H)
+        np.fmax.at(self.max_drift, rows, res)
+        lasts = firsts[counts > 0] + counts[counts > 0] - 1
+        self.residual[rows[lasts]] = res[lasts]
+        steps = self.accepted[rows] + np.arange(1, len(rows) + 1) - firsts[rows]  # each step's count
+        self.accepted += counts
+        stride = self.opts.record_stride
+        if stride > 1:
+            due = steps % stride == 0
+            rows, T, X, mu = rows[due], T[due], X[due], mu[due]
+            if not rows.size:
+                return
+        # The last time kept is that of the lane's previous due step (or
+        # kept_t before the first), so times that do not advance are dropped.
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = rows[1:] != rows[:-1]
+        before = np.concatenate([T[:1], T[:-1]])
+        before[new] = self.kept_t[rows[new]]
+        ends = np.flatnonzero(np.append(new[1:], True))
+        self.kept_t[rows[ends]] = T[ends]
+        kept = T != before
+        self.records.append((rows[kept], T[kept], X[kept], mu[kept]))
 
     def outcomes(self) -> list:
-        """The LiftOutcome of every lane: its residual against the line at
-        its last f(q), its largest residual at an accepted point, and
-        Complete for a lane that ran to t = 1 (every accepted point is
-        within complete_tol of its line)."""
-        results = self.results()  # folds the pending steps
-        residuals = _row_norms(self.f - (self.f0 + self.t[:, None] * self.w)).tolist()
-        return [
-            LiftOutcome(trajectory, self.status[k] or LiftStatus.complete(1.0), residuals[k], drift, stats)
-            for k, ((trajectory, stats), drift) in enumerate(zip(results, self.max_drift.tolist()))
-        ]
+        """The LiftOutcome of every lane: its trajectory (the base point
+        and every record_stride-th step after it, then the lane's final
+        point unless its time is the last one kept), its residual at its
+        last point taken, its largest residual at a point taken, its
+        LiftStats, and Complete for a lane that ran to t = 1 (every
+        accepted point is within complete_tol of its line)."""
+        self.fold()
+        last = np.flatnonzero(self.kept_t != self.t)
+        final = (last, self.t[last], self.q[last], self.mu[last])
+        rows, T, X, mu = map(np.concatenate, zip(*self.records, final))
+        order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
+        T, X, mu = T[order], X[order], mu[order]
+        ends = np.cumsum(np.bincount(rows, minlength=len(self.t))).tolist()
+        out, a = [], 0
+        for k, (b, length, steps, rejected, work_k, h_min, residual, drift) in enumerate(zip(
+            ends, *(A.tolist() for A in (self.length, self.accepted, self.rejected, self.work, self.h_min,
+                                         self.residual, self.max_drift))
+        )):
+            trajectory = LiftTrajectory(times=T[a:b], points=X[a:b], mu_values=mu[a:b], length=length)
+            stats = LiftStats(steps, *rejected, *work_k, h_min)
+            status = self.status[k] or LiftStatus.complete(1.0)
+            out.append(LiftOutcome(trajectory, status, residual, drift, stats))
+            a = b
+        return out
 
 
 def _descent(J: Array, R: Array) -> tuple:
@@ -760,119 +706,141 @@ def _descent(J: Array, R: Array) -> tuple:
     return G, F
 
 
-class _FlowLanes(_Lanes):
-    """The residual gradient flow x' = -grad F_y, one lane: a step must not
-    raise F, and every time-doubling window ends in a verdict or goes on.
-    The flow runs until a verdict, the escape stop or the step budget."""
-
-    t_end = math.inf
+class _Flow:
+    """The residual gradient flow x' = -grad F_y, integrated by
+    Dormand-Prince 4(5) from t = 0.  t, the step size h, F and |grad F| at
+    q, mu and the LiftStats counters (stats) are Python scalars; the point
+    q, its slope k1 and y are one-row stacks, as evaluate_stack,
+    jacobian_stack, _descent and _svd take them.  A step must not raise F,
+    and every time-doubling window ends in a verdict or goes on.  The flow
+    runs until a verdict, the escape stop, a step collapse or the step
+    budget; its trajectory keeps the base point and every record_stride-th
+    step after it, then the final point."""
 
     def __init__(self, model: MapModel, x0v: Array, yv: Array, opts: LiftOptions):
-        super().__init__(model, x0v, yv[None], opts)
+        self.model, self.x0, self.y, self.opts = model, x0v, yv[None], opts
         self.rtol = opts.rel_tol / _SAFETY_DIV
         self.atol = opts.abs_tol / _SAFETY_DIV
         self.grad_tol = opts.abs_tol
         # residual scale below which a plateau is a root, not a PS level
         self.res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
-        self.F = self.gn = self.h0 = None  # F, |grad F| at q; the first step size
-        self.ps_grad_tol = None  # gradient norm below which a plateau may be PS
-        self.verdict = None
+        self.t = self.length = 0.0
+        self.stats = LiftStats(evals=1, jacobians=1, svds=1)  # f(x0), J(x0) and its SVD
+        # the recorded t, q and mu, as C doubles: a long flow keeps 8 bytes a number
+        self.times, self.points, self.mu_values = array("d"), array("d"), array("d")
+        self.status = self.verdict = None
         self.window = None  # (t, q, F) where the current window began
         self.window_dx = None  # how far q moved over the last window
 
-    @staticmethod
-    def grown(H: Array, E: Array) -> Array:
-        """The next step sizes after steps of sizes H and error norms E, uncapped."""
-        return H * np.minimum(5.0, np.maximum(0.2, _step_factors(E)))
-
-    def attempt(self, rows: Array) -> None:
-        """One Dormand-Prince attempt for the flow row: each stage point
-        is a one-row array, and the row leaves (_Attempt.leave) when a stage
-        fails.  A row whose stages all passed is judged under its error
-        test (close)."""
-        KS = np.empty((len(rows), self.q.shape[1], 7))
-        KS[:, :, 0] = self.k1.take(rows, axis=0)
-        a = _Attempt(self, rows, KS=KS)
-        for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
-            a.X = a.Q + a.H * (a.KS[:, :, :i] @ _DP_A[i])
-            if not _all_finite(a.X):
-                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
-            at = self.slopes(a, i)
-            if not a.rows.size:
-                return
-        self.close(a, at, a.H * (a.KS @ _DP_ERR))
-
-    def close(self, a: _Attempt, at: tuple, err: Array) -> None:
-        """Judge the rows of a whose stages all passed (X is q5, at what
-        slopes returned there, err the error vectors): a row whose error
-        norm is over tolerance leaves, the judge takes or rejects the
-        others."""
-        E = _error_norms(self.atol, self.rtol, a.Q, a.X, err)
-        under = E <= 1.0  # a NaN norm is rejected
-        if not _every(under):
-            *at, E = a.leave(under, "error", *at, E, err_norm=E)
-            if not a.rows.size:
-                return
-        self.judge(a, at, E)
-
-    def slopes(self, a: _Attempt, i: int):
-        """Stage i of the flow rows of a: -grad F from one evaluate_stack and
-        one Jacobian stack.  A row leaves on a non-finite value, Jacobian,
-        gradient or energy F.  Sets the slopes KS[:, :, i]; at stage 6 (q5)
-        returns (J, F, grad F)."""
-        (Y,) = a.stack(jac=False)
-        J, Y = a.stack(Y, jac=True)
-        G, F = _descent(J, Y - a.W)
-        # a non-finite gradient of stages 1-5 is left to the next stage
-        # point's check, whose rejection makes the same tally
-        if not ((i < 6 or _all_finite(G)) and _all_finite(F)):
-            good = np.isfinite(G).all(axis=1) & (F < math.inf)
-            G, F, J = a.leave(good, "nonfinite", G, F, J)
-        a.KS[:, :, i] = -G
-        return (J, F, G) if i == 6 else None
-
-    def judge(self, a: _Attempt, at: tuple, E: Array) -> None:
-        """Judge the one flow row of a, which passed the error test (at
-        holds J, F and grad F at q5, E the error norm): rejected when it
-        raises F, else mu from one singular-value stack, the step taken and
-        the window it may close judged (finish)."""
-        J, F, G = at
-        F7 = float(F[0])
-        if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
-            a.leave(np.zeros(1, dtype=bool), "error", err_norm=E)
-            return
-        mu = _svd(J, compute_uv=False)[:, -1]
-        a.svds += 1
-        rows, H = a.rows, a.H[:, 0]
-        self.accept(a, rows, a.X, a.KS[:, :, 6], mu, self.step_end(rows, H), H, _row_norms(a.X - a.Q))
-        self.finish(F7, float(_row_norms(G)[0]), float(self.grown(H, E)[0]))
+    def record(self) -> None:
+        self.times.append(self.t)
+        self.points.extend(self.q[0].tolist())
+        self.mu_values.append(self.mu)
 
     def start(self) -> None:
         """f(x0), J(x0), mu and the slope there; a non-finite gradient or
         energy F at x0 raises NonFinite."""
-        R = (evaluate(self.model, self.x0) - self.w[0])[None]
+        self.q = self.x0[None]
+        R = evaluate(self.model, self.x0)[None] - self.y
         J = np.array([jacobian(self.model, self.x0)])  # C order, as in a stack
         G, F = _descent(J, R)
         if not (np.isfinite(G).all() and F[0] < math.inf):
             raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient or energy at x0")
-        self.k1[0], self.F, self.gn = -G[0], float(F[0]), _norm(G[0])
-        self.mu[0] = _svd(J, compute_uv=False)[0, -1]
-        self.record_start()
+        self.k1, self.F, self.gn = -G, float(F[0]), _norm(G[0])
+        self.mu = float(_svd(J, compute_uv=False)[0, -1])
+        self.record()
+        # the gradient norm below which a plateau may be PS
         self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
             self.conclude("converged", LiftStatus.complete(0.0))
-        self.h0 = self.h[0] = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
+        self.h0 = self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
 
-    def finish(self, F7: float, gn7: float, grown: float) -> None:
-        """After the step to q5 with energy F7 and gradient norm gn7: stop
+    def run(self) -> None:
+        """Make attempts until the flow stops; it stops StepFailure once it
+        has taken max_steps steps."""
+        while self.status is None:
+            if self.stats.accepted >= self.opts.max_steps:
+                self.status = LiftStatus.step_failure(self.t)
+            else:
+                self.attempt()
+
+    def attempt(self) -> None:
+        """One Dormand-Prince attempt of step h from q: each stage takes one
+        evaluate_stack and one Jacobian stack at its one-row point, and a
+        non-finite stage point, value, Jacobian, energy F or (at q5, the
+        stage 6 point) gradient rejects the attempt (nonfinite).  Then the
+        error test, the energy test (F must not rise) and one singular-value
+        stack at q5 for the step taken (take)."""
+        Q, h = self.q, self.h
+        KS = np.empty((1, Q.shape[1], 7))
+        KS[:, :, 0] = self.k1
+        for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
+            X = Q + h * (KS[:, :, :i] @ _DP_A[i])
+            if not _all_finite(X):
+                return self.reject("nonfinite", i - 1, i - 1)
+            Y, good = evaluate_stack(self.model, X)
+            if not good[0]:
+                return self.reject("nonfinite", i, i - 1)
+            J, good = jacobian_stack(self.model, X)
+            if not good[0]:
+                return self.reject("nonfinite", i, i)
+            G, F = _descent(J, Y - self.y)
+            # a non-finite gradient of stages 1-5 is left to the next stage
+            # point's check, whose rejection makes the same tally
+            if not (F[0] < math.inf and (i < 6 or _all_finite(G))):
+                return self.reject("nonfinite", i, i)
+            KS[:, :, i] = -G
+        err = h * (KS @ _DP_ERR)
+        scale = self.atol + self.rtol * np.maximum(np.abs(Q), np.abs(X))
+        E = math.sqrt(float(np.add.reduce((err / scale) ** 2, axis=-1)[0]) / err.shape[-1])  # RMS
+        if not E <= 1.0:  # a NaN norm is rejected
+            # the step factor 0.9 E^-0.2 in [0.1, 0.5], by Python's float power
+            shrink = max(0.1, min(0.5, 0.9 * E ** -0.2)) if E < math.inf else 0.5
+            return self.reject("error", 6, 6, shrink)
+        F7 = float(F[0])
+        if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
+            return self.reject("error", 6, 6)
+        # E <= 1, so the step factor is at least 0.9 and at most 5
+        grown = h * (min(5.0, 0.9 * E ** -0.2) if E else 5.0)
+        mu = float(_svd(J, compute_uv=False)[0, -1])
+        self.take(X, KS[:, :, 6], mu, F7, float(_row_norms(G)[0]), grown)
+
+    def reject(self, cause: str, evals: int, jacobians: int, shrink: float = 0.5) -> None:
+        """Reject the attempt (cause "error" or "nonfinite"), which made
+        evals evaluations and jacobians Jacobians, and shrink the step;
+        the flow stops StepFailure when its step collapses."""
+        stats = self.stats
+        stats.evals += evals
+        stats.jacobians += jacobians
+        if cause == "error":
+            stats.rejected_error += 1
+        else:
+            stats.rejected_nonfinite += 1
+        self.h *= shrink
+        if self.h < _H_MIN * max(1.0, self.t):
+            self.status = LiftStatus.step_failure(self.t)
+
+    def take(self, q5: Array, k1: Array, mu: float, F7: float, gn7: float, grown: float) -> None:
+        """Take the step of size h to q5, where the slope is k1, the
+        indicator mu, the energy F7 and the gradient norm gn7: count it and
+        its work (six stages and the SVD), record it when due, then stop
         outside the escape ball, judge the window the step may close, else
         size the next step from grown (the grown step)."""
-        self.F, self.gn = F7, gn7
-        t, q5 = float(self.t[0]), self.q[0].copy()
+        stats, h = self.stats, self.h
+        stats.accepted += 1
+        stats.evals += 6
+        stats.jacobians += 6
+        stats.svds += 1
+        stats.h_min = min(stats.h_min, h)
+        self.length += float(_row_norms(q5 - self.q)[0])
+        self.t += h
+        self.q, self.k1, self.mu, self.F, self.gn = q5, k1, mu, F7, gn7
+        if stats.accepted % self.opts.record_stride == 0:
+            self.record()
+        t, q5 = self.t, q5[0]
         dist = _norm(q5 - self.x0)
         if self.opts.r_escape is not None and dist > self.opts.r_escape:
-            self.stop(0, LiftStatus.escaped(t, dist))
-            self.conclude("diverged")
+            self.conclude("diverged", LiftStatus.escaped(t, dist))
             return
         if self.window is None:
             self.window = (t, q5, F7)
@@ -895,25 +863,31 @@ class _FlowLanes(_Lanes):
                 return
             self.window_dx = dx
             self.window = (t, q5, F7)
-        self.h[0] = min(grown, 10.0 * max(t, self.h0), _H_MAX)
+        self.h = min(grown, 10.0 * max(t, self.h0), _H_MAX)
 
     def conclude(self, kind: str, status: Optional[LiftStatus] = None) -> None:
         """Give the verdict at the current level and, with a status, stop."""
         self.verdict = FlowVerdict(kind, level=self.F, grad_norm=self.gn)
         if status is not None:
-            self.stop(0, status)
+            self.status = status
 
     def outcome(self):
-        ((trajectory, stats),) = self.results()
-        if self.verdict is None:  # stopped by the step budget or a step collapse
+        """(LiftOutcome, FlowVerdict); a flow stopped by the step budget or
+        a step collapse is judged by its last F and |grad F|."""
+        if self.times[-1] != self.t:  # the last step was not due
+            self.record()
+        if self.verdict is None:
             if np.sqrt(2.0 * self.F) <= self.res_tol:
                 self.conclude("converged")
             elif self.gn <= self.ps_grad_tol:
                 self.conclude("ps_candidate")
             else:
                 self.conclude("diverged")
+        points = np.array(self.points).reshape(len(self.times), self.x0.size)
+        trajectory = LiftTrajectory(times=np.array(self.times), points=points,
+                                    mu_values=np.array(self.mu_values), length=self.length)
         residual = float(np.sqrt(2.0 * self.F))
-        return LiftOutcome(trajectory, self.status[0], residual, 0.0, stats), self.verdict
+        return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
 
 
 def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
@@ -940,15 +914,16 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
 
     Every line lift runs here, by Euler-Newton continuation.  f(x0), J(x0)
     and its SVD are computed once and counted in every lane.  The rows run
-    in lockstep as one (K, n) state under one step controller, one row as
-    many, in the attempt loop (run) that gradient_flow runs in too: every
-    lane's t, step size, point, slope and rejections are rows of arrays,
-    and a lane leaves the batch when it stops; every attempt makes one Euler
-    predictor, then every corrector round one evaluate_stack, one Jacobian
-    stack and one SVD over the lanes still in it, and takes the lanes that
-    meet the tolerances (LiftOptions) at once.  Every accepted point lies
-    within complete_tol of its line, so max_drift, the largest residual of
-    an accepted point, is within it too.  Square and wide (m <= n) maps
+    in lockstep as one (K, n) state under one step controller (_LineLanes),
+    one row as many: every lane's t, step size, point, slope and
+    rejections are rows of arrays, and a lane leaves the batch when it
+    stops; every attempt makes one Euler predictor, then every corrector
+    round one evaluate_stack, one Jacobian stack and one SVD over the lanes
+    still in it, and takes the lanes that meet the tolerances (LiftOptions)
+    at once.  Every accepted point lies within complete_tol of its line, so
+    max_drift, the largest residual of an accepted point, and
+    target_residual, that of the last one, are within it too (0 for a lane
+    that took no step).  Square and wide (m <= n) maps
     are both served, as by lift_line_square and lift_line_horizontal.
     Returns one LiftOutcome per row of W: the outcome the one-row call of
     that row returns.
@@ -980,11 +955,12 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     residual is at root scale; ps_candidate when F stalls (relative to its
     level c above root scale) while the gradient is small (relative to its
     start) and the iterates keep drifting; diverged when the flow leaves the
-    escape ball.
+    escape ball.  The flow is one Dormand-Prince lane (_Flow) with scalar
+    step control.
     """
     opts = opts or LiftOptions()
     x0v = _vector(x0, model.n, "gradient_flow: x0")
-    flow = _FlowLanes(model, x0v, _vector(y, model.m, "gradient_flow: y"), opts)
+    flow = _Flow(model, x0v, _vector(y, model.m, "gradient_flow: y"), opts)
     flow.start()
     flow.run()
     return flow.outcome()

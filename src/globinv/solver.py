@@ -336,10 +336,13 @@ def fibre_enumerate(
     vertices = [_vector(v, model.m, f"fibre_enumerate: loop[{i}]", finite=True) for i, v in enumerate(loop)]
     if not vertices:
         raise OutOfRange("fibre_enumerate: empty loop")
-    if float(np.linalg.norm(vertices[0] - yv)) > 1e-12:
-        vertices = [yv] + vertices
-    if float(np.linalg.norm(vertices[-1] - vertices[0])) > 1e-12:
-        vertices = vertices + [vertices[0]]
+    # The segments' targets: the vertices after y, then y itself, so that
+    # each traversal's last polish lands on y (a vertex within 1e-12 of y at
+    # either end of the loop is y).
+    targets = vertices[1:] if float(np.linalg.norm(vertices[0] - yv)) <= 1e-12 else vertices
+    if targets and float(np.linalg.norm(targets[-1] - yv)) <= 1e-12:
+        targets = targets[:-1]
+    targets = targets + [yv]
 
     start = default_point(model) if x_seed is None else np.asarray(x_seed, dtype=float)
     start, res0 = _newton_polish(model, start, yv)
@@ -354,7 +357,7 @@ def fibre_enumerate(
     while len(points) < max_points:
         loop_start = x_cur
         aborted = False
-        for a, b in zip(vertices, vertices[1:]):
+        for b in targets:
             w = b - evaluate(model, x_cur)
             out = lift_line_square(model, x_cur, w, lift_opts)
             if not out.status.is_complete:
@@ -365,11 +368,8 @@ def fibre_enumerate(
                 aborted = True
                 break
             first_segment = False
-            x_cur, _ = _newton_polish(model, out.trajectory.points[-1], b)
-        if aborted:
-            break
-        x_cur, res = _newton_polish(model, x_cur, yv)
-        if res > SOLVE_TOL:
+            x_cur, res = _newton_polish(model, out.trajectory.points[-1], b)
+        if aborted or res > SOLVE_TOL:
             break
         shifts.append(x_cur - loop_start)
         thr = _dedup_threshold(points + [x_cur])

@@ -766,7 +766,7 @@ def test_stacked_judge_matches_one_lane_judges():
     outcomes = stacked.outcomes()
     for k, (got, lane) in enumerate(zip(outcomes, alone)):
         _assert_same_outcome(got, lane.outcomes()[0], k)
-    for name in ("t", "h", "mu", "k1", "accepted", "rejected", "work", "running", "length", "h_min", "f",
+    for name in ("t", "h", "mu", "k1", "accepted", "rejected", "work", "running", "length", "h_min", "residual",
                  "max_drift"):
         want = np.concatenate([getattr(lane, name) for lane in alone])
         assert np.array_equal(getattr(stacked, name), want), name

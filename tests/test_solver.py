@@ -378,6 +378,25 @@ def test_fibre_loop_complex_exp():
     assert d["monodromy_shifts"][0] == pytest.approx([0.0, 2.0 * np.pi], abs=1e-6)
 
 
+def test_fibre_loop_polishes_once_per_segment(monkeypatch):
+    """A traversal polishes once per segment, the last one onto y itself,
+    and the base point is polished once: no traversal polishes onto y a
+    second time."""
+    calls = []
+    polish = solver._newton_polish
+
+    def counted(model, x, y):
+        calls.append(np.array(y))
+        return polish(model, x, y)
+
+    monkeypatch.setattr(solver, "_newton_polish", counted)
+    diamond = [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]  # and back to y: four segments
+    rep = fibre_enumerate(registry_get("complex_exp"), [1.0, 0.0], loop=diamond, max_points=6)
+    assert len(rep.points) == 6 and len(rep.monodromy_shifts) == 5
+    assert len(calls) == 1 + 5 * 4
+    assert all(np.array_equal(y, [1.0, 0.0]) for y in calls[::4])  # the base, then each traversal's end
+
+
 def test_fibre_loop_trivial_monodromy():
     m = registry_get("identity_2")
     rep = fibre_enumerate(m, [0.5, 0.5], loop=[[2.0, 0.0], [0.0, 2.0]], max_points=4)

@@ -31,7 +31,10 @@ times, points and mu values, the length, the residual and the flow
 verdict of each lift, and the eta values of each profile.  Where they
 differ it names the fields, as in "DIFFER: stats.svds".
 CPU time still varies with the cache and the clock of a shared machine:
-compare medians over many rounds.
+on a shared 2-core host an A/A run (one tree on both sides, 20 rounds)
+read wide 1.038 [0.948, 1.219], so the ratios cannot resolve a change of a
+few percent.  A change gates on the --calls rows below and on the
+"identical" column, not on the ratios.
 
 --calls adds a count that does not vary: each workload runs once more on
 each side (after one untimed run), with a sys.setprofile hook that counts

@@ -9,7 +9,9 @@ the line lifts and the gradient flows apart, with the CPU time spent in
 the jobs and their exit codes.  The counts are
 deterministic: two runs of one tree print the same numbers, so two trees
 compare by their work, not by a timing.  SRC is a directory holding a
-globinv package (default: this checkout's src/).
+globinv package (default: this checkout's src/).  The counts are read off
+the outcomes of lifting's two lift classes (_LineLanes.outcomes and
+_Flow.outcome, wrapped here), so SRC must have them.
 """
 
 from __future__ import annotations
@@ -38,17 +40,25 @@ def main(argv=None) -> int:
     from globinv import cli, lifting
 
     totals = {"lines": collections.Counter(), "flows": collections.Counter()}
-    results = lifting._Lanes.results
 
-    def counted(self):
-        out = results(self)
-        kind = "flows" if isinstance(self, lifting._FlowLanes) else "lines"
-        totals[kind]["lanes"] += len(out)
-        for _, stats in out:
-            totals[kind].update({k: v for k, v in vars(stats).items() if k != "h_min"})
+    def count(kind, outcomes):
+        totals[kind]["lanes"] += len(outcomes)
+        for outcome in outcomes:
+            totals[kind].update({k: v for k, v in vars(outcome.stats).items() if k != "h_min"})
+
+    lines, flow = lifting._LineLanes.outcomes, lifting._Flow.outcome
+
+    def lines_counted(self):
+        out = lines(self)
+        count("lines", out)
         return out
 
-    lifting._Lanes.results = counted
+    def flow_counted(self):
+        out = flow(self)
+        count("flows", out[:1])
+        return out
+
+    lifting._LineLanes.outcomes, lifting._Flow.outcome = lines_counted, flow_counted
     codes, cpu = collections.Counter(), 0.0
     cycles = workloads.cycles(args.workload, args.seed)
     with tempfile.TemporaryDirectory() as out:
