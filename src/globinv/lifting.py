@@ -7,22 +7,32 @@ along the curve whose slope is
     q' = J(q)^{-1} w                     (square Jacobian)
     q' = J(q)^T (J(q) J(q)^T)^{-1} w     (wide Jacobian, minimum-norm route)
 
-The curve is an implicit one, so a line lift follows it by Euler-Newton
-continuation (Allgower & Georg, Numerical Continuation Methods, 1990,
-ch. 2 and 6; Deuflhard, Newton Methods for Nonlinear Problems, 2004,
-ch. 5): a tangent predictor q + h q', then at most _ROUNDS minimum-norm
-Newton corrections back onto the line's point.  A point is taken only when
+The curve is an implicit one, so a line lift follows it by
+predictor-corrector continuation (Allgower & Georg, Numerical
+Continuation Methods, 1990, ch. 2 and 6; Deuflhard, Newton Methods for
+Nonlinear Problems, 2004, ch. 5): a predictor, then at most _ROUNDS
+minimum-norm Newton corrections back onto the line's point.  On a square
+map the predictor is the cubic Hermite extrapolation through the lane's
+last two points and their slopes, whose error is O(h^4); the first step,
+and every step on a wide map, takes the Euler (tangent) predictor
+q + h q', whose error is O(h^2).  A point is taken only when
 its residual is within complete_tol and its next Newton correction within
 x_tol, so every recorded point of a line lift lies on its line to that
 tolerance; on a wide map, where the points over a line form a fibre and
 not a curve, the lift follows the minimum-norm route to first order in the
-step.  The slope, the Newton step and the local invertibility
+step, which is why a wide map keeps the Euler predictor: its points do
+not lie on one smooth curve for a cubic to extrapolate.  The slope, the
+Newton step and the local invertibility
 indicator mu (the least singular value, used for singularity detection)
 all come out of one SVD of J per corrector round.  Every SVD is maps._svd:
 for a 1x1 stack whose every |J| lies in [1e-100, 1e100] the closed form
 s = |J|, U = sign(J), Vt = 1, which LAPACK returns there bit for bit, and
-LAPACK for any other stack.  A decay-rate step guard makes the lift slow
-down near singular loci instead of jumping across them.  The gradient flow
+LAPACK for any other stack.  The step size aims the last corrector
+round's correction at a share of its tolerance (so it grows as the 8th
+root of that ratio after Euler and the 16th after Hermite), and the
+mu-decay guard makes the lift slow down near singular loci instead of
+jumping across them: mu, extrapolated at the rate it fell over the last
+step, may at most halve over the next.  The gradient flow
 x' = -grad F_y is an ODE without a curve to return to, so it integrates
 with an embedded Dormand-Prince 4(5) pair.
 
@@ -36,7 +46,8 @@ makes attempts (attempt) until it has stopped, and the outcome is read off
 it; no method below the constructor takes the model.
 
 _LineLanes holds the K lanes of a lift_lines call under one step
-controller: each lane's t, step size, point, slope, mu, steps and
+controller: each lane's t, step size, point, slope, last step taken (its
+point, slope and size, for the Hermite predictor), mu, steps and
 rejections, running flag, length, h_min, largest and last residual are
 rows of arrays, so rejection (which halves the step), step collapse,
 taking a step, the next step size and the stops are array operations over
@@ -209,18 +220,19 @@ class LiftStats:
 
     accepted: accepted steps.  rejected_error, rejected_singular,
     rejected_nonfinite: rejected attempts by cause (for a line lift the
-    corrector: a first correction longer than the distance guard, a
-    correction that does not contract, or no point within tolerance after
-    the last round; for the gradient flow the error estimate or the energy
-    test; an indicator below the floor; a non-finite point, derivative,
-    slope or value).  evals: model evaluations made by the lift itself, not
-    those inside a finite-difference Jacobian.  jacobians: Jacobian
-    evaluations.  svds: SVDs taken, a closed-form 1x1 one (maps._svd)
-    included.  A line lift takes f, J and its SVD at x0 and at every
-    corrector point whose f is finite; a flow takes one SVD at x0 and one
-    per step taken, at q5 once the error and energy tests passed.  h_min:
-    the smallest
-    accepted step size, inf when no step was accepted.  The counters are
+    corrector: a first correction, the predictor's error, longer than the
+    distance guard, a correction that does not contract, or no point
+    within tolerance after the last round; for the gradient flow the error
+    estimate or the energy test; an indicator below the floor, which a
+    line lift's mu-decay guard makes the steps approach rather than cross;
+    a non-finite point, derivative, slope or value).  evals: model
+    evaluations made by the lift itself, not those inside a
+    finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
+    SVDs taken, a closed-form 1x1 one (maps._svd) included.  A line lift
+    takes f, J and its SVD at x0 and at every corrector point whose f is
+    finite; a flow takes one SVD at x0 and one per step taken, at q5 once
+    the error and energy tests passed.  h_min: the smallest accepted step
+    size, inf when no step was accepted.  The counters are
     deterministic; each lane of a lift_lines call counts the shared work at
     x0 as its own, so it counts exactly what the one-row call of its target
     counts.
@@ -403,7 +415,11 @@ class _LineLanes:
     The work (evals, Jacobians, SVDs) of every attempt, rejected or taken,
     is added up per lane (work; that of a step taken when it is folded).
 
-    run makes attempts (attempt: one Euler predictor and up to _ROUNDS
+    Each lane also keeps the point, slope and size of its last step taken
+    (qp, kp, hp; hp 0 before the first), from which a square map's
+    predictor extrapolates (predict).
+
+    run makes attempts (attempt: one predictor and up to _ROUNDS
     Newton corrector rounds over the rows in lockstep) of the rows
     begin_attempt returns until every lane has stopped.  Each take's steps
     wait as one block in pending, until _RECORD_RUN blocks or the outcomes
@@ -422,6 +438,9 @@ class _LineLanes:
         self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
         self.h_scale = np.ones(K)  # a step below _H_MIN max(h_scale, t) has collapsed
         self.q, self.k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n))
+        # the point, slope and size of each lane's last step taken (hp 0: none yet)
+        self.qp, self.kp, self.hp = np.zeros((K, model.n)), np.zeros((K, model.n)), np.zeros(K)
+        self.square = model.m == model.n  # the Hermite predictor needs the points on one curve
         self.accepted = np.zeros(K, dtype=np.int64)
         self.rejected = np.zeros((K, 3), dtype=np.int64)
         self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
@@ -518,10 +537,11 @@ class _LineLanes:
     def attempt(self, rows: Array) -> None:
         """One predictor-corrector attempt for rows, toward the points
         y = f(x0) + T w of their lines at T = step_end(t + h).  The
-        predictor is X = q + h k1.  Each corrector round takes f, J and its
-        SVD at X over the rows left, as stacks (_Attempt.round: a row leaves
-        on a non-finite f or J and on mu below the floor); a row also leaves
-        on a non-finite X.  The minimum-norm Newton step there is
+        predictor X is predict's: cubic Hermite on a square map after a
+        step taken, else Euler's q + h k1.  Each corrector round takes f,
+        J and its SVD at X over the rows left, as stacks (_Attempt.round: a
+        row leaves on a non-finite f or J and on mu below the floor); a row
+        also leaves on a non-finite X.  The minimum-norm Newton step there is
         -J^+ (f(X) - y).  A row whose residual |f(X) - y| is within
         complete_tol and whose Newton step is within
         x_tol = 10 rel_tol max(|X|, 1) + 100 abs_tol takes its step to X
@@ -534,10 +554,11 @@ class _LineLanes:
         H, opts = self.h.take(rows), self.opts
         T = self.step_end(rows, H)
         K1 = self.k1.take(rows, axis=0)
+        hermite = (self.hp.take(rows) > 0.0) & self.square
         # D: the longest Newton step allowed next; C0: the first one's length
         a = _Attempt(self, rows, H=H, T=T, Y=self.f0 + T[:, None] * self.w.take(rows, axis=0),
-                     D=_GUARD * H * _row_norms(K1), C0=np.empty(len(rows)))
-        a.X = a.Q + H[:, None] * K1
+                     D=_GUARD * H * _row_norms(K1), C0=np.empty(len(rows)), hermite=hermite)
+        a.X = self.predict(a, K1)
         for r in range(_ROUNDS):
             if not _all_finite(a.X):
                 a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
@@ -578,6 +599,25 @@ class _LineLanes:
             a.X = a.X + dX
             a.D = _CONTRACTION * size
 
+    def predict(self, a: _Attempt, K1: Array) -> Array:
+        """The predictor point at t + H of each row of a, which starts at Q
+        with slope K1: the Euler point Q + H K1 for a row without a step
+        taken or on a wide map, else the cubic Hermite extrapolation
+        through (t - hp, qp, kp) and (t, Q, K1).  With s = H / hp, V = hp K1,
+        VP = hp kp and dq = Q - qp, that cubic at t + H is
+        Q + s (V + s ((2 V - 3 dq + VP) + s (V - 2 dq + VP))); its terms are
+        displacements of the size of the last step, so a slope near the
+        float limit does not overflow them.  Each row's value is its own."""
+        X = a.Q + a.H[:, None] * K1
+        h = a.hermite
+        if not np.count_nonzero(h):
+            return X
+        rows, hp = a.rows[h], self.hp.take(a.rows[h])[:, None]
+        V, VP = hp * K1[h], hp * self.kp.take(rows, axis=0)
+        dq, s = a.Q[h] - self.qp.take(rows, axis=0), a.H[h][:, None] / hp
+        X[h] = a.Q[h] + s * (V + s * ((2.0 * V - 3.0 * dq + VP) + s * (V - 2.0 * dq + VP)))
+        return X
+
     def take(self, a: _Attempt, done: Array, r: int, K1: Array, mu: Array, res: Array, e: Array,
              x_tol: Array) -> None:
         """The rows of a that are done in corrector round r take their steps
@@ -589,7 +629,8 @@ class _LineLanes:
         edge or outside the escape ball."""
         rows, X, H, T = a.rows[done], a.X[done], a.H[done], a.T[done]
         chords, dists = _row_norms(np.concatenate([X - a.Q[done], X - self.x0])).reshape(2, -1)
-        h_next = self.next_step(H, T, r, a.C0[done], e, x_tol, self.mu.take(rows), mu)
+        h_next = self.next_step(H, T, r, a.C0[done], e, x_tol, self.mu.take(rows), mu, a.hermite[done])
+        self.qp[rows], self.kp[rows], self.hp[rows] = a.Q[done], self.k1.take(rows, axis=0), H
         self.q[rows], self.k1[rows], self.t[rows], self.mu[rows], self.h[rows] = X, K1, T, mu, h_next
         self.last_singular_mu[rows] = math.nan
         self.running[rows] = T < 1.0 - 1e-15
@@ -609,26 +650,33 @@ class _LineLanes:
             self.stop(k, LiftStatus.singular(t, self.mu[k]) if edge[j] else LiftStatus.escaped(t, dists[j]))
 
     def next_step(self, H: Array, T: Array, r: int, e0: Array, e: Array, x_tol: Array, mu_prev: Array,
-                  mu_new: Array) -> Array:
+                  mu_new: Array, hermite: Array) -> Array:
         """The steps after steps of sizes H to times T, taken in corrector
         round r, whose first Newton correction was e0 long and whose
-        correction at the point taken e.  The last round's correction is
-        about c^7 e0^8, so it scales as h^8: it is e for r = 2 and e^3 / e0^2
-        for r = 1 (Newton's e_{k+1} = c e_k^2), and a step taken by the
-        predictor (r = 0) tells nothing of c.  The step is scaled so that
-        this correction would be _AIM x_tol, at most _GROW times; then cut
-        to a tenth of the distance to mu = 0 at the rate mu fell (the
-        mu-decay guard) and cut to end at t = 1.  The eighth root is three
-        square roots, each rounded exactly, so no lane's step depends on
-        the other rows."""
+        correction at the point taken e; hermite marks the steps the cubic
+        Hermite predictor made (the others Euler's).  Newton's
+        e_{k+1} = c e_k^2 makes the last round's correction c^3 e0^4: it is
+        e for r = 2 and e^3 / e0^2 for r = 1, and a step taken by the
+        predictor (r = 0) tells nothing of c.  e0, the predictor's error,
+        scales as h^2 after Euler and h^4 after Hermite, so that correction
+        scales as h^8 or h^16.  The step is scaled so that it would be
+        _AIM x_tol: by the 8th or 16th root of _AIM x_tol over it, at most
+        _GROW times.  Then the mu-decay guard: mu, extrapolated at the rate
+        it fell over this step, may fall by at most half over the next one,
+        so a step is at most 0.5 H mu_new / (mu_prev - mu_new).  Last the
+        step is cut to end at t = 1.  The roots are three or four square
+        roots, each rounded exactly, so no lane's step depends on the other
+        rows."""
         if r == 0:
             h_next = _GROW * H
         else:
             last = np.maximum(e if r == 2 else e * e * e / (e0 * e0), 1e-300)
-            h_next = H * np.fmin(_GROW, np.sqrt(np.sqrt(np.sqrt(_AIM * x_tol / last))))
+            root = np.sqrt(np.sqrt(np.sqrt(_AIM * x_tol / last)))
+            np.sqrt(root, out=root, where=hermite)
+            h_next = H * np.fmin(_GROW, root)
         fell = mu_new < mu_prev
         if np.count_nonzero(fell):
-            guard = 0.1 * H * mu_new / np.maximum(mu_prev - mu_new, 1e-300)
+            guard = 0.5 * H * mu_new / np.maximum(mu_prev - mu_new, 1e-300)
             np.minimum(h_next, guard, out=h_next, where=fell)
         return np.minimum(h_next, 1.0 - T)
 
@@ -894,7 +942,7 @@ def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None)
     """Lift the line f(x0) + t w, t in [0, 1], through a square Jacobian."""
     if model.n != model.m:
         raise DimensionMismatch(f"lift_line_square: map {model.name!r} is {model.m}x{model.n}, need square")
-    return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
+    return lift_lines(model, x0, [_vector(w, model.m, "lift: w", finite=True)], opts)[0]
 
 
 def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
@@ -905,7 +953,7 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     takes is on the line to complete_tol."""
     if model.m > model.n:
         raise DimensionMismatch(f"lift_line_horizontal: map {model.name!r} is {model.m}x{model.n}, need m <= n")
-    return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
+    return lift_lines(model, x0, [_vector(w, model.m, "lift: w", finite=True)], opts)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite points are rejected
@@ -917,8 +965,9 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     in lockstep as one (K, n) state under one step controller (_LineLanes),
     one row as many: every lane's t, step size, point, slope and
     rejections are rows of arrays, and a lane leaves the batch when it
-    stops; every attempt makes one Euler predictor, then every corrector
-    round one evaluate_stack, one Jacobian stack and one SVD over the lanes
+    stops; every attempt makes one predictor (cubic Hermite through a
+    square lane's last two points, else Euler's tangent), then every
+    corrector round one evaluate_stack, one Jacobian stack and one SVD over the lanes
     still in it, and takes the lanes that meet the tolerances (LiftOptions)
     at once.  Every accepted point lies within complete_tol of its line, so
     max_drift, the largest residual of an accepted point, and
@@ -937,6 +986,9 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     Wv = np.asarray(W, dtype=float)
     if Wv.ndim != 2 or Wv.shape[1] != model.m:
         raise DimensionMismatch(f"lift_lines: W shape {Wv.shape}, expected (K, {model.m})")
+    if not _all_finite(Wv):
+        k = int(np.flatnonzero(~np.isfinite(Wv).all(axis=1))[0])
+        raise OutOfRange(f"lift_lines: w (row {k} of W) must be finite, got {Wv[k]!r}")
     if not len(Wv):
         return []
     lanes = _LineLanes(model, x0v, Wv, opts)

@@ -10,8 +10,11 @@ the jobs and their exit codes.  The counts are
 deterministic: two runs of one tree print the same numbers, so two trees
 compare by their work, not by a timing.  SRC is a directory holding a
 globinv package (default: this checkout's src/).  The counts are read off
-the outcomes of lifting's two lift classes (_LineLanes.outcomes and
-_Flow.outcome, wrapped here), so SRC must have them.
+the outcomes of the public lift entry points lift_lines and gradient_flow,
+wrapped here in globinv.lifting and in every globinv module that imported
+them by name; lift_line_square and lift_line_horizontal reach
+lifting.lift_lines, so no lift is counted twice.  Any tree with those two
+entry points can be counted.
 """
 
 from __future__ import annotations
@@ -46,19 +49,24 @@ def main(argv=None) -> int:
         for outcome in outcomes:
             totals[kind].update({k: v for k, v in vars(outcome.stats).items() if k != "h_min"})
 
-    lines, flow = lifting._LineLanes.outcomes, lifting._Flow.outcome
+    lines, flow = lifting.lift_lines, lifting.gradient_flow
 
-    def lines_counted(self):
-        out = lines(self)
+    def lines_counted(*args, **kwargs):
+        out = lines(*args, **kwargs)
         count("lines", out)
         return out
 
-    def flow_counted(self):
-        out = flow(self)
+    def flow_counted(*args, **kwargs):
+        out = flow(*args, **kwargs)
         count("flows", out[:1])
         return out
 
-    lifting._LineLanes.outcomes, lifting._Flow.outcome = lines_counted, flow_counted
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("globinv"):
+            if getattr(module, "lift_lines", None) is lines:
+                module.lift_lines = lines_counted
+            if getattr(module, "gradient_flow", None) is flow:
+                module.gradient_flow = flow_counted
     codes, cpu = collections.Counter(), 0.0
     cycles = workloads.cycles(args.workload, args.seed)
     with tempfile.TemporaryDirectory() as out:
