@@ -408,10 +408,11 @@ class _LineLanes:
     its slope k1, mu at q, the mu of the last singular rejection since a
     step was taken (last_singular_mu, NaN for none), the rejections by
     cause (one column per cause in _CAUSES), whether the lane still runs
-    and the scale of its steps (h_scale: a step below _H_MIN max(h_scale,
-    t) has collapsed).  A lane runs until it stops with a LiftStatus
-    (status[k]) or reaches t = 1, and every running lane is in every
-    attempt, so a running lane has taken attempts - its rejections steps.
+    and the scale of its steps (h_scale: a step at or below _H_MIN
+    max(h_scale, t) has collapsed, so every step taken advances t).  A lane
+    runs until it stops with a LiftStatus (status[k]) or reaches t = 1,
+    and every running lane is in every attempt, so a running lane has
+    taken attempts - its rejections steps.
     The work (evals, Jacobians, SVDs) of every attempt, rejected or taken,
     is added up per lane (work; that of a step taken when it is folded).
 
@@ -427,8 +428,8 @@ class _LineLanes:
     steps taken (accepted), the chord length, the least step (h_min), the
     largest residual of a point taken (max_drift) and the residual of the
     last one (residual); and into one block of the record, which holds each
-    lane's base point and every record_stride-th step after it, unless its
-    time is the last one kept (kept_t)."""
+    lane's base point and every record_stride-th step after it; kept_t is
+    the time of the last point kept."""
 
     def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
         K = len(W)
@@ -436,7 +437,7 @@ class _LineLanes:
         self.t, self.h, self.mu, self.length = np.zeros(K), np.zeros(K), np.zeros(K), np.zeros(K)
         self.residual, self.max_drift = np.zeros(K), np.zeros(K)
         self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
-        self.h_scale = np.ones(K)  # a step below _H_MIN max(h_scale, t) has collapsed
+        self.h_scale = np.ones(K)  # a step at or below _H_MIN max(h_scale, t) has collapsed
         self.q, self.k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n))
         # the point, slope and size of each lane's last step taken (hp 0: none yet)
         self.qp, self.kp, self.hp = np.zeros((K, model.n)), np.zeros((K, model.n)), np.zeros(K)
@@ -522,7 +523,7 @@ class _LineLanes:
         if mu is not None:
             self.last_singular_mu[rows] = mu
         self.h[rows] *= 0.5
-        for k in rows[self.h[rows] < _H_MIN * np.maximum(self.h_scale[rows], self.t[rows])].tolist():
+        for k in rows[self.h[rows] <= _H_MIN * np.maximum(self.h_scale[rows], self.t[rows])].tolist():
             t, mu_k = self.t[k], self.last_singular_mu[k]
             self.stop(k, LiftStatus.step_failure(t) if math.isnan(mu_k) else LiftStatus.singular(t, mu_k))
 
@@ -708,16 +709,9 @@ class _LineLanes:
             rows, T, X, mu = rows[due], T[due], X[due], mu[due]
             if not rows.size:
                 return
-        # The last time kept is that of the lane's previous due step (or
-        # kept_t before the first), so times that do not advance are dropped.
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = rows[1:] != rows[:-1]
-        before = np.concatenate([T[:1], T[:-1]])
-        before[new] = self.kept_t[rows[new]]
-        ends = np.flatnonzero(np.append(new[1:], True))
+        ends = np.flatnonzero(np.append(rows[1:] != rows[:-1], True))  # each lane's last due step
         self.kept_t[rows[ends]] = T[ends]
-        kept = T != before
-        self.records.append((rows[kept], T[kept], X[kept], mu[kept]))
+        self.records.append((rows, T, X, mu))
 
     def outcomes(self) -> list:
         """The LiftOutcome of every lane: its trajectory (the base point
@@ -942,7 +936,7 @@ def lift_line_square(model: MapModel, x0, w, opts: Optional[LiftOptions] = None)
     """Lift the line f(x0) + t w, t in [0, 1], through a square Jacobian."""
     if model.n != model.m:
         raise DimensionMismatch(f"lift_line_square: map {model.name!r} is {model.m}x{model.n}, need square")
-    return lift_lines(model, x0, [_vector(w, model.m, "lift: w", finite=True)], opts)[0]
+    return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
 def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = None) -> LiftOutcome:
@@ -953,7 +947,7 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     takes is on the line to complete_tol."""
     if model.m > model.n:
         raise DimensionMismatch(f"lift_line_horizontal: map {model.name!r} is {model.m}x{model.n}, need m <= n")
-    return lift_lines(model, x0, [_vector(w, model.m, "lift: w", finite=True)], opts)[0]
+    return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite points are rejected

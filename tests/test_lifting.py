@@ -403,6 +403,18 @@ def test_non_finite_value_rejects_the_step(entry):
     assert out.stats.evals == 1 + out.stats.accepted + out.stats.rejected_nonfinite
 
 
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_step_halved_to_zero_stops_step_failure(entry):
+    """From x0 = 1, the end of the finite part, every step toward w = 1e308
+    lands in the NaN and is halved, down to 0 (the first step is already
+    subnormal): the lift stops StepFailure at t = 0 without taking a step,
+    where it took a step of length 0 and read Singular."""
+    out = ENTRY_POINTS[entry](_nan_beyond_one(), [1.0], [1e308])
+    assert out.status == LiftStatus.step_failure(0.0)
+    assert out.stats.accepted == 0 and out.stats.rejected_nonfinite > 0
+    assert out.trajectory.times.tolist() == [0.0]
+
+
 def test_gradient_flow_rejects_a_non_finite_target():
     m = linear_map([[1.0], [2.0]])
     with pytest.raises(NonFinite):
@@ -722,11 +734,13 @@ def test_every_point_of_a_complete_lift_meets_its_tolerance():
 
 
 def test_lift_lines_cover_every_terminal_status():
-    kinds = {
-        out.status.kind
-        for _, model, x0, targets, opts in LOCKSTEP_CASES
-        for out in lift_lines(model, x0, targets, opts)
-    }
+    """The LOCKSTEP_CASES lanes end in every terminal status, and every
+    lane's recorded times strictly increase: every step taken advances t."""
+    kinds = set()
+    for label, model, x0, targets, opts in LOCKSTEP_CASES:
+        for k, out in enumerate(lift_lines(model, x0, targets, opts)):
+            kinds.add(out.status.kind)
+            assert np.all(np.diff(out.trajectory.times) > 0.0), (label, k)
     assert kinds == {"Complete", "Singular", "Escaped", "StepFailure"}
 
 

@@ -1,20 +1,28 @@
-"""Summed lift work of a benchmark workload's first cycles.
+"""Summed lift work and an output digest of a benchmark workload's first cycles.
 
     python tools/lift_work.py [--src SRC] [--workload chain] [--seed 7] [--cycles 3]
 
 Runs the jobs of the first N cycles of a workload, as bench/workloads.py
-draws them for the seed, through globinv.cli.run_job in this process, and
-prints the number of lanes and the LiftStats fields summed over them, for
-the line lifts and the gradient flows apart, with the CPU time spent in
-the jobs and their exit codes.  The counts are
-deterministic: two runs of one tree print the same numbers, so two trees
-compare by their work, not by a timing.  SRC is a directory holding a
-globinv package (default: this checkout's src/).  The counts are read off
-the outcomes of the public lift entry points lift_lines and gradient_flow,
-wrapped here in globinv.lifting and in every globinv module that imported
-them by name; lift_line_square and lift_line_horizontal reach
-lifting.lift_lines, so no lift is counted twice.  Any tree with those two
-entry points can be counted.
+draws them for the seed, through globinv.cli.run_job in this process, each
+job into its own output directory.  It prints the jobs' exit codes and CPU
+time, then for the line lifts and the gradient flows apart: the number of
+lanes, the LiftStats fields summed over them, and the Python call and
+c_call events (a sys.setprofile count) made inside the lift entry points,
+in all and per attempt (accepted and rejected steps) and per lane.  Last
+comes one sha256 over every job's outputs: each report.json without its
+timestamp and job.output_dir, each other file as raw bytes.
+
+All but the CPU time is deterministic, so two trees compare by running
+this with --src on each and diffing the output, apart from the first
+line's CPU time.  SRC is a directory holding a globinv package (default:
+this checkout's src/).  The counts are read off the public lift entry
+points lift_lines and gradient_flow, wrapped here in globinv.lifting and
+in every globinv module that imported them by name; lift_line_square and
+lift_line_horizontal reach lifting.lift_lines, so no lift is counted
+twice.  Any tree with those two entry points can be counted.  The event
+count sees Python frames and builtin C functions, not a ufunc called
+directly (np.add), and depends on the Python and numpy versions: compare
+two trees in one environment only.
 """
 
 from __future__ import annotations
@@ -22,13 +30,51 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import hashlib
 import io
+import json
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+STATS = ("accepted", "rejected_error", "rejected_singular", "rejected_nonfinite", "evals", "jacobians", "svds")
+
+
+def profiled(fn, *args, **kwargs) -> tuple:
+    """fn's result and the call and c_call events sys.setprofile reports while it runs."""
+    events = 0
+
+    def hook(frame, event, arg):
+        nonlocal events
+        if event == "call" or event == "c_call":
+            events += 1
+
+    sys.setprofile(hook)
+    try:
+        out = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return out, events
+
+
+def digest_outputs(job_dirs: list) -> str:
+    """The sha256 over every file of the job directories, in order: each
+    file's name, then its bytes, or for report.json its JSON less the
+    timestamp and job.output_dir, the parts of a rerun that may differ."""
+    sha = hashlib.sha256()
+    for job_dir in job_dirs:
+        for path in sorted(job_dir.iterdir()) if job_dir.exists() else ():
+            data = path.read_bytes()
+            if path.name == "report.json":
+                report = json.loads(data)
+                del report["timestamp"]
+                report["job"].pop("output_dir", None)
+                data = json.dumps(report, sort_keys=True).encode()
+            sha.update(f"{job_dir.name}/{path.name} {len(data)}\n".encode())
+            sha.update(data)
+    return sha.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -44,44 +90,48 @@ def main(argv=None) -> int:
 
     totals = {"lines": collections.Counter(), "flows": collections.Counter()}
 
-    def count(kind, outcomes):
-        totals[kind]["lanes"] += len(outcomes)
-        for outcome in outcomes:
-            totals[kind].update({k: v for k, v in vars(outcome.stats).items() if k != "h_min"})
+    def counted(kind, fn, outcomes):
+        def run(*args, **kwargs):
+            out, events = profiled(fn, *args, **kwargs)
+            totals[kind]["events"] += events
+            for outcome in outcomes(out):
+                totals[kind]["lanes"] += 1
+                totals[kind].update({name: getattr(outcome.stats, name) for name in STATS})
+            return out
+        return run
 
     lines, flow = lifting.lift_lines, lifting.gradient_flow
-
-    def lines_counted(*args, **kwargs):
-        out = lines(*args, **kwargs)
-        count("lines", out)
-        return out
-
-    def flow_counted(*args, **kwargs):
-        out = flow(*args, **kwargs)
-        count("flows", out[:1])
-        return out
-
+    wrapped = {lines: counted("lines", lines, lambda out: out),
+               flow: counted("flows", flow, lambda out: out[:1])}
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("globinv"):
-            if getattr(module, "lift_lines", None) is lines:
-                module.lift_lines = lines_counted
-            if getattr(module, "gradient_flow", None) is flow:
-                module.gradient_flow = flow_counted
-    codes, cpu = collections.Counter(), 0.0
+            for name in ("lift_lines", "gradient_flow"):
+                if getattr(module, name, None) in wrapped:
+                    setattr(module, name, wrapped[getattr(module, name)])
+    codes, cpu, job_dirs = collections.Counter(), 0.0, []
     cycles = workloads.cycles(args.workload, args.seed)
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as tmp:
         for _ in range(args.cycles):
             for job in next(cycles):
+                job_dirs.append(Path(tmp) / f"{len(job_dirs):05d}")
                 with contextlib.redirect_stderr(io.StringIO()):
                     t0 = time.process_time()
-                    codes[cli.run_job(job.spec, out_override=out)] += 1
+                    codes[cli.run_job(job.spec, out_override=job_dirs[-1])] += 1
                     cpu += time.process_time() - t0
+        digest = digest_outputs(job_dirs)
     print(f"{args.workload} seed {args.seed}, {args.cycles} cycles: "
           f"exit codes {dict(sorted(codes.items()))}, {cpu:.2f} s CPU")
     print(f"{'':18s} {'lines':>9s} {'flows':>9s}")
-    for name in ("lanes", "accepted", "rejected_error", "rejected_singular", "rejected_nonfinite",
-                 "evals", "jacobians", "svds"):
+    for name in ("lanes", *STATS, "events"):
         print(f"{name:18s} {totals['lines'][name]:9d} {totals['flows'][name]:9d}")
+
+    def ratio(kind, per):
+        n = sum(totals[kind][name] for name in per)
+        return f"{totals[kind]['events'] / n:9.1f}" if n else f"{'-':>9s}"
+
+    for label, per in (("events/attempt", STATS[:4]), ("events/lane", ("lanes",))):
+        print(f"{label:18s} {ratio('lines', per)} {ratio('flows', per)}")
+    print(f"digest {digest}")
     return 0
 
 
