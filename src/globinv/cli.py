@@ -7,7 +7,10 @@ A job names a registered map and one of six commands (indicators, certify,
 solve, star, fibre, diagnose) with command-specific parameters.  Each run
 writes report.json (schema version "1") plus CSV plot data into the output
 directory.  Reruns with the same seed are byte-identical apart from the
-timestamp field.
+timestamp field.  report.json is laid out as json.dumps(report,
+sort_keys=True, indent=2) lays it out, byte for byte; the profile arrays are
+formatted once and written to it and to the profile CSVs from the same
+strings.
 
 Exit codes: 0 success, 2 invalid job, 3 the job failed while running
 (report.json names the error), 4 unknown map.  report.json is strict JSON:
@@ -23,6 +26,7 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -314,14 +318,25 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
     }
 
 
-def _profile_csvs(profile, out_dir: Path) -> None:
-    _write_csv(out_dir / "eta_profile.csv", "rho,eta", [profile.radii, profile.eta_values])
+class _Cells(list):
+    """Floats already formatted by float.__repr__: a CSV column as it is,
+    and in report.json a JSON array of those numbers."""
+
+
+def _cells(values) -> _Cells:
+    return _Cells(map(float.__repr__, values))
+
+
+def _profile_csvs(profile, out_dir: Path, radii: _Cells, eta: _Cells) -> None:
+    """Write eta_profile.csv and rho_curve.csv from the profile's radii and
+    eta cells, the strings its report holds."""
+    _write_csv(out_dir / "eta_profile.csv", "rho,eta", [radii, eta])
     # rho at every grid radius in one pass: the right-endpoint cells summed
     # in order.  The last row is rho_of_r(r_max) itself, so it matches the
     # reported rho to the bit; the cumulative sum agrees with it to rounding.
     rho = np.cumsum(profile.eta_values[1:] * np.diff(profile.radii))
     rho[-1] = rho_of_r(profile, profile.r_max)
-    _write_csv(out_dir / "rho_curve.csv", "r,rho", [profile.radii[1:], rho])
+    _write_csv(out_dir / "rho_curve.csv", "r,rho", [radii[1:], _cells(rho.tolist())])
 
 
 def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
@@ -383,8 +398,12 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
             )
             result = report.to_json_dict()
             result["profile"] = profile.to_json_dict()
+        # each profile array is formatted once, for the report and the CSVs
+        profile_json = result["profile"]
+        radii = profile_json["radii"] = _cells(profile_json["radii"])
+        eta = profile_json["eta_values"] = _cells(profile_json["eta_values"])
         # after the command: a job that fails (exit 3) leaves no profile CSVs
-        _profile_csvs(profile, out_dir)
+        _profile_csvs(profile, out_dir, radii, eta)
         return result, ok
 
     if command == "solve":
@@ -432,6 +451,86 @@ def _emit_error(exc: Exception, code: int) -> int:
     return code
 
 
+_NOT_FINITE = frozenset(("nan", "inf", "-inf"))
+_OUT_OF_RANGE = "Out of range float values are not JSON compliant: "
+
+
+def _float_json(v: float) -> str:
+    """v as strict JSON writes it: a NaN or an infinity raises ValueError
+    instead of being written as a bare NaN or Infinity token."""
+    text = float.__repr__(v)
+    if text in _NOT_FINITE:
+        raise ValueError(_OUT_OF_RANGE + repr(v))
+    return text
+
+
+def _key_json(key) -> str:
+    """A dict key as json converts it to a JSON string."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _float_json(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_chunks(v, out: list, indent: str = "\n") -> None:
+    """Append to out the text of v as json.dumps(v, sort_keys=True,
+    indent=2, allow_nan=False) writes it, with indent the newline and
+    indentation of v's own line.  A _Cells array is one join of its cells."""
+    if isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_float_json(v))
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(v.items()):
+            out.append(sep + _key_json(key) + ": ")
+            _json_chunks(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if isinstance(v, _Cells):
+            if not _NOT_FINITE.isdisjoint(v):
+                raise ValueError(_OUT_OF_RANGE + next(c for c in v if c in _NOT_FINITE))
+            out.append("[" + inner)
+            out.append(("," + inner).join(v))
+        else:
+            sep = "[" + inner
+            for item in v:
+                out.append(sep)
+                _json_chunks(item, out, inner)
+                sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
 def _write_report(out_dir: Path, job: dict, result: dict) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -439,10 +538,13 @@ def _write_report(out_dir: Path, job: dict, result: dict) -> None:
         "job": job,
         "result": result,
     }
-    # strict JSON: a NaN or an infinity raises ValueError instead of being
-    # written as a bare NaN or Infinity token
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    (out_dir / "report.json").write_text(text)
+    chunks = []
+    _json_chunks(report, chunks)
+    chunks.append("\n")
+    # written chunk by chunk: joining them would copy a large profile's text
+    # once more, and the peak memory of a large-grid job would grow by it
+    with open(out_dir / "report.json", "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(chunks)
 
 
 def run_job(raw, out_override=None) -> int:

@@ -136,9 +136,9 @@ class MuProfile:
 
     def to_json_dict(self) -> dict:
         return {
-            "base_point": [float(v) for v in self.base_point],
-            "radii": [float(v) for v in self.radii],
-            "eta_values": [float(v) for v in self.eta_values],
+            "base_point": self.base_point.tolist(),
+            "radii": self.radii.tolist(),
+            "eta_values": self.eta_values.tolist(),
             "certified": bool(self.certified),
             "indicator_kind": self.indicator_kind,
             "seed": None if self.seed is None else int(self.seed),

@@ -276,12 +276,16 @@ class FlowVerdict:
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write the header and one row per entry of the columns: a numeric
-    column's cells as repr of Python floats, a str column's as they are."""
+    """Write the header and one row per entry of the columns.  A list is a
+    column of cells already formatted and is written as it is; of any other
+    column, numeric cells are written as repr of Python floats and str
+    cells as they are."""
     cells = []
-    for col in map(np.asarray, columns):
-        text = col.dtype.kind == "U"
-        cells.append(col.tolist() if text else list(map(repr, col.astype(float).tolist())))
+    for col in columns:
+        if not isinstance(col, list):
+            col = np.asarray(col)
+            col = col.tolist() if col.dtype.kind == "U" else list(map(repr, col.astype(float).tolist()))
+        cells.append(col)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from globinv import cli, solver
 from globinv.cli import main, run_job
@@ -566,6 +568,149 @@ def test_certify_rerun_is_reproducible(tmp_path):
         runs.append((report, {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}))
     assert runs[0][0]["result"]["verification"]["inside"] == 64
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# report layout: the report writer against json.dumps, and the report
+# against the profile CSVs
+
+
+def _dumps(v) -> str:
+    return json.dumps(v, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _json_text(v) -> str:
+    """v as the report writer writes it."""
+    chunks = []
+    cli._json_chunks(v, chunks)
+    return "".join(chunks)
+
+
+def _outcome(write, v):
+    """write(v), or the type and message of the error it raises."""
+    try:
+        return write(v)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-7, 1e16]),
+)
+_INTS = st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([2**63, -(2**63) - 1, 10**30]))
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["", "\x00\x1f\x7f", '\t"\\\n\r\b\f', "é€", "😀 "]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+_KEYS = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=3),  # mixed key types: sorting may raise
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_JSON_VALUES)
+def test_report_writer_is_json_dumps(v):
+    """The report writer renders any JSON value, and fails on any value, as
+    json.dumps(v, sort_keys=True, indent=2, allow_nan=False) does."""
+    assert _outcome(_json_text, v) == _outcome(_dumps, v)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.lists(_FLOATS, max_size=6), _JSON_VALUES)
+def test_report_writer_joins_formatted_cells(values, other):
+    """Cells formatted once render as the list of their floats does."""
+    cells = cli._Cells(map(float.__repr__, values))
+    got = _outcome(_json_text, {"a": other, "cells": [cells]})
+    assert got == _outcome(_dumps, {"a": other, "cells": [values]})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+@pytest.mark.parametrize(
+    "place",
+    [lambda b: b, lambda b: [1.0, {"a": b}], lambda b: {b: 1}, lambda b: ({"a": [1.0, b, np.nan]},)],
+    ids=["top", "nested", "key", "first-of-two"],
+)
+def test_report_writer_rejects_non_finite(bad, place):
+    with pytest.raises(ValueError) as want:
+        _dumps(place(bad))
+    with pytest.raises(ValueError) as got:
+        _json_text(place(bad))
+    assert str(got.value) == str(want.value)
+
+
+def test_report_writer_rejects_non_finite_cells():
+    for bad in (np.nan, np.inf, -np.inf):
+        values = [1.0, float(bad), np.nan]
+        with pytest.raises(ValueError) as want:
+            _dumps({"cells": values})
+        with pytest.raises(ValueError) as got:
+            _json_text({"cells": cli._Cells(map(float.__repr__, values))})
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("v", [np.int64(3), [1, {"a": np.int64(3)}], np.array([1.0]), {(1, 2): 0}, {1.0, 2.0}])
+def test_report_writer_rejects_other_types(v):
+    assert _outcome(_json_text, v) == _outcome(_dumps, v)
+    assert _outcome(_json_text, v)[0] is TypeError
+
+
+_LAYOUT_JOBS = [
+    (0, {"map": "arctan1d", "command": "indicators", "x0": [0.0], "r": 3.0, "grid_size": 64}),
+    (0, {"map": "monotone1d", "command": "indicators", "x0": [0.0], "r": 3.0, "grid_size": 32,
+         "mode": "sampled", "sample_count": 8, "seed": 7}),
+    (0, {"map": "identity_2", "command": "certify", "r": 1.0, "grid_size": 64, "verify_targets": 8}),
+    (0, {"map": "arctan1d", "command": "diagnose", "x0": [0.0], "r": 10.0, "grid_size": 64}),
+    (0, {"map": "monotone1d", "command": "solve", "y": [7.0]}),
+    (0, {"map": "complex_exp", "command": "star", "directions": [[1.0, 0.0], [0.0, -1.0]], "t_budget": 5.0}),
+    (0, {"map": "complex_exp", "command": "fibre", "y": [1.0, 0.0],
+         "loop": [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "max_points": 3}),
+    (3, {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [1e160, 2e160]}),
+]
+
+
+def _hex(values) -> list:
+    return [float.hex(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("code, job", _LAYOUT_JOBS, ids=[f"{j['command']}-{j['map']}" for _, j in _LAYOUT_JOBS])
+def test_report_layout_and_profile_csvs(code, job, tmp_path, capsys):
+    """Each report is json.dumps(sort_keys=True, indent=2) of itself, in
+    ASCII with "\\n" line ends, and the profile CSVs hold its numbers bit for
+    bit: the eta profile's columns are the report's radii and eta_values,
+    and the last rho of an indicators job is its rho_at_r."""
+    out = tmp_path / 'out "dir" é'  # free text the report must escape
+    assert run_job(dict(job), out_override=out) == code
+    data = (out / "report.json").read_bytes()
+    text = data.decode("ascii")
+    assert "\r" not in text
+    report = json.loads(text)
+    assert text == _dumps(report) + "\n"
+    assert report["job"]["output_dir"] == str(out)
+    if code == 3:
+        assert report["result"]["error"]["type"] == "NonFinite"
+    profile = report["result"].get("profile")
+    assert (profile is not None) == (job["command"] in ("indicators", "certify", "diagnose"))
+    if profile is None:
+        assert not (out / "eta_profile.csv").exists()
+        return
+    header, *rows = (out / "eta_profile.csv").read_text().splitlines()
+    assert header == "rho,eta"
+    radii, eta = zip(*(map(float, row.split(",")) for row in rows))
+    assert _hex(radii) == _hex(profile["radii"]) and _hex(eta) == _hex(profile["eta_values"])
+    header, *rows = (out / "rho_curve.csv").read_text().splitlines()
+    assert header == "r,rho" and len(rows) == len(radii) - 1
+    last_r, last_rho = map(float, rows[-1].split(","))
+    assert _hex([last_r]) == _hex(radii[-1:])
+    if job["command"] == "indicators":
+        assert _hex([last_rho]) == _hex([report["result"]["rho_at_r"]])
 
 
 # ---------------------------------------------------------------------------

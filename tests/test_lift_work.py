@@ -1,14 +1,18 @@
 """Smoke test of tools/lift_work.py: one seed-7 chain cycle, whose summed
 lift work, call events and output digest two runs must print alike, and
-which it counts at the public lift entry points of any tree."""
+which it counts at the public lift entry points of any tree; and a unit test
+of its output digest."""
 
 import functools
+import importlib.util
 import os
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from globinv.cli import run_job
 
 ROOT = Path(__file__).resolve().parents[1]
 CPU = re.compile(r", [0-9.]+ s CPU$", re.MULTILINE)  # the one timing in the output
@@ -62,3 +66,41 @@ def test_lift_work_counts_a_tree_by_its_public_entry_points(tmp_path):
     lifting = src / "globinv" / "lifting.py"
     lifting.write_text(lifting.read_text().replace("_LineLanes", "_Lanes").replace("_Flow", "_FlowLift"))
     assert _lift_work("--src", str(src)) == _this_tree()
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("lift_work", ROOT / "tools" / "lift_work.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_sees_every_byte_but_the_rerun_values(tmp_path):
+    """The digest hashes the files' own bytes: a whitespace change in
+    report.json changes it; a new timestamp or output directory does not."""
+    digest = _tool().digest_outputs
+    job = {"map": "arctan1d", "command": "indicators", "x0": [0.0], "r": 3.0, "grid_size": 8}
+    job_dir = tmp_path / "a" / "00000"
+    assert run_job(job, out_override=job_dir) == 0
+    report = job_dir / "report.json"
+    text = report.read_text()
+    first = digest([job_dir])
+
+    def edited(old: str, new: str) -> str:
+        assert text.count(old) == 1
+        report.write_text(text.replace(old, new))
+        return digest([job_dir])
+
+    stamp = re.search(r'"timestamp": "[^"]*"', text).group()
+    assert edited(stamp, '"timestamp": "1999-01-01T00:00:00+00:00"') == first
+    out = f'"output_dir": "{job_dir}"'
+    assert edited(out, '"output_dir": "elsewhere \\"quoted\\" \\u00e9"') == first
+    assert edited('"rho_at_r": ', '"rho_at_r":  ') != first
+    assert edited('\n  "job": {', '\n   "job": {') != first
+    assert edited('"schema_version": "1"', '"schema_version": "2"') != first
+    # a rerun into another directory, at another time, digests alike
+    again = tmp_path / "b" / "00000"
+    assert run_job(job, out_override=again) == 0
+    assert digest([again]) == first
+    (again / "eta_profile.csv").write_bytes((again / "eta_profile.csv").read_bytes() + b"\n")
+    assert digest([again]) != first

@@ -9,13 +9,14 @@ time, then for the line lifts and the gradient flows apart: the number of
 lanes, the LiftStats fields summed over them, and the Python call and
 c_call events (a sys.setprofile count) made inside the lift entry points,
 in all and per attempt (accepted and rejected steps) and per lane.  Last
-comes one sha256 over every job's outputs: each report.json without its
-timestamp and job.output_dir, each other file as raw bytes.
+comes one sha256 over the raw bytes of every job's outputs, with only the
+values of report.json's timestamp and job.output_dir blanked.
 
 All but the CPU time is deterministic, so two trees compare by running
 this with --src on each and diffing the output, apart from the first
-line's CPU time.  SRC is a directory holding a globinv package (default:
-this checkout's src/).  The counts are read off the public lift entry
+line's CPU time; an equal digest means byte-identical output files.  SRC
+is a directory holding a globinv package (default: this checkout's
+src/).  The counts are read off the public lift entry
 points lift_lines and gradient_flow, wrapped here in globinv.lifting and
 in every globinv module that imported them by name; lift_line_square and
 lift_line_horizontal reach lifting.lift_lines, so no lift is counted
@@ -59,19 +60,28 @@ def profiled(fn, *args, **kwargs) -> tuple:
     return out, events
 
 
+def blank_rerun_values(report: bytes) -> bytes:
+    """report.json's bytes with the values of timestamp and job.output_dir,
+    the parts of a rerun that may differ, replaced by "".  The report is
+    laid out at indent 2 with sorted keys, so the timestamp is the top-level
+    field and the first output_dir two levels deep is the job's."""
+    fields = json.loads(report)
+    for indent, key, value in ((2, "timestamp", fields["timestamp"]),
+                               (4, "output_dir", fields["job"].get("output_dir"))):
+        field = f'\n{" " * indent}"{key}": '.encode()
+        report = report.replace(field + json.dumps(value).encode(), field + b'""', 1)
+    return report
+
+
 def digest_outputs(job_dirs: list) -> str:
     """The sha256 over every file of the job directories, in order: each
-    file's name, then its bytes, or for report.json its JSON less the
-    timestamp and job.output_dir, the parts of a rerun that may differ."""
+    file's name, then its bytes, report.json's through blank_rerun_values."""
     sha = hashlib.sha256()
     for job_dir in job_dirs:
         for path in sorted(job_dir.iterdir()) if job_dir.exists() else ():
             data = path.read_bytes()
             if path.name == "report.json":
-                report = json.loads(data)
-                del report["timestamp"]
-                report["job"].pop("output_dir", None)
-                data = json.dumps(report, sort_keys=True).encode()
+                data = blank_rerun_values(data)
             sha.update(f"{job_dir.name}/{path.name} {len(data)}\n".encode())
             sha.update(data)
     return sha.hexdigest()
