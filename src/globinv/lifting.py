@@ -33,8 +33,11 @@ root of that ratio after Euler and the 16th after Hermite), and the
 mu-decay guard makes the lift slow down near singular loci instead of
 jumping across them: mu, extrapolated at the rate it fell over the last
 step, may at most halve over the next.  The gradient flow
-x' = -grad F_y is an ODE without a curve to return to, so it integrates
-with an embedded Dormand-Prince 4(5) pair.
+x' = -grad F_y is an ODE without a curve to return to, so it takes
+linearly implicit Euler steps with the Gauss-Newton Hessian J^T J: each is
+a Levenberg-Marquardt step with lambda = 1/h (Levenberg 1944; Marquardt
+1963), stable at any step size, under gain-ratio step control (Madsen,
+Nielsen & Tingleff, Methods for Non-linear Least Squares Problems, 2004).
 
 Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
@@ -64,11 +67,10 @@ it and the arrays aligned with them, one work tally, one corrector round
 (round: the f, J and SVD stacks with the exits of the non-finite and the
 singular rows) and one exit for every row cut.
 
-_Flow is one Dormand-Prince lane with Python scalars for its t, step
-size, F, mu and LiftStats counters, and one-row stacks for its point and
-slope: six stages of -J^T r and F, the error test, F must not rise, one
-singular-value stack at q5 per step taken, and time-doubling windows give
-the verdict.
+_Flow is one Levenberg-Marquardt lane with Python scalars for its t, step
+size, F, mu and LiftStats counters: one f per attempt, the gain test (F
+must fall by a share of the model's predicted fall), J and its SVD at each
+point taken, and time-doubling windows give the verdict.
 """
 
 from __future__ import annotations
@@ -85,26 +87,7 @@ from .maps import MapModel, _svd, _vector, evaluate, evaluate_stack, jacobian, j
 
 Array = np.ndarray
 
-# ---------------------------------------------------------------------------
-# Dormand-Prince 4(5) tableau (FSAL: stage 7 sits at the 5th-order solution)
-
-_DP_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-# 5th-order minus 4th-order weights, applied to all seven stages
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-
-_SAFETY_DIV = 16.0  # the flow's error test runs tighter than the public tolerance
-_H_MIN = 1e-14
-_H_MAX = 1e15
+_H_MIN = 1e-14  # a step size at or below _H_MIN times the lift's scale has collapsed
 
 # Euler-Newton line lifts (Allgower & Georg, Numerical Continuation Methods, ch. 2 and 6)
 _ROUNDS = 3  # corrector rounds per attempt, each one f, J and SVD stack
@@ -113,10 +96,17 @@ _CONTRACTION = 0.5  # each later correction may be at most this share of the one
 _AIM = 0.03  # the last round's correction the step size aims at, as a share of its tolerance
 _GROW = 5.0  # the largest growth of the step size from one step to the next
 
+# the gradient flow's Levenberg-Marquardt steps (Madsen, Nielsen & Tingleff, 2004)
+_GAIN = 0.25  # the least share of the predicted fall of F that takes a step
+_STEP = 4.0  # the step size grows this many times on a step taken, shrinks on a rejection
+_H_MAX = 1e15  # the largest step size: lambda = 1/h stays at least 1e-15
+_ROUNDING = 64 * 2.0 ** -52  # the rounding scale of F, relative to |r| (|r| + |y|)
+
 # gradient-flow verdict constants
 _PS_STALL_TOL = 2e-5  # F stall per time-doubling window, relative to F
 _PS_GRAD_TOL = 1e-3  # gradient norm, relative to min(1, |grad F(x0)|)
-_STAB_TOL = 1e-7
+_STAB_TOL = 1e-7  # the drift over a window at a critical point, relative to 1 + |q|
+_CRIT_TOL = 1e-9  # |grad F| at a critical point, relative to |J| |r|
 
 
 @dataclass(frozen=True)
@@ -126,8 +116,10 @@ class LiftOptions:
     For a line lift, rel_tol and abs_tol set the tolerances every accepted
     point meets: its residual |f(q) - f(x0) - t w| is at most
     complete_tol = 10 rel_tol max(|w|, 1) + 100 abs_tol, and its next
-    Newton correction at most 10 rel_tol max(|q|, 1) + 100 abs_tol.  The
-    gradient flow's Dormand-Prince error test runs at a sixteenth of them.
+    Newton correction at most 10 rel_tol max(|q|, 1) + 100 abs_tol.  For
+    the gradient flow toward y they set the root scale of the residual,
+    10 rel_tol max(|y|, 1) + 100 abs_tol, and abs_tol the gradient at a
+    critical point where J vanishes.
     mu_floor is the least singular value below which a point is rejected
     as singular; r_escape the distance from x0 at which a lift stops
     Escaped (None: never); max_steps the steps a lift may take; and
@@ -222,16 +214,16 @@ class LiftStats:
     rejected_nonfinite: rejected attempts by cause (for a line lift the
     corrector: a first correction, the predictor's error, longer than the
     distance guard, a correction that does not contract, or no point
-    within tolerance after the last round; for the gradient flow the error
-    estimate or the energy test; an indicator below the floor, which a
+    within tolerance after the last round; for the gradient flow the gain
+    test; an indicator below the floor, which a
     line lift's mu-decay guard makes the steps approach rather than cross;
     a non-finite point, derivative, slope or value).  evals: model
     evaluations made by the lift itself, not those inside a
     finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
     SVDs taken, a closed-form 1x1 one (maps._svd) included.  A line lift
     takes f, J and its SVD at x0 and at every corrector point whose f is
-    finite; a flow takes one SVD at x0 and one per step taken, at q5 once
-    the error and energy tests passed.  h_min: the smallest accepted step
+    finite; a flow takes them at x0, f at every finite trial point, and J
+    and its SVD where the gain test passed.  h_min: the smallest accepted step
     size, inf when no step was accepted.  The counters are
     deterministic; each lane of a lift_lines call counts the shared work at
     x0 as its own, so it counts exactly what the one-row call of its target
@@ -261,7 +253,9 @@ class LiftOutcome:
 class FlowVerdict:
     """converged (root or critical point), ps_candidate (residual energy
     plateaus at `level` while the gradient vanishes and the iterates keep
-    moving), or diverged."""
+    moving), diverged (the flow left the escape ball), or undecided (the
+    step budget or a step collapse stopped the flow with neither root,
+    critical-point nor PS evidence)."""
 
     kind: str
     level: Optional[float] = None
@@ -744,62 +738,60 @@ class _LineLanes:
         return out
 
 
-def _descent(J: Array, R: Array) -> tuple:
-    """For a stack of Jacobians J and residuals r = f - y: grad F = J^T r
-    and F = |r|^2 / 2, each row the one-row value."""
-    G = np.matmul(J.transpose(0, 2, 1), R[:, :, None])[:, :, 0]
-    F = 0.5 * np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
-    return G, F
-
-
 class _Flow:
-    """The residual gradient flow x' = -grad F_y, integrated by
-    Dormand-Prince 4(5) from t = 0.  t, the step size h, F and |grad F| at
-    q, mu and the LiftStats counters (stats) are Python scalars; the point
-    q, its slope k1 and y are one-row stacks, as evaluate_stack,
-    jacobian_stack, _descent and _svd take them.  A step must not raise F,
+    """The residual gradient flow x' = -grad F_y from t = 0, by linearly
+    implicit Euler steps, t the sum of their sizes.  t, the step size h, F,
+    |r|, |grad F| and mu at q and the LiftStats counters (stats) are Python
+    scalars.  A step taken grows h _STEP times, a rejection shrinks it so,
     and every time-doubling window ends in a verdict or goes on.  The flow
     runs until a verdict, the escape stop, a step collapse or the step
     budget; its trajectory keeps the base point and every record_stride-th
     step after it, then the final point."""
 
     def __init__(self, model: MapModel, x0v: Array, yv: Array, opts: LiftOptions):
-        self.model, self.x0, self.y, self.opts = model, x0v, yv[None], opts
-        self.rtol = opts.rel_tol / _SAFETY_DIV
-        self.atol = opts.abs_tol / _SAFETY_DIV
+        self.model, self.x0, self.y, self.opts = model, x0v, yv, opts
         self.grad_tol = opts.abs_tol
         # residual scale below which a plateau is a root, not a PS level
-        self.res_tol = 10.0 * opts.rel_tol * max(_norm(yv), 1.0) + 100.0 * opts.abs_tol
+        self.norm_y = _norm(yv)
+        self.res_tol = 10.0 * opts.rel_tol * max(self.norm_y, 1.0) + 100.0 * opts.abs_tol
         self.t = self.length = 0.0
         self.stats = LiftStats(evals=1, jacobians=1, svds=1)  # f(x0), J(x0) and its SVD
         # the recorded t, q and mu, as C doubles: a long flow keeps 8 bytes a number
         self.times, self.points, self.mu_values = array("d"), array("d"), array("d")
         self.status = self.verdict = None
-        self.window = None  # (t, q, F) where the current window began
+        self.window = None  # (t, q, F, Gauss-Newton point) where the current window began
         self.window_dx = None  # how far q moved over the last window
 
     def record(self) -> None:
         self.times.append(self.t)
-        self.points.extend(self.q[0].tolist())
+        self.points.extend(self.q.tolist())
         self.mu_values.append(self.mu)
 
+    def at(self, q: Array, r: Array, F: float, J: Array) -> None:
+        """Make q, with residual r, energy F and Jacobian J, the current
+        point: the SVD of J, c = U^T r, |r|, |grad F| = |diag(s) c|, mu, and
+        whether q is critical: |grad F| within _CRIT_TOL |J| |r|, r
+        orthogonal to the range of J to that share."""
+        self.q, self.F = q, F
+        U, self.s, self.Vt = _svd(J)
+        self.c = U.T @ r
+        self.rn, self.gn, self.mu = _norm(r), _norm(self.s * self.c), float(self.s[-1])
+        self.critical = self.gn <= _CRIT_TOL * float(self.s[0]) * self.rn
+
     def start(self) -> None:
-        """f(x0), J(x0), mu and the slope there; a non-finite gradient or
-        energy F at x0 raises NonFinite."""
-        self.q = self.x0[None]
-        R = evaluate(self.model, self.x0)[None] - self.y
-        J = np.array([jacobian(self.model, self.x0)])  # C order, as in a stack
-        G, F = _descent(J, R)
-        if not (np.isfinite(G).all() and F[0] < math.inf):
+        """f(x0), J(x0) and its SVD; a non-finite gradient or energy F at x0
+        raises NonFinite."""
+        r = evaluate(self.model, self.x0) - self.y
+        F = 0.5 * float(r @ r)
+        self.at(self.x0, r, F, jacobian(self.model, self.x0))
+        if not (F < math.inf and self.gn < math.inf):
             raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient or energy at x0")
-        self.k1, self.F, self.gn = -G, float(F[0]), _norm(G[0])
-        self.mu = float(_svd(J, compute_uv=False)[0, -1])
         self.record()
         # the gradient norm below which a plateau may be PS
         self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
             self.conclude("converged", LiftStatus.complete(0.0))
-        self.h0 = self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
+        self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
 
     def run(self) -> None:
         """Make attempts until the flow stops; it stops StepFailure once it
@@ -811,105 +803,104 @@ class _Flow:
                 self.attempt()
 
     def attempt(self) -> None:
-        """One Dormand-Prince attempt of step h from q: each stage takes one
-        evaluate_stack and one Jacobian stack at its one-row point, and a
-        non-finite stage point, value, Jacobian, energy F or (at q5, the
-        stage 6 point) gradient rejects the attempt (nonfinite).  Then the
-        error test, the energy test (F must not rise) and one singular-value
-        stack at q5 for the step taken (take)."""
-        Q, h = self.q, self.h
-        KS = np.empty((1, Q.shape[1], 7))
-        KS[:, :, 0] = self.k1
-        for i in range(1, 7):  # stage 6 sits at the 5th-order point q5
-            X = Q + h * (KS[:, :, :i] @ _DP_A[i])
-            if not _all_finite(X):
-                return self.reject("nonfinite", i - 1, i - 1)
-            Y, good = evaluate_stack(self.model, X)
-            if not good[0]:
-                return self.reject("nonfinite", i, i - 1)
-            J, good = jacobian_stack(self.model, X)
-            if not good[0]:
-                return self.reject("nonfinite", i, i)
-            G, F = _descent(J, Y - self.y)
-            # a non-finite gradient of stages 1-5 is left to the next stage
-            # point's check, whose rejection makes the same tally
-            if not (F[0] < math.inf and (i < 6 or _all_finite(G))):
-                return self.reject("nonfinite", i, i)
-            KS[:, :, i] = -G
-        err = h * (KS @ _DP_ERR)
-        scale = self.atol + self.rtol * np.maximum(np.abs(Q), np.abs(X))
-        E = math.sqrt(float(np.add.reduce((err / scale) ** 2, axis=-1)[0]) / err.shape[-1])  # RMS
-        if not E <= 1.0:  # a NaN norm is rejected
-            # the step factor 0.9 E^-0.2 in [0.1, 0.5], by Python's float power
-            shrink = max(0.1, min(0.5, 0.9 * E ** -0.2)) if E < math.inf else 0.5
-            return self.reject("error", 6, 6, shrink)
-        F7 = float(F[0])
-        if not F7 <= self.F + 1e-12 * (1.0 + abs(self.F)):
-            return self.reject("error", 6, 6)
-        # E <= 1, so the step factor is at least 0.9 and at most 5
-        grown = h * (min(5.0, 0.9 * E ** -0.2) if E else 5.0)
-        mu = float(_svd(J, compute_uv=False)[0, -1])
-        self.take(X, KS[:, :, 6], mu, F7, float(_row_norms(G)[0]), grown)
+        """One Levenberg-Marquardt step of size h from q, to
+        X = q - V diag(s / (s^2 + 1/h)) c, with f there (one evaluate_stack)
+        and, for a step taken, J and its SVD there (take).  A non-finite X,
+        f, F or J rejects the attempt (nonfinite), and so does the gain test
+        (error): F must fall by at least _GAIN of the fall of the model
+        |r + J dx|^2 / 2, sum(c^2 b (2 - b)) / 2 with b = s^2 / (s^2 + 1/h),
+        less F's rounding scale _ROUNDING |r| (|r| + |y|)."""
+        s, c = self.s, self.c
+        z = s / (s * s + 1.0 / self.h)
+        X = self.q - self.Vt.T @ (z * c)
+        if not _all_finite(X):
+            return self.reject("nonfinite")
+        self.stats.evals += 1
+        R, good = evaluate_stack(self.model, X[None])
+        if not good[0]:
+            return self.reject("nonfinite")
+        r = R[0] - self.y
+        F = 0.5 * float(r @ r)
+        if not F < math.inf:
+            return self.reject("nonfinite")
+        b = s * z
+        predicted = 0.5 * float(np.sum(c * c * b * (2.0 - b)))
+        rounding = _ROUNDING * self.rn * (self.rn + self.norm_y)
+        if not self.F - F + rounding >= _GAIN * predicted:  # a NaN is rejected
+            return self.reject("error")
+        self.stats.jacobians += 1
+        J, good = jacobian_stack(self.model, X[None])
+        if not good[0]:
+            return self.reject("nonfinite")
+        self.stats.svds += 1
+        self.take(X, r, F, J[0])
 
-    def reject(self, cause: str, evals: int, jacobians: int, shrink: float = 0.5) -> None:
-        """Reject the attempt (cause "error" or "nonfinite"), which made
-        evals evaluations and jacobians Jacobians, and shrink the step;
-        the flow stops StepFailure when its step collapses."""
-        stats = self.stats
-        stats.evals += evals
-        stats.jacobians += jacobians
+    def reject(self, cause: str) -> None:
+        """Reject the attempt (cause "error" or "nonfinite") and shrink the
+        step; the flow stops StepFailure when its step collapses."""
         if cause == "error":
-            stats.rejected_error += 1
+            self.stats.rejected_error += 1
         else:
-            stats.rejected_nonfinite += 1
-        self.h *= shrink
+            self.stats.rejected_nonfinite += 1
+        self.h /= _STEP
         if self.h < _H_MIN * max(1.0, self.t):
             self.status = LiftStatus.step_failure(self.t)
 
-    def take(self, q5: Array, k1: Array, mu: float, F7: float, gn7: float, grown: float) -> None:
-        """Take the step of size h to q5, where the slope is k1, the
-        indicator mu, the energy F7 and the gradient norm gn7: count it and
-        its work (six stages and the SVD), record it when due, then stop
-        outside the escape ball, judge the window the step may close, else
-        size the next step from grown (the grown step)."""
+    def take(self, X: Array, r: Array, F: float, J: Array) -> None:
+        """Take the step of size h to X, with residual r, energy F and
+        Jacobian J: count it, record it when due, judge the window the step
+        may close, then stop outside the escape ball, else grow the step."""
         stats, h = self.stats, self.h
         stats.accepted += 1
-        stats.evals += 6
-        stats.jacobians += 6
-        stats.svds += 1
         stats.h_min = min(stats.h_min, h)
-        self.length += float(_row_norms(q5 - self.q)[0])
+        self.length += _norm(X - self.q)
         self.t += h
-        self.q, self.k1, self.mu, self.F, self.gn = q5, k1, mu, F7, gn7
+        self.at(X, r, F, J)
         if stats.accepted % self.opts.record_stride == 0:
             self.record()
-        t, q5 = self.t, q5[0]
-        dist = _norm(q5 - self.x0)
-        if self.opts.r_escape is not None and dist > self.opts.r_escape:
-            self.conclude("diverged", LiftStatus.escaped(t, dist))
-            return
         if self.window is None:
-            self.window = (t, q5, F7)
-        elif t >= 2.0 * self.window[0]:
-            _, q_w, F_w = self.window
-            dx = _norm(q5 - q_w)
-            stabilized = dx <= _STAB_TOL * (1.0 + _norm(q5))
-            near_root = np.sqrt(2.0 * F7) <= self.res_tol
-            if (gn7 <= self.grad_tol or near_root) and (stabilized or near_root):
-                self.conclude("converged", LiftStatus.complete(t))
-                return
-            if (
-                F_w - F7 <= _PS_STALL_TOL * F7
-                and gn7 <= self.ps_grad_tol
-                and not near_root
-                and self.window_dx is not None
-                and dx > 0.5 * self.window_dx
-            ):
-                self.conclude("ps_candidate", LiftStatus.escaped(t, dist))
-                return
-            self.window_dx = dx
-            self.window = (t, q5, F7)
-        self.h = min(grown, 10.0 * max(t, self.h0), _H_MAX)
+            self.window = (self.t, X, F, self.gauss_newton_point())
+        elif self.t >= 2.0 * self.window[0] and self.judge():
+            return
+        dist = _norm(X - self.x0)
+        if self.opts.r_escape is not None and dist > self.opts.r_escape:
+            self.conclude("diverged", LiftStatus.escaped(self.t, dist))
+            return
+        self.h = min(_STEP * h, _H_MAX)
+
+    def judge(self) -> bool:
+        """Judge the window that ends at q; True when it gave a verdict.
+        converged: a root (|r| within res_tol), or a critical point (|grad F|
+        within abs_tol or within _CRIT_TOL |J| |r|) that q stayed at over
+        the window; ps_candidate: F stalled above root scale while the
+        gradient is small, q moved at least half as far as over the window
+        before and the Gauss-Newton point at least half as far as q, so the
+        flow is not closing in on a minimiser its linear model sees."""
+        _, q_w, F_w, z_w = self.window
+        t, q, z = self.t, self.q, self.gauss_newton_point()
+        dx = _norm(q - q_w)
+        near_root = self.rn <= self.res_tol
+        critical = self.gn <= self.grad_tol or self.critical
+        if near_root or (critical and dx <= _STAB_TOL * (1.0 + _norm(q))):
+            self.conclude("converged", LiftStatus.complete(t))
+            return True
+        if (
+            F_w - self.F <= _PS_STALL_TOL * self.F
+            and self.gn <= self.ps_grad_tol
+            and self.window_dx is not None
+            and dx > 0.5 * self.window_dx
+            and _norm(z - z_w) > 0.5 * dx
+        ):
+            self.conclude("ps_candidate", LiftStatus.escaped(t, _norm(q - self.x0)))
+            return True
+        self.window_dx = dx
+        self.window = (t, q, self.F, z)
+        return False
+
+    def gauss_newton_point(self) -> Array:
+        """q - J^+ r, where the linear model of f at q has its least |r|."""
+        s, c = self.s, self.c
+        return self.q - self.Vt.T @ np.divide(c, s, out=np.zeros_like(c), where=s > 0.0)
 
     def conclude(self, kind: str, status: Optional[LiftStatus] = None) -> None:
         """Give the verdict at the current level and, with a status, stop."""
@@ -919,16 +910,18 @@ class _Flow:
 
     def outcome(self):
         """(LiftOutcome, FlowVerdict); a flow stopped by the step budget or
-        a step collapse is judged by its last F and |grad F|."""
+        a step collapse is converged at a root or a critical point,
+        ps_candidate where |grad F| is within the PS tolerance, else
+        undecided."""
         if self.times[-1] != self.t:  # the last step was not due
             self.record()
         if self.verdict is None:
-            if np.sqrt(2.0 * self.F) <= self.res_tol:
+            if self.rn <= self.res_tol or self.critical:
                 self.conclude("converged")
             elif self.gn <= self.ps_grad_tol:
                 self.conclude("ps_candidate")
             else:
-                self.conclude("diverged")
+                self.conclude("undecided")
         points = np.array(self.points).reshape(len(self.times), self.x0.size)
         trajectory = LiftTrajectory(times=np.array(self.times), points=points,
                                     mu_values=np.array(self.mu_values), length=self.length)
@@ -999,14 +992,14 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
 def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     """Integrate x' = -grad F_y with F_y(x) = |f(x) - y|^2 / 2.
 
-    Returns (LiftOutcome, FlowVerdict).  Recorded F values are nonincreasing
-    (steps that would raise F are rejected).  Verdicts: converged when the
-    state has stabilized and either the gradient is below abs_tol or the
-    residual is at root scale; ps_candidate when F stalls (relative to its
-    level c above root scale) while the gradient is small (relative to its
-    start) and the iterates keep drifting; diverged when the flow leaves the
-    escape ball.  The flow is one Dormand-Prince lane (_Flow) with scalar
-    step control.
+    Returns (LiftOutcome, FlowVerdict).  The flow takes Levenberg-Marquardt
+    steps with lambda = 1/h (_Flow), and recorded F values are nonincreasing
+    to F's rounding scale.  Each time-doubling window of t ends in a verdict
+    (_Flow.judge: converged at a root or at a critical point, ps_candidate
+    on a plateau of F that the flow keeps drifting along) or goes on; the
+    flow reads diverged when it leaves the escape ball, and undecided when
+    the step budget or a step collapse stops it with neither a root, a
+    critical point nor a small gradient.
     """
     opts = opts or LiftOptions()
     x0v = _vector(x0, model.n, "gradient_flow: x0")

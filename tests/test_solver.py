@@ -100,11 +100,14 @@ def test_solve_gradient_flow_unreachable_target():
         eval_fn=lambda x: np.array([x[0], x[0]]),
         jac_fn=lambda x: np.array([[1.0], [1.0]]),
     )
-    # (1, 0) is off the diagonal image; flow stalls at the projection
+    # (1, 0) is off the diagonal image; the flow stops at the projection
+    # x = 1/2, the least-squares minimiser: a critical point, not a solution
     rep = solve(tall, [1.0, 0.0], x_seed=[0.0])
     assert rep.solution is None
     assert rep.flow_verdict is not None
-    assert rep.flow_verdict.kind in ("ps_candidate", "diverged")
+    assert rep.flow_verdict.kind == "converged"
+    assert rep.outcome.trajectory.points[-1][0] == pytest.approx(0.5, abs=1e-9)
+    assert rep.residual == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
 
 @st.composite
