@@ -32,19 +32,22 @@ Each check's thresholds and sample sizes are fixed module constants:
           positive when inf eta > 1e-9
   C15     rho at r_max/8, r_max/4, r_max/2 and r_max; passes when
           rho(r_max) >= 1.3 rho(r_max/2)
-  C17     9 boxes of 256 Sobol points each, of half width (1 + |y0|) 2^j;
-          a level fails when its infimum estimate is <= 1e-6
+  C17     9 balls of 256 Sobol points each around the center, of radius
+          (1 + |y0|) 2^j for j = -1 .. 7; a level fails when its infimum
+          estimate is <= 1e-6
   C22     2 test lifts to 0.5 rho(r_max); fails when alpha < 1e-9
   PS      the 2m signed axes, 128 ball points per radius; a direction
           collapses when its last infimum is <= 1e-8 or below 0.05 times its
           first
 
 The evidence records the ones a verdict is read against (the Graves scale,
-the C14 radii, the C15 schedule, the C17 floor).  The samples of C8, C14,
-C17 and PS are stacked: one evaluate_stack or jacobian_stack and at most one
-SVD per batch.  A Jacobian batch holds at most 4096 points and 2**20 floats,
-so its memory stays bounded in any dimension; a value stack holds one
-m-vector per sample, no more floats than the sample points.  A sample is dropped only when its value or Jacobian is
+the C14 radii, the C15 schedule, the C17 floor).  Each of C8, C14, C17 and
+PS makes one Sobol draw and takes an aligned block of it per radius, per
+level and ball, or per direction and radius.  Its samples are stacked: one
+evaluate_stack or jacobian_stack and at most one SVD per batch.  A Jacobian
+batch holds at most 4096 points and 2**20 floats, so its memory stays
+bounded in any dimension; a value stack holds one m-vector per sample, no
+more floats than the sample points.  A sample is dropped only when its value or Jacobian is
 non-finite, and the evidence counts the dropped samples (`dropped`: per C8
 radius, counting pairs; per C14 radius; per C17 level; per PS direction and
 radius); a radius with no sample left reads 0.0 in C8, C14 and PS.  A map
@@ -56,6 +59,7 @@ non-finite raises NonFinite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -96,7 +100,8 @@ _C8_PAIRS, _C8_FAIL_RATIO, _C8_FLOOR = 192, 0.1, 1e-9
 _C10_FLOOR, _C10_DECAY_RATIO = 1e-12, 0.05
 _C14_SAMPLES, _C14_GROWTH_INC_RATIO, _C14_FLOOR = 96, 0.5, 1e-9
 _C15_GROWTH_RATIO = 1.3
-_C17_BOXES, _C17_BOX_SAMPLES, _C17_FLOOR = 9, 256, 1e-6
+_C17_BALLS, _C17_BALL_SAMPLES, _C17_FLOOR = 9, 256, 1e-6
+_C17_BALL_RADII = 2.0 ** np.arange(-1, _C17_BALLS - 1)  # times 1 + |y0|
 _C22_TEST_LIFTS, _C22_FLOOR = 2, 1e-9
 _PS_SAMPLES, _PS_FAIL_RATIO, _PS_FLOOR = 128, 0.05, 1e-8
 
@@ -344,9 +349,11 @@ def katriel_check(
 
     For each level, estimates inf of the indicator over
     {x : |f(x) - y0| < level} as the least indicator over the samples of
-    expanding boxes that fall inside the set.  An applicable analytic witness (a
-    sequence entering the sublevel set with vanishing indicator) upgrades the
-    level to a certified Fails."""
+    growing balls around box_center, of radii (1 + |y0|) 2^j for
+    j = -1 .. 7, that fall inside the set.  An applicable analytic witness
+    (a sequence entering the sublevel set with vanishing indicator)
+    upgrades the level to a certified Fails.  The points of all the sampled
+    levels come from one Sobol draw, an aligned block per level and ball."""
     y0v = _vector(y0, model.m, "katriel_check: y0", finite=True)
     levels = [float(v) for v in varrho_levels]
     if not (all(v > 0.0 for v in levels) and all(b > a for a, b in zip(levels, levels[1:]))):
@@ -354,17 +361,23 @@ def katriel_check(
     center = np.zeros(model.n) if box_center is None else box_center
     center = _vector(center, model.n, "katriel_check: box_center", finite=True)
     witness = _witness_points(facts)
-    scale = 1.0 + float(np.linalg.norm(y0v))
+    # the witness settles each level above |image limit - y0|, a tail of
+    # the increasing levels; the balls sample the levels before it
+    sampled = len(levels)
+    if witness is not None and facts.witness_image_limit is not None:
+        reach = float(np.linalg.norm(np.asarray(facts.witness_image_limit) - y0v))
+        sampled = sum(level <= reach for level in levels)
+    if sampled:
+        # one draw: level li's ball j holds the points of block li * balls + j
+        balls = unit_ball_points(model.n, _C17_BALL_SAMPLES, seed, blocks=sampled * _C17_BALLS)
+        balls = balls.reshape(sampled, -1, model.n)
+    row_radius = np.repeat((1.0 + float(np.linalg.norm(y0v))) * _C17_BALL_RADII, _C17_BALL_SAMPLES)
 
     per_level = []
     worst = VERDICT_HEURISTIC_PASS
     rank = {VERDICT_HEURISTIC_PASS: 0, VERDICT_HEURISTIC_FAIL: 1, VERDICT_FAILS: 2}
     for li, level in enumerate(levels):
-        if (
-            witness is not None
-            and facts.witness_image_limit is not None
-            and float(np.linalg.norm(np.asarray(facts.witness_image_limit) - y0v)) < level
-        ):
+        if li >= sampled:
             points, mus = witness
             residuals = [float(np.linalg.norm(evaluate(model, p) - y0v)) for p in points]
             per_level.append(
@@ -379,12 +392,7 @@ def katriel_check(
             worst = VERDICT_FAILS
             continue
 
-        boxes = []
-        for j in range(_C17_BOXES):
-            half_width = scale * (2.0 ** j)
-            cube = 2.0 * _sobol(model.n, _C17_BOX_SAMPLES, seed + 1000 * li + j) - 1.0
-            boxes.append(center[None, :] + half_width * cube)
-        pts = np.vstack(boxes)
+        pts = center + row_radius[:, None] * balls[li]
         Y, finite = _values(model, pts)
         inside = pts[finite & (_row_norms(Y - y0v) < level)]
         hits = inside.shape[0]
@@ -448,8 +456,9 @@ def expansive_estimate(
     Sampling upper-bounds the true infimum, so it can only refute."""
     per_radius = []
     overall = np.inf
-    for ri, R in enumerate(radii):
-        ball = unit_ball_points(model.n, 2 * _C8_PAIRS, seed + 17 * ri)
+    # one draw: radius ri pairs the rows of block ri, first half with second
+    balls = unit_ball_points(model.n, 2 * _C8_PAIRS, seed, blocks=len(radii))
+    for R, ball in zip(radii, balls.reshape(len(radii), -1, model.n)):
         axes = R * _signed_axes(model.n)  # the pairs (R e_i, -R e_i)
         us = np.vstack([R * ball[:_C8_PAIRS], axes[0::2]])
         xs = np.vstack([R * ball[_C8_PAIRS:], axes[1::2]])
@@ -491,9 +500,10 @@ def weighted_certificate(
     refutes the condition outright."""
     x0v = _vector(x0, model.n, "weighted_certificate: x0")
     products = []
-    for rho, eta in zip(profile.radii, profile.eta_values):
-        om = float(weight(float(rho)))
-        if not np.isfinite(om) or om <= 0.0:
+    # Python floats, not numpy scalars: the same products at a lower cost per radius
+    for rho, eta in zip(profile.radii.tolist(), profile.eta_values.tolist()):
+        om = float(weight(rho))
+        if not math.isfinite(om) or om <= 0.0:
             raise OutOfRange("weighted_certificate: weight must be positive and finite")
         products.append(eta * om)
     alpha = float(min(products))
@@ -593,23 +603,23 @@ def ps_direction_scan(
     the sampled infimum of |J(x)^T v| over growing balls.  A direction whose
     infimum collapses signals candidate escaping sequences for targets far out
     along v.  No implication claims are made either way."""
+    axes = _signed_axes(model.m)
+    shape = (len(axes), len(radii), _PS_SAMPLES)
+    # one draw: direction di at radius ri samples block di * len(radii) + ri
+    pts = unit_ball_points(model.n, _PS_SAMPLES, seed, blocks=len(axes) * len(radii))
+    pts *= np.tile(np.repeat(np.asarray(radii, dtype=float), _PS_SAMPLES), len(axes))[:, None]
+    # v = +-e_i, so J^T v is +-(row i of J) exactly, with the same norm
+    row = np.repeat(np.arange(len(axes)) // 2, len(radii) * _PS_SAMPLES)
+    stretch = np.empty(len(pts))
+    kept = np.empty(len(pts), dtype=bool)
+    for rows in _batches(len(pts), model.m * model.n):
+        J, finite = jacobian_stack(model, pts[rows])
+        J[~finite] = 0.0
+        stretch[rows], kept[rows] = _row_norms(J[np.arange(len(J)), row[rows]]), finite
     per_direction = []
     any_fail = False
-    for di, v in enumerate(_signed_axes(model.m)):
-        pts = np.vstack([
-            R * unit_ball_points(model.n, _PS_SAMPLES, seed + 31 * di + 7 * ri)
-            for ri, R in enumerate(radii)
-        ])
-        stretch = np.empty(len(pts))
-        kept = np.empty(len(pts), dtype=bool)
-        for rows in _batches(len(pts), model.m * model.n):
-            J, finite = jacobian_stack(model, pts[rows])
-            J[~finite] = 0.0
-            # v = +-e_i, so J^T v is +-(row i of J) exactly, with the same norm
-            stretch[rows], kept[rows] = _row_norms(J[:, di // 2]), finite
-        shape = (len(radii), _PS_SAMPLES)
-        stretch, kept = stretch.reshape(shape), kept.reshape(shape)
-        g_values = _kept_minima(stretch, kept)
+    for v, s, k in zip(axes, stretch.reshape(shape), kept.reshape(shape)):
+        g_values = _kept_minima(s, k)
         failed = g_values[-1] <= _PS_FLOOR or g_values[-1] < _PS_FAIL_RATIO * g_values[0]
         any_fail = any_fail or failed
         per_direction.append(
@@ -617,7 +627,7 @@ def ps_direction_scan(
                 "direction": [float(c) for c in v],
                 "inf_adjoint_stretch": g_values,
                 "collapses": bool(failed),
-                "dropped": _dropped(kept),
+                "dropped": _dropped(k),
             }
         )
     verdict = VERDICT_HEURISTIC_FAIL if any_fail else VERDICT_HEURISTIC_PASS

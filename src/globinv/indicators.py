@@ -19,7 +19,12 @@ sequence with Joe and Kuo's direction numbers (SIAM J. Sci. Comput. 30,
 shift (J. Complexity 14, 1998).  It equals scipy.stats.qmc.Sobol bit for bit
 but reads the direction-number table from scipy's data file, so importing
 globinv loads scipy.special and not scipy.stats.  Directions come from the
-normal quantile (scipy.special.ndtri) of those points.
+normal quantile (scipy.special.ndtri) of those points.  Each check draws
+once, with one seed, and slices the draw into the sets it uses (per level,
+ball, radius or direction): set k is the head of the k-th aligned block of
+2^p points, 2^p >= the set's size.  Every such block is a (t, p, d)-net and
+a digitally shifted copy of the first, so each set samples as well as a
+draw of its own; an unaligned slice would not.
 """
 
 from __future__ import annotations
@@ -188,9 +193,28 @@ def _direction_numbers(d: int) -> Array:
     return v << np.arange(_SOBOL_BITS - 1, -1, -1)
 
 
-def _sobol(d: int, count: int, seed: int) -> Array:
+# the place values of the 30 bits, least significant first, and the masks
+# that make a random bit matrix lower unitriangular
+_POW2 = 1 << np.arange(_SOBOL_BITS)
+_MSB = _POW2[::-1]
+_STRICT_LOWER = np.tril(np.ones((_SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32), -1)
+_EYE = np.eye(_SOBOL_BITS, dtype=np.uint32)
+
+
+@lru_cache(maxsize=None)
+def _direction_bits(d: int) -> Array:
+    """The bits of each direction number of _direction_numbers(d), most
+    significant first, as floats: a (d, 30, 30) array."""
+    return (_direction_numbers(d)[:, :, None] & _MSB != 0).astype(float)
+
+
+def _sobol(d: int, count: int, seed: int, blocks: int = 1) -> Array:
     """The first count points of a scrambled Sobol sequence in [0, 1)^d,
-    drawn as a power-of-two batch (where the sequence is balanced).
+    drawn as a power-of-two batch (where the sequence is balanced); with
+    blocks > 1, the first count points of each of the first blocks aligned
+    blocks of 2^p points, 2^p the least power of two >= count, stacked:
+    rows [k count, (k + 1) count) of the result are rows [k 2^p,
+    k 2^p + count) of the sequence.
 
     Sobol's sequence with Joe and Kuo's direction numbers (SIAM J. Sci.
     Comput. 30, 2008), scrambled by a random linear matrix scramble and a
@@ -198,30 +222,41 @@ def _sobol(d: int, count: int, seed: int) -> Array:
     points equal scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
     .random(size) bit for bit: the shift bits, then the lower-triangular
     matrices, are drawn from np.random.default_rng(seed) as scipy draws
-    them, and the points come in Gray-code order.
+    them, and the points come in Gray-code order.  Every aligned block is
+    a (t, p, d)-net, a digitally shifted copy of the first block: one draw
+    gives as many sets as blocks with one scramble, where an unaligned
+    slice would not be a net.
     """
     if not _integer_in(d, 1, _SOBOL_MAXDIM):
         raise OutOfRange(f"_sobol: dimension must be an integer in [1, {_SOBOL_MAXDIM}], got {d!r}")
     if not _integer_in(count, 0, 1 << _SOBOL_BITS):
         raise OutOfRange(f"_sobol: count must be an integer in [0, 2**{_SOBOL_BITS}], got {count!r}")
+    p = max(int(count) - 1, 0).bit_length()
+    if not _integer_in(blocks, 1, (1 << _SOBOL_BITS) >> p):
+        raise OutOfRange(f"_sobol: blocks must be an integer in [1, 2**{_SOBOL_BITS - p}], got {blocks!r}")
     rng = np.random.default_rng(seed)
-    pow2 = 1 << np.arange(_SOBOL_BITS)
-    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ pow2
-    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    diag = np.arange(_SOBOL_BITS)
-    ltm[:, diag, diag] = 1
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ _POW2
+    ltm = rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32) & _STRICT_LOWER | _EYE
+    # point i is the xor of the scrambled direction numbers b set in the
+    # Gray code i ^ (i >> 1), so only the first `levels` are read
+    levels = ((int(blocks) << p) - 1).bit_length()
     # the scramble: the bits of each direction number, most significant
     # first, times the transposed matrix of its dimension, mod 2
-    msb = pow2[::-1]
-    bits = (_direction_numbers(d)[:, :, None] & msb != 0).astype(float)
-    sv = ((bits @ ltm.transpose(0, 2, 1)).astype(np.int64) & 1) @ msb
-    # Gray-code order: points 2**b .. 2**(b+1) - 1 mirror the first 2**b
-    # with direction number b added
-    levels = max(int(count) - 1, 0).bit_length()
-    q = np.zeros((1 << levels, d), dtype=np.int64)
-    for b in range(levels):
+    bits = _direction_bits(d)[:, :levels]
+    sv = ((bits @ ltm.transpose(0, 2, 1)).astype(np.int64) & 1) @ _MSB
+    # the first block in Gray-code order: points 2**b .. 2**(b+1) - 1
+    # mirror the first 2**b with direction number b added
+    q = np.zeros((1 << p, d), dtype=np.int64)
+    for b in range(p):
         q[1 << b : 2 << b] = q[(1 << b) - 1 :: -1] ^ sv[:, b]
-    return (q[:count] ^ shift) * 2.0**-_SOBOL_BITS
+    # the Gray code is linear over xor, so block k is the first block
+    # shifted by the point of index k 2^p
+    start = np.arange(blocks) << p
+    digits = (start ^ start >> 1)[:, None] >> np.arange(levels) & 1
+    offset = np.bitwise_xor.reduce(digits[:, :, None] * sv.T, axis=1) ^ shift
+    u = (offset[:, None] ^ q[:count]).reshape(-1, d).astype(float)
+    u *= 2.0**-_SOBOL_BITS
+    return u
 
 
 def _signed_axes(m: int) -> Array:
@@ -233,28 +268,33 @@ def _signed_axes(m: int) -> Array:
 def _unit_directions(u: Array) -> Array:
     """Rows of u in (0, 1)^d sent through the normal quantile and scaled to
     unit length: directions spread evenly over the sphere."""
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = np.clip(u, 1e-12, 1.0 - 1e-12)
+    ndtri(z, out=z)  # in place, as the division below: a draw can be large
     norms = np.linalg.norm(z, axis=1)
     # a zero direction is essentially impossible with scrambling; guard anyway
     degenerate = norms == 0.0
     if np.any(degenerate):
         z[degenerate] = np.eye(u.shape[1])[0]
         norms[degenerate] = 1.0
-    return z / norms[:, None]
+    z /= norms[:, None]
+    return z
 
 
-def unit_ball_points(n: int, count: int, seed: int) -> Array:
+def unit_ball_points(n: int, count: int, seed: int, blocks: int = 1) -> Array:
     """Deterministic low-discrepancy points in the closed unit ball of R^n.
 
     Scrambled Sobol points drive a radial-direction construction: n
     coordinates map through the normal quantile to a direction, the last
-    coordinate maps through u^(1/n) to a radius.
+    coordinate maps through u^(1/n) to a radius.  With blocks > 1 the
+    result stacks blocks sets of count points, each from an aligned block
+    of one Sobol draw: rows [k count, (k + 1) count) are set k.
     """
     if count < 1:
         raise OutOfRange("unit_ball_points: count must be >= 1")
-    u = _sobol(n + 1, count, seed)
-    radii = u[:, n] ** (1.0 / n)
-    return _unit_directions(u[:, :n]) * radii[:, None]
+    u = _sobol(n + 1, count, seed, blocks)
+    points = _unit_directions(u[:, :n])
+    points *= (u[:, n] ** (1.0 / n))[:, None]
+    return points
 
 
 def _batches(total: int, floats_per_row: int) -> list:
@@ -319,7 +359,8 @@ def mu_profile(
         if model.mu_bound is None:
             raise MissingBound(f"map {model.name!r} carries no analytic bound")
         shift = float(np.linalg.norm(x0v - default_point(model)))
-        eta = np.array([float(model.mu_bound(shift + rho)) for rho in radii])
+        # Python floats, not numpy scalars: the same bits at a lower cost per call
+        eta = np.array([float(model.mu_bound(shift + rho)) for rho in radii.tolist()])
         if not np.all(np.isfinite(eta)):
             raise NonFinite("mu_profile: analytic bound returned non-finite values")
         eta = np.maximum(eta, 0.0)

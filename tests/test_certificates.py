@@ -17,7 +17,7 @@ from globinv.certificates import (
     weighted_certificate,
 )
 from globinv.errors import DimensionMismatch, EmptySublevel, NonFinite, OutOfRange, ZeroRadius
-from globinv.indicators import MuProfile, _sobol, mu_profile, rho_of_r
+from globinv.indicators import MuProfile, mu_profile, rho_of_r, unit_ball_points
 from globinv.lifting import LiftOptions
 from globinv.maps import MapModel, linear_entry, linear_map, registry_entry, registry_get
 
@@ -475,11 +475,12 @@ def test_sampled_checks_drop_failing_samples():
     dropped = [row["dropped"] for row in entry.evidence["per_radius"]]
     assert dropped[0] == 0 and 0 < dropped[1] < 194 and dropped[2] == 194
 
-    # C17: the box samples outside the ball are dropped and counted
+    # C17: the ball samples outside the ball of radius 2 are dropped and
+    # counted; the balls have radii 2^-1 .. 2^7, 256 points each
     entry = katriel_check(m, [0.0, 0.0], [1.0], seed=0)
-    boxes = np.vstack([2.0 ** j * (2.0 * _sobol(2, 256, j) - 1.0) for j in range(9)])
+    balls = np.repeat(2.0 ** np.arange(-1, 8), 256)[:, None] * unit_ball_points(2, 256, 0, blocks=9)
     level = entry.evidence["levels"][0]
-    assert level["dropped"] == int(np.sum(np.linalg.norm(boxes, axis=1) > 2.0)) > 0
+    assert level["dropped"] == int(np.sum(np.linalg.norm(balls, axis=1) > 2.0)) > 0
     assert level["hits"] > 0
 
 
@@ -510,8 +511,9 @@ def test_sampled_checks_drop_a_sample_where_the_map_raises_non_finite():
 
 
 def test_katriel_residual_norms_do_not_overflow():
-    """Residuals up to about 4e202 sit below the level 1e250, though their
-    plain norm overflows: every sample hits, with no overflow warning."""
+    """Residuals up to about 1.3e202 (balls of radius up to 128) sit below
+    the level 1e250, though their plain norm overflows: every sample hits,
+    with no overflow warning."""
     entry = katriel_check(linear_map([[1e200, 0.0], [0.0, 1e200]]), [0.0, 0.0], [1e250], seed=0)
     (level,) = entry.evidence["levels"]
     assert level["hits"] == 9 * 256 and level["dropped"] == 0

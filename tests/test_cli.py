@@ -1,3 +1,4 @@
+import collections
 import json
 import subprocess
 import sys
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from globinv import cli, solver
+from globinv import certificates, cli, indicators, solver
 from globinv.cli import main, run_job
 from globinv.indicators import MuProfile, rho_of_r
-from globinv.maps import MapModel, RegistryEntry
+from globinv.maps import MapModel, RegistryEntry, list_map_names
 
 
 def _reject_constant(token):
@@ -503,13 +504,60 @@ def test_diagnose_job(tmp_path):
 
 
 def test_diagnose_exp_overflow_is_silent(tmp_path):
-    """Residual norms of far-out exp1d samples overflow to +inf and fail the
-    level test without a RuntimeWarning."""
-    job = {"map": "exp1d", "command": "diagnose", "r": 3}
+    """Far-out exp1d samples overflow to +inf and fail the level test
+    without a RuntimeWarning: around x0 = 3 the C17 balls reach out to
+    128 (1 + e^3), far past the overflow at 709.8."""
+    job = {"map": "exp1d", "command": "diagnose", "x0": [3.0], "r": 3}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_job(job, out_override=tmp_path) == 0
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_diagnose_identity_10_finds_its_sublevel_sets(tmp_path):
+    """C17 samples balls of radius (1 + |y0|) 2^j from j = -1: in ten
+    dimensions the cubes it sampled from half width 1 put about 0.6 of
+    their 256 points inside the unit ball, and the job exited 3 with
+    EmptySublevel."""
+    job = {"map": "identity_10", "command": "diagnose", "r": 1.0, "grid_size": 8}
+    assert run_job(job, out_override=tmp_path) == 0
+    by_id = {c["condition_id"]: c for c in _read_report(tmp_path)["result"]["conditions"]}
+    levels = by_id["C17"]["evidence"]["levels"]
+    assert [lv["level"] for lv in levels] == [1.0, 2.0]
+    assert all(lv["hits"] >= 256 and lv["inf_estimate"] == 1.0 for lv in levels)
+    assert by_id["C17"]["verdict"] == "HeuristicPass"
+
+
+_SAMPLED_CHECKS = ("mu_profile", "expansive_estimate", "plastock_check", "katriel_check",
+                   "weighted_certificate", "ps_direction_scan")
+
+
+@pytest.mark.parametrize("name", list_map_names())
+def test_diagnose_draws_once_per_sampled_check(name, tmp_path, monkeypatch):
+    """Each sampled check of a diagnose job, and its sampled profile, makes
+    one Sobol draw and slices it, where the ladder drew once per box,
+    radius and direction."""
+    draws = collections.Counter()
+    sobol = indicators._sobol
+
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in _SAMPLED_CHECKS:
+            frame = frame.f_back
+        draws[frame.f_code.co_name] += 1
+        return sobol(*args, **kwargs)
+
+    monkeypatch.setattr(indicators, "_sobol", counted)
+    monkeypatch.setattr(certificates, "_sobol", counted)
+    job = {"map": name, "command": "diagnose", "mode": "sampled", "seed": 3}
+    if name == "linear":
+        job["matrix"] = [[1.1, 0.2], [-0.1, 0.9]]
+    assert run_job(job, out_override=tmp_path) == 0
+    # weighted_certificate's two test targets are signed axes, drawn from no
+    # sequence; katriel_check draws nothing when the witness settles every level
+    assert draws <= collections.Counter(mu_profile=1, expansive_estimate=1, plastock_check=1,
+                                        katriel_check=1, ps_direction_scan=1)
+    assert draws["mu_profile"] == draws["expansive_estimate"] == draws["ps_direction_scan"] == 1
 
 
 def test_diagnose_map_error_exits_3(tmp_path, capsys, monkeypatch):

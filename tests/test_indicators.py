@@ -13,7 +13,7 @@ from globinv.indicators import (
     sur_indicator,
     unit_ball_points,
 )
-from globinv.maps import MapModel, linear_map, registry_get
+from globinv.maps import MapModel, default_point, linear_map, list_map_names, registry_get
 
 
 def _random_invertible(rng, n):
@@ -87,6 +87,20 @@ def test_certified_profile_shifts_for_off_base_center():
     prof = mu_profile(m, [1.0], 1.0, 64)
     for rho, eta in zip(prof.radii, prof.eta_values):
         assert eta == pytest.approx(1.0 / (1.0 + (1.0 + rho) ** 2), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list_map_names())
+@pytest.mark.parametrize("shift", [0.0, 0.37])
+def test_certified_eta_at_python_floats_is_bitwise_the_numpy_scalar_eta(name, shift):
+    """mu_profile calls the bound at Python floats; every registry bound
+    gives there the bits it gives at numpy scalars, over 20001 radii."""
+    m = linear_map([[1.0, 0.3], [-0.2, 0.8]]) if name == "linear" else registry_get(name)
+    x0 = default_point(m) + shift * np.eye(m.n)[0]
+    prof = mu_profile(m, x0, 200.0, 20000)
+    offset = float(np.linalg.norm(x0 - default_point(m)))
+    eta = np.array([float(m.mu_bound(offset + rho)) for rho in np.linspace(0.0, 200.0, 20001)])
+    eta = np.minimum.accumulate(np.maximum(eta, 0.0))
+    assert prof.eta_values.tobytes() == eta.tobytes()
 
 
 def test_sampled_profile_upper_bounds_certified():

@@ -1,7 +1,7 @@
 """Smoke test of tools/lift_work.py: one seed-7 chain cycle, whose summed
-lift work, call events and output digest two runs must print alike, and
-which it counts at the public lift entry points of any tree; and a unit test
-of its output digest."""
+lift work, call events, Sobol draws and output digest two runs must print
+alike, and which it counts at the public lift entry points of any tree; and
+a unit test of its output digest."""
 
 import functools
 import importlib.util
@@ -38,7 +38,7 @@ def test_lift_work_counts_repeat():
     """A second run prints the same work, events and digest."""
     first = _this_tree()
     assert _lift_work() == first
-    header, columns, *rows, digest = first.splitlines()
+    header, columns, *rows, sobol, digest = first.splitlines()
     assert header.startswith("chain seed 7, 1 cycles: exit codes {0: ")
     assert columns.split() == ["lines", "flows"]
     table = {name: values for name, *values in map(str.split, rows)}
@@ -54,6 +54,7 @@ def test_lift_work_counts_repeat():
         assert events > attempts > 0
         assert table["events/attempt"][kind] == f"{events / attempts:.1f}"
         assert table["events/lane"][kind] == f"{events / lanes:.1f}"
+    assert re.fullmatch(r"sobol draws [0-9]+ points [0-9]+", sobol)
     assert re.fullmatch(r"digest [0-9a-f]{64}", digest)
 
 

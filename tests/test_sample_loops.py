@@ -3,7 +3,9 @@ against the per-point loops it replaced.
 
 The reference functions below sample one point at a time, through the
 scalar evaluate / jacobian / indicator calls, and drop a sample whose value
-or Jacobian is non-finite.  The stacked code must give the same numbers bit
+or Jacobian is non-finite.  Each takes its points block by block from a
+plain prefix of the check's one Sobol draw (_ball_block), where the checks
+draw all their blocks at once.  The stacked code must give the same numbers bit
 for bit, and the same count of dropped samples, however its batches are cut;
 and a batch must stay within its memory budget in any dimension.
 """
@@ -28,6 +30,7 @@ from globinv.indicators import (
     _batches,
     _signed_axes,
     _sobol,
+    _unit_directions,
     inj_indicator,
     mu_profile,
     sur_indicator,
@@ -104,6 +107,15 @@ class _Kept:
 # the per-point reference loops
 
 
+def _ball_block(n, count, seed, k):
+    """Set k of a check's unit-ball points: rows [k 2^p, k 2^p + count) of
+    the Sobol sequence drawn with the check's seed, 2^p >= count, sent
+    through the radial-direction map of unit_ball_points."""
+    stride = 1 << (count - 1).bit_length()
+    u = _sobol(n + 1, (k + 1) * stride, seed)[k * stride : k * stride + count]
+    return _unit_directions(u[:, :n]) * (u[:, n] ** (1.0 / n))[:, None]
+
+
 def _indicator(model, x, kind):
     J = jacobian(model, x)
     return sur_indicator(J) if kind == "sur" else inj_indicator(J)
@@ -149,7 +161,7 @@ def _loop_c8(model, radii, seed):
     per_radius = []
     overall = np.inf
     for ri, R in enumerate(radii):
-        ball = unit_ball_points(model.n, 2 * 192, seed + 17 * ri)
+        ball = _ball_block(model.n, 2 * 192, seed, ri)
         us, xs = R * ball[:192], R * ball[192:]
         axes = R * _signed_axes(model.n)
         us, xs = np.vstack([us, axes[0::2]]), np.vstack([xs, axes[1::2]])
@@ -215,9 +227,9 @@ def _loop_c17(model, y0, levels, facts, center, seed):
         est = np.inf
         kept_fn = _Kept()
         for j in range(9):
-            half_width = (1.0 + float(np.linalg.norm(y0))) * (2.0 ** j)
-            cube = 2.0 * _sobol(model.n, 256, seed + 1000 * li + j) - 1.0
-            for p, res in kept_fn(residual, center[None, :] + half_width * cube):
+            radius = (1.0 + float(np.linalg.norm(y0))) * (2.0 ** (j - 1))
+            ball = _ball_block(model.n, 256, seed, 9 * li + j)
+            for p, res in kept_fn(residual, center[None, :] + radius * ball):
                 if res < level:
                     hits += 1
                     mu = sur_indicator(jacobian(model, p))
@@ -243,7 +255,7 @@ def _loop_ps(model, radii, seed):
 
         g_values, dropped = [], []
         for ri, R in enumerate(radii):
-            pts = R * unit_ball_points(model.n, 128, seed + 31 * di + 7 * ri)
+            pts = R * _ball_block(model.n, 128, seed, len(radii) * di + ri)
             kept_fn = _Kept()
             g_values.append(min((g for _, g in kept_fn(stretch, pts)), default=0.0))
             dropped.append(kept_fn.dropped)

@@ -21,11 +21,14 @@ SEEDS = [0, 1, 12345, 2**31 - 1]
 @pytest.mark.parametrize(
     "d, size",
     [(1, 64), (2, 256), (2, 4096), (3, 1024), (3, 16384), (4, 256), (7, 128),
-     (32, 64), (33, 256), (512, 64), (1, 16384), (2, 16384)],
+     (32, 64), (33, 256), (512, 64), (1, 16384), (2, 16384),
+     # the ladder's one draw per check: C8 and PS on a 2-D map, C17 at two levels
+     (3, 1536), (3, 4608)],
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sobol_matches_scipy_bitwise(d, size, seed):
-    ref = qmc.Sobol(d=d, scramble=True, seed=seed).random(size)
+    batch = 1 << (size - 1).bit_length()  # a power of two, as scipy asks
+    ref = qmc.Sobol(d=d, scramble=True, seed=seed).random(batch)[:size]
     got = _sobol(d, size, seed)
     assert got.dtype == np.float64 and got.shape == (size, d)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -36,6 +39,28 @@ def test_sobol_count_is_a_prefix_of_the_power_of_two_batch(count):
     size = 1 << max(count - 1, 0).bit_length()
     ref = qmc.Sobol(d=3, scramble=True, seed=7).random(size)[:count]
     assert np.array_equal(_sobol(3, count, 7), ref)
+
+
+@pytest.mark.parametrize(
+    "d, count, blocks",
+    [(3, 384, 3), (3, 128, 12), (3, 256, 18), (2, 100, 9), (1, 1, 7), (5, 3, 5), (4, 0, 3), (33, 128, 6)],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sobol_blocks_are_aligned_slices_of_scipy(d, count, blocks, seed):
+    """Set k is rows [k 2^p, k 2^p + count) of the sequence, 2^p >= count."""
+    stride = 1 << max(count - 1, 0).bit_length()
+    size = 1 << (blocks * stride - 1).bit_length()  # a power of two, as scipy asks
+    ref = qmc.Sobol(d=d, scramble=True, seed=seed).random(size)[: blocks * stride]
+    ref = ref.reshape(blocks, stride, d)[:, :count].reshape(-1, d)
+    got = _sobol(d, count, seed, blocks)
+    assert got.shape == (blocks * count, d)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("count, blocks", [(4, 0), (4, -1), (4, 2.0), (4, True), (1, 2**30 + 1), (3, 2**28 + 1)])
+def test_sobol_rejects_bad_blocks(count, blocks):
+    with pytest.raises(OutOfRange, match="blocks"):
+        _sobol(2, count, 0, blocks)
 
 
 @pytest.mark.parametrize("d", [0, -1, 21202, 2.0, True])
@@ -65,9 +90,11 @@ def test_sobol_zero_count_is_empty(d):
 def fresh_sobol_caches():
     indicators._sobol_table.cache_clear()
     indicators._direction_numbers.cache_clear()
+    indicators._direction_bits.cache_clear()
     yield
     indicators._sobol_table.cache_clear()
     indicators._direction_numbers.cache_clear()
+    indicators._direction_bits.cache_clear()
 
 
 def test_sobol_missing_table_names_its_path(tmp_path, monkeypatch, fresh_sobol_caches):

@@ -8,9 +8,12 @@ job into its own output directory.  It prints the jobs' exit codes and CPU
 time, then for the line lifts and the gradient flows apart: the number of
 lanes, the LiftStats fields summed over them, and the Python call and
 c_call events (a sys.setprofile count) made inside the lift entry points,
-in all and per attempt (accepted and rejected steps) and per lane.  Last
-comes one sha256 over the raw bytes of every job's outputs, with only the
-values of report.json's timestamp and job.output_dir blanked.
+in all and per attempt (accepted and rejected steps) and per lane.  Next
+comes the sampler's work: the number of Sobol draws (calls of
+globinv.indicators._sobol, wrapped where the lift entry points are) and
+the points they returned, as "sobol draws N points P".  Last comes one
+sha256 over the raw bytes of every job's outputs, with only the values of
+report.json's timestamp and job.output_dir blanked.
 
 All but the CPU time is deterministic, so two trees compare by running
 this with --src on each and diffing the output, apart from the first
@@ -96,9 +99,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     import workloads
-    from globinv import cli, lifting
+    from globinv import cli, indicators, lifting
 
-    totals = {"lines": collections.Counter(), "flows": collections.Counter()}
+    totals = {"lines": collections.Counter(), "flows": collections.Counter(), "sobol": collections.Counter()}
 
     def counted(kind, fn, outcomes):
         def run(*args, **kwargs):
@@ -110,12 +113,19 @@ def main(argv=None) -> int:
             return out
         return run
 
+    sobol = indicators._sobol
+
+    def drawn(*args, **kwargs):
+        out = sobol(*args, **kwargs)
+        totals["sobol"].update(draws=1, points=out.shape[0])
+        return out
+
     lines, flow = lifting.lift_lines, lifting.gradient_flow
     wrapped = {lines: counted("lines", lines, lambda out: out),
-               flow: counted("flows", flow, lambda out: out[:1])}
+               flow: counted("flows", flow, lambda out: out[:1]), sobol: drawn}
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("globinv"):
-            for name in ("lift_lines", "gradient_flow"):
+            for name in ("lift_lines", "gradient_flow", "_sobol"):
                 if getattr(module, name, None) in wrapped:
                     setattr(module, name, wrapped[getattr(module, name)])
     codes, cpu, job_dirs = collections.Counter(), 0.0, []
@@ -141,6 +151,7 @@ def main(argv=None) -> int:
 
     for label, per in (("events/attempt", STATS[:4]), ("events/lane", ("lanes",))):
         print(f"{label:18s} {ratio('lines', per)} {ratio('flows', per)}")
+    print(f"sobol draws {totals['sobol']['draws']} points {totals['sobol']['points']}")
     print(f"digest {digest}")
     return 0
 
