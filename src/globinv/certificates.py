@@ -43,11 +43,12 @@ Each check's thresholds and sample sizes are fixed module constants:
 The evidence records the ones a verdict is read against (the Graves scale,
 the C14 radii, the C15 schedule, the C17 floor).  Each of C8, C14, C17 and
 PS makes one Sobol draw and takes an aligned block of it per radius, per
-level and ball, or per direction and radius.  Its samples are stacked: one
-evaluate_stack or jacobian_stack and at most one SVD per batch.  A Jacobian
-batch holds at most 4096 points and 2**20 floats, so its memory stays
-bounded in any dimension; a value stack holds one m-vector per sample, no
-more floats than the sample points.  A sample is dropped only when its value or Jacobian is
+level and ball, or per direction and radius; C8, C17 and PS take their draw
+a few blocks at a time (unit_ball_sets), at most 2**18 floats each.  Their
+samples are stacked: one evaluate_stack or jacobian_stack and at most one
+SVD per batch.  A Jacobian batch holds at most 4096 points and 2**20
+floats, so its memory stays bounded in any dimension; a value stack holds
+one m-vector per sample, no more floats than the sample points.  A sample is dropped only when its value or Jacobian is
 non-finite, and the evidence counts the dropped samples (`dropped`: per C8
 radius, counting pairs; per C14 radius; per C17 level; per PS direction and
 radius); a radius with no sample left reads 0.0 in C8, C14 and PS.  A map
@@ -59,8 +60,8 @@ non-finite raises NonFinite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,7 +75,7 @@ from .indicators import (
     _sobol,
     _unit_directions,
     rho_of_r,
-    unit_ball_points,
+    unit_ball_sets,
 )
 from .lifting import LiftOptions, _row_norms, lift_lines, weighted_path_length
 from .maps import (
@@ -367,10 +368,8 @@ def katriel_check(
     if witness is not None and facts.witness_image_limit is not None:
         reach = float(np.linalg.norm(np.asarray(facts.witness_image_limit) - y0v))
         sampled = sum(level <= reach for level in levels)
-    if sampled:
-        # one draw: level li's ball j holds the points of block li * balls + j
-        balls = unit_ball_points(model.n, _C17_BALL_SAMPLES, seed, blocks=sampled * _C17_BALLS)
-        balls = balls.reshape(sampled, -1, model.n)
+    # one draw: level li's ball j holds the points of block li * balls + j
+    balls = chain.from_iterable(unit_ball_sets(model.n, _C17_BALL_SAMPLES, seed, sampled * _C17_BALLS))
     row_radius = np.repeat((1.0 + float(np.linalg.norm(y0v))) * _C17_BALL_RADII, _C17_BALL_SAMPLES)
 
     per_level = []
@@ -392,7 +391,7 @@ def katriel_check(
             worst = VERDICT_FAILS
             continue
 
-        pts = center + row_radius[:, None] * balls[li]
+        pts = center + row_radius[:, None] * np.concatenate(list(islice(balls, _C17_BALLS)))
         Y, finite = _values(model, pts)
         inside = pts[finite & (_row_norms(Y - y0v) < level)]
         hits = inside.shape[0]
@@ -457,8 +456,8 @@ def expansive_estimate(
     per_radius = []
     overall = np.inf
     # one draw: radius ri pairs the rows of block ri, first half with second
-    balls = unit_ball_points(model.n, 2 * _C8_PAIRS, seed, blocks=len(radii))
-    for R, ball in zip(radii, balls.reshape(len(radii), -1, model.n)):
+    balls = chain.from_iterable(unit_ball_sets(model.n, 2 * _C8_PAIRS, seed, len(radii)))
+    for R, ball in zip(radii, balls):
         axes = R * _signed_axes(model.n)  # the pairs (R e_i, -R e_i)
         us = np.vstack([R * ball[:_C8_PAIRS], axes[0::2]])
         xs = np.vstack([R * ball[_C8_PAIRS:], axes[1::2]])
@@ -500,10 +499,9 @@ def weighted_certificate(
     refutes the condition outright."""
     x0v = _vector(x0, model.n, "weighted_certificate: x0")
     products = []
-    # Python floats, not numpy scalars: the same products at a lower cost per radius
-    for rho, eta in zip(profile.radii.tolist(), profile.eta_values.tolist()):
-        om = float(weight(rho))
-        if not math.isfinite(om) or om <= 0.0:
+    for rho, eta in zip(profile.radii, profile.eta_values):
+        om = float(weight(float(rho)))
+        if not np.isfinite(om) or om <= 0.0:
             raise OutOfRange("weighted_certificate: weight must be positive and finite")
         products.append(eta * om)
     alpha = float(min(products))
@@ -595,6 +593,18 @@ def plastock_check(
     return DiagnosticsEntry("C14", VERDICT_HEURISTIC_FAIL, evidence)
 
 
+def _row_stretch(model: MapModel, X: Array, row: Array) -> tuple:
+    """The norm of row row[i] of J(X[i]) for each row i of X, 0.0 where the
+    Jacobian is not finite, and the mask of the finite ones: one
+    jacobian_stack per batch."""
+    stretch, kept = np.empty(len(X)), np.empty(len(X), dtype=bool)
+    for rows in _batches(len(X), model.m * model.n):
+        J, finite = jacobian_stack(model, X[rows])
+        J[~finite] = 0.0
+        stretch[rows], kept[rows] = _row_norms(J[np.arange(len(J)), row[rows]]), finite
+    return stretch, kept
+
+
 @np.errstate(over="ignore")  # an overflowed row norm is rescaled (_row_norms)
 def ps_direction_scan(
     model: MapModel, radii=(1.0, 10.0, 100.0), seed: int = 0
@@ -604,18 +614,22 @@ def ps_direction_scan(
     infimum collapses signals candidate escaping sequences for targets far out
     along v.  No implication claims are made either way."""
     axes = _signed_axes(model.m)
-    shape = (len(axes), len(radii), _PS_SAMPLES)
-    # one draw: direction di at radius ri samples block di * len(radii) + ri
-    pts = unit_ball_points(model.n, _PS_SAMPLES, seed, blocks=len(axes) * len(radii))
-    pts *= np.tile(np.repeat(np.asarray(radii, dtype=float), _PS_SAMPLES), len(axes))[:, None]
-    # v = +-e_i, so J^T v is +-(row i of J) exactly, with the same norm
-    row = np.repeat(np.arange(len(axes)) // 2, len(radii) * _PS_SAMPLES)
-    stretch = np.empty(len(pts))
-    kept = np.empty(len(pts), dtype=bool)
-    for rows in _batches(len(pts), model.m * model.n):
-        J, finite = jacobian_stack(model, pts[rows])
-        J[~finite] = 0.0
-        stretch[rows], kept[rows] = _row_norms(J[np.arange(len(J)), row[rows]]), finite
+    radii_v = np.asarray(radii, dtype=float)
+    stretch = np.empty(len(axes) * len(radii_v) * _PS_SAMPLES)
+    kept = np.empty(len(stretch), dtype=bool)
+    # one draw, a chunk of sets at a time: direction di at radius ri samples
+    # set di * len(radii) + ri, the points [128 set, 128 set + 128)
+    offset = 0
+    for chunk in unit_ball_sets(model.n, _PS_SAMPLES, seed, len(axes) * len(radii_v)):
+        sets = offset // _PS_SAMPLES + np.arange(len(chunk))
+        chunk *= radii_v[sets % len(radii_v), None, None]
+        pts = chunk.reshape(-1, model.n)
+        # v = +-e_i, so J^T v is +-(row i of J) exactly, with the same norm
+        row = np.repeat(sets // (2 * len(radii_v)), _PS_SAMPLES)
+        out = slice(offset, offset + len(pts))
+        stretch[out], kept[out] = _row_stretch(model, pts, row)
+        offset += len(pts)
+    shape = (len(axes), len(radii_v), _PS_SAMPLES)
     per_direction = []
     any_fail = False
     for v, s, k in zip(axes, stretch.reshape(shape), kept.reshape(shape)):

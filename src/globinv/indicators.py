@@ -24,7 +24,9 @@ once, with one seed, and slices the draw into the sets it uses (per level,
 ball, radius or direction): set k is the head of the k-th aligned block of
 2^p points, 2^p >= the set's size.  Every such block is a (t, p, d)-net and
 a digitally shifted copy of the first, so each set samples as well as a
-draw of its own; an unaligned slice would not.
+draw of its own; an unaligned slice would not.  A draw of more than
+_DRAW_FLOATS floats comes a power-of-two number of sets at a time
+(unit_ball_sets), so its memory stays bounded in any dimension.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ Array = np.ndarray
 # A stacked batch of samples holds at most this many points, and its Jacobian
 # stack at most this many floats, so its memory is bounded in any dimension.
 _STACK_ROWS, _STACK_FLOATS = 4096, 1 << 20
+# A chunk of a check's one Sobol draw (unit_ball_sets) holds at most this
+# many floats: drawing it and mapping it into the ball make about four copies.
+_DRAW_FLOATS = _STACK_FLOATS // 4
 
 
 def _matrix(J) -> Array:
@@ -208,55 +213,56 @@ def _direction_bits(d: int) -> Array:
     return (_direction_numbers(d)[:, :, None] & _MSB != 0).astype(float)
 
 
-def _sobol(d: int, count: int, seed: int, blocks: int = 1) -> Array:
-    """The first count points of a scrambled Sobol sequence in [0, 1)^d,
-    drawn as a power-of-two batch (where the sequence is balanced); with
-    blocks > 1, the first count points of each of the first blocks aligned
-    blocks of 2^p points, 2^p the least power of two >= count, stacked:
-    rows [k count, (k + 1) count) of the result are rows [k 2^p,
-    k 2^p + count) of the sequence.
+def _sobol(d: int, count: int, seed: int, start: int = 0) -> Array:
+    """Points start .. start + count - 1 of a scrambled Sobol sequence in
+    [0, 1)^d, drawn as an aligned power-of-two batch (where the sequence is
+    balanced): start must be a multiple of 2^p, the least power of two
+    >= count.
 
     Sobol's sequence with Joe and Kuo's direction numbers (SIAM J. Sci.
     Comput. 30, 2008), scrambled by a random linear matrix scramble and a
     digital shift (Matousek, J. Complexity 14, 1998), in 30 bits.  The
     points equal scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
-    .random(size) bit for bit: the shift bits, then the lower-triangular
-    matrices, are drawn from np.random.default_rng(seed) as scipy draws
-    them, and the points come in Gray-code order.  Every aligned block is
-    a (t, p, d)-net, a digitally shifted copy of the first block: one draw
-    gives as many sets as blocks with one scramble, where an unaligned
-    slice would not be a net.
+    .random(size)[start : start + count] bit for bit: the shift bits, then
+    the lower-triangular matrices, are drawn from
+    np.random.default_rng(seed) as scipy draws them, and the points come in
+    Gray-code order.  An aligned batch is a (t, p, d)-net, a digitally
+    shifted copy of the first batch: the same seed at the starts 0, 2^p,
+    2 2^p, ... gives sets that each sample as well as a seed of their own.
     """
     if not _integer_in(d, 1, _SOBOL_MAXDIM):
         raise OutOfRange(f"_sobol: dimension must be an integer in [1, {_SOBOL_MAXDIM}], got {d!r}")
     if not _integer_in(count, 0, 1 << _SOBOL_BITS):
         raise OutOfRange(f"_sobol: count must be an integer in [0, 2**{_SOBOL_BITS}], got {count!r}")
     p = max(int(count) - 1, 0).bit_length()
-    if not _integer_in(blocks, 1, (1 << _SOBOL_BITS) >> p):
-        raise OutOfRange(f"_sobol: blocks must be an integer in [1, 2**{_SOBOL_BITS - p}], got {blocks!r}")
+    if not (_integer_in(start, 0, (1 << _SOBOL_BITS) - (1 << p)) and int(start) % (1 << p) == 0):
+        raise OutOfRange(
+            f"_sobol: start must be a multiple of {1 << p} in [0, 2**{_SOBOL_BITS} - {1 << p}], got {start!r}"
+        )
+    start = int(start)
     rng = np.random.default_rng(seed)
     shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ _POW2
     ltm = rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32) & _STRICT_LOWER | _EYE
     # point i is the xor of the scrambled direction numbers b set in the
     # Gray code i ^ (i >> 1), so only the first `levels` are read
-    levels = ((int(blocks) << p) - 1).bit_length()
+    levels = (start + (1 << p) - 1).bit_length()
     # the scramble: the bits of each direction number, most significant
     # first, times the transposed matrix of its dimension, mod 2
     bits = _direction_bits(d)[:, :levels]
     sv = ((bits @ ltm.transpose(0, 2, 1)).astype(np.int64) & 1) @ _MSB
-    # the first block in Gray-code order: points 2**b .. 2**(b+1) - 1
-    # mirror the first 2**b with direction number b added
+    # Gray-code order: points 2**b .. 2**(b+1) - 1 mirror the first 2**b
+    # with direction number b added
     q = np.zeros((1 << p, d), dtype=np.int64)
     for b in range(p):
         q[1 << b : 2 << b] = q[(1 << b) - 1 :: -1] ^ sv[:, b]
-    # the Gray code is linear over xor, so block k is the first block
-    # shifted by the point of index k 2^p
-    start = np.arange(blocks) << p
-    digits = (start ^ start >> 1)[:, None] >> np.arange(levels) & 1
-    offset = np.bitwise_xor.reduce(digits[:, :, None] * sv.T, axis=1) ^ shift
-    u = (offset[:, None] ^ q[:count]).reshape(-1, d).astype(float)
-    u *= 2.0**-_SOBOL_BITS
-    return u
+    # the Gray code is linear over xor, so the batch at an aligned start is
+    # the first batch shifted by the point at start
+    gray = start ^ start >> 1
+    for b in range(levels):
+        if gray >> b & 1:
+            shift = shift ^ sv[:, b]
+    q ^= shift
+    return q[:count] * 2.0**-_SOBOL_BITS
 
 
 def _signed_axes(m: int) -> Array:
@@ -280,21 +286,43 @@ def _unit_directions(u: Array) -> Array:
     return z
 
 
-def unit_ball_points(n: int, count: int, seed: int, blocks: int = 1) -> Array:
-    """Deterministic low-discrepancy points in the closed unit ball of R^n.
-
-    Scrambled Sobol points drive a radial-direction construction: n
+def _ball_map(u: Array) -> Array:
+    """Rows of u in [0, 1)^(n+1) sent into the closed unit ball of R^n: n
     coordinates map through the normal quantile to a direction, the last
-    coordinate maps through u^(1/n) to a radius.  With blocks > 1 the
-    result stacks blocks sets of count points, each from an aligned block
-    of one Sobol draw: rows [k count, (k + 1) count) are set k.
-    """
-    if count < 1:
-        raise OutOfRange("unit_ball_points: count must be >= 1")
-    u = _sobol(n + 1, count, seed, blocks)
+    coordinate maps through u^(1/n) to a radius."""
+    n = u.shape[1] - 1
     points = _unit_directions(u[:, :n])
     points *= (u[:, n] ** (1.0 / n))[:, None]
     return points
+
+
+def unit_ball_points(n: int, count: int, seed: int) -> Array:
+    """Deterministic low-discrepancy points in the closed unit ball of R^n:
+    the first count points of a scrambled Sobol sequence in [0, 1)^(n+1),
+    through a radial-direction construction (_ball_map)."""
+    if count < 1:
+        raise OutOfRange("unit_ball_points: count must be >= 1")
+    return _ball_map(_sobol(n + 1, count, seed))
+
+
+def unit_ball_sets(n: int, count: int, seed: int, sets: int):
+    """Sets of count points in the closed unit ball of R^n from one
+    scrambled Sobol sequence: set k maps the head of its aligned block k of
+    2^p points, 2^p the least power of two >= count, as unit_ball_points
+    maps a prefix.  Yielded as (k, count, n) arrays, k sets drawn at once
+    with k a power of two (the last chunk may hold fewer), so that a
+    chunk's draw holds at most _DRAW_FLOATS floats (but always at least one
+    set): the memory of a check's one draw stays bounded in any dimension
+    and for any number of sets.  Each chunk re-derives the same scramble
+    from the seed."""
+    stride = 1 << (count - 1).bit_length()
+    per = 1 << max((_DRAW_FLOATS // (stride * (n + 1))).bit_length() - 1, 0)
+    for first in range(0, sets, per):
+        k = min(per, sets - first)
+        u = _sobol(n + 1, (k - 1) * stride + count, seed, first * stride)
+        if count < stride:
+            u = u[(np.arange(k)[:, None] * stride + np.arange(count)).ravel()]
+        yield _ball_map(u).reshape(k, count, n)
 
 
 def _batches(total: int, floats_per_row: int) -> list:

@@ -478,7 +478,7 @@ def test_sampled_checks_drop_failing_samples():
     # C17: the ball samples outside the ball of radius 2 are dropped and
     # counted; the balls have radii 2^-1 .. 2^7, 256 points each
     entry = katriel_check(m, [0.0, 0.0], [1.0], seed=0)
-    balls = np.repeat(2.0 ** np.arange(-1, 8), 256)[:, None] * unit_ball_points(2, 256, 0, blocks=9)
+    balls = np.repeat(2.0 ** np.arange(-1, 8), 256)[:, None] * unit_ball_points(2, 9 * 256, 0)
     level = entry.evidence["levels"][0]
     assert level["dropped"] == int(np.sum(np.linalg.norm(balls, axis=1) > 2.0)) > 0
     assert level["hits"] > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from globinv import indicators
 from globinv.errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
 from globinv.indicators import (
     FredholmData,
@@ -12,6 +13,7 @@ from globinv.indicators import (
     rho_of_r,
     sur_indicator,
     unit_ball_points,
+    unit_ball_sets,
 )
 from globinv.maps import MapModel, default_point, linear_map, list_map_names, registry_get
 
@@ -70,6 +72,20 @@ def test_unit_ball_points_deterministic_and_inside():
     assert np.all(np.linalg.norm(a, axis=1) <= 1.0 + 1e-12)
     with pytest.raises(OutOfRange):
         unit_ball_points(2, 0, seed=0)
+
+
+@pytest.mark.parametrize("count, sets", [(100, 7), (128, 9), (1, 5), (384, 3)])
+@pytest.mark.parametrize("budget_sets", [1, 2, 4, 1000])
+def test_unit_ball_sets_are_aligned_blocks_of_one_prefix(count, sets, budget_sets, monkeypatch):
+    """Set k is rows [k 2^p, k 2^p + count) of unit_ball_points' prefix of
+    the sequence, bit for bit, however many sets a chunk draws."""
+    stride = 1 << (count - 1).bit_length()
+    prefix = unit_ball_points(3, sets * stride, seed=4).reshape(sets, stride, 3)[:, :count]
+    monkeypatch.setattr(indicators, "_DRAW_FLOATS", budget_sets * stride * 4)
+    chunks = list(unit_ball_sets(3, count, 4, sets))
+    per = min(budget_sets, sets)
+    assert [len(c) for c in chunks] == [per] * (sets // per) + [sets % per] * (sets % per > 0)
+    assert np.concatenate(chunks).tobytes() == np.ascontiguousarray(prefix).tobytes()
 
 
 def test_certified_profile_is_analytic_passthrough():

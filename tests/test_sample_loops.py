@@ -401,3 +401,18 @@ def test_high_dimension_stacks_stay_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+def test_high_dimension_ps_draw_stays_bounded():
+    """PS on identity_128 samples 256 signed axes: its one draw of 256 sets
+    of 128 points, 129 coordinates each, would take about 100 MiB at once.
+    Drawn a few sets at a time it stays under the same few budgets."""
+    model = registry_get("identity_128")
+    tracemalloc.start()
+    try:
+        entry = ps_direction_scan(model, radii=(1.0,), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entry.evidence["directions"]) == 256
+    assert peak < 32 * 2 ** 20

@@ -42,25 +42,23 @@ def test_sobol_count_is_a_prefix_of_the_power_of_two_batch(count):
 
 
 @pytest.mark.parametrize(
-    "d, count, blocks",
-    [(3, 384, 3), (3, 128, 12), (3, 256, 18), (2, 100, 9), (1, 1, 7), (5, 3, 5), (4, 0, 3), (33, 128, 6)],
+    "d, count, start",
+    [(3, 128, 384), (3, 512, 1024), (3, 256, 4352), (2, 100, 896), (1, 1, 6), (5, 3, 12), (4, 0, 3), (33, 128, 640)],
 )
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sobol_blocks_are_aligned_slices_of_scipy(d, count, blocks, seed):
-    """Set k is rows [k 2^p, k 2^p + count) of the sequence, 2^p >= count."""
-    stride = 1 << max(count - 1, 0).bit_length()
-    size = 1 << (blocks * stride - 1).bit_length()  # a power of two, as scipy asks
-    ref = qmc.Sobol(d=d, scramble=True, seed=seed).random(size)[: blocks * stride]
-    ref = ref.reshape(blocks, stride, d)[:, :count].reshape(-1, d)
-    got = _sobol(d, count, seed, blocks)
-    assert got.shape == (blocks * count, d)
+def test_sobol_start_is_an_aligned_slice_of_scipy(d, count, start, seed):
+    """An aligned start gives rows [start, start + count) of the sequence."""
+    size = 1 << (start + count - 1).bit_length()  # a power of two, as scipy asks
+    ref = qmc.Sobol(d=d, scramble=True, seed=seed).random(size)[start : start + count]
+    got = _sobol(d, count, seed, start)
+    assert got.shape == (count, d)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("count, blocks", [(4, 0), (4, -1), (4, 2.0), (4, True), (1, 2**30 + 1), (3, 2**28 + 1)])
-def test_sobol_rejects_bad_blocks(count, blocks):
-    with pytest.raises(OutOfRange, match="blocks"):
-        _sobol(2, count, 0, blocks)
+@pytest.mark.parametrize("count, start", [(4, 2), (4, -4), (4, 4.0), (4, True), (3, 6), (1, 2**30), (4, 2**30 - 2)])
+def test_sobol_rejects_an_unaligned_start(count, start):
+    with pytest.raises(OutOfRange, match="start"):
+        _sobol(2, count, 0, start)
 
 
 @pytest.mark.parametrize("d", [0, -1, 21202, 2.0, True])
