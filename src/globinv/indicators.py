@@ -17,28 +17,29 @@ Every sampled check draws its points from one sampler, _sobol: Sobol's
 sequence with Joe and Kuo's direction numbers (SIAM J. Sci. Comput. 30,
 2008), scrambled by Matousek's random linear matrix scramble with a digital
 shift (J. Complexity 14, 1998).  It equals scipy.stats.qmc.Sobol bit for bit
-but reads the direction-number table from scipy's data file, so importing
-globinv loads scipy.special and not scipy.stats.  Directions come from the
-normal quantile (scipy.special.ndtri) of those points.  Each check draws
+but reads the direction-number table from scipy's data file when it first
+draws, so importing globinv loads no scipy module.  Directions come from the
+normal quantile of those points (_normal_quantile, a numpy port of the
+Cephes ndtri that scipy.special.ndtri computes).  Each check draws
 once, with one seed, and slices the draw into the sets it uses (per level,
 ball, radius or direction): set k is the head of the k-th aligned block of
 2^p points, 2^p >= the set's size.  Every such block is a (t, p, d)-net and
 a digitally shifted copy of the first, so each set samples as well as a
 draw of its own; an unaligned slice would not.  A draw of more than
 _DRAW_FLOATS floats comes a power-of-two number of sets at a time
-(unit_ball_sets), so its memory stays bounded in any dimension.
+(unit_ball_sets), so its memory stays bounded in any dimension; the
+scramble is derived once per check and handed to each chunk.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy
-from scipy.special import ndtri
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
 from .maps import MapModel, _svd, _vector, default_point, jacobian_stack
@@ -157,8 +158,10 @@ class MuProfile:
 
 # Joe and Kuo's direction numbers as scipy ships them: the primitive
 # polynomial and the initial direction numbers of each of 21201 dimensions.
-# Reading the file directly keeps scipy.stats, a slow import, unloaded.
-_SOBOL_TABLE = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+# The file is read directly, so no scipy module is imported.  None means
+# scipy's own copy, located (by find_spec, which imports nothing) when the
+# table is first read.
+_SOBOL_TABLE: Optional[str] = None
 _SOBOL_MAXDIM, _SOBOL_BITS = 21201, 30
 
 
@@ -166,13 +169,21 @@ def _integer_in(v, lo: int, hi: int) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi
 
 
+def _scipy_sobol_table() -> str:
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise FileNotFoundError("Sobol direction numbers not found: scipy, which ships them, is not installed")
+    return os.path.join(spec.submodule_search_locations[0], "stats", "_sobol_direction_numbers.npz")
+
+
 @lru_cache(maxsize=None)
 def _sobol_table() -> tuple:
+    path = _SOBOL_TABLE or _scipy_sobol_table()
     try:
-        with np.load(_SOBOL_TABLE) as table:
+        with np.load(path) as table:
             return table["poly"], table["vinit"]
     except FileNotFoundError:
-        raise FileNotFoundError(f"Sobol direction numbers not found: {_SOBOL_TABLE}") from None
+        raise FileNotFoundError(f"Sobol direction numbers not found: {path}") from None
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +224,24 @@ def _direction_bits(d: int) -> Array:
     return (_direction_numbers(d)[:, :, None] & _MSB != 0).astype(float)
 
 
-def _sobol(d: int, count: int, seed: int, start: int = 0) -> Array:
+def _scramble(d: int, seed: int, levels: int) -> tuple:
+    """The scramble of the first d dimensions for a seed: the digital shift
+    of each dimension, a (d,) array of 30-bit integers, and its first
+    `levels` direction numbers scrambled, a (d, levels) array.  The shift
+    bits, then the lower-triangular matrices, are drawn from
+    np.random.default_rng(seed) as scipy.stats.qmc.Sobol draws them."""
+    if not _integer_in(d, 1, _SOBOL_MAXDIM):
+        raise OutOfRange(f"_sobol: dimension must be an integer in [1, {_SOBOL_MAXDIM}], got {d!r}")
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ _POW2
+    ltm = rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32) & _STRICT_LOWER | _EYE
+    # the bits of each direction number, most significant first, times the
+    # transposed matrix of its dimension, mod 2
+    bits = _direction_bits(d)[:, :levels]
+    return shift, ((bits @ ltm.transpose(0, 2, 1)).astype(np.int64) & 1) @ _MSB
+
+
+def _sobol(d: int, count: int, seed: int, start: int = 0, scramble: Optional[tuple] = None) -> Array:
     """Points start .. start + count - 1 of a scrambled Sobol sequence in
     [0, 1)^d, drawn as an aligned power-of-two batch (where the sequence is
     balanced): start must be a multiple of 2^p, the least power of two
@@ -223,15 +251,15 @@ def _sobol(d: int, count: int, seed: int, start: int = 0) -> Array:
     Comput. 30, 2008), scrambled by a random linear matrix scramble and a
     digital shift (Matousek, J. Complexity 14, 1998), in 30 bits.  The
     points equal scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
-    .random(size)[start : start + count] bit for bit: the shift bits, then
-    the lower-triangular matrices, are drawn from
-    np.random.default_rng(seed) as scipy draws them, and the points come in
-    Gray-code order.  An aligned batch is a (t, p, d)-net, a digitally
-    shifted copy of the first batch: the same seed at the starts 0, 2^p,
-    2 2^p, ... gives sets that each sample as well as a seed of their own.
+    .random(size)[start : start + count] bit for bit: the scramble is
+    _scramble(d, seed, levels), and the points come in Gray-code order.  A
+    caller that draws several batches of one seed derives the scramble once
+    and hands it over as `scramble`, with at least the levels the batch
+    reads, (start + 2^p - 1).bit_length().  An aligned batch is a (t, p,
+    d)-net, a digitally shifted copy of the first batch: the same seed at
+    the starts 0, 2^p, 2 2^p, ... gives sets that each sample as well as a
+    seed of their own.
     """
-    if not _integer_in(d, 1, _SOBOL_MAXDIM):
-        raise OutOfRange(f"_sobol: dimension must be an integer in [1, {_SOBOL_MAXDIM}], got {d!r}")
     if not _integer_in(count, 0, 1 << _SOBOL_BITS):
         raise OutOfRange(f"_sobol: count must be an integer in [0, 2**{_SOBOL_BITS}], got {count!r}")
     p = max(int(count) - 1, 0).bit_length()
@@ -240,16 +268,10 @@ def _sobol(d: int, count: int, seed: int, start: int = 0) -> Array:
             f"_sobol: start must be a multiple of {1 << p} in [0, 2**{_SOBOL_BITS} - {1 << p}], got {start!r}"
         )
     start = int(start)
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ _POW2
-    ltm = rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32) & _STRICT_LOWER | _EYE
     # point i is the xor of the scrambled direction numbers b set in the
     # Gray code i ^ (i >> 1), so only the first `levels` are read
     levels = (start + (1 << p) - 1).bit_length()
-    # the scramble: the bits of each direction number, most significant
-    # first, times the transposed matrix of its dimension, mod 2
-    bits = _direction_bits(d)[:, :levels]
-    sv = ((bits @ ltm.transpose(0, 2, 1)).astype(np.int64) & 1) @ _MSB
+    shift, sv = _scramble(d, seed, levels) if scramble is None else scramble
     # Gray-code order: points 2**b .. 2**(b+1) - 1 mirror the first 2**b
     # with direction number b added
     q = np.zeros((1 << p, d), dtype=np.int64)
@@ -271,11 +293,96 @@ def _signed_axes(m: int) -> Array:
     return np.stack([eye, -eye], axis=1).reshape(2 * m, m)
 
 
+# Moshier's Cephes ndtri (Methods and Programs for Mathematical Functions,
+# 1989), the algorithm of scipy.special.ndtri, with its coefficients: P0/Q0
+# on the centre e^-2 < u <= 1 - e^-2, and in the tails, in x = sqrt(-2 ln y)
+# for y = min(u, 1 - u), P1/Q1 for x < 8 and P2/Q2 beyond.  The Q's leading
+# coefficient 1 is implicit (p1evl).
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_SQRT_2PI, _EXP_M2 = 2.50662827463100050242e0, 0.13533528323661269189
+# the quantile works through a draw this many values at a time, so that its
+# temporaries stay small
+_QUANTILE_BLOCK = 1 << 16
+
+
+def _horner(x: Array, coef: tuple, monic: bool) -> Array:
+    """Cephes polevl (monic=False) or p1evl (monic=True, a leading
+    coefficient 1 left out of coef) at x, in the same order: one product and
+    one sum per coefficient, each rounded."""
+    ans = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _quantile_block(u: Array) -> None:
+    """_normal_quantile of a 1-D block, in place: the centre formula on
+    every value (it is finite on all of (0, 1)), then the tail values
+    replaced, which costs less than gathering the centre."""
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    t = u[tail]
+    u -= 0.5
+    y2 = u * u
+    x = y2 * _horner(y2, _NDTRI_P0, False)
+    x /= _horner(y2, _NDTRI_Q0, True)
+    x *= u
+    u += x
+    u *= _SQRT_2PI
+    x = np.log(np.minimum(t, 1.0 - t))
+    x *= -2.0
+    np.sqrt(x, out=x)
+    z = 1.0 / x
+    x1 = z * _horner(z, _NDTRI_P1, False)
+    x1 /= _horner(z, _NDTRI_Q1, True)
+    far = x >= 8.0  # y < e^-32
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _horner(zf, _NDTRI_P2, False) / _horner(zf, _NDTRI_Q2, True)
+    x0 = x - np.log(x) / x
+    x0 -= x1
+    # negative below 1/2, as Cephes negates the lower tail
+    u[tail] = np.copysign(x0, t - 0.5)
+
+
+def _normal_quantile(u: Array) -> Array:
+    """The standard normal quantile of each entry of u, 0 < u < 1: a numpy
+    port of Cephes ndtri, computed in place when u is C-contiguous (use the
+    result).  Each operation is the one Cephes makes, in its order, so the
+    centre e^-2 < u <= 1 - e^-2 equals scipy.special.ndtri bit for bit; in
+    the tails np.log rounds a few logarithms apart from the C library's
+    log, which moves about 2 tail values in 10^4 by a few ulp."""
+    flat = u.reshape(-1)
+    for start in range(0, flat.size, _QUANTILE_BLOCK):
+        _quantile_block(flat[start : start + _QUANTILE_BLOCK])
+    return flat.reshape(u.shape)
+
+
 def _unit_directions(u: Array) -> Array:
     """Rows of u in (0, 1)^d sent through the normal quantile and scaled to
     unit length: directions spread evenly over the sphere."""
-    z = np.clip(u, 1e-12, 1.0 - 1e-12)
-    ndtri(z, out=z)  # in place, as the division below: a draw can be large
+    if u.shape[1] == 1:
+        # the quantile has the sign of u - 1/2 and is 0 only at u = 1/2,
+        # which the guard below sends to e1: z / |z| is exactly this
+        return np.where(u >= 0.5, 1.0, -1.0)
+    # in place, as the division below: a draw can be large
+    z = _normal_quantile(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     # a zero direction is essentially impossible with scrambling; guard anyway
     degenerate = norms == 0.0
@@ -313,13 +420,16 @@ def unit_ball_sets(n: int, count: int, seed: int, sets: int):
     with k a power of two (the last chunk may hold fewer), so that a
     chunk's draw holds at most _DRAW_FLOATS floats (but always at least one
     set): the memory of a check's one draw stays bounded in any dimension
-    and for any number of sets.  Each chunk re-derives the same scramble
-    from the seed."""
+    and for any number of sets.  The scramble is derived once and handed to
+    each chunk's _sobol draw."""
     stride = 1 << (count - 1).bit_length()
     per = 1 << max((_DRAW_FLOATS // (stride * (n + 1))).bit_length() - 1, 0)
+    # the sets lie in rows [0, sets 2^p) of the sequence, whose Gray codes
+    # read the first (sets 2^p - 1).bit_length() direction numbers
+    scramble = _scramble(n + 1, seed, (sets * stride - 1).bit_length())
     for first in range(0, sets, per):
         k = min(per, sets - first)
-        u = _sobol(n + 1, (k - 1) * stride + count, seed, first * stride)
+        u = _sobol(n + 1, (k - 1) * stride + count, seed, first * stride, scramble)
         if count < stride:
             u = u[(np.arange(k)[:, None] * stride + np.arange(count)).ravel()]
         yield _ball_map(u).reshape(k, count, n)

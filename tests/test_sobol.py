@@ -1,6 +1,8 @@
-"""The numpy Sobol sampler against scipy.stats.qmc, its boundary, and the
-light import it makes possible."""
+"""The numpy Sobol sampler against scipy.stats.qmc, the numpy normal
+quantile against scipy.special.ndtri, their boundaries, and the light
+import they make possible."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from scipy.stats import qmc
 import globinv
 from globinv import indicators
 from globinv.errors import OutOfRange
-from globinv.indicators import _sobol, _unit_directions
+from globinv.indicators import _EXP_M2, _normal_quantile, _sobol, _unit_directions, unit_ball_sets
 
 SEEDS = [0, 1, 12345, 2**31 - 1]
 
@@ -111,6 +113,97 @@ def test_unit_directions_send_a_zero_row_to_e1():
         z = ndtri(u[i])
         assert np.array_equal(out[i], z / np.linalg.norm(z))
         assert np.array_equal(out[i], _unit_directions(u[i : i + 1])[0])
+
+
+def _ulps(a, b):
+    """The distance in ulp between two float arrays of one sign."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_normal_quantile_matches_scipy_ndtri():
+    """Bit for bit on the centre e^-2 < u <= 1 - e^-2, where only products,
+    sums and quotients enter; in the tails np.log may round a logarithm
+    apart from the C library's log, which scipy calls (numpy 2.4 with
+    AVX-512 on x86-64: 2.4e-4 of 1.2e8 tail values, by at most 6 ulp).
+    A wrong coefficient or operation moves far more of them."""
+    rng = np.random.default_rng(20)
+    edges = [1e-12, 1.0 - 1e-12, _EXP_M2, 1.0 - _EXP_M2]
+    u = np.concatenate([
+        rng.random(1_000_000),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
+        # the far tail, y < e^-32, of the second tail approximation
+        10.0 ** -rng.uniform(12.0, 300.0, 10_000),
+    ])
+    u = u[u > 0.0]
+    got = _normal_quantile(u.copy())
+    ref = ndtri(u)
+    centre = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
+    assert 0.7 < centre.mean() < 0.75
+    assert np.array_equal(got[centre].view(np.uint64), ref[centre].view(np.uint64))
+    assert np.all(np.sign(got) == np.sign(u - 0.5))
+    assert _ulps(got[~centre], ref[~centre]).max() <= 8
+    assert np.mean(got[~centre] != ref[~centre]) < 1e-3
+    assert _normal_quantile(np.array([0.5])).tobytes() == np.array([0.0]).tobytes()
+
+
+def test_normal_quantile_is_odd():
+    """q(1 - u) = -q(u) bit for bit wherever 1 - u is exact: for u >= 1/2,
+    and for u a multiple of 2^-53."""
+    rng = np.random.default_rng(21)
+    u = np.concatenate([0.5 + 0.5 * rng.random(500_000), rng.integers(1, 2**52, 500_000) * 2.0**-53])
+    assert np.array_equal(_normal_quantile(1.0 - u), -_normal_quantile(u.copy()))
+
+
+def test_normal_quantile_works_in_place_on_a_stack():
+    u = np.random.default_rng(22).random((300, 700))
+    ref = ndtri(u)
+    out = _normal_quantile(u)
+    assert np.shares_memory(out, u) and out.shape == (300, 700)
+    centre = (ref > -1.1) & (ref < 1.1)
+    assert np.array_equal(out[centre], ref[centre])
+    assert np.allclose(out, ref, rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_dimensional_directions_are_signs_of_the_quantile_route(seed):
+    """For one column, the sign of u - 1/2 (with u = 1/2 sent to +1) is
+    bit for bit the quantile route: ndtri, then divide by the norm."""
+    u = np.vstack([_sobol(1, 4096, seed), [[0.5], [np.nextafter(0.5, 0.0)], [1e-13], [1.0 - 1e-13]]])
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(z, axis=1)
+    z[norms == 0.0], norms[norms == 0.0] = 1.0, 1.0
+    ref = z / norms[:, None]
+    got = _unit_directions(u)
+    assert got.shape == (len(u), 1)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_unit_ball_sets_derive_the_scramble_once(monkeypatch):
+    """A check drawn in several chunks derives its scramble once; each
+    chunk still draws through _sobol, which the work tools count."""
+    calls = collections.Counter()
+    for name in ("_scramble", "_sobol"):
+        fn = getattr(indicators, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(indicators, name, counted)
+    monkeypatch.setattr(indicators, "_DRAW_FLOATS", 2 * 128 * 4)
+    assert len(list(unit_ball_sets(3, 100, 4, 9))) == 5
+    assert calls == collections.Counter(_scramble=1, _sobol=5)
+
+
+def test_import_loads_no_scipy_module():
+    """A fresh interpreter imports globinv and its CLI without scipy: the
+    Sobol table is located by find_spec and read when first drawn."""
+    src = os.path.dirname(os.path.dirname(globinv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, globinv, globinv.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_optimize():
