@@ -7,15 +7,15 @@ A job names a registered map and one of six commands (indicators, certify,
 solve, star, fibre, diagnose) with command-specific parameters.  Each run
 writes report.json (schema version "1") plus CSV plot data into the output
 directory.  Reruns with the same seed are byte-identical apart from the
-timestamp field.  report.json is laid out as json.dumps(report,
-sort_keys=True, indent=2) lays it out, byte for byte; the profile arrays are
-formatted once and written to it and to the profile CSVs from the same
-strings.
+timestamp field.  report.json is written by json.JSONEncoder(sort_keys=True,
+indent=2, allow_nan=False); the profile arrays are formatted once and written
+to it and to the profile CSVs from the same strings.
 
-Exit codes: 0 success, 2 invalid job, 3 the job failed while running
-(report.json names the error), 4 unknown map.  report.json is strict JSON:
-a result holding a NaN or an infinity fails the job with exit 3.  Failures
-also print a JSON error object to stderr.
+Exit codes: 0 success, 2 invalid job (a job file json cannot decode, or an
+output directory or report.json that cannot be written), 3 the job failed
+while running (report.json names the error), 4 unknown map.  report.json is
+strict JSON: a result holding a NaN or an infinity fails the job with exit 3.
+Failures also print a JSON error object to stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -318,25 +317,24 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
     }
 
 
-class _Cells(list):
-    """Floats already formatted by float.__repr__: a CSV column as it is,
-    and in report.json a JSON array of those numbers."""
+class _Cells:
+    """Finite floats formatted once by float.__repr__: .text is a CSV column
+    as it is, and _write_report writes a JSON array of those numbers."""
 
-
-def _cells(values) -> _Cells:
-    return _Cells(map(float.__repr__, values))
+    def __init__(self, values):
+        self.text = list(map(float.__repr__, values))
 
 
 def _profile_csvs(profile, out_dir: Path, radii: _Cells, eta: _Cells) -> None:
     """Write eta_profile.csv and rho_curve.csv from the profile's radii and
     eta cells, the strings its report holds."""
-    _write_csv(out_dir / "eta_profile.csv", "rho,eta", [radii, eta])
+    _write_csv(out_dir / "eta_profile.csv", "rho,eta", [radii.text, eta.text])
     # rho at every grid radius in one pass: the right-endpoint cells summed
     # in order.  The last row is rho_of_r(r_max) itself, so it matches the
     # reported rho to the bit; the cumulative sum agrees with it to rounding.
     rho = np.cumsum(profile.eta_values[1:] * np.diff(profile.radii))
     rho[-1] = rho_of_r(profile, profile.r_max)
-    _write_csv(out_dir / "rho_curve.csv", "r,rho", [radii[1:], _cells(rho.tolist())])
+    _write_csv(out_dir / "rho_curve.csv", "r,rho", [radii.text[1:], _Cells(rho.tolist()).text])
 
 
 def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
@@ -400,8 +398,8 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
             result["profile"] = profile.to_json_dict()
         # each profile array is formatted once, for the report and the CSVs
         profile_json = result["profile"]
-        radii = profile_json["radii"] = _cells(profile_json["radii"])
-        eta = profile_json["eta_values"] = _cells(profile_json["eta_values"])
+        radii = profile_json["radii"] = _Cells(profile_json["radii"])
+        eta = profile_json["eta_values"] = _Cells(profile_json["eta_values"])
         # after the command: a job that fails (exit 3) leaves no profile CSVs
         _profile_csvs(profile, out_dir, radii, eta)
         return result, ok
@@ -451,86 +449,6 @@ def _emit_error(exc: Exception, code: int) -> int:
     return code
 
 
-_NOT_FINITE = frozenset(("nan", "inf", "-inf"))
-_OUT_OF_RANGE = "Out of range float values are not JSON compliant: "
-
-
-def _float_json(v: float) -> str:
-    """v as strict JSON writes it: a NaN or an infinity raises ValueError
-    instead of being written as a bare NaN or Infinity token."""
-    text = float.__repr__(v)
-    if text in _NOT_FINITE:
-        raise ValueError(_OUT_OF_RANGE + repr(v))
-    return text
-
-
-def _key_json(key) -> str:
-    """A dict key as json converts it to a JSON string."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _float_json(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
-
-
-def _json_chunks(v, out: list, indent: str = "\n") -> None:
-    """Append to out the text of v as json.dumps(v, sort_keys=True,
-    indent=2, allow_nan=False) writes it, with indent the newline and
-    indentation of v's own line.  A _Cells array is one join of its cells."""
-    if isinstance(v, str):
-        out.append(encode_basestring_ascii(v))
-    elif v is None:
-        out.append("null")
-    elif v is True:
-        out.append("true")
-    elif v is False:
-        out.append("false")
-    elif isinstance(v, int):
-        out.append(int.__repr__(v))
-    elif isinstance(v, float):
-        out.append(_float_json(v))
-    elif isinstance(v, dict):
-        if not v:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in sorted(v.items()):
-            out.append(sep + _key_json(key) + ": ")
-            _json_chunks(item, out, inner)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        if isinstance(v, _Cells):
-            if not _NOT_FINITE.isdisjoint(v):
-                raise ValueError(_OUT_OF_RANGE + next(c for c in v if c in _NOT_FINITE))
-            out.append("[" + inner)
-            out.append(("," + inner).join(v))
-        else:
-            sep = "[" + inner
-            for item in v:
-                out.append(sep)
-                _json_chunks(item, out, inner)
-                sep = "," + inner
-        out.append(indent + "]")
-    else:
-        raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
-
-
 def _write_report(out_dir: Path, job: dict, result: dict) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -538,13 +456,29 @@ def _write_report(out_dir: Path, job: dict, result: dict) -> None:
         "job": job,
         "result": result,
     }
-    chunks = []
-    _json_chunks(report, chunks)
-    chunks.append("\n")
-    # written chunk by chunk: joining them would copy a large profile's text
-    # once more, and the peak memory of a large-grid job would grow by it
+    cells = []
+
+    def default(v):
+        # a _Cells array is written as "" by json, and joined in below
+        if not isinstance(v, _Cells):
+            raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+        cells.append(v.text)
+        return ""
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=default)
+    indent = "\n"  # the newline and indentation of the current line
+    # written chunk by chunk, each array's text made just before it is
+    # written: a large-grid job then holds one array's text at a time
     with open(out_dir / "report.json", "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(chunks)
+        for chunk in encoder.iterencode(report):
+            if cells:  # chunk is the "" of the array just recorded
+                text = cells.pop()
+                inner = indent + "  "
+                chunk = "[" + inner + ("," + inner).join(text) + indent + "]" if text else "[]"
+            elif "\n" in chunk:
+                indent = chunk[chunk.rindex("\n"):]
+            fh.write(chunk)
+        fh.write("\n")
 
 
 def run_job(raw, out_override=None) -> int:
@@ -561,17 +495,16 @@ def run_job(raw, out_override=None) -> int:
     out_dir = Path(job["output_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         return _emit_error(exc, 2)
     try:
         result, ok = _execute(job, entry, out_dir)
         _write_report(out_dir, job, result)
     except Exception as exc:  # numpy, allocation and strict-JSON errors fail the job too
-        _write_report(
-            out_dir,
-            job,
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-        )
+        try:
+            _write_report(out_dir, job, {"error": {"type": type(exc).__name__, "message": str(exc)}})
+        except OSError as write_exc:  # no report.json can be written there
+            return _emit_error(write_exc, 2)
         return _emit_error(exc, 3)
     if not ok:
         return _emit_error(GlobinvError("job completed without the required solution"), 3)
@@ -595,9 +528,11 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    # ValueError: a file that is not UTF-8 or not JSON, or holds an integer
+    # literal over 4300 digits; RecursionError: JSON nested too deeply
     try:
         raw = json.loads(Path(args.job).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _emit_error(exc, 2)
     return run_job(raw, out_override=args.out)
 

@@ -127,8 +127,8 @@ class MuProfile:
         eta = np.asarray(self.eta_values, dtype=float)
         if radii.ndim != 1 or radii.size < 2:
             raise OutOfRange("MuProfile: need at least two grid radii")
-        if radii[0] != 0.0 or np.any(np.diff(radii) <= 0.0):
-            raise OutOfRange("MuProfile: radii must increase strictly from 0")
+        if radii[0] != 0.0 or not np.all(np.diff(radii) > 0.0) or not np.isfinite(radii[-1]):
+            raise OutOfRange("MuProfile: radii must be finite and increase strictly from 0")
         if eta.shape != radii.shape:
             raise DimensionMismatch("MuProfile: eta_values shape differs from radii")
         if not np.all(np.isfinite(eta)) or np.any(eta < 0.0):

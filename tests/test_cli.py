@@ -1,12 +1,17 @@
 import collections
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from globinv import certificates, cli, indicators, solver
@@ -627,19 +632,19 @@ def _dumps(v) -> str:
     return json.dumps(v, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _json_text(v) -> str:
-    """v as the report writer writes it."""
-    chunks = []
-    cli._json_chunks(v, chunks)
-    return "".join(chunks)
+class _Floats(list):
+    """Finite floats that _write_report gets as a formatted cli._Cells array."""
 
 
-def _outcome(write, v):
-    """write(v), or the type and message of the error it raises."""
-    try:
-        return write(v)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
+def _with_arrays(v, array):
+    """v with each _Floats list in it replaced by array(that list)."""
+    if isinstance(v, _Floats):
+        return array(v)
+    if isinstance(v, dict):
+        return {key: _with_arrays(item, array) for key, item in v.items()}
+    if isinstance(v, (list, tuple)):
+        return type(v)(_with_arrays(item, array) for item in v)
+    return v
 
 
 _FLOATS = st.one_of(
@@ -652,7 +657,7 @@ _TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["", "\x00\x1f\x7f", '\t"
 _SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
 _KEYS = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none())
 _JSON_VALUES = st.recursive(
-    _SCALARS,
+    st.one_of(_SCALARS, st.lists(_FLOATS, max_size=6).map(_Floats)),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -663,21 +668,42 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+def _outcome(write, v):
+    """write(v), or the type and message of the error it raises."""
+    try:
+        return write(v)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _written(v) -> str:
+    """report.json as _write_report writes it with v as the result."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cli._write_report(Path(tmp), {}, v)
+        return (Path(tmp) / "report.json").read_bytes().decode("ascii")
+
+
+def _check_report_writer(v):
+    """_write_report writes a report with v as its result, where each
+    _Floats list in v is a formatted cli._Cells array, as json.dumps(report,
+    sort_keys=True, indent=2, allow_nan=False) + "\\n" writes the report
+    with those arrays as lists of their floats; on a v json cannot write,
+    it raises what json.dumps raises.  Returns the written text or the
+    error's type and message."""
+    got = _outcome(_written, _with_arrays(v, cli._Cells))
+    timestamp = json.loads(got)["timestamp"] if isinstance(got, str) else ""
+    report = {"schema_version": cli.SCHEMA_VERSION, "timestamp": timestamp, "job": {}}
+    assert got == _outcome(lambda result: _dumps({**report, "result": result}) + "\n", _with_arrays(v, list))
+    return got
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(_JSON_VALUES)
+@example([_Floats([]), [_Floats([2.5])], {"c": _Floats([0.0, -0.0])}])
+@example({"a": _Floats([1.0]), "b": -np.inf})  # an error after an array
 def test_report_writer_is_json_dumps(v):
-    """The report writer renders any JSON value, and fails on any value, as
-    json.dumps(v, sort_keys=True, indent=2, allow_nan=False) does."""
-    assert _outcome(_json_text, v) == _outcome(_dumps, v)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(st.lists(_FLOATS, max_size=6), _JSON_VALUES)
-def test_report_writer_joins_formatted_cells(values, other):
-    """Cells formatted once render as the list of their floats does."""
-    cells = cli._Cells(map(float.__repr__, values))
-    got = _outcome(_json_text, {"a": other, "cells": [cells]})
-    assert got == _outcome(_dumps, {"a": other, "cells": [values]})
+    """Any JSON value, with formatted arrays at any depth."""
+    _check_report_writer(v)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
@@ -687,27 +713,12 @@ def test_report_writer_joins_formatted_cells(values, other):
     ids=["top", "nested", "key", "first-of-two"],
 )
 def test_report_writer_rejects_non_finite(bad, place):
-    with pytest.raises(ValueError) as want:
-        _dumps(place(bad))
-    with pytest.raises(ValueError) as got:
-        _json_text(place(bad))
-    assert str(got.value) == str(want.value)
-
-
-def test_report_writer_rejects_non_finite_cells():
-    for bad in (np.nan, np.inf, -np.inf):
-        values = [1.0, float(bad), np.nan]
-        with pytest.raises(ValueError) as want:
-            _dumps({"cells": values})
-        with pytest.raises(ValueError) as got:
-            _json_text({"cells": cli._Cells(map(float.__repr__, values))})
-        assert str(got.value) == str(want.value)
+    assert _check_report_writer(place(bad))[0] is ValueError
 
 
 @pytest.mark.parametrize("v", [np.int64(3), [1, {"a": np.int64(3)}], np.array([1.0]), {(1, 2): 0}, {1.0, 2.0}])
 def test_report_writer_rejects_other_types(v):
-    assert _outcome(_json_text, v) == _outcome(_dumps, v)
-    assert _outcome(_json_text, v)[0] is TypeError
+    assert _check_report_writer(v)[0] is TypeError
 
 
 _LAYOUT_JOBS = [
@@ -786,6 +797,130 @@ def test_main_bad_job_file(tmp_path, capsys):
     err_lines = capsys.readouterr().err.strip().splitlines()
     for line in err_lines:
         assert json.loads(line)["exit_code"] == 2
+
+
+# a job file json cannot decode, or a path the OS cannot take, is an invalid
+# job (exit 2), never a traceback
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"map": "identity_2", "command": "solve", "y": [1.0, 2.0], "note": "caf\xe9"}',
+        b'{"map": "identity_2", "command": "solve", "y": [1.0, 2.0], "seed": 1' + b"0" * 4300 + b"}",
+        b"[" * 100000,
+    ],
+    ids=["not-utf8", "integer-over-4300-digits", "nested-too-deep"],
+)
+def test_main_undecodable_job_file_exits_2(data, tmp_path, capsys):
+    job_file = tmp_path / "job.json"
+    job_file.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["run", str(job_file), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["output_dir", "--out"])
+def test_output_dir_with_nul_exits_2(where, tmp_path, capsys):
+    out = str(tmp_path / "a\x00b")
+    job = {"map": "identity_2", "command": "solve", "y": [1.0, 2.0]}
+    if where == "output_dir":
+        assert run_job({**job, "output_dir": out}) == 2
+    else:
+        assert run_job(job, out_override=out) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2 and err["error"]["type"] == "ValueError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "job",
+    [{"map": "identity_2", "command": "solve", "y": [1.0, 2.0]}, {"map": "arctan1d", "command": "solve", "y": [2.0]}],
+    ids=["exit-0-job", "exit-3-job"],
+)
+def test_unwritable_report_exits_2(job, tmp_path, capsys):
+    """A report.json that cannot be written, here because a directory holds
+    its name, makes the output directory unusable: exit 2."""
+    (tmp_path / "report.json").mkdir()
+    assert run_job(job, out_override=tmp_path) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2 and err["error"]["type"] == "IsADirectoryError"
+
+
+# the CLI contract over fuzzed job files: small jobs whose outer fields are
+# dropped or replaced, written in other encodings, mutated byte by byte, or
+# replaced by random bytes
+_CONTRACT_JOBS = [
+    {"map": "arctan1d", "command": "indicators", "x0": [0.0], "r": 3.0, "grid_size": 8},
+    {"map": "monotone1d", "command": "certify", "r": 1.0, "grid_size": 8, "verify_targets": 2},
+    {"map": "arctan1d", "command": "diagnose", "r": 2.0, "grid_size": 8},
+    {"map": "identity_2", "command": "solve", "y": [1.0, 2.0]},
+    {"map": "arctan1d", "command": "solve", "y": [2.0]},
+    {"map": "complex_exp", "command": "star", "directions": [[1.0, 0.0]], "t_budget": 2.0},
+    {"map": "complex_exp", "command": "fibre", "y": [1.0, 0.0], "seeds": [[0.0, 0.0]], "max_points": 1},
+    {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [1e160, 2e160]},
+]
+_HUGE = "\ue000"  # stands for an integer literal of 5000 digits in the job file
+# no value holds a "/" or "..": a relative output_dir stays in the test's directory
+_ODD = st.sampled_from([None, True, -1, 0.5, 7, "", "nope", "é", "a\x00b", [], {}, [1.0], _HUGE])
+_OUTER = {
+    "map": st.one_of(st.sampled_from(["arctan1d", "identity_2", "complex_exp", "linear", "unknown", "identity_2\x00"]), _ODD),
+    "command": st.one_of(st.sampled_from(list(cli._SPECS)), _ODD),
+    "seed": st.one_of(st.integers(-3, 3), _ODD),
+    "parameters": st.one_of(
+        st.dictionaries(st.sampled_from(["r", "grid_size", "x0", "y", "sample_count", "mode"]), _ODD, max_size=2),
+        _ODD,
+    ),
+    "output_dir": _ODD,
+}
+
+
+@st.composite
+def _job_files(draw):
+    """(job, the bytes of its file, whether the file holds that job as it is)."""
+    job = dict(draw(st.sampled_from(_CONTRACT_JOBS)))
+    for field in draw(st.lists(st.sampled_from(sorted(_OUTER)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            job.pop(field, None)
+        else:
+            job[field] = draw(_OUTER[field])
+    text = json.dumps(job, ensure_ascii=False).replace(json.dumps(_HUGE, ensure_ascii=False), "9" * 5000)
+    form = draw(st.sampled_from(["utf-8", "utf-16", "latin-1", "mutated", "random"]))
+    if form == "random":
+        return job, draw(st.binary(max_size=64)), False
+    data = text.encode("utf-8" if form == "mutated" else form, errors="replace")
+    if form == "mutated":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(max_size=3)) + data[at + draw(st.integers(0, 3)):]
+    return job, data, form != "mutated"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_job_files(), st.sampled_from([None, "out", "o\x00ut"]))
+def test_main_keeps_the_exit_contract(job_file, out):
+    """main exits 0, 2, 3 or 4 on any job file and raises nothing; a failure
+    prints a JSON error naming its exit code, and exit 3 leaves a report.json.
+    Jobs run in a fresh working directory; a mutated or random file always
+    gets --out, so its bytes cannot name a directory outside it."""
+    job, data, exact = job_file
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("job.json").write_bytes(data)
+            argv = ["run", "job.json"]
+            if out is not None or not exact:
+                argv += ["--out", out or "out"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert json.loads(err.getvalue().splitlines()[-1])["exit_code"] == code
+            if code == 3:
+                out_dir = argv[-1] if "--out" in argv else job.get("output_dir", ".")
+                json.loads((Path(out_dir) / "report.json").read_text())
+        finally:
+            os.chdir(cwd)
 
 
 def test_main_list_maps(capsys):

@@ -170,6 +170,9 @@ def test_indicators_reject_bad_matrices(J, error):
     ([0.0, 1.0], [1.0, np.inf], "sur", NonFinite),
     ([0.0, 1.0], [1.0, -0.5], "sur", NonFinite),
     ([0.0, 1.0], [1.0, 0.5], "both", OutOfRange),
+    ([0.0, np.inf], [1.0, 0.5], "sur", OutOfRange),
+    ([0.0, 1.0, np.nan], [1.0, 0.5, 0.5], "sur", OutOfRange),
+    ([0.0, np.nan, 1.0], [1.0, 0.5, 0.5], "sur", OutOfRange),
 ])
 def test_profile_rejects_bad_fields(radii, eta, kind, error):
     with pytest.raises(error):

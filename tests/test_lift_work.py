@@ -1,7 +1,8 @@
 """Smoke test of tools/lift_work.py: one seed-7 chain cycle, whose summed
 lift work, call events, Sobol draws and output digest two runs must print
-alike, and which it counts at the public lift entry points of any tree; and
-a unit test of its output digest."""
+alike, and which it counts at the public lift entry points of any tree;
+unit tests of its output digest and of its report layout check, and a run
+that the layout check fails."""
 
 import functools
 import importlib.util
@@ -18,12 +19,16 @@ ROOT = Path(__file__).resolve().parents[1]
 CPU = re.compile(r", [0-9.]+ s CPU$", re.MULTILINE)  # the one timing in the output
 
 
-def _lift_work(*args: str) -> str:
-    run = subprocess.run(
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "lift_work.py"), "--workload", "chain", "--seed", "7",
          "--cycles", "1", *args],
         capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
+
+
+def _lift_work(*args: str) -> str:
+    run = _run(*args)
     assert run.returncode == 0, run.stdout + run.stderr
     assert CPU.search(run.stdout), run.stdout
     return CPU.sub("", run.stdout)
@@ -67,6 +72,33 @@ def test_lift_work_counts_a_tree_by_its_public_entry_points(tmp_path):
     lifting = src / "globinv" / "lifting.py"
     lifting.write_text(lifting.read_text().replace("_LineLanes", "_Lanes").replace("_Flow", "_FlowLift"))
     assert _lift_work("--src", str(src)) == _this_tree()
+
+
+def test_lift_work_fails_on_a_report_off_the_layout(tmp_path):
+    """A tree whose reports are laid out at indent 3 makes the tool exit 1
+    and name each report, after printing its counts and digest."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "globinv" / "cli.py"
+    encoder = "json.JSONEncoder(sort_keys=True, indent=2,"
+    assert cli.read_text().count(encoder) == 1
+    cli.write_text(cli.read_text().replace(encoder, encoder.replace("2", "3")))
+    run = _run("--src", str(src))
+    assert run.returncode == 1
+    assert run.stdout.splitlines()[-1].startswith("digest ")
+    lines = run.stderr.splitlines()
+    assert lines and all(line.endswith("/report.json is not laid out as json.dumps(sort_keys=True, indent=2)")
+                         for line in lines)
+
+
+def test_off_layout_flags_only_reports_off_the_json_dumps_layout(tmp_path):
+    job = {"map": "arctan1d", "command": "indicators", "x0": [0.0], "r": 3.0, "grid_size": 8}
+    dirs = [tmp_path / "00000", tmp_path / "00001", tmp_path / "00002"]
+    for job_dir in dirs[:2]:
+        assert run_job(job, out_override=job_dir) == 0
+    report = dirs[1] / "report.json"
+    report.write_bytes(report.read_bytes().replace(b'\n  "job": {', b'\n  "job":  {'))
+    assert _tool().off_layout(dirs) == [report]
 
 
 def _tool():

@@ -13,7 +13,10 @@ comes the sampler's work: the number of Sobol draws (calls of
 globinv.indicators._sobol, wrapped where the lift entry points are) and
 the points they returned, as "sobol draws N points P".  Last comes one
 sha256 over the raw bytes of every job's outputs, with only the values of
-report.json's timestamp and job.output_dir blanked.
+report.json's timestamp and job.output_dir blanked.  The tool exits 1,
+naming the file on stderr, when a report.json is not laid out as
+json.dumps(report, sort_keys=True, indent=2) + "\n" lays out the report it
+holds.
 
 All but the CPU time is deterministic, so two trees compare by running
 this with --src on each and diffing the output, apart from the first
@@ -90,6 +93,18 @@ def digest_outputs(job_dirs: list) -> str:
     return sha.hexdigest()
 
 
+def off_layout(job_dirs: list) -> list:
+    """The report.json files of the job directories whose bytes are not
+    json.dumps(report, sort_keys=True, indent=2) + "\n" of their report."""
+    off = []
+    for path in (job_dir / "report.json" for job_dir in job_dirs):
+        if path.exists():
+            data = path.read_bytes()
+            if data != (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode():
+                off.append(path)
+    return off
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
@@ -139,6 +154,7 @@ def main(argv=None) -> int:
                     codes[cli.run_job(job.spec, out_override=job_dirs[-1])] += 1
                     cpu += time.process_time() - t0
         digest = digest_outputs(job_dirs)
+        off = [path.relative_to(tmp) for path in off_layout(job_dirs)]
     print(f"{args.workload} seed {args.seed}, {args.cycles} cycles: "
           f"exit codes {dict(sorted(codes.items()))}, {cpu:.2f} s CPU")
     print(f"{'':18s} {'lines':>9s} {'flows':>9s}")
@@ -153,7 +169,9 @@ def main(argv=None) -> int:
         print(f"{label:18s} {ratio('lines', per)} {ratio('flows', per)}")
     print(f"sobol draws {totals['sobol']['draws']} points {totals['sobol']['points']}")
     print(f"digest {digest}")
-    return 0
+    for path in off:
+        print(f"{path} is not laid out as json.dumps(sort_keys=True, indent=2)", file=sys.stderr)
+    return 1 if off else 0
 
 
 if __name__ == "__main__":
