@@ -706,7 +706,15 @@ def test_report_writer_is_json_dumps(v):
     _check_report_writer(v)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.lists(_FLOATS, max_size=6), _JSON_VALUES)
+def test_report_writer_joins_formatted_cells(values, other):
+    """Cells formatted once render as the list of their floats does, beside
+    any other JSON value."""
+    _check_report_writer({"a": other, "cells": [_Floats(values)]})
+
+
+@pytest.mark.parametrize("bad",[np.nan, np.inf, -np.inf, np.float64(np.nan)])
 @pytest.mark.parametrize(
     "place",
     [lambda b: b, lambda b: [1.0, {"a": b}], lambda b: {b: 1}, lambda b: ({"a": [1.0, b, np.nan]},)],
