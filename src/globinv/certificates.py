@@ -337,7 +337,9 @@ def hadamard_integral_check(
     return DiagnosticsEntry("C15", VERDICT_HEURISTIC_FAIL, evidence)
 
 
-@np.errstate(over="ignore")  # an overflowed residual norm is rescaled (_row_norms)
+# an overflowed residual norm is rescaled (_row_norms); a value that overflows
+# into inf * 0 is NaN, and its sample is dropped
+@np.errstate(over="ignore", invalid="ignore")
 def katriel_check(
     model: MapModel,
     y0,
@@ -446,7 +448,9 @@ def _segment_min_ratio(model: MapModel, u: Array, x: Array) -> float:
     return float(np.min(quotients[finite[:33] & finite[33:]], initial=np.inf))
 
 
-@np.errstate(over="ignore")  # an overflowed ratio is +inf and never the minimum
+# an overflowed ratio is +inf and never the minimum; a value that overflows
+# into inf * 0 is NaN, and its pair is dropped
+@np.errstate(over="ignore", invalid="ignore")
 def expansive_estimate(
     model: MapModel, radii=(1.0, 10.0, 100.0), seed: int = 0
 ) -> DiagnosticsEntry:
@@ -554,7 +558,9 @@ def weighted_certificate(
     return DiagnosticsEntry("C22", VERDICT_HEURISTIC_PASS, evidence)
 
 
-@np.errstate(over="ignore")  # an overflowed residual norm is rescaled (_row_norms)
+# an overflowed residual norm is rescaled (_row_norms); a value that overflows
+# into inf * 0 is NaN, and its sample is dropped
+@np.errstate(over="ignore", invalid="ignore")
 def plastock_check(
     model: MapModel,
     x0,
@@ -605,7 +611,9 @@ def _row_stretch(model: MapModel, X: Array, row: Array) -> tuple:
     return stretch, kept
 
 
-@np.errstate(over="ignore")  # an overflowed row norm is rescaled (_row_norms)
+# an overflowed row norm is rescaled (_row_norms); a derivative that overflows
+# into inf * 0 is NaN, and its sample is dropped
+@np.errstate(over="ignore", invalid="ignore")
 def ps_direction_scan(
     model: MapModel, radii=(1.0, 10.0, 100.0), seed: int = 0
 ) -> DiagnosticsEntry:

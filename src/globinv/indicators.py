@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
-from .maps import MapModel, _svd, _vector, default_point, jacobian_stack
+from .maps import _SVD_HI, _SVD_LO, MapModel, _svd, _vector, default_point, jacobian_stack
 
 Array = np.ndarray
 
@@ -63,16 +63,39 @@ def _matrix(J) -> Array:
     return arr
 
 
+def _sigma_min_2x2(J: Array) -> Array:
+    """The least singular value of each matrix [[a, b], [c, d]] of a (K, 2,
+    2) stack: |ad - bc| / s_max with s_max = (hypot(a + d, c - b) +
+    hypot(a - d, c + b)) / 2, the larger of the two singular values whose
+    sum and difference the hypots are (Demmel and Kahan, SIAM J. Sci. Stat.
+    Comput. 11, 1990).  A row with an entry outside the window of
+    maps._svd, 0 allowed, goes to LAPACK, so no product over- or
+    underflows.  The form lies within a few eps s_max of LAPACK, not bit
+    for bit, and each row's value is its own."""
+    a = np.abs(J)
+    inside = ((a >= _SVD_LO) & (a <= _SVD_HI)) | (a == 0.0)
+    if np.count_nonzero(inside) < inside.size:
+        out = ~inside.all(axis=(1, 2))
+        s = np.empty(len(J))
+        s[out] = _svd(J[out], compute_uv=False)[:, -1]
+        s[~out] = _sigma_min_2x2(J[~out])
+        return s
+    a, b, c, d = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+    s_max = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b))
+    # s_max is at least the largest |entry|, so only a zero matrix meets the floor
+    return np.abs(a * d - b * c) / np.maximum(s_max, _SVD_LO * _SVD_LO)
+
+
 def _indicator_stack(J: Array, kind: str) -> Array:
-    """inj or sur of each matrix of a finite (K, m, n) stack, with one
-    stacked SVD."""
-    K, m, n = J.shape
+    """inj or sur of each matrix of a finite (K, m, n) stack: the closed
+    form on a 2x2 stack, else one stacked SVD (maps._svd)."""
     if kind == "sur":
-        if n < m:
-            return np.zeros(K)
-        return _svd(J.transpose(0, 2, 1), compute_uv=False)[:, -1]
+        J = J.transpose(0, 2, 1)
+    K, m, n = J.shape
     if m < n:
         return np.zeros(K)
+    if (m, n) == (2, 2):
+        return _sigma_min_2x2(J)
     return _svd(J, compute_uv=False)[:, -1]
 
 
@@ -444,11 +467,11 @@ def _batches(total: int, floats_per_row: int) -> list:
 
 
 def _indicators_at(model: MapModel, X: Array, kind: str) -> Array:
-    """inj or sur at each row of X: one Jacobian stack and one SVD per batch
-    of rows.  The first row whose Jacobian is not finite (a row where the
-    map raises NonFinite included) raises NonFinite naming its point, as
-    jacobian() does; any other error the map raises in that row's batch
-    comes first."""
+    """inj or sur at each row of X: one Jacobian stack and one
+    _indicator_stack per batch of rows.  The first row whose Jacobian is
+    not finite (a row where the map raises NonFinite included) raises
+    NonFinite naming its point, as jacobian() does; any other error the map
+    raises in that row's batch comes first."""
     vals = []
     for rows in _batches(X.shape[0], model.m * model.n):
         J, finite = jacobian_stack(model, X[rows])
@@ -459,6 +482,8 @@ def _indicators_at(model: MapModel, X: Array, kind: str) -> Array:
     return np.concatenate(vals)
 
 
+# an overflowed bound or Jacobian entry is checked below (NonFinite)
+@np.errstate(over="ignore", invalid="ignore")
 def mu_profile(
     model: MapModel,
     x0,
@@ -471,14 +496,17 @@ def mu_profile(
 ) -> MuProfile:
     """Radial indicator profile around x0 on grid_size equal cells of [0, r_max].
 
-    Certified mode evaluates the model's analytic mu_bound.  Bounds are
-    anchored at the model's canonical base point; a profile centered elsewhere
-    shifts the radius by the offset, keeping the bound valid (enclosing ball).
+    Certified mode evaluates the model's analytic mu_bound in one call on
+    the array of radii (a scalar result is broadcast; any other shape
+    raises DimensionMismatch).  Bounds are anchored at the model's
+    canonical base point; a profile centered elsewhere shifts the radius by
+    the offset, keeping the bound valid (enclosing ball).
     Sampled mode takes sample_count low-discrepancy points per ball and
     records the running minimum of the pointwise indicator, an optimistic
     (upper) estimate of the true infimum.  The grid_size * sample_count
     points are stacked in batches of at most 4096 points and 2**20 Jacobian
-    floats: one Jacobian stack and one SVD per batch, so memory stays
+    floats: one Jacobian stack and one _indicator_stack per batch (the
+    closed form on 2x2 Jacobians, else one stacked SVD), so memory stays
     bounded; x0 is a one-row stack of its own, taken first.  A non-finite
     Jacobian raises NonFinite at the first such point in radius-major
     order, unless the map raises an error of its own anywhere in that
@@ -497,8 +525,13 @@ def mu_profile(
         if model.mu_bound is None:
             raise MissingBound(f"map {model.name!r} carries no analytic bound")
         shift = float(np.linalg.norm(x0v - default_point(model)))
-        # Python floats, not numpy scalars: the same bits at a lower cost per call
-        eta = np.array([float(model.mu_bound(shift + rho)) for rho in radii.tolist()])
+        eta = np.asarray(model.mu_bound(shift + radii), dtype=float)
+        if eta.shape != radii.shape:
+            if eta.ndim:
+                raise DimensionMismatch(
+                    f"mu_profile: bound of {model.name!r} returned shape {eta.shape}, expected {radii.shape}"
+                )
+            eta = np.full(radii.shape, eta)
         if not np.all(np.isfinite(eta)):
             raise NonFinite("mu_profile: analytic bound returned non-finite values")
         eta = np.maximum(eta, 0.0)

@@ -42,7 +42,13 @@ class MapModel:
     m x n Jacobian; otherwise a central finite difference is used.  mu_bound,
     when given, is a certified lower bound for the invertibility indicator of
     the Jacobian over the closed ball of radius rho centered at base_point
-    (the origin when base_point is None).
+    (the origin when base_point is None).  mu_bound is array-valued: given
+    an array of radii it returns an array of their shape, the bound at each
+    radius, and a bound that does not depend on rho may return one scalar,
+    which is broadcast.  A certified profile calls it once on all its radii,
+    with overflow warnings off, so a bound such as 1 / (1 + rho * rho) reads
+    0 where rho * rho overflows; a bound that is not finite is an error
+    there.
 
     stacked declares eval_fn and jac_fn shape-polymorphic: given a (..., n)
     array they return (..., m) and (..., m, n), each row computed from its
@@ -58,7 +64,7 @@ class MapModel:
     m: int
     eval_fn: Callable[[Array], Array]
     jac_fn: Optional[Callable[[Array], Array]] = None
-    mu_bound: Optional[Callable[[float], float]] = None
+    mu_bound: Optional[Callable[[Array], Array]] = None
     base_point: Optional[Array] = None
     stacked: bool = False
 
@@ -163,7 +169,10 @@ def evaluate_stack(model: MapModel, X) -> tuple:
     """
     Xv = _stack_points(model, X, "evaluate_stack")
     Y = _stack_rows(model, model.eval_fn, Xv, (model.m,), "evaluate_stack")
-    return Y, np.isfinite(Y).all(axis=1)
+    finite = np.isfinite(Y)
+    # one count over the stack; the per-row reduce only when it finds a
+    # non-finite entry (else any column of finite is the all-True mask)
+    return Y, finite[:, 0] if np.count_nonzero(finite) == finite.size else finite.all(axis=1)
 
 
 def evaluate(model: MapModel, x) -> Array:
@@ -214,7 +223,9 @@ def jacobian_stack(model: MapModel, X) -> tuple:
         J = np.ascontiguousarray(_fd_jacobian(model, Xv))
     else:
         J = _stack_rows(model, model.jac_fn, Xv, (model.m, model.n), "jacobian_stack")
-    return J, np.isfinite(J).all(axis=(1, 2))
+    finite = np.isfinite(J)
+    # as in evaluate_stack: the per-row reduce only after a count fails
+    return J, finite[:, 0, 0] if np.count_nonzero(finite) == finite.size else finite.all(axis=(1, 2))
 
 
 def jacobian(model: MapModel, x) -> Array:
@@ -229,7 +240,9 @@ def jacobian(model: MapModel, x) -> Array:
 
 
 # For |a| in this window LAPACK's SVD of the 1x1 matrix [a] is (sign a, |a|,
-# 1) bit for bit; it rescales only outside about [6.5e-139, 1.59e138].
+# 1) bit for bit; it rescales only outside about [6.5e-139, 1.59e138].  Its
+# singular value of a 2x1 or 1x2 matrix [a, b] with |a| and |b| each 0 or in
+# the window is dlapy2(a, b) bit for bit.
 _SVD_LO, _SVD_HI = 1e-100, 1e100
 
 
@@ -237,20 +250,34 @@ def _svd(J: Array, compute_uv: bool = True):
     """np.linalg.svd(J, full_matrices=False) as (U, s, Vt), or s alone when
     compute_uv is False, bit for bit, for a 2-D matrix or a (K, m, n) stack.
 
-    A 1x1 stack whose every |a| lies in [_SVD_LO, _SVD_HI] takes the closed
-    form s = |a|, U = sign(a), Vt = 1.  Every other stack goes to LAPACK: one
-    entry outside the window (0, a subnormal, inf or NaN included; NaN still
-    raises LinAlgError) sends the whole stack.  Inside the window the two
-    agree bit for bit, so a row's result does not depend on the other rows.
-    np.linalg.svd is looked up at each call, so a profiler that rebinds it
-    sees every LAPACK call."""
-    if J.shape[-2:] == (1, 1):
+    Two shapes take a closed form when every entry's magnitude lies in the
+    window [_SVD_LO, _SVD_HI]:
+    - a 1x1 stack: s = |a|, U = sign(a), Vt = 1;
+    - s alone of a 2x1 or 1x2 stack, whose entries may also be 0: LAPACK's
+      dlapy2, s = w sqrt(1 + (z/w)^2) with w and z the larger and the
+      smaller of |a| and |b|.
+    Every other stack goes to LAPACK: one entry outside the window (a
+    subnormal, inf or NaN included, and 0 in a 1x1 stack; NaN still raises
+    LinAlgError) sends the whole stack.  Inside the window the closed forms
+    and LAPACK agree bit for bit, so a row's result does not depend on the
+    other rows.  np.linalg.svd is looked up at each call, so a profiler
+    that rebinds it sees every LAPACK call."""
+    rank_one = not compute_uv and J.shape[-2:] in ((2, 1), (1, 2))
+    if rank_one or J.shape[-2:] == (1, 1):
         a = np.abs(J)
-        if a.size <= 32:  # a Python test of a few floats beats two reduces
-            inside = all(_SVD_LO <= v <= _SVD_HI for v in a.ravel().tolist())
+        if a.size <= 32:  # a Python test of a few floats beats the reduces
+            inside = all(_SVD_LO <= v <= _SVD_HI or (rank_one and v == 0.0) for v in a.ravel().tolist())
+        elif rank_one:
+            inside = (np.maximum.reduce(a, axis=None) <= _SVD_HI
+                      and not np.count_nonzero((a < _SVD_LO) & (a != 0.0)))
         else:
             inside = (np.minimum.reduce(a, axis=None) >= _SVD_LO
                       and np.maximum.reduce(a, axis=None) <= _SVD_HI)
+        if inside and rank_one:
+            a = a.reshape(*J.shape[:-2], 2)
+            w, z = np.maximum(a[..., 0], a[..., 1]), np.minimum(a[..., 0], a[..., 1])
+            q = z / np.maximum(w, _SVD_LO)  # 0 / _SVD_LO on a zero matrix
+            return (w * np.sqrt(1.0 + q * q))[..., None]
         if inside:  # sign(a) is 1: no entry in the window is 0 or NaN
             return (np.sign(J), a[..., 0], np.sign(a)) if compute_uv else a[..., 0]
     if compute_uv:
@@ -330,7 +357,7 @@ def _arctan1d_entry() -> RegistryEntry:
         m=1,
         eval_fn=lambda x: np.arctan(x),
         jac_fn=lambda x: (1.0 / (1.0 + np.float_power(x, 2)))[..., None],
-        mu_bound=lambda rho: 1.0 / (1.0 + rho ** 2),
+        mu_bound=lambda rho: 1.0 / (1.0 + rho * rho),
         stacked=True,
     )
     facts = AnalyticFacts(
@@ -352,7 +379,7 @@ def _monotone1d_entry() -> RegistryEntry:
         m=1,
         eval_fn=lambda x: x + 0.5 * np.sin(x),
         jac_fn=lambda x: (1.0 + 0.5 * np.cos(x))[..., None],
-        mu_bound=lambda rho: 0.5 if rho >= np.pi else 1.0 + 0.5 * np.cos(rho),
+        mu_bound=lambda rho: np.where(rho >= np.pi, 0.5, 1.0 + 0.5 * np.cos(rho)),
         stacked=True,
     )
     facts = AnalyticFacts(
@@ -371,7 +398,7 @@ def _exp1d_entry() -> RegistryEntry:
         m=1,
         eval_fn=lambda x: np.exp(x),
         jac_fn=lambda x: np.exp(x)[..., None],
-        mu_bound=lambda rho: float(np.exp(-rho)),
+        mu_bound=lambda rho: np.exp(-rho),
         stacked=True,
     )
     facts = AnalyticFacts(
@@ -410,7 +437,7 @@ def _complex_exp_entry() -> RegistryEntry:
         m=2,
         eval_fn=_eval,
         jac_fn=_jac,
-        mu_bound=lambda rho: float(np.exp(-rho)),
+        mu_bound=lambda rho: np.exp(-rho),
         stacked=True,
     )
     facts = AnalyticFacts(
@@ -475,7 +502,7 @@ def _asinh1d_entry() -> RegistryEntry:
         m=1,
         eval_fn=lambda x: np.arcsinh(x),
         jac_fn=lambda x: (1.0 / np.sqrt(1.0 + np.float_power(x, 2)))[..., None],
-        mu_bound=lambda rho: 1.0 / float(np.sqrt(1.0 + rho ** 2)),
+        mu_bound=lambda rho: 1.0 / np.sqrt(1.0 + rho * rho),
         stacked=True,
     )
     facts = AnalyticFacts(

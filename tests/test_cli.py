@@ -519,6 +519,36 @@ def test_diagnose_exp_overflow_is_silent(tmp_path):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("name", ["arctan1d", "asinh1d"])
+@pytest.mark.parametrize("r", [1e300, 1e308])
+def test_certified_profile_of_a_huge_radius_exits_0(name, r, tmp_path):
+    """The bound 1 / (1 + rho^2) squared rho as a Python float, which raises
+    OverflowError beyond about 1.3e154 (exit 3); the array bound reads 0
+    there, without a RuntimeWarning."""
+    job = {"map": name, "command": "indicators", "x0": [0.0], "r": r, "grid_size": 8}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_job(job, out_override=tmp_path) == 0
+    assert [str(w.message) for w in caught] == []
+    assert _read_report(tmp_path)["result"]["profile"]["eta_values"] == [1.0] + [0.0] * 8
+
+
+@pytest.mark.parametrize("job, code", [
+    ({"map": "complex_exp", "command": "diagnose", "r": 700}, 0),
+    ({"map": "complex_exp", "command": "indicators", "r": 1e6, "mode": "sampled"}, 3),
+], ids=["diagnose-r700", "sampled-indicators-r1e6"])
+def test_sampled_checks_where_the_map_overflows_are_silent(job, code, tmp_path, capsys):
+    """Samples where exp overflows (to inf, or to inf * 0 = NaN) are dropped
+    by the diagnostics and reported NonFinite by a sampled profile, with
+    warnings as errors: a RuntimeWarning would fail the job instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_job(job, out_override=tmp_path) == code
+    if code:
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonFinite"
+        assert _read_report(tmp_path)["result"]["error"]["type"] == "NonFinite"
+
+
 def test_diagnose_identity_10_finds_its_sublevel_sets(tmp_path):
     """C17 samples balls of radius (1 + |y0|) 2^j from j = -1: in ten
     dimensions the cubes it sampled from half width 1 put about 0.6 of

@@ -51,6 +51,72 @@ def test_indicators_rectangular():
     assert sur_indicator(J) == pytest.approx(5.0)
 
 
+def _rotations(t: np.ndarray) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return np.stack([c, -s, s, c], -1).reshape(-1, 2, 2)
+
+
+def _two_by_two_sets(rng) -> dict:
+    """Sets of 2x2 matrices, 20,000 each."""
+    K = 20_000
+    normal = rng.normal(size=(K, 2, 2))
+    # R diag(1, 1/cond) R' with condition numbers up to 1e17
+    diag = np.zeros((K, 2, 2))
+    diag[:, 0, 0], diag[:, 1, 1] = 1.0, 10.0 ** -rng.uniform(0.0, 17.0, K)
+    ill = _rotations(rng.uniform(0.0, 7.0, K)) @ diag @ _rotations(rng.uniform(0.0, 7.0, K))
+    ab = rng.normal(size=(K, 2)) * 10.0 ** rng.uniform(-30.0, 30.0, (K, 1))
+    conformal = np.stack([ab[:, 0], -ab[:, 1], ab[:, 1], ab[:, 0]], -1).reshape(K, 2, 2)
+    rank_one = rng.normal(size=(K, 2, 1)) @ rng.normal(size=(K, 1, 2))
+    return {
+        "normal": normal,
+        "scaled": normal * 10.0 ** rng.uniform(-90.0, 90.0, (K, 1, 1)),
+        "ill-conditioned": ill * 10.0 ** rng.uniform(-40.0, 40.0, (K, 1, 1)),
+        "conformal": conformal,
+        "rank-one": rank_one,
+        "zeros": normal * (rng.random((K, 2, 2)) < 0.5),
+    }
+
+
+def test_two_by_two_indicator_is_lapack_to_4_eps():
+    """inj and sur of a 2x2 stack are the closed form, within 4 eps s_max
+    of LAPACK's least singular value on every set, and exactly 1 on the
+    identity."""
+    eps = np.finfo(float).eps
+    for name, J in _two_by_two_sets(np.random.default_rng(31)).items():
+        s = np.linalg.svd(J, compute_uv=False)
+        for kind in ("inj", "sur"):
+            got = indicators._indicator_stack(J, kind)
+            assert np.all(np.abs(got - s[:, 1]) <= 4.0 * eps * s[:, 0]), (name, kind)
+    assert indicators._indicator_stack(np.eye(2)[None], "inj").tolist() == [1.0]
+    assert inj_indicator(np.eye(2)) == sur_indicator(np.eye(2)) == 1.0
+    assert inj_indicator(np.zeros((2, 2))) == 0.0
+
+
+def test_two_by_two_indicator_calls_lapack_only_outside_the_window(monkeypatch):
+    """A stack inside the window makes no LAPACK call.  Rows with an entry
+    outside it go to LAPACK, and only they: each is LAPACK's value bit for
+    bit, and each row inside keeps the value it has in a stack of its own."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    J = np.random.default_rng(37).normal(size=(8, 2, 2))
+    inside = indicators._indicator_stack(J, "sur")
+    assert calls == []
+    J[2, 0, 1], J[5, 1, 1], J[6, 1, 0] = 1e120, 3e-200, 5e-324
+    mixed = indicators._indicator_stack(J, "inj")
+    assert calls == [(3, 2, 2)]
+    out = [2, 5, 6]
+    assert mixed[out].tobytes() == svd(J[out], compute_uv=False)[:, -1].tobytes()
+    keep = [0, 1, 3, 4, 7]
+    assert mixed[keep].tobytes() == inside[keep].tobytes()
+    for k in keep:
+        assert mixed[k] == indicators._indicator_stack(J[k:k + 1], "inj")[0]
+
+
 def test_fredholm_data():
     d = fredholm_data(np.diag([2.0, 1.0, 1e-14]))
     assert d == FredholmData(rank=2, dim_ker=1, dim_coker=1, index=0)
@@ -108,13 +174,18 @@ def test_certified_profile_shifts_for_off_base_center():
 @pytest.mark.parametrize("name", list_map_names())
 @pytest.mark.parametrize("shift", [0.0, 0.37])
 def test_certified_eta_at_python_floats_is_bitwise_the_numpy_scalar_eta(name, shift):
-    """mu_profile calls the bound at Python floats; every registry bound
-    gives there the bits it gives at numpy scalars, over 20001 radii."""
+    """mu_profile calls the bound once, on the array of its 20001 radii;
+    every registry bound gives there the bits its per-float calls give,
+    at Python floats and at numpy scalars alike."""
     m = linear_map([[1.0, 0.3], [-0.2, 0.8]]) if name == "linear" else registry_get(name)
     x0 = default_point(m) + shift * np.eye(m.n)[0]
     prof = mu_profile(m, x0, 200.0, 20000)
     offset = float(np.linalg.norm(x0 - default_point(m)))
-    eta = np.array([float(m.mu_bound(offset + rho)) for rho in np.linspace(0.0, 200.0, 20001)])
+    radii = offset + np.linspace(0.0, 200.0, 20001)
+    at_once = np.broadcast_to(m.mu_bound(radii), radii.shape)
+    for values in (radii.tolist(), radii):
+        eta = np.array([float(m.mu_bound(rho)) for rho in values])
+        assert at_once.tobytes() == eta.tobytes()
     eta = np.minimum.accumulate(np.maximum(eta, 0.0))
     assert prof.eta_values.tobytes() == eta.tobytes()
 
@@ -182,7 +253,13 @@ def test_profile_rejects_bad_fields(radii, eta, kind, error):
 
 def _bound_nan_beyond_one():
     return MapModel(name="bounded", n=1, m=1, eval_fn=lambda x: x.copy(),
-                    mu_bound=lambda rho: 1.0 if rho <= 1.0 else np.nan)
+                    mu_bound=lambda rho: np.where(rho <= 1.0, 1.0, np.nan))
+
+
+def _bound_of_one_row():
+    """A bound that returns its radii as one row, not in their shape."""
+    return MapModel(name="row_bound", n=1, m=1, eval_fn=lambda x: x.copy(),
+                    mu_bound=lambda rho: np.ones((1, rho.size)))
 
 
 @pytest.mark.parametrize("model, kwargs, error", [
@@ -193,6 +270,7 @@ def _bound_nan_beyond_one():
     (registry_get("arctan1d"), {"mode": "exact"}, OutOfRange),
     (MapModel(name="plain", n=1, m=1, eval_fn=lambda x: x.copy()), {}, MissingBound),
     (_bound_nan_beyond_one(), {"r_max": 2.0}, NonFinite),
+    (_bound_of_one_row(), {}, DimensionMismatch),
 ])
 def test_profile_arguments_are_checked(model, kwargs, error):
     args = {"r_max": 1.0, "grid_size": 4, **kwargs}

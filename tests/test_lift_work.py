@@ -1,6 +1,6 @@
 """Smoke test of tools/lift_work.py: one seed-7 chain cycle, whose summed
-lift work, call events, Sobol draws and output digest two runs must print
-alike, and which it counts at the public lift entry points of any tree;
+lift work, call events, Sobol draws, LAPACK SVDs and output digest two runs
+must print alike, and which it counts at the public lift entry points of any tree;
 unit tests of its output digest and of its report layout check, and a run
 that the layout check fails."""
 
@@ -43,7 +43,7 @@ def test_lift_work_counts_repeat():
     """A second run prints the same work, events and digest."""
     first = _this_tree()
     assert _lift_work() == first
-    header, columns, *rows, sobol, digest = first.splitlines()
+    header, columns, *rows, sobol, lapack, digest = first.splitlines()
     assert header.startswith("chain seed 7, 1 cycles: exit codes {0: ")
     assert columns.split() == ["lines", "flows"]
     table = {name: values for name, *values in map(str.split, rows)}
@@ -60,6 +60,8 @@ def test_lift_work_counts_repeat():
         assert table["events/attempt"][kind] == f"{events / attempts:.1f}"
         assert table["events/lane"][kind] == f"{events / lanes:.1f}"
     assert re.fullmatch(r"sobol draws [0-9]+ points [0-9]+", sobol)
+    svds, matrices = map(int, re.fullmatch(r"lapack svds ([0-9]+) matrices ([0-9]+)", lapack).groups())
+    assert 0 < svds <= matrices
     assert re.fullmatch(r"digest [0-9a-f]{64}", digest)
 
 
@@ -106,6 +108,31 @@ def _tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_lapack_row_counts_the_matrices_left_to_lapack(tmp_path):
+    """The lapack row counts the calls of numpy.linalg.svd and the matrices
+    they take: a tree whose 2x2 indicator calls LAPACK on every stack makes
+    more calls on a profile_ladder cycle, one matrix per sampled point."""
+    def lapack_row(*args: str) -> tuple:
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "lift_work.py"), "--workload", "profile_ladder", "--seed", "7",
+             "--cycles", "1", *args],
+            capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        row = next(line for line in run.stdout.splitlines() if line.startswith("lapack "))
+        return tuple(map(int, row.split()[2::2]))
+
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    indicators = src / "globinv" / "indicators.py"
+    closed_form = "if (m, n) == (2, 2):"
+    assert indicators.read_text().count(closed_form) == 1
+    indicators.write_text(indicators.read_text().replace(closed_form, "if False:"))
+    svds, matrices = lapack_row()
+    all_svds, all_matrices = lapack_row("--src", str(src))
+    assert 0 < svds < all_svds and matrices + 10_000 < all_matrices
 
 
 def test_digest_sees_every_byte_but_the_rerun_values(tmp_path):

@@ -586,6 +586,81 @@ def test_svd_of_a_mixed_stack_equals_its_one_row_calls():
     _assert_svd_is_lapack(J)
 
 
+def _lapack_calls(monkeypatch) -> list:
+    """The stacks handed to numpy.linalg.svd from here on, which maps._svd
+    looks up at each call."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _rank_one_stacks(a: np.ndarray) -> list:
+    """The (K, 2) rows of a as a 2x1 and as a 1x2 stack."""
+    return [a[:, :, None], a[:, None, :]]
+
+
+def test_svd_of_rank_one_stacks_is_lapack_bit_for_bit(monkeypatch):
+    """s alone of 2x1 and 1x2 matrices, 200,000 signed draws over the window
+    with about one entry in ten 0: as one stack, as stacks of 16 and of 64,
+    as one-row stacks (every 20th) and one 2-D matrix at a time (the first
+    100), each equal to LAPACK's s bit for bit, and none calls LAPACK."""
+    rng = np.random.default_rng(29)
+    a = rng.choice([-1.0, 1.0], (200_000, 2)) * 10.0 ** rng.uniform(-100.0, 100.0, (200_000, 2))
+    a[rng.random(a.shape) < 0.1] = 0.0
+    a[:5] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -3.0], [1e100, 1e100], [1e-100, -1e-100]]
+    want = [np.linalg.svd(J, compute_uv=False) for J in _rank_one_stacks(a)]
+    calls = _lapack_calls(monkeypatch)
+    for J, s in zip(_rank_one_stacks(a), want):
+        assert _bits(_svd(J, compute_uv=False)) == _bits(s)
+        for size in (16, 64):
+            parts = [_svd(J[k:k + size], compute_uv=False) for k in range(0, len(J), size)]
+            assert _bits(np.concatenate(parts)) == _bits(s)
+        rows = np.concatenate([_svd(J[k:k + 1], compute_uv=False) for k in range(0, len(J), 20)])
+        assert _bits(rows) == _bits(s[::20])
+        for k in range(100):
+            got = _svd(J[k], compute_uv=False)
+            assert got.shape == (1,) and _bits(got) == _bits(s[k])
+    assert calls == []
+
+
+def test_svd_of_rank_one_edge_values():
+    """Every pair of zeros, the least subnormal, the window edges and their
+    neighbours on either side, infinities and 2, signed: each pair alone as
+    a 2x1 and a 1x2 matrix, in 2-D and as a stack, and the pairs all inside
+    the window as one stack, equal LAPACK bit for bit (those outside the
+    window go to LAPACK)."""
+    edges = []
+    for edge in (_SVD_LO, _SVD_HI):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    values = np.array([0.0, 5e-324, np.inf, *edges, 2.0])
+    values = np.concatenate([values, -values])
+    pairs = np.array([(u, v) for u in values for v in values])
+    for J in _rank_one_stacks(pairs):
+        for k in range(len(J)):
+            _assert_svd_is_lapack(J[k:k + 1])
+            _assert_svd_is_lapack(J[k])
+        inside = np.all((np.abs(pairs) == 0.0) | ((np.abs(pairs) >= _SVD_LO) & (np.abs(pairs) <= _SVD_HI)), axis=1)
+        assert inside.sum() > 100
+        _assert_svd_is_lapack(J[inside])
+        _assert_svd_is_lapack(J)
+
+
+def test_svd_of_a_mixed_rank_one_stack_equals_its_one_row_calls():
+    """A rank-one stack with one entry outside the window goes to LAPACK as a
+    whole; each row still equals its one-row result (the closed form inside)."""
+    J = np.array([[3.0, -4.0], [0.0, 1e-30], [1e120, 2.0], [2e-7, 0.0], [-7e99, 5e99]])
+    for stack in _rank_one_stacks(J):
+        s = _svd(stack, compute_uv=False)
+        for k in range(len(stack)):
+            assert _bits(s[k]) == _bits(_svd(stack[k:k + 1], compute_uv=False)[0])
+        _assert_svd_is_lapack(stack)
+
+
 def test_svd_of_nan_raises():
     for J in (np.array([[[np.nan]]]), np.array([[[1.0]], [[np.nan]]]), np.array([[np.nan]])):
         for compute_uv in (True, False):
@@ -604,8 +679,8 @@ def test_svd_of_other_shapes_is_lapack(shape):
 
 def test_every_svd_of_src_is_maps_svd():
     """numpy.linalg.svd (any attribute .svd, any imported svd) appears in
-    the package only inside maps._svd, so every SVD takes its 1x1 closed
-    form and is counted where maps._svd is."""
+    the package only inside maps._svd, so every SVD takes its closed forms
+    and is counted where maps._svd is."""
     outside = []
     for path in sorted(Path(globinv.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

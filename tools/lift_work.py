@@ -11,7 +11,11 @@ c_call events (a sys.setprofile count) made inside the lift entry points,
 in all and per attempt (accepted and rejected steps) and per lane.  Next
 comes the sampler's work: the number of Sobol draws (calls of
 globinv.indicators._sobol, wrapped where the lift entry points are) and
-the points they returned, as "sobol draws N points P".  Last comes one
+the points they returned, as "sobol draws N points P", and the LAPACK
+SVD work left after the closed forms of globinv.maps._svd and of the 2x2
+indicator: the calls of numpy.linalg.svd (rebound in numpy.linalg, where
+_svd looks it up at each call) and the matrices they took, as "lapack
+svds N matrices M".  Last comes one
 sha256 over the raw bytes of every job's outputs, with only the values of
 report.json's timestamp and job.output_dir blanked.  The tool exits 1,
 naming the file on stderr, when a report.json is not laid out as
@@ -40,6 +44,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 import time
@@ -49,13 +54,15 @@ ROOT = Path(__file__).resolve().parents[1]
 STATS = ("accepted", "rejected_error", "rejected_singular", "rejected_nonfinite", "evals", "jacobians", "svds")
 
 
-def profiled(fn, *args, **kwargs) -> tuple:
-    """fn's result and the call and c_call events sys.setprofile reports while it runs."""
+def profiled(fn, args: tuple, kwargs: dict, uncounted=frozenset()) -> tuple:
+    """fn(*args, **kwargs) and the call and c_call events sys.setprofile
+    reports while it runs, but for those in the frames of the code objects
+    uncounted (the tool's own counters, so that counting adds no events)."""
     events = 0
 
     def hook(frame, event, arg):
         nonlocal events
-        if event == "call" or event == "c_call":
+        if (event == "call" or event == "c_call") and frame.f_code not in uncounted:
             events += 1
 
     sys.setprofile(hook)
@@ -113,14 +120,21 @@ def main(argv=None) -> int:
     ap.add_argument("--cycles", type=int, default=3)
     args = ap.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
+    import numpy as np
     import workloads
     from globinv import cli, indicators, lifting
 
     totals = {"lines": collections.Counter(), "flows": collections.Counter(), "sobol": collections.Counter()}
+    svd, lapack_work = np.linalg.svd, [0, 0]
+
+    def lapack(a, *args, **kwargs):  # a is an array: maps._svd passes no other
+        lapack_work[0] += 1
+        lapack_work[1] += math.prod(a.shape[:-2])
+        return svd(a, *args, **kwargs)
 
     def counted(kind, fn, outcomes):
         def run(*args, **kwargs):
-            out, events = profiled(fn, *args, **kwargs)
+            out, events = profiled(fn, args, kwargs, {lapack.__code__})
             totals[kind]["events"] += events
             for outcome in outcomes(out):
                 totals[kind]["lanes"] += 1
@@ -135,6 +149,7 @@ def main(argv=None) -> int:
         totals["sobol"].update(draws=1, points=out.shape[0])
         return out
 
+    np.linalg.svd = lapack
     lines, flow = lifting.lift_lines, lifting.gradient_flow
     wrapped = {lines: counted("lines", lines, lambda out: out),
                flow: counted("flows", flow, lambda out: out[:1]), sobol: drawn}
@@ -168,6 +183,7 @@ def main(argv=None) -> int:
     for label, per in (("events/attempt", STATS[:4]), ("events/lane", ("lanes",))):
         print(f"{label:18s} {ratio('lines', per)} {ratio('flows', per)}")
     print(f"sobol draws {totals['sobol']['draws']} points {totals['sobol']['points']}")
+    print(f"lapack svds {lapack_work[0]} matrices {lapack_work[1]}")
     print(f"digest {digest}")
     for path in off:
         print(f"{path} is not laid out as json.dumps(sort_keys=True, indent=2)", file=sys.stderr)
