@@ -77,10 +77,11 @@ from .indicators import (
     rho_of_r,
     unit_ball_sets,
 )
-from .lifting import LiftOptions, _row_norms, lift_lines, weighted_path_length
+from .lifting import LiftOptions, lift_lines, weighted_path_length
 from .maps import (
     AnalyticFacts,
     MapModel,
+    _norms,
     _vector,
     evaluate,
     evaluate_stack,
@@ -195,6 +196,7 @@ def _dropped(kept: Array) -> list:
     return [int(c) for c in np.sum(~kept, axis=1)]
 
 
+@np.errstate(over="ignore")  # an overflowed distance is rescaled (_norms)
 def graves_certificate(
     model: MapModel,
     x0,
@@ -222,24 +224,18 @@ def graves_certificate(
         base_opts = opts or LiftOptions()
         lift_opts = replace(base_opts, r_escape=float(r))
         dirs = unit_sphere_points(model.m, verify_targets, seed)
-        statuses = []
-        inside = 0
-        completed = 0
-        max_residual = 0.0
-        max_distance = 0.0
-        for out in lift_lines(model, x0v, _BOUNDARY_SCALE * rho * dirs, lift_opts):
-            statuses.append(out.status.kind)
-            if out.status.is_complete:
-                completed += 1
-                dist = float(np.linalg.norm(out.trajectory.points[-1] - x0v))
-                max_distance = max(max_distance, dist)
-                if dist < r:
-                    inside += 1
-                max_residual = max(max_residual, out.target_residual)
+        outs = lift_lines(model, x0v, _BOUNDARY_SCALE * rho * dirs, lift_opts)
+        statuses = [out.status.kind for out in outs]
+        complete = [out for out in outs if out.status.is_complete]
+        ends = np.array([out.trajectory.points[-1] for out in complete]).reshape(-1, model.n)
+        dists = _norms(ends - x0v).tolist()
+        inside = sum(dist < r for dist in dists)
+        max_distance = max([0.0, *dists])
+        max_residual = max([0.0, *(out.target_residual for out in complete)])
         verification = {
             "targets": int(verify_targets),
             "boundary_scale": _BOUNDARY_SCALE,
-            "completed": completed,
+            "completed": len(complete),
             "inside": inside,
             "max_residual": max_residual,
             "max_distance": max_distance,
@@ -337,7 +333,7 @@ def hadamard_integral_check(
     return DiagnosticsEntry("C15", VERDICT_HEURISTIC_FAIL, evidence)
 
 
-# an overflowed residual norm is rescaled (_row_norms); a value that overflows
+# an overflowed residual norm is rescaled (_norms); a value that overflows
 # into inf * 0 is NaN, and its sample is dropped
 @np.errstate(over="ignore", invalid="ignore")
 def katriel_check(
@@ -368,11 +364,11 @@ def katriel_check(
     # the increasing levels; the balls sample the levels before it
     sampled = len(levels)
     if witness is not None and facts.witness_image_limit is not None:
-        reach = float(np.linalg.norm(np.asarray(facts.witness_image_limit) - y0v))
+        reach = _norms(np.asarray(facts.witness_image_limit) - y0v)
         sampled = sum(level <= reach for level in levels)
     # one draw: level li's ball j holds the points of block li * balls + j
     balls = chain.from_iterable(unit_ball_sets(model.n, _C17_BALL_SAMPLES, seed, sampled * _C17_BALLS))
-    row_radius = np.repeat((1.0 + float(np.linalg.norm(y0v))) * _C17_BALL_RADII, _C17_BALL_SAMPLES)
+    row_radius = np.repeat((1.0 + _norms(y0v)) * _C17_BALL_RADII, _C17_BALL_SAMPLES)
 
     per_level = []
     worst = VERDICT_HEURISTIC_PASS
@@ -380,7 +376,7 @@ def katriel_check(
     for li, level in enumerate(levels):
         if li >= sampled:
             points, mus = witness
-            residuals = [float(np.linalg.norm(evaluate(model, p) - y0v)) for p in points]
+            residuals = _norms(np.array([evaluate(model, p) for p in points]) - y0v).tolist()
             per_level.append(
                 {
                     "level": level,
@@ -395,7 +391,7 @@ def katriel_check(
 
         pts = center + row_radius[:, None] * np.concatenate(list(islice(balls, _C17_BALLS)))
         Y, finite = _values(model, pts)
-        inside = pts[finite & (_row_norms(Y - y0v) < level)]
+        inside = pts[finite & (_norms(Y - y0v) < level)]
         hits = inside.shape[0]
         if hits == 0:
             raise EmptySublevel(
@@ -428,23 +424,23 @@ def _pair_ratios(model: MapModel, U: Array, X: Array) -> tuple:
     inf and is always kept; a dropped pair reads inf too."""
     K = U.shape[0]
     Y, finite = _values(model, np.vstack([U, X]))
-    gap = _row_norms(U - X)
+    gap = _norms(U - X)
     live = gap > 1e-12
     kept = (finite[:K] & finite[K:]) | ~live
     ratios = np.full(K, np.inf)
-    np.divide(_row_norms(Y[:K] - Y[K:]), gap, out=ratios, where=live & kept)
+    np.divide(_norms(Y[:K] - Y[K:]), gap, out=ratios, where=live & kept)
     return ratios, kept
 
 
 def _segment_min_ratio(model: MapModel, u: Array, x: Array) -> float:
     """Minimum difference-quotient ratio over tight sub-pairs along [x, u]."""
-    gap = float(np.linalg.norm(u - x))
+    gap = _norms(u - x)
     d = (u - x) / gap
     delta = gap / 64.0
     half = 0.5 * delta * d
     c = x + np.linspace(0.0, 1.0, 33)[:, None] * (u - x)
     Y, finite = _values(model, np.vstack([c + half, c - half]))
-    quotients = _row_norms(Y[:33] - Y[33:]) / delta
+    quotients = _norms(Y[:33] - Y[33:]) / delta
     return float(np.min(quotients[finite[:33] & finite[33:]], initial=np.inf))
 
 
@@ -485,6 +481,7 @@ def expansive_estimate(
     return DiagnosticsEntry("C8", VERDICT_HEURISTIC_PASS, evidence)
 
 
+@np.errstate(over="ignore")  # an overflowed distance is rescaled (_norms)
 def weighted_certificate(
     model: MapModel,
     x0,
@@ -512,7 +509,8 @@ def weighted_certificate(
 
     witness = _witness_points(facts)
     if witness is not None:
-        vals = [mu * float(weight(float(np.linalg.norm(xk - x0v)))) for xk, mu in zip(*witness)]
+        points, mus = witness
+        vals = [mu * float(weight(d)) for d, mu in zip(_norms(np.array(points) - x0v).tolist(), mus)]
         if _collapses(vals):
             return DiagnosticsEntry(
                 "C22",
@@ -534,11 +532,9 @@ def weighted_certificate(
                 continue
             wl = weighted_path_length(out.trajectory, weight, x_ref=x0v)
             mus = out.trajectory.mu_values
-            radii_along = np.linalg.norm(out.trajectory.points - x0v[None, :], axis=1)
-            weighted_mu = min(
-                float(m * weight(float(r))) for m, r in zip(mus, radii_along)
-            )
-            lift_ratios.append(wl * weighted_mu / float(np.linalg.norm(w)))
+            radii_along = _norms(out.trajectory.points - x0v).tolist()
+            weighted_mu = min(float(m * weight(r)) for m, r in zip(mus, radii_along))
+            lift_ratios.append(wl * weighted_mu / _norms(w))
     # a minimum sitting at r_max with the product still falling is an
     # examined-region artifact, not a global bound
     i_min = int(np.argmin(products))
@@ -558,7 +554,7 @@ def weighted_certificate(
     return DiagnosticsEntry("C22", VERDICT_HEURISTIC_PASS, evidence)
 
 
-# an overflowed residual norm is rescaled (_row_norms); a value that overflows
+# an overflowed residual norm is rescaled (_norms); a value that overflows
 # into inf * 0 is NaN, and its sample is dropped
 @np.errstate(over="ignore", invalid="ignore")
 def plastock_check(
@@ -577,7 +573,7 @@ def plastock_check(
     dirs = unit_sphere_points(model.n, _C14_SAMPLES, seed)
     pts = np.vstack([x0v + R * dirs for R in radii])
     Y, finite = _values(model, pts)
-    residuals = _row_norms(Y - f0).reshape(len(radii), -1)
+    residuals = _norms(Y - f0).reshape(len(radii), -1)
     kept = finite.reshape(len(radii), -1)
     m_values = _kept_minima(residuals, kept)
     inc_first = m_values[1] - m_values[0]
@@ -607,11 +603,11 @@ def _row_stretch(model: MapModel, X: Array, row: Array) -> tuple:
     for rows in _batches(len(X), model.m * model.n):
         J, finite = jacobian_stack(model, X[rows])
         J[~finite] = 0.0
-        stretch[rows], kept[rows] = _row_norms(J[np.arange(len(J)), row[rows]]), finite
+        stretch[rows], kept[rows] = _norms(J[np.arange(len(J)), row[rows]]), finite
     return stretch, kept
 
 
-# an overflowed row norm is rescaled (_row_norms); a derivative that overflows
+# an overflowed row norm is rescaled (_norms); a derivative that overflows
 # into inf * 0 is NaN, and its sample is dropped
 @np.errstate(over="ignore", invalid="ignore")
 def ps_direction_scan(

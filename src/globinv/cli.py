@@ -49,7 +49,7 @@ from .maps import (
     list_map_names,
     registry_entry,
 )
-from .solver import _direction_norms, _resolve_strategy, fibre_enumerate, solve, star_probe
+from .solver import _resolve_strategy, fibre_enumerate, solve, star_probe
 
 SCHEMA_VERSION = "1"
 
@@ -289,8 +289,8 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
     if not isinstance(output_dir, str):
         raise JobValidationError("field 'output_dir' must be a string")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise JobValidationError("field 'seed' must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise JobValidationError("field 'seed' must be a non-negative integer")
 
     p = {} if matrix is None else {"matrix": matrix}
     for key, (check, default) in _SPECS[command].items():
@@ -306,7 +306,7 @@ def _validate_job(raw: dict, model: MapModel, matrix) -> dict:
         raise JobValidationError("command 'fibre' needs exactly one of 'seeds' or 'loop'")
     if (command == "star" or "loop" in p) and model.n != model.m:
         raise JobValidationError("a star probe or a fibre loop needs a square map")
-    if command == "star" and p["directions"] and np.any(_direction_norms(p["directions"])[1] == 0.0):
+    if command == "star" and p["directions"] and not all(map(any, p["directions"])):
         raise JobValidationError("parameter 'directions' must not hold a zero direction")
     return {
         "map": raw["map"],
@@ -359,7 +359,9 @@ def _execute(job: dict, entry: RegistryEntry, out_dir: Path):
         )
         ok = True
         if command == "indicators":
-            J = jacobian(model, x0)
+            # a map may overflow at a huge x0 where its Jacobian is finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                J = jacobian(model, x0)
             result = {
                 "profile": profile.to_json_dict(),
                 "rho_at_r": rho_of_r(profile, p["r"]),

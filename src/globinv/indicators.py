@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MissingBound, NonFinite, OutOfRange
-from .maps import _SVD_HI, _SVD_LO, MapModel, _svd, _vector, default_point, jacobian_stack
+from .maps import _SVD_HI, _SVD_LO, MapModel, _norms, _svd, _vector, default_point, jacobian_stack
 
 Array = np.ndarray
 
@@ -524,7 +524,7 @@ def mu_profile(
     if mode == "certified":
         if model.mu_bound is None:
             raise MissingBound(f"map {model.name!r} carries no analytic bound")
-        shift = float(np.linalg.norm(x0v - default_point(model)))
+        shift = _norms(x0v - default_point(model))
         eta = np.asarray(model.mu_bound(shift + radii), dtype=float)
         if eta.shape != radii.shape:
             if eta.ndim:

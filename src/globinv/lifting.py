@@ -83,7 +83,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
-from .maps import MapModel, _svd, _vector, evaluate, evaluate_stack, jacobian, jacobian_stack
+from .maps import MapModel, _norms, _svd, _vector, evaluate, evaluate_stack, jacobian, jacobian_stack
 
 Array = np.ndarray
 
@@ -196,12 +196,12 @@ class LiftTrajectory:
     mu_values: Array
     length: float
 
-    @np.errstate(over="ignore")  # an overflowed chord is rescaled (_row_norms)
+    @np.errstate(over="ignore")  # an overflowed chord is rescaled (_norms)
     def to_csv(self, path) -> None:
         """Columns t, x_1..x_n, mu, cumulative_length (chords of these rows)."""
         n = self.points.shape[1]
         header = ",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["mu", "cumulative_length"])
-        chords = _row_norms(np.diff(self.points, axis=0))
+        chords = _norms(np.diff(self.points, axis=0))
         cum = np.cumsum(np.concatenate([[0.0], chords]))
         _write_csv(path, header, [self.times, *self.points.T, self.mu_values, cum])
 
@@ -284,19 +284,6 @@ def _write_csv(path, header: str, columns) -> None:
         fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
-def _norm(v: Array) -> float:
-    """|v|.  When the plain norm of a finite v overflows, v is first divided
-    by its largest |component|; every other norm is the plain one.  Callers
-    run under np.errstate(over="ignore"), as the lift entry points do, so
-    the overflow is silent."""
-    norm = float(np.linalg.norm(v))
-    if norm == math.inf:
-        peak = float(np.max(np.abs(v)))
-        if peak < math.inf:
-            norm = peak * float(np.linalg.norm(v / peak))
-    return norm
-
-
 def _every(mask: Array) -> bool:
     """mask.all(), by one count: on the short masks of an attempt a count
     costs a third of a ufunc reduce."""
@@ -305,19 +292,6 @@ def _every(mask: Array) -> bool:
 
 def _all_finite(A: Array) -> bool:
     return _every(np.isfinite(A))
-
-
-def _row_norms(D: Array) -> Array:
-    """_norm of every row of D, bit for bit.  Each row's dot product goes
-    through matmul, which rounds as np.linalg.norm of the row does;
-    np.linalg.norm(D, axis=1), (D * D).sum(1) and einsum round differently
-    in some rows.  Rows whose plain norm overflows go through _norm, so,
-    like _norm, it runs under np.errstate(over="ignore")."""
-    norms = np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
-    if not _every(norms < math.inf):
-        for k in np.flatnonzero(norms == math.inf):
-            norms[k] = _norm(D[k])
-    return norms
 
 
 def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
@@ -447,7 +421,7 @@ class _LineLanes:
         self.running = np.ones(K, dtype=bool)
         self.attempts = 0  # attempts made
         self.pending, self.tallies, self.records = [], [], []
-        self.norm_w = _row_norms(W)
+        self.norm_w = _norms(W)
         self.complete_tol = 10.0 * opts.rel_tol * np.maximum(self.norm_w, 1.0) + 100.0 * opts.abs_tol
 
     def record_start(self) -> None:
@@ -490,7 +464,7 @@ class _LineLanes:
         for k in rows[bad].tolist():
             self.stop(k, LiftStatus.step_failure(0.0))
         self.k1[rows] = k1
-        self.h[rows] = np.minimum(0.2, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + _row_norms(k1)))
+        self.h[rows] = np.minimum(0.2, 0.01 * (1.0 + _norms(self.x0)) / (1.0 + _norms(k1)))
         self.h_scale[rows] = self.h[rows]  # a huge w makes every step small
 
     def begin_attempt(self) -> Array:
@@ -556,7 +530,7 @@ class _LineLanes:
         hermite = (self.hp.take(rows) > 0.0) & self.square
         # D: the longest Newton step allowed next; C0: the first one's length
         a = _Attempt(self, rows, H=H, T=T, Y=self.f0 + T[:, None] * self.w.take(rows, axis=0),
-                     D=_GUARD * H * _row_norms(K1), C0=np.empty(len(rows)), hermite=hermite)
+                     D=_GUARD * H * _norms(K1), C0=np.empty(len(rows)), hermite=hermite)
         a.X = self.predict(a, K1)
         for r in range(_ROUNDS):
             if not _all_finite(a.X):
@@ -569,10 +543,10 @@ class _LineLanes:
             F, U, s, Vt, mu = got
             R = F - a.Y
             dX = -_velocities(U, s, Vt, R)
-            res, size = _row_norms(R), _row_norms(dX)
+            res, size = _norms(R), _norms(dX)
             if r == 0:
                 a.C0 = size
-            x_tol = 10.0 * opts.rel_tol * np.maximum(_row_norms(a.X), 1.0) + 100.0 * opts.abs_tol
+            x_tol = 10.0 * opts.rel_tol * np.maximum(_norms(a.X), 1.0) + 100.0 * opts.abs_tol
             done = (res <= self.complete_tol.take(a.rows)) & (size <= x_tol)
             if np.count_nonzero(done):
                 K1 = _velocities(U[done], s[done], Vt[done], a.W[done])
@@ -627,7 +601,7 @@ class _LineLanes:
         of them did), and the stops of a lane that reaches t = 1, at the
         edge or outside the escape ball."""
         rows, X, H, T = a.rows[done], a.X[done], a.H[done], a.T[done]
-        chords, dists = _row_norms(np.concatenate([X - a.Q[done], X - self.x0])).reshape(2, -1)
+        chords, dists = _norms(np.concatenate([X - a.Q[done], X - self.x0])).reshape(2, -1)
         h_next = self.next_step(H, T, r, a.C0[done], e, x_tol, self.mu.take(rows), mu, a.hermite[done])
         self.qp[rows], self.kp[rows], self.hp[rows] = a.Q[done], self.k1.take(rows, axis=0), H
         self.q[rows], self.k1[rows], self.t[rows], self.mu[rows], self.h[rows] = X, K1, T, mu, h_next
@@ -752,7 +726,7 @@ class _Flow:
         self.model, self.x0, self.y, self.opts = model, x0v, yv, opts
         self.grad_tol = opts.abs_tol
         # residual scale below which a plateau is a root, not a PS level
-        self.norm_y = _norm(yv)
+        self.norm_y = _norms(yv)
         self.res_tol = 10.0 * opts.rel_tol * max(self.norm_y, 1.0) + 100.0 * opts.abs_tol
         self.t = self.length = 0.0
         self.stats = LiftStats(evals=1, jacobians=1, svds=1)  # f(x0), J(x0) and its SVD
@@ -775,7 +749,7 @@ class _Flow:
         self.q, self.F = q, F
         U, self.s, self.Vt = _svd(J)
         self.c = U.T @ r
-        self.rn, self.gn, self.mu = _norm(r), _norm(self.s * self.c), float(self.s[-1])
+        self.rn, self.gn, self.mu = _norms(r), _norms(self.s * self.c), float(self.s[-1])
         self.critical = self.gn <= _CRIT_TOL * float(self.s[0]) * self.rn
 
     def start(self) -> None:
@@ -791,7 +765,7 @@ class _Flow:
         self.ps_grad_tol = _PS_GRAD_TOL * min(1.0, self.gn)
         if self.gn <= self.grad_tol:
             self.conclude("converged", LiftStatus.complete(0.0))
-        self.h = min(0.1, 0.01 * (1.0 + _norm(self.x0)) / (1.0 + self.gn))
+        self.h = min(0.1, 0.01 * (1.0 + _norms(self.x0)) / (1.0 + self.gn))
 
     def run(self) -> None:
         """Make attempts until the flow stops; it stops StepFailure once it
@@ -853,7 +827,7 @@ class _Flow:
         stats, h = self.stats, self.h
         stats.accepted += 1
         stats.h_min = min(stats.h_min, h)
-        self.length += _norm(X - self.q)
+        self.length += _norms(X - self.q)
         self.t += h
         self.at(X, r, F, J)
         if stats.accepted % self.opts.record_stride == 0:
@@ -862,7 +836,7 @@ class _Flow:
             self.window = (self.t, X, F, self.gauss_newton_point())
         elif self.t >= 2.0 * self.window[0] and self.judge():
             return
-        dist = _norm(X - self.x0)
+        dist = _norms(X - self.x0)
         if self.opts.r_escape is not None and dist > self.opts.r_escape:
             self.conclude("diverged", LiftStatus.escaped(self.t, dist))
             return
@@ -878,10 +852,10 @@ class _Flow:
         flow is not closing in on a minimiser its linear model sees."""
         _, q_w, F_w, z_w = self.window
         t, q, z = self.t, self.q, self.gauss_newton_point()
-        dx = _norm(q - q_w)
+        dx = _norms(q - q_w)
         near_root = self.rn <= self.res_tol
         critical = self.gn <= self.grad_tol or self.critical
-        if near_root or (critical and dx <= _STAB_TOL * (1.0 + _norm(q))):
+        if near_root or (critical and dx <= _STAB_TOL * (1.0 + _norms(q))):
             self.conclude("converged", LiftStatus.complete(t))
             return True
         if (
@@ -889,9 +863,9 @@ class _Flow:
             and self.gn <= self.ps_grad_tol
             and self.window_dx is not None
             and dx > 0.5 * self.window_dx
-            and _norm(z - z_w) > 0.5 * dx
+            and _norms(z - z_w) > 0.5 * dx
         ):
-            self.conclude("ps_candidate", LiftStatus.escaped(t, _norm(q - self.x0)))
+            self.conclude("ps_candidate", LiftStatus.escaped(t, _norms(q - self.x0)))
             return True
         self.window_dx = dx
         self.window = (t, q, self.F, z)
@@ -1009,6 +983,7 @@ def gradient_flow(model: MapModel, x0, y, opts: Optional[LiftOptions] = None):
     return flow.outcome()
 
 
+@np.errstate(over="ignore")  # an overflowed norm is rescaled (_norms)
 def weighted_path_length(
     trajectory: LiftTrajectory,
     weight: Callable[[float], float],
@@ -1024,11 +999,11 @@ def weighted_path_length(
     if pts.shape[0] < 2:
         raise TooFewPoints("weighted_path_length: need at least two recorded points")
     ref = pts[0] if x_ref is None else np.asarray(x_ref, dtype=float)
+    radii = _norms(0.5 * (pts[:-1] + pts[1:]) - ref)
     total = 0.0
-    for k in range(pts.shape[0] - 1):
-        mid = 0.5 * (pts[k] + pts[k + 1])
-        om = float(weight(float(np.linalg.norm(mid - ref))))
+    for radius, chord in zip(radii.tolist(), _norms(np.diff(pts, axis=0)).tolist()):
+        om = float(weight(radius))
         if not np.isfinite(om) or om <= 0.0:
             raise OutOfRange("weighted_path_length: weight must be positive and finite")
-        total += float(np.linalg.norm(pts[k + 1] - pts[k])) / om
+        total += chord / om
     return total

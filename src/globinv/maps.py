@@ -21,6 +21,7 @@ x ** 2 and x * x do not, in the last bit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -244,6 +245,32 @@ def jacobian(model: MapModel, x) -> Array:
 # singular value of a 2x1 or 1x2 matrix [a, b] with |a| and |b| each 0 or in
 # the window is dlapy2(a, b) bit for bit.
 _SVD_LO, _SVD_HI = 1e-100, 1e100
+
+
+def _norms(D: Array):
+    """The Euclidean norm of each vector along the last axis of the array D:
+    a float for one vector, else an array of shape D.shape[:-1].  Each is
+    rounded as np.linalg.norm of that vector alone: the square root of its
+    BLAS dot, which D.dot(D) and a stack's 1 x n by n x 1 matmul both call
+    (an axis norm, np.vecdot and einsum round some vectors apart).  A vector
+    whose plain norm overflows though its largest |component| is finite is
+    first divided by that component.  No np.errstate is set here: a caller
+    that may overflow runs under np.errstate(over="ignore")."""
+    if D.strides[-1] != D.itemsize:  # a strided dot rounds apart; np.linalg.norm copies
+        D = np.ascontiguousarray(D)
+    if D.ndim == 1:
+        norm = math.sqrt(D.dot(D))
+        if norm == math.inf:
+            peak = float(np.max(np.abs(D)))
+            if peak < math.inf:
+                norm = peak * _norms(D / peak)
+        return norm
+    norms = np.sqrt(np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0])
+    if np.count_nonzero(norms == math.inf):
+        flat, rows = norms.reshape(-1), D.reshape(-1, D.shape[-1])
+        for k in np.flatnonzero(flat == math.inf).tolist():
+            flat[k] = _norms(rows[k])
+    return norms
 
 
 def _svd(J: Array, compute_uv: bool = True):

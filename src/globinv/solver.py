@@ -22,13 +22,12 @@ from .lifting import (
     FlowVerdict,
     LiftOptions,
     LiftOutcome,
-    _norm,
     gradient_flow,
     lift_line_horizontal,
     lift_line_square,
     lift_lines,
 )
-from .maps import MapModel, _svd, _vector, default_point, evaluate, jacobian
+from .maps import MapModel, _norms, _svd, _vector, default_point, evaluate, jacobian
 
 Array = np.ndarray
 
@@ -117,7 +116,7 @@ class FibreReport:
         }
 
 
-@np.errstate(over="ignore")  # _norm rescales an overflowed residual norm
+@np.errstate(over="ignore")  # _norms rescales an overflowed residual norm
 def _newton_polish(model: MapModel, x: Array, y: Array):
     """Damped Newton / minimum-norm Gauss-Newton refinement of an approximate
     solution.  Returns (point, residual); stops at stagnation or rank loss.
@@ -125,9 +124,9 @@ def _newton_polish(model: MapModel, x: Array, y: Array):
     by the map propagates."""
     x = np.array(x, dtype=float)
     r = evaluate(model, x) - y
-    best = _norm(r)
+    best = _norms(r)
     for _ in range(_POLISH_ITERS):
-        if best <= 1e-15 * (1.0 + _norm(y)):
+        if best <= 1e-15 * (1.0 + _norms(y)):
             break
         J = jacobian(model, x)
         U, s, Vt = _svd(J)
@@ -143,7 +142,7 @@ def _newton_polish(model: MapModel, x: Array, y: Array):
             except NonFinite:
                 step *= 0.5
                 continue
-            nn = _norm(rn)
+            nn = _norms(rn)
             if nn < best:
                 x, r, best = xn, rn, nn
                 improved = True
@@ -172,7 +171,7 @@ def _resolve_strategy(model: MapModel, strategy: str) -> str:
     return name
 
 
-@np.errstate(over="ignore")  # _norm rescales an overflowed residual norm
+@np.errstate(over="ignore")  # _norms rescales an overflowed residual norm
 def solve(
     model: MapModel,
     y,
@@ -211,7 +210,7 @@ def solve(
         if res <= SOLVE_TOL:
             solution = point
     else:
-        residual = _norm(evaluate(model, candidate) - yv)
+        residual = _norms(evaluate(model, candidate) - yv)
 
     return SolveReport(
         y=yv,
@@ -224,20 +223,20 @@ def solve(
     )
 
 
-@np.errstate(over="ignore")  # an overflowed norm is rescaled below
+@np.errstate(over="ignore")  # an overflowed norm is rescaled (_norms)
 def _direction_norms(directions) -> tuple:
-    """The rows of directions and their norms.  A row whose norm underflows
-    to 0 or overflows to inf, though its largest |component| is positive and
-    finite, is first divided by that component; other rows stay as given.
-    A norm of 0 marks a zero direction."""
+    """The rows of directions and their norms (_norms).  A row whose norm
+    underflows to 0, though its largest |component| is positive, is first
+    divided by that component, so that a subnormal direction does not read
+    as zero; other rows stay as given.  A norm of 0 marks a zero direction."""
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = _norms(dirs)
     peak = np.max(np.abs(dirs), axis=1)
-    rescale = ((norms == 0.0) | np.isinf(norms)) & (peak > 0.0) & np.isfinite(peak)
+    rescale = (norms == 0.0) & (peak > 0.0)
     if rescale.any():
         dirs = dirs.copy()
         dirs[rescale] /= peak[rescale, None]
-        norms[rescale] = np.linalg.norm(dirs[rescale], axis=1)
+        norms[rescale] = _norms(dirs[rescale])
     return dirs, norms
 
 
@@ -291,10 +290,10 @@ def star_probe(
 
 
 def _dedup_threshold(points) -> float:
-    max_norm = max((float(np.linalg.norm(p)) for p in points), default=0.0)
-    return 1e-5 * max_norm + 1e-8
+    return 1e-5 * max(_norms(np.array(points)).tolist()) + 1e-8
 
 
+@np.errstate(over="ignore")  # an overflowed distance is rescaled (_norms)
 def fibre_enumerate(
     model: MapModel,
     y,
@@ -324,7 +323,7 @@ def fibre_enumerate(
             if rep.solution is None:
                 continue
             thr = _dedup_threshold(found + [rep.solution])
-            if all(float(np.linalg.norm(rep.solution - p)) > thr for p in found):
+            if np.all(_norms(rep.solution - np.reshape(found, (-1, model.n))) > thr):
                 found.append(rep.solution)
                 residuals.append(rep.residual)
                 if len(found) >= max_points:
@@ -339,8 +338,8 @@ def fibre_enumerate(
     # The segments' targets: the vertices after y, then y itself, so that
     # each traversal's last polish lands on y (a vertex within 1e-12 of y at
     # either end of the loop is y).
-    targets = vertices[1:] if float(np.linalg.norm(vertices[0] - yv)) <= 1e-12 else vertices
-    if targets and float(np.linalg.norm(targets[-1] - yv)) <= 1e-12:
+    targets = vertices[1:] if _norms(vertices[0] - yv) <= 1e-12 else vertices
+    if targets and _norms(targets[-1] - yv) <= 1e-12:
         targets = targets[:-1]
     targets = targets + [yv]
 
@@ -373,7 +372,7 @@ def fibre_enumerate(
             break
         shifts.append(x_cur - loop_start)
         thr = _dedup_threshold(points + [x_cur])
-        if all(float(np.linalg.norm(x_cur - p)) > thr for p in points):
+        if np.all(_norms(x_cur - np.array(points)) > thr):
             points.append(x_cur)
             residuals.append(res)
         else:
@@ -384,11 +383,9 @@ def fibre_enumerate(
 def _finish_fibre(yv, points, residuals, shifts) -> FibreReport:
     gap = None
     if len(points) >= 2:
-        gap = min(
-            float(np.linalg.norm(p - q))
-            for i, p in enumerate(points)
-            for q in points[i + 1 :]
-        )
+        i, j = np.triu_indices(len(points), 1)
+        P = np.array(points)
+        gap = float(_norms(P[i] - P[j]).min())
     return FibreReport(
         y=yv,
         points=tuple(points),

@@ -92,6 +92,13 @@ def test_missing_command_exits_2(tmp_path, capsys):
         {"map": "identity_1", "command": "solve"},
         {"map": "identity_1", "command": "fibre", "y": [0.0]},
         {"map": "identity_1", "command": "fibre", "y": [0.0], "seeds": [[0.0]], "loop": [[1.0]]},
+        # a negative seed raised ValueError in the sampler (exit 3), or passed
+        # where diagnose's seeds seed + 1 ... seed + 11 stayed non-negative
+        {"map": "identity_2", "command": "certify", "verify_targets": 4, "seed": -5},
+        {"map": "identity_2", "command": "indicators", "mode": "sampled", "seed": -1},
+        {"map": "identity_2", "command": "diagnose", "seed": -1},
+        {"map": "identity_2", "command": "diagnose", "seed": -2},
+        {"map": "identity_1", "command": "solve", "y": [1.0], "seed": -1},
     ],
 )
 def test_invalid_jobs_exit_2(job, tmp_path, capsys):
@@ -99,6 +106,37 @@ def test_invalid_jobs_exit_2(job, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 2
     assert not (tmp_path / "report.json").exists()
+
+
+def test_huge_inputs_run_without_runtime_warnings(tmp_path, capsys):
+    """With warnings as errors: an arctan1d indicators job at x0 = 1e200
+    (its Jacobian overflows to 1 / inf = 0 there) exits 0; a fibre loop at
+    1e300 exits 3 with LoopNotInImage and no overflowed distance on the
+    way; certify at r = 1e160 and 1e300, whose lift endpoint distances
+    overflowed the plain norm (exit 3, inf in the report), exits 0 with
+    both lifts inside the ball."""
+    far = [1e300, 1e300]
+    jobs = [
+        ({"map": "arctan1d", "command": "indicators", "x0": [1e200]}, 0),
+        ({"map": "identity_2", "command": "fibre", "y": far, "seed_point": far,
+          "loop": [far, [2e300, 1e300]]}, 3),
+        *(({"map": "identity_2", "command": "certify", "r": r, "verify_targets": 2}, 0) for r in (1e160, 1e300)),
+    ]
+    for k, (job, code) in enumerate(jobs):
+        out = tmp_path / str(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_job(job, out_override=out) == code, job
+        err = capsys.readouterr().err
+        result = _read_report(out)["result"]
+        if job["command"] == "fibre":
+            assert json.loads(err)["error"]["type"] == "LoopNotInImage"
+        else:
+            assert err == ""
+        if job["command"] == "certify":
+            verification = result["verification"]
+            assert verification["completed"] == verification["inside"] == 2
+            assert verification["max_distance"] < job["r"]
 
 
 @pytest.mark.parametrize(

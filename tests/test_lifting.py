@@ -814,8 +814,8 @@ def test_every_point_of_a_complete_lift_meets_its_tolerance():
                 continue
             F, _ = maps.evaluate_stack(model, out.trajectory.points)
             with np.errstate(over="ignore"):  # the exp1d lanes near the float limit
-                tol = 10.0 * opts.rel_tol * max(lifting._norm(w), 1.0) + 100.0 * opts.abs_tol
-                residuals = lifting._row_norms(F - (f0 + out.trajectory.times[:, None] * w))
+                tol = 10.0 * opts.rel_tol * max(maps._norms(w), 1.0) + 100.0 * opts.abs_tol
+                residuals = maps._norms(F - (f0 + out.trajectory.times[:, None] * w))
             assert np.all(residuals <= tol) and out.max_drift <= tol, (label, w)
             checked += 1
     assert checked > 200
@@ -971,20 +971,6 @@ def test_first_correction_scales_with_the_predictor_order(name, at, hp, order):
     ratio = (_first_corrections(model, W, at, 0.04, 0.04 * hp)
              / _first_corrections(model, W, at, 0.02, 0.02 * hp))
     assert np.all(np.abs(np.log2(ratio) - order) < 0.2), ratio
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_row_norms_equal_norm_row_by_row(n):
-    rng = np.random.default_rng(n)
-    D = rng.normal(size=(20000, n)) * 10.0 ** rng.uniform(-160.0, 160.0, (20000, 1))
-    D[:10] = 0.0
-    D[10:20] = 1e200  # the plain norm overflows; _norm rescales
-    D[20:30] = 1e200 * rng.normal(size=(10, n))
-    D[30:40, 0] = -1e200
-    with np.errstate(over="ignore"):
-        got = lifting._row_norms(D)
-        assert got.tolist() == [lifting._norm(row) for row in D]
-    assert np.isfinite(got).all()
 
 
 def test_lift_lines_work_counters(monkeypatch):
@@ -1231,6 +1217,24 @@ def test_weighted_length_respects_reference_point():
     traj = LiftTrajectory(times=ts, points=pts, mu_values=np.ones_like(ts), length=1.0)
     got = weighted_path_length(traj, lambda r: 1.0 + r, x_ref=np.array([5.0, 0.0]))
     assert abs(got - np.log(2.0)) <= 1e-4
+
+
+def test_weighted_length_is_its_chord_by_chord_sum():
+    """weighted_path_length equals the chord-by-chord loop with one
+    np.linalg.norm per chord and midpoint, bit for bit; a path far out,
+    whose chords and radii overflow the plain norm, has a finite length."""
+    rng = np.random.default_rng(5)
+    pts = np.cumsum(rng.normal(size=(200, 3)), axis=0)
+    traj = LiftTrajectory(times=np.linspace(0.0, 1.0, 200), points=pts, mu_values=np.ones(200), length=1.0)
+    ref = np.array([0.5, -1.0, 2.0])
+    weight = lambda r: 1.0 + r * r
+    want = 0.0
+    for k in range(len(pts) - 1):
+        om = weight(float(np.linalg.norm(0.5 * (pts[k] + pts[k + 1]) - ref)))
+        want += float(np.linalg.norm(pts[k + 1] - pts[k])) / om
+    assert weighted_path_length(traj, weight, x_ref=ref) == want
+    far = LiftTrajectory(times=traj.times, points=1e200 * pts, mu_values=traj.mu_values, length=1.0)
+    assert 0.0 < weighted_path_length(far, lambda r: 1.0) < np.inf
 
 
 def test_weighted_length_needs_two_points():

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from globinv.maps import (
     _SVD_HI,
     _SVD_LO,
     MapModel,
+    _norms,
     _svd,
     default_point,
     evaluate,
@@ -692,5 +694,86 @@ def test_every_svd_of_src_is_maps_svd():
             named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
             if isinstance(node, (ast.Attribute, ast.alias)) and named.split(".")[-1] == "svd":
                 if id(node) not in inside:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+
+
+def _plain_norms(D: np.ndarray) -> list:
+    return [float(np.linalg.norm(v)) for v in D]
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 128, 512])
+def test_norms_equal_norm_vector_by_vector(n):
+    """_norms rounds each vector's norm as np.linalg.norm of that vector
+    alone does, bit for bit: 40 vectors of n entries, their magnitudes from
+    1e-150 to 1e150, as one stack, as a (4, 10, n) stack, as strided
+    views and one at a time, where the result is a float."""
+    rng = np.random.default_rng(n)
+    D = rng.normal(size=(40, 2 * n)) * 10.0 ** rng.uniform(-150.0, 150.0, (40, 1))
+    for X in (D[:, :n], D[:, ::2], np.asfortranarray(D[:, ::-2])):
+        want = _plain_norms(X)
+        got = _norms(X)
+        assert got.shape == (40,) and got.tolist() == want
+        assert _norms(X.reshape(4, 10, n)).ravel().tolist() == want
+        for v, norm in zip(X, want):
+            alone = _norms(v)
+            assert type(alone) is float and alone == norm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norms_rescale_the_vectors_whose_plain_norm_overflows(n):
+    """A vector whose plain norm overflows, its largest |component| peak
+    finite, reads peak * |v / peak|; every other vector keeps its plain
+    norm (0 for a zero vector, inf or NaN for one that holds inf or NaN),
+    alone and in a stack, without a warning under errstate(over="ignore")."""
+    rng = np.random.default_rng(n)
+    D = rng.normal(size=(20000, n)) * 10.0 ** rng.uniform(-160.0, 160.0, (20000, 1))
+    D[:10] = 0.0
+    D[10:20] = 1e200
+    D[20:30] = 1e200 * rng.normal(size=(10, n))
+    D[30:40, 0] = -1e200
+    D[40, 0], D[41, 0] = np.inf, np.nan
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        got = _norms(D)
+        want = _plain_norms(D)
+        overflow = np.isinf(want) & np.isfinite(D).all(axis=1)
+        assert overflow.sum() >= 30
+        for k in np.flatnonzero(overflow):
+            peak = np.max(np.abs(D[k]))
+            want[k] = peak * float(np.linalg.norm(D[k] / peak))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert all(np.array_equal(_norms(v), w, equal_nan=True) for v, w in zip(D[:50], want))
+        assert np.array_equal(_norms(D.reshape(100, 200, n)).ravel(), got, equal_nan=True)
+    assert got[:10].tolist() == [0.0] * 10
+    assert np.isfinite(got[overflow]).all() and got[40] == np.inf and np.isnan(got[41])
+
+
+def test_every_norm_of_src_is_maps_norms():
+    """numpy.linalg.norm (any attribute .linalg.norm, any import of a norm
+    from numpy.linalg) appears in the package only inside maps._norms and
+    indicators._unit_directions, whose axis norm sets the bits of every
+    Sobol direction; and no module imports a norm helper from lifting or
+    solver, so every distance and residual is rounded and rescaled in one
+    place."""
+    allowed = {"maps.py": "_norms", "indicators.py": "_unit_directions"}
+    outside = []
+    for path in sorted(Path(globinv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        if path.name in allowed:
+            helper = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == allowed[path.name])
+            inside = {id(node) for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "norm":
+                if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                    if id(node) not in inside:
+                        outside.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                norm_names = [a.name for a in node.names if "norm" in a.name]
+                if norm_names and (module.split(".")[-1] in ("lifting", "solver")
+                                   or module.endswith("linalg")):
                     outside.append(f"{path.name}:{node.lineno}")
     assert outside == []

@@ -376,6 +376,8 @@ def test_fibre_loop_complex_exp():
         assert r <= 1e-8
     gap = rep.discreteness_gap
     assert gap is not None and abs(gap - 2.0 * np.pi) <= 1e-3
+    pts = rep.points
+    assert gap == min(float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[i + 1:])
     d = rep.to_json_dict()
     assert len(d["points"]) == 3 and d["discreteness_gap"] == gap
     assert d["monodromy_shifts"][0] == pytest.approx([0.0, 2.0 * np.pi], abs=1e-6)
