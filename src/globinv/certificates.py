@@ -669,7 +669,8 @@ def build_diagnostics(
 ) -> DiagnosticsReport:
     """Run the full condition ladder and assemble entries in ladder order."""
     x0v = np.asarray(x0, dtype=float)
-    y0v = evaluate(model, x0v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite f(x0) raises NonFinite
+        y0v = evaluate(model, x0v)
     if weight is None:
         weight = lambda rho: 1.0 + rho  # noqa: E731
         weight_divergent = True

@@ -315,31 +315,43 @@ class _Attempt:
     evals, jacobians and svds tally the stack calls made so far, each
     raised right after its call: every row still in the attempt did that
     work, which a row adds to its lane's work when it leaves (rejected) or
-    takes its step (_LineLanes.take)."""
+    takes its step (_LineLanes.take).  A mask that keeps every row hands
+    back the arrays as they are (pick, leave); one that keeps no row only
+    empties rows, cutting no aligned array, as every caller then returns."""
 
     def __init__(self, lanes: "_LineLanes", rows: Array, **aligned):
         self.lanes, self.rows = lanes, rows
         self.Q = self.X = lanes.q.take(rows, axis=0)
-        self.W = lanes.w.take(rows, axis=0)
-        self.names = ("rows", "Q", "W", "X", *aligned)
+        self.names = ("rows", "Q", "X", *aligned)
         self.__dict__.update(aligned)
         self.evals = self.jacobians = self.svds = 0
 
+    @staticmethod
+    def pick(mask: Array, *arrays) -> tuple:
+        """The rows of each array that mask marks: the arrays themselves when it marks every row."""
+        return arrays if np.count_nonzero(mask) == mask.size else tuple([A[mask] for A in arrays])
+
     def keep(self, good: Array, *arrays) -> list:
         """Cut the rows and every array aligned with them, the given arrays
-        too (returned), to the good ones."""
+        too (returned), to the good ones: some rows, not every one."""
         for name in self.names:
             setattr(self, name, getattr(self, name)[good])
         return [A[good] for A in arrays]
 
-    def leave(self, good: Array, cause: str, *arrays, mu: Optional[Array] = None) -> list:
+    def leave(self, good: Array, cause: str, *arrays, mu: Optional[Array] = None):
         """Reject the rows that are not good with cause, adding the tally
         and passing their mu to _LineLanes.reject, and keep the good ones
-        (keep)."""
-        bad = ~good
-        self.lanes.reject(self.rows[bad], cause, (self.evals, self.jacobians, self.svds),
-                          None if mu is None else mu[bad])
-        return self.keep(good, *arrays)
+        (keep), by the mask rule."""
+        kept, rows = np.count_nonzero(good), self.rows
+        if kept == good.size:
+            return arrays
+        if kept:
+            bad = ~good
+            rows, mu, arrays = rows[bad], None if mu is None else mu[bad], self.keep(good, *arrays)
+        else:
+            self.rows = rows[:0]
+        self.lanes.reject(rows, cause, (self.evals, self.jacobians, self.svds), mu)
+        return arrays
 
     def round(self) -> Optional[tuple]:
         """One corrector round at the trial points X of the rows: f, J and
@@ -351,25 +363,21 @@ class _Attempt:
         model = self.lanes.model
         F, good = evaluate_stack(model, self.X)
         self.evals += 1
-        if not _every(good):
-            (F,) = self.leave(good, "nonfinite", F)
-            if not self.rows.size:
-                return None
+        (F,) = self.leave(good, "nonfinite", F)
+        if not self.rows.size:
+            return None
         J, good = jacobian_stack(model, self.X)
         self.jacobians += 1
-        if not _every(good):
-            J, F = self.leave(good, "nonfinite", J, F)
-            if not self.rows.size:
-                return None
+        J, F = self.leave(good, "nonfinite", J, F)
+        if not self.rows.size:
+            return None
         U, s, Vt = _svd(J)
         self.svds += 1
-        mu, mu_floor = s[:, -1], self.lanes.opts.mu_floor
-        # mu >= max(mu_floor, 5e-324) is mu >= mu_floor and mu > 0, NaN excluded
-        if not _every((mu >= max(mu_floor, 5e-324)) & (mu < math.inf)):
-            good = np.isfinite(mu) & (mu > 0.0) & ~(mu < mu_floor)
-            F, U, s, Vt, mu = self.leave(good, "singular", F, U, s, Vt, mu, mu=mu)
-            if not self.rows.size:
-                return None
+        mu = s[:, -1]
+        good = (mu >= self.lanes.mu_least) & (mu < math.inf)
+        F, U, s, Vt, mu = self.leave(good, "singular", F, U, s, Vt, mu, mu=mu)
+        if not self.rows.size:
+            return None
         return F, U, s, Vt, mu
 
 
@@ -423,6 +431,7 @@ class _LineLanes:
         self.pending, self.tallies, self.records = [], [], []
         self.norm_w = _norms(W)
         self.complete_tol = 10.0 * opts.rel_tol * np.maximum(self.norm_w, 1.0) + 100.0 * opts.abs_tol
+        self.mu_least = max(opts.mu_floor, 5e-324)  # mu >= mu_least: mu >= mu_floor and mu > 0, not NaN
 
     def record_start(self) -> None:
         """Record every lane's base point: its t, q and mu now."""
@@ -523,14 +532,17 @@ class _LineLanes:
         long in the first round (the distance to the curve) and at most
         _CONTRACTION times the step before in the next; a row whose step is
         longer, or that is not within tolerance after _ROUNDS rounds, is
-        rejected (error)."""
+        rejected (error).  A round takes |R|, |dX| and |X| by one _norms call
+        (two on a wide map, where R is m wide); a mask that keeps every row
+        cuts nothing (_Attempt), and a round where every row is done ends
+        the attempt with take alone."""
         H, opts = self.h.take(rows), self.opts
         T = self.step_end(rows, H)
-        K1 = self.k1.take(rows, axis=0)
+        W, K1 = self.w.take(rows, axis=0), self.k1.take(rows, axis=0)
         hermite = (self.hp.take(rows) > 0.0) & self.square
         # D: the longest Newton step allowed next; C0: the first one's length
-        a = _Attempt(self, rows, H=H, T=T, Y=self.f0 + T[:, None] * self.w.take(rows, axis=0),
-                     D=_GUARD * H * _norms(K1), C0=np.empty(len(rows)), hermite=hermite)
+        a = _Attempt(self, rows, W=W, H=H, T=T, Y=self.f0 + T[:, None] * W,
+                     D=_GUARD * H * _norms(K1), C0=np.empty(rows.size), hermite=hermite)
         a.X = self.predict(a, K1)
         for r in range(_ROUNDS):
             if not _all_finite(a.X):
@@ -543,32 +555,35 @@ class _LineLanes:
             F, U, s, Vt, mu = got
             R = F - a.Y
             dX = -_velocities(U, s, Vt, R)
-            res, size = _norms(R), _norms(dX)
+            if self.square:
+                res, size, norm_x = _norms(np.concatenate([R, dX, a.X])).reshape(3, -1)
+            else:
+                res, (size, norm_x) = _norms(R), _norms(np.concatenate([dX, a.X])).reshape(2, -1)
             if r == 0:
                 a.C0 = size
-            x_tol = 10.0 * opts.rel_tol * np.maximum(_norms(a.X), 1.0) + 100.0 * opts.abs_tol
+            x_tol = 10.0 * opts.rel_tol * np.maximum(norm_x, 1.0) + 100.0 * opts.abs_tol
             done = (res <= self.complete_tol.take(a.rows)) & (size <= x_tol)
             if np.count_nonzero(done):
-                K1 = _velocities(U[done], s[done], Vt[done], a.W[done])
+                K1 = _velocities(*a.pick(done, U, s, Vt, a.W))
                 if not _all_finite(K1):  # a slope past the float limit: no step to take
                     good = np.ones(len(done), dtype=bool)
                     good[done] = np.isfinite(K1).all(axis=1)
                     K1 = K1[good[done]]
-                    done, U, s, Vt, mu, res, size, x_tol, dX = a.leave(
-                        good, "nonfinite", done, U, s, Vt, mu, res, size, x_tol, dX)
-                if len(K1):
-                    self.take(a, done, r, K1, *(A[done] for A in (mu, res, size, x_tol)))
-                U, s, Vt, dX, size = a.keep(~done, U, s, Vt, dX, size)
-                if not a.rows.size:
-                    return
+                    done, mu, res, size, x_tol, dX = a.leave(
+                        good, "nonfinite", done, mu, res, size, x_tol, dX)
+                    if not a.rows.size:
+                        return
+                if taken := len(K1):
+                    self.take(a, done, r, K1, mu, res, size, x_tol)
+                    if taken == a.rows.size:  # every row took its step
+                        return
+                    dX, size = a.keep(~done, dX, size)
             if r == _ROUNDS - 1:
-                a.leave(np.zeros(len(a.rows), dtype=bool), "error")
+                a.leave(np.zeros(a.rows.size, dtype=bool), "error")
                 return
-            short = size <= a.D
-            if not _every(short):
-                dX, size = a.leave(short, "error", dX, size)
-                if not a.rows.size:
-                    return
+            dX, size = a.leave(size <= a.D, "error", dX, size)
+            if not a.rows.size:
+                return
             a.X = a.X + dX
             a.D = _CONTRACTION * size
 
@@ -580,30 +595,36 @@ class _LineLanes:
         VP = hp kp and dq = Q - qp, that cubic at t + H is
         Q + s (V + s ((2 V - 3 dq + VP) + s (V - 2 dq + VP))); its terms are
         displacements of the size of the last step, so a slope near the
-        float limit does not overflow them.  Each row's value is its own."""
-        X = a.Q + a.H[:, None] * K1
+        float limit does not overflow them.  Each row's value is its own,
+        and an attempt of one kind of row computes that kind alone."""
         h = a.hermite
-        if not np.count_nonzero(h):
-            return X
-        rows, hp = a.rows[h], self.hp.take(a.rows[h])[:, None]
-        V, VP = hp * K1[h], hp * self.kp.take(rows, axis=0)
-        dq, s = a.Q[h] - self.qp.take(rows, axis=0), a.H[h][:, None] / hp
-        X[h] = a.Q[h] + s * (V + s * ((2.0 * V - 3.0 * dq + VP) + s * (V - 2.0 * dq + VP)))
+        rows, Q, H, KH = a.pick(h, a.rows, a.Q, a.H, K1)
+        if not rows.size:
+            return a.Q + a.H[:, None] * K1
+        hp = self.hp.take(rows)[:, None]
+        V, VP = hp * KH, hp * self.kp.take(rows, axis=0)
+        dq, s = Q - self.qp.take(rows, axis=0), H[:, None] / hp
+        P = Q + s * (V + s * ((2.0 * V - 3.0 * dq + VP) + s * (V - 2.0 * dq + VP)))
+        if rows.size == h.size:
+            return P
+        X = a.Q + a.H[:, None] * K1
+        X[h] = P
         return X
 
     def take(self, a: _Attempt, done: Array, r: int, K1: Array, mu: Array, res: Array, e: Array,
              x_tol: Array) -> None:
         """The rows of a that are done in corrector round r take their steps
-        to X, where the slope is K1, the indicator mu, the residual res, the
-        Newton correction e long and its tolerance x_tol (each array a row
-        per row done): the chords and distances from x0 as row norms, the
-        next step (next_step), the step's block in pending (whose tally each
-        of them did), and the stops of a lane that reaches t = 1, at the
-        edge or outside the escape ball."""
-        rows, X, H, T = a.rows[done], a.X[done], a.H[done], a.T[done]
-        chords, dists = _norms(np.concatenate([X - a.Q[done], X - self.x0])).reshape(2, -1)
-        h_next = self.next_step(H, T, r, a.C0[done], e, x_tol, self.mu.take(rows), mu, a.hermite[done])
-        self.qp[rows], self.kp[rows], self.hp[rows] = a.Q[done], self.k1.take(rows, axis=0), H
+        to X, where the slope is K1 (a row per row done), the indicator mu,
+        the residual res, the Newton correction e long and its tolerance
+        x_tol (a row per row of a, picked): the chords and distances from x0
+        as row norms, the next step (next_step), the step's block in pending
+        (whose tally each of them did), and the stops of a lane that reaches
+        t = 1, at the edge or outside the escape ball."""
+        rows, Q, X, H, T, C0, hermite, mu, res, e, x_tol = a.pick(
+            done, a.rows, a.Q, a.X, a.H, a.T, a.C0, a.hermite, mu, res, e, x_tol)
+        chords, dists = _norms(np.concatenate([X - Q, X - self.x0])).reshape(2, -1)
+        h_next = self.next_step(H, T, r, C0, e, x_tol, self.mu.take(rows), mu, hermite)
+        self.qp[rows], self.kp[rows], self.hp[rows] = Q, self.k1.take(rows, axis=0), H
         self.q[rows], self.k1[rows], self.t[rows], self.mu[rows], self.h[rows] = X, K1, T, mu, h_next
         self.last_singular_mu[rows] = math.nan
         self.running[rows] = T < 1.0 - 1e-15

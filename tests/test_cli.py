@@ -587,6 +587,17 @@ def test_sampled_checks_where_the_map_overflows_are_silent(job, code, tmp_path, 
         assert _read_report(tmp_path)["result"]["error"]["type"] == "NonFinite"
 
 
+def test_diagnose_at_an_overflowing_x0_exits_3_non_finite(tmp_path, capsys):
+    """exp overflows at x0 = (1e300, 0), so f(x0) is not finite: the job
+    exits 3 NonFinite, and stderr holds that error line alone, no
+    RuntimeWarning (which the test's warnings-as-errors would turn into
+    the job's error)."""
+    job = {"map": "complex_exp", "command": "diagnose", "x0": [1e300, 0.0], "r": 1.0}
+    assert run_job(job, out_override=tmp_path) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "NonFinite"
+
+
 def test_diagnose_identity_10_finds_its_sublevel_sets(tmp_path):
     """C17 samples balls of radius (1 + |y0|) 2^j from j = -1: in ten
     dimensions the cubes it sampled from half width 1 put about 0.6 of

@@ -769,6 +769,40 @@ def test_svd_window_cases_cross_the_window(monkeypatch):
     assert sum(mixed) == 42
 
 
+def test_lockstep_cases_reach_every_mask_shape(monkeypatch):
+    """The LOCKSTEP_CASES do what their lane-equality runs rely on to cover
+    each path of _Attempt's mask rule: masks of pick and leave that keep
+    every row and some rows, leaves that keep no row of an attempt of more
+    than one row, and attempts whose predictor mixes Hermite and Euler
+    rows."""
+    shapes, mixed = set(), []
+    pick, leave, predict = lifting._Attempt.pick, lifting._Attempt.leave, lifting._LineLanes.predict
+
+    def shape(mask):
+        kept = np.count_nonzero(mask)
+        return "every" if kept == mask.size else "some" if kept else "none" if mask.size > 1 else "none of one"
+
+    def spy_pick(mask, *arrays):
+        shapes.add(("pick", shape(mask)))
+        return pick(mask, *arrays)
+
+    def spy_leave(self, good, *args, **kwargs):
+        shapes.add(("leave", shape(good)))
+        return leave(self, good, *args, **kwargs)
+
+    def spy_predict(self, a, K1):
+        mixed.append(0 < np.count_nonzero(a.hermite) < a.hermite.size)
+        return predict(self, a, K1)
+
+    monkeypatch.setattr(lifting._Attempt, "pick", staticmethod(spy_pick))
+    monkeypatch.setattr(lifting._Attempt, "leave", spy_leave)
+    monkeypatch.setattr(lifting._LineLanes, "predict", spy_predict)
+    for _, model, x0, targets, opts in LOCKSTEP_CASES:
+        lift_lines(model, x0, targets, opts)
+    assert {(f, kind) for f in ("pick", "leave") for kind in ("every", "some")} | {("leave", "none")} <= shapes
+    assert sum(mixed) == 10
+
+
 def test_mixed_stops_case_stops_lanes_apart():
     """The mixed_stops_stride case does what its lane-equality run relies
     on: its lanes stop Complete, Escaped and StepFailure after different
