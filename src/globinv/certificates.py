@@ -214,10 +214,11 @@ def graves_certificate(
         raise OutOfRange("graves_certificate: profile is centered at a different point")
     if not 0.0 < r <= profile.r_max * (1.0 + 1e-12):
         raise OutOfRange(f"graves_certificate: r={r} outside (0, {profile.r_max}]")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite f(x0) raises NonFinite
+        y0 = evaluate(model, x0v)
     rho = rho_of_r(profile, r)
     if rho <= 0.0:
         raise ZeroRadius(f"graves_certificate: accessible radius is zero at r={r}")
-    y0 = evaluate(model, x0v)
 
     verification = None
     if verify_targets > 0:

@@ -1,12 +1,13 @@
 """High-level solving built on line lifting.
 
 solve() turns f(x)=y into a lift of the segment from f(x_seed) to y and
-polishes the endpoint with damped Newton steps.  star_probe() lifts one
-codomain ray per direction and reads the reach off the time the lift
-stopped.  fibre_enumerate() collects distinct solutions by multistart or by
-lifting closed polygonal loops (monodromy).  trivialize() sends nearby
-points of a submersion's domain to the fibre over y, each by a horizontal
-solve().
+polishes the endpoint with local Newton steps.  Every fibre point this
+module reports is a solve().  star_probe() lifts one codomain ray per
+direction and reads the reach off the time the lift stopped.
+fibre_enumerate() collects distinct solutions by multistart or by lifting
+closed polygonal loops (monodromy), each segment one solve().
+trivialize() sends nearby points of a submersion's domain to the fibre over
+y, each by a horizontal solve().
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .lifting import (
     FlowVerdict,
     LiftOptions,
     LiftOutcome,
+    _velocities,
     gradient_flow,
     lift_line_horizontal,
     lift_line_square,
@@ -118,38 +120,30 @@ class FibreReport:
 
 @np.errstate(over="ignore")  # _norms rescales an overflowed residual norm
 def _newton_polish(model: MapModel, x: Array, y: Array):
-    """Damped Newton / minimum-norm Gauss-Newton refinement of an approximate
-    solution.  Returns (point, residual); stops at stagnation or rank loss.
-    A trial point with a non-finite value halves the step; an error raised
-    by the map propagates."""
+    """Local Newton / minimum-norm Gauss-Newton refinement of the end point
+    of a complete lift or a converged flow, where the first step lies within
+    x_tol; each step is the lift corrector's (lifting._velocities).  Returns
+    (point, residual) at the point of least residual: a step that does not
+    lower |f(x) - y|, lands on a non-finite value or meets rank loss ends
+    it; an error raised by the map propagates."""
     x = np.array(x, dtype=float)
     r = evaluate(model, x) - y
     best = _norms(r)
     for _ in range(_POLISH_ITERS):
         if best <= 1e-15 * (1.0 + _norms(y)):
             break
-        J = jacobian(model, x)
-        U, s, Vt = _svd(J)
-        if s.size == 0 or s[-1] <= s[0] * 1e-13 or s[0] == 0.0:
+        U, s, Vt = _svd(jacobian(model, x)[None])
+        if not s[0, -1] > s[0, 0] * 1e-13:
             break
-        dx = -(Vt.T @ ((U.T @ r) / s))
-        step = 1.0
-        improved = False
-        for _ in range(10):
-            xn = x + step * dx
-            try:
-                rn = evaluate(model, xn) - y
-            except NonFinite:
-                step *= 0.5
-                continue
-            nn = _norms(rn)
-            if nn < best:
-                x, r, best = xn, rn, nn
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        xn = x - _velocities(U, s, Vt, r[None])[0]
+        try:
+            rn = evaluate(model, xn) - y
+        except NonFinite:
             break
+        nn = _norms(rn)
+        if not nn < best:
+            break
+        x, r, best = xn, rn, nn
     return x, best
 
 
@@ -289,8 +283,12 @@ def star_probe(
     )
 
 
-def _dedup_threshold(points) -> float:
-    return 1e-5 * max(_norms(np.array(points)).tolist()) + 1e-8
+def _is_new(points: list, x: Array) -> bool:
+    """Whether x lies farther than 1e-5 times the largest norm among points
+    and x, plus 1e-8, from every one of points."""
+    P = np.reshape(points, (-1, x.size))
+    threshold = 1e-5 * max(_norms(np.vstack([P, x])).tolist()) + 1e-8
+    return bool(np.all(_norms(x - P) > threshold))
 
 
 @np.errstate(over="ignore")  # an overflowed distance is rescaled (_norms)
@@ -303,12 +301,14 @@ def fibre_enumerate(
     opts: Optional[LiftOptions] = None,
     max_points: int = 8,
 ) -> FibreReport:
-    """Enumerate points of the fibre over y.
+    """Enumerate points of the fibre over y; each point is a solve().
 
-    Multistart mode solves from each seed and deduplicates.  Loop mode lifts
-    a closed polygonal loop based at y; each traversal that lands on a new
-    point records a monodromy shift and continues from there, until a
-    traversal closes onto a known point or max_points is reached.
+    Multistart mode solves from each seed and deduplicates.  Loop mode
+    solves for y from x_seed (the base point), then lifts a closed
+    polygonal loop based at y, each segment a solve() for its end vertex
+    from the last point; each traversal that lands on a new point records a
+    monodromy shift and continues from there, until a traversal closes onto
+    a known point, a vertex has no solution or max_points is reached.
     """
     yv = _vector(y, model.m, "fibre_enumerate: y", finite=True)
     if (seeds is None) == (loop is None):
@@ -320,10 +320,7 @@ def fibre_enumerate(
         residuals = []
         for s in seeds:
             rep = solve(model, yv, x_seed=s, opts=lift_opts)
-            if rep.solution is None:
-                continue
-            thr = _dedup_threshold(found + [rep.solution])
-            if np.all(_norms(rep.solution - np.reshape(found, (-1, model.n))) > thr):
+            if rep.solution is not None and _is_new(found, rep.solution):
                 found.append(rep.solution)
                 residuals.append(rep.residual)
                 if len(found) >= max_points:
@@ -336,47 +333,38 @@ def fibre_enumerate(
     if not vertices:
         raise OutOfRange("fibre_enumerate: empty loop")
     # The segments' targets: the vertices after y, then y itself, so that
-    # each traversal's last polish lands on y (a vertex within 1e-12 of y at
+    # each traversal's last solve lands on y (a vertex within 1e-12 of y at
     # either end of the loop is y).
     targets = vertices[1:] if _norms(vertices[0] - yv) <= 1e-12 else vertices
     if targets and _norms(targets[-1] - yv) <= 1e-12:
         targets = targets[:-1]
     targets = targets + [yv]
 
-    start = default_point(model) if x_seed is None else np.asarray(x_seed, dtype=float)
-    start, res0 = _newton_polish(model, start, yv)
-    if res0 > SOLVE_TOL:
-        raise LoopNotInImage("fibre_enumerate: no fibre point found at the loop base")
-
-    points = [start]
-    residuals = [res0]
-    shifts = []
-    x_cur = start
-    first_segment = True
+    rep = solve(model, yv, x_seed=x_seed, opts=lift_opts)
+    if rep.solution is None:
+        raise LoopNotInImage(
+            f"fibre_enumerate: no fibre point found at the loop base: lift ended "
+            f"{rep.outcome.status.kind}, residual {rep.residual!r}"
+        )
+    x_cur = rep.solution
+    points, residuals, shifts = [x_cur], [rep.residual], []
     while len(points) < max_points:
         loop_start = x_cur
-        aborted = False
         for b in targets:
-            w = b - evaluate(model, x_cur)
-            out = lift_line_square(model, x_cur, w, lift_opts)
-            if not out.status.is_complete:
-                if first_segment:
+            rep = solve(model, b, x_seed=x_cur, opts=lift_opts)
+            if rep.solution is None:
+                if not shifts and b is targets[0]:
                     raise LoopNotInImage(
-                        f"fibre_enumerate: first segment lift failed ({out.status.kind})"
+                        f"fibre_enumerate: first segment found no fibre point: lift ended "
+                        f"{rep.outcome.status.kind}, residual {rep.residual!r}"
                     )
-                aborted = True
-                break
-            first_segment = False
-            x_cur, res = _newton_polish(model, out.trajectory.points[-1], b)
-        if aborted or res > SOLVE_TOL:
-            break
+                return _finish_fibre(yv, points, residuals, shifts)
+            x_cur = rep.solution
         shifts.append(x_cur - loop_start)
-        thr = _dedup_threshold(points + [x_cur])
-        if np.all(_norms(x_cur - np.array(points)) > thr):
-            points.append(x_cur)
-            residuals.append(res)
-        else:
+        if not _is_new(points, x_cur):
             break
+        points.append(x_cur)
+        residuals.append(rep.residual)
     return _finish_fibre(yv, points, residuals, shifts)
 
 

@@ -598,6 +598,18 @@ def test_diagnose_at_an_overflowing_x0_exits_3_non_finite(tmp_path, capsys):
     assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "NonFinite"
 
 
+def test_certify_at_an_overflowing_x0_exits_3_non_finite(tmp_path, capsys):
+    """f(x0) overflows at x0 = (1e300, 0), where the profile's radius is
+    also 0: certify exits 3 NonFinite, as indicators and diagnose do, not
+    ZeroRadius, and without a RuntimeWarning."""
+    job = {"map": "complex_exp", "command": "certify", "x0": [1e300, 0.0], "r": 1.0}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_job(job, out_override=tmp_path) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonFinite"
+
+
 def test_diagnose_identity_10_finds_its_sublevel_sets(tmp_path):
     """C17 samples balls of radius (1 + |y0|) 2^j from j = -1: in ten
     dimensions the cubes it sampled from half width 1 put about 0.6 of

@@ -384,22 +384,34 @@ def test_fibre_loop_complex_exp():
 
 
 def test_fibre_loop_polishes_once_per_segment(monkeypatch):
-    """A traversal polishes once per segment, the last one onto y itself,
-    and the base point is polished once: no traversal polishes onto y a
-    second time."""
+    """Every fibre point is a solve: the base point is one solve, and a
+    traversal one solve per segment, the last one onto y itself; no
+    traversal solves onto y a second time."""
     calls = []
-    polish = solver._newton_polish
+    real_solve = solver.solve
 
-    def counted(model, x, y):
+    def counted(model, y, **kwargs):
         calls.append(np.array(y))
-        return polish(model, x, y)
+        return real_solve(model, y, **kwargs)
 
-    monkeypatch.setattr(solver, "_newton_polish", counted)
+    monkeypatch.setattr(solver, "solve", counted)
     diamond = [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]  # and back to y: four segments
     rep = fibre_enumerate(registry_get("complex_exp"), [1.0, 0.0], loop=diamond, max_points=6)
     assert len(rep.points) == 6 and len(rep.monodromy_shifts) == 5
     assert len(calls) == 1 + 5 * 4
     assert all(np.array_equal(y, [1.0, 0.0]) for y in calls[::4])  # the base, then each traversal's end
+
+
+def test_fibre_loop_base_is_the_solve_from_the_seed():
+    """The loop base is solve's point from the default seed; a Newton run
+    from the seed alone found no fibre point there (LoopNotInImage)."""
+    m = registry_get("complex_exp")
+    y = [-3.0, 0.5]
+    rep = fibre_enumerate(m, y, loop=[[0.0, -3.0], [3.0, 0.0], [0.0, 3.0]], max_points=3)
+    assert len(rep.points) == 3
+    assert np.array_equal(rep.points[0], solve(m, y).solution)
+    for p, q in zip(rep.points, rep.points[1:]):
+        assert np.allclose(q - p, [0.0, 2.0 * np.pi], atol=1e-9)
 
 
 def test_fibre_loop_trivial_monodromy():
@@ -480,8 +492,9 @@ def test_fibre_seeds_keep_distinct_roots():
 
 @pytest.mark.parametrize("outside", ["nan", "raise"])
 def test_newton_polish_propagates_map_errors(outside):
-    """A trial step with a non-finite value is halved; an error raised by
-    the map is not a bad point and propagates."""
+    """A trial point with a non-finite value ends the polish at the point of
+    least residual; an error raised by the map is not a bad point and
+    propagates."""
     def f(x):
         if abs(x[0]) <= 1.6:
             return np.arctan(x)
@@ -497,24 +510,7 @@ def test_newton_polish_propagates_map_errors(outside):
             solver._newton_polish(m, np.array([1.5]), np.array([0.0]))
     else:
         x, res = solver._newton_polish(m, np.array([1.5]), np.array([0.0]))
-        assert abs(x[0]) <= 1e-12 and res <= 1e-12
-
-
-def test_newton_polish_halves_a_step_that_raises_the_residual():
-    """From 1.5 the full Newton step for arctan(x) = 0 lands at -1.69, where
-    |arctan| is larger; the polish halves it and still reaches the root."""
-    arctan = registry_get("arctan1d")
-    visited = []
-
-    def f(x):
-        visited.append(float(x[0]))
-        return arctan.eval_fn(x)
-
-    m = MapModel(name="arctan_spy", n=1, m=1, eval_fn=f, jac_fn=arctan.jac_fn)
-    x, res = solver._newton_polish(m, np.array([1.5]), np.array([0.0]))
-    assert (x[0], res) == (0.0, 0.0)
-    assert visited[1] == pytest.approx(-1.694, abs=1e-3)
-    assert visited[2] == pytest.approx(0.5 * (visited[0] + visited[1]), abs=1e-12)
+        assert x[0] == 1.5 and res == np.arctan(1.5)
 
 
 # ---------------------------------------------------------------------------
