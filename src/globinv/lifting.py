@@ -32,7 +32,12 @@ round's correction at a share of its tolerance (so it grows as the 8th
 root of that ratio after Euler and the 16th after Hermite), and the
 mu-decay guard makes the lift slow down near singular loci instead of
 jumping across them: mu, extrapolated at the rate it fell over the last
-step, may at most halve over the next.  The gradient flow
+step, may at most halve over the next.  Below twice mu_floor the floor cap
+binds instead: the next step ends at the secant's crossing of mu_floor, a
+step-length control at a known target (Allgower & Georg, ch. 6), and a
+lane stops Singular at its last point taken once that crossing lies
+within x_tol of it, so an edge lane steps to the floor instead of
+bisecting it through singular rejections.  The gradient flow
 x' = -grad F_y is an ODE without a curve to return to, so it takes
 linearly implicit Euler steps with the Gauss-Newton Hessian J^T J: each is
 a Levenberg-Marquardt step with lambda = 1/h (Levenberg 1944; Marquardt
@@ -58,14 +63,17 @@ the rows concerned, and per-lane Python is left for the LiftStatus of a
 lane that stops.  Each attempt is the predictor and the corrector rounds
 over the rows left, in lockstep; a row takes its step in the round it
 meets both tolerances, with its chords, residuals and distances from x0 as
-stacks, and stops at the edge where the mu-decay guard cannot advance t.
+stacks, and stops at the edge where the mu-decay guard cannot advance t or
+the floor crossing is within x_tol.
 The steps of up to 64 takes are folded at once into those arrays and one
 block of recorded points (a lane's every record_stride-th step).  Each
 lane's LiftOutcome, LiftStats included, does not depend on the other rows
 of the call.  _Attempt keeps the books of one attempt: the rows still in
 it and the arrays aligned with them, one work tally, one corrector round
 (round: the f, J and SVD stacks with the exits of the non-finite and the
-singular rows) and one exit for every row cut.
+singular rows) and one exit for every row cut.  Its points are its own
+float (K, n) arrays, so a round takes f and J by maps._evaluate_stack and
+maps._jacobian_stack, which skip evaluate_stack's shape check.
 
 _Flow is one Levenberg-Marquardt lane with Python scalars for its t, step
 size, F, mu and LiftStats counters: one f per attempt, the gain test (F
@@ -83,7 +91,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
-from .maps import MapModel, _norms, _svd, _vector, evaluate, evaluate_stack, jacobian, jacobian_stack
+from .maps import MapModel, _evaluate_stack, _jacobian_stack, _norms, _svd, _vector, evaluate, jacobian
 
 Array = np.ndarray
 
@@ -150,7 +158,15 @@ class LiftOptions:
 @dataclass(frozen=True)
 class LiftStatus:
     """Terminal state of a lift: Complete, Singular(t, mu),
-    Escaped(t, distance) or StepFailure(t)."""
+    Escaped(t, distance) or StepFailure(t).
+
+    A line lift stops Singular in three ways.  At the floor (the usual
+    edge): t and mu are those of its last point taken, mu in [mu_floor,
+    2 mu_floor), the secant's crossing of mu_floor within x_tol of it.  At
+    an edge where mu falls toward 0 within half an ulp of t: the last
+    point taken too.  On a step collapse after a singular rejection: t is
+    the last point taken and mu that of the rejected point, below
+    mu_floor (the singular value at x0, for a lift that stops there)."""
 
     kind: str
     t: float
@@ -216,7 +232,9 @@ class LiftStats:
     distance guard, a correction that does not contract, or no point
     within tolerance after the last round; for the gradient flow the gain
     test; an indicator below the floor, which a
-    line lift's mu-decay guard makes the steps approach rather than cross;
+    line lift's mu-decay guard and floor cap make its steps approach rather
+    than cross, so a singular rejection is left for a lane whose mu the
+    secant overshoots, where mu is concave in t or falls at once;
     a non-finite point, derivative, slope or value).  evals: model
     evaluations made by the lift itself, not those inside a
     finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
@@ -357,12 +375,12 @@ class _Attempt:
         not positive and finite (singular, with its mu).  Returns (F, U, s,
         Vt, mu) for the rows left, None when no row is left."""
         model = self.lanes.model
-        F, good = evaluate_stack(model, self.X)
+        F, good = _evaluate_stack(model, self.X)
         self.evals += 1
         (F,) = self.leave(good, "nonfinite", F)
         if not self.rows.size:
             return None
-        J, good = jacobian_stack(model, self.X)
+        J, good = _jacobian_stack(model, self.X)
         self.jacobians += 1
         J, F = self.leave(good, "nonfinite", J, F)
         if not self.rows.size:
@@ -615,11 +633,17 @@ class _LineLanes:
         x_tol (a row per row of a, picked): the chords and distances from x0
         as row norms, the next step (next_step), the step's block in pending
         (whose tally each of them did), and the stops of a lane that reaches
-        t = 1, at the edge or outside the escape ball."""
+        t = 1, at the edge or outside the escape ball.  A lane is at the
+        edge, and stops Singular at X with its mu, where the next step is
+        below half an ulp of t < 1, or where mu < 2 mu_floor (the floor cap
+        binds) and the secant's crossing of the floor is within x_tol of X
+        in x: chord (mu - mu_floor) <= x_tol (mu_prev - mu), with the chord
+        of this step."""
         rows, Q, X, H, T, C0, hermite, mu, res, e, x_tol = a.pick(
             done, a.rows, a.Q, a.X, a.H, a.T, a.C0, a.hermite, mu, res, e, x_tol)
         chords, dists = _norms(np.concatenate([X - Q, X - self.x0])).reshape(2, -1)
-        h_next = self.next_step(H, T, r, C0, e, x_tol, self.mu.take(rows), mu, hermite)
+        mu_prev = self.mu.take(rows)
+        h_next = self.next_step(H, T, r, C0, e, x_tol, mu_prev, mu, hermite)
         self.qp[rows], self.kp[rows], self.hp[rows] = Q, self.k1.take(rows, axis=0), H
         self.q[rows], self.k1[rows], self.t[rows], self.mu[rows], self.h[rows] = X, K1, T, mu, h_next
         self.last_singular_mu[rows] = math.nan
@@ -628,11 +652,18 @@ class _LineLanes:
         self.tallies.append((a.evals, a.jacobians, a.svds))
         if len(self.pending) == _RECORD_RUN:
             self.fold()
-        # Only the mu-decay guard cuts a step below half an ulp of t <= 1:
-        # mu falls to 0 within a few ulps of t, at the edge of the lift.
-        edge = h_next < _H_MIN
+        # Only the mu-decay guard and the floor cap cut a step below half an
+        # ulp of t <= 1: mu falls to 0 or to the floor within a few ulps of
+        # t, at the edge of the lift.  Below twice the floor the floor cap
+        # binds, and the lane is at the edge once the secant's crossing of
+        # the floor is within x_tol of X.
+        floor = self.opts.mu_floor
+        low = mu < 2.0 * floor
+        edge = (h_next < _H_MIN) | low
         if np.count_nonzero(edge):
-            edge &= (T + h_next == T) & (T < 1.0)
+            drop = mu_prev - mu
+            crossing = low & (drop > 0.0) & (chords * (mu - floor) <= x_tol * drop)
+            edge &= ((T + h_next == T) | crossing) & (T < 1.0)
         out = edge if self.opts.r_escape is None else edge | (dists > self.opts.r_escape)
         for j in out.nonzero()[0].tolist():
             k = int(rows[j])
@@ -651,9 +682,13 @@ class _LineLanes:
         scales as h^2 after Euler and h^4 after Hermite, so that correction
         scales as h^8 or h^16.  The step is scaled so that it would be
         _AIM x_tol: by the 8th or 16th root of _AIM x_tol over it, at most
-        _GROW times.  Then the mu-decay guard: mu, extrapolated at the rate
-        it fell over this step, may fall by at most half over the next one,
-        so a step is at most 0.5 H mu_new / (mu_prev - mu_new).  Last the
+        _GROW times.  Then, where mu fell, the mu-decay guard and the floor
+        cap, at the rate H / (mu_prev - mu_new) it fell over this step: mu
+        may fall by at most half over the next step, and the step ends at
+        the latest at the secant's crossing of mu_floor, so a step is at
+        most H min(0.5 mu_new, mu_new - mu_floor) / (mu_prev - mu_new).
+        The cap is the less where mu_new < 2 mu_floor, so it binds only
+        there (take stops a lane whose crossing is within x_tol).  Last the
         step is cut to end at t = 1.  The roots are three or four square
         roots, each rounded exactly, so no lane's step depends on the other
         rows."""
@@ -666,7 +701,8 @@ class _LineLanes:
             h_next = H * np.fmin(_GROW, root)
         fell = mu_new < mu_prev
         if np.count_nonzero(fell):
-            guard = 0.5 * H * mu_new / np.maximum(mu_prev - mu_new, 1e-300)
+            share = np.minimum(0.5 * mu_new, mu_new - self.opts.mu_floor)
+            guard = H * share / np.maximum(mu_prev - mu_new, 1e-300)
             np.minimum(h_next, guard, out=h_next, where=fell)
         return np.minimum(h_next, 1.0 - T)
 
@@ -795,7 +831,7 @@ class _Flow:
 
     def attempt(self) -> None:
         """One Levenberg-Marquardt step of size h from q, to
-        X = q - V diag(s / (s^2 + 1/h)) c, with f there (one evaluate_stack)
+        X = q - V diag(s / (s^2 + 1/h)) c, with f there (one f stack)
         and, for a step taken, J and its SVD there (take).  A non-finite X,
         f, F or J rejects the attempt (nonfinite), and so does the gain test
         (error): F must fall by at least _GAIN of the fall of the model
@@ -807,7 +843,7 @@ class _Flow:
         if not _all_finite(X):
             return self.reject("nonfinite")
         self.stats.evals += 1
-        R, good = evaluate_stack(self.model, X[None])
+        R, good = _evaluate_stack(self.model, X[None])
         if not good[0]:
             return self.reject("nonfinite")
         r = R[0] - self.y
@@ -820,7 +856,7 @@ class _Flow:
         if not self.F - F + rounding >= _GAIN * predicted:  # a NaN is rejected
             return self.reject("error")
         self.stats.jacobians += 1
-        J, good = jacobian_stack(self.model, X[None])
+        J, good = _jacobian_stack(self.model, X[None])
         if not good[0]:
             return self.reject("nonfinite")
         self.stats.svds += 1
@@ -949,7 +985,7 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     rejections are rows of arrays, and a lane leaves the batch when it
     stops; every attempt makes one predictor (cubic Hermite through a
     square lane's last two points, else Euler's tangent), then every
-    corrector round one evaluate_stack, one Jacobian stack and one SVD over the lanes
+    corrector round one f stack, one Jacobian stack and one SVD over the lanes
     still in it, and takes the lanes that meet the tolerances (LiftOptions)
     at once.  Every accepted point lies within complete_tol of its line, so
     max_drift, the largest residual of an accepted point, and

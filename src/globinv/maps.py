@@ -168,7 +168,12 @@ def evaluate_stack(model: MapModel, X) -> tuple:
     mask instead of raised, so callers drop that row and go on with the
     others; any other exception raised by the map propagates.
     """
-    Xv = _stack_points(model, X, "evaluate_stack")
+    return _evaluate_stack(model, _stack_points(model, X, "evaluate_stack"))
+
+
+def _evaluate_stack(model: MapModel, Xv: Array) -> tuple:
+    """evaluate_stack at Xv, a float (K, n) array already checked: for a
+    caller that stacks its own points."""
     Y = _stack_rows(model, model.eval_fn, Xv, (model.m,), "evaluate_stack")
     finite = np.isfinite(Y)
     # one count over the stack; the per-row reduce only when it finds a
@@ -181,7 +186,7 @@ def evaluate(model: MapModel, x) -> Array:
     non-finite value, a point where the map raises NonFinite included,
     raises NonFinite naming x."""
     xv = _vector(x, model.n, f"evaluate({model.name})")
-    Y, finite = evaluate_stack(model, xv[None])
+    Y, finite = _evaluate_stack(model, xv[None])
     if not finite[0]:
         raise NonFinite(f"evaluate({model.name}): non-finite value at x={xv!r}")
     return Y[0]
@@ -201,7 +206,7 @@ def _fd_jacobian(model: MapModel, Xv: Array) -> Array:
     X = np.repeat(Xv[:, None, :], 2 * n, axis=1)
     X[:, 2 * i, i] += h
     X[:, 2 * i + 1, i] -= h
-    Y, _ = evaluate_stack(model, X.reshape(2 * n * K, n))
+    Y, _ = _evaluate_stack(model, X.reshape(2 * n * K, n))
     Y = Y.reshape(K, 2 * n, model.m)
     # the realized step absorbs rounding in x_i +/- h
     step = X[:, 2 * i, i] - X[:, 2 * i + 1, i]
@@ -219,7 +224,12 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     where the map raises NonFinite) is flagged in the mask instead of
     raised, so batched callers drop that row and go on with the others.
     """
-    Xv = _stack_points(model, X, "jacobian_stack")
+    return _jacobian_stack(model, _stack_points(model, X, "jacobian_stack"))
+
+
+def _jacobian_stack(model: MapModel, Xv: Array) -> tuple:
+    """jacobian_stack at Xv, a float (K, n) array already checked: for a
+    caller that stacks its own points."""
     if model.jac_fn is None:  # in C order, as every stack of jac_fn rows is
         J = np.ascontiguousarray(_fd_jacobian(model, Xv))
     else:
@@ -234,7 +244,7 @@ def jacobian(model: MapModel, x) -> Array:
     one-row stack of x.  A non-finite derivative, a point where the map
     raises NonFinite included, raises NonFinite naming x."""
     xv = _vector(x, model.n, f"jacobian({model.name})")
-    J, finite = jacobian_stack(model, xv[None])
+    J, finite = _jacobian_stack(model, xv[None])
     if not finite[0]:
         raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={xv!r}")
     return J[0]

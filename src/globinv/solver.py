@@ -249,8 +249,11 @@ def star_probe(
     the reach is the stop time (a fraction of the segment, 1 when complete)
     times t_budget.  The reach is a numerical witness of the star boundary,
     not a proof.  The reason is the lift's stop: BudgetExhausted for a
-    complete lift, else Singular (the indicator hit the floor, or fell
-    toward 0 within an ulp of t: how a lift meets a boundary singularity),
+    complete lift, else Singular (how a lift meets a boundary
+    singularity: the lift stepped to the secant's crossing of mu_floor
+    and stopped at its last point taken, within x_tol of that crossing;
+    or the indicator fell toward 0 within an ulp of t; or the step
+    collapsed on points below the floor),
     Escaped or StepFailure (the step budget ran out or the step collapsed);
     statuses keeps each lift's own stop.
     """

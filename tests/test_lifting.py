@@ -209,7 +209,9 @@ def test_lift_stats_count_the_work():
 
 
 def test_lift_stats_rejections_by_cause():
-    edge = lift_line_square(registry_get("arctan1d"), [0.0], [2.0])
+    # mu = 1 / (1 + x^2) is concave in t near the floor 0.9, so the secant's
+    # floor crossing overshoots it and some corrector points fall below
+    edge = lift_line_square(registry_get("arctan1d"), [0.0], [2.0], LiftOptions(mu_floor=0.9))
     assert edge.status.kind == "Singular"
     assert edge.stats.rejected_singular > 0
     # e^x overflows at a predictor point of a lift that ends just below
@@ -227,6 +229,27 @@ def test_lift_stats_rejections_by_cause():
     assert over.stats.jacobians == over.stats.evals - 1  # no Jacobian where f overflowed
     zero = lift_line_square(registry_get("identity_1"), [2.0], [0.0])
     assert zero.stats == LiftStats(evals=1, jacobians=1, svds=1)
+
+
+def _assert_floor_stop(model, out, w, opts, t_star):
+    """out stopped Singular at its last point taken, within x_tol / |k1|
+    of the closed-form floor crossing t_star (x_tol and the slope
+    k1 = J^-1 w at that point), with mu in [mu_floor, 2 mu_floor)."""
+    x = out.trajectory.points[-1]
+    assert out.status.kind == "Singular" and out.status.t == out.trajectory.times[-1]
+    assert opts.mu_floor <= out.status.mu < 2.0 * opts.mu_floor
+    x_tol = 10.0 * opts.rel_tol * max(np.linalg.norm(x), 1.0) + 100.0 * opts.abs_tol
+    k1 = np.linalg.solve(maps.jacobian(model, x), w)
+    assert abs(out.status.t - t_star) <= x_tol / np.linalg.norm(k1), (out.status.t, t_star)
+
+
+@pytest.mark.parametrize("floor", [1e-8, 0.9])
+def test_arctan_edge_lane_stops_at_the_floor_crossing(floor):
+    """arctan1d from 0 toward 2: mu = 1 / (1 + x^2) meets the floor where
+    tan(2 t) = sqrt(1 / floor - 1), and the lane stops there."""
+    model, opts, w = registry_get("arctan1d"), LiftOptions(mu_floor=floor), np.array([2.0])
+    out = lift_line_square(model, [0.0], w, opts)
+    _assert_floor_stop(model, out, w, opts, math.atan(math.sqrt(1.0 / floor - 1.0)) / 2.0)
 
 
 def test_huge_target_completes_without_overflow():
@@ -927,20 +950,25 @@ def test_next_step_is_grown_with_the_mu_guard():
     else scaled by the eighth root (Euler predictor) or the sixteenth root
     (Hermite) of _AIM x_tol over the last round's correction (e, or
     e^3 / e0^2 after one round) up to 5 times, cut by the mu-decay guard
-    (mu may at most halve over the next step at the rate it fell) and cut
-    to end at t = 1."""
+    (mu may at most halve over the next step at the rate it fell) and by
+    the floor cap (the secant's crossing of mu_floor), and cut to end at
+    t = 1.  A fifth of the lanes have mu_new in [mu_floor, 2 mu_floor),
+    where the floor cap is the one that binds."""
     rng = np.random.default_rng(12)
-    K = 20000
+    K, floor = 20000, 0.01
     e0, e = 10.0 ** rng.uniform(-6.0, 0.0, K), 10.0 ** rng.uniform(-18.0, -8.0, K)
     x_tol = 1e-8 * rng.uniform(1.0, 10.0, K)
     e[:10] = 0.0
     H, T = 10.0 ** rng.uniform(-8, 0, K), rng.uniform(0.0, 1.0, K)
-    mu_prev, mu_new = rng.uniform(size=K), rng.uniform(size=K)
+    mu_prev, mu_new = rng.uniform(floor, 1.0, K), rng.uniform(floor, 1.0, K)
+    near = rng.uniform(size=K) < 0.2
+    mu_new[near] = floor * rng.uniform(1.0, 2.0, np.count_nonzero(near))
     hermite = rng.uniform(size=K) < 0.5
-    lanes = _lanes_at(registry_get("identity_1"), LiftOptions(), np.ones((K, 1)), np.zeros((K, 1)), H,
-                      np.zeros(K), mu_prev)
+    lanes = _lanes_at(registry_get("identity_1"), LiftOptions(mu_floor=floor), np.ones((K, 1)),
+                      np.zeros((K, 1)), H, np.zeros(K), mu_prev)
     for r in (0, 1, 2):
         steps = lanes.next_step(H, T, r, e0, e, x_tol, mu_prev, mu_new, hermite).tolist()
+        capped = 0
         for k, (h, t, a, b, tol, m0, m1, cubic) in enumerate(zip(*(A.tolist() for A in (
                 H, T, e0, e, x_tol, mu_prev, mu_new, hermite)))):
             if r == 0:
@@ -950,9 +978,13 @@ def test_next_step_is_grown_with_the_mu_guard():
                 root = math.sqrt(math.sqrt(math.sqrt(0.03 * tol / max(last, 1e-300))))
                 want = h * min(5.0, math.sqrt(root) if cubic else root)
             if m1 < m0:
-                want = min(want, 0.5 * h * m1 / max(m0 - m1, 1e-300))
+                drop = max(m0 - m1, 1e-300)
+                guard, cap = 0.5 * h * m1 / drop, h * (m1 - floor) / drop
+                capped += cap < min(want, guard, 1.0 - t)
+                want = min(want, guard, cap)
             assert steps[k] == min(want, 1.0 - t), (r, k)
         assert 0 < sum(s == 1.0 - t for s, t in zip(steps, T.tolist())) < K
+        assert capped > K // 20  # the floor cap is the least step of many lanes
 
 
 def _on_log(W, t):
@@ -1010,11 +1042,12 @@ def test_first_correction_scales_with_the_predictor_order(name, at, hp, order):
 def test_lift_lines_work_counters(monkeypatch):
     """A 64-lane call evaluates f once at x0 (by evaluate) and takes J(x0)
     once (by jacobian); after x0 it evaluates f and J only through stacks,
-    one evaluate_stack and one jacobian_stack per corrector round.  Every
+    one _evaluate_stack and one _jacobian_stack (the stacks without the
+    shape check) per corrector round.  Every
     lane counts f(x0), J(x0) and its SVD, and its own rows of each stack:
     the totals of its one-row call."""
     _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == "graves_complex_exp")
-    calls = {name: [] for name in ("evaluate", "jacobian", "evaluate_stack", "jacobian_stack")}
+    calls = {name: [] for name in ("evaluate", "jacobian", "_evaluate_stack", "_jacobian_stack")}
 
     def counted(name):
         fn = getattr(lifting, name)
@@ -1030,19 +1063,38 @@ def test_lift_lines_work_counters(monkeypatch):
     monkeypatch.undo()
 
     assert calls["evaluate"] == calls["jacobian"] == [1]
-    assert len(calls["evaluate_stack"]) == len(calls["jacobian_stack"]) > 1
-    assert sum(calls["evaluate_stack"]) == sum(o.stats.evals - 1 for o in batch)
-    assert sum(calls["jacobian_stack"]) == sum(o.stats.jacobians - 1 for o in batch)
+    assert len(calls["_evaluate_stack"]) == len(calls["_jacobian_stack"]) > 1
+    assert sum(calls["_evaluate_stack"]) == sum(o.stats.evals - 1 for o in batch)
+    assert sum(calls["_jacobian_stack"]) == sum(o.stats.jacobians - 1 for o in batch)
     assert all(o.stats.evals == o.stats.jacobians == o.stats.svds for o in batch)
     sequential = [lift_line_square(model, x0, w, opts) for w in targets]
     assert [o.stats for o in batch] == [o.stats for o in sequential]
 
 
+def test_lifts_check_no_stack_of_their_own_points(monkeypatch):
+    """Line lifts and the flow stack their own float points, so neither
+    f(x0) and J(x0) nor a corrector round or a flow attempt goes through
+    the shape check of evaluate_stack and jacobian_stack."""
+    checked = []
+    stack_points = maps._stack_points
+
+    def spy(model, X, what):
+        checked.append(what)
+        return stack_points(model, X, what)
+
+    monkeypatch.setattr(maps, "_stack_points", spy)
+    model = registry_get("complex_exp")
+    outs = lift_lines(model, [0.0, 0.0], [[0.5, 0.2], [-0.9, 0.0], [0.0, 2.0]])
+    _, verdict = gradient_flow(model, [0.0, 0.0], [0.5, 0.5])
+    assert sum(o.stats.evals for o in outs) > 3 and verdict.kind == "converged"
+    assert checked == []
+
+
 @pytest.mark.parametrize("label, k, stats", [
     ("graves_complex_exp", 1, LiftStats(accepted=6, rejected_error=1, evals=19, jacobians=19, svds=19,
                                         h_min=0.005390305596036978)),
-    ("arctan1d", 0, LiftStats(accepted=57, rejected_error=3, rejected_singular=66, evals=216,
-                              jacobians=216, svds=216, h_min=2.2612731200193238e-14)),
+    ("arctan1d", 0, LiftStats(accepted=46, rejected_error=3, evals=138, jacobians=138, svds=138,
+                              h_min=1.7184315112083198e-12)),
     ("exp1d", 0, LiftStats(accepted=17, rejected_error=4, rejected_nonfinite=1, evals=64,
                            jacobians=63, svds=63, h_min=0.0019363641608484928)),
     ("nan_beyond_one", 0, LiftStats(accepted=23, rejected_nonfinite=92, evals=116, jacobians=24,
@@ -1050,10 +1102,10 @@ def test_lift_lines_work_counters(monkeypatch):
 ])
 def test_one_row_work_counters(monkeypatch, label, k, stats):
     """A one-row call takes J(x0) by jacobian and f(x0) by evaluate, and
-    after x0 only stacks: one evaluate_stack and, for the rows whose f is
-    finite, one jacobian_stack per corrector round."""
+    after x0 only stacks: one _evaluate_stack and, for the rows whose f is
+    finite, one _jacobian_stack per corrector round."""
     _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == label)
-    calls = {"jacobian": 0, "jacobian_stack": 0, "evaluate": 0, "evaluate_stack": 0}
+    calls = {"jacobian": 0, "_jacobian_stack": 0, "evaluate": 0, "_evaluate_stack": 0}
 
     def counted(name):
         fn = getattr(lifting, name)
@@ -1068,8 +1120,8 @@ def test_one_row_work_counters(monkeypatch, label, k, stats):
     (out,) = lift_lines(model, x0, [targets[k]], opts)
     monkeypatch.undo()
     assert out.stats == stats
-    assert calls == {"jacobian": 1, "jacobian_stack": stats.jacobians - 1,
-                     "evaluate": 1, "evaluate_stack": stats.evals - 1}
+    assert calls == {"jacobian": 1, "_jacobian_stack": stats.jacobians - 1,
+                     "evaluate": 1, "_evaluate_stack": stats.evals - 1}
 
 
 @pytest.mark.parametrize("w", [[math.inf, 0.0], [math.nan, 1.0], [0.0, -math.inf]])

@@ -211,6 +211,23 @@ def test_star_exp_asymmetric():
     assert up_reason == "BudgetExhausted"
 
 
+@pytest.mark.parametrize("name, seed, direction", [
+    ("exp1d", [0.0], [-1.0]),
+    ("complex_exp", [0.0, 0.0], [-1.0, 0.0]),
+])
+def test_star_ray_toward_zero_reaches_the_floor(name, seed, direction):
+    """f(seed) = (1, 0) and mu = |f| on both maps, so the ray toward 0
+    meets the floor where 1 - t = mu_floor: its reach is 1 - mu_floor,
+    within x_tol / |k1| at the last point taken (|k1| = 1 / mu there)."""
+    m, opts = registry_get(name), LiftOptions()
+    rep = star_probe(m, seed, [direction], t_budget=1.0, opts=opts)
+    (status,) = rep.statuses
+    assert rep.reasons == ("Singular",)
+    assert opts.mu_floor <= status.mu < 2.0 * opts.mu_floor
+    x_tol = 10.0 * opts.rel_tol * abs(np.log(status.mu)) + 100.0 * opts.abs_tol
+    assert abs(rep.reaches[0] - (1.0 - opts.mu_floor)) <= x_tol * status.mu
+
+
 def test_star_budget_consistency():
     """A larger budget never shrinks a reach, and both budgets find the same
     edge: each reach is read off one lift's stop time."""
