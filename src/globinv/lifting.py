@@ -10,26 +10,33 @@ along the curve whose slope is
 The curve is an implicit one, so a line lift follows it by
 predictor-corrector continuation (Allgower & Georg, Numerical
 Continuation Methods, 1990, ch. 2 and 6; Deuflhard, Newton Methods for
-Nonlinear Problems, 2004, ch. 5): a predictor, then at most _ROUNDS
-minimum-norm Newton corrections back onto the line's point.  On a square
-map the predictor is the cubic Hermite extrapolation through the lane's
-last two points and their slopes, whose error is O(h^4); the first step,
-and every step on a wide map, takes the Euler (tangent) predictor
-q + h q', whose error is O(h^2).  A point is taken only when
-its residual is within complete_tol and its next Newton correction within
-x_tol, so every recorded point of a line lift lies on its line to that
-tolerance; on a wide map, where the points over a line form a fibre and
-not a curve, the lift follows the minimum-norm route to first order in the
-step, which is why a wide map keeps the Euler predictor: its points do
-not lie on one smooth curve for a cubic to extrapolate.  The slope, the
-Newton step and the local invertibility
-indicator mu (the least singular value, used for singularity detection)
-all come out of one SVD of J per corrector round.  Every SVD is maps._svd:
-for a 1x1 stack whose every |J| lies in [1e-100, 1e100] the closed form
+Nonlinear Problems, 2004, ch. 5): a predictor, then at most R
+minimum-norm Newton corrections back onto the line's point, R = 4 on a
+square map and 3 on a wide one.  On a square map the predictor is the
+cubic Hermite extrapolation through the lane's last two points and their
+slopes, whose error is O(h^4); the first step, and every step on a wide
+map, takes the Euler (tangent) predictor q + h q', whose error is O(h^2).
+A point is taken only when its residual is within complete_tol and its
+next Newton correction within x_tol, so every recorded point of a line
+lift lies on its line to that tolerance; on a wide map, where the points
+over a line form a fibre and not a curve, the lift follows the
+minimum-norm route to first order in the step, which is why a wide map
+keeps the Euler predictor: its points do not lie on one smooth curve for
+a cubic to extrapolate.  The slope, the Newton step and the local
+invertibility indicator mu (the least singular value, used for
+singularity detection) all come out of one SVD of J per corrector round.
+Every SVD is maps._svd: for a 1x1 stack whose every |J| lies in [1e-100, 1e100] the closed form
 s = |J|, U = sign(J), Vt = 1, which LAPACK returns there bit for bit, and
-LAPACK for any other stack.  The step size aims the last corrector
-round's correction at a share of its tolerance (so it grows as the 8th
-root of that ratio after Euler and the 16th after Hermite), and the
+LAPACK for any other stack.  The step size aims the budget's last
+corrector round's correction at a share of its tolerance.  Newton's
+quadratic convergence predicts that correction from the step's last two,
+and it scales as h^(2^R) after Euler and h^(2^(R+1)) after Hermite, so
+the step is scaled by that root of the ratio: the 16th or 32nd on a
+square map.  A fourth round lets a square lane's step grow about
+twofold for 4/3 the rounds, the round budget of adaptive continuation
+(Deuflhard, ch. 5.1), and turns most rejections near a singular edge
+into steps taken; a wide lane keeps three rounds and the 8th root after
+Euler, as its longer steps would drift further along the fibre.  The
 mu-decay guard makes the lift slow down near singular loci instead of
 jumping across them: mu, extrapolated at the rate it fell over the last
 step, may at most halve over the next.  Below twice mu_floor the floor cap
@@ -98,7 +105,6 @@ Array = np.ndarray
 _H_MIN = 1e-14  # a step size at or below _H_MIN times the lift's scale has collapsed
 
 # Euler-Newton line lifts (Allgower & Georg, Numerical Continuation Methods, ch. 2 and 6)
-_ROUNDS = 3  # corrector rounds per attempt, each one f, J and SVD stack
 _GUARD = 0.5  # the first correction may be at most this share of the predictor step h |k1|
 _CONTRACTION = 0.5  # each later correction may be at most this share of the one before
 _AIM = 0.03  # the last round's correction the step size aims at, as a share of its tolerance
@@ -414,8 +420,9 @@ class _LineLanes:
     (qp, kp, hp; hp 0 before the first), from which a square map's
     predictor extrapolates (predict).
 
-    run makes attempts (attempt: one predictor and up to _ROUNDS
-    Newton corrector rounds over the rows in lockstep) of the rows
+    run makes attempts (attempt: one predictor and up to rounds Newton
+    corrector rounds, 4 on a square map and 3 on a wide one, over the
+    rows in lockstep) of the rows
     begin_attempt returns until every lane has stopped.  Each take's steps
     wait as one block in pending, until _RECORD_RUN blocks or the outcomes
     fold them (fold) into what the outcomes read, each a row per lane: the
@@ -436,6 +443,9 @@ class _LineLanes:
         # the point, slope and size of each lane's last step taken (hp 0: none yet)
         self.qp, self.kp, self.hp = np.zeros((K, model.n)), np.zeros((K, model.n)), np.zeros(K)
         self.square = model.m == model.n  # the Hermite predictor needs the points on one curve
+        # corrector rounds per attempt, each one f, J and SVD stack: a wide
+        # lane's longer steps under a fourth would drift further along its fibre
+        self.rounds = 4 if self.square else 3
         self.accepted = np.zeros(K, dtype=np.int64)
         self.rejected = np.zeros((K, 3), dtype=np.int64)
         self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
@@ -545,7 +555,7 @@ class _LineLanes:
         others make their Newton step, which must be at most _GUARD h |k1|
         long in the first round (the distance to the curve) and at most
         _CONTRACTION times the step before in the next; a row whose step is
-        longer, or that is not within tolerance after _ROUNDS rounds, is
+        longer, or that is not within tolerance after self.rounds rounds, is
         rejected (error).  A round takes |R|, |dX| and |X| by one _norms call
         (two on a wide map, where R is m wide); a mask that keeps every row
         cuts nothing (_Attempt), and a round where every row is done ends
@@ -558,7 +568,7 @@ class _LineLanes:
         a = _Attempt(self, rows, W=W, H=H, T=T, Y=self.f0 + T[:, None] * W,
                      D=_GUARD * H * _norms(K1), C0=np.empty(rows.size), hermite=hermite)
         a.X = self.predict(a, K1)
-        for r in range(_ROUNDS):
+        for r in range(self.rounds):
             if not _all_finite(a.X):
                 a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
                 if not a.rows.size:
@@ -592,7 +602,7 @@ class _LineLanes:
                     if taken == a.rows.size:  # every row took its step
                         return
                     dX, size = a.keep(~done, dX, size)
-            if r == _ROUNDS - 1:
+            if r == self.rounds - 1:
                 a.leave(np.zeros(a.rows.size, dtype=bool), "error")
                 return
             dX, size = a.leave(size <= a.D, "error", dX, size)
@@ -639,11 +649,12 @@ class _LineLanes:
         binds) and the secant's crossing of the floor is within x_tol of X
         in x: chord (mu - mu_floor) <= x_tol (mu_prev - mu), with the chord
         of this step."""
-        rows, Q, X, H, T, C0, hermite, mu, res, e, x_tol = a.pick(
-            done, a.rows, a.Q, a.X, a.H, a.T, a.C0, a.hermite, mu, res, e, x_tol)
+        e_prev = a.C0 if r < 2 else a.D / _CONTRACTION  # the correction before e, exactly: 0.5 is a power of 2
+        rows, Q, X, H, T, e_prev, hermite, mu, res, e, x_tol = a.pick(
+            done, a.rows, a.Q, a.X, a.H, a.T, e_prev, a.hermite, mu, res, e, x_tol)
         chords, dists = _norms(np.concatenate([X - Q, X - self.x0])).reshape(2, -1)
         mu_prev = self.mu.take(rows)
-        h_next = self.next_step(H, T, r, C0, e, x_tol, mu_prev, mu, hermite)
+        h_next = self.next_step(H, T, r, e_prev, e, x_tol, mu_prev, mu, hermite)
         self.qp[rows], self.kp[rows], self.hp[rows] = Q, self.k1.take(rows, axis=0), H
         self.q[rows], self.k1[rows], self.t[rows], self.mu[rows], self.h[rows] = X, K1, T, mu, h_next
         self.last_singular_mu[rows] = math.nan
@@ -670,18 +681,20 @@ class _LineLanes:
             t = self.t[k]
             self.stop(k, LiftStatus.singular(t, self.mu[k]) if edge[j] else LiftStatus.escaped(t, dists[j]))
 
-    def next_step(self, H: Array, T: Array, r: int, e0: Array, e: Array, x_tol: Array, mu_prev: Array,
+    def next_step(self, H: Array, T: Array, r: int, e_prev: Array, e: Array, x_tol: Array, mu_prev: Array,
                   mu_new: Array, hermite: Array) -> Array:
         """The steps after steps of sizes H to times T, taken in corrector
-        round r, whose first Newton correction was e0 long and whose
-        correction at the point taken e; hermite marks the steps the cubic
-        Hermite predictor made (the others Euler's).  Newton's
-        e_{k+1} = c e_k^2 makes the last round's correction c^3 e0^4: it is
-        e for r = 2 and e^3 / e0^2 for r = 1, and a step taken by the
-        predictor (r = 0) tells nothing of c.  e0, the predictor's error,
-        scales as h^2 after Euler and h^4 after Hermite, so that correction
-        scales as h^8 or h^16.  The step is scaled so that it would be
-        _AIM x_tol: by the 8th or 16th root of _AIM x_tol over it, at most
+        round r (of R = self.rounds), whose correction at the point taken
+        was e long and the one before it e_prev; hermite marks the steps the
+        cubic Hermite predictor made (the others Euler's).  Newton's
+        e_{k+1} = c e_k^2, with c = e / e_prev^2, predicts the last round's
+        correction: e for r = R - 1, c e^2 = e^3 / e_prev^2 one round
+        before and c^3 e^4 = c e^2 (e / e_prev)^4 two rounds before (so an
+        exact step, e = 0, predicts 0); a step taken by the predictor
+        (r = 0) tells nothing of c.  The first correction, the predictor's
+        error, scales as h^2 after Euler and h^4 after Hermite, so the last
+        one scales as h^(2^R) or h^(2^(R+1)).  The step is scaled so that
+        it would be _AIM x_tol: by that root of _AIM x_tol over it, at most
         _GROW times.  Then, where mu fell, the mu-decay guard and the floor
         cap, at the rate H / (mu_prev - mu_new) it fell over this step: mu
         may fall by at most half over the next step, and the step ends at
@@ -689,14 +702,21 @@ class _LineLanes:
         most H min(0.5 mu_new, mu_new - mu_floor) / (mu_prev - mu_new).
         The cap is the less where mu_new < 2 mu_floor, so it binds only
         there (take stops a lane whose crossing is within x_tol).  Last the
-        step is cut to end at t = 1.  The roots are three or four square
-        roots, each rounded exactly, so no lane's step depends on the other
-        rows."""
+        step is cut to end at t = 1.  The predictions take only *, / and
+        the roots R or R + 1 square roots, each rounded exactly, so no
+        lane's step depends on the other rows."""
         if r == 0:
             h_next = _GROW * H
         else:
-            last = np.maximum(e if r == 2 else e * e * e / (e0 * e0), 1e-300)
-            root = np.sqrt(np.sqrt(np.sqrt(_AIM * x_tol / last)))
+            last, ahead = e, self.rounds - 1 - r  # ahead: rounds left after the one taken in
+            if ahead:
+                last = e * e * e / (e_prev * e_prev)
+                if ahead == 2:
+                    q = e / e_prev
+                    last = last * (q * q) * (q * q)
+            root = _AIM * x_tol / np.maximum(last, 1e-300)
+            for _ in range(self.rounds):
+                root = np.sqrt(root)
             np.sqrt(root, out=root, where=hermite)
             h_next = H * np.fmin(_GROW, root)
         fell = mu_new < mu_prev

@@ -1,6 +1,7 @@
 """Smoke test of tools/lift_work.py: one seed-7 chain cycle, whose summed
-lift work, call events, Sobol draws, LAPACK SVDs and output digest two runs
-must print alike, and which it counts at the public lift entry points of any tree;
+lift work, call events, corrector rounds per attempt, Sobol draws, LAPACK
+SVDs and output digest two runs must print alike, and which it counts at
+the public lift entry points of any tree;
 unit tests of its output digest and of its report layout check, and a run
 that the layout check fails."""
 
@@ -48,7 +49,8 @@ def test_lift_work_counts_repeat():
     assert columns.split() == ["lines", "flows"]
     table = {name: values for name, *values in map(str.split, rows)}
     assert list(table) == ["lanes", "accepted", "rejected_error", "rejected_singular", "rejected_nonfinite",
-                           "evals", "jacobians", "svds", "events", "events/attempt", "events/lane"]
+                           "evals", "jacobians", "svds", "events", "events/attempt", "events/lane",
+                           "rounds/attempt"]
     counts = {name: tuple(map(int, table[name])) for name in list(table)[:9]}
     lines, flows = counts["lanes"]
     assert lines > 0 and flows > 0
@@ -59,6 +61,12 @@ def test_lift_work_counts_repeat():
         assert events > attempts > 0
         assert table["events/attempt"][kind] == f"{events / attempts:.1f}"
         assert table["events/lane"][kind] == f"{events / lanes:.1f}"
+    # corrector rounds per line-lift attempt: each lane's f(x0) is no round;
+    # a flow attempt is no corrector round
+    line_attempts = sum(counts[name][0] for name in
+                        ("accepted", "rejected_error", "rejected_singular", "rejected_nonfinite"))
+    rounds = (counts["evals"][0] - lines) / line_attempts
+    assert table["rounds/attempt"] == [f"{rounds:.2f}", "-"] and 1.0 <= rounds <= 4.0
     assert re.fullmatch(r"sobol draws [0-9]+ points [0-9]+", sobol)
     svds, matrices = map(int, re.fullmatch(r"lapack svds ([0-9]+) matrices ([0-9]+)", lapack).groups())
     assert 0 < svds <= matrices

@@ -116,12 +116,12 @@ def test_record_stride_keeps_endpoints():
     assert ends.trajectory.length == full.trajectory.length and ends.stats == full.stats
 
 
-@pytest.mark.parametrize("stride, kept", [(1, 84), (3, 29)])
+@pytest.mark.parametrize("stride, kept", [(1, 56), (3, 20)], ids=["stride_1", "stride_3"])
 def test_steps_that_do_not_advance_t_are_not_recorded(stride, kept):
     """With no mu floor, the mu-decay guard on exp1d toward its singular
     edge (f = -1, at t = 1/2) lets mu = 1 - 2t at most halve per step, so
     the steps shrink with the distance to the edge; the lane stops with
-    StepFailure within 1e-14 of t = 1/2, when its step collapses, after 83
+    StepFailure within 1e-14 of t = 1/2, when its step collapses, after 55
     steps.  The trajectory keeps the base point, every stride-th step and
     the final point, one point per time.  A lane of the same call that
     reaches t = 1 completes."""
@@ -129,7 +129,7 @@ def test_steps_that_do_not_advance_t_are_not_recorded(stride, kept):
     toward_edge, away = lift_lines(registry_get("exp1d"), [0.0], [[-2.0], [1.0]], opts)
     times = toward_edge.trajectory.times
     assert toward_edge.status == LiftStatus.step_failure(times[-1]) and 0.5 - 1e-14 < times[-1] < 0.5
-    assert toward_edge.stats.accepted == 83 and toward_edge.stats.h_min < 1e-14
+    assert toward_edge.stats.accepted == 55 and toward_edge.stats.h_min < 1e-14
     assert len(times) == len(toward_edge.trajectory.points) == kept
     assert np.all(np.diff(times) > 0.0)
     assert away.status.is_complete
@@ -200,12 +200,22 @@ def test_lift_stats_count_the_work():
     st = out.stats
     assert st.accepted == out.trajectory.times.size - 1
     assert st.rejected_singular == st.rejected_nonfinite == 0
-    # f, J and its SVD at x0, then one of each per corrector round: 50
-    # over 18 attempts (each of one to three rounds)
-    assert (st.accepted, st.rejected_error) == (14, 4)
-    assert st.evals == st.jacobians == st.svds == 50
+    # f, J and its SVD at x0, then one of each per corrector round: 17
+    # over 6 attempts (each of one to four rounds)
+    assert (st.accepted, st.rejected_error) == (6, 0)
+    assert st.evals == st.jacobians == st.svds == 17
     steps = np.diff(out.trajectory.times)
     assert st.h_min == pytest.approx(float(np.min(steps)), rel=1e-12)
+
+
+def test_exp_toward_the_edge_takes_every_step_it_tries():
+    """exp1d from 0 toward 3e-4 nears its singular edge (mu = e^x falls to
+    3e-4): the step aimed at a fourth round's correction leaves room for
+    the corrector there, so no attempt is rejected for its error (a budget
+    of three rounds took, took and rejected, 11 times in 36 attempts)."""
+    out = lift_line_square(registry_get("exp1d"), [0.0], [3e-4 - 1.0])
+    assert out.status == LiftStatus.complete(1.0)
+    assert out.stats.rejected_error == 0 and out.stats.accepted == 15
 
 
 def test_lift_stats_rejections_by_cause():
@@ -715,7 +725,7 @@ LOCKSTEP_CASES = [
     ("mixed_stops_stride", registry_get("complex_exp"), [0.0, 0.0],
      [[0.1, 0.0], [0.3, 0.2], [5.0, 0.0], [2.0, 1.5], [-0.9, 0.3], [-0.5, -0.8], [0.0, 2.5], [1.0, -3.0],
       [-0.99, 0.0], [0.0, 0.0]],
-     LiftOptions(record_stride=2, max_steps=7, r_escape=1.2)),
+     LiftOptions(record_stride=2, max_steps=7, r_escape=2.0)),
     ("finite_difference", _fd_complex_exp(), [0.0, 0.0], _lane_targets(2, 0.9), None),
     # a jump of the map stepped over, a first step that collapses and a
     # rejected non-finite f(X), next to Complete lanes
@@ -784,12 +794,12 @@ def test_svd_window_cases_cross_the_window(monkeypatch):
     cases = {c[0]: c for c in LOCKSTEP_CASES}
     _, model, x0, targets, opts = cases["svd_window_crossed"]
     crossed = lift_lines(model, x0, targets, opts)[0]
-    assert crossed.status == LiftStatus.complete(1.0) and crossed.stats.accepted == 1055
+    assert crossed.status == LiftStatus.complete(1.0) and crossed.stats.accepted == 720
     assert crossed.trajectory.points[-1][0] == pytest.approx(np.log1p(1e120), rel=1e-9)
     assert crossed.trajectory.mu_values.min() < maps._SVD_HI < crossed.trajectory.mu_values.max()
     _, model, x0, targets, opts = cases["svd_window_mixed"]
     lift_lines(model, x0, targets, opts)
-    assert sum(mixed) == 42
+    assert sum(mixed) == 19
 
 
 def test_lockstep_cases_reach_every_mask_shape(monkeypatch):
@@ -823,7 +833,30 @@ def test_lockstep_cases_reach_every_mask_shape(monkeypatch):
     for _, model, x0, targets, opts in LOCKSTEP_CASES:
         lift_lines(model, x0, targets, opts)
     assert {(f, kind) for f in ("pick", "leave") for kind in ("every", "some")} | {("leave", "none")} <= shapes
-    assert sum(mixed) == 10
+    assert sum(mixed) == 7
+
+
+@pytest.mark.parametrize("label, most", [
+    ("projection2to1", 1), ("parabola_sub", 3), ("graves_parabola_sub", 3), ("complex_exp", 4)])
+def test_wide_lanes_never_make_a_fourth_round(monkeypatch, label, most):
+    """A lift's corrector budget is four rounds on a square map and three
+    on a wide one: no attempt of a wide map's lanes makes a fourth round
+    (the linear projection2to1 needs one), while a square map's do."""
+    _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == label)
+    rounds, attempt, do_round = [], lifting._LineLanes.attempt, lifting._Attempt.round
+
+    def spy_attempt(self, rows):
+        rounds.append(0)
+        return attempt(self, rows)
+
+    def spy_round(self):
+        rounds[-1] += 1
+        return do_round(self)
+
+    monkeypatch.setattr(lifting._LineLanes, "attempt", spy_attempt)
+    monkeypatch.setattr(lifting._Attempt, "round", spy_round)
+    lift_lines(model, x0, targets, opts)
+    assert max(rounds) == most
 
 
 def test_mixed_stops_case_stops_lanes_apart():
@@ -939,24 +972,37 @@ def test_stacked_judge_matches_one_lane_judges():
         assert np.array_equal(getattr(stacked, name), want), name
     assert stacked.status == [lane.status[0] for lane in alone]
     rounds = {int(w) for w, taken in zip(stacked.work[:, 1] - 1, stacked.accepted) if taken}
-    assert rounds == {1, 2, 3}  # steps taken in every corrector round
+    assert rounds == {1, 2, 3, 4}  # steps taken in every corrector round
     assert (stacked.rejected[:, :2] > 0).any(axis=0).all()  # error and singular rejections
     assert {status.kind for status in stacked.status if status is not None} == {"Escaped"}
+
+
+def _scalar_last_correction(rounds: int, r: int, e_prev: float, e: float) -> float:
+    """The last round's correction a step taken in round r of a budget of
+    rounds predicts, with Python's floats: e, c e^2 or c^3 e^4 for
+    Newton's e_{k+1} = c e_k^2 with c = e / e_prev^2."""
+    ahead = rounds - 1 - r
+    if not ahead:
+        return e
+    last, q = e * e * e / (e_prev * e_prev), e / e_prev
+    return last if ahead == 1 else last * (q * q) * (q * q)
 
 
 def test_next_step_is_grown_with_the_mu_guard():
     """The array step rule of many lanes against the scalar rule of each,
     with Python's floats: grown 5 times after a step the predictor took,
-    else scaled by the eighth root (Euler predictor) or the sixteenth root
-    (Hermite) of _AIM x_tol over the last round's correction (e, or
-    e^3 / e0^2 after one round) up to 5 times, cut by the mu-decay guard
-    (mu may at most halve over the next step at the rate it fell) and by
-    the floor cap (the secant's crossing of mu_floor), and cut to end at
-    t = 1.  A fifth of the lanes have mu_new in [mu_floor, 2 mu_floor),
-    where the floor cap is the one that binds."""
+    else scaled by the 2^R-th root (Euler predictor) or the 2^(R+1)-th
+    (Hermite) of _AIM x_tol over the last round's correction predicted
+    from the step's last two corrections, up to 5 times, cut by the
+    mu-decay guard (mu may at most halve over the next step at the rate
+    it fell) and by the floor cap (the secant's crossing of mu_floor), and
+    cut to end at t = 1.  R is 4 on a square map such as identity_1 (the
+    wide map's 3 is test_three_round_budget_keeps_the_three_round_rule's).
+    A fifth of the lanes have mu_new in [mu_floor, 2 mu_floor), where the
+    floor cap is the one that binds."""
     rng = np.random.default_rng(12)
     K, floor = 20000, 0.01
-    e0, e = 10.0 ** rng.uniform(-6.0, 0.0, K), 10.0 ** rng.uniform(-18.0, -8.0, K)
+    e_prev, e = 10.0 ** rng.uniform(-6.0, 0.0, K), 10.0 ** rng.uniform(-18.0, -8.0, K)
     x_tol = 1e-8 * rng.uniform(1.0, 10.0, K)
     e[:10] = 0.0
     H, T = 10.0 ** rng.uniform(-8, 0, K), rng.uniform(0.0, 1.0, K)
@@ -964,19 +1010,21 @@ def test_next_step_is_grown_with_the_mu_guard():
     near = rng.uniform(size=K) < 0.2
     mu_new[near] = floor * rng.uniform(1.0, 2.0, np.count_nonzero(near))
     hermite = rng.uniform(size=K) < 0.5
-    lanes = _lanes_at(registry_get("identity_1"), LiftOptions(mu_floor=floor), np.ones((K, 1)),
-                      np.zeros((K, 1)), H, np.zeros(K), mu_prev)
-    for r in (0, 1, 2):
-        steps = lanes.next_step(H, T, r, e0, e, x_tol, mu_prev, mu_new, hermite).tolist()
+    lanes, rounds = _lanes_at(registry_get("identity_1"), LiftOptions(mu_floor=floor), np.ones((K, 1)),
+                              np.zeros((K, 1)), H, np.zeros(K), mu_prev), 4
+    assert lanes.rounds == rounds
+    for r in range(rounds):
+        steps = lanes.next_step(H, T, r, e_prev, e, x_tol, mu_prev, mu_new, hermite).tolist()
         capped = 0
         for k, (h, t, a, b, tol, m0, m1, cubic) in enumerate(zip(*(A.tolist() for A in (
-                H, T, e0, e, x_tol, mu_prev, mu_new, hermite)))):
+                H, T, e_prev, e, x_tol, mu_prev, mu_new, hermite)))):
             if r == 0:
                 want = 5.0 * h
             else:
-                last = b if r == 2 else b * b * b / (a * a)
-                root = math.sqrt(math.sqrt(math.sqrt(0.03 * tol / max(last, 1e-300))))
-                want = h * min(5.0, math.sqrt(root) if cubic else root)
+                root = 0.03 * tol / max(_scalar_last_correction(rounds, r, a, b), 1e-300)
+                for _ in range(rounds + cubic):
+                    root = math.sqrt(root)
+                want = h * min(5.0, root)
             if m1 < m0:
                 drop = max(m0 - m1, 1e-300)
                 guard, cap = 0.5 * h * m1 / drop, h * (m1 - floor) / drop
@@ -985,6 +1033,46 @@ def test_next_step_is_grown_with_the_mu_guard():
             assert steps[k] == min(want, 1.0 - t), (r, k)
         assert 0 < sum(s == 1.0 - t for s, t in zip(steps, T.tolist())) < K
         assert capped > K // 20  # the floor cap is the least step of many lanes
+
+
+def test_three_round_budget_keeps_the_three_round_rule():
+    """A wide map's budget of three rounds sizes its steps as the rule
+    written for three rounds did, bit for bit: the last correction is e
+    after round 2 and e^3 / e0^2 after round 1 (e0 the first correction),
+    under the eighth root after Euler and the sixteenth after Hermite."""
+    rng = np.random.default_rng(5)
+    K = 5000
+    e0, e = 10.0 ** rng.uniform(-6.0, 0.0, K), 10.0 ** rng.uniform(-18.0, -8.0, K)
+    x_tol, H = 1e-8 * rng.uniform(1.0, 10.0, K), 10.0 ** rng.uniform(-8, -1, K)
+    hermite, mu, T = rng.uniform(size=K) < 0.5, np.ones(K), np.zeros(K)
+    lanes = _lanes_at(registry_get("parabola_sub"), LiftOptions(), np.ones((K, 1)), np.zeros((K, 2)), H, T, mu)
+    for r in (1, 2):
+        last = np.maximum(e if r == 2 else e * e * e / (e0 * e0), 1e-300)
+        root = np.sqrt(np.sqrt(np.sqrt(0.03 * x_tol / last)))
+        np.sqrt(root, out=root, where=hermite)
+        want = np.minimum(H * np.fmin(5.0, root), 1.0 - T)
+        assert np.array_equal(lanes.next_step(H, T, r, e0, e, x_tol, mu, mu, hermite), want), r
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("hermite", [False, True])
+def test_four_round_budget_predicts_the_fourth_correction(r, hermite):
+    """On an exact Newton sequence e_{k+1} = c e_k^2 from e0, a step taken
+    in round r of a square map's four predicts the fourth round's
+    correction c^7 e0^8 from its last two corrections: the step it grows
+    to is H (_AIM x_tol / c^7 e0^8)^(1/16) after Euler, the 32nd root
+    after Hermite."""
+    c, e0, x_tol, H = 3.0, 1e-2, np.array([1e-8]), np.array([1e-3])
+    seq = [e0]
+    for _ in range(3):
+        seq.append(c * seq[-1] ** 2)
+    lanes = _lanes_at(registry_get("identity_1"), LiftOptions(), np.ones((1, 1)), np.zeros((1, 1)), H,
+                      np.zeros(1), np.ones(1))
+    h_next = lanes.next_step(H, np.zeros(1), r, np.array([seq[r - 1]]), np.array([seq[r]]), x_tol,
+                             np.ones(1), np.ones(1), np.array([hermite]))
+    growth = float(h_next[0] / H[0])
+    assert 1.0 < growth < 5.0
+    assert 0.03 * x_tol[0] / growth ** (32 if hermite else 16) == pytest.approx(c ** 7 * e0 ** 8, rel=1e-12)
 
 
 def _on_log(W, t):
@@ -1091,12 +1179,12 @@ def test_lifts_check_no_stack_of_their_own_points(monkeypatch):
 
 
 @pytest.mark.parametrize("label, k, stats", [
-    ("graves_complex_exp", 1, LiftStats(accepted=6, rejected_error=1, evals=19, jacobians=19, svds=19,
+    ("graves_complex_exp", 1, LiftStats(accepted=5, evals=15, jacobians=15, svds=15,
                                         h_min=0.005390305596036978)),
-    ("arctan1d", 0, LiftStats(accepted=46, rejected_error=3, evals=138, jacobians=138, svds=138,
-                              h_min=1.7184315112083198e-12)),
-    ("exp1d", 0, LiftStats(accepted=17, rejected_error=4, rejected_nonfinite=1, evals=64,
-                           jacobians=63, svds=63, h_min=0.0019363641608484928)),
+    ("arctan1d", 0, LiftStats(accepted=43, rejected_error=1, evals=128, jacobians=128, svds=128,
+                              h_min=5.327484704284122e-11)),
+    ("exp1d", 0, LiftStats(accepted=12, rejected_error=2, rejected_nonfinite=1, evals=54,
+                           jacobians=53, svds=53, h_min=0.007745456643393971)),
     ("nan_beyond_one", 0, LiftStats(accepted=23, rejected_nonfinite=92, evals=116, jacobians=24,
                                     svds=24, h_min=5.090618029004342e-15)),
 ])

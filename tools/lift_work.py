@@ -8,7 +8,10 @@ job into its own output directory.  It prints the jobs' exit codes and CPU
 time, then for the line lifts and the gradient flows apart: the number of
 lanes, the LiftStats fields summed over them, and the Python call and
 c_call events (a sys.setprofile count) made inside the lift entry points,
-in all and per attempt (accepted and rejected steps) and per lane.  Next
+in all and per attempt (accepted and rejected steps) and per lane, and
+the corrector rounds per line-lift attempt: (evals - lanes) / attempts,
+as each lane's f(x0) is no round, so a longer round budget shows as more
+rounds per attempt over fewer attempts.  Next
 comes the sampler's work: the number of Sobol draws (calls of
 globinv.indicators._sobol, wrapped where the lift entry points are) and
 the points they returned, as "sobol draws N points P", and the LAPACK
@@ -176,12 +179,14 @@ def main(argv=None) -> int:
     for name in ("lanes", *STATS, "events"):
         print(f"{name:18s} {totals['lines'][name]:9d} {totals['flows'][name]:9d}")
 
-    def ratio(kind, per):
+    def ratio(kind, per, count="events", digits=1):
         n = sum(totals[kind][name] for name in per)
-        return f"{totals[kind]['events'] / n:9.1f}" if n else f"{'-':>9s}"
+        return f"{totals[kind][count] / n:9.{digits}f}" if n else f"{'-':>9s}"
 
     for label, per in (("events/attempt", STATS[:4]), ("events/lane", ("lanes",))):
         print(f"{label:18s} {ratio('lines', per)} {ratio('flows', per)}")
+    totals["lines"]["rounds"] = totals["lines"]["evals"] - totals["lines"]["lanes"]  # f(x0) is no round
+    print(f"{'rounds/attempt':18s} {ratio('lines', STATS[:4], 'rounds', 2)} {'-':>9s}")
     print(f"sobol draws {totals['sobol']['draws']} points {totals['sobol']['points']}")
     print(f"lapack svds {lapack_work[0]} matrices {lapack_work[1]}")
     print(f"digest {digest}")
