@@ -60,6 +60,7 @@ non-finite raises NonFinite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Callable, Optional
@@ -210,7 +211,7 @@ def graves_certificate(
     by lifting boundary targets at 0.99 rho and checking that every lift
     completes inside the domain ball."""
     x0v = _vector(x0, model.n, "graves_certificate: x0")
-    if not np.allclose(x0v, profile.base_point, atol=1e-12):
+    if not np.allclose(x0v, profile.base_point, rtol=0.0, atol=1e-12):
         raise OutOfRange("graves_certificate: profile is centered at a different point")
     if not 0.0 < r <= profile.r_max * (1.0 + 1e-12):
         raise OutOfRange(f"graves_certificate: r={r} outside (0, {profile.r_max}]")
@@ -500,13 +501,11 @@ def weighted_certificate(
     r_max; an analytic vanishing witness whose weighted indicator collapses
     refutes the condition outright."""
     x0v = _vector(x0, model.n, "weighted_certificate: x0")
-    products = []
-    for rho, eta in zip(profile.radii, profile.eta_values):
-        om = float(weight(float(rho)))
-        if not np.isfinite(om) or om <= 0.0:
-            raise OutOfRange("weighted_certificate: weight must be positive and finite")
-        products.append(eta * om)
-    alpha = float(min(products))
+    weights = [float(weight(rho)) for rho in profile.radii.tolist()]  # a user callable on floats
+    if not all(0.0 < om < math.inf for om in weights):
+        raise OutOfRange("weighted_certificate: weight must be positive and finite")
+    products = profile.eta_values * np.array(weights)
+    alpha = float(products.min())
 
     witness = _witness_points(facts)
     if witness is not None:

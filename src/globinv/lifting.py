@@ -27,8 +27,16 @@ invertibility indicator mu (the least singular value, used for
 singularity detection) all come out of one SVD of J per corrector round.
 Every SVD is maps._svd: for a 1x1 stack whose every |J| lies in [1e-100, 1e100] the closed form
 s = |J|, U = sign(J), Vt = 1, which LAPACK returns there bit for bit, and
-LAPACK for any other stack.  The step size aims the budget's last
-corrector round's correction at a share of its tolerance.  Newton's
+LAPACK for any other stack.  The first step is sized by a trial
+evaluation (Hairer, Norsett & Wanner, Solving ODEs I, 1993, II.4;
+Gladwell, Shampine & Brankin, J. Comput. Appl. Math. 18, 1987): one f at
+the Euler point of the blind step h_a = min(0.2, 0.01 (1 + |x0|) /
+(1 + |k1|)) measures the lane's predictor error there, and the step is
+where Euler's model of that error, quadratic in h, reaches a share of the
+distance guard, at least h_a and at most _GROW^2 h_a (the first two
+growths the controller would make) and inside the escape ball.  Every
+later step aims the budget's last corrector round's correction at a
+share of its tolerance.  Newton's
 quadratic convergence predicts that correction from the step's last two,
 and it scales as h^(2^R) after Euler and h^(2^(R+1)) after Hermite, so
 the step is scaled by that root of the ratio: the 16th or 32nd on a
@@ -106,6 +114,10 @@ _H_MIN = 1e-14  # a step size at or below _H_MIN times the lift's scale has coll
 
 # Euler-Newton line lifts (Allgower & Georg, Numerical Continuation Methods, ch. 2 and 6)
 _GUARD = 0.5  # the first correction may be at most this share of the predictor step h |k1|
+# the first step's predicted first correction, as a share of the distance
+# guard: the probe's quadratic model of the Euler error is one sample, so it
+# leaves room for its own error and for the later rounds to contract
+_PROBE = 0.2
 _CONTRACTION = 0.5  # each later correction may be at most this share of the one before
 _AIM = 0.03  # the last round's correction the step size aims at, as a share of its tolerance
 _GROW = 5.0  # the largest growth of the step size from one step to the next
@@ -246,9 +258,11 @@ class LiftStats:
     finite-difference Jacobian.  jacobians: Jacobian evaluations.  svds:
     SVDs taken, a closed-form 1x1 one (maps._svd) included.  A line lift
     takes f, J and its SVD at x0 and at every corrector point whose f is
-    finite; a flow takes them at x0, f at every finite trial point, and J
-    and its SVD where the gain test passed.  h_min: the smallest accepted step
-    size, inf when no step was accepted.  The counters are
+    finite, and f alone at the probe of its first step (one per lane that
+    makes an attempt, unless the probe's point is not finite); a flow
+    takes them at x0, f at every finite trial point, and J and its SVD
+    where the gain test passed.  h_min: the smallest accepted step size,
+    inf when no step was accepted.  The counters are
     deterministic; each lane of a lift_lines call counts the shared work at
     x0 as its own, so it counts exactly what the one-row call of its target
     counts.
@@ -418,7 +432,9 @@ class _LineLanes:
 
     Each lane also keeps the point, slope and size of its last step taken
     (qp, kp, hp; hp 0 before the first), from which a square map's
-    predictor extrapolates (predict).
+    predictor extrapolates (predict).  Its first step comes from a probe
+    of its own predictor error at x0 (first_step); its h_scale is the blind
+    step the probe started from.
 
     run makes attempts (attempt: one predictor and up to rounds Newton
     corrector rounds, 4 on a square map and 3 on a wide one, over the
@@ -469,7 +485,10 @@ class _LineLanes:
     def start(self) -> None:
         """f(x0), J(x0) and its SVD, shared by the lanes: record the base
         point; every lane stops at once when J(x0) is singular, a lane with
-        w = 0 completes, the others take their first slope and step."""
+        w = 0 completes, the others take their first slope k1 (a lane whose
+        k1 is not finite stops StepFailure) and the blind step
+        h_a = min(0.2, 0.01 (1 + |x0|) / (1 + |k1|)), their h_scale; the
+        lanes left size their first step from it by one probe (first_step)."""
         self.f0 = evaluate(self.model, self.x0)
         U, s, Vt = _svd(jacobian(self.model, self.x0))
         K, mu = len(self.t), float(s[-1])
@@ -497,8 +516,43 @@ class _LineLanes:
         for k in rows[bad].tolist():
             self.stop(k, LiftStatus.step_failure(0.0))
         self.k1[rows] = k1
-        self.h[rows] = np.minimum(0.2, 0.01 * (1.0 + _norms(self.x0)) / (1.0 + _norms(k1)))
-        self.h_scale[rows] = self.h[rows]  # a huge w makes every step small
+        norm_k1 = _norms(k1)
+        h = np.minimum(0.2, 0.01 * (1.0 + _norms(self.x0)) / (1.0 + norm_k1))
+        self.h_scale[rows] = h  # a huge w makes every step small
+        live = ~bad
+        h[live] = self.first_step(rows[live], h[live], norm_k1[live], U, s, Vt)
+        self.h[rows] = h
+
+    def first_step(self, rows: Array, H: Array, norm_k1: Array, U: Array, s: Array, Vt: Array) -> Array:
+        """The first steps of rows, whose slopes at x0 are k1 (norm_k1
+        long), from the blind steps H and the SVD U, s, Vt of J(x0).  One
+        f stack at the Euler points x0 + H k1 (counted in each row's evals)
+        gives each row's predictor error e1 = |J(x0)^+ (f(x0 + H k1) - f0 -
+        H w)|.  Euler's error grows as h^2, so it is e1 (h / H)^2 at a step
+        h, and the step is the h where that is _PROBE times the distance
+        guard _GUARD h |k1|: H g, g = _PROBE _GUARD H |k1| / e1, clipped to
+        [1, _GROW^2] (so the first step skips at most the first two growths
+        the controller would make) and to end by t = 1, then cut so that the
+        Euler step h |k1| ends inside r_escape, though never below H.  A row
+        whose Euler point or probe is not finite keeps H."""
+        h = H.copy()
+        P = self.x0 + H[:, None] * self.k1.take(rows, axis=0)
+        at = np.flatnonzero(np.isfinite(P).all(axis=1))
+        if at.size:
+            F, good = _evaluate_stack(self.model, P.take(at, axis=0))
+            self.work[rows.take(at), 0] += 1
+            at, F = at[good], F[good]
+            R = F - (self.f0 + H.take(at)[:, None] * self.w.take(rows.take(at), axis=0))
+            e1 = _norms(_velocities(*(np.repeat(A[None], at.size, axis=0) for A in (U, s, Vt)), R))
+            allowed = _PROBE * _GUARD * H.take(at) * norm_k1.take(at)  # the correction allowed at H
+            g = np.full(at.size, _GROW * _GROW)
+            np.divide(allowed, e1, out=g, where=allowed < g * e1)  # e1 = 0 keeps _GROW^2
+            g[~(e1 < math.inf)] = 1.0  # NaN or inf e1 keeps H
+            h[at] = np.minimum(H.take(at) * np.maximum(g, 1.0), 1.0)
+        if self.opts.r_escape is not None:
+            out = h * norm_k1 > self.opts.r_escape
+            np.divide(self.opts.r_escape, norm_k1, out=h, where=out)
+        return np.maximum(h, H)
 
     def begin_attempt(self) -> Array:
         """The rows of the next attempt: the running lanes, less those whose
@@ -1076,7 +1130,7 @@ def weighted_path_length(
     total = 0.0
     for radius, chord in zip(radii.tolist(), _norms(np.diff(pts, axis=0)).tolist()):
         om = float(weight(radius))
-        if not np.isfinite(om) or om <= 0.0:
+        if not (math.isfinite(om) and om > 0.0):
             raise OutOfRange("weighted_path_length: weight must be positive and finite")
         total += chord / om
     return total

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ def test_graves_precondition_errors():
         graves_certificate(m, [0.5], 1.0, prof)  # profile centered elsewhere
     with pytest.raises(OutOfRange):
         graves_certificate(m, [0.0], 2.0, prof)  # beyond r_max
+
+
+def test_graves_refuses_a_profile_centred_a_little_elsewhere():
+    """The centre check is absolute: a profile of the ball about 1000 is
+    refused for the ball about 1000.009, which a relative tolerance of
+    1e-5 let through, reading rho off the other ball; a centre within
+    1e-12 of the profile's is accepted."""
+    m = registry_get("identity_1")
+    prof = mu_profile(m, [1000.0], 1.0, 16)
+    with pytest.raises(OutOfRange, match="centered at a different point"):
+        graves_certificate(m, [1000.009], 1.0, prof)
+    with pytest.raises(OutOfRange, match="centered at a different point"):
+        graves_certificate(m, [1000.0 + 1e-9], 1.0, prof)
+    assert graves_certificate(m, [1000.0], 1.0, prof).rho == graves_certificate(m, [1000.0 + 5e-13], 1.0, prof).rho
 
 
 def test_graves_inherits_sampled_flag():
@@ -355,6 +370,35 @@ def test_weighted_nondivergent_weight_stays_heuristic():
     )
     assert entry.verdict == "HeuristicPass"
     assert entry.evidence["alpha"] >= 0.99
+
+
+def test_weighted_products_are_the_grid_point_products():
+    """weight is called once per profile radius, on Python floats; alpha,
+    the argmin and the tail are those of the products eta * weight formed
+    one grid point at a time, bit for bit."""
+    prof = _profile("asinh1d", [0.0], 10.0)
+    seen = []
+
+    def weight(r):
+        seen.append(r)
+        return 1.0 + 0.3 * r + math.sin(r) ** 2
+
+    entry = weighted_certificate(registry_get("asinh1d"), [0.0], weight, prof, weight_divergent=True)
+    assert seen[:len(prof.radii)] == prof.radii.tolist() and all(type(r) is float for r in seen)
+    products = [eta * weight(float(rho)) for rho, eta in zip(prof.radii, prof.eta_values)]
+    assert entry.evidence["alpha"] == float(min(products))
+    i_min = int(np.argmin(products))
+    tail = products[(3 * len(products)) // 4]
+    still_falling = i_min == len(products) - 1 and products[-1] < tail * (1.0 - 1e-3)
+    assert entry.evidence["alpha_stabilized"] is (not still_falling)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_weighted_refuses_a_weight_that_is_not_positive_and_finite(bad):
+    prof = _profile("asinh1d", [0.0], 10.0)
+    at = float(prof.radii[100])
+    with pytest.raises(OutOfRange, match="weight must be positive and finite"):
+        weighted_certificate(registry_get("asinh1d"), [0.0], lambda r: bad if r == at else 1.0 + r, prof)
 
 
 def test_weighted_singular_map_fails_heuristically():

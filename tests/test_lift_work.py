@@ -1,9 +1,9 @@
 """Smoke test of tools/lift_work.py: one seed-7 chain cycle, whose summed
-lift work, call events, corrector rounds per attempt, Sobol draws, LAPACK
-SVDs and output digest two runs must print alike, and which it counts at
-the public lift entry points of any tree;
-unit tests of its output digest and of its report layout check, and a run
-that the layout check fails."""
+lift work, call events, corrector rounds per attempt, lockstep attempts,
+Sobol draws, LAPACK SVDs and output digest two runs must print alike, and
+which it counts at the public lift entry points of any tree;
+unit tests of its lockstep attempt count, of its output digest and of its
+report layout check, and a run that the layout check fails."""
 
 import functools
 import importlib.util
@@ -14,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from globinv import lifting
 from globinv.cli import run_job
+from globinv.lifting import LiftOptions, lift_lines
+from globinv.maps import registry_get
 
 ROOT = Path(__file__).resolve().parents[1]
 CPU = re.compile(r", [0-9.]+ s CPU$", re.MULTILINE)  # the one timing in the output
@@ -44,7 +47,7 @@ def test_lift_work_counts_repeat():
     """A second run prints the same work, events and digest."""
     first = _this_tree()
     assert _lift_work() == first
-    header, columns, *rows, sobol, lapack, digest = first.splitlines()
+    header, columns, *rows, lockstep, sobol, lapack, digest = first.splitlines()
     assert header.startswith("chain seed 7, 1 cycles: exit codes {0: ")
     assert columns.split() == ["lines", "flows"]
     table = {name: values for name, *values in map(str.split, rows)}
@@ -61,12 +64,17 @@ def test_lift_work_counts_repeat():
         assert events > attempts > 0
         assert table["events/attempt"][kind] == f"{events / attempts:.1f}"
         assert table["events/lane"][kind] == f"{events / lanes:.1f}"
-    # corrector rounds per line-lift attempt: each lane's f(x0) is no round;
+    # corrector rounds per line-lift attempt: each lane's J(x0) is no round;
     # a flow attempt is no corrector round
     line_attempts = sum(counts[name][0] for name in
                         ("accepted", "rejected_error", "rejected_singular", "rejected_nonfinite"))
-    rounds = (counts["evals"][0] - lines) / line_attempts
+    rounds = (counts["jacobians"][0] - lines) / line_attempts
     assert table["rounds/attempt"] == [f"{rounds:.2f}", "-"] and 1.0 <= rounds <= 4.0
+    # the lanes of a call attempt together: the calls make at least the
+    # attempts of the busiest lane (so of the mean lane) and at most those
+    # of every lane
+    attempts = int(re.fullmatch(r"lockstep attempts ([0-9]+)", lockstep).group(1))
+    assert line_attempts / lines <= attempts <= line_attempts
     assert re.fullmatch(r"sobol draws [0-9]+ points [0-9]+", sobol)
     svds, matrices = map(int, re.fullmatch(r"lapack svds ([0-9]+) matrices ([0-9]+)", lapack).groups())
     assert 0 < svds <= matrices
@@ -172,3 +180,28 @@ def test_digest_sees_every_byte_but_the_rerun_values(tmp_path):
     assert digest([again]) == first
     (again / "eta_profile.csv").write_bytes((again / "eta_profile.csv").read_bytes() + b"\n")
     assert digest([again]) != first
+
+
+def test_lockstep_attempts_are_the_attempts_of_the_call(monkeypatch):
+    """lockstep_attempts reads from a lift_lines call's outcomes the
+    attempts the call made: lanes that stop at x0, after a rejection, at
+    the step budget or on the way, next to lanes that complete."""
+    made, attempt = [], lifting._LineLanes.attempt
+
+    def spy(self, rows):
+        made[-1] += 1
+        return attempt(self, rows)
+
+    monkeypatch.setattr(lifting._LineLanes, "attempt", spy)
+    calls = [
+        (registry_get("complex_exp"), [0.0, 0.0], [[0.5, 0.2], [-0.9, 0.0], [0.0, 0.0], [3.0, 0.0]],
+         LiftOptions(r_escape=1.0)),
+        (registry_get("arctan1d"), [0.0], [[2.0], [0.7]], LiftOptions(mu_floor=0.9)),
+        (registry_get("monotone1d"), [0.0], [[40.0], [0.01]], LiftOptions(max_steps=4)),
+        (registry_get("identity_1"), [2.0], [[0.0]], None),
+    ]
+    counted = []
+    for model, x0, targets, opts in calls:
+        made.append(0)
+        counted.append(_tool().lockstep_attempts(lift_lines(model, x0, targets, opts)))
+    assert counted == made and made[-1] == 0 and min(made[:-1]) > 0

@@ -23,6 +23,7 @@ from globinv.lifting import (
 from globinv.certificates import _BOUNDARY_SCALE, unit_sphere_points
 from globinv.indicators import mu_profile, rho_of_r
 from globinv.maps import MapModel, evaluate, linear_map, registry_get
+from globinv.solver import solve
 
 
 def _bisect(f, lo, hi, iters=200):
@@ -116,12 +117,12 @@ def test_record_stride_keeps_endpoints():
     assert ends.trajectory.length == full.trajectory.length and ends.stats == full.stats
 
 
-@pytest.mark.parametrize("stride, kept", [(1, 56), (3, 20)], ids=["stride_1", "stride_3"])
+@pytest.mark.parametrize("stride, kept", [(1, 54), (3, 19)], ids=["stride_1", "stride_3"])
 def test_steps_that_do_not_advance_t_are_not_recorded(stride, kept):
     """With no mu floor, the mu-decay guard on exp1d toward its singular
     edge (f = -1, at t = 1/2) lets mu = 1 - 2t at most halve per step, so
     the steps shrink with the distance to the edge; the lane stops with
-    StepFailure within 1e-14 of t = 1/2, when its step collapses, after 55
+    StepFailure within 1e-14 of t = 1/2, when its step collapses, after 53
     steps.  The trajectory keeps the base point, every stride-th step and
     the final point, one point per time.  A lane of the same call that
     reaches t = 1 completes."""
@@ -129,7 +130,7 @@ def test_steps_that_do_not_advance_t_are_not_recorded(stride, kept):
     toward_edge, away = lift_lines(registry_get("exp1d"), [0.0], [[-2.0], [1.0]], opts)
     times = toward_edge.trajectory.times
     assert toward_edge.status == LiftStatus.step_failure(times[-1]) and 0.5 - 1e-14 < times[-1] < 0.5
-    assert toward_edge.stats.accepted == 55 and toward_edge.stats.h_min < 1e-14
+    assert toward_edge.stats.accepted == 53 and toward_edge.stats.h_min < 1e-14
     assert len(times) == len(toward_edge.trajectory.points) == kept
     assert np.all(np.diff(times) > 0.0)
     assert away.status.is_complete
@@ -200,12 +201,90 @@ def test_lift_stats_count_the_work():
     st = out.stats
     assert st.accepted == out.trajectory.times.size - 1
     assert st.rejected_singular == st.rejected_nonfinite == 0
-    # f, J and its SVD at x0, then one of each per corrector round: 17
-    # over 6 attempts (each of one to four rounds)
-    assert (st.accepted, st.rejected_error) == (6, 0)
-    assert st.evals == st.jacobians == st.svds == 17
+    # f, J and its SVD at x0 and the first step's probe f, then one of each
+    # per corrector round: 13 rounds over 4 attempts (each of one to four)
+    assert (st.accepted, st.rejected_error) == (4, 0)
+    assert st.evals - 1 == st.jacobians == st.svds == 13
     steps = np.diff(out.trajectory.times)
     assert st.h_min == pytest.approx(float(np.min(steps)), rel=1e-12)
+
+
+def _blind_step(model, x0, w) -> float:
+    """The first step a lane would take without its probe:
+    min(0.2, 0.01 (1 + |x0|) / (1 + |k1|)), with k1 = J(x0)^-1 w."""
+    k1 = np.linalg.solve(maps.jacobian(model, x0), w)
+    return min(0.2, 0.01 * (1.0 + np.linalg.norm(x0)) / (1.0 + np.linalg.norm(k1)))
+
+
+@pytest.mark.parametrize("model, x0", [
+    (registry_get("identity_3"), [0.0, 1.0, 0.0]),
+    (linear_map([[2.0, 1.0], [0.0, 0.5]]), [0.0, 0.0]),
+], ids=["identity_3", "linear"])
+def test_a_linear_lane_takes_the_largest_first_step(model, x0):
+    """On a linear map the Euler point lies on the line, so the probe
+    measures no predictor error beyond rounding and the first step is the
+    clip's top, _GROW^2 times the blind step: a lane toward a unit target
+    completes in at most 3 attempts (the blind step, grown fivefold per
+    step, took 5)."""
+    w = np.ones(model.m) / math.sqrt(model.m)
+    out = lift_line_square(model, x0, w)
+    assert out.status == LiftStatus.complete(1.0)
+    top = lifting._GROW ** 2 * _blind_step(model, x0, w)
+    assert top < 1.0 and out.trajectory.times[1] == pytest.approx(top, rel=1e-12)
+    st = out.stats
+    assert st.accepted + st.rejected_error + st.rejected_singular + st.rejected_nonfinite <= 3
+
+
+def test_a_far_solve_takes_its_first_attempt(monkeypatch):
+    """complex_exp from 0 toward y = (-100, 5), |w| about 101: the probe
+    sizes the first step at some 20 blind steps, past the first growth the
+    controller would make, and the first attempt takes it."""
+    rejected, reject = [], lifting._LineLanes.reject
+
+    def spy(self, *args, **kwargs):
+        rejected.append(self.attempts)
+        return reject(self, *args, **kwargs)
+
+    monkeypatch.setattr(lifting._LineLanes, "reject", spy)
+    model = registry_get("complex_exp")
+    rep = solve(model, [-100.0, 5.0], x_seed=[0.0, 0.0])
+    assert rep.solution is not None and rep.outcome.status.is_complete
+    h_a = _blind_step(model, [0.0, 0.0], np.array([-100.0, 5.0]) - evaluate(model, [0.0, 0.0]))
+    assert rep.outcome.trajectory.times[1] > lifting._GROW * h_a
+    assert 1 not in rejected
+
+
+def test_the_probe_is_one_stack_counted_in_evals(monkeypatch):
+    """start evaluates f once, as one stack, at the Euler points x0 + h_a k1
+    of the lanes that run (not at a w = 0 lane), and each of those lanes
+    counts that f in its evals: one more than its Jacobians."""
+    stacks, evaluate_stack = [], lifting._evaluate_stack
+
+    def spy(model, X):
+        stacks.append(X.copy())
+        return evaluate_stack(model, X)
+
+    monkeypatch.setattr(lifting, "_evaluate_stack", spy)
+    model, W = registry_get("complex_exp"), np.array([[0.5, 0.2], [0.0, 0.0], [-0.9, 0.0]])
+    outs = lift_lines(model, [0.0, 0.0], W)
+    k1 = W[[0, 2]]  # J(0) = I
+    h_a = np.array([_blind_step(model, [0.0, 0.0], w) for w in k1])
+    assert np.allclose(stacks[0], h_a[:, None] * k1, rtol=1e-15, atol=0.0)
+    assert [o.stats.evals - o.stats.jacobians for o in outs] == [1, 0, 1]
+    assert outs[1].stats == LiftStats(evals=1, jacobians=1, svds=1)
+
+
+def test_the_first_step_ends_inside_the_escape_ball():
+    """identity_1 from 10 by w = 1: the blind step is 0.055, so the clip's
+    top is 1, one step to the end of the line.  Under r_escape = 0.5 the
+    first step stops at r_escape / |k1| = 0.5, on the sphere, and the lane
+    leaves the ball on a later step."""
+    model = registry_get("identity_1")
+    free = lift_line_square(model, [10.0], [1.0])
+    assert free.trajectory.times.tolist() == [0.0, 1.0] and free.status.is_complete
+    out = lift_line_square(model, [10.0], [1.0], LiftOptions(r_escape=0.5))
+    assert out.trajectory.times[1] == 0.5 and out.trajectory.points[1][0] == 10.5
+    assert out.status.kind == "Escaped" and out.status.distance > 0.5
 
 
 def test_exp_toward_the_edge_takes_every_step_it_tries():
@@ -215,7 +294,7 @@ def test_exp_toward_the_edge_takes_every_step_it_tries():
     of three rounds took, took and rejected, 11 times in 36 attempts)."""
     out = lift_line_square(registry_get("exp1d"), [0.0], [3e-4 - 1.0])
     assert out.status == LiftStatus.complete(1.0)
-    assert out.stats.rejected_error == 0 and out.stats.accepted == 15
+    assert out.stats.rejected_error == 0 and out.stats.accepted == 13
 
 
 def test_lift_stats_rejections_by_cause():
@@ -236,7 +315,9 @@ def test_lift_stats_rejections_by_cause():
     assert abs(math.exp(x) - y) <= 10.0 * opts.rel_tol * 1.7e308 + 100.0 * opts.abs_tol
     assert abs(x - want) <= 10.0 * opts.rel_tol * want + 100.0 * opts.abs_tol
     assert over.stats.rejected_nonfinite == 1
-    assert over.stats.jacobians == over.stats.evals - 1  # no Jacobian where f overflowed
+    # no Jacobian at the first step's probe (where f overflowed too) nor
+    # where f overflowed in an attempt
+    assert over.stats.jacobians == over.stats.evals - 2
     zero = lift_line_square(registry_get("identity_1"), [2.0], [0.0])
     assert zero.stats == LiftStats(evals=1, jacobians=1, svds=1)
 
@@ -410,6 +491,22 @@ def test_a_jump_of_the_map_is_stepped_over(entry):
     assert down.status == LiftStatus.step_failure(0.0) and down.stats.accepted == 0
 
 
+def test_a_probe_without_a_finite_error_keeps_the_blind_step():
+    """A map whose second value leaps by 1e305 for x1 > 0, where J says
+    nothing of it: the probe's residual (0, 1e305) through J(x0)^+ =
+    diag(1, 1e8) is past the float limit, so its error is NaN and the lane
+    keeps the blind step h_a; every attempt is rejected, and the step
+    collapses after the 47 halvings from h_a to _H_MIN h_a (52 from the
+    clip's top, 25 h_a)."""
+    cliff = MapModel(name="cliff", n=2, m=2,
+                     eval_fn=lambda x: np.array([x[0], 1e-8 * x[1] + (1e305 if x[0] > 0.0 else 0.0)]),
+                     jac_fn=lambda x: np.diag([1.0, 1e-8]))
+    out = lift_line_square(cliff, [0.0, 0.0], [1.0, 0.0])
+    assert out.status == LiftStatus.step_failure(0.0)
+    halvings = math.ceil(-math.log2(lifting._H_MIN))
+    assert halvings == 47 and out.stats.accepted == 0 and out.stats.rejected_error == halvings
+
+
 @pytest.mark.parametrize("model", [_raises_beyond_one(jac=False), _jacobian_raises_beyond_one()],
                          ids=["finite_difference", "jac_fn"])
 def test_map_raising_non_finite_rejects_the_step(model):
@@ -434,7 +531,9 @@ def test_non_finite_value_rejects_the_step(entry):
     assert out.status.kind == "StepFailure"
     assert out.status.t == pytest.approx(0.5, abs=1e-9)
     assert out.stats.rejected_nonfinite > 0
-    assert out.stats.evals == 1 + out.stats.accepted + out.stats.rejected_nonfinite
+    # f(x0), the first step's probe, then one f per attempt (each takes its
+    # step in its first round or leaves on its non-finite f)
+    assert out.stats.evals == 2 + out.stats.accepted + out.stats.rejected_nonfinite
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -721,11 +820,13 @@ LOCKSTEP_CASES = [
     ("checkpoints_stride", registry_get("complex_exp"), [0.2, -0.1], _lane_targets(2, 0.8),
      LiftOptions(record_stride=3)),
     # lanes that end Complete, Escaped and StepFailure in different attempts,
-    # after odd and even step counts, recorded at every second step
+    # after odd and even step counts, recorded at every second step: toward
+    # (0.01, 0), 6 steps out, the lane leaves the ball; the one toward
+    # (21, 0) needs 9 steps and has 7
     ("mixed_stops_stride", registry_get("complex_exp"), [0.0, 0.0],
      [[0.1, 0.0], [0.3, 0.2], [5.0, 0.0], [2.0, 1.5], [-0.9, 0.3], [-0.5, -0.8], [0.0, 2.5], [1.0, -3.0],
-      [-0.99, 0.0], [0.0, 0.0]],
-     LiftOptions(record_stride=2, max_steps=7, r_escape=2.0)),
+      [-0.99, 0.0], [20.0, 0.0], [0.0, 0.0]],
+     LiftOptions(record_stride=2, max_steps=7, r_escape=3.0)),
     ("finite_difference", _fd_complex_exp(), [0.0, 0.0], _lane_targets(2, 0.9), None),
     # a jump of the map stepped over, a first step that collapses and a
     # rejected non-finite f(X), next to Complete lanes
@@ -794,12 +895,12 @@ def test_svd_window_cases_cross_the_window(monkeypatch):
     cases = {c[0]: c for c in LOCKSTEP_CASES}
     _, model, x0, targets, opts = cases["svd_window_crossed"]
     crossed = lift_lines(model, x0, targets, opts)[0]
-    assert crossed.status == LiftStatus.complete(1.0) and crossed.stats.accepted == 720
+    assert crossed.status == LiftStatus.complete(1.0) and crossed.stats.accepted == 719
     assert crossed.trajectory.points[-1][0] == pytest.approx(np.log1p(1e120), rel=1e-9)
     assert crossed.trajectory.mu_values.min() < maps._SVD_HI < crossed.trajectory.mu_values.max()
     _, model, x0, targets, opts = cases["svd_window_mixed"]
     lift_lines(model, x0, targets, opts)
-    assert sum(mixed) == 19
+    assert sum(mixed) == 18
 
 
 def test_lockstep_cases_reach_every_mask_shape(monkeypatch):
@@ -833,7 +934,7 @@ def test_lockstep_cases_reach_every_mask_shape(monkeypatch):
     for _, model, x0, targets, opts in LOCKSTEP_CASES:
         lift_lines(model, x0, targets, opts)
     assert {(f, kind) for f in ("pick", "leave") for kind in ("every", "some")} | {("leave", "none")} <= shapes
-    assert sum(mixed) == 7
+    assert sum(mixed) == 5
 
 
 @pytest.mark.parametrize("label, most", [
@@ -1129,11 +1230,12 @@ def test_first_correction_scales_with_the_predictor_order(name, at, hp, order):
 
 def test_lift_lines_work_counters(monkeypatch):
     """A 64-lane call evaluates f once at x0 (by evaluate) and takes J(x0)
-    once (by jacobian); after x0 it evaluates f and J only through stacks,
-    one _evaluate_stack and one _jacobian_stack (the stacks without the
-    shape check) per corrector round.  Every
-    lane counts f(x0), J(x0) and its SVD, and its own rows of each stack:
-    the totals of its one-row call."""
+    once (by jacobian); after x0 it evaluates f and J only through stacks:
+    one _evaluate_stack at the first step's probe points, then one
+    _evaluate_stack and one _jacobian_stack (the stacks without the shape
+    check) per corrector round.  Every lane counts f(x0), J(x0) and its
+    SVD, its probe's f, and its own rows of each stack: the totals of its
+    one-row call."""
     _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == "graves_complex_exp")
     calls = {name: [] for name in ("evaluate", "jacobian", "_evaluate_stack", "_jacobian_stack")}
 
@@ -1151,10 +1253,11 @@ def test_lift_lines_work_counters(monkeypatch):
     monkeypatch.undo()
 
     assert calls["evaluate"] == calls["jacobian"] == [1]
-    assert len(calls["_evaluate_stack"]) == len(calls["_jacobian_stack"]) > 1
+    assert len(calls["_evaluate_stack"]) - 1 == len(calls["_jacobian_stack"]) > 1
+    assert calls["_evaluate_stack"][0] == len(targets)  # the probe: one row per lane
     assert sum(calls["_evaluate_stack"]) == sum(o.stats.evals - 1 for o in batch)
     assert sum(calls["_jacobian_stack"]) == sum(o.stats.jacobians - 1 for o in batch)
-    assert all(o.stats.evals == o.stats.jacobians == o.stats.svds for o in batch)
+    assert all(o.stats.evals - 1 == o.stats.jacobians == o.stats.svds for o in batch)
     sequential = [lift_line_square(model, x0, w, opts) for w in targets]
     assert [o.stats for o in batch] == [o.stats for o in sequential]
 
@@ -1179,19 +1282,20 @@ def test_lifts_check_no_stack_of_their_own_points(monkeypatch):
 
 
 @pytest.mark.parametrize("label, k, stats", [
-    ("graves_complex_exp", 1, LiftStats(accepted=5, evals=15, jacobians=15, svds=15,
-                                        h_min=0.005390305596036978)),
-    ("arctan1d", 0, LiftStats(accepted=43, rejected_error=1, evals=128, jacobians=128, svds=128,
-                              h_min=5.327484704284122e-11)),
-    ("exp1d", 0, LiftStats(accepted=12, rejected_error=2, rejected_nonfinite=1, evals=54,
+    ("graves_complex_exp", 1, LiftStats(accepted=3, evals=13, jacobians=12, svds=12,
+                                        h_min=0.13475763990092446)),
+    ("arctan1d", 0, LiftStats(accepted=40, evals=120, jacobians=119, svds=119,
+                              h_min=1.851115622433451e-10)),
+    ("exp1d", 0, LiftStats(accepted=12, rejected_error=2, rejected_nonfinite=1, evals=55,
                            jacobians=53, svds=53, h_min=0.007745456643393971)),
-    ("nan_beyond_one", 0, LiftStats(accepted=23, rejected_nonfinite=92, evals=116, jacobians=24,
-                                    svds=24, h_min=5.090618029004342e-15)),
+    ("nan_beyond_one", 0, LiftStats(accepted=22, rejected_nonfinite=94, evals=118, jacobians=23,
+                                    svds=23, h_min=6.548161810916602e-15)),
 ])
 def test_one_row_work_counters(monkeypatch, label, k, stats):
     """A one-row call takes J(x0) by jacobian and f(x0) by evaluate, and
-    after x0 only stacks: one _evaluate_stack and, for the rows whose f is
-    finite, one _jacobian_stack per corrector round."""
+    after x0 only stacks: one _evaluate_stack at the first step's probe,
+    then one _evaluate_stack and, for the rows whose f is finite, one
+    _jacobian_stack per corrector round."""
     _, model, x0, targets, opts = next(c for c in LOCKSTEP_CASES if c[0] == label)
     calls = {"jacobian": 0, "_jacobian_stack": 0, "evaluate": 0, "_evaluate_stack": 0}
 

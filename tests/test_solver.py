@@ -297,7 +297,7 @@ def test_star_huge_finite_budget_escapes(t_budget):
     for d in rep.directions:
         out = lift_line_square(m, [0.0, 0.0], t_budget * d, opts)
         assert out.status.kind == "Escaped"
-        assert out.stats.accepted == 13
+        assert out.stats.accepted == 11
 
 
 def test_star_step_failure_reason():

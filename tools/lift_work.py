@@ -9,9 +9,14 @@ time, then for the line lifts and the gradient flows apart: the number of
 lanes, the LiftStats fields summed over them, and the Python call and
 c_call events (a sys.setprofile count) made inside the lift entry points,
 in all and per attempt (accepted and rejected steps) and per lane, and
-the corrector rounds per line-lift attempt: (evals - lanes) / attempts,
-as each lane's f(x0) is no round, so a longer round budget shows as more
-rounds per attempt over fewer attempts.  Next
+the corrector rounds per line-lift attempt: (jacobians - lanes) /
+attempts, as each lane's J(x0) is no round (a round whose f is not finite
+takes no J and is not counted; f(x0) and the first step's probe, which
+evals count, are no rounds), so a longer round budget shows as more
+rounds per attempt over fewer attempts.  Then the lockstep attempts of
+the lift_lines calls, summed over the calls, as "lockstep attempts N":
+a call's lanes make their attempts together, so its attempts, those of
+its busiest lane, set its time more than the work its lanes add up.  Next
 comes the sampler's work: the number of Sobol draws (calls of
 globinv.indicators._sobol, wrapped where the lift entry points are) and
 the points they returned, as "sobol draws N points P", and the LAPACK
@@ -74,6 +79,13 @@ def profiled(fn, args: tuple, kwargs: dict, uncounted=frozenset()) -> tuple:
     finally:
         sys.setprofile(None)
     return out, events
+
+
+def lockstep_attempts(outcomes: list) -> int:
+    """The lockstep attempts of one lift_lines call, from its outcomes:
+    every running lane is in every attempt, so the call made as many as
+    its busiest lane, whose accepted and rejected steps count them."""
+    return max((sum(getattr(o.stats, name) for name in STATS[:4]) for o in outcomes), default=0)
 
 
 def blank_rerun_values(report: bytes) -> bytes:
@@ -142,6 +154,7 @@ def main(argv=None) -> int:
             for outcome in outcomes(out):
                 totals[kind]["lanes"] += 1
                 totals[kind].update({name: getattr(outcome.stats, name) for name in STATS})
+            totals[kind]["lockstep"] += lockstep_attempts(outcomes(out))
             return out
         return run
 
@@ -185,8 +198,9 @@ def main(argv=None) -> int:
 
     for label, per in (("events/attempt", STATS[:4]), ("events/lane", ("lanes",))):
         print(f"{label:18s} {ratio('lines', per)} {ratio('flows', per)}")
-    totals["lines"]["rounds"] = totals["lines"]["evals"] - totals["lines"]["lanes"]  # f(x0) is no round
+    totals["lines"]["rounds"] = totals["lines"]["jacobians"] - totals["lines"]["lanes"]  # J(x0) is no round
     print(f"{'rounds/attempt':18s} {ratio('lines', STATS[:4], 'rounds', 2)} {'-':>9s}")
+    print(f"lockstep attempts {totals['lines']['lockstep']}")
     print(f"sobol draws {totals['sobol']['draws']} points {totals['sobol']['points']}")
     print(f"lapack svds {lapack_work[0]} matrices {lapack_work[1]}")
     print(f"digest {digest}")
