@@ -181,10 +181,8 @@ class MuProfile:
 
 # Joe and Kuo's direction numbers as scipy ships them: the primitive
 # polynomial and the initial direction numbers of each of 21201 dimensions.
-# The file is read directly, so no scipy module is imported.  None means
-# scipy's own copy, located (by find_spec, which imports nothing) when the
-# table is first read.
-_SOBOL_TABLE: Optional[str] = None
+# The file is read directly, so no scipy module is imported; it is located
+# (by find_spec, which imports nothing) when the table is first read.
 _SOBOL_MAXDIM, _SOBOL_BITS = 21201, 30
 
 
@@ -201,7 +199,7 @@ def _scipy_sobol_table() -> str:
 
 @lru_cache(maxsize=None)
 def _sobol_table() -> tuple:
-    path = _SOBOL_TABLE or _scipy_sobol_table()
+    path = _scipy_sobol_table()
     try:
         with np.load(path) as table:
             return table["poly"], table["vinit"]

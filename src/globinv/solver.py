@@ -176,8 +176,9 @@ def solve(
     """Solve f(x)=y by lifting the segment from f(x_seed) to y (or by
     gradient descent on the residual), then polishing the endpoint.
 
-    The solution field is set only when |f(x*) - y| <= SOLVE_TOL holds under
-    direct re-evaluation.
+    The solution field is set only when |f(x*) - y| <= SOLVE_TOL max(1, |y|)
+    holds under direct re-evaluation: an absolute tolerance up to |y| = 1 and
+    a relative one beyond, where f itself rounds to ulps of |y|.
     """
     yv = _vector(y, model.m, "solve: target")
     seed = default_point(model) if x_seed is None else np.asarray(x_seed, dtype=float)
@@ -201,7 +202,7 @@ def solve(
     if attempt_polish:
         point, res = _newton_polish(model, candidate, yv)
         residual = res
-        if res <= SOLVE_TOL:
+        if res <= SOLVE_TOL * max(1.0, _norms(yv)):
             solution = point
     else:
         residual = _norms(evaluate(model, candidate) - yv)

@@ -187,6 +187,17 @@ def test_solve_without_solution_exits_3(tmp_path, capsys):
     assert rep["result"]["status"]["kind"] in ("Singular", "Escaped")
 
 
+@pytest.mark.parametrize(("name", "y"), [("exp1d", [1e9]), ("complex_exp", [3e8, 4e8])])
+def test_solve_far_target_exits_0(name, y, tmp_path):
+    """The polish of a lift toward a target far out ends some ulps of |y| off
+    it, past an absolute 1e-8; the tolerance scales with |y|, so the job is
+    solved."""
+    assert run_job({"map": name, "command": "solve", "y": y}, out_override=tmp_path) == 0
+    result = _read_report(tmp_path)["result"]
+    assert result["solution"] is not None
+    assert 1e-8 < result["residual"] <= 1e-8 * np.linalg.norm(y)
+
+
 # an exception that is not a package error (numpy's LinAlgError, an
 # allocation that fails under a memory cap) is a numerical failure: exit 3
 # with a report that names it, never a traceback

@@ -1,9 +1,15 @@
-"""Smoke test of tools/lift_work.py: one seed-7 chain cycle, whose summed
-lift work, call events, corrector rounds per attempt, lockstep attempts,
-Sobol draws, LAPACK SVDs and output digest two runs must print alike, and
-which it counts at the public lift entry points of any tree;
-unit tests of its lockstep attempt count, of its output digest and of its
-report layout check, and a run that the layout check fails."""
+"""Tests of tools/lift_work.py and the work ceilings it gates.
+
+The ceilings: seed-7 runs of the chain, sweep and profile_ladder workloads
+must exit 0 (so every report they write is on the json.dumps layout) and
+stay within the counts of CEILINGS, so the lifts' and the sampler's work
+is gated on deterministic counts, not on wall time.  The tool itself: one
+seed-7 chain cycle, whose summed lift work, call events, corrector rounds
+per attempt, lockstep attempts, Sobol draws, LAPACK SVDs and output digest
+two runs must print alike, and which it counts at the public lift entry
+points of any tree; unit tests of its lockstep attempt count, of its output
+digest and of its report layout check, and a run that the layout check
+fails."""
 
 import functools
 import importlib.util
@@ -14,6 +20,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from globinv import lifting
 from globinv.cli import run_job
 from globinv.lifting import LiftOptions, lift_lines
@@ -22,11 +30,21 @@ from globinv.maps import registry_get
 ROOT = Path(__file__).resolve().parents[1]
 CPU = re.compile(r", [0-9.]+ s CPU$", re.MULTILINE)  # the one timing in the output
 
+# (workload, cycles) -> {(row, column): ceiling} of the tool's output at seed 7;
+# each ceiling is the count at the last change of the work plus 5%, as LAPACK
+# builds differ in their rounding and so in the steps the lifts take
+CEILINGS = {
+    ("chain", 3): {("jacobians", "lines"): 5_649, ("jacobians", "flows"): 32, ("lapack", "matrices"): 2_936,
+                   ("rejected_singular", "lines"): 10, ("rejected_error", "lines"): 35},
+    ("sweep", 1): {("jacobians", "lines"): 6_210, ("jacobians", "flows"): 0, ("lockstep", "attempts"): 37},
+    ("profile_ladder", 1): {("sobol", "draws"): 49, ("sobol", "points"): 76_402, ("lapack", "matrices"): 1_480},
+}
 
-def _run(*args: str) -> subprocess.CompletedProcess:
+
+def _run(*args: str, workload: str = "chain", cycles: int = 1) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "lift_work.py"), "--workload", "chain", "--seed", "7",
-         "--cycles", "1", *args],
+        [sys.executable, str(ROOT / "tools" / "lift_work.py"), "--workload", workload, "--seed", "7",
+         "--cycles", str(cycles), *args],
         capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
 
@@ -38,45 +56,68 @@ def _lift_work(*args: str) -> str:
     return CPU.sub("", run.stdout)
 
 
+def _table(out: str) -> dict:
+    """The rows of the tool's output between its header and its digest, by
+    name: a LiftStats row maps the columns (lines, flows) to its cells; a
+    lockstep, sobol or lapack row maps each of its labels to the value after
+    it ("sobol draws 47 points 72764")."""
+    _, columns, *rows, _ = out.splitlines()
+    return {name: dict(zip(cells[::2], cells[1::2])) if name in ("lockstep", "sobol", "lapack")
+            else dict(zip(columns.split(), cells)) for name, *cells in map(str.split, rows)}
+
+
 @functools.lru_cache(maxsize=None)
 def _this_tree() -> str:
     return _lift_work()
+
+
+@pytest.mark.parametrize(("workload", "cycles"), CEILINGS)
+def test_lift_work_stays_within_its_ceilings(workload, cycles):
+    run = _run(workload=workload, cycles=cycles)
+    assert run.returncode == 0, run.stdout + run.stderr
+    table = _table(run.stdout)
+    over = {(row, column): (int(table[row][column]), ceiling)
+            for (row, column), ceiling in CEILINGS[workload, cycles].items() if int(table[row][column]) > ceiling}
+    assert not over, f"{workload} counts over their ceilings, (count, ceiling) by (row, column): {over}"
 
 
 def test_lift_work_counts_repeat():
     """A second run prints the same work, events and digest."""
     first = _this_tree()
     assert _lift_work() == first
-    header, columns, *rows, lockstep, sobol, lapack, digest = first.splitlines()
+    header, columns, *_, digest = first.splitlines()
     assert header.startswith("chain seed 7, 1 cycles: exit codes {0: ")
     assert columns.split() == ["lines", "flows"]
-    table = {name: values for name, *values in map(str.split, rows)}
+    table = _table(first)
     assert list(table) == ["lanes", "accepted", "rejected_error", "rejected_singular", "rejected_nonfinite",
                            "evals", "jacobians", "svds", "events", "events/attempt", "events/lane",
-                           "rounds/attempt"]
-    counts = {name: tuple(map(int, table[name])) for name in list(table)[:9]}
-    lines, flows = counts["lanes"]
-    assert lines > 0 and flows > 0
-    assert all(counts[name][1] > 0 for name in ("accepted", "evals", "jacobians", "svds"))
-    for kind, (events, lanes) in enumerate(zip(counts["events"], counts["lanes"])):
-        attempts = sum(counts[name][kind] for name in
-                       ("accepted", "rejected_error", "rejected_singular", "rejected_nonfinite"))
-        assert events > attempts > 0
-        assert table["events/attempt"][kind] == f"{events / attempts:.1f}"
-        assert table["events/lane"][kind] == f"{events / lanes:.1f}"
+                           "rounds/attempt", "lockstep", "sobol", "lapack"]
+    counts = {name: {column: int(cell) for column, cell in table[name].items()} for name in list(table)[:9]}
+    assert counts["lanes"]["lines"] > 0 and counts["lanes"]["flows"] > 0
+    assert all(counts[name]["flows"] > 0 for name in ("accepted", "evals", "jacobians", "svds"))
+    attempts = {column: sum(counts[name][column] for name in
+                            ("accepted", "rejected_error", "rejected_singular", "rejected_nonfinite"))
+                for column in ("lines", "flows")}
+    for column, made in attempts.items():
+        events, lanes = counts["events"][column], counts["lanes"][column]
+        assert events > made > 0
+        assert table["events/attempt"][column] == f"{events / made:.1f}"
+        assert table["events/lane"][column] == f"{events / lanes:.1f}"
     # corrector rounds per line-lift attempt: each lane's J(x0) is no round;
     # a flow attempt is no corrector round
-    line_attempts = sum(counts[name][0] for name in
-                        ("accepted", "rejected_error", "rejected_singular", "rejected_nonfinite"))
-    rounds = (counts["jacobians"][0] - lines) / line_attempts
-    assert table["rounds/attempt"] == [f"{rounds:.2f}", "-"] and 1.0 <= rounds <= 4.0
+    rounds = (counts["jacobians"]["lines"] - counts["lanes"]["lines"]) / attempts["lines"]
+    assert table["rounds/attempt"] == {"lines": f"{rounds:.2f}", "flows": "-"} and 1.0 <= rounds <= 4.0
     # the lanes of a call attempt together: the calls make at least the
     # attempts of the busiest lane (so of the mean lane) and at most those
     # of every lane
-    attempts = int(re.fullmatch(r"lockstep attempts ([0-9]+)", lockstep).group(1))
-    assert line_attempts / lines <= attempts <= line_attempts
-    assert re.fullmatch(r"sobol draws [0-9]+ points [0-9]+", sobol)
-    svds, matrices = map(int, re.fullmatch(r"lapack svds ([0-9]+) matrices ([0-9]+)", lapack).groups())
+    assert list(table["lockstep"]) == ["attempts"]
+    lockstep = int(table["lockstep"]["attempts"])
+    assert attempts["lines"] / counts["lanes"]["lines"] <= lockstep <= attempts["lines"]
+    assert list(table["sobol"]) == ["draws", "points"]
+    draws, points = map(int, table["sobol"].values())
+    assert 0 <= draws <= points
+    assert list(table["lapack"]) == ["svds", "matrices"]
+    svds, matrices = map(int, table["lapack"].values())
     assert 0 < svds <= matrices
     assert re.fullmatch(r"digest [0-9a-f]{64}", digest)
 
@@ -131,14 +172,10 @@ def test_lapack_row_counts_the_matrices_left_to_lapack(tmp_path):
     they take: a tree whose 2x2 indicator calls LAPACK on every stack makes
     more calls on a profile_ladder cycle, one matrix per sampled point."""
     def lapack_row(*args: str) -> tuple:
-        run = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "lift_work.py"), "--workload", "profile_ladder", "--seed", "7",
-             "--cycles", "1", *args],
-            capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
-        )
+        run = _run(*args, workload="profile_ladder")
         assert run.returncode == 0, run.stdout + run.stderr
-        row = next(line for line in run.stdout.splitlines() if line.startswith("lapack "))
-        return tuple(map(int, row.split()[2::2]))
+        lapack = _table(run.stdout)["lapack"]
+        return int(lapack["svds"]), int(lapack["matrices"])
 
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))

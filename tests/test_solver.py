@@ -53,6 +53,16 @@ def test_solve_arctan_outside_image():
     assert rep.outcome.status.kind in ("Singular", "Escaped")
 
 
+@pytest.mark.parametrize(("y", "solved"), [([0.6, 0.8], False), ([3.0, 4.0], True)])
+def test_solve_tolerance_is_absolute_up_to_unit_targets(y, solved, monkeypatch):
+    """A polished residual of 2 SOLVE_TOL misses a target of norm 1, whose
+    tolerance stays SOLVE_TOL, and meets one of norm 5."""
+    monkeypatch.setattr(solver, "_newton_polish", lambda model, x, y: (x, 2 * solver.SOLVE_TOL))
+    rep = solve(registry_get("identity_2"), y)
+    assert rep.outcome.status.is_complete and rep.residual == 2 * solver.SOLVE_TOL
+    assert (rep.solution is not None) == solved
+
+
 def test_solve_residual_invariant():
     """A reported solution always satisfies |f(x) - y| <= tol on re-evaluation."""
     cases = [
