@@ -106,7 +106,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
-from .maps import MapModel, _evaluate_stack, _jacobian_stack, _norms, _svd, _vector, evaluate, jacobian
+from .maps import (MapModel, _evaluate_stack, _finite_rows, _jacobian_stack, _norms, _svd, _vector, evaluate,
+                   jacobian)
 
 Array = np.ndarray
 
@@ -322,12 +323,6 @@ def _write_csv(path, header: str, columns) -> None:
         fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
-def _all_finite(A: Array) -> bool:
-    """np.isfinite(A).all(), by one count: on the short arrays of an attempt
-    a count costs a third of a ufunc reduce."""
-    return np.count_nonzero(np.isfinite(A)) == A.size
-
-
 def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
     """Solve J v = w for a stack of SVDs J = U diag(s) Vt, one row w of W
     per matrix: the exact inverse for square J, the minimum-norm right
@@ -350,8 +345,9 @@ class _Attempt:
     raised right after its call: every row still in the attempt did that
     work, which a row adds to its lane's work when it leaves (rejected) or
     takes its step (_LineLanes.take).  A mask that keeps every row hands
-    back the arrays as they are (pick, leave); one that keeps no row only
-    empties rows, cutting no aligned array, as every caller then returns."""
+    back the arrays as they are (pick, leave), as does a stack call's None
+    mask, uncounted; one that keeps no row only empties rows, cutting no
+    aligned array, as every caller then returns."""
 
     def __init__(self, lanes: "_LineLanes", rows: Array, **aligned):
         self.lanes, self.rows = lanes, rows
@@ -372,10 +368,13 @@ class _Attempt:
             setattr(self, name, getattr(self, name)[good])
         return [A[good] for A in arrays]
 
-    def leave(self, good: Array, cause: str, *arrays, mu: Optional[Array] = None):
+    def leave(self, good: Optional[Array], cause: str, *arrays, mu: Optional[Array] = None):
         """Reject the rows that are not good with cause, adding the tally
         and passing their mu to _LineLanes.reject, and keep the good ones
-        (keep), by the mask rule."""
+        (keep), by the mask rule; good None, as a stack call returns when
+        every row is finite, keeps every row uncounted."""
+        if good is None:
+            return arrays
         kept, rows = np.count_nonzero(good), self.rows
         if kept == good.size:
             return arrays
@@ -419,12 +418,12 @@ class _LineLanes:
     """The K lanes of a lift_lines call, on the curves f(q(t)) = f(x0) + t w
     for t from 0 to 1, under one step controller.  Every per-lane fact the
     lift reads is a row of an array: t, the step size h, the point q and
-    its slope k1, mu at q, the mu of the last singular rejection since a
-    step was taken (last_singular_mu, NaN for none), the rejections by
-    cause (one column per cause in _CAUSES), whether the lane still runs
-    and the scale of its steps (h_scale: a step at or below _H_MIN
-    max(h_scale, t) has collapsed, so every step taken advances t).  A lane
-    runs until it stops with a LiftStatus (status[k]) or reaches t = 1,
+    its slope k1 (norm_k1 long), mu at q, the mu of the last singular
+    rejection since a step was taken (last_singular_mu, NaN for none), the
+    rejections by cause (one column per cause in _CAUSES), whether the
+    lane still runs and the scale of its steps (h_scale: a step at or below
+    _H_MIN max(h_scale, t) has collapsed, so every step taken advances t).
+    A lane runs until it stops with a LiftStatus (status[k]) or reaches t = 1,
     and every running lane is in every attempt, so a running lane has
     taken attempts - its rejections steps.
     The work (evals, Jacobians, SVDs) of every attempt, rejected or taken,
@@ -455,7 +454,7 @@ class _LineLanes:
         self.residual, self.max_drift = np.zeros(K), np.zeros(K)
         self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
         self.h_scale = np.ones(K)  # a step at or below _H_MIN max(h_scale, t) has collapsed
-        self.q, self.k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n))
+        self.q, self.k1, self.norm_k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n)), np.zeros(K)
         # the point, slope and size of each lane's last step taken (hp 0: none yet)
         self.qp, self.kp, self.hp = np.zeros((K, model.n)), np.zeros((K, model.n)), np.zeros(K)
         self.square = model.m == model.n  # the Hermite predictor needs the points on one curve
@@ -470,7 +469,8 @@ class _LineLanes:
         self.attempts = 0  # attempts made
         self.pending, self.tallies, self.records = [], [], []
         self.norm_w = _norms(W)
-        self.complete_tol = 10.0 * opts.rel_tol * np.maximum(self.norm_w, 1.0) + 100.0 * opts.abs_tol
+        self.tol_scales = 10.0 * opts.rel_tol, 100.0 * opts.abs_tol  # (a, b): a tolerance is a max(|v|, 1) + b
+        self.complete_tol = self.tol_scales[0] * np.maximum(self.norm_w, 1.0) + self.tol_scales[1]
         self.mu_least = max(opts.mu_floor, 5e-324)  # mu >= mu_least: mu >= mu_floor and mu > 0, not NaN
 
     def record_start(self) -> None:
@@ -499,10 +499,10 @@ class _LineLanes:
                 self.stop(k, LiftStatus.singular(0.0, mu))
             return
         zero = self.norm_w == 0.0
-        for k in np.flatnonzero(zero).tolist():
+        for k in zero.nonzero()[0].tolist():
             self.t[k] = 1.0
             self.stop(k, LiftStatus.complete(1.0))
-        rows = np.flatnonzero(~zero)
+        rows = (~zero).nonzero()[0]
         if not rows.size:
             return
         # Every attempt starts from this slope, so no step size can repair a
@@ -511,12 +511,13 @@ class _LineLanes:
             for k in rows.tolist():
                 self.stop(k, LiftStatus.singular(0.0, mu))
             return
-        k1 = _velocities(*(np.repeat(A[None], len(rows), axis=0) for A in (U, s, Vt)), self.w[rows])
+        U, s, Vt = U[None], s[None], Vt[None]  # one SVD for every row: matmul broadcasts it
+        k1 = _velocities(U, s, Vt, self.w[rows])
         bad = ~np.isfinite(k1).all(axis=1)
         for k in rows[bad].tolist():
             self.stop(k, LiftStatus.step_failure(0.0))
         self.k1[rows] = k1
-        norm_k1 = _norms(k1)
+        self.norm_k1[rows] = norm_k1 = _norms(k1)
         h = np.minimum(0.2, 0.01 * (1.0 + _norms(self.x0)) / (1.0 + norm_k1))
         self.h_scale[rows] = h  # a huge w makes every step small
         live = ~bad
@@ -525,8 +526,9 @@ class _LineLanes:
 
     def first_step(self, rows: Array, H: Array, norm_k1: Array, U: Array, s: Array, Vt: Array) -> Array:
         """The first steps of rows, whose slopes at x0 are k1 (norm_k1
-        long), from the blind steps H and the SVD U, s, Vt of J(x0).  One
-        f stack at the Euler points x0 + H k1 (counted in each row's evals)
+        long), from the blind steps H and the SVD U, s, Vt of J(x0) as
+        one-matrix stacks, broadcast over the rows.  One f stack at the
+        Euler points x0 + H k1 (counted in each row's evals)
         gives each row's predictor error e1 = |J(x0)^+ (f(x0 + H k1) - f0 -
         H w)|.  Euler's error grows as h^2, so it is e1 (h / H)^2 at a step
         h, and the step is the h where that is _PROBE times the distance
@@ -537,13 +539,14 @@ class _LineLanes:
         whose Euler point or probe is not finite keeps H."""
         h = H.copy()
         P = self.x0 + H[:, None] * self.k1.take(rows, axis=0)
-        at = np.flatnonzero(np.isfinite(P).all(axis=1))
+        at = np.isfinite(P).all(axis=1).nonzero()[0]
         if at.size:
             F, good = _evaluate_stack(self.model, P.take(at, axis=0))
             self.work[rows.take(at), 0] += 1
-            at, F = at[good], F[good]
+            if good is not None:
+                at, F = at[good], F[good]
             R = F - (self.f0 + H.take(at)[:, None] * self.w.take(rows.take(at), axis=0))
-            e1 = _norms(_velocities(*(np.repeat(A[None], at.size, axis=0) for A in (U, s, Vt)), R))
+            e1 = _norms(_velocities(U, s, Vt, R))
             allowed = _PROBE * _GUARD * H.take(at) * norm_k1.take(at)  # the correction allowed at H
             g = np.full(at.size, _GROW * _GROW)
             np.divide(allowed, e1, out=g, where=allowed < g * e1)  # e1 = 0 keeps _GROW^2
@@ -614,17 +617,18 @@ class _LineLanes:
         (two on a wide map, where R is m wide); a mask that keeps every row
         cuts nothing (_Attempt), and a round where every row is done ends
         the attempt with take alone."""
-        H, opts = self.h.take(rows), self.opts
+        H, (x_rel, x_abs) = self.h.take(rows), self.tol_scales
         T = self.step_end(rows, H)
         W, K1 = self.w.take(rows, axis=0), self.k1.take(rows, axis=0)
         hermite = (self.hp.take(rows) > 0.0) & self.square
-        # D: the longest Newton step allowed next; C0: the first one's length
+        # D: the longest Newton step allowed next; C0: the first one's length; CT: complete_tol
         a = _Attempt(self, rows, W=W, H=H, T=T, Y=self.f0 + T[:, None] * W,
-                     D=_GUARD * H * _norms(K1), C0=np.empty(rows.size), hermite=hermite)
+                     D=_GUARD * H * self.norm_k1.take(rows), C0=np.empty(rows.size),
+                     CT=self.complete_tol.take(rows), hermite=hermite)
         a.X = self.predict(a, K1)
         for r in range(self.rounds):
-            if not _all_finite(a.X):
-                a.leave(np.isfinite(a.X).all(axis=1), "nonfinite")
+            if (finite := _finite_rows(a.X)) is not None:
+                a.leave(finite, "nonfinite")
                 if not a.rows.size:
                     return
             got = a.round()
@@ -632,21 +636,20 @@ class _LineLanes:
                 return
             F, U, s, Vt, mu = got
             R = F - a.Y
-            dX = -_velocities(U, s, Vt, R)
+            dX = _velocities(U, s, Vt, R)  # the Newton step is -dX
             if self.square:
                 res, size, norm_x = _norms(np.concatenate([R, dX, a.X])).reshape(3, -1)
             else:
                 res, (size, norm_x) = _norms(R), _norms(np.concatenate([dX, a.X])).reshape(2, -1)
             if r == 0:
                 a.C0 = size
-            x_tol = 10.0 * opts.rel_tol * np.maximum(norm_x, 1.0) + 100.0 * opts.abs_tol
-            done = (res <= self.complete_tol.take(a.rows)) & (size <= x_tol)
+            x_tol = x_rel * np.maximum(norm_x, 1.0) + x_abs
+            done = (res <= a.CT) & (size <= x_tol)
             if np.count_nonzero(done):
                 K1 = _velocities(*a.pick(done, U, s, Vt, a.W))
-                if not _all_finite(K1):  # a slope past the float limit: no step to take
+                if (finite := _finite_rows(K1)) is not None:  # a slope past the float limit: no step to take
                     good = np.ones(len(done), dtype=bool)
-                    good[done] = np.isfinite(K1).all(axis=1)
-                    K1 = K1[good[done]]
+                    good[done], K1 = finite, K1[finite]
                     done, mu, res, size, x_tol, dX = a.leave(
                         good, "nonfinite", done, mu, res, size, x_tol, dX)
                     if not a.rows.size:
@@ -662,7 +665,7 @@ class _LineLanes:
             dX, size = a.leave(size <= a.D, "error", dX, size)
             if not a.rows.size:
                 return
-            a.X = a.X + dX
+            a.X = a.X - dX  # x - d is x + (-d) in IEEE arithmetic, bit for bit
             a.D = _CONTRACTION * size
 
     def predict(self, a: _Attempt, K1: Array) -> Array:
@@ -706,13 +709,15 @@ class _LineLanes:
         e_prev = a.C0 if r < 2 else a.D / _CONTRACTION  # the correction before e, exactly: 0.5 is a power of 2
         rows, Q, X, H, T, e_prev, hermite, mu, res, e, x_tol = a.pick(
             done, a.rows, a.Q, a.X, a.H, a.T, e_prev, a.hermite, mu, res, e, x_tol)
-        chords, dists = _norms(np.concatenate([X - Q, X - self.x0])).reshape(2, -1)
+        chords, dists, norm_k1 = _norms(np.concatenate([X - Q, X - self.x0, K1])).reshape(3, -1)
         mu_prev = self.mu.take(rows)
         h_next = self.next_step(H, T, r, e_prev, e, x_tol, mu_prev, mu, hermite)
-        self.qp[rows], self.kp[rows], self.hp[rows] = Q, self.k1.take(rows, axis=0), H
-        self.q[rows], self.k1[rows], self.t[rows], self.mu[rows], self.h[rows] = X, K1, T, mu, h_next
-        self.last_singular_mu[rows] = math.nan
-        self.running[rows] = T < 1.0 - 1e-15
+        at = ... if rows.size == len(self.t) else rows  # every lane took its step: no scatter
+        self.qp[at], self.kp[at], self.hp[at] = Q, self.k1.take(rows, axis=0), H
+        self.q[at], self.k1[at], self.norm_k1[at] = X, K1, norm_k1
+        self.t[at], self.mu[at], self.h[at] = T, mu, h_next
+        self.last_singular_mu[at] = math.nan
+        self.running[at] = T < 1.0 - 1e-15
         self.pending.append((rows, T, X, mu, H, chords, res))
         self.tallies.append((a.evals, a.jacobians, a.svds))
         if len(self.pending) == _RECORD_RUN:
@@ -770,7 +775,7 @@ class _LineLanes:
                     last = last * (q * q) * (q * q)
             root = _AIM * x_tol / np.maximum(last, 1e-300)
             for _ in range(self.rounds):
-                root = np.sqrt(root)
+                np.sqrt(root, out=root)
             np.sqrt(root, out=root, where=hermite)
             h_next = H * np.fmin(_GROW, root)
         fell = mu_new < mu_prev
@@ -781,18 +786,20 @@ class _LineLanes:
         return np.minimum(h_next, 1.0 - T)
 
     def fold(self) -> None:
-        """Fold the pending steps, sorted by lane and in step order within
-        a lane, into work (each block's tally), accepted, length (the chords
-        summed one by one, as the steps add up), h_min, max_drift, residual
-        (that of each lane's last step) and one block of the record."""
+        """Fold the pending steps, by lane (a lone lane's are so already) in
+        step order, into work (each block's tally), accepted, length (the
+        chords summed one by one, as the steps add up), h_min, max_drift,
+        residual (that of each lane's last step) and one record block."""
         if not self.pending:
             return
         sizes = [len(block[0]) for block in self.pending]
         rows, *columns = map(np.concatenate, zip(*self.pending))
         np.add.at(self.work, rows, np.repeat(self.tallies, sizes, axis=0))
         self.pending, self.tallies = [], []
-        order = np.argsort(rows, kind="stable")
-        rows, T, X, mu, H, chords, res = rows[order], *(A[order] for A in columns)
+        if len(self.t) > 1:
+            order = np.argsort(rows, kind="stable")
+            rows, *columns = rows[order], *(A[order] for A in columns)
+        T, X, mu, H, chords, res = columns
         counts = np.bincount(rows, minlength=len(self.t))
         firsts = np.cumsum(counts) - counts
         np.add.at(self.length, rows, chords)
@@ -802,14 +809,14 @@ class _LineLanes:
         self.residual[rows[lasts]] = res[lasts]
         steps = self.accepted[rows] + np.arange(1, len(rows) + 1) - firsts[rows]  # each step's count
         self.accepted += counts
-        stride = self.opts.record_stride
+        # no int64 step count reaches a larger stride, which keeps no step
+        stride = min(self.opts.record_stride, np.iinfo(np.int64).max)
         if stride > 1:
             due = steps % stride == 0
             rows, T, X, mu = rows[due], T[due], X[due], mu[due]
             if not rows.size:
                 return
-        ends = np.flatnonzero(np.append(rows[1:] != rows[:-1], True))  # each lane's last due step
-        self.kept_t[rows[ends]] = T[ends]
+        np.maximum.at(self.kept_t, rows, T)  # each lane's last due step: t grows along a lane
         self.records.append((rows, T, X, mu))
 
     def outcomes(self) -> list:
@@ -820,11 +827,12 @@ class _LineLanes:
         LiftStats, and Complete for a lane that ran to t = 1 (every
         accepted point is within complete_tol of its line)."""
         self.fold()
-        last = np.flatnonzero(self.kept_t != self.t)
+        last = (self.kept_t != self.t).nonzero()[0]
         final = (last, self.t[last], self.q[last], self.mu[last])
         rows, T, X, mu = map(np.concatenate, zip(*self.records, final))
-        order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
-        T, X, mu = T[order], X[order], mu[order]
+        if len(self.t) > 1:
+            order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
+            T, X, mu = T[order], X[order], mu[order]
         ends = np.cumsum(np.bincount(rows, minlength=len(self.t))).tolist()
         out, a = [], 0
         for k, (b, length, steps, rejected, work_k, h_min, residual, drift) in enumerate(zip(
@@ -914,11 +922,11 @@ class _Flow:
         s, c = self.s, self.c
         z = s / (s * s + 1.0 / self.h)
         X = self.q - self.Vt.T @ (z * c)
-        if not _all_finite(X):
+        if _finite_rows(X[None]) is not None:
             return self.reject("nonfinite")
         self.stats.evals += 1
         R, good = _evaluate_stack(self.model, X[None])
-        if not good[0]:
+        if good is not None:
             return self.reject("nonfinite")
         r = R[0] - self.y
         F = 0.5 * float(r @ r)
@@ -931,7 +939,7 @@ class _Flow:
             return self.reject("error")
         self.stats.jacobians += 1
         J, good = _jacobian_stack(self.model, X[None])
-        if not good[0]:
+        if good is not None:
             return self.reject("nonfinite")
         self.stats.svds += 1
         self.take(X, r, F, J[0])
@@ -1059,13 +1067,14 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     rejections are rows of arrays, and a lane leaves the batch when it
     stops; every attempt makes one predictor (cubic Hermite through a
     square lane's last two points, else Euler's tangent), then every
-    corrector round one f stack, one Jacobian stack and one SVD over the lanes
-    still in it, and takes the lanes that meet the tolerances (LiftOptions)
-    at once.  Every accepted point lies within complete_tol of its line, so
-    max_drift, the largest residual of an accepted point, and
-    target_residual, that of the last one, are within it too (0 for a lane
-    that took no step).  Square and wide (m <= n) maps
-    are both served, as by lift_line_square and lift_line_horizontal.
+    corrector round one f stack, one Jacobian stack (each counts its finite
+    rows once) and one SVD over the lanes still in it, and takes the lanes
+    that meet the tolerances (LiftOptions) at once.  Every accepted point
+    lies within complete_tol of its line, so max_drift, the largest
+    residual of an accepted point, and target_residual, that of the last
+    one, are within it too (0 for a lane that took no step).  Square and
+    wide (m <= n) maps are both served, as by lift_line_square and
+    lift_line_horizontal.
     Returns one LiftOutcome per row of W: the outcome the one-row call of
     that row returns.
     """
@@ -1078,8 +1087,8 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     Wv = np.asarray(W, dtype=float)
     if Wv.ndim != 2 or Wv.shape[1] != model.m:
         raise DimensionMismatch(f"lift_lines: W shape {Wv.shape}, expected (K, {model.m})")
-    if not _all_finite(Wv):
-        k = int(np.flatnonzero(~np.isfinite(Wv).all(axis=1))[0])
+    if (finite := _finite_rows(Wv)) is not None:
+        k = int(np.flatnonzero(~finite)[0])
         raise OutOfRange(f"lift_lines: w (row {k} of W) must be finite, got {Wv[k]!r}")
     if not len(Wv):
         return []

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, UnknownMap
 
@@ -168,17 +169,23 @@ def evaluate_stack(model: MapModel, X) -> tuple:
     mask instead of raised, so callers drop that row and go on with the
     others; any other exception raised by the map propagates.
     """
-    return _evaluate_stack(model, _stack_points(model, X, "evaluate_stack"))
+    Y, finite = _evaluate_stack(model, _stack_points(model, X, "evaluate_stack"))
+    return Y, np.ones(len(Y), dtype=bool) if finite is None else finite
+
+
+def _finite_rows(Y: Array) -> Optional[Array]:
+    """The mask of the rows of Y whose entries are all finite, None when every
+    row is: one count, and the per-row reduce only when the count fails."""
+    finite = np.isfinite(Y)
+    return None if np.count_nonzero(finite) == finite.size else finite.reshape(len(Y), -1).all(axis=1)
 
 
 def _evaluate_stack(model: MapModel, Xv: Array) -> tuple:
     """evaluate_stack at Xv, a float (K, n) array already checked: for a
-    caller that stacks its own points."""
+    caller that stacks its own points.  The mask is None when every row is
+    finite, so such a caller need not count it again."""
     Y = _stack_rows(model, model.eval_fn, Xv, (model.m,), "evaluate_stack")
-    finite = np.isfinite(Y)
-    # one count over the stack; the per-row reduce only when it finds a
-    # non-finite entry (else any column of finite is the all-True mask)
-    return Y, finite[:, 0] if np.count_nonzero(finite) == finite.size else finite.all(axis=1)
+    return Y, _finite_rows(Y)
 
 
 def evaluate(model: MapModel, x) -> Array:
@@ -187,7 +194,7 @@ def evaluate(model: MapModel, x) -> Array:
     raises NonFinite naming x."""
     xv = _vector(x, model.n, f"evaluate({model.name})")
     Y, finite = _evaluate_stack(model, xv[None])
-    if not finite[0]:
+    if finite is not None:
         raise NonFinite(f"evaluate({model.name}): non-finite value at x={xv!r}")
     return Y[0]
 
@@ -224,19 +231,18 @@ def jacobian_stack(model: MapModel, X) -> tuple:
     where the map raises NonFinite) is flagged in the mask instead of
     raised, so batched callers drop that row and go on with the others.
     """
-    return _jacobian_stack(model, _stack_points(model, X, "jacobian_stack"))
+    J, finite = _jacobian_stack(model, _stack_points(model, X, "jacobian_stack"))
+    return J, np.ones(len(J), dtype=bool) if finite is None else finite
 
 
 def _jacobian_stack(model: MapModel, Xv: Array) -> tuple:
-    """jacobian_stack at Xv, a float (K, n) array already checked: for a
-    caller that stacks its own points."""
+    """jacobian_stack at Xv, a float (K, n) array already checked, with
+    the mask of _evaluate_stack (None: every row finite)."""
     if model.jac_fn is None:  # in C order, as every stack of jac_fn rows is
         J = np.ascontiguousarray(_fd_jacobian(model, Xv))
     else:
         J = _stack_rows(model, model.jac_fn, Xv, (model.m, model.n), "jacobian_stack")
-    finite = np.isfinite(J)
-    # as in evaluate_stack: the per-row reduce only after a count fails
-    return J, finite[:, 0, 0] if np.count_nonzero(finite) == finite.size else finite.all(axis=(1, 2))
+    return J, _finite_rows(J)
 
 
 def jacobian(model: MapModel, x) -> Array:
@@ -245,7 +251,7 @@ def jacobian(model: MapModel, x) -> Array:
     raises NonFinite included, raises NonFinite naming x."""
     xv = _vector(x, model.n, f"jacobian({model.name})")
     J, finite = _jacobian_stack(model, xv[None])
-    if not finite[0]:
+    if finite is not None:
         raise NonFinite(f"jacobian({model.name}): non-finite derivative at x={xv!r}")
     return J[0]
 
@@ -255,6 +261,7 @@ def jacobian(model: MapModel, x) -> Array:
 # singular value of a 2x1 or 1x2 matrix [a, b] with |a| and |b| each 0 or in
 # the window is dlapy2(a, b) bit for bit.
 _SVD_LO, _SVD_HI = 1e-100, 1e100
+_GUFUNCS = hasattr(_umath_linalg, "svd_s")  # np.linalg.svd's gufunc names; other numpys keep np.linalg.svd
 
 
 def _norms(D: Array):
@@ -294,11 +301,13 @@ def _svd(J: Array, compute_uv: bool = True):
       dlapy2, s = w sqrt(1 + (z/w)^2) with w and z the larger and the
       smaller of |a| and |b|.
     Every other stack goes to LAPACK: one entry outside the window (a
-    subnormal, inf or NaN included, and 0 in a 1x1 stack; NaN still raises
-    LinAlgError) sends the whole stack.  Inside the window the closed forms
-    and LAPACK agree bit for bit, so a row's result does not depend on the
-    other rows.  np.linalg.svd is looked up at each call, so a profiler
-    that rebinds it sees every LAPACK call."""
+    subnormal, inf or NaN included, and 0 in a 1x1 stack) sends the whole
+    stack.  Inside the window the closed forms and LAPACK agree bit for
+    bit, so a row's result does not depend on the other rows.  A finite
+    float stack skips np.linalg.svd's checks and casts, no-ops on it, for
+    the gufunc it calls; any other calls np.linalg.svd (NaN raises
+    LinAlgError).  Both are looked up at each call, so a profiler that
+    rebinds them sees every LAPACK call."""
     rank_one = not compute_uv and J.shape[-2:] in ((2, 1), (1, 2))
     if rank_one or J.shape[-2:] == (1, 1):
         a = np.abs(J)
@@ -317,6 +326,8 @@ def _svd(J: Array, compute_uv: bool = True):
             return (w * np.sqrt(1.0 + q * q))[..., None]
         if inside:  # sign(a) is 1: no entry in the window is 0 or NaN
             return (np.sign(J), a[..., 0], np.sign(a)) if compute_uv else a[..., 0]
+    if _GUFUNCS and J.dtype == np.float64 and _finite_rows(J) is None:
+        return _umath_linalg.svd_s(J, signature="d->ddd") if compute_uv else _umath_linalg.svd(J, signature="d->d")
     if compute_uv:
         return np.linalg.svd(J, full_matrices=False)
     return np.linalg.svd(J, compute_uv=False)

@@ -198,6 +198,16 @@ def test_solve_far_target_exits_0(name, y, tmp_path):
     assert 1e-8 < result["residual"] <= 1e-8 * np.linalg.norm(y)
 
 
+def test_solve_with_a_stride_past_int64_exits_0(tmp_path):
+    """A record_stride past any int64 step count keeps the base point and
+    the final point of the lift."""
+    job = {"map": "complex_exp", "command": "solve", "y": [3.0, 4.0], "opts": {"record_stride": 2**63}}
+    assert run_job(job, out_override=tmp_path) == 0
+    assert _read_report(tmp_path)["result"]["solution"] is not None
+    rows = (tmp_path / "traj_0.csv").read_text().splitlines()
+    assert len(rows) == 3  # the header, the base point and the final point
+
+
 # an exception that is not a package error (numpy's LinAlgError, an
 # allocation that fails under a memory cap) is a numerical failure: exit 3
 # with a report that names it, never a traceback

@@ -589,15 +589,19 @@ def test_svd_of_a_mixed_stack_equals_its_one_row_calls():
 
 
 def _lapack_calls(monkeypatch) -> list:
-    """The stacks handed to numpy.linalg.svd from here on, which maps._svd
-    looks up at each call."""
-    calls, svd = [], np.linalg.svd
+    """The stacks handed to numpy's LAPACK SVD gufuncs from here on (each
+    svd* attribute of numpy.linalg._umath_linalg, which numpy.linalg.svd
+    and maps._svd look up at each call)."""
+    calls, gufuncs = [], np.linalg._umath_linalg
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def counted(gufunc):
+        def call(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return gufunc(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    for name in [name for name in dir(gufuncs) if name.startswith("svd")]:
+        monkeypatch.setattr(gufuncs, name, counted(getattr(gufuncs, name)))
     return calls
 
 
@@ -672,17 +676,26 @@ def test_svd_of_nan_raises():
 
 @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (2, 1), (3, 3)])
 def test_svd_of_other_shapes_is_lapack(shape):
+    """Finite stacks of K = 1, 4, 50 and 64 matrices that LAPACK takes,
+    whatever route _svd sends them by: rows scaled from 1e-150 to 1e150
+    with one entry of each just outside the closed-form window, and normal
+    draws.  U, s and Vt are np.linalg.svd's bit for bit, for the stack,
+    its first matrix in 2-D and its empty slice."""
     rng = np.random.default_rng(len(shape) + shape[0] * 3 + shape[1])
-    J = rng.normal(size=(50, *shape))
-    _assert_svd_is_lapack(J)
-    _assert_svd_is_lapack(J[0])
-    _assert_svd_is_lapack(J[:0])
+    for K in (1, 4, 50, 64):
+        J = rng.normal(size=(K, *shape)) * 10.0 ** rng.uniform(-150.0, 150.0, (K, 1, 1))
+        edges = np.resize([np.nextafter(_SVD_LO, 0.0), np.nextafter(_SVD_HI, np.inf)], K)
+        J[:, 0, -1] = rng.choice([-1.0, 1.0], K) * edges
+        for stack in (J, rng.normal(size=J.shape)):
+            _assert_svd_is_lapack(stack)
+            _assert_svd_is_lapack(stack[0])
+            _assert_svd_is_lapack(stack[:0])
 
 
 def test_every_svd_of_src_is_maps_svd():
-    """numpy.linalg.svd (any attribute .svd, any imported svd) appears in
-    the package only inside maps._svd, so every SVD takes its closed forms
-    and is counted where maps._svd is."""
+    """numpy.linalg.svd and its gufuncs (any attribute .svd, .svd_s or
+    .svd_f, any imported svd) appear in the package only inside maps._svd,
+    so every SVD takes its closed forms and is counted where maps._svd is."""
     outside = []
     for path in sorted(Path(globinv.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -692,7 +705,7 @@ def test_every_svd_of_src_is_maps_svd():
             inside = {id(node) for node in ast.walk(helper)}
         for node in ast.walk(tree):
             named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
-            if isinstance(node, (ast.Attribute, ast.alias)) and named.split(".")[-1] == "svd":
+            if isinstance(node, (ast.Attribute, ast.alias)) and named.split(".")[-1] in ("svd", "svd_s", "svd_f"):
                 if id(node) not in inside:
                     outside.append(f"{path.name}:{node.lineno}")
     assert outside == []

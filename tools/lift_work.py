@@ -21,12 +21,13 @@ comes the sampler's work: the number of Sobol draws (calls of
 globinv.indicators._sobol, wrapped where the lift entry points are) and
 the points they returned, as "sobol draws N points P", and the LAPACK
 SVD work left after the closed forms of globinv.maps._svd and of the 2x2
-indicator: the calls of numpy.linalg.svd (rebound in numpy.linalg, where
-_svd looks it up at each call) and the matrices they took, as "lapack
-svds N matrices M".  Last comes one
-sha256 over the raw bytes of every job's outputs, with only the values of
-report.json's timestamp and job.output_dir blanked.  The tool exits 1,
-naming the file on stderr, when a report.json is not laid out as
+indicator: the calls of numpy's SVD gufuncs (each svd* attribute of
+numpy.linalg._umath_linalg, rebound there, where numpy.linalg.svd and
+_svd look them up at each call, so a call through either is counted
+once) and the matrices they took, as "lapack svds N matrices M".  Last
+comes one sha256 over the raw bytes of every job's outputs, with only the
+values of report.json's timestamp and job.output_dir blanked.  The tool
+exits 1, naming the file on stderr, when a report.json is not laid out as
 json.dumps(report, sort_keys=True, indent=2) + "\n" lays out the report it
 holds.
 
@@ -140,16 +141,18 @@ def main(argv=None) -> int:
     from globinv import cli, indicators, lifting
 
     totals = {"lines": collections.Counter(), "flows": collections.Counter(), "sobol": collections.Counter()}
-    svd, lapack_work = np.linalg.svd, [0, 0]
+    lapack_work = [0, 0]
 
-    def lapack(a, *args, **kwargs):  # a is an array: maps._svd passes no other
-        lapack_work[0] += 1
-        lapack_work[1] += math.prod(a.shape[:-2])
-        return svd(a, *args, **kwargs)
+    def lapack(gufunc):
+        def call(a, *args, **kwargs):  # a is an array: numpy.linalg.svd and maps._svd pass no other
+            lapack_work[0] += 1
+            lapack_work[1] += math.prod(a.shape[:-2])
+            return gufunc(a, *args, **kwargs)
+        return call
 
     def counted(kind, fn, outcomes):
         def run(*args, **kwargs):
-            out, events = profiled(fn, args, kwargs, {lapack.__code__})
+            out, events = profiled(fn, args, kwargs, {lapack(None).__code__})  # every counter's code
             totals[kind]["events"] += events
             for outcome in outcomes(out):
                 totals[kind]["lanes"] += 1
@@ -165,7 +168,9 @@ def main(argv=None) -> int:
         totals["sobol"].update(draws=1, points=out.shape[0])
         return out
 
-    np.linalg.svd = lapack
+    gufuncs = np.linalg._umath_linalg
+    for name in [name for name in dir(gufuncs) if name.startswith("svd")]:
+        setattr(gufuncs, name, lapack(getattr(gufuncs, name)))
     lines, flow = lifting.lift_lines, lifting.gradient_flow
     wrapped = {lines: counted("lines", lines, lambda out: out),
                flow: counted("flows", flow, lambda out: out[:1]), sobol: drawn}
