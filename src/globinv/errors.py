@@ -45,13 +45,5 @@ class LoopNotInImage(GlobinvError):
     """A fibre loop could not be lifted; the loop leaves the accessible image."""
 
 
-class LiftAborted(GlobinvError):
-    """A lift that had to complete did not; carries the terminal outcome."""
-
-    def __init__(self, message, outcome=None):
-        super().__init__(message)
-        self.outcome = outcome
-
-
 class JobValidationError(GlobinvError):
     """A CLI job file failed schema validation."""

@@ -316,8 +316,10 @@ def _signed_axes(m: int) -> Array:
 
 # Moshier's Cephes ndtri (Methods and Programs for Mathematical Functions,
 # 1989), the algorithm of scipy.special.ndtri, with its coefficients: P0/Q0
-# on the centre e^-2 < u <= 1 - e^-2, and in the tails, in x = sqrt(-2 ln y)
-# for y = min(u, 1 - u), P1/Q1 for x < 8 and P2/Q2 beyond.  The Q's leading
+# on the centre e^-2 < u <= 1 - e^-2, and P1/Q1 in the tails, in
+# x = sqrt(-2 ln y) for y = min(u, 1 - u).  u is clipped to
+# [1e-12, 1 - 1e-12] first, so x <= 7.43 stays below 8, where Cephes turns
+# to a third pair (P2/Q2) that is not needed here.  The Q's leading
 # coefficient 1 is implicit (p1evl).
 _NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
              1.39312609387279679503e1, -1.23916583867381258016e0)
@@ -330,12 +332,6 @@ _NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.7162819224642
 _NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
              1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
              -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
 _SQRT_2PI, _EXP_M2 = 2.50662827463100050242e0, 0.13533528323661269189
 # the quantile works through a draw this many values at a time, so that its
 # temporaries stay small
@@ -355,10 +351,11 @@ def _horner(x: Array, coef: tuple, monic: bool) -> Array:
 
 def _quantile_block(u: Array) -> None:
     """_normal_quantile of a 1-D block, in place: the centre formula on
-    every value (it is finite on all of (0, 1)), then the tail values
-    replaced, which costs less than gathering the centre."""
+    every value (it is finite on all of [0, 1]), then the tail values
+    replaced, each clipped first, which costs less than gathering the
+    centre."""
     tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
-    t = u[tail]
+    t = np.clip(u[tail], 1e-12, 1.0 - 1e-12)
     u -= 0.5
     y2 = u * u
     x = y2 * _horner(y2, _NDTRI_P0, False)
@@ -372,10 +369,6 @@ def _quantile_block(u: Array) -> None:
     z = 1.0 / x
     x1 = z * _horner(z, _NDTRI_P1, False)
     x1 /= _horner(z, _NDTRI_Q1, True)
-    far = x >= 8.0  # y < e^-32
-    if far.any():
-        zf = z[far]
-        x1[far] = zf * _horner(zf, _NDTRI_P2, False) / _horner(zf, _NDTRI_Q2, True)
     x0 = x - np.log(x) / x
     x0 -= x1
     # negative below 1/2, as Cephes negates the lower tail
@@ -383,8 +376,9 @@ def _quantile_block(u: Array) -> None:
 
 
 def _normal_quantile(u: Array) -> Array:
-    """The standard normal quantile of each entry of u, 0 < u < 1: a numpy
-    port of Cephes ndtri, computed in place when u is C-contiguous (use the
+    """The standard normal quantile of each entry of u, 0 <= u <= 1, with u
+    clipped to [1e-12, 1 - 1e-12] (|quantile| <= 7.04): a numpy port of
+    Cephes ndtri, computed in place when u is C-contiguous (use the
     result).  Each operation is the one Cephes makes, in its order, so the
     centre e^-2 < u <= 1 - e^-2 equals scipy.special.ndtri bit for bit; in
     the tails np.log rounds a few logarithms apart from the C library's
@@ -403,7 +397,7 @@ def _unit_directions(u: Array) -> Array:
         # which the guard below sends to e1: z / |z| is exactly this
         return np.where(u >= 0.5, 1.0, -1.0)
     # in place, as the division below: a draw can be large
-    z = _normal_quantile(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = _normal_quantile(u.copy())
     norms = np.linalg.norm(z, axis=1)
     # a zero direction is essentially impossible with scrambling; guard anyway
     degenerate = norms == 0.0

@@ -344,9 +344,10 @@ class _Attempt:
     evals, jacobians and svds tally the stack calls made so far, each
     raised right after its call: every row still in the attempt did that
     work, which a row adds to its lane's work when it leaves (rejected) or
-    takes its step (_LineLanes.take).  A mask that keeps every row hands
-    back the arrays as they are (pick, leave), as does a stack call's None
-    mask, uncounted; one that keeps no row only empties rows, cutting no
+    takes its step (_LineLanes.take).  The None mask, a stack call's when
+    every row is finite or a caller's that counted its mask, hands back the
+    arrays as they are (pick, leave), uncounted, as does a mask that keeps
+    every row (leave); one that keeps no row only empties rows, cutting no
     aligned array, as every caller then returns."""
 
     def __init__(self, lanes: "_LineLanes", rows: Array, **aligned):
@@ -357,9 +358,9 @@ class _Attempt:
         self.evals = self.jacobians = self.svds = 0
 
     @staticmethod
-    def pick(mask: Array, *arrays) -> tuple:
-        """The rows of each array that mask marks: the arrays themselves when it marks every row."""
-        return arrays if np.count_nonzero(mask) == mask.size else tuple([A[mask] for A in arrays])
+    def pick(mask: Optional[Array], *arrays) -> tuple:
+        """The rows of each array that mask marks; the arrays themselves for mask None (every row)."""
+        return arrays if mask is None else tuple([A[mask] for A in arrays])
 
     def keep(self, good: Array, *arrays) -> list:
         """Cut the rows and every array aligned with them, the given arrays
@@ -645,8 +646,8 @@ class _LineLanes:
                 a.C0 = size
             x_tol = x_rel * np.maximum(norm_x, 1.0) + x_abs
             done = (res <= a.CT) & (size <= x_tol)
-            if np.count_nonzero(done):
-                K1 = _velocities(*a.pick(done, U, s, Vt, a.W))
+            if taken := np.count_nonzero(done):
+                K1 = _velocities(*a.pick(None if taken == done.size else done, U, s, Vt, a.W))
                 if (finite := _finite_rows(K1)) is not None:  # a slope past the float limit: no step to take
                     good = np.ones(len(done), dtype=bool)
                     good[done], K1 = finite, K1[finite]
@@ -655,8 +656,9 @@ class _LineLanes:
                     if not a.rows.size:
                         return
                 if taken := len(K1):
-                    self.take(a, done, r, K1, mu, res, size, x_tol)
-                    if taken == a.rows.size:  # every row took its step
+                    every = taken == a.rows.size
+                    self.take(a, None if every else done, r, K1, mu, res, size, x_tol)
+                    if every:  # every row took its step
                         return
                     dX, size = a.keep(~done, dX, size)
             if r == self.rounds - 1:
@@ -679,9 +681,10 @@ class _LineLanes:
         float limit does not overflow them.  Each row's value is its own,
         and an attempt of one kind of row computes that kind alone."""
         h = a.hermite
-        rows, Q, H, KH = a.pick(h, a.rows, a.Q, a.H, K1)
-        if not rows.size:
+        count = np.count_nonzero(h)
+        if not count:
             return a.Q + a.H[:, None] * K1
+        rows, Q, H, KH = a.pick(None if count == h.size else h, a.rows, a.Q, a.H, K1)
         hp = self.hp.take(rows)[:, None]
         V, VP = hp * KH, hp * self.kp.take(rows, axis=0)
         dq, s = Q - self.qp.take(rows, axis=0), H[:, None] / hp
@@ -692,20 +695,21 @@ class _LineLanes:
         X[h] = P
         return X
 
-    def take(self, a: _Attempt, done: Array, r: int, K1: Array, mu: Array, res: Array, e: Array,
-             x_tol: Array) -> None:
-        """The rows of a that are done in corrector round r take their steps
-        to X, where the slope is K1 (a row per row done), the indicator mu,
-        the residual res, the Newton correction e long and its tolerance
-        x_tol (a row per row of a, picked): the chords and distances from x0
-        as row norms, the next step (next_step), the step's block in pending
-        (whose tally each of them did), and the stops of a lane that reaches
-        t = 1, at the edge or outside the escape ball.  A lane is at the
-        edge, and stops Singular at X with its mu, where the next step is
-        below half an ulp of t < 1, or where mu < 2 mu_floor (the floor cap
-        binds) and the secant's crossing of the floor is within x_tol of X
-        in x: chord (mu - mu_floor) <= x_tol (mu_prev - mu), with the chord
-        of this step."""
+    def take(self, a: _Attempt, done: Optional[Array], r: int, K1: Array, mu: Array, res: Array,
+             e: Array, x_tol: Array) -> None:
+        """The rows of a that are done in corrector round r (every row for
+        done None) take their steps to X, where the slope is K1 (a row per
+        row done), the indicator mu, the residual res, the Newton correction
+        e long and its tolerance x_tol (a row per row of a, picked): the
+        chords and distances from x0 as row norms, the next step
+        (next_step), the step's block in pending (whose tally each of them
+        did), and the stops of a lane that reaches t = 1, at the edge or
+        outside the escape ball.  A lane is at the edge, and stops Singular
+        at X with its mu, where the next step is below half an ulp of t < 1,
+        or where mu < 2 mu_floor (the floor cap binds) and the secant's
+        crossing of the floor is within x_tol of X in x:
+        chord (mu - mu_floor) <= x_tol (mu_prev - mu), with the chord of
+        this step."""
         e_prev = a.C0 if r < 2 else a.D / _CONTRACTION  # the correction before e, exactly: 0.5 is a power of 2
         rows, Q, X, H, T, e_prev, hermite, mu, res, e, x_tol = a.pick(
             done, a.rows, a.Q, a.X, a.H, a.T, e_prev, a.hermite, mu, res, e, x_tol)

@@ -6,8 +6,6 @@ module reports is a solve().  star_probe() lifts one codomain ray per
 direction and reads the reach off the time the lift stopped.
 fibre_enumerate() collects distinct solutions by multistart or by lifting
 closed polygonal loops (monodromy), each segment one solve().
-trivialize() sends nearby points of a submersion's domain to the fibre over
-y, each by a horizontal solve().
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import LiftAborted, LoopNotInImage, NonFinite, OutOfRange, StrategyMismatch
+from .errors import LoopNotInImage, NonFinite, OutOfRange, StrategyMismatch
 from .indicators import _signed_axes
 from .lifting import (
     FlowVerdict,
@@ -385,28 +383,3 @@ def _finish_fibre(yv, points, residuals, shifts) -> FibreReport:
         monodromy_shifts=tuple(shifts),
         discreteness_gap=gap,
     )
-
-
-def trivialize(
-    model: MapModel,
-    y,
-    points: Sequence,
-    opts: Optional[LiftOptions] = None,
-):
-    """Local trivialization for a submersion (m < n): each point p is sent
-    to the fibre over y by solve's horizontal lift of the segment from f(p)
-    to y and its endpoint polish.  Returns a list of (f(p), fibre_point)
-    pairs; raises LiftAborted when a point yields no fibre point."""
-    if model.m >= model.n:
-        raise StrategyMismatch("trivialize needs a submersion with m < n")
-    out_pairs = []
-    for p in points:
-        rep = solve(model, y, x_seed=p, strategy="horizontal", opts=opts)
-        if rep.solution is None:
-            raise LiftAborted(
-                f"trivialize: no fibre point from {rep.x_seed.tolist()}: lift ended "
-                f"{rep.outcome.status.kind}, residual {rep.residual!r}",
-                outcome=rep.outcome,
-            )
-        out_pairs.append((evaluate(model, rep.x_seed), rep.solution))
-    return out_pairs

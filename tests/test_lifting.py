@@ -538,6 +538,24 @@ def test_non_finite_value_rejects_the_step(entry):
     assert out.stats.evals == 2 + out.stats.accepted + out.stats.rejected_nonfinite
 
 
+def test_a_trial_point_past_the_float_limit_rejects_the_step():
+    """identity_1 from 1e308 by w = 1e308: q(t) = 1e308 (1 + t) passes the
+    largest float at t* = (max - 1e308) / 1e308, so every predictor point
+    beyond it is infinite and leaves before any f is taken (nonfinite).
+    The lane stops StepFailure short of t*, within x_tol of it in x."""
+    opts = LiftOptions(r_escape=1.7e308)
+    out = lift_line_square(registry_get("identity_1"), [1e308], [1e308], opts)
+    big = np.finfo(float).max
+    t_star = (big - 1e308) / 1e308
+    x_tol = 10.0 * opts.rel_tol * big + 100.0 * opts.abs_tol
+    assert out.status.kind == "StepFailure"
+    assert out.status.t <= t_star and (t_star - out.status.t) * 1e308 <= x_tol
+    assert out.stats.rejected_nonfinite > 0
+    # an infinite trial point takes no f: f(x0), the first step's probe and
+    # one f per attempt that reached a corrector round
+    assert out.stats.evals < 2 + out.stats.accepted + out.stats.rejected_nonfinite
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_a_step_halved_to_zero_stops_step_failure(entry):
     """From x0 = 1, the end of the finite part, every step toward w = 1e308
@@ -580,6 +598,20 @@ def test_gradient_flow_stats():
     # x0 and at every point taken: an attempt the gain test rejects takes none
     assert st.evals == 1 + st.accepted + st.rejected_error
     assert st.rejected_error > 0 and st.jacobians == st.svds == 1 + st.accepted
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 7])
+def test_gradient_flow_keeps_its_final_point_at_every_stride(stride):
+    """A flow of 9 steps keeps its last point whether or not the stride
+    records step 9 (stride 3 does, 2 and 7 do not): solve reads its
+    candidate off the trajectory's last point."""
+    m, x0, y = linear_map([[1.0], [2.0]]), [0.0], [0.7, 1.4]
+    full, _ = gradient_flow(m, x0, y, LiftOptions(record_stride=1))
+    out, _ = gradient_flow(m, x0, y, LiftOptions(record_stride=stride))
+    assert full.status.is_complete and full.stats.accepted == 9
+    assert out.trajectory.times[-1] == out.status.t == full.status.t
+    assert np.array_equal(out.trajectory.points[-1], full.trajectory.points[-1])
+    assert out.stats == full.stats
 
 
 def test_gradient_flow_rejects_a_step_that_raises_F():
@@ -915,7 +947,7 @@ def test_lockstep_cases_reach_every_mask_shape(monkeypatch):
     pick, leave, predict = lifting._Attempt.pick, lifting._Attempt.leave, lifting._LineLanes.predict
 
     def shape(mask):
-        if mask is None:  # a stack call's mask when every row is finite
+        if mask is None:  # every row: a stack call's when every row is finite, or a counted mask's
             return "every"
         kept = np.count_nonzero(mask)
         return "every" if kept == mask.size else "some" if kept else "none" if mask.size > 1 else "none of one"

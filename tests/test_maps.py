@@ -790,3 +790,21 @@ def test_every_norm_of_src_is_maps_norms():
                                    or module.endswith("linalg")):
                     outside.append(f"{path.name}:{node.lineno}")
     assert outside == []
+
+
+def test_every_error_class_is_raised_in_src():
+    """Each exception class of globinv.errors but the base GlobinvError is
+    raised (raise X or raise X(...)) in another module of the package: a
+    class nothing raises is dead taxonomy."""
+    package = Path(globinv.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {n.name for n in errors.body if isinstance(n, ast.ClassDef)} - {"GlobinvError"}
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert len(classes) >= 10 and classes - raised == set()

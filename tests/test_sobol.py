@@ -125,17 +125,17 @@ def test_normal_quantile_matches_scipy_ndtri():
     sums and quotients enter; in the tails np.log may round a logarithm
     apart from the C library's log, which scipy calls (numpy 2.4 with
     AVX-512 on x86-64: 2.4e-4 of 1.2e8 tail values, by at most 6 ulp).
-    A wrong coefficient or operation moves far more of them."""
+    A wrong coefficient or operation moves far more of them.  Outside
+    [1e-12, 1 - 1e-12], down to 0 and up to 1, u reads as the nearer clip
+    edge."""
     rng = np.random.default_rng(20)
     edges = [1e-12, 1.0 - 1e-12, _EXP_M2, 1.0 - _EXP_M2]
     u = np.concatenate([
         rng.random(1_000_000),
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
         [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
-        # the far tail, y < e^-32, of the second tail approximation
-        10.0 ** -rng.uniform(12.0, 300.0, 10_000),
     ])
-    u = u[u > 0.0]
+    u = u[(u >= 1e-12) & (u <= 1.0 - 1e-12)]
     got = _normal_quantile(u.copy())
     ref = ndtri(u)
     centre = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
@@ -145,6 +145,10 @@ def test_normal_quantile_matches_scipy_ndtri():
     assert _ulps(got[~centre], ref[~centre]).max() <= 8
     assert np.mean(got[~centre] != ref[~centre]) < 1e-3
     assert _normal_quantile(np.array([0.5])).tobytes() == np.array([0.0]).tobytes()
+    low = np.concatenate([10.0 ** -rng.uniform(12.0, 300.0, 10_000), [np.nextafter(1e-12, 0.0), 5e-324, 0.0]])
+    assert np.array_equal(_normal_quantile(low).view(np.uint64), np.full(low.size, ndtri(1e-12)).view(np.uint64))
+    high = np.array([np.nextafter(1.0 - 1e-12, 1.0), 1.0])
+    assert np.array_equal(_normal_quantile(high), _normal_quantile(np.full(2, 1.0 - 1e-12)))
 
 
 def test_normal_quantile_is_odd():

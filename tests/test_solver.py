@@ -7,7 +7,6 @@ from globinv import solver
 from globinv.certificates import graves_certificate
 from globinv.errors import (
     DimensionMismatch,
-    LiftAborted,
     LoopNotInImage,
     OutOfRange,
     StrategyMismatch,
@@ -15,7 +14,7 @@ from globinv.errors import (
 from globinv.indicators import mu_profile
 from globinv.lifting import LiftOptions, lift_line_square
 from globinv.maps import MapModel, linear_map, registry_get
-from globinv.solver import fibre_enumerate, solve, star_probe, trivialize
+from globinv.solver import fibre_enumerate, solve, star_probe
 
 
 def _bisect(f, lo, hi, tol=1e-13):
@@ -541,42 +540,32 @@ def test_newton_polish_propagates_map_errors(outside):
 
 
 # ---------------------------------------------------------------------------
-# trivialize
+# horizontal solves from points of a submersion's domain
 
 
-def test_trivialize_projection():
-    m = registry_get("projection2to1")
-    pairs = trivialize(m, [0.0], [[0.5, 3.0]])
-    (image_pt, fibre_pt), = (pairs[0],)
-    assert image_pt == pytest.approx([0.5])
-    assert np.allclose(fibre_pt, [0.0, 3.0], atol=1e-9)
+def test_solve_horizontal_projection_keeps_the_kernel_coordinate():
+    rep = solve(registry_get("projection2to1"), [0.0], x_seed=[0.5, 3.0], strategy="horizontal")
+    assert rep.strategy == "Horizontal"
+    assert np.allclose(rep.solution, [0.0, 3.0], atol=1e-9)
 
 
-def test_trivialize_parabola():
+def test_solve_horizontal_lands_on_the_parabola_fibre():
     m = registry_get("parabola_sub")
-    pairs = trivialize(m, [0.0], [[0.25, 0.0], [1.25, 1.0]])
-    for (img, fib), src in zip(pairs, ([0.25, 0.0], [1.25, 1.0])):
-        assert img == pytest.approx([m.eval_fn(np.asarray(src))[0]])
-        fib = np.asarray(fib)
-        assert abs(fib[0] - fib[1] ** 2) <= 1e-8  # lands on the zero fibre
+    for seed in ([0.25, 0.0], [1.25, 1.0]):
+        x = solve(m, [0.0], x_seed=seed, strategy="horizontal").solution
+        assert abs(x[0] - x[1] ** 2) <= 1e-8, seed
 
 
-def test_trivialize_continuity():
+def test_solve_horizontal_near_seeds_reach_near_fibre_points():
     m = registry_get("parabola_sub")
-    p = [0.3, 0.7]
-    q = [0.3 + 1e-3, 0.7]
-    (_, fp), (_, fq) = trivialize(m, [0.0], [p, q])
-    assert np.linalg.norm(np.asarray(fp) - np.asarray(fq)) <= 1e-2
+    p = solve(m, [0.0], x_seed=[0.3, 0.7], strategy="horizontal").solution
+    q = solve(m, [0.0], x_seed=[0.3 + 1e-3, 0.7], strategy="horizontal").solution
+    assert np.linalg.norm(p - q) <= 1e-2
 
 
-def test_trivialize_requires_submersion_shape():
-    with pytest.raises(StrategyMismatch):
-        trivialize(registry_get("identity_2"), [0.0, 0.0], [[1.0, 1.0]])
-
-
-def test_trivialize_aborts_outside_image():
+def test_solve_horizontal_outside_the_image_finds_no_solution():
     # first coordinate moves through arctan, second is free; pulling the
-    # image value to 2 leaves the arctan range and the lift must abort
+    # image value to 2 leaves the arctan range, so the lift cannot complete
     sub = MapModel(
         name="arctan_sub",
         n=2,
@@ -584,7 +573,6 @@ def test_trivialize_aborts_outside_image():
         eval_fn=lambda x: np.array([np.arctan(x[0])]),
         jac_fn=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2), 0.0]]),
     )
-    with pytest.raises(LiftAborted) as exc:
-        trivialize(sub, [2.0], [[0.0, 1.0]])
-    assert exc.value.outcome is not None
-    assert exc.value.outcome.status.kind in ("Singular", "Escaped")
+    rep = solve(sub, [2.0], x_seed=[0.0, 1.0], strategy="horizontal")
+    assert rep.solution is None and rep.residual >= 2.0 - np.pi / 2
+    assert rep.outcome.status.kind in ("Singular", "Escaped")
