@@ -66,7 +66,12 @@ lift_line_horizontal check the shape and make a one-row call.
 gradient_flow integrates x' = -grad F_y.  Each call builds one object that
 holds the model and runs itself: start() takes the facts at x0, run()
 makes attempts (attempt) until it has stopped, and the outcome is read off
-it; no method below the constructor takes the model.
+it; no method below the constructor takes the model.  The row count of W
+picks the object: a one-row call (every solve, fibre-loop segment and
+multistart seed) runs one scalar lane, _LineLane; a call of two rows or
+more (star rays, test lifts, verification sweeps), the lanes of
+_LineLanes.  Both make the same lift of a row, bit for bit, so a lane's
+LiftOutcome does not depend on the call it is in.
 
 _LineLanes holds the K lanes of a lift_lines call under one step
 controller: each lane's t, step size, point, slope, last step taken (its
@@ -90,10 +95,16 @@ singular rows) and one exit for every row cut.  Its points are its own
 float (K, n) arrays, so a round takes f and J by maps._evaluate_stack and
 maps._jacobian_stack, which skip evaluate_stack's shape check.
 
+_LineLane is the one lane of a one-row call, its books in Python floats
+and ints, as _Flow's are: it spends none of the per-row array bookkeeping
+(masks, takes, _Attempt, the fold) that a lone row does not need.
+
 _Flow is one Levenberg-Marquardt lane with Python scalars for its t, step
 size, F, mu and LiftStats counters: one f per attempt, the gain test (F
 must fall by a share of the model's predicted fall), J and its SVD at each
-point taken, and time-doubling windows give the verdict.
+point taken, and time-doubling windows give the verdict.  F and the falls
+it is compared with are held in units of a power of two fixed at x0, so a
+target whose |r(x0)|^2 overflows is still reached.
 """
 
 from __future__ import annotations
@@ -294,7 +305,9 @@ class FlowVerdict:
     plateaus at `level` while the gradient vanishes and the iterates keep
     moving), diverged (the flow left the escape ball), or undecided (the
     step budget or a step collapse stopped the flow with neither root,
-    critical-point nor PS evidence)."""
+    critical-point nor PS evidence).  level is F = |r|^2 / 2 where the
+    flow stopped, None where that is past the largest float (a target
+    past about 1e154, at root scale)."""
 
     kind: str
     level: Optional[float] = None
@@ -416,9 +429,10 @@ class _Attempt:
 
 
 class _LineLanes:
-    """The K lanes of a lift_lines call, on the curves f(q(t)) = f(x0) + t w
-    for t from 0 to 1, under one step controller.  Every per-lane fact the
-    lift reads is a row of an array: t, the step size h, the point q and
+    """The K >= 2 lanes of a lift_lines call, on the curves
+    f(q(t)) = f(x0) + t w for t from 0 to 1, under one step controller (a
+    one-row call runs _LineLane, the same lift of its row).  Every per-lane
+    fact the lift reads is a row of an array: t, the step size h, the point q and
     its slope k1 (norm_k1 long), mu at q, the mu of the last singular
     rejection since a step was taken (last_singular_mu, NaN for none), the
     rejections by cause (one column per cause in _CAUSES), whether the
@@ -790,19 +804,18 @@ class _LineLanes:
         return np.minimum(h_next, 1.0 - T)
 
     def fold(self) -> None:
-        """Fold the pending steps, by lane (a lone lane's are so already) in
-        step order, into work (each block's tally), accepted, length (the
-        chords summed one by one, as the steps add up), h_min, max_drift,
-        residual (that of each lane's last step) and one record block."""
+        """Fold the pending steps, by lane in step order, into work (each
+        block's tally), accepted, length (the chords summed one by one, as
+        the steps add up), h_min, max_drift, residual (that of each lane's
+        last step) and one record block."""
         if not self.pending:
             return
         sizes = [len(block[0]) for block in self.pending]
         rows, *columns = map(np.concatenate, zip(*self.pending))
         np.add.at(self.work, rows, np.repeat(self.tallies, sizes, axis=0))
         self.pending, self.tallies = [], []
-        if len(self.t) > 1:
-            order = np.argsort(rows, kind="stable")
-            rows, *columns = rows[order], *(A[order] for A in columns)
+        order = np.argsort(rows, kind="stable")
+        rows, *columns = rows[order], *(A[order] for A in columns)
         T, X, mu, H, chords, res = columns
         counts = np.bincount(rows, minlength=len(self.t))
         firsts = np.cumsum(counts) - counts
@@ -834,9 +847,8 @@ class _LineLanes:
         last = (self.kept_t != self.t).nonzero()[0]
         final = (last, self.t[last], self.q[last], self.mu[last])
         rows, T, X, mu = map(np.concatenate, zip(*self.records, final))
-        if len(self.t) > 1:
-            order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
-            T, X, mu = T[order], X[order], mu[order]
+        order = np.argsort(rows, kind="stable")  # by lane, in time within a lane
+        T, X, mu = T[order], X[order], mu[order]
         ends = np.cumsum(np.bincount(rows, minlength=len(self.t))).tolist()
         out, a = [], 0
         for k, (b, length, steps, rejected, work_k, h_min, residual, drift) in enumerate(zip(
@@ -851,11 +863,246 @@ class _LineLanes:
         return out
 
 
+def _divide(a: float, b: float) -> float:
+    """a / b for floats a, b >= 0 as numpy divides them: inf or NaN where b is 0."""
+    if b:
+        return a / b
+    return math.inf if a > 0.0 else math.nan
+
+
+class _LineLane:
+    """The one lane of a one-row lift_lines call: the lift _LineLanes makes
+    of that row, its books in Python floats and ints, as _Flow keeps its
+    own.  t, the step size h, mu, h_scale, the mu of the last singular
+    rejection, the tolerances, the corrections, the step rule, the stops
+    and the LiftStats counters are scalars; the point q, its slope k1 and
+    the last step's point and slope (qp, kp; its size hp, 0 before the
+    first) are one-row stacks.  Every number that is not elementwise comes
+    from the kernels _LineLanes calls (maps._finite_rows, _evaluate_stack,
+    _jacobian_stack, _svd, _norms, _velocities) on one-row stacks, and
+    every scalar formula repeats _LineLanes' arithmetic in its order with
+    IEEE operations only (NaN and division by zero included: the order of
+    each test, _divide), so the outcome is that of the same row in a call
+    of any number of rows.  Work is counted as it is done: every attempt
+    ends in a rejection or a step taken, which add their tally."""
+
+    def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
+        self.model, self.x0, self.w, self.opts = model, x0v, W, opts
+        self.square = model.m == model.n
+        self.rounds = 4 if self.square else 3  # as _LineLanes.rounds
+        self.t = self.h = self.mu = self.length = self.residual = self.max_drift = 0.0
+        self.h_min, self.last_singular_mu, self.h_scale, self.hp = math.inf, math.nan, 1.0, 0.0
+        self.q = x0v[None]
+        self.accepted, self.rejected = 0, [0, 0, 0]  # rejected: by _CAUSES
+        self.evals = self.jacobians = self.svds = 1  # f(x0), J(x0) and its SVD
+        self.status = None
+        self.times, self.points, self.mu_values = [], [], []
+        self.norm_w = float(_norms(W)[0])
+        self.x_rel, self.x_abs = 10.0 * opts.rel_tol, 100.0 * opts.abs_tol
+        self.complete_tol = self.x_rel * max(self.norm_w, 1.0) + self.x_abs
+        self.mu_least = max(opts.mu_floor, 5e-324)
+
+    def record(self) -> None:
+        """Keep t, q and mu: the base point, every record_stride-th step and the final point."""
+        self.kept_t = self.t
+        self.times.append(self.t)
+        self.points.append(self.q)
+        self.mu_values.append(self.mu)
+
+    def stop(self, status: LiftStatus) -> None:
+        self.status = status
+
+    def start(self) -> None:
+        """_LineLanes.start of the lane: f(x0), J(x0) and its SVD, the stops
+        at x0, the blind step h_a (h_scale) and the first step (first_step)."""
+        self.f0 = evaluate(self.model, self.x0)
+        U, s, Vt = _svd(jacobian(self.model, self.x0))
+        self.mu = mu = float(s[-1])
+        self.record()
+        if mu < self.opts.mu_floor:
+            return self.stop(LiftStatus.singular(0.0, mu))
+        if self.norm_w == 0.0:
+            self.t = 1.0
+            return self.stop(LiftStatus.complete(1.0))
+        if not 0.0 < mu < math.inf:
+            return self.stop(LiftStatus.singular(0.0, mu))
+        U, s, Vt = U[None], s[None], Vt[None]
+        self.k1 = _velocities(U, s, Vt, self.w)
+        if _finite_rows(self.k1) is not None:
+            return self.stop(LiftStatus.step_failure(0.0))
+        self.norm_k1 = float(_norms(self.k1)[0])
+        h = 0.01 * (1.0 + _norms(self.x0)) / (1.0 + self.norm_k1)
+        self.h_scale = H = 0.2 if 0.2 < h else h  # np.minimum(0.2, h), a NaN h kept
+        self.h = self.first_step(H, U, s, Vt)
+
+    def first_step(self, H: float, U: Array, s: Array, Vt: Array) -> float:
+        """_LineLanes.first_step of the lane, from the blind step H: one f
+        at the Euler point x0 + H k1 measures the predictor's error."""
+        h, norm_k1 = H, self.norm_k1
+        P = self.x0 + H * self.k1
+        if _finite_rows(P) is None:
+            F, good = _evaluate_stack(self.model, P)
+            self.evals += 1
+            if good is None:
+                R = F - (self.f0 + H * self.w)
+                e1 = float(_norms(_velocities(U, s, Vt, R))[0])
+                allowed = _PROBE * _GUARD * H * norm_k1
+                g = _GROW * _GROW
+                if allowed < g * e1:  # so e1 > 0
+                    g = allowed / e1
+                if not e1 < math.inf:
+                    g = 1.0
+                h = min(H * max(g, 1.0), 1.0)
+        if self.opts.r_escape is not None and h * norm_k1 > self.opts.r_escape:
+            h = self.opts.r_escape / norm_k1
+        return max(h, H)
+
+    def run(self) -> None:
+        """Make attempts until the lane has stopped or reached t = 1; it
+        stops StepFailure once it has taken max_steps steps."""
+        while self.status is None and self.t < 1.0:
+            if self.accepted >= self.opts.max_steps:
+                return self.stop(LiftStatus.step_failure(self.t))
+            self.attempt()
+
+    def attempt(self) -> None:
+        """_LineLanes.attempt and predict of the lane: the predictor, then up
+        to self.rounds corrector rounds, each f, J and its SVD at X as
+        one-row stacks, until the lane takes its step (take) or is rejected
+        (reject, by _CAUSES)."""
+        H, W, Q, K1 = self.h, self.w, self.q, self.k1
+        T = self.t + H
+        if T >= 1.0 - 1e-15:
+            T = 1.0
+        hermite = self.hp > 0.0 and self.square
+        Y = self.f0 + T * W
+        D = _GUARD * H * self.norm_k1
+        if hermite:
+            hp = self.hp
+            V, VP = hp * K1, hp * self.kp
+            dq, s = Q - self.qp, H / hp
+            X = Q + s * (V + s * ((2.0 * V - 3.0 * dq + VP) + s * (V - 2.0 * dq + VP)))
+        else:
+            X = Q + H * K1
+        for r in range(self.rounds):
+            if _finite_rows(X) is not None:
+                return self.reject(_CAUSES["nonfinite"])
+            F, good = _evaluate_stack(self.model, X)
+            self.evals += 1
+            if good is not None:
+                return self.reject(_CAUSES["nonfinite"])
+            J, good = _jacobian_stack(self.model, X)
+            self.jacobians += 1
+            if good is not None:
+                return self.reject(_CAUSES["nonfinite"])
+            U, s, Vt = _svd(J)
+            self.svds += 1
+            mu = float(s[0, -1])
+            if not (mu >= self.mu_least and mu < math.inf):
+                return self.reject(_CAUSES["singular"], mu)
+            R = F - Y
+            dX = _velocities(U, s, Vt, R)  # the Newton step is -dX
+            if self.square:
+                res, size, norm_x = _norms(np.concatenate([R, dX, X])).tolist()
+            else:
+                (res,), (size, norm_x) = _norms(R).tolist(), _norms(np.concatenate([dX, X])).tolist()
+            if r == 0:
+                C0 = size
+            x_tol = self.x_rel * max(norm_x, 1.0) + self.x_abs
+            if res <= self.complete_tol and size <= x_tol:
+                K1 = _velocities(U, s, Vt, W)
+                if _finite_rows(K1) is not None:  # a slope past the float limit: no step to take
+                    return self.reject(_CAUSES["nonfinite"])
+                e_prev = C0 if r < 2 else D / _CONTRACTION  # the correction before size
+                return self.take(H, T, X, K1, r, mu, res, e_prev, size, x_tol, hermite)
+            if r == self.rounds - 1 or not size <= D:
+                return self.reject(_CAUSES["error"])
+            X = X - dX
+            D = _CONTRACTION * size
+
+    def reject(self, cause: int, mu: Optional[float] = None) -> None:
+        """_LineLanes.reject of the lane: count the cause, keep a singular
+        rejection's mu, halve the step, and stop when it has collapsed."""
+        self.rejected[cause] += 1
+        if mu is not None:
+            self.last_singular_mu = mu
+        self.h *= 0.5
+        if self.h <= _H_MIN * max(self.h_scale, self.t):
+            t, mu = self.t, self.last_singular_mu
+            self.stop(LiftStatus.step_failure(t) if math.isnan(mu) else LiftStatus.singular(t, mu))
+
+    def take(self, H: float, T: float, X: Array, K1: Array, r: int, mu: float, res: float, e_prev: float,
+             e: float, x_tol: float, hermite: bool) -> None:
+        """_LineLanes.take and fold of the lane: the step of size H to X at
+        T, taken in round r with slope K1, indicator mu, residual res and a
+        correction e long (e_prev the one before, x_tol its tolerance)."""
+        chord, dist, norm_k1 = _norms(np.concatenate([X - self.q, X - self.x0, K1])).tolist()
+        mu_prev = self.mu
+        h_next = self.next_step(H, T, r, e_prev, e, x_tol, mu_prev, mu, hermite)
+        self.qp, self.kp, self.hp = self.q, self.k1, H
+        self.q, self.k1, self.norm_k1 = X, K1, norm_k1
+        self.t, self.mu, self.h = T, mu, h_next
+        self.last_singular_mu = math.nan
+        self.accepted += 1
+        self.length += chord
+        self.h_min = min(self.h_min, H)
+        if res > self.max_drift:
+            self.max_drift = res
+        self.residual = res
+        if self.accepted % self.opts.record_stride == 0:
+            self.record()
+        floor = self.opts.mu_floor
+        low = mu < 2.0 * floor
+        if h_next < _H_MIN or low:  # the edge test of _LineLanes.take
+            drop = mu_prev - mu
+            crossing = low and drop > 0.0 and chord * (mu - floor) <= x_tol * drop
+            if (T + h_next == T or crossing) and T < 1.0:
+                return self.stop(LiftStatus.singular(T, mu))
+        if self.opts.r_escape is not None and dist > self.opts.r_escape:
+            self.stop(LiftStatus.escaped(T, dist))
+
+    def next_step(self, H: float, T: float, r: int, e_prev: float, e: float, x_tol: float, mu_prev: float,
+                  mu_new: float, hermite: bool) -> float:
+        """_LineLanes.next_step of the lane, in its order."""
+        if r == 0:
+            h_next = _GROW * H
+        else:
+            last, ahead = e, self.rounds - 1 - r
+            if ahead:
+                last = _divide(e * e * e, e_prev * e_prev)
+                if ahead == 2:
+                    q = _divide(e, e_prev)
+                    last = last * (q * q) * (q * q)
+            root = _AIM * x_tol / (1e-300 if last < 1e-300 else last)  # np.maximum: a NaN kept
+            for _ in range(self.rounds + hermite):
+                root = math.sqrt(root)
+            h_next = H * (root if root < _GROW else _GROW)  # np.fmin: a NaN root grows _GROW times
+        if mu_new < mu_prev:
+            share = min(0.5 * mu_new, mu_new - self.opts.mu_floor)
+            h_next = min(h_next, H * share / max(mu_prev - mu_new, 1e-300))
+        return min(h_next, 1.0 - T)
+
+    def outcomes(self) -> list:
+        """The lane's LiftOutcome, as _LineLanes.outcomes reads it, in a list."""
+        if self.kept_t != self.t:
+            self.record()
+        trajectory = LiftTrajectory(times=np.array(self.times), points=np.concatenate(self.points),
+                                    mu_values=np.array(self.mu_values), length=self.length)
+        stats = LiftStats(self.accepted, *self.rejected, self.evals, self.jacobians, self.svds, self.h_min)
+        status = self.status or LiftStatus.complete(1.0)
+        return [LiftOutcome(trajectory, status, self.residual, self.max_drift, stats)]
+
+
 class _Flow:
     """The residual gradient flow x' = -grad F_y from t = 0, by linearly
     implicit Euler steps, t the sum of their sizes.  t, the step size h, F,
     |r|, |grad F| and mu at q and the LiftStats counters (stats) are Python
-    scalars.  A step taken grows h _STEP times, a rejection shrinks it so,
+    scalars.  F, the model's predicted fall and F's rounding scale are held
+    in units of scale^2, scale a power of two fixed at x0: 1, unless
+    |r(x0)|^2 would overflow, and then the power of two at or below the
+    largest |r_i(x0)|, so that the gain test and the stall test compare
+    finite numbers; |r|, |grad F|, the level and the residual reported are
+    not scaled.  A step taken grows h _STEP times, a rejection shrinks it so,
     and every time-doubling window ends in a verdict or goes on.  The flow
     runs until a verdict, the escape stop, a step collapse or the step
     budget; its trajectory keeps the base point and every record_stride-th
@@ -892,10 +1139,15 @@ class _Flow:
         self.critical = self.gn <= _CRIT_TOL * float(self.s[0]) * self.rn
 
     def start(self) -> None:
-        """f(x0), J(x0) and its SVD; a non-finite gradient or energy F at x0
-        raises NonFinite."""
+        """f(x0), J(x0) and its SVD, and the scale of F; a non-finite
+        gradient or energy F at x0 raises NonFinite."""
         r = evaluate(self.model, self.x0) - self.y
+        self.scale = 1.0
         F = 0.5 * float(r @ r)
+        if F == math.inf and _finite_rows(r[None]) is None:  # r / scale is exact above the subnormals
+            self.scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r))))[1] - 1)
+            rs = r / self.scale
+            F = 0.5 * float(rs @ rs)
         self.at(self.x0, r, F, jacobian(self.model, self.x0))
         if not (F < math.inf and self.gn < math.inf):
             raise NonFinite(f"gradient_flow({self.model.name}): non-finite gradient or energy at x0")
@@ -922,7 +1174,8 @@ class _Flow:
         f, F or J rejects the attempt (nonfinite), and so does the gain test
         (error): F must fall by at least _GAIN of the fall of the model
         |r + J dx|^2 / 2, sum(c^2 b (2 - b)) / 2 with b = s^2 / (s^2 + 1/h),
-        less F's rounding scale _ROUNDING |r| (|r| + |y|)."""
+        less F's rounding scale _ROUNDING |r| (|r| + |y|), all three in
+        units of scale^2."""
         s, c = self.s, self.c
         z = s / (s * s + 1.0 / self.h)
         X = self.q - self.Vt.T @ (z * c)
@@ -933,12 +1186,13 @@ class _Flow:
         if good is not None:
             return self.reject("nonfinite")
         r = R[0] - self.y
-        F = 0.5 * float(r @ r)
+        rs = r / self.scale  # F in units of scale^2
+        F = 0.5 * float(rs @ rs)
         if not F < math.inf:
             return self.reject("nonfinite")
-        b = s * z
+        b, c, scale = s * z, c / self.scale, self.scale
         predicted = 0.5 * float(np.sum(c * c * b * (2.0 - b)))
-        rounding = _ROUNDING * self.rn * (self.rn + self.norm_y)
+        rounding = _ROUNDING * (self.rn / scale) * (self.rn / scale + self.norm_y / scale)
         if not self.F - F + rounding >= _GAIN * predicted:  # a NaN is rejected
             return self.reject("error")
         self.stats.jacobians += 1
@@ -1016,8 +1270,10 @@ class _Flow:
         return self.q - self.Vt.T @ np.divide(c, s, out=np.zeros_like(c), where=s > 0.0)
 
     def conclude(self, kind: str, status: Optional[LiftStatus] = None) -> None:
-        """Give the verdict at the current level and, with a status, stop."""
-        self.verdict = FlowVerdict(kind, level=self.F, grad_norm=self.gn)
+        """Give the verdict at the current level, unscaled (None past the
+        float limit), and, with a status, stop."""
+        level = self.F * self.scale * self.scale
+        self.verdict = FlowVerdict(kind, level=level if level < math.inf else None, grad_norm=self.gn)
         if status is not None:
             self.status = status
 
@@ -1038,7 +1294,7 @@ class _Flow:
         points = np.array(self.points).reshape(len(self.times), self.x0.size)
         trajectory = LiftTrajectory(times=np.array(self.times), points=points,
                                     mu_values=np.array(self.mu_values), length=self.length)
-        residual = float(np.sqrt(2.0 * self.F))
+        residual = float(np.sqrt(2.0 * self.F)) * self.scale
         return LiftOutcome(trajectory, self.status, residual, 0.0, self.stats), self.verdict
 
 
@@ -1065,15 +1321,16 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W.
 
     Every line lift runs here, by Euler-Newton continuation.  f(x0), J(x0)
-    and its SVD are computed once and counted in every lane.  The rows run
-    in lockstep as one (K, n) state under one step controller (_LineLanes),
-    one row as many: every lane's t, step size, point, slope and
-    rejections are rows of arrays, and a lane leaves the batch when it
-    stops; every attempt makes one predictor (cubic Hermite through a
-    square lane's last two points, else Euler's tangent), then every
-    corrector round one f stack, one Jacobian stack (each counts its finite
-    rows once) and one SVD over the lanes still in it, and takes the lanes
-    that meet the tolerances (LiftOptions) at once.  Every accepted point
+    and its SVD are computed once and counted in every lane.  One row runs
+    as one scalar lane (_LineLane), whose t, step size, mu and counters are
+    Python numbers.  Two rows or more run in lockstep as one (K, n) state
+    under one step controller (_LineLanes): every lane's t, step size,
+    point, slope and rejections are rows of arrays, and a lane leaves the
+    batch when it stops.  Either way every attempt makes one predictor
+    (cubic Hermite through a square lane's last two points, else Euler's
+    tangent), then every corrector round one f stack, one Jacobian stack
+    (each counts its finite rows once) and one SVD over the lanes still in
+    it, and takes the lanes that meet the tolerances (LiftOptions) at once.  Every accepted point
     lies within complete_tol of its line, so max_drift, the largest
     residual of an accepted point, and target_residual, that of the last
     one, are within it too (0 for a lane that took no step).  Square and
@@ -1096,7 +1353,7 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
         raise OutOfRange(f"lift_lines: w (row {k} of W) must be finite, got {Wv[k]!r}")
     if not len(Wv):
         return []
-    lanes = _LineLanes(model, x0v, Wv, opts)
+    lanes = (_LineLane if len(Wv) == 1 else _LineLanes)(model, x0v, Wv, opts)
     lanes.start()
     lanes.run()
     return lanes.outcomes()

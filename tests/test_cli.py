@@ -198,6 +198,17 @@ def test_solve_far_target_exits_0(name, y, tmp_path):
     assert 1e-8 < result["residual"] <= 1e-8 * np.linalg.norm(y)
 
 
+def test_gradient_flow_solve_toward_a_far_target_exits_0(tmp_path):
+    """The gradient flow toward (1e300, 1e300), where |r(x0)|^2 overflows,
+    solves the job as the default lift of the same job does."""
+    job = {"map": "identity_2", "command": "solve", "y": [1e300, 1e300], "strategy": "gradient_flow",
+           "opts": {"r_escape": 1e308}}
+    assert run_job(job, out_override=tmp_path) == 0
+    result = _read_report(tmp_path)["result"]
+    assert result["solution"] is not None and result["flow_verdict"]["kind"] == "converged"
+    assert run_job({**job, "strategy": "auto"}, out_override=tmp_path / "lift") == 0
+
+
 def test_solve_with_a_stride_past_int64_exits_0(tmp_path):
     """A record_stride past any int64 step count keeps the base point and
     the final point of the lift."""
@@ -243,14 +254,23 @@ def test_non_finite_result_exits_3_with_strict_report(tmp_path, capsys, monkeypa
 
 
 def test_solve_overflowing_energy_exits_3(tmp_path, capsys):
-    """x = 1e160 solves the system, but the flow energy overflows at the
-    seed: the job fails with a strict-JSON report instead of a converged
-    verdict at an infinite level."""
+    """x = 1e160 solves the system, and the flow energy overflows at the
+    seed: the flow holds it in units of a power of two, so it runs, and
+    leaves the default escape ball (r_escape 1e6) long before the root; the
+    job fails with a strict-JSON report that says so, its level past the
+    largest float written as null, never as an infinite level.  With the
+    escape ball past the root, the same job is solved."""
     job = {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [1e160, 2e160]}
     assert run_job(job, out_override=tmp_path) == 3
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "NonFinite"
-    error = _read_report(tmp_path)["result"]["error"]
-    assert error["type"] == "NonFinite" and "energy" in error["message"]
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "GlobinvError"
+    result = _read_report(tmp_path)["result"]
+    assert result["solution"] is None and result["status"]["kind"] == "Escaped"
+    assert result["flow_verdict"]["kind"] == "diverged" and result["flow_verdict"]["level"] is None
+    job["opts"] = {"r_escape": 1e308}
+    assert run_job(job, out_override=tmp_path / "far") == 0
+    result = _read_report(tmp_path / "far")["result"]
+    assert result["solution"] == [pytest.approx(1e160, rel=1e-12)]
+    assert result["flow_verdict"]["kind"] == "converged"
 
 
 def test_certify_success_exit_0(tmp_path):
@@ -851,7 +871,8 @@ _LAYOUT_JOBS = [
     (0, {"map": "complex_exp", "command": "star", "directions": [[1.0, 0.0], [0.0, -1.0]], "t_budget": 5.0}),
     (0, {"map": "complex_exp", "command": "fibre", "y": [1.0, 0.0],
          "loop": [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "max_points": 3}),
-    (3, {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [1e160, 2e160]}),
+    # |grad F| = |J^T r| at the seed is past the largest float: NonFinite
+    (3, {"map": "linear", "command": "solve", "matrix": [[1.0], [2.0]], "y": [1e308, 1.7e308]}),
 ]
 
 

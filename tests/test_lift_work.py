@@ -4,9 +4,10 @@ The ceilings: seed-7 runs of the chain, sweep and profile_ladder workloads
 must exit 0 (so every report they write is on the json.dumps layout) and
 stay within the counts of CEILINGS, so the lifts' and the sampler's work
 is gated on deterministic counts, not on wall time.  The tool itself: one
-seed-7 chain cycle, whose summed lift work, call events, corrector rounds
-per attempt, lockstep attempts, Sobol draws, LAPACK SVDs and output digest
-two runs must print alike, and which it counts at the public lift entry
+seed-7 chain cycle, whose summed lift work, call events (all, and those of
+one-row and multi-row line-lift calls apart), corrector rounds per
+attempt, lockstep attempts, Sobol draws, LAPACK SVDs and output digest two
+runs must print alike, and which it counts at the public lift entry
 points of any tree; unit tests of its lockstep attempt count, of its output
 digest and of its report layout check, and a run that the layout check
 fails."""
@@ -60,10 +61,11 @@ def _lift_work(*args: str) -> str:
 def _table(out: str) -> dict:
     """The rows of the tool's output between its header and its digest, by
     name: a LiftStats row maps the columns (lines, flows) to its cells; a
-    lockstep, sobol or lapack row maps each of its labels to the value after
-    it ("sobol draws 47 points 72764")."""
+    one-row, multi-row, lockstep, sobol or lapack row maps each of its
+    labels to the value after it ("sobol draws 47 points 72764")."""
     _, columns, *rows, _ = out.splitlines()
-    return {name: dict(zip(cells[::2], cells[1::2])) if name in ("lockstep", "sobol", "lapack")
+    return {name: dict(zip(cells[::2], cells[1::2]))
+            if name in ("one-row", "multi-row", "lockstep", "sobol", "lapack")
             else dict(zip(columns.split(), cells)) for name, *cells in map(str.split, rows)}
 
 
@@ -92,7 +94,7 @@ def test_lift_work_counts_repeat():
     table = _table(first)
     assert list(table) == ["lanes", "accepted", "rejected_error", "rejected_singular", "rejected_nonfinite",
                            "evals", "jacobians", "svds", "events", "events/attempt", "events/lane",
-                           "rounds/attempt", "lockstep", "sobol", "lapack"]
+                           "rounds/attempt", "one-row", "multi-row", "lockstep", "sobol", "lapack"]
     counts = {name: {column: int(cell) for column, cell in table[name].items()} for name in list(table)[:9]}
     assert counts["lanes"]["lines"] > 0 and counts["lanes"]["flows"] > 0
     assert all(counts[name]["flows"] > 0 for name in ("accepted", "evals", "jacobians", "svds"))
@@ -108,6 +110,14 @@ def test_lift_work_counts_repeat():
     # a flow attempt is no corrector round
     rounds = (counts["jacobians"]["lines"] - counts["lanes"]["lines"]) / attempts["lines"]
     assert table["rounds/attempt"] == {"lines": f"{rounds:.2f}", "flows": "-"} and 1.0 <= rounds <= 4.0
+    # the line-lift events of one-row calls and of the others, apart: every
+    # solve and fibre segment is a one-row call, every star a multi-row one
+    shapes = {kind: table[kind] for kind in ("one-row", "multi-row")}
+    assert all(list(cells) == ["calls", "events", "events/attempt"] for cells in shapes.values())
+    split = {kind: int(cells["events"]) for kind, cells in shapes.items()}
+    assert sum(split.values()) == counts["events"]["lines"] and min(split.values()) > 0
+    assert min(int(cells["calls"]) for cells in shapes.values()) > 0
+    assert all(0.0 < float(cells["events/attempt"]) < split[kind] for kind, cells in shapes.items())
     # the lanes of a call attempt together: the calls make at least the
     # attempts of the busiest lane (so of the mean lane) and at most those
     # of every lane
@@ -130,7 +140,7 @@ def test_lift_work_counts_a_tree_by_its_public_entry_points(tmp_path):
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     lifting = src / "globinv" / "lifting.py"
-    lifting.write_text(lifting.read_text().replace("_LineLanes", "_Lanes").replace("_Flow", "_FlowLift"))
+    lifting.write_text(lifting.read_text().replace("_LineLane", "_Lane").replace("_Flow", "_FlowLift"))
     assert _lift_work("--src", str(src)) == _this_tree()
 
 
@@ -224,19 +234,25 @@ def test_digest_sees_every_byte_but_the_rerun_values(tmp_path):
 def test_lockstep_attempts_are_the_attempts_of_the_call(monkeypatch):
     """lockstep_attempts reads from a lift_lines call's outcomes the
     attempts the call made: lanes that stop at x0, after a rejection, at
-    the step budget or on the way, next to lanes that complete."""
-    made, attempt = [], lifting._LineLanes.attempt
+    the step budget or on the way, next to lanes that complete; of a
+    one-row call, which _LineLane runs, the attempts of its lane."""
+    made = []
 
-    def spy(self, rows):
-        made[-1] += 1
-        return attempt(self, rows)
+    def spy(attempt):
+        def counted(self, *args):
+            made[-1] += 1
+            return attempt(self, *args)
+        return counted
 
-    monkeypatch.setattr(lifting._LineLanes, "attempt", spy)
+    for lanes in (lifting._LineLanes, lifting._LineLane):
+        monkeypatch.setattr(lanes, "attempt", spy(lanes.attempt))
     calls = [
         (registry_get("complex_exp"), [0.0, 0.0], [[0.5, 0.2], [-0.9, 0.0], [0.0, 0.0], [3.0, 0.0]],
          LiftOptions(r_escape=1.0)),
         (registry_get("arctan1d"), [0.0], [[2.0], [0.7]], LiftOptions(mu_floor=0.9)),
         (registry_get("monotone1d"), [0.0], [[40.0], [0.01]], LiftOptions(max_steps=4)),
+        (registry_get("arctan1d"), [0.0], [[2.0]], LiftOptions(mu_floor=0.9)),
+        (registry_get("monotone1d"), [0.0], [[40.0]], LiftOptions(max_steps=4)),
         (registry_get("identity_1"), [2.0], [[0.0]], None),
     ]
     counted = []

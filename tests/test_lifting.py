@@ -240,20 +240,28 @@ def test_a_linear_lane_takes_the_largest_first_step(model, x0):
 def test_a_far_solve_takes_its_first_attempt(monkeypatch):
     """complex_exp from 0 toward y = (-100, 5), |w| about 101: the probe
     sizes the first step at some 20 blind steps, past the first growth the
-    controller would make, and the first attempt takes it."""
-    rejected, reject = [], lifting._LineLanes.reject
+    controller would make, and the first attempt takes it.  solve lifts
+    one row, so the lane is a _LineLane; its attempts are numbered by the
+    steps and rejections it counted before each."""
+    made, rejected, attempt, reject = [], [], lifting._LineLane.attempt, lifting._LineLane.reject
 
-    def spy(self, *args, **kwargs):
-        rejected.append(self.attempts)
+    def spy_attempt(self):
+        made.append(self.accepted + sum(self.rejected) + 1)
+        return attempt(self)
+
+    def spy_reject(self, *args, **kwargs):
+        rejected.append(made[-1])
         return reject(self, *args, **kwargs)
 
-    monkeypatch.setattr(lifting._LineLanes, "reject", spy)
+    monkeypatch.setattr(lifting._LineLane, "attempt", spy_attempt)
+    monkeypatch.setattr(lifting._LineLane, "reject", spy_reject)
     model = registry_get("complex_exp")
     rep = solve(model, [-100.0, 5.0], x_seed=[0.0, 0.0])
     assert rep.solution is not None and rep.outcome.status.is_complete
     h_a = _blind_step(model, [0.0, 0.0], np.array([-100.0, 5.0]) - evaluate(model, [0.0, 0.0]))
     assert rep.outcome.trajectory.times[1] > lifting._GROW * h_a
-    assert 1 not in rejected
+    st = rep.outcome.stats
+    assert made == list(range(1, st.accepted + st.rejected_error + 1)) and 1 not in rejected
 
 
 def test_the_probe_is_one_stack_counted_in_evals(monkeypatch):
@@ -774,6 +782,34 @@ def test_gradient_flow_pinned(label, model, x0, y, opts, stats, status, verdict,
     assert out.trajectory.points[-1].tolist() == x_end
 
 
+@pytest.mark.parametrize("name, x0, y", [
+    ("identity_2", [0.0, 0.0], [1e300, 1e300]),
+    ("identity_2", [1.0, -2.0], [-6e307, 6e307]),
+    ("identity_2", [0.0, 0.0], [1e160, -1e160]),
+    ("linear_tall", [0.0], [1e300, 2e300]),
+    ("linear_tall", [0.0], [1e200, 3e200]),  # off the image: x* = 1.4e200
+])
+def test_gradient_flow_toward_a_far_target_converges(name, x0, y):
+    """F = |r|^2 / 2 overflows at x0 when |r(x0)| is past about 1.3e154:
+    the flow holds F, its predicted fall and its rounding term in units of
+    a power of two fixed at x0, so it converges at the least-squares
+    minimiser x* (the root, where there is one), as the lift does, and
+    reports its residual and level unscaled: the level is |r|^2 / 2 at
+    its end, None where that is past the largest float."""
+    model = linear_map([[1.0], [2.0]]) if name == "linear_tall" else registry_get(name)
+    out, verdict = gradient_flow(model, x0, y, LiftOptions(r_escape=1e308))
+    assert verdict.kind == "converged" and out.status.kind == "Complete"
+    A = maps.jacobian(model, x0)
+    x_star = np.linalg.lstsq(A, np.asarray(y), rcond=None)[0]
+    assert np.all(np.abs(out.trajectory.points[-1] - x_star) <= 1e-8 * np.abs(x_star))
+    residual = out.target_residual
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled
+        assert residual == pytest.approx(maps._norms(A @ out.trajectory.points[-1] - y), rel=1e-6)
+    level = 0.5 * residual * residual
+    assert verdict.level == (None if level == math.inf else pytest.approx(level, rel=1e-12))
+    assert 0.0 < verdict.grad_norm < math.inf
+
+
 def test_gradient_flow_does_not_depend_on_the_jacobian_layout():
     """grad F = J^T r is one stacked product whatever the memory order of
     the Jacobian a map returns; a Fortran-ordered J (as the finite
@@ -887,7 +923,32 @@ LOCKSTEP_CASES = [
     # lanes Escaped), and a horizontal sweep at the certified radius
     _graves_case("graves_complex_exp", "complex_exp", [0.0, 0.0], 1.0, 2.0),
     _graves_case("graves_parabola_sub", "parabola_sub", [0.0, 0.5], 1.0, 1.0),
+    # the lane shapes of the chain workload's one-row lifts: exp1d from 0
+    # toward tiny targets (the mu-decay guard binds at almost every step)
+    ("chain_exp1d_tiny", registry_get("exp1d"), [0.0], [[1e-4 - 1.0], [1e-3 - 1.0], [1e-2 - 1.0]], None),
+    # arctan1d toward its edge, and toward 1.6, outside the image (Singular
+    # at the floor crossing)
+    ("chain_arctan1d_edge", registry_get("arctan1d"), [0.0], [[1.2], [1.55], [1.6]], None),
+    # complex_exp from 0 toward targets of modulus 10 to 100
+    ("chain_complex_exp_far", registry_get("complex_exp"), [0.0, 0.0],
+     [[rho * math.cos(phi) - 1.0, rho * math.sin(phi)]
+      for rho, phi in ((10.0, -1.2), (23.0, 0.4), (47.0, 1.1), (71.0, -0.3), (100.0, 0.9))], None),
+    # the chords of unit-circle fibre loops of 4 to 7 sides from their
+    # common vertex, lifted from its fibre point
+    ("chain_fibre_chords", registry_get("complex_exp"), [0.0, 0.7],
+     [[math.cos(0.7 + 2.0 * math.pi / sides) - math.cos(0.7),
+       math.sin(0.7 + 2.0 * math.pi / sides) - math.sin(0.7)] for sides in (4, 5, 6, 7)], None),
+    # parabola_sub, horizontal, from (0, +-0.5) (f = -0.25) toward y in [-5, 5]
+    *((f"chain_parabola_sub_{label}", registry_get("parabola_sub"), [0.0, x2],
+       [[y + 0.25] for y in (-5.0, -2.2, -0.4, 0.9, 3.1, 5.0)], None)
+      for label, x2 in (("up", 0.5), ("down", -0.5))),
 ]
+
+
+def test_every_lockstep_case_has_two_rows_or_more():
+    """Each case compares the rows of a lockstep call, which _LineLanes
+    runs, against their one-row calls, which _LineLane runs."""
+    assert all(len(targets) >= 2 for _, _, _, targets, _ in LOCKSTEP_CASES)
 
 
 def _assert_same_outcome(got, want, where):
@@ -911,6 +972,36 @@ def test_lift_lines_match_sequential_lifts(label, model, x0, targets, opts):
     assert len(batch) == len(targets)
     for w, got in zip(targets, batch):
         _assert_same_outcome(got, lift(model, x0, w, opts), w)
+
+
+_PROPERTY_MAPS = [name for name in maps.list_map_names() if name != "linear"]  # linear needs its matrix
+
+
+@st.composite
+def _lockstep_call(draw):
+    """A registry map (square or wide), x0 in [-2, 2]^n, 2 to 4 targets of
+    one scale from 1e-3 to 30 (a zero row among them at times) and
+    LiftOptions: rel_tol, record_stride 1 to 3, a step budget of 1 to 30,
+    r_escape on or off and mu_floor (the default, 0, or one that the
+    lanes of arctan1d, exp1d and complex_exp reach)."""
+    model = registry_get(draw(st.sampled_from(_PROPERTY_MAPS)))
+    x0 = [draw(st.floats(-2.0, 2.0)) for _ in range(model.n)]
+    scale = 10.0 ** draw(st.floats(-3.0, 1.5))
+    W = [[scale * draw(st.floats(-1.0, 1.0)) for _ in range(model.m)] for _ in range(draw(st.integers(2, 4)))]
+    opts = LiftOptions(rel_tol=10.0 ** draw(st.floats(-12.0, -4.0)), record_stride=draw(st.integers(1, 3)),
+                       max_steps=draw(st.integers(1, 30)), r_escape=draw(st.one_of(st.none(), st.floats(0.1, 10.0))),
+                       mu_floor=draw(st.one_of(st.sampled_from([1e-8, 0.0]), st.floats(0.01, 0.9))))
+    return model, x0, W, opts
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_lockstep_call())
+def test_every_lane_of_a_lockstep_call_is_its_one_row_call(call):
+    """Each lane of a call of two to four rows (_LineLanes) returns, bit
+    for bit, what the one-row call of its target returns (_LineLane)."""
+    model, x0, W, opts = call
+    for k, (w, got) in enumerate(zip(W, lift_lines(model, x0, W, opts))):
+        _assert_same_outcome(got, lift_lines(model, x0, [w], opts)[0], (k, w))
 
 
 def test_svd_window_cases_cross_the_window(monkeypatch):
@@ -1073,11 +1164,25 @@ def _lanes_at(model, opts, W, Q, H, T, mu):
     return lanes
 
 
+def _lane_at(model, opts, w, q, h, t, mu):
+    """The lane of a one-row lift_lines call from x0 = 0 toward w (a
+    _LineLane), started and then set mid-lift as _lanes_at sets each row:
+    at q with its slope J(q)^+ w there, time t, step size h and indicator
+    mu, with x0 and that point recorded."""
+    lane = lifting._LineLane(model, np.zeros(model.n), np.asarray([w], dtype=float), opts)
+    lane.start()
+    lane.q, lane.t, lane.h, lane.mu = np.array([q], dtype=float), float(t), float(h), float(mu)
+    J, _ = maps.jacobian_stack(model, lane.q)
+    lane.k1 = lifting._velocities(*maps._svd(J), lane.w)
+    lane.record()
+    return lane
+
+
 def test_stacked_judge_matches_one_lane_judges():
     """One lockstep attempt of 2000 complex_exp lanes against the attempt
-    of each lane alone, as a one-lane call.  Each lane is set on the lift
-    of its line (the branch of log continued from x0 = 0) at a time in
-    [0, 0.95), with step sizes from 1e-4 to 1 and a mu before the step from
+    of each lane alone, as a one-row call runs it (_LineLane).  Each lane
+    is set on the lift of its line (the branch of log continued from
+    x0 = 0) at a time in [0, 0.95), with step sizes from 1e-4 to 1 and a mu before the step from
     half to twice its own (the mu-decay guard cuts some steps).  Lanes take
     their steps in every corrector round and are rejected by the distance
     guard, the contraction test, the round limit and the mu floor; some
@@ -1095,19 +1200,20 @@ def test_stacked_judge_matches_one_lane_judges():
     stacked.attempt(np.arange(K))
     alone = []
     for k in range(K):
-        row = slice(k, k + 1)
-        lane = _lanes_at(model, opts, W[row], Q[row], H[row], T[row], mu_prev[row])
-        lane.attempt(np.arange(1))
+        lane = _lane_at(model, opts, W[k], Q[k], H[k], T[k], mu_prev[k])
+        lane.attempt()
         alone.append(lane)
 
     outcomes = stacked.outcomes()
     for k, (got, lane) in enumerate(zip(outcomes, alone)):
         _assert_same_outcome(got, lane.outcomes()[0], k)
-    for name in ("t", "h", "mu", "k1", "accepted", "rejected", "work", "running", "length", "h_min", "residual",
-                 "max_drift"):
-        want = np.concatenate([getattr(lane, name) for lane in alone])
-        assert np.array_equal(getattr(stacked, name), want), name
-    assert stacked.status == [lane.status[0] for lane in alone]
+    for name in ("t", "h", "mu", "accepted", "length", "h_min", "residual", "max_drift"):
+        assert np.array_equal(getattr(stacked, name), [getattr(lane, name) for lane in alone]), name
+    assert np.array_equal(stacked.k1, np.concatenate([lane.k1 for lane in alone]))
+    assert np.array_equal(stacked.rejected, [lane.rejected for lane in alone])
+    assert np.array_equal(stacked.work, [[lane.evals, lane.jacobians, lane.svds] for lane in alone])
+    assert np.array_equal(stacked.running, [lane.status is None and lane.t < 1.0 for lane in alone])
+    assert stacked.status == [lane.status for lane in alone]
     rounds = {int(w) for w, taken in zip(stacked.work[:, 1] - 1, stacked.accepted) if taken}
     assert rounds == {1, 2, 3, 4}  # steps taken in every corrector round
     assert (stacked.rejected[:, :2] > 0).any(axis=0).all()  # error and singular rejections
@@ -1149,12 +1255,14 @@ def test_next_step_is_grown_with_the_mu_guard():
     hermite = rng.uniform(size=K) < 0.5
     lanes, rounds = _lanes_at(registry_get("identity_1"), LiftOptions(mu_floor=floor), np.ones((K, 1)),
                               np.zeros((K, 1)), H, np.zeros(K), mu_prev), 4
-    assert lanes.rounds == rounds
+    lane = lifting._LineLane(registry_get("identity_1"), np.zeros(1), np.ones((1, 1)), LiftOptions(mu_floor=floor))
+    assert lanes.rounds == lane.rounds == rounds
     for r in range(rounds):
         steps = lanes.next_step(H, T, r, e_prev, e, x_tol, mu_prev, mu_new, hermite).tolist()
         capped = 0
         for k, (h, t, a, b, tol, m0, m1, cubic) in enumerate(zip(*(A.tolist() for A in (
                 H, T, e_prev, e, x_tol, mu_prev, mu_new, hermite)))):
+            assert lane.next_step(h, t, r, a, b, tol, m0, m1, cubic) == steps[k], (r, k)
             if r == 0:
                 want = 5.0 * h
             else:
@@ -1170,6 +1278,27 @@ def test_next_step_is_grown_with_the_mu_guard():
             assert steps[k] == min(want, 1.0 - t), (r, k)
         assert 0 < sum(s == 1.0 - t for s, t in zip(steps, T.tolist())) < K
         assert capped > K // 20  # the floor cap is the least step of many lanes
+
+
+@pytest.mark.parametrize("name", ["identity_1", "parabola_sub"])
+def test_one_lane_step_rule_divides_as_numpy(name):
+    """_LineLane's scalar step rule gives the array rule's step where
+    Newton's prediction divides by a correction whose square is 0 (0, or
+    one whose square underflows): inf or NaN, as numpy divides, where a
+    Python division would raise, in every round of the budget."""
+    e_prev, e = np.array([0.0, 0.0, 1e-170, 5e-324, 1e-170]), np.array([0.0, 1e-20, 1e-20, 0.0, 1e-170])
+    K = len(e)
+    H, T, x_tol, mu = np.full(K, 1e-3), np.full(K, 0.5), np.full(K, 1e-8), np.ones(K)
+    model = registry_get(name)
+    lanes = _lanes_at(model, LiftOptions(), np.ones((K, 1)), np.zeros((K, model.n)), H, T, mu)
+    lane = lifting._LineLane(model, np.zeros(model.n), np.ones((1, 1)), LiftOptions())
+    for r in range(1, lanes.rounds):
+        for hermite in (False, True):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = lanes.next_step(H, T, r, e_prev, e, x_tol, mu, mu, np.full(K, hermite))
+            got = [lane.next_step(1e-3, 0.5, r, a, b, 1e-8, 1.0, 1.0, hermite)
+                   for a, b in zip(e_prev.tolist(), e.tolist())]  # Python floats, as a lift passes them
+            assert np.array_equal(want, got), (r, hermite, want, got)
 
 
 def test_three_round_budget_keeps_the_three_round_rule():

@@ -13,7 +13,14 @@ the corrector rounds per line-lift attempt: (jacobians - lanes) /
 attempts, as each lane's J(x0) is no round (a round whose f is not finite
 takes no J and is not counted; f(x0) and the first step's probe, which
 evals count, are no rounds), so a longer round budget shows as more
-rounds per attempt over fewer attempts.  Then the lockstep attempts of
+rounds per attempt over fewer attempts.  Then the line-lift events of
+the one-row lift_lines calls (every solve, fibre-loop segment and
+multistart seed) and of the others (star rays, test lifts, verification
+sweeps) apart, from the same count, with the calls and the events per
+attempt of each, as "one-row calls N events E events/attempt A" and
+"multi-row calls ...": where a tree runs a one-row call as one scalar
+lane and the others as the rows of one array step controller, each shows
+the cost of its own controller.  Then the lockstep attempts of
 the lift_lines calls, summed over the calls, as "lockstep attempts N":
 a call's lanes make their attempts together, so its attempts, those of
 its busiest lane, set its time more than the work its lanes add up.  Next
@@ -140,7 +147,7 @@ def main(argv=None) -> int:
     import workloads
     from globinv import cli, indicators, lifting
 
-    totals = {"lines": collections.Counter(), "flows": collections.Counter(), "sobol": collections.Counter()}
+    totals = {kind: collections.Counter() for kind in ("lines", "flows", "sobol", "one-row", "multi-row")}
     lapack_work = [0, 0]
 
     def lapack(gufunc):
@@ -158,6 +165,9 @@ def main(argv=None) -> int:
                 totals[kind]["lanes"] += 1
                 totals[kind].update({name: getattr(outcome.stats, name) for name in STATS})
             totals[kind]["lockstep"] += lockstep_attempts(outcomes(out))
+            if kind == "lines":  # by the call's shape: one row, or any other number
+                attempts = sum(getattr(o.stats, name) for o in out for name in STATS[:4])
+                totals["one-row" if len(out) == 1 else "multi-row"].update(calls=1, events=events, attempts=attempts)
             return out
         return run
 
@@ -205,6 +215,9 @@ def main(argv=None) -> int:
         print(f"{label:18s} {ratio('lines', per)} {ratio('flows', per)}")
     totals["lines"]["rounds"] = totals["lines"]["jacobians"] - totals["lines"]["lanes"]  # J(x0) is no round
     print(f"{'rounds/attempt':18s} {ratio('lines', STATS[:4], 'rounds', 2)} {'-':>9s}")
+    for kind in ("one-row", "multi-row"):
+        print(f"{kind} calls {totals[kind]['calls']} events {totals[kind]['events']} "
+              f"events/attempt {ratio(kind, ('attempts',)).strip()}")
     print(f"lockstep attempts {totals['lines']['lockstep']}")
     print(f"sobol draws {totals['sobol']['draws']} points {totals['sobol']['points']}")
     print(f"lapack svds {lapack_work[0]} matrices {lapack_work[1]}")
