@@ -63,15 +63,16 @@ Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
 one base point, one per row of W, with f(x0), J(x0) and its SVD computed
 once per call and counted in every lane.  lift_line_square and
 lift_line_horizontal check the shape and make a one-row call.
-gradient_flow integrates x' = -grad F_y.  Each call builds one object that
-holds the model and runs itself: start() takes the facts at x0, run()
-makes attempts (attempt) until it has stopped, and the outcome is read off
-it; no method below the constructor takes the model.  The row count of W
-picks the object: a one-row call (every solve, fibre-loop segment and
-multistart seed) runs one scalar lane, _LineLane; a call of two rows or
-more (star rays, test lifts, verification sweeps), the lanes of
-_LineLanes.  Both make the same lift of a row, bit for bit, so a lane's
-LiftOutcome does not depend on the call it is in.
+gradient_flow integrates x' = -grad F_y.  A lift is an object that holds
+the model and runs itself: start() takes the facts at x0, run() makes
+attempts (attempt) until it has stopped, and the outcome is read off it;
+no method below the constructor takes the model.  The row count of W
+picks the objects: a call of one or two rows (every solve, fibre-loop
+segment and multistart seed; the two-ray stars and C22 test lifts) runs
+each row as one scalar lane, _LineLane; a call of _LOCKSTEP_ROWS rows or
+more (star rays of higher dimension, verification sweeps), the lanes of
+one _LineLanes.  Both make the same lift of a row, bit for bit, so a
+lane's LiftOutcome does not depend on the call it is in.
 
 _LineLanes holds the K lanes of a lift_lines call under one step
 controller: each lane's t, step size, point, slope, last step taken (its
@@ -95,9 +96,10 @@ singular rows) and one exit for every row cut.  Its points are its own
 float (K, n) arrays, so a round takes f and J by maps._evaluate_stack and
 maps._jacobian_stack, which skip evaluate_stack's shape check.
 
-_LineLane is the one lane of a one-row call, its books in Python floats
-and ints, as _Flow's are: it spends none of the per-row array bookkeeping
-(masks, takes, _Attempt, the fold) that a lone row does not need.
+_LineLane is one lane on its own, its books in Python floats and ints,
+as _Flow's are: it spends none of the per-row array bookkeeping (masks,
+takes, _Attempt, the fold) that a lone row does not need, which costs a
+lockstep call of two rows more than its two lanes alone.
 
 _Flow is one Levenberg-Marquardt lane with Python scalars for its t, step
 size, F, mu and LiftStats counters: one f per attempt, the gain test (F
@@ -347,6 +349,9 @@ def _velocities(U: Array, s: Array, Vt: Array, W: Array) -> Array:
 
 _CAUSES = {"error": 0, "singular": 1, "nonfinite": 2}  # columns of _LineLanes.rejected
 _RECORD_RUN = 64  # attempts whose steps are folded at once, so a long lift keeps a few arrays
+# the fewest rows lift_lines runs in lockstep: on the benchmark's calls two
+# rows ran faster as two scalar lanes, three or more faster in lockstep
+_LOCKSTEP_ROWS = 3
 
 
 class _Attempt:
@@ -429,9 +434,10 @@ class _Attempt:
 
 
 class _LineLanes:
-    """The K >= 2 lanes of a lift_lines call, on the curves
-    f(q(t)) = f(x0) + t w for t from 0 to 1, under one step controller (a
-    one-row call runs _LineLane, the same lift of its row).  Every per-lane
+    """The K lanes of a lift_lines call, on the curves
+    f(q(t)) = f(x0) + t w for t from 0 to 1, under one step controller
+    (lift_lines runs it for K >= _LOCKSTEP_ROWS, and each row of a smaller
+    call as a _LineLane, the same lift of its row).  Every per-lane
     fact the lift reads is a row of an array: t, the step size h, the point q and
     its slope k1 (norm_k1 long), mu at q, the mu of the last singular
     rejection since a step was taken (last_singular_mu, NaN for none), the
@@ -497,15 +503,15 @@ class _LineLanes:
         self.status[k] = status
         self.running[k] = False
 
-    def start(self) -> None:
-        """f(x0), J(x0) and its SVD, shared by the lanes: record the base
+    def start(self, f0: Array, U: Array, s: Array, Vt: Array) -> None:
+        """Start from f(x0) = f0 and the SVD U, s, Vt of J(x0), shared by the
+        lanes: record the base
         point; every lane stops at once when J(x0) is singular, a lane with
         w = 0 completes, the others take their first slope k1 (a lane whose
         k1 is not finite stops StepFailure) and the blind step
         h_a = min(0.2, 0.01 (1 + |x0|) / (1 + |k1|)), their h_scale; the
         lanes left size their first step from it by one probe (first_step)."""
-        self.f0 = evaluate(self.model, self.x0)
-        U, s, Vt = _svd(jacobian(self.model, self.x0))
+        self.f0 = f0
         K, mu = len(self.t), float(s[-1])
         self.mu[:] = mu
         self.record_start()
@@ -871,9 +877,9 @@ def _divide(a: float, b: float) -> float:
 
 
 class _LineLane:
-    """The one lane of a one-row lift_lines call: the lift _LineLanes makes
-    of that row, its books in Python floats and ints, as _Flow keeps its
-    own.  t, the step size h, mu, h_scale, the mu of the last singular
+    """One lane of a lift_lines call of fewer than _LOCKSTEP_ROWS rows: the
+    lift _LineLanes makes of that row, its books in Python floats and ints,
+    as _Flow keeps its own.  t, the step size h, mu, h_scale, the mu of the last singular
     rejection, the tolerances, the corrections, the step rule, the stops
     and the LiftStats counters are scalars; the point q, its slope k1 and
     the last step's point and slope (qp, kp; its size hp, 0 before the
@@ -912,11 +918,11 @@ class _LineLane:
     def stop(self, status: LiftStatus) -> None:
         self.status = status
 
-    def start(self) -> None:
-        """_LineLanes.start of the lane: f(x0), J(x0) and its SVD, the stops
-        at x0, the blind step h_a (h_scale) and the first step (first_step)."""
-        self.f0 = evaluate(self.model, self.x0)
-        U, s, Vt = _svd(jacobian(self.model, self.x0))
+    def start(self, f0: Array, U: Array, s: Array, Vt: Array) -> None:
+        """_LineLanes.start of the lane, from f(x0) = f0 and the SVD U, s, Vt
+        of J(x0): the stops at x0, the blind step h_a (h_scale) and the
+        first step (first_step)."""
+        self.f0 = f0
         self.mu = mu = float(s[-1])
         self.record()
         if mu < self.opts.mu_floor:
@@ -1082,15 +1088,15 @@ class _LineLane:
             h_next = min(h_next, H * share / max(mu_prev - mu_new, 1e-300))
         return min(h_next, 1.0 - T)
 
-    def outcomes(self) -> list:
-        """The lane's LiftOutcome, as _LineLanes.outcomes reads it, in a list."""
+    def outcome(self) -> LiftOutcome:
+        """The lane's LiftOutcome, as _LineLanes.outcomes reads it."""
         if self.kept_t != self.t:
             self.record()
         trajectory = LiftTrajectory(times=np.array(self.times), points=np.concatenate(self.points),
                                     mu_values=np.array(self.mu_values), length=self.length)
         stats = LiftStats(self.accepted, *self.rejected, self.evals, self.jacobians, self.svds, self.h_min)
         status = self.status or LiftStatus.complete(1.0)
-        return [LiftOutcome(trajectory, status, self.residual, self.max_drift, stats)]
+        return LiftOutcome(trajectory, status, self.residual, self.max_drift, stats)
 
 
 class _Flow:
@@ -1316,26 +1322,33 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite points are rejected
+# a line lift's float state: a non-finite point, value or slope is
+# rejected, and the step rule's quotients are numpy's inf or NaN where a
+# correction's square is 0, in either controller (_divide)
+_LINE_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+@np.errstate(**_LINE_ERRSTATE)
 def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> list:
     """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W.
 
     Every line lift runs here, by Euler-Newton continuation.  f(x0), J(x0)
-    and its SVD are computed once and counted in every lane.  One row runs
-    as one scalar lane (_LineLane), whose t, step size, mu and counters are
-    Python numbers.  Two rows or more run in lockstep as one (K, n) state
-    under one step controller (_LineLanes): every lane's t, step size,
-    point, slope and rejections are rows of arrays, and a lane leaves the
-    batch when it stops.  Either way every attempt makes one predictor
-    (cubic Hermite through a square lane's last two points, else Euler's
-    tangent), then every corrector round one f stack, one Jacobian stack
-    (each counts its finite rows once) and one SVD over the lanes still in
-    it, and takes the lanes that meet the tolerances (LiftOptions) at once.  Every accepted point
-    lies within complete_tol of its line, so max_drift, the largest
-    residual of an accepted point, and target_residual, that of the last
-    one, are within it too (0 for a lane that took no step).  Square and
-    wide (m <= n) maps are both served, as by lift_line_square and
-    lift_line_horizontal.
+    and its SVD are computed once and counted in every lane.  A call of one
+    or two rows runs each row as one scalar lane (_LineLane), whose t, step
+    size, mu and counters are Python numbers.  _LOCKSTEP_ROWS rows or more
+    run in lockstep as one (K, n) state under one step controller
+    (_LineLanes): every lane's t, step size, point, slope and rejections
+    are rows of arrays, and a lane leaves the batch when it stops.  Either
+    way every attempt makes one predictor (cubic Hermite through a square
+    lane's last two points, else Euler's tangent), then every corrector
+    round one f stack, one Jacobian stack (each counts its finite rows
+    once) and one SVD over the lanes still in it (one row for a scalar
+    lane), and takes the lanes that meet the tolerances (LiftOptions) at
+    once.  Every accepted point lies within complete_tol of its line, so
+    max_drift, the largest residual of an accepted point, and
+    target_residual, that of the last one, are within it too (0 for a lane
+    that took no step).  Square and wide (m <= n) maps are both served, as
+    by lift_line_square and lift_line_horizontal.
     Returns one LiftOutcome per row of W: the outcome the one-row call of
     that row returns.
     """
@@ -1353,10 +1366,20 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
         raise OutOfRange(f"lift_lines: w (row {k} of W) must be finite, got {Wv[k]!r}")
     if not len(Wv):
         return []
-    lanes = (_LineLane if len(Wv) == 1 else _LineLanes)(model, x0v, Wv, opts)
-    lanes.start()
-    lanes.run()
-    return lanes.outcomes()
+    f0 = evaluate(model, x0v)
+    U, s, Vt = _svd(jacobian(model, x0v))
+    if len(Wv) >= _LOCKSTEP_ROWS:
+        lanes = _LineLanes(model, x0v, Wv, opts)
+        lanes.start(f0, U, s, Vt)
+        lanes.run()
+        return lanes.outcomes()
+    out = []
+    for w in Wv:
+        lane = _LineLane(model, x0v, w[None], opts)
+        lane.start(f0, U, s, Vt)
+        lane.run()
+        out.append(lane.outcome())
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite stages are rejected

@@ -12,6 +12,7 @@ points of any tree; unit tests of its lockstep attempt count, of its output
 digest and of its report layout check, and a run that the layout check
 fails."""
 
+import collections
 import functools
 import importlib.util
 import os
@@ -233,14 +234,16 @@ def test_digest_sees_every_byte_but_the_rerun_values(tmp_path):
 
 def test_lockstep_attempts_are_the_attempts_of_the_call(monkeypatch):
     """lockstep_attempts reads from a lift_lines call's outcomes the
-    attempts the call made: lanes that stop at x0, after a rejection, at
-    the step budget or on the way, next to lanes that complete; of a
-    one-row call, which _LineLane runs, the attempts of its lane."""
+    attempts the call made in lockstep (_LineLanes, three rows or more):
+    lanes that stop at x0, after a rejection, at the step budget or on the
+    way, next to lanes that complete; of a call of one or two rows, whose
+    rows run as scalar lanes (_LineLane), the attempts of its busiest
+    lane, those a lockstep run of the call would make."""
     made = []
 
     def spy(attempt):
         def counted(self, *args):
-            made[-1] += 1
+            made[-1][id(self)] += 1
             return attempt(self, *args)
         return counted
 
@@ -249,14 +252,18 @@ def test_lockstep_attempts_are_the_attempts_of_the_call(monkeypatch):
     calls = [
         (registry_get("complex_exp"), [0.0, 0.0], [[0.5, 0.2], [-0.9, 0.0], [0.0, 0.0], [3.0, 0.0]],
          LiftOptions(r_escape=1.0)),
+        (registry_get("arctan1d"), [0.0], [[2.0], [0.7], [-0.3]], LiftOptions(mu_floor=0.9)),
+        (registry_get("monotone1d"), [0.0], [[40.0], [0.01], [-3.0]], LiftOptions(max_steps=4)),
         (registry_get("arctan1d"), [0.0], [[2.0], [0.7]], LiftOptions(mu_floor=0.9)),
-        (registry_get("monotone1d"), [0.0], [[40.0], [0.01]], LiftOptions(max_steps=4)),
+        (registry_get("monotone1d"), [0.0], [[0.01], [40.0]], LiftOptions(max_steps=4)),
         (registry_get("arctan1d"), [0.0], [[2.0]], LiftOptions(mu_floor=0.9)),
         (registry_get("monotone1d"), [0.0], [[40.0]], LiftOptions(max_steps=4)),
         (registry_get("identity_1"), [2.0], [[0.0]], None),
     ]
-    counted = []
+    counted, objects = [], []
     for model, x0, targets, opts in calls:
-        made.append(0)
+        made.append(collections.Counter())
         counted.append(_tool().lockstep_attempts(lift_lines(model, x0, targets, opts)))
-    assert counted == made and made[-1] == 0 and min(made[:-1]) > 0
+        objects.append(len(made[-1]))
+    assert counted == [max(n.values(), default=0) for n in made] and counted[-1] == 0 and min(counted[:-1]) > 0
+    assert objects == [1, 1, 1, 2, 2, 1, 1, 0]  # the w = 0 lane makes no attempt

@@ -947,8 +947,20 @@ LOCKSTEP_CASES = [
 
 def test_every_lockstep_case_has_two_rows_or_more():
     """Each case compares the rows of a lockstep call, which _LineLanes
-    runs, against their one-row calls, which _LineLane runs."""
+    runs (_lockstep), against their one-row calls, which _LineLane runs."""
     assert all(len(targets) >= 2 for _, _, _, targets, _ in LOCKSTEP_CASES)
+
+
+@np.errstate(**lifting._LINE_ERRSTATE)  # as lift_lines runs its lanes
+def _lockstep(model, x0, targets, opts=None):
+    """The outcomes of the rows of targets run in lockstep by _LineLanes,
+    as lift_lines runs a call of _LOCKSTEP_ROWS rows or more: a call of
+    two rows too, whose rows lift_lines runs as scalar lanes."""
+    x0 = np.asarray(x0, dtype=float)
+    lanes = lifting._LineLanes(model, x0, np.asarray(targets, dtype=float), opts or LiftOptions())
+    lanes.start(evaluate(model, x0), *maps._svd(maps.jacobian(model, x0)))
+    lanes.run()
+    return lanes.outcomes()
 
 
 def _assert_same_outcome(got, want, where):
@@ -968,10 +980,11 @@ def _assert_same_outcome(got, want, where):
 )
 def test_lift_lines_match_sequential_lifts(label, model, x0, targets, opts):
     lift = lift_line_square if model.n == model.m else lift_line_horizontal
-    batch = lift_lines(model, x0, targets, opts)
-    assert len(batch) == len(targets)
-    for w, got in zip(targets, batch):
-        _assert_same_outcome(got, lift(model, x0, w, opts), w)
+    want = [lift(model, x0, w, opts) for w in targets]
+    for batch in (lift_lines(model, x0, targets, opts), _lockstep(model, x0, targets, opts)):
+        assert len(batch) == len(targets)
+        for w, got, one in zip(targets, batch, want):
+            _assert_same_outcome(got, one, w)
 
 
 _PROPERTY_MAPS = [name for name in maps.list_map_names() if name != "linear"]  # linear needs its matrix
@@ -997,10 +1010,10 @@ def _lockstep_call(draw):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(_lockstep_call())
 def test_every_lane_of_a_lockstep_call_is_its_one_row_call(call):
-    """Each lane of a call of two to four rows (_LineLanes) returns, bit
-    for bit, what the one-row call of its target returns (_LineLane)."""
+    """Each lane of two to four rows run in lockstep (_LineLanes) returns,
+    bit for bit, what the one-row call of its target returns (_LineLane)."""
     model, x0, W, opts = call
-    for k, (w, got) in enumerate(zip(W, lift_lines(model, x0, W, opts))):
+    for k, (w, got) in enumerate(zip(W, _lockstep(model, x0, W, opts))):
         _assert_same_outcome(got, lift_lines(model, x0, [w], opts)[0], (k, w))
 
 
@@ -1059,7 +1072,7 @@ def test_lockstep_cases_reach_every_mask_shape(monkeypatch):
     monkeypatch.setattr(lifting._Attempt, "leave", spy_leave)
     monkeypatch.setattr(lifting._LineLanes, "predict", spy_predict)
     for _, model, x0, targets, opts in LOCKSTEP_CASES:
-        lift_lines(model, x0, targets, opts)
+        _lockstep(model, x0, targets, opts)
     assert {(f, kind) for f in ("pick", "leave") for kind in ("every", "some")} | {("leave", "none")} <= shapes
     assert sum(mixed) == 5
 
@@ -1083,7 +1096,7 @@ def test_wide_lanes_never_make_a_fourth_round(monkeypatch, label, most):
 
     monkeypatch.setattr(lifting._LineLanes, "attempt", spy_attempt)
     monkeypatch.setattr(lifting._Attempt, "round", spy_round)
-    lift_lines(model, x0, targets, opts)
+    _lockstep(model, x0, targets, opts)
     assert max(rounds) == most
 
 
@@ -1156,7 +1169,7 @@ def _lanes_at(model, opts, W, Q, H, T, mu):
     J(q)^+ w there, time T[k], step size H[k] and indicator mu[k], with
     x0 and that point recorded."""
     lanes = lifting._LineLanes(model, np.zeros(model.n), np.asarray(W, dtype=float), opts)
-    lanes.start()
+    lanes.start(evaluate(model, np.zeros(model.n)), *maps._svd(maps.jacobian(model, np.zeros(model.n))))
     lanes.q[:], lanes.t[:], lanes.h[:], lanes.mu[:] = Q, T, H, mu
     J, _ = maps.jacobian_stack(model, lanes.q)
     lanes.k1[:] = lifting._velocities(*maps._svd(J), lanes.w)
@@ -1170,7 +1183,7 @@ def _lane_at(model, opts, w, q, h, t, mu):
     at q with its slope J(q)^+ w there, time t, step size h and indicator
     mu, with x0 and that point recorded."""
     lane = lifting._LineLane(model, np.zeros(model.n), np.asarray([w], dtype=float), opts)
-    lane.start()
+    lane.start(evaluate(model, np.zeros(model.n)), *maps._svd(maps.jacobian(model, np.zeros(model.n))))
     lane.q, lane.t, lane.h, lane.mu = np.array([q], dtype=float), float(t), float(h), float(mu)
     J, _ = maps.jacobian_stack(model, lane.q)
     lane.k1 = lifting._velocities(*maps._svd(J), lane.w)
@@ -1206,7 +1219,7 @@ def test_stacked_judge_matches_one_lane_judges():
 
     outcomes = stacked.outcomes()
     for k, (got, lane) in enumerate(zip(outcomes, alone)):
-        _assert_same_outcome(got, lane.outcomes()[0], k)
+        _assert_same_outcome(got, lane.outcome(), k)
     for name in ("t", "h", "mu", "accepted", "length", "h_min", "residual", "max_drift"):
         assert np.array_equal(getattr(stacked, name), [getattr(lane, name) for lane in alone]), name
     assert np.array_equal(stacked.k1, np.concatenate([lane.k1 for lane in alone]))
@@ -1285,7 +1298,8 @@ def test_one_lane_step_rule_divides_as_numpy(name):
     """_LineLane's scalar step rule gives the array rule's step where
     Newton's prediction divides by a correction whose square is 0 (0, or
     one whose square underflows): inf or NaN, as numpy divides, where a
-    Python division would raise, in every round of the budget."""
+    Python division would raise, in every round of the budget.  Under
+    lift_lines' float state neither rule warns (warnings are errors)."""
     e_prev, e = np.array([0.0, 0.0, 1e-170, 5e-324, 1e-170]), np.array([0.0, 1e-20, 1e-20, 0.0, 1e-170])
     K = len(e)
     H, T, x_tol, mu = np.full(K, 1e-3), np.full(K, 0.5), np.full(K, 1e-8), np.ones(K)
@@ -1294,7 +1308,7 @@ def test_one_lane_step_rule_divides_as_numpy(name):
     lane = lifting._LineLane(model, np.zeros(model.n), np.ones((1, 1)), LiftOptions())
     for r in range(1, lanes.rounds):
         for hermite in (False, True):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(**lifting._LINE_ERRSTATE):
                 want = lanes.next_step(H, T, r, e_prev, e, x_tol, mu, mu, np.full(K, hermite))
             got = [lane.next_step(1e-3, 0.5, r, a, b, 1e-8, 1.0, 1.0, hermite)
                    for a, b in zip(e_prev.tolist(), e.tolist())]  # Python floats, as a lift passes them
@@ -1479,6 +1493,43 @@ def test_one_row_work_counters(monkeypatch, label, k, stats):
     assert out.stats == stats
     assert calls == {"jacobian": 1, "_jacobian_stack": stats.jacobians - 1,
                      "evaluate": 1, "_evaluate_stack": stats.evals - 1}
+
+
+@pytest.mark.parametrize("K, lanes", [(1, [1, 0]), (2, [2, 0]), (3, [0, 1]), (4, [0, 1])])
+def test_the_row_count_picks_the_controller(monkeypatch, K, lanes):
+    """A call of fewer than _LOCKSTEP_ROWS rows runs each row as a
+    _LineLane, and a larger call runs one _LineLanes; either way f(x0) and
+    J(x0) are taken once per call, and each lane's outcome is its one-row
+    call's."""
+    assert lifting._LOCKSTEP_ROWS == 3
+    made = {lifting._LineLane: 0, lifting._LineLanes: 0}
+    calls = {"evaluate": 0, "jacobian": 0}
+
+    def spy_init(cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            made[cls] += 1
+            return init(self, *args)
+        return counted
+
+    def spy(name):
+        fn = getattr(lifting, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for cls in made:
+        monkeypatch.setattr(cls, "__init__", spy_init(cls))
+    for name in calls:
+        monkeypatch.setattr(lifting, name, spy(name))
+    model, W = registry_get("complex_exp"), [[0.5, 0.2], [-0.9, 0.0], [0.0, 2.0], [3.0, -1.0]][:K]
+    outs = lift_lines(model, [0.0, 0.0], W)
+    assert list(made.values()) == lanes and calls == {"evaluate": 1, "jacobian": 1}
+    for w, got in zip(W, outs):
+        _assert_same_outcome(got, lift_lines(model, [0.0, 0.0], [w])[0], w)
 
 
 @pytest.mark.parametrize("w", [[math.inf, 0.0], [math.nan, 1.0], [0.0, -math.inf]])

@@ -18,12 +18,13 @@ the one-row lift_lines calls (every solve, fibre-loop segment and
 multistart seed) and of the others (star rays, test lifts, verification
 sweeps) apart, from the same count, with the calls and the events per
 attempt of each, as "one-row calls N events E events/attempt A" and
-"multi-row calls ...": where a tree runs a one-row call as one scalar
-lane and the others as the rows of one array step controller, each shows
-the cost of its own controller.  Then the lockstep attempts of
-the lift_lines calls, summed over the calls, as "lockstep attempts N":
-a call's lanes make their attempts together, so its attempts, those of
-its busiest lane, set its time more than the work its lanes add up.  Next
+"multi-row calls ...": the calls are split by their shape, not by the
+controller a tree runs them with.  Then the lockstep attempts of the
+lift_lines calls, summed over the calls, as "lockstep attempts N": the
+lanes of a call run in lockstep make their attempts together, so its
+attempts, those of its busiest lane, set its time more than the work its
+lanes add up (a call whose lanes run alone makes their sum, but the
+count, read off the outcomes, is the same for every tree).  Next
 comes the sampler's work: the number of Sobol draws (calls of
 globinv.indicators._sobol, wrapped where the lift entry points are) and
 the points they returned, as "sobol draws N points P", and the LAPACK
@@ -91,8 +92,9 @@ def profiled(fn, args: tuple, kwargs: dict, uncounted=frozenset()) -> tuple:
 
 def lockstep_attempts(outcomes: list) -> int:
     """The lockstep attempts of one lift_lines call, from its outcomes:
-    every running lane is in every attempt, so the call made as many as
-    its busiest lane, whose accepted and rejected steps count them."""
+    every running lane is in every attempt of a lockstep run, so the call
+    makes as many as its busiest lane, whose accepted and rejected steps
+    count them."""
     return max((sum(getattr(o.stats, name) for name in STATS[:4]) for o in outcomes), default=0)
 
 
