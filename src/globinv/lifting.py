@@ -24,10 +24,8 @@ minimum-norm route to first order in the step, which is why a wide map
 keeps the Euler predictor: its points do not lie on one smooth curve for
 a cubic to extrapolate.  The slope, the Newton step and the local
 invertibility indicator mu (the least singular value, used for
-singularity detection) all come out of one SVD of J per corrector round.
-Every SVD is maps._svd: for a 1x1 stack whose every |J| lies in [1e-100, 1e100] the closed form
-s = |J|, U = sign(J), Vt = 1, which LAPACK returns there bit for bit, and
-LAPACK for any other stack.  The first step is sized by a trial
+singularity detection) all come out of one SVD of J per corrector round,
+maps._svd (maps._svd1 in a _FloatLane).  The first step is sized by a trial
 evaluation (Hairer, Norsett & Wanner, Solving ODEs I, 1993, II.4;
 Gladwell, Shampine & Brankin, J. Comput. Appl. Math. 18, 1987): one f at
 the Euler point of the blind step h_a = min(0.2, 0.01 (1 + |x0|) /
@@ -59,54 +57,14 @@ a Levenberg-Marquardt step with lambda = 1/h (Levenberg 1944; Marquardt
 1963), stable at any step size, under gain-ratio step control (Madsen,
 Nielsen & Tingleff, Methods for Non-linear Least Squares Problems, 2004).
 
-Every line lift is a lift_lines(model, x0, W, opts) call: the K lifts from
-one base point, one per row of W, with f(x0), J(x0) and its SVD computed
-once per call and counted in every lane.  lift_line_square and
-lift_line_horizontal check the shape and make a one-row call.
-gradient_flow integrates x' = -grad F_y.  A lift is an object that holds
-the model and runs itself: start() takes the facts at x0, run() makes
-attempts (attempt) until it has stopped, and the outcome is read off it;
-no method below the constructor takes the model.  The row count of W
-picks the objects: a call of one or two rows (every solve, fibre-loop
-segment and multistart seed; the two-ray stars and C22 test lifts) runs
-each row as one scalar lane, _LineLane; a call of _LOCKSTEP_ROWS rows or
-more (star rays of higher dimension, verification sweeps), the lanes of
-one _LineLanes.  Both make the same lift of a row, bit for bit, so a
-lane's LiftOutcome does not depend on the call it is in.
-
-_LineLanes holds the K lanes of a lift_lines call under one step
-controller: each lane's t, step size, point, slope, last step taken (its
-point, slope and size, for the Hermite predictor), mu, steps and
-rejections, running flag, length, h_min, largest and last residual are
-rows of arrays, so rejection (which halves the step), step collapse,
-taking a step, the next step size and the stops are array operations over
-the rows concerned, and per-lane Python is left for the LiftStatus of a
-lane that stops.  Each attempt is the predictor and the corrector rounds
-over the rows left, in lockstep; a row takes its step in the round it
-meets both tolerances, with its chords, residuals and distances from x0 as
-stacks, and stops at the edge where the mu-decay guard cannot advance t or
-the floor crossing is within x_tol.
-The steps of up to 64 takes are folded at once into those arrays and one
-block of recorded points (a lane's every record_stride-th step).  Each
-lane's LiftOutcome, LiftStats included, does not depend on the other rows
-of the call.  _Attempt keeps the books of one attempt: the rows still in
-it and the arrays aligned with them, one work tally, one corrector round
-(round: the f, J and SVD stacks with the exits of the non-finite and the
-singular rows) and one exit for every row cut.  Its points are its own
-float (K, n) arrays, so a round takes f and J by maps._evaluate_stack and
-maps._jacobian_stack, which skip evaluate_stack's shape check.
-
-_LineLane is one lane on its own, its books in Python floats and ints,
-as _Flow's are: it spends none of the per-row array bookkeeping (masks,
-takes, _Attempt, the fold) that a lone row does not need, which costs a
-lockstep call of two rows more than its two lanes alone.
-
-_Flow is one Levenberg-Marquardt lane with Python scalars for its t, step
-size, F, mu and LiftStats counters: one f per attempt, the gain test (F
-must fall by a share of the model's predicted fall), J and its SVD at each
-point taken, and time-doubling windows give the verdict.  F and the falls
-it is compared with are held in units of a power of two fixed at x0, so a
-target whose |r(x0)|^2 overflows is still reached.
+Every line lift is a lift_lines call, and gradient_flow integrates
+x' = -grad F_y.  A lift is an object that holds the model and runs itself:
+start() takes the facts at x0, run() makes attempts until it has stopped,
+and the outcome is read off it; no method below the constructor takes the
+model.  lift_lines picks the objects: _LineLanes runs the rows of a call
+in lockstep (_Attempt keeps the books of one of its attempts), _LineLane
+one row alone on one-row stacks, _FloatLane one row of an n = m = 1 map on
+Python floats, and _Flow is the gradient flow; each states its books.
 """
 
 from __future__ import annotations
@@ -119,8 +77,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, OutOfRange, TooFewPoints
-from .maps import (MapModel, _evaluate_stack, _finite_rows, _jacobian_stack, _norms, _svd, _vector, evaluate,
-                   jacobian)
+from .maps import (MapModel, _evaluate_stack, _finite_rows, _jacobian_stack, _norms, _svd, _svd1, _vector,
+                   evaluate, jacobian)
 
 Array = np.ndarray
 
@@ -879,31 +837,42 @@ def _divide(a: float, b: float) -> float:
 class _LineLane:
     """One lane of a lift_lines call of fewer than _LOCKSTEP_ROWS rows: the
     lift _LineLanes makes of that row, its books in Python floats and ints,
-    as _Flow keeps its own.  t, the step size h, mu, h_scale, the mu of the last singular
-    rejection, the tolerances, the corrections, the step rule, the stops
-    and the LiftStats counters are scalars; the point q, its slope k1 and
-    the last step's point and slope (qp, kp; its size hp, 0 before the
-    first) are one-row stacks.  Every number that is not elementwise comes
-    from the kernels _LineLanes calls (maps._finite_rows, _evaluate_stack,
-    _jacobian_stack, _svd, _norms, _velocities) on one-row stacks, and
-    every scalar formula repeats _LineLanes' arithmetic in its order with
-    IEEE operations only (NaN and division by zero included: the order of
-    each test, _divide), so the outcome is that of the same row in a call
-    of any number of rows.  Work is counted as it is done: every attempt
-    ends in a rejection or a step taken, which add their tally."""
+    as _Flow keeps its own.  Its x0, w, f(x0), point q, slope k1 and last
+    step's point and slope (qp, kp; its size hp, 0 before the first) are
+    one-row stacks; the rest are scalars.  Every number that is not
+    elementwise comes from _evaluate_stack, _jacobian_stack and the lane's
+    kernels (item, stack, finite, factor, velocities, norms: here those of
+    _LineLanes on one-row stacks), and every scalar formula repeats
+    _LineLanes' arithmetic in its order with IEEE operations only (NaN and
+    division by zero included: the order of each test, _divide), so the
+    outcome is that of the same row in a call of any number of rows.  Work
+    is counted as it is done: every attempt ends in a rejection or a step
+    taken, which add their tally."""
+
+    item = stack = staticmethod(lambda A: A)  # a one-row stack as the lane holds it, and a point as one
+    finite = staticmethod(lambda V: _finite_rows(V) is None)
+    velocities = staticmethod(_velocities)
+    norms = staticmethod(lambda *V: _norms(np.concatenate(V)).tolist())
+
+    @staticmethod
+    def factor(F: Array, J: Array) -> tuple:
+        """The one-row f stack F as the lane holds it, the SVD U, s, Vt of
+        the one-row stack J and mu, its least singular value."""
+        U, s, Vt = _svd(J)
+        return F, U, s, Vt, float(s[0, -1])
 
     def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
-        self.model, self.x0, self.w, self.opts = model, x0v, W, opts
+        self.model, self.x0, self.w, self.opts = model, self.item(x0v[None]), self.item(W), opts
         self.square = model.m == model.n
         self.rounds = 4 if self.square else 3  # as _LineLanes.rounds
         self.t = self.h = self.mu = self.length = self.residual = self.max_drift = 0.0
         self.h_min, self.last_singular_mu, self.h_scale, self.hp = math.inf, math.nan, 1.0, 0.0
-        self.q = x0v[None]
+        self.q = self.x0
         self.accepted, self.rejected = 0, [0, 0, 0]  # rejected: by _CAUSES
         self.evals = self.jacobians = self.svds = 1  # f(x0), J(x0) and its SVD
         self.status = None
         self.times, self.points, self.mu_values = [], [], []
-        self.norm_w = float(_norms(W)[0])
+        (self.norm_w,) = self.norms(self.w)
         self.x_rel, self.x_abs = 10.0 * opts.rel_tol, 100.0 * opts.abs_tol
         self.complete_tol = self.x_rel * max(self.norm_w, 1.0) + self.x_abs
         self.mu_least = max(opts.mu_floor, 5e-324)
@@ -918,12 +887,11 @@ class _LineLane:
     def stop(self, status: LiftStatus) -> None:
         self.status = status
 
-    def start(self, f0: Array, U: Array, s: Array, Vt: Array) -> None:
-        """_LineLanes.start of the lane, from f(x0) = f0 and the SVD U, s, Vt
-        of J(x0): the stops at x0, the blind step h_a (h_scale) and the
-        first step (first_step)."""
-        self.f0 = f0
-        self.mu = mu = float(s[-1])
+    def start(self, f0, U, s, Vt, mu: float) -> None:
+        """_LineLanes.start of the lane, from f(x0) = f0, the SVD U, s, Vt
+        of J(x0) and mu, as factor gives them: the stops at x0, the blind
+        step h_a (h_scale) and the first step (first_step)."""
+        self.f0, self.mu = f0, mu
         self.record()
         if mu < self.opts.mu_floor:
             return self.stop(LiftStatus.singular(0.0, mu))
@@ -932,26 +900,25 @@ class _LineLane:
             return self.stop(LiftStatus.complete(1.0))
         if not 0.0 < mu < math.inf:
             return self.stop(LiftStatus.singular(0.0, mu))
-        U, s, Vt = U[None], s[None], Vt[None]
-        self.k1 = _velocities(U, s, Vt, self.w)
-        if _finite_rows(self.k1) is not None:
+        self.k1 = self.velocities(U, s, Vt, self.w)
+        if not self.finite(self.k1):
             return self.stop(LiftStatus.step_failure(0.0))
-        self.norm_k1 = float(_norms(self.k1)[0])
-        h = 0.01 * (1.0 + _norms(self.x0)) / (1.0 + self.norm_k1)
+        self.norm_k1, norm_x0 = self.norms(self.k1, self.x0)
+        h = 0.01 * (1.0 + norm_x0) / (1.0 + self.norm_k1)
         self.h_scale = H = 0.2 if 0.2 < h else h  # np.minimum(0.2, h), a NaN h kept
         self.h = self.first_step(H, U, s, Vt)
 
-    def first_step(self, H: float, U: Array, s: Array, Vt: Array) -> float:
+    def first_step(self, H: float, U, s, Vt) -> float:
         """_LineLanes.first_step of the lane, from the blind step H: one f
         at the Euler point x0 + H k1 measures the predictor's error."""
         h, norm_k1 = H, self.norm_k1
         P = self.x0 + H * self.k1
-        if _finite_rows(P) is None:
-            F, good = _evaluate_stack(self.model, P)
+        if self.finite(P):
+            F, good = _evaluate_stack(self.model, self.stack(P))
             self.evals += 1
             if good is None:
-                R = F - (self.f0 + H * self.w)
-                e1 = float(_norms(_velocities(U, s, Vt, R))[0])
+                R = self.item(F) - (self.f0 + H * self.w)
+                (e1,) = self.norms(self.velocities(U, s, Vt, R))
                 allowed = _PROBE * _GUARD * H * norm_k1
                 g = _GROW * _GROW
                 if allowed < g * e1:  # so e1 > 0
@@ -973,9 +940,9 @@ class _LineLane:
 
     def attempt(self) -> None:
         """_LineLanes.attempt and predict of the lane: the predictor, then up
-        to self.rounds corrector rounds, each f, J and its SVD at X as
-        one-row stacks, until the lane takes its step (take) or is rejected
-        (reject, by _CAUSES)."""
+        to self.rounds corrector rounds, each f and J at the one-row stack
+        of X and the SVD of J (factor), until the lane takes its step (take)
+        or is rejected (reject, by _CAUSES)."""
         H, W, Q, K1 = self.h, self.w, self.q, self.k1
         T = self.t + H
         if T >= 1.0 - 1e-15:
@@ -991,33 +958,32 @@ class _LineLane:
         else:
             X = Q + H * K1
         for r in range(self.rounds):
-            if _finite_rows(X) is not None:
+            if not self.finite(X):
                 return self.reject(_CAUSES["nonfinite"])
-            F, good = _evaluate_stack(self.model, X)
+            F, good = _evaluate_stack(self.model, Xs := self.stack(X))
             self.evals += 1
             if good is not None:
                 return self.reject(_CAUSES["nonfinite"])
-            J, good = _jacobian_stack(self.model, X)
+            J, good = _jacobian_stack(self.model, Xs)
             self.jacobians += 1
             if good is not None:
                 return self.reject(_CAUSES["nonfinite"])
-            U, s, Vt = _svd(J)
+            F, U, s, Vt, mu = self.factor(F, J)
             self.svds += 1
-            mu = float(s[0, -1])
             if not (mu >= self.mu_least and mu < math.inf):
                 return self.reject(_CAUSES["singular"], mu)
             R = F - Y
-            dX = _velocities(U, s, Vt, R)  # the Newton step is -dX
+            dX = self.velocities(U, s, Vt, R)  # the Newton step is -dX
             if self.square:
-                res, size, norm_x = _norms(np.concatenate([R, dX, X])).tolist()
+                res, size, norm_x = self.norms(R, dX, X)
             else:
-                (res,), (size, norm_x) = _norms(R).tolist(), _norms(np.concatenate([dX, X])).tolist()
+                (res,), (size, norm_x) = self.norms(R), self.norms(dX, X)
             if r == 0:
                 C0 = size
             x_tol = self.x_rel * max(norm_x, 1.0) + self.x_abs
             if res <= self.complete_tol and size <= x_tol:
-                K1 = _velocities(U, s, Vt, W)
-                if _finite_rows(K1) is not None:  # a slope past the float limit: no step to take
+                K1 = self.velocities(U, s, Vt, W)
+                if not self.finite(K1):  # a slope past the float limit: no step to take
                     return self.reject(_CAUSES["nonfinite"])
                 e_prev = C0 if r < 2 else D / _CONTRACTION  # the correction before size
                 return self.take(H, T, X, K1, r, mu, res, e_prev, size, x_tol, hermite)
@@ -1037,12 +1003,12 @@ class _LineLane:
             t, mu = self.t, self.last_singular_mu
             self.stop(LiftStatus.step_failure(t) if math.isnan(mu) else LiftStatus.singular(t, mu))
 
-    def take(self, H: float, T: float, X: Array, K1: Array, r: int, mu: float, res: float, e_prev: float,
-             e: float, x_tol: float, hermite: bool) -> None:
+    def take(self, H: float, T: float, X, K1, r: int, mu: float, res: float, e_prev: float, e: float,
+             x_tol: float, hermite: bool) -> None:
         """_LineLanes.take and fold of the lane: the step of size H to X at
         T, taken in round r with slope K1, indicator mu, residual res and a
         correction e long (e_prev the one before, x_tol its tolerance)."""
-        chord, dist, norm_k1 = _norms(np.concatenate([X - self.q, X - self.x0, K1])).tolist()
+        chord, dist, norm_k1 = self.norms(X - self.q, X - self.x0, K1)
         mu_prev = self.mu
         h_next = self.next_step(H, T, r, e_prev, e, x_tol, mu_prev, mu, hermite)
         self.qp, self.kp, self.hp = self.q, self.k1, H
@@ -1092,11 +1058,33 @@ class _LineLane:
         """The lane's LiftOutcome, as _LineLanes.outcomes reads it."""
         if self.kept_t != self.t:
             self.record()
-        trajectory = LiftTrajectory(times=np.array(self.times), points=np.concatenate(self.points),
+        points = np.array(self.points).reshape(len(self.times), self.model.n)
+        trajectory = LiftTrajectory(times=np.array(self.times), points=points,
                                     mu_values=np.array(self.mu_values), length=self.length)
         stats = LiftStats(self.accepted, *self.rejected, self.evals, self.jacobians, self.svds, self.h_min)
         status = self.status or LiftStatus.complete(1.0)
         return LiftOutcome(trajectory, status, self.residual, self.max_drift, stats)
+
+
+class _FloatLane(_LineLane):
+    """The _LineLane of an n = m = 1 map, run on Python floats: x0, w,
+    f(x0), the point, its slope, f, J and the SVD (u, s, vt) of J.  f and J
+    are taken at the one-row stack of the point, and the kernels make the
+    IEEE operations of the stack kernels: the velocity vt ((u r) / s),
+    + 0.0 as matmul's sum starts at +0; each norm sqrt(v v), |v| where v v
+    overflows, as _norms rescales; and the SVD maps._svd1, the closed form
+    for |J| in _svd's window, and LAPACK's SVD of the stack outside it."""
+
+    item = staticmethod(np.ndarray.item)
+    stack = staticmethod(lambda x: np.array([[x]]))
+    finite = staticmethod(math.isfinite)
+    velocities = staticmethod(lambda u, s, vt, r: vt * ((u * r) / s) + 0.0)
+    norms = staticmethod(lambda *V: [abs(v) if v * v == math.inf else math.sqrt(v * v) for v in V])
+
+    @staticmethod
+    def factor(F: Array, J: Array) -> tuple:
+        u, s, vt = _svd1(J)
+        return F.item(), u, s, vt, s
 
 
 class _Flow:
@@ -1333,22 +1321,15 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
     """Lift the lines f(x0) + t W[k], t in [0, 1], for every row of W.
 
     Every line lift runs here, by Euler-Newton continuation.  f(x0), J(x0)
-    and its SVD are computed once and counted in every lane.  A call of one
-    or two rows runs each row as one scalar lane (_LineLane), whose t, step
-    size, mu and counters are Python numbers.  _LOCKSTEP_ROWS rows or more
-    run in lockstep as one (K, n) state under one step controller
-    (_LineLanes): every lane's t, step size, point, slope and rejections
-    are rows of arrays, and a lane leaves the batch when it stops.  Either
-    way every attempt makes one predictor (cubic Hermite through a square
-    lane's last two points, else Euler's tangent), then every corrector
-    round one f stack, one Jacobian stack (each counts its finite rows
-    once) and one SVD over the lanes still in it (one row for a scalar
-    lane), and takes the lanes that meet the tolerances (LiftOptions) at
-    once.  Every accepted point lies within complete_tol of its line, so
-    max_drift, the largest residual of an accepted point, and
-    target_residual, that of the last one, are within it too (0 for a lane
-    that took no step).  Square and wide (m <= n) maps are both served, as
-    by lift_line_square and lift_line_horizontal.
+    and its SVD are computed once and counted in every lane.  A call of
+    _LOCKSTEP_ROWS rows or more runs in lockstep (_LineLanes); a smaller
+    one runs each row as one scalar lane, on one-row stacks (_LineLane) or,
+    on an n = m = 1 map, on Python floats (_FloatLane).  Every accepted
+    point lies within complete_tol of its line (LiftOptions), so max_drift,
+    the largest residual of an accepted point, and target_residual, that of
+    the last one, are within it too (0 for a lane that took no step).
+    Square and wide (m <= n) maps are both served, as by lift_line_square
+    and lift_line_horizontal.
     Returns one LiftOutcome per row of W: the outcome the one-row call of
     that row returns.
     """
@@ -1366,17 +1347,18 @@ def lift_lines(model: MapModel, x0, W, opts: Optional[LiftOptions] = None) -> li
         raise OutOfRange(f"lift_lines: w (row {k} of W) must be finite, got {Wv[k]!r}")
     if not len(Wv):
         return []
-    f0 = evaluate(model, x0v)
-    U, s, Vt = _svd(jacobian(model, x0v))
+    f0, J0 = evaluate(model, x0v), jacobian(model, x0v)
     if len(Wv) >= _LOCKSTEP_ROWS:
         lanes = _LineLanes(model, x0v, Wv, opts)
-        lanes.start(f0, U, s, Vt)
+        lanes.start(f0, *_svd(J0))
         lanes.run()
         return lanes.outcomes()
+    lane_type = _FloatLane if model.n == model.m == 1 else _LineLane
+    at_x0 = lane_type.factor(f0[None], J0[None])
     out = []
     for w in Wv:
-        lane = _LineLane(model, x0v, w[None], opts)
-        lane.start(f0, U, s, Vt)
+        lane = lane_type(model, x0v, w[None], opts)
+        lane.start(*at_x0)
         lane.run()
         out.append(lane.outcome())
     return out

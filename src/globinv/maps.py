@@ -175,7 +175,10 @@ def evaluate_stack(model: MapModel, X) -> tuple:
 
 def _finite_rows(Y: Array) -> Optional[Array]:
     """The mask of the rows of Y whose entries are all finite, None when every
-    row is: one count, and the per-row reduce only when the count fails."""
+    row is: one count, and the per-row reduce only when the count fails (a
+    one-entry stack: one Python test)."""
+    if Y.size == 1:
+        return None if math.isfinite(Y.item()) else np.zeros(1, dtype=bool)
     finite = np.isfinite(Y)
     return None if np.count_nonzero(finite) == finite.size else finite.reshape(len(Y), -1).all(axis=1)
 
@@ -331,6 +334,16 @@ def _svd(J: Array, compute_uv: bool = True):
     if compute_uv:
         return np.linalg.svd(J, full_matrices=False)
     return np.linalg.svd(J, compute_uv=False)
+
+
+def _svd1(J: Array) -> tuple:
+    """_svd of the one-row 1x1 stack J as Python floats (u, s, vt): the
+    closed form (sign a, |a|, 1) inside the window, else LAPACK's."""
+    a = J.item()
+    if _SVD_LO <= abs(a) <= _SVD_HI:
+        return math.copysign(1.0, a), abs(a), 1.0
+    U, s, Vt = _svd(J)
+    return U.item(), s.item(), Vt.item()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The ceilings: seed-7 runs of the chain, sweep and profile_ladder workloads
 must exit 0 (so every report they write is on the json.dumps layout) and
 stay within the counts of CEILINGS, so the lifts' and the sampler's work
-is gated on deterministic counts, not on wall time.  The tool itself: one
+is gated on deterministic counts, not on wall time; and src/globinv must
+stay within SRC_LINES lines.  The tool itself: one
 seed-7 chain cycle, whose summed lift work, call events (all, and those of
 one-row and multi-row line-lift calls apart), corrector rounds per
 attempt, lockstep attempts, Sobol draws, LAPACK SVDs and output digest two
@@ -42,6 +43,11 @@ CEILINGS = {
     ("sweep", 1): {("jacobians", "lines"): 6_210, ("jacobians", "flows"): 0, ("lockstep", "attempts"): 37},
     ("profile_ladder", 1): {("sobol", "draws"): 49, ("sobol", "points"): 76_402, ("lapack", "matrices"): 1_480},
 }
+
+
+# the most lines src/globinv/*.py may hold together, as `wc -l` counts them:
+# a change that adds code pays for it by removing as much
+SRC_LINES = 4_444
 
 
 def _run(*args: str, workload: str = "chain", cycles: int = 1) -> subprocess.CompletedProcess:
@@ -83,6 +89,11 @@ def test_lift_work_stays_within_its_ceilings(workload, cycles):
     over = {(row, column): (int(table[row][column]), ceiling)
             for (row, column), ceiling in CEILINGS[workload, cycles].items() if int(table[row][column]) > ceiling}
     assert not over, f"{workload} counts over their ceilings, (count, ceiling) by (row, column): {over}"
+
+
+def test_src_stays_within_its_line_ceiling():
+    counts = {path.name: path.read_bytes().count(b"\n") for path in sorted((ROOT / "src" / "globinv").glob("*.py"))}
+    assert sum(counts.values()) <= SRC_LINES, f"src/globinv holds {sum(counts.values())} lines: {counts}"
 
 
 def test_lift_work_counts_repeat():

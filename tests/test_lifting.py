@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from globinv import lifting, maps
@@ -964,15 +964,15 @@ def _lockstep(model, x0, targets, opts=None):
 
 
 def _assert_same_outcome(got, want, where):
-    """got and want agree bit for bit: a NaN field would compare unequal,
-    and none arises in these tests."""
-    assert got.status == want.status, where
-    assert got.stats == want.stats, where
+    """got and want agree bit for bit, the sign of a zero and NaN included:
+    each float by its repr, each array by its bytes."""
+    assert repr(got.status) == repr(want.status), where
+    assert repr(got.stats) == repr(want.stats), where
     for field in ("times", "points", "mu_values"):
-        assert np.array_equal(getattr(got.trajectory, field), getattr(want.trajectory, field)), (where, field)
-    assert got.trajectory.length == want.trajectory.length, where
-    assert got.max_drift == want.max_drift, where
-    assert got.target_residual == want.target_residual, where
+        a, b = getattr(got.trajectory, field), getattr(want.trajectory, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (where, field)
+    assert repr((got.trajectory.length, got.max_drift, got.target_residual)) == repr(
+        (want.trajectory.length, want.max_drift, want.target_residual)), where
 
 
 @pytest.mark.parametrize(
@@ -1015,6 +1015,77 @@ def test_every_lane_of_a_lockstep_call_is_its_one_row_call(call):
     model, x0, W, opts = call
     for k, (w, got) in enumerate(zip(W, _lockstep(model, x0, W, opts))):
         _assert_same_outcome(got, lift_lines(model, x0, [w], opts)[0], (k, w))
+
+
+def _one_by_one_maps() -> list:
+    """(model, scale of w) for the 1x1 maps the float lanes are crossed on:
+    the 1-D registry maps; a user map called point by point (tanh); one
+    with a finite-difference Jacobian (sinh); and linear [[a]] with |a| at,
+    just inside and just outside the edges of maps._svd's closed-form
+    window, and subnormal, with w scaled by |a|."""
+    out = [(registry_get(name), 1.0) for name in ("arctan1d", "exp1d", "monotone1d", "asinh1d")]
+    out.append((MapModel(name="tanh_user", n=1, m=1, eval_fn=lambda x: np.tanh(x),
+                         jac_fn=lambda x: (1.0 / np.cosh(x) ** 2)[:, None]), 1.0))
+    out.append((MapModel(name="sinh_fd", n=1, m=1, eval_fn=lambda x: np.sinh(x), stacked=True), 1.0))
+    for edge in (maps._SVD_LO, maps._SVD_HI):
+        for a in (edge, np.nextafter(edge, 1.0), np.nextafter(edge, 1.0 / edge)):
+            out += [(linear_map([[a]]), a), (linear_map([[-a]]), a)]
+    return out + [(linear_map([[-5e-320]]), 5e-320)]
+
+
+_ONE_BY_ONE = _one_by_one_maps()
+
+
+@st.composite
+def _one_by_one_call(draw):
+    """A 1x1 map of _ONE_BY_ONE, x0 in [-2, 2], three targets of one scale
+    from 1e-3 to 30 times the map's (a zero row among them at times), and
+    LiftOptions: record_stride 1 to 3, a step budget of 1 to 40, r_escape
+    on or off and mu_floor (the default, 0, or one from 0.01 to 0.9)."""
+    model, scale = draw(st.sampled_from(_ONE_BY_ONE))
+    x0 = [draw(st.floats(-2.0, 2.0))]
+    scale *= 10.0 ** draw(st.floats(-3.0, 1.5))
+    W = [[scale * draw(st.floats(-1.0, 1.0))] for _ in range(3)]
+    opts = LiftOptions(record_stride=draw(st.integers(1, 3)), max_steps=draw(st.integers(1, 40)),
+                       r_escape=draw(st.one_of(st.none(), st.floats(0.1, 10.0))),
+                       mu_floor=draw(st.one_of(st.sampled_from([1e-8, 0.0]), st.floats(0.01, 0.9))))
+    return model, x0, W, opts
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_one_by_one_call())
+# star_probe's rays at t_budget 1e308: slopes past the float limit, and the
+# norm of w past it too, so both the non-finite-slope rejection and the
+# norm's overflow rescale run
+@example((registry_get("arctan1d"), [0.0], [[1e308], [-1e308], [1.0]], LiftOptions()))
+# a slope that underflows to a zero from x0 = -0, past the window (LAPACK's
+# SVD): the zero's sign shows in the points
+@example((linear_map([[1e200]]), [-0.0], [[-1e-150], [1e-150], [0.5]], LiftOptions()))
+def test_one_by_one_float_lanes_are_their_lockstep_rows(call):
+    """The one-row call of a 1x1 map, which lift_lines runs as a
+    _FloatLane on Python floats, returns bit for bit what the same row of
+    a three-row lockstep call returns (_LineLanes): trajectory, status and
+    LiftStats, the sign of every zero included."""
+    model, x0, W, opts = call
+    for k, (w, got) in enumerate(zip(W, _lockstep(model, x0, W, opts))):
+        _assert_same_outcome(lift_lines(model, x0, [w], opts)[0], got, (k, w))
+
+
+def test_one_by_one_rows_run_as_float_lanes(monkeypatch):
+    """lift_lines runs the rows of a call of fewer than _LOCKSTEP_ROWS rows
+    on a 1x1 map as _FloatLanes, and no other map's."""
+    made = []
+    init = lifting._LineLane.__init__
+
+    def spy(self, *args):
+        made.append(type(self))
+        return init(self, *args)
+
+    monkeypatch.setattr(lifting._LineLane, "__init__", spy)
+    lift_lines(registry_get("exp1d"), [0.0], [[1.0], [-0.5]])
+    lift_lines(registry_get("complex_exp"), [0.0, 0.0], [[0.5, 0.2]])
+    lift_lines(registry_get("projection2to1"), [0.0, 0.0], [[0.5]])
+    assert made == [lifting._FloatLane] * 2 + [lifting._LineLane] * 2
 
 
 def test_svd_window_cases_cross_the_window(monkeypatch):
@@ -1183,7 +1254,7 @@ def _lane_at(model, opts, w, q, h, t, mu):
     at q with its slope J(q)^+ w there, time t, step size h and indicator
     mu, with x0 and that point recorded."""
     lane = lifting._LineLane(model, np.zeros(model.n), np.asarray([w], dtype=float), opts)
-    lane.start(evaluate(model, np.zeros(model.n)), *maps._svd(maps.jacobian(model, np.zeros(model.n))))
+    lane.start(*lane.factor(evaluate(model, np.zeros(model.n))[None], maps.jacobian(model, np.zeros(model.n))[None]))
     lane.q, lane.t, lane.h, lane.mu = np.array([q], dtype=float), float(t), float(h), float(mu)
     J, _ = maps.jacobian_stack(model, lane.q)
     lane.k1 = lifting._velocities(*maps._svd(J), lane.w)

@@ -1,4 +1,5 @@
 import ast
+import math
 import warnings
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from globinv.maps import (
     _SVD_HI,
     _SVD_LO,
     MapModel,
+    _finite_rows,
     _norms,
     _svd,
+    _svd1,
     default_point,
     evaluate,
     evaluate_stack,
@@ -134,6 +137,18 @@ def test_evaluate_stack_rows_match_evaluate():
         assert Y.shape == (4, model.m) and finite.all(), name
         for x, y in zip(X, Y):
             assert np.array_equal(y, evaluate(model, x)), name
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1)])
+def test_one_entry_stacks_are_checked_as_arrays_are(shape):
+    """_finite_rows answers a one-entry stack with one Python test: the
+    mask the array path gives (None where the row is finite), on +-0,
+    subnormals, the float limits, +-inf and NaN."""
+    for v in (0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1.7976931348623157e308, -1.0, math.inf, -math.inf, math.nan):
+        Y = np.full(shape, v)
+        want = np.isfinite(Y).reshape(1, -1).all(axis=1)
+        got = _finite_rows(Y)
+        assert (got is None) if want.all() else (got.dtype == bool and got.tolist() == want.tolist()), v
 
 
 def test_evaluate_stack_flags_non_finite_rows():
@@ -530,11 +545,12 @@ def test_svd_window_lies_inside_lapack_exact_range():
 
 def test_svd_of_one_by_one_stacks_is_lapack_bit_for_bit():
     """200,000 signed draws over 1e-300..1e300: as one-row stacks (every
-    tenth for s alone), as stacks of 16 and of 64 neighbours in magnitude
-    (some all inside the window, some across an edge, some outside) and as
-    one stack of the draws inside the window.  Outside about 1e+-138
-    LAPACK's s differs from |a| in about one draw in eight, so a window
-    widened that far fails here."""
+    tenth for s alone), as the floats of _svd1 on each one-row stack, as
+    stacks of 16 and of 64 neighbours in magnitude (some all inside the
+    window, some across an edge, some outside) and as one stack of the
+    draws inside the window.  Outside about 1e+-138 LAPACK's s differs
+    from |a| in about one draw in eight, so a window widened that far
+    fails here."""
     rng = np.random.default_rng(17)
     a = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-300.0, 300.0, 200_000)
     J = a[:, None, None]
@@ -543,6 +559,8 @@ def test_svd_of_one_by_one_stacks_is_lapack_bit_for_bit():
     rows = [_svd(J[k:k + 1]) for k in range(len(a))]
     for got, want in zip(zip(*rows), (U, s, Vt)):
         assert _bits(np.concatenate(got)) == _bits(want)
+    floats = [_svd1(J[k:k + 1]) for k in range(len(a))]
+    assert _bits(floats) == _bits(np.column_stack([U[:, 0, 0], s[:, 0], Vt[:, 0, 0]]))
     s_only = np.concatenate([_svd(J[k:k + 1], compute_uv=False) for k in range(0, len(a), 10)])
     assert _bits(s_only) == _bits(s[::10])
     by_size = np.argsort(np.abs(a))

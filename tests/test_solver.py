@@ -294,6 +294,19 @@ def test_star_huge_budget_finds_edge():
     assert rep.reasons == ("Singular",)
 
 
+@pytest.mark.xfail(strict=True, reason="a slope past the float range rejects every attempt nonfinite, "
+                                       "so the rays end StepFailure at reach 0.729 (see CHANGES.md)")
+def test_star_budget_past_the_float_range_finds_the_arctan_edge():
+    """Both rays of arctan1d reach its edge at pi/2 and read Singular at a
+    budget of 1e308, as they do at 1e300: the reach does not depend on how
+    far past the edge the budget lies."""
+    m = registry_get("arctan1d")
+    assert star_probe(m, [0.0], t_budget=1e300).reasons == ("Singular", "Singular")
+    rep = star_probe(m, [0.0], t_budget=1e308)
+    assert rep.reasons == ("Singular", "Singular")
+    assert all(abs(reach - np.pi / 2) <= 1e-3 for reach in rep.reaches)
+
+
 @pytest.mark.parametrize("t_budget", [1e160, 1e200])
 def test_star_huge_finite_budget_escapes(t_budget):
     """|t_budget d|^2 overflows, yet the lift norms stay finite: each ray of
