@@ -11,46 +11,19 @@ The curve is an implicit one, so a line lift follows it by
 predictor-corrector continuation (Allgower & Georg, Numerical
 Continuation Methods, 1990, ch. 2 and 6; Deuflhard, Newton Methods for
 Nonlinear Problems, 2004, ch. 5): a predictor, then at most R
-minimum-norm Newton corrections back onto the line's point, R = 4 on a
-square map and 3 on a wide one.  On a square map the predictor is the
-cubic Hermite extrapolation through the lane's last two points and their
-slopes, whose error is O(h^4); the first step, and every step on a wide
-map, takes the Euler (tangent) predictor q + h q', whose error is O(h^2).
-A point is taken only when its residual is within complete_tol and its
-next Newton correction within x_tol, so every recorded point of a line
-lift lies on its line to that tolerance; on a wide map, where the points
-over a line form a fibre and not a curve, the lift follows the
-minimum-norm route to first order in the step, which is why a wide map
-keeps the Euler predictor: its points do not lie on one smooth curve for
-a cubic to extrapolate.  The slope, the Newton step and the local
+minimum-norm Newton corrections back onto the line's point.  A point is
+taken only when its residual is within complete_tol and its next Newton
+correction within x_tol, so every recorded point of a line lift lies on
+its line to that tolerance; on a wide map, where the points over a line
+form a fibre and not a curve, the lift follows the minimum-norm route to
+first order in the step.  The slope, the Newton step and the local
 invertibility indicator mu (the least singular value, used for
 singularity detection) all come out of one SVD of J per corrector round,
-maps._svd (maps._svd1 in a _FloatLane).  The first step is sized by a trial
-evaluation (Hairer, Norsett & Wanner, Solving ODEs I, 1993, II.4;
-Gladwell, Shampine & Brankin, J. Comput. Appl. Math. 18, 1987): one f at
-the Euler point of the blind step h_a = min(0.2, 0.01 (1 + |x0|) /
-(1 + |k1|)) measures the lane's predictor error there, and the step is
-where Euler's model of that error, quadratic in h, reaches a share of the
-distance guard, at least h_a and at most _GROW^2 h_a (the first two
-growths the controller would make) and inside the escape ball.  Every
-later step aims the budget's last corrector round's correction at a
-share of its tolerance.  Newton's
-quadratic convergence predicts that correction from the step's last two,
-and it scales as h^(2^R) after Euler and h^(2^(R+1)) after Hermite, so
-the step is scaled by that root of the ratio: the 16th or 32nd on a
-square map.  A fourth round lets a square lane's step grow about
-twofold for 4/3 the rounds, the round budget of adaptive continuation
-(Deuflhard, ch. 5.1), and turns most rejections near a singular edge
-into steps taken; a wide lane keeps three rounds and the 8th root after
-Euler, as its longer steps would drift further along the fibre.  The
-mu-decay guard makes the lift slow down near singular loci instead of
-jumping across them: mu, extrapolated at the rate it fell over the last
-step, may at most halve over the next.  Below twice mu_floor the floor cap
-binds instead: the next step ends at the secant's crossing of mu_floor, a
-step-length control at a known target (Allgower & Georg, ch. 6), and a
-lane stops Singular at its last point taken once that crossing lies
-within x_tol of it, so an edge lane steps to the floor instead of
-bisecting it through singular rejections.  The gradient flow
+maps._svd (maps._svd1 in a _FloatLane).  The step rules are _LaneRules':
+one probe of the predictor's error sizes the first step, every later one
+aims the last round's correction at a share of its tolerance, and the
+mu-decay guard and the floor cap make a lane slow down near a singular
+locus and stop at the floor instead of jumping across it.  The gradient flow
 x' = -grad F_y is an ODE without a curve to return to, so it takes
 linearly implicit Euler steps with the Gauss-Newton Hessian J^T J: each is
 a Levenberg-Marquardt step with lambda = 1/h (Levenberg 1944; Marquardt
@@ -64,7 +37,9 @@ and the outcome is read off it; no method below the constructor takes the
 model.  lift_lines picks the objects: _LineLanes runs the rows of a call
 in lockstep (_Attempt keeps the books of one of its attempts), _LineLane
 one row alone on one-row stacks, _FloatLane one row of an n = m = 1 map on
-Python floats, and _Flow is the gradient flow; each states its books.
+Python floats, and _Flow is the gradient flow; each states its books.  The
+line controllers run the same rules, each written once in _LaneRules over
+a kernel set of operations that each binds, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -312,6 +287,194 @@ _RECORD_RUN = 64  # attempts whose steps are folded at once, so a long lift keep
 _LOCKSTEP_ROWS = 3
 
 
+# a line lift's float state: a non-finite point, value or slope is
+# rejected, and the step rule's quotients are numpy's inf or NaN where a
+# correction's square is 0, in either controller (each kernel set's divide)
+_LINE_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def _divide(a, b):
+    """np.divide(a, b) under _LINE_ERRSTATE: inf or NaN where b is 0, without a warning."""
+    with np.errstate(**_LINE_ERRSTATE):
+        return np.divide(a, b)
+
+
+def _roots(x, n: int, extra):
+    """The square root of x taken n times, then once more where extra: np.sqrt's, on a fresh array."""
+    x = np.array(x, dtype=float)
+    for _ in range(n):
+        np.sqrt(x, out=x)
+    np.sqrt(x, out=x, where=extra)
+    return x
+
+
+def _float_roots(x: float, n: int, extra: bool) -> float:
+    """_roots of a Python float: math.sqrt, and numpy's NaN for a negative
+    (that of 0 inf) or a NaN (itself)."""
+    for _ in range(n + extra):
+        x = math.sqrt(x) if x >= 0.0 else x if x != x else 0.0 * math.inf
+    return x
+
+
+class _LaneRules:
+    """The rules of a line lane, each written once as plain arithmetic over
+    a kernel set of operations, which each controller binds as class
+    attributes: _LineLanes numpy's ufuncs, over arrays with a row per lane,
+    and _LineLane their Python float versions, over one lane's scalars.
+    The set is divide (a / b, inf or NaN where b is 0, as np.divide),
+    minimum and maximum (a NaN in either gives NaN), fmin (a NaN gives the
+    other), roots (_roots) and select (np.where).  Each float version gives
+    the ufunc's result bit for bit, zeros' and NaNs' signs included, so a
+    lane's steps do not depend on the controller that runs it or on the
+    other rows.  No rule branches on which controller calls it.
+    Both controllers hold the model, opts, square, rounds (the corrector
+    rounds per attempt, each one f, J and SVD: a fourth lets a square
+    lane's step grow about twofold for 4/3 the rounds, the round budget of
+    adaptive continuation (Deuflhard, ch. 5.1), and turns most rejections
+    near a singular edge into steps taken; a wide lane keeps three, as its
+    longer steps would drift further along its fibre), x_rel and x_abs
+    (tolerance) and mu_least."""
+
+    def __init__(self, model: MapModel, opts: LiftOptions):
+        self.model, self.opts = model, opts
+        self.square = model.m == model.n  # the Hermite predictor needs the points on one curve
+        self.rounds = 4 if self.square else 3
+        self.x_rel, self.x_abs = 10.0 * opts.rel_tol, 100.0 * opts.abs_tol
+        self.mu_least = max(opts.mu_floor, 5e-324)  # mu >= mu_least: mu >= mu_floor and mu > 0, not NaN
+
+    def tolerance(self, norm):
+        """x_rel max(norm, 1) + x_abs: complete_tol of |w| and x_tol of |X|."""
+        return self.x_rel * self.maximum(norm, 1.0) + self.x_abs
+
+    def stop_at_x0(self, mu: float, norm_w: float) -> Optional[LiftStatus]:
+        """The stop of a lane at x0, from J(x0)'s least singular value mu
+        and |w|: Singular for mu below mu_floor, Complete at t = 1 for w = 0,
+        Singular for mu not positive and finite (every attempt starts from
+        the slope there, so no step size can repair it), else None."""
+        if mu < self.opts.mu_floor:
+            return LiftStatus.singular(0.0, mu)
+        if norm_w == 0.0:
+            return LiftStatus.complete(1.0)
+        if not 0.0 < mu < math.inf:
+            return LiftStatus.singular(0.0, mu)
+        return None
+
+    def blind_step(self, norm_x0, norm_k1):
+        """h_a = min(0.2, 0.01 (1 + |x0|) / (1 + |k1|)), the lane's h_scale,
+        from which the probe sizes its first step."""
+        return self.minimum(0.2, 0.01 * (1.0 + norm_x0) / (1.0 + norm_k1))
+
+    def probe_step(self, H, norm_k1, e1):
+        """The first step (Hairer, Norsett & Wanner, Solving ODEs I, 1993,
+        II.4; Gladwell, Shampine & Brankin, J. Comput. Appl. Math. 18, 1987)
+        from the blind step H of a lane whose slope at x0 is norm_k1 long
+        and whose probe, one f at the Euler point
+        x0 + H k1, measured the predictor error e1 = |J(x0)^+ (f(x0 + H k1)
+        - f(x0) - H w)| (NaN where that point or f there is not finite).
+        Euler's error grows as h^2, so it is e1 (h / H)^2 at a step h, and
+        the step is the h where that is _PROBE times the distance guard
+        _GUARD h |k1|: H g, g = _PROBE _GUARD H |k1| / e1, clipped to
+        [1, _GROW^2] (so the first step skips at most the first two growths
+        the controller would make; e1 = 0 gives _GROW^2, a NaN or inf e1
+        keeps H) and to end by t = 1, then cut so that the Euler step
+        h |k1| ends inside r_escape, though never below H."""
+        allowed = _PROBE * _GUARD * H * norm_k1  # the correction allowed at H
+        g = _GROW * _GROW
+        g = self.select(allowed < g * e1, self.divide(allowed, e1), g)
+        g = self.select(e1 < math.inf, g, 1.0)
+        h = self.minimum(H * self.maximum(g, 1.0), 1.0)
+        if self.opts.r_escape is not None:
+            h = self.select(h * norm_k1 > self.opts.r_escape, self.divide(self.opts.r_escape, norm_k1), h)
+        return self.maximum(h, H)
+
+    def step_end(self, t, H):
+        """The time an attempt of step H from t reaches: t + H, or 1 where
+        that lies within 1e-15 of it.  As t + H lies in [0, 2], 1 - (t + H)
+        is exact, so that is t + H >= 1 - 1e-15."""
+        T = t + H
+        return self.select(T >= 1.0 - 1e-15, 1.0, T)
+
+    @staticmethod
+    def hermite(Q, H, K1, hp, qp, kp):
+        """The cubic Hermite predictor at t + H of a lane at Q with slope
+        K1, through its last step's (t - hp, qp, kp) and (t, Q, K1).  With
+        s = H / hp, V = hp K1, VP = hp kp and dq = Q - qp, that cubic at
+        t + H is Q + s (V + s ((2 V - 3 dq + VP) + s (V - 2 dq + VP))); its
+        terms are displacements of the size of the last step, so a slope
+        near the float limit does not overflow them.  Its error is O(h^4),
+        where Euler's Q + H K1 is O(h^2); a wide map keeps Euler's, as its
+        points do not lie on one smooth curve for a cubic to extrapolate."""
+        V, VP = hp * K1, hp * kp
+        dq, s = Q - qp, H / hp
+        return Q + s * (V + s * ((2.0 * V - 3.0 * dq + VP) + s * (V - 2.0 * dq + VP)))
+
+    def next_step(self, H, T, r: int, e_prev, e, x_tol, mu_prev, mu_new, hermite):
+        """The step after a step of size H to time T, taken in corrector
+        round r (of R = self.rounds), whose correction at the point taken
+        was e long and the one before it e_prev; hermite marks a step the
+        cubic Hermite predictor made (else Euler's).  Newton's
+        e_{k+1} = c e_k^2, with c = e / e_prev^2, predicts the last round's
+        correction: e for r = R - 1, c e^2 = e^3 / e_prev^2 one round
+        before and c^3 e^4 = c e^2 (e / e_prev)^4 two rounds before (so an
+        exact step, e = 0, predicts 0); a step taken by the predictor
+        (r = 0) tells nothing of c, and grows _GROW times.  The first
+        correction, the predictor's error, scales as h^2 after Euler and
+        h^4 after Hermite, so the last one scales as h^(2^R) or
+        h^(2^(R+1)).  The step is scaled so that it would be _AIM x_tol: by
+        that root of _AIM x_tol over it, at most _GROW times (a NaN root
+        too).  Then, where mu fell, the mu-decay guard and the floor cap,
+        at the rate H / (mu_prev - mu_new) it fell over this step: mu may
+        fall by at most half over the next step, and the step ends at the
+        latest at the secant's crossing of mu_floor (a step-length control
+        at a known target, Allgower & Georg, ch. 6), so a step is at most
+        H min(0.5 mu_new, mu_new - mu_floor) / (mu_prev - mu_new).  The cap
+        is the less where mu_new < 2 mu_floor, so it binds only there
+        (at_edge stops a lane whose crossing is within x_tol).  Last the
+        step is cut to end at t = 1."""
+        if r == 0:
+            h_next = _GROW * H
+        else:
+            last, ahead = e, self.rounds - 1 - r  # ahead: rounds left after the one taken in
+            if ahead:
+                last = self.divide(e * e * e, e_prev * e_prev)
+                if ahead == 2:
+                    q = self.divide(e, e_prev)
+                    last = last * (q * q) * (q * q)
+            root = self.roots(_AIM * x_tol / self.maximum(last, 1e-300), self.rounds, hermite)
+            h_next = H * self.fmin(_GROW, root)
+        share = self.minimum(0.5 * mu_new, mu_new - self.opts.mu_floor)
+        guard = H * share / self.maximum(mu_prev - mu_new, 1e-300)
+        h_next = self.select(mu_new < mu_prev, self.minimum(h_next, guard), h_next)
+        return self.minimum(h_next, 1.0 - T)
+
+    def at_edge(self, T, h_next, mu_prev, mu, chord, x_tol):
+        """Whether a lane that took a step to time T < 1, with indicator mu
+        (mu_prev before it), chord long, with x_tol the tolerance of its
+        correction and h_next its next step, is at the edge and stops
+        Singular there.  Only the mu-decay guard and the floor cap cut a
+        step below half an ulp of t: mu falls to 0 or to the floor within a
+        few ulps of t, at the edge of the lift.  Below twice the floor the
+        floor cap binds, and the lane is at the edge once the secant's
+        crossing of the floor is within x_tol of the point in x:
+        chord (mu - mu_floor) <= x_tol (mu_prev - mu)."""
+        floor = self.opts.mu_floor
+        low = mu < 2.0 * floor
+        drop = mu_prev - mu
+        crossing = low & (drop > 0.0) & (chord * (mu - floor) <= x_tol * drop)
+        return ((h_next < _H_MIN) | low) & ((T + h_next == T) | crossing) & (T < 1.0)
+
+    def collapsed(self, h, h_scale, t):
+        """Whether a step h, halved by a rejection, has collapsed: it is at
+        or below _H_MIN max(h_scale, t), so every step taken advances t."""
+        return h <= _H_MIN * self.maximum(h_scale, t)
+
+    @staticmethod
+    def collapse(t: float, mu: float) -> LiftStatus:
+        """The stop of a lane whose step collapsed at t: Singular with mu, that of its last singular
+        rejection since a step was taken, StepFailure where there was none (mu NaN)."""
+        return LiftStatus.step_failure(t) if math.isnan(mu) else LiftStatus.singular(t, mu)
+
+
 class _Attempt:
     """One lockstep attempt of the rows of a lift_lines call (_LineLanes):
     Q the points the step starts from, W the codomain vectors, X the
@@ -391,32 +554,28 @@ class _Attempt:
         return F, U, s, Vt, mu
 
 
-class _LineLanes:
+class _LineLanes(_LaneRules):
     """The K lanes of a lift_lines call, on the curves
     f(q(t)) = f(x0) + t w for t from 0 to 1, under one step controller
     (lift_lines runs it for K >= _LOCKSTEP_ROWS, and each row of a smaller
-    call as a _LineLane, the same lift of its row).  Every per-lane
-    fact the lift reads is a row of an array: t, the step size h, the point q and
-    its slope k1 (norm_k1 long), mu at q, the mu of the last singular
-    rejection since a step was taken (last_singular_mu, NaN for none), the
-    rejections by cause (one column per cause in _CAUSES), whether the
-    lane still runs and the scale of its steps (h_scale: a step at or below
-    _H_MIN max(h_scale, t) has collapsed, so every step taken advances t).
-    A lane runs until it stops with a LiftStatus (status[k]) or reaches t = 1,
-    and every running lane is in every attempt, so a running lane has
-    taken attempts - its rejections steps.
-    The work (evals, Jacobians, SVDs) of every attempt, rejected or taken,
+    call as a _LineLane, the same lift of its row): _LaneRules over numpy's
+    kernel set.  Every per-lane fact the lift reads is a row of an array:
+    t, the step size h, the point q and its slope k1 (norm_k1 long), mu at
+    q, the mu of the last singular rejection since a step was taken
+    (last_singular_mu, NaN for none), the rejections by cause (one column
+    per cause in _CAUSES), whether the lane still runs and the scale of its
+    steps (h_scale, its blind step; collapsed).  A lane runs until it stops
+    with a LiftStatus (status[k]) or reaches t = 1, and every running lane
+    is in every attempt, so a running lane has taken attempts - its
+    rejections steps.  The work (evals, Jacobians, SVDs) of every attempt, rejected or taken,
     is added up per lane (work; that of a step taken when it is folded).
 
     Each lane also keeps the point, slope and size of its last step taken
     (qp, kp, hp; hp 0 before the first), from which a square map's
-    predictor extrapolates (predict).  Its first step comes from a probe
-    of its own predictor error at x0 (first_step); its h_scale is the blind
-    step the probe started from.
+    predictor extrapolates (predict).
 
     run makes attempts (attempt: one predictor and up to rounds Newton
-    corrector rounds, 4 on a square map and 3 on a wide one, over the
-    rows in lockstep) of the rows
+    corrector rounds over the rows in lockstep) of the rows
     begin_attempt returns until every lane has stopped.  Each take's steps
     wait as one block in pending, until _RECORD_RUN blocks or the outcomes
     fold them (fold) into what the outcomes read, each a row per lane: the
@@ -426,20 +585,20 @@ class _LineLanes:
     lane's base point and every record_stride-th step after it; kept_t is
     the time of the last point kept."""
 
+    minimum, maximum, fmin = np.minimum, np.maximum, np.fmin
+    divide, roots, select = staticmethod(_divide), staticmethod(_roots), staticmethod(np.where)
+
     def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
+        super().__init__(model, opts)
         K = len(W)
-        self.model, self.x0, self.w, self.opts = model, x0v, W, opts
+        self.x0, self.w = x0v, W
         self.t, self.h, self.mu, self.length = np.zeros(K), np.zeros(K), np.zeros(K), np.zeros(K)
         self.residual, self.max_drift = np.zeros(K), np.zeros(K)
         self.h_min, self.last_singular_mu = np.full(K, math.inf), np.full(K, math.nan)
-        self.h_scale = np.ones(K)  # a step at or below _H_MIN max(h_scale, t) has collapsed
+        self.h_scale = np.ones(K)
         self.q, self.k1, self.norm_k1 = np.repeat(x0v[None], K, axis=0), np.zeros((K, model.n)), np.zeros(K)
         # the point, slope and size of each lane's last step taken (hp 0: none yet)
         self.qp, self.kp, self.hp = np.zeros((K, model.n)), np.zeros((K, model.n)), np.zeros(K)
-        self.square = model.m == model.n  # the Hermite predictor needs the points on one curve
-        # corrector rounds per attempt, each one f, J and SVD stack: a wide
-        # lane's longer steps under a fourth would drift further along its fibre
-        self.rounds = 4 if self.square else 3
         self.accepted = np.zeros(K, dtype=np.int64)
         self.rejected = np.zeros((K, 3), dtype=np.int64)
         self.work = np.ones((K, 3), dtype=np.int64)  # f(x0), J(x0) and its SVD
@@ -448,9 +607,7 @@ class _LineLanes:
         self.attempts = 0  # attempts made
         self.pending, self.tallies, self.records = [], [], []
         self.norm_w = _norms(W)
-        self.tol_scales = 10.0 * opts.rel_tol, 100.0 * opts.abs_tol  # (a, b): a tolerance is a max(|v|, 1) + b
-        self.complete_tol = self.tol_scales[0] * np.maximum(self.norm_w, 1.0) + self.tol_scales[1]
-        self.mu_least = max(opts.mu_floor, 5e-324)  # mu >= mu_least: mu >= mu_floor and mu > 0, not NaN
+        self.complete_tol = self.tolerance(self.norm_w)
 
     def record_start(self) -> None:
         """Record every lane's base point: its t, q and mu now."""
@@ -463,32 +620,20 @@ class _LineLanes:
 
     def start(self, f0: Array, U: Array, s: Array, Vt: Array) -> None:
         """Start from f(x0) = f0 and the SVD U, s, Vt of J(x0), shared by the
-        lanes: record the base
-        point; every lane stops at once when J(x0) is singular, a lane with
-        w = 0 completes, the others take their first slope k1 (a lane whose
-        k1 is not finite stops StepFailure) and the blind step
-        h_a = min(0.2, 0.01 (1 + |x0|) / (1 + |k1|)), their h_scale; the
-        lanes left size their first step from it by one probe (first_step)."""
+        lanes: record the base point; a lane stops at x0 (stop_at_x0), the
+        others take their first slope k1 (a lane whose k1 is not finite
+        stops StepFailure) and their blind step, h_scale (blind_step), from
+        which they size their first step by one probe (first_step)."""
         self.f0 = f0
-        K, mu = len(self.t), float(s[-1])
+        mu = float(s[-1])
         self.mu[:] = mu
         self.record_start()
-        if mu < self.opts.mu_floor:
-            for k in range(K):
-                self.stop(k, LiftStatus.singular(0.0, mu))
-            return
-        zero = self.norm_w == 0.0
-        for k in zero.nonzero()[0].tolist():
-            self.t[k] = 1.0
-            self.stop(k, LiftStatus.complete(1.0))
-        rows = (~zero).nonzero()[0]
+        for k, norm_w in enumerate(self.norm_w.tolist()):
+            if status := self.stop_at_x0(mu, norm_w):
+                self.t[k] = status.t
+                self.stop(k, status)
+        rows = self.running.nonzero()[0]
         if not rows.size:
-            return
-        # Every attempt starts from this slope, so no step size can repair a
-        # bad one: stop as the step collapse after such an attempt would.
-        if not 0.0 < mu < math.inf:
-            for k in rows.tolist():
-                self.stop(k, LiftStatus.singular(0.0, mu))
             return
         U, s, Vt = U[None], s[None], Vt[None]  # one SVD for every row: matmul broadcasts it
         k1 = _velocities(U, s, Vt, self.w[rows])
@@ -497,26 +642,18 @@ class _LineLanes:
             self.stop(k, LiftStatus.step_failure(0.0))
         self.k1[rows] = k1
         self.norm_k1[rows] = norm_k1 = _norms(k1)
-        h = np.minimum(0.2, 0.01 * (1.0 + _norms(self.x0)) / (1.0 + norm_k1))
-        self.h_scale[rows] = h  # a huge w makes every step small
+        self.h_scale[rows] = h = self.blind_step(_norms(self.x0), norm_k1)
         live = ~bad
         h[live] = self.first_step(rows[live], h[live], norm_k1[live], U, s, Vt)
         self.h[rows] = h
 
     def first_step(self, rows: Array, H: Array, norm_k1: Array, U: Array, s: Array, Vt: Array) -> Array:
-        """The first steps of rows, whose slopes at x0 are k1 (norm_k1
-        long), from the blind steps H and the SVD U, s, Vt of J(x0) as
-        one-matrix stacks, broadcast over the rows.  One f stack at the
-        Euler points x0 + H k1 (counted in each row's evals)
-        gives each row's predictor error e1 = |J(x0)^+ (f(x0 + H k1) - f0 -
-        H w)|.  Euler's error grows as h^2, so it is e1 (h / H)^2 at a step
-        h, and the step is the h where that is _PROBE times the distance
-        guard _GUARD h |k1|: H g, g = _PROBE _GUARD H |k1| / e1, clipped to
-        [1, _GROW^2] (so the first step skips at most the first two growths
-        the controller would make) and to end by t = 1, then cut so that the
-        Euler step h |k1| ends inside r_escape, though never below H.  A row
-        whose Euler point or probe is not finite keeps H."""
-        h = H.copy()
+        """The first steps of rows (probe_step), whose slopes at x0 are k1
+        (norm_k1 long), from the blind steps H and the SVD U, s, Vt of J(x0)
+        as one-matrix stacks, broadcast over the rows: one f stack at the
+        Euler points x0 + H k1 that are finite (counted in each row's
+        evals) gives each row's predictor error e1."""
+        e1 = np.full(rows.size, math.nan)
         P = self.x0 + H[:, None] * self.k1.take(rows, axis=0)
         at = np.isfinite(P).all(axis=1).nonzero()[0]
         if at.size:
@@ -525,16 +662,8 @@ class _LineLanes:
             if good is not None:
                 at, F = at[good], F[good]
             R = F - (self.f0 + H.take(at)[:, None] * self.w.take(rows.take(at), axis=0))
-            e1 = _norms(_velocities(U, s, Vt, R))
-            allowed = _PROBE * _GUARD * H.take(at) * norm_k1.take(at)  # the correction allowed at H
-            g = np.full(at.size, _GROW * _GROW)
-            np.divide(allowed, e1, out=g, where=allowed < g * e1)  # e1 = 0 keeps _GROW^2
-            g[~(e1 < math.inf)] = 1.0  # NaN or inf e1 keeps H
-            h[at] = np.minimum(H.take(at) * np.maximum(g, 1.0), 1.0)
-        if self.opts.r_escape is not None:
-            out = h * norm_k1 > self.opts.r_escape
-            np.divide(self.opts.r_escape, norm_k1, out=h, where=out)
-        return np.maximum(h, H)
+            e1[at] = _norms(_velocities(U, s, Vt, R))
+        return self.probe_step(H, norm_k1, e1)
 
     def begin_attempt(self) -> Array:
         """The rows of the next attempt: the running lanes, less those whose
@@ -564,21 +693,12 @@ class _LineLanes:
         if mu is not None:
             self.last_singular_mu[rows] = mu
         self.h[rows] *= 0.5
-        for k in rows[self.h[rows] <= _H_MIN * np.maximum(self.h_scale[rows], self.t[rows])].tolist():
-            t, mu_k = self.t[k], self.last_singular_mu[k]
-            self.stop(k, LiftStatus.step_failure(t) if math.isnan(mu_k) else LiftStatus.singular(t, mu_k))
-
-    def step_end(self, rows: Array, H: Array) -> Array:
-        """The times the attempts of rows, of step sizes H, reach: t + h, or
-        1 where that lies within 1e-15 of it.  As t + h lies in [0, 2],
-        1 - (t + h) is exact, so that is t + h >= 1 - 1e-15."""
-        T = self.t.take(rows) + H
-        T[T >= 1.0 - 1e-15] = 1.0
-        return T
+        for k in rows[self.collapsed(self.h[rows], self.h_scale[rows], self.t[rows])].tolist():
+            self.stop(k, self.collapse(self.t[k], self.last_singular_mu[k]))
 
     def attempt(self, rows: Array) -> None:
         """One predictor-corrector attempt for rows, toward the points
-        y = f(x0) + T w of their lines at T = step_end(t + h).  The
+        y = f(x0) + T w of their lines at T = step_end(t, h).  The
         predictor X is predict's: cubic Hermite on a square map after a
         step taken, else Euler's q + h k1.  Each corrector round takes f,
         J and its SVD at X over the rows left, as stacks (_Attempt.round: a
@@ -586,7 +706,7 @@ class _LineLanes:
         also leaves on a non-finite X.  The minimum-norm Newton step there is
         -J^+ (f(X) - y).  A row whose residual |f(X) - y| is within
         complete_tol and whose Newton step is within
-        x_tol = 10 rel_tol max(|X|, 1) + 100 abs_tol takes its step to X
+        x_tol = tolerance(|X|) takes its step to X
         (take), unless its slope J^+ w there is not finite (nonfinite).  The
         others make their Newton step, which must be at most _GUARD h |k1|
         long in the first round (the distance to the curve) and at most
@@ -596,8 +716,8 @@ class _LineLanes:
         (two on a wide map, where R is m wide); a mask that keeps every row
         cuts nothing (_Attempt), and a round where every row is done ends
         the attempt with take alone."""
-        H, (x_rel, x_abs) = self.h.take(rows), self.tol_scales
-        T = self.step_end(rows, H)
+        H = self.h.take(rows)
+        T = self.step_end(self.t.take(rows), H)
         W, K1 = self.w.take(rows, axis=0), self.k1.take(rows, axis=0)
         hermite = (self.hp.take(rows) > 0.0) & self.square
         # D: the longest Newton step allowed next; C0: the first one's length; CT: complete_tol
@@ -622,7 +742,7 @@ class _LineLanes:
                 res, (size, norm_x) = _norms(R), _norms(np.concatenate([dX, a.X])).reshape(2, -1)
             if r == 0:
                 a.C0 = size
-            x_tol = x_rel * np.maximum(norm_x, 1.0) + x_abs
+            x_tol = self.tolerance(norm_x)
             done = (res <= a.CT) & (size <= x_tol)
             if taken := np.count_nonzero(done):
                 K1 = _velocities(*a.pick(None if taken == done.size else done, U, s, Vt, a.W))
@@ -651,22 +771,16 @@ class _LineLanes:
     def predict(self, a: _Attempt, K1: Array) -> Array:
         """The predictor point at t + H of each row of a, which starts at Q
         with slope K1: the Euler point Q + H K1 for a row without a step
-        taken or on a wide map, else the cubic Hermite extrapolation
-        through (t - hp, qp, kp) and (t, Q, K1).  With s = H / hp, V = hp K1,
-        VP = hp kp and dq = Q - qp, that cubic at t + H is
-        Q + s (V + s ((2 V - 3 dq + VP) + s (V - 2 dq + VP))); its terms are
-        displacements of the size of the last step, so a slope near the
-        float limit does not overflow them.  Each row's value is its own,
-        and an attempt of one kind of row computes that kind alone."""
+        taken or on a wide map, else the cubic Hermite one (hermite).  Each
+        row's value is its own, and an attempt of one kind of row computes
+        that kind alone."""
         h = a.hermite
         count = np.count_nonzero(h)
         if not count:
             return a.Q + a.H[:, None] * K1
         rows, Q, H, KH = a.pick(None if count == h.size else h, a.rows, a.Q, a.H, K1)
-        hp = self.hp.take(rows)[:, None]
-        V, VP = hp * KH, hp * self.kp.take(rows, axis=0)
-        dq, s = Q - self.qp.take(rows, axis=0), H[:, None] / hp
-        P = Q + s * (V + s * ((2.0 * V - 3.0 * dq + VP) + s * (V - 2.0 * dq + VP)))
+        P = self.hermite(Q, H[:, None], KH, self.hp.take(rows)[:, None], self.qp.take(rows, axis=0),
+                         self.kp.take(rows, axis=0))
         if rows.size == h.size:
             return P
         X = a.Q + a.H[:, None] * K1
@@ -681,13 +795,8 @@ class _LineLanes:
         e long and its tolerance x_tol (a row per row of a, picked): the
         chords and distances from x0 as row norms, the next step
         (next_step), the step's block in pending (whose tally each of them
-        did), and the stops of a lane that reaches t = 1, at the edge or
-        outside the escape ball.  A lane is at the edge, and stops Singular
-        at X with its mu, where the next step is below half an ulp of t < 1,
-        or where mu < 2 mu_floor (the floor cap binds) and the secant's
-        crossing of the floor is within x_tol of X in x:
-        chord (mu - mu_floor) <= x_tol (mu_prev - mu), with the chord of
-        this step."""
+        did), and the stops of a lane that reaches t = 1, at the edge
+        (at_edge: Singular at X with its mu) or outside the escape ball."""
         e_prev = a.C0 if r < 2 else a.D / _CONTRACTION  # the correction before e, exactly: 0.5 is a power of 2
         rows, Q, X, H, T, e_prev, hermite, mu, res, e, x_tol = a.pick(
             done, a.rows, a.Q, a.X, a.H, a.T, e_prev, a.hermite, mu, res, e, x_tol)
@@ -704,68 +813,12 @@ class _LineLanes:
         self.tallies.append((a.evals, a.jacobians, a.svds))
         if len(self.pending) == _RECORD_RUN:
             self.fold()
-        # Only the mu-decay guard and the floor cap cut a step below half an
-        # ulp of t <= 1: mu falls to 0 or to the floor within a few ulps of
-        # t, at the edge of the lift.  Below twice the floor the floor cap
-        # binds, and the lane is at the edge once the secant's crossing of
-        # the floor is within x_tol of X.
-        floor = self.opts.mu_floor
-        low = mu < 2.0 * floor
-        edge = (h_next < _H_MIN) | low
-        if np.count_nonzero(edge):
-            drop = mu_prev - mu
-            crossing = low & (drop > 0.0) & (chords * (mu - floor) <= x_tol * drop)
-            edge &= ((T + h_next == T) | crossing) & (T < 1.0)
+        edge = self.at_edge(T, h_next, mu_prev, mu, chords, x_tol)
         out = edge if self.opts.r_escape is None else edge | (dists > self.opts.r_escape)
         for j in out.nonzero()[0].tolist():
             k = int(rows[j])
             t = self.t[k]
             self.stop(k, LiftStatus.singular(t, self.mu[k]) if edge[j] else LiftStatus.escaped(t, dists[j]))
-
-    def next_step(self, H: Array, T: Array, r: int, e_prev: Array, e: Array, x_tol: Array, mu_prev: Array,
-                  mu_new: Array, hermite: Array) -> Array:
-        """The steps after steps of sizes H to times T, taken in corrector
-        round r (of R = self.rounds), whose correction at the point taken
-        was e long and the one before it e_prev; hermite marks the steps the
-        cubic Hermite predictor made (the others Euler's).  Newton's
-        e_{k+1} = c e_k^2, with c = e / e_prev^2, predicts the last round's
-        correction: e for r = R - 1, c e^2 = e^3 / e_prev^2 one round
-        before and c^3 e^4 = c e^2 (e / e_prev)^4 two rounds before (so an
-        exact step, e = 0, predicts 0); a step taken by the predictor
-        (r = 0) tells nothing of c.  The first correction, the predictor's
-        error, scales as h^2 after Euler and h^4 after Hermite, so the last
-        one scales as h^(2^R) or h^(2^(R+1)).  The step is scaled so that
-        it would be _AIM x_tol: by that root of _AIM x_tol over it, at most
-        _GROW times.  Then, where mu fell, the mu-decay guard and the floor
-        cap, at the rate H / (mu_prev - mu_new) it fell over this step: mu
-        may fall by at most half over the next step, and the step ends at
-        the latest at the secant's crossing of mu_floor, so a step is at
-        most H min(0.5 mu_new, mu_new - mu_floor) / (mu_prev - mu_new).
-        The cap is the less where mu_new < 2 mu_floor, so it binds only
-        there (take stops a lane whose crossing is within x_tol).  Last the
-        step is cut to end at t = 1.  The predictions take only *, / and
-        the roots R or R + 1 square roots, each rounded exactly, so no
-        lane's step depends on the other rows."""
-        if r == 0:
-            h_next = _GROW * H
-        else:
-            last, ahead = e, self.rounds - 1 - r  # ahead: rounds left after the one taken in
-            if ahead:
-                last = e * e * e / (e_prev * e_prev)
-                if ahead == 2:
-                    q = e / e_prev
-                    last = last * (q * q) * (q * q)
-            root = _AIM * x_tol / np.maximum(last, 1e-300)
-            for _ in range(self.rounds):
-                np.sqrt(root, out=root)
-            np.sqrt(root, out=root, where=hermite)
-            h_next = H * np.fmin(_GROW, root)
-        fell = mu_new < mu_prev
-        if np.count_nonzero(fell):
-            share = np.minimum(0.5 * mu_new, mu_new - self.opts.mu_floor)
-            guard = H * share / np.maximum(mu_prev - mu_new, 1e-300)
-            np.minimum(h_next, guard, out=h_next, where=fell)
-        return np.minimum(h_next, 1.0 - T)
 
     def fold(self) -> None:
         """Fold the pending steps, by lane in step order, into work (each
@@ -827,28 +880,26 @@ class _LineLanes:
         return out
 
 
-def _divide(a: float, b: float) -> float:
-    """a / b for floats a, b >= 0 as numpy divides them: inf or NaN where b is 0."""
-    if b:
-        return a / b
-    return math.inf if a > 0.0 else math.nan
-
-
-class _LineLane:
+class _LineLane(_LaneRules):
     """One lane of a lift_lines call of fewer than _LOCKSTEP_ROWS rows: the
-    lift _LineLanes makes of that row, its books in Python floats and ints,
-    as _Flow keeps its own.  Its x0, w, f(x0), point q, slope k1 and last
-    step's point and slope (qp, kp; its size hp, 0 before the first) are
-    one-row stacks; the rest are scalars.  Every number that is not
-    elementwise comes from _evaluate_stack, _jacobian_stack and the lane's
-    kernels (item, stack, finite, factor, velocities, norms: here those of
-    _LineLanes on one-row stacks), and every scalar formula repeats
-    _LineLanes' arithmetic in its order with IEEE operations only (NaN and
-    division by zero included: the order of each test, _divide), so the
-    outcome is that of the same row in a call of any number of rows.  Work
-    is counted as it is done: every attempt ends in a rejection or a step
-    taken, which add their tally."""
+    lift _LineLanes makes of that row, under the same _LaneRules over their
+    Python float kernel set, its books in Python floats and ints, as _Flow
+    keeps its own.  Its x0, w, f(x0), point q, slope k1 and last step's
+    point and slope (qp, kp; its size hp, 0 before the first) are one-row
+    stacks; the rest are scalars.  Every number that is not elementwise
+    comes from _evaluate_stack, _jacobian_stack and the lane's stack kernels
+    (item, stack, finite, factor, velocities, norms: here those of
+    _LineLanes on one-row stacks), and every other is the same IEEE
+    operation as in _LineLanes, so the outcome is that of the same row in a
+    call of any number of rows.  Work is counted as it is done: every
+    attempt ends in a rejection or a step taken, which add their tally."""
 
+    divide = staticmethod(lambda a, b: a / b if b else a * math.copysign(math.inf, b))
+    minimum = staticmethod(lambda a, b: a if a != a or a < b else b)
+    maximum = staticmethod(lambda a, b: a if a != a or a > b else b)
+    fmin = staticmethod(lambda a, b: b if a != a else a if a <= b or b != b else b)
+    roots = staticmethod(_float_roots)
+    select = staticmethod(lambda c, a, b: a if c else b)
     item = stack = staticmethod(lambda A: A)  # a one-row stack as the lane holds it, and a point as one
     finite = staticmethod(lambda V: _finite_rows(V) is None)
     velocities = staticmethod(_velocities)
@@ -862,9 +913,8 @@ class _LineLane:
         return F, U, s, Vt, float(s[0, -1])
 
     def __init__(self, model: MapModel, x0v: Array, W: Array, opts: LiftOptions):
-        self.model, self.x0, self.w, self.opts = model, self.item(x0v[None]), self.item(W), opts
-        self.square = model.m == model.n
-        self.rounds = 4 if self.square else 3  # as _LineLanes.rounds
+        super().__init__(model, opts)
+        self.x0, self.w = self.item(x0v[None]), self.item(W)
         self.t = self.h = self.mu = self.length = self.residual = self.max_drift = 0.0
         self.h_min, self.last_singular_mu, self.h_scale, self.hp = math.inf, math.nan, 1.0, 0.0
         self.q = self.x0
@@ -873,9 +923,7 @@ class _LineLane:
         self.status = None
         self.times, self.points, self.mu_values = [], [], []
         (self.norm_w,) = self.norms(self.w)
-        self.x_rel, self.x_abs = 10.0 * opts.rel_tol, 100.0 * opts.abs_tol
-        self.complete_tol = self.x_rel * max(self.norm_w, 1.0) + self.x_abs
-        self.mu_least = max(opts.mu_floor, 5e-324)
+        self.complete_tol = self.tolerance(self.norm_w)
 
     def record(self) -> None:
         """Keep t, q and mu: the base point, every record_stride-th step and the final point."""
@@ -889,29 +937,23 @@ class _LineLane:
 
     def start(self, f0, U, s, Vt, mu: float) -> None:
         """_LineLanes.start of the lane, from f(x0) = f0, the SVD U, s, Vt
-        of J(x0) and mu, as factor gives them: the stops at x0, the blind
-        step h_a (h_scale) and the first step (first_step)."""
+        of J(x0) and mu, as factor gives them."""
         self.f0, self.mu = f0, mu
         self.record()
-        if mu < self.opts.mu_floor:
-            return self.stop(LiftStatus.singular(0.0, mu))
-        if self.norm_w == 0.0:
-            self.t = 1.0
-            return self.stop(LiftStatus.complete(1.0))
-        if not 0.0 < mu < math.inf:
-            return self.stop(LiftStatus.singular(0.0, mu))
+        if status := self.stop_at_x0(mu, self.norm_w):
+            self.t = status.t
+            return self.stop(status)
         self.k1 = self.velocities(U, s, Vt, self.w)
         if not self.finite(self.k1):
             return self.stop(LiftStatus.step_failure(0.0))
         self.norm_k1, norm_x0 = self.norms(self.k1, self.x0)
-        h = 0.01 * (1.0 + norm_x0) / (1.0 + self.norm_k1)
-        self.h_scale = H = 0.2 if 0.2 < h else h  # np.minimum(0.2, h), a NaN h kept
+        self.h_scale = H = self.blind_step(norm_x0, self.norm_k1)
         self.h = self.first_step(H, U, s, Vt)
 
     def first_step(self, H: float, U, s, Vt) -> float:
         """_LineLanes.first_step of the lane, from the blind step H: one f
-        at the Euler point x0 + H k1 measures the predictor's error."""
-        h, norm_k1 = H, self.norm_k1
+        at the Euler point x0 + H k1 measures the predictor's error e1."""
+        e1 = math.nan
         P = self.x0 + H * self.k1
         if self.finite(P):
             F, good = _evaluate_stack(self.model, self.stack(P))
@@ -919,16 +961,7 @@ class _LineLane:
             if good is None:
                 R = self.item(F) - (self.f0 + H * self.w)
                 (e1,) = self.norms(self.velocities(U, s, Vt, R))
-                allowed = _PROBE * _GUARD * H * norm_k1
-                g = _GROW * _GROW
-                if allowed < g * e1:  # so e1 > 0
-                    g = allowed / e1
-                if not e1 < math.inf:
-                    g = 1.0
-                h = min(H * max(g, 1.0), 1.0)
-        if self.opts.r_escape is not None and h * norm_k1 > self.opts.r_escape:
-            h = self.opts.r_escape / norm_k1
-        return max(h, H)
+        return self.probe_step(H, self.norm_k1, e1)
 
     def run(self) -> None:
         """Make attempts until the lane has stopped or reached t = 1; it
@@ -944,19 +977,11 @@ class _LineLane:
         of X and the SVD of J (factor), until the lane takes its step (take)
         or is rejected (reject, by _CAUSES)."""
         H, W, Q, K1 = self.h, self.w, self.q, self.k1
-        T = self.t + H
-        if T >= 1.0 - 1e-15:
-            T = 1.0
+        T = self.step_end(self.t, H)
         hermite = self.hp > 0.0 and self.square
         Y = self.f0 + T * W
         D = _GUARD * H * self.norm_k1
-        if hermite:
-            hp = self.hp
-            V, VP = hp * K1, hp * self.kp
-            dq, s = Q - self.qp, H / hp
-            X = Q + s * (V + s * ((2.0 * V - 3.0 * dq + VP) + s * (V - 2.0 * dq + VP)))
-        else:
-            X = Q + H * K1
+        X = self.hermite(Q, H, K1, self.hp, self.qp, self.kp) if hermite else Q + H * K1
         for r in range(self.rounds):
             if not self.finite(X):
                 return self.reject(_CAUSES["nonfinite"])
@@ -980,8 +1005,7 @@ class _LineLane:
                 (res,), (size, norm_x) = self.norms(R), self.norms(dX, X)
             if r == 0:
                 C0 = size
-            x_tol = self.x_rel * max(norm_x, 1.0) + self.x_abs
-            if res <= self.complete_tol and size <= x_tol:
+            if res <= self.complete_tol and size <= (x_tol := self.tolerance(norm_x)):
                 K1 = self.velocities(U, s, Vt, W)
                 if not self.finite(K1):  # a slope past the float limit: no step to take
                     return self.reject(_CAUSES["nonfinite"])
@@ -999,9 +1023,8 @@ class _LineLane:
         if mu is not None:
             self.last_singular_mu = mu
         self.h *= 0.5
-        if self.h <= _H_MIN * max(self.h_scale, self.t):
-            t, mu = self.t, self.last_singular_mu
-            self.stop(LiftStatus.step_failure(t) if math.isnan(mu) else LiftStatus.singular(t, mu))
+        if self.collapsed(self.h, self.h_scale, self.t):
+            self.stop(self.collapse(self.t, self.last_singular_mu))
 
     def take(self, H: float, T: float, X, K1, r: int, mu: float, res: float, e_prev: float, e: float,
              x_tol: float, hermite: bool) -> None:
@@ -1023,36 +1046,10 @@ class _LineLane:
         self.residual = res
         if self.accepted % self.opts.record_stride == 0:
             self.record()
-        floor = self.opts.mu_floor
-        low = mu < 2.0 * floor
-        if h_next < _H_MIN or low:  # the edge test of _LineLanes.take
-            drop = mu_prev - mu
-            crossing = low and drop > 0.0 and chord * (mu - floor) <= x_tol * drop
-            if (T + h_next == T or crossing) and T < 1.0:
-                return self.stop(LiftStatus.singular(T, mu))
+        if self.at_edge(T, h_next, mu_prev, mu, chord, x_tol):
+            return self.stop(LiftStatus.singular(T, mu))
         if self.opts.r_escape is not None and dist > self.opts.r_escape:
             self.stop(LiftStatus.escaped(T, dist))
-
-    def next_step(self, H: float, T: float, r: int, e_prev: float, e: float, x_tol: float, mu_prev: float,
-                  mu_new: float, hermite: bool) -> float:
-        """_LineLanes.next_step of the lane, in its order."""
-        if r == 0:
-            h_next = _GROW * H
-        else:
-            last, ahead = e, self.rounds - 1 - r
-            if ahead:
-                last = _divide(e * e * e, e_prev * e_prev)
-                if ahead == 2:
-                    q = _divide(e, e_prev)
-                    last = last * (q * q) * (q * q)
-            root = _AIM * x_tol / (1e-300 if last < 1e-300 else last)  # np.maximum: a NaN kept
-            for _ in range(self.rounds + hermite):
-                root = math.sqrt(root)
-            h_next = H * (root if root < _GROW else _GROW)  # np.fmin: a NaN root grows _GROW times
-        if mu_new < mu_prev:
-            share = min(0.5 * mu_new, mu_new - self.opts.mu_floor)
-            h_next = min(h_next, H * share / max(mu_prev - mu_new, 1e-300))
-        return min(h_next, 1.0 - T)
 
     def outcome(self) -> LiftOutcome:
         """The lane's LiftOutcome, as _LineLanes.outcomes reads it."""
@@ -1308,12 +1305,6 @@ def lift_line_horizontal(model: MapModel, x0, w, opts: Optional[LiftOptions] = N
     if model.m > model.n:
         raise DimensionMismatch(f"lift_line_horizontal: map {model.name!r} is {model.m}x{model.n}, need m <= n")
     return lift_lines(model, x0, [_vector(w, model.m, "lift: w")], opts)[0]
-
-
-# a line lift's float state: a non-finite point, value or slope is
-# rejected, and the step rule's quotients are numpy's inf or NaN where a
-# correction's square is 0, in either controller (_divide)
-_LINE_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 @np.errstate(**_LINE_ERRSTATE)

@@ -47,7 +47,7 @@ CEILINGS = {
 
 # the most lines src/globinv/*.py may hold together, as `wc -l` counts them:
 # a change that adds code pays for it by removing as much
-SRC_LINES = 4_444
+SRC_LINES = 4_430
 
 
 def _run(*args: str, workload: str = "chain", cycles: int = 1) -> subprocess.CompletedProcess:

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -1304,6 +1305,48 @@ def test_stacked_judge_matches_one_lane_judges():
     assert {status.kind for status in stacked.status if status is not None} == {"Escaped"}
 
 
+def _rules(model, opts):
+    """The lane rules (_LaneRules) for model and opts under each kernel
+    set, as (numpy's, the Python float one): the rules of a _LineLanes and
+    of a _LineLane, neither started, as no rule reads a lane's state."""
+    x0, w = np.zeros(model.n), np.ones((1, model.m))
+    return lifting._LineLanes(model, x0, w, opts), lifting._LineLane(model, x0, w, opts)
+
+
+_KERNEL_GRID = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf,
+                math.nan, -math.nan]
+
+
+def _bits(x) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def test_float_kernels_are_numpys_ufuncs_bit_for_bit():
+    """Each op of the float kernel set (_LineLane's) returns, as a Python
+    float, what the same op of numpy's (_LineLanes') returns on one-element
+    arrays, bit for bit, the signs of zeros and NaNs included: divide,
+    minimum, maximum and fmin on every pair of the grid in both orders,
+    select either way, and 3 or 4 repeated roots with and without the
+    extra one on every grid value.  numpy's one-element loop is the
+    reference, as np.fmin's SIMD loop returns the other operand of a tie of
+    zeros or of two NaNs; no rule meets one, as its fmin's first operand is
+    _GROW."""
+    lockstep, scalar = lifting._LineLanes, lifting._LineLane
+    pairs = [(a, b) for a in _KERNEL_GRID for b in _KERNEL_GRID]
+    for name in ("divide", "minimum", "maximum", "fmin"):
+        for a, b in pairs:
+            want = getattr(lockstep, name)(np.array([a]), np.array([b]))[0]
+            got = getattr(scalar, name)(a, b)
+            assert type(got) is float and _bits(got) == _bits(want), (name, a, b, got, want)
+    for (a, b), c in zip(pairs, [False, True] * len(pairs)):
+        assert _bits(scalar.select(c, a, b)) == _bits(lockstep.select(np.array([c]), [a], [b])[0]), (a, b, c)
+    with np.errstate(**lifting._LINE_ERRSTATE):  # the root of a negative is NaN
+        for x in _KERNEL_GRID:
+            for n, extra in ((3, False), (3, True), (4, False), (4, True)):
+                want = lockstep.roots(np.array([x]), n, np.array([extra]))[0]
+                assert _bits(scalar.roots(x, n, extra)) == _bits(want), (x, n, extra)
+
+
 def _scalar_last_correction(rounds: int, r: int, e_prev: float, e: float) -> float:
     """The last round's correction a step taken in round r of a budget of
     rounds predicts, with Python's floats: e, c e^2 or c^3 e^4 for
@@ -1316,8 +1359,9 @@ def _scalar_last_correction(rounds: int, r: int, e_prev: float, e: float) -> flo
 
 
 def test_next_step_is_grown_with_the_mu_guard():
-    """The array step rule of many lanes against the scalar rule of each,
-    with Python's floats: grown 5 times after a step the predictor took,
+    """The step rule (_LaneRules.next_step) of many lanes under numpy's
+    kernel set, of each lane under the float one, and the rule with
+    Python's floats: grown 5 times after a step the predictor took,
     else scaled by the 2^R-th root (Euler predictor) or the 2^(R+1)-th
     (Hermite) of _AIM x_tol over the last round's correction predicted
     from the step's last two corrections, up to 5 times, cut by the
@@ -1337,9 +1381,7 @@ def test_next_step_is_grown_with_the_mu_guard():
     near = rng.uniform(size=K) < 0.2
     mu_new[near] = floor * rng.uniform(1.0, 2.0, np.count_nonzero(near))
     hermite = rng.uniform(size=K) < 0.5
-    lanes, rounds = _lanes_at(registry_get("identity_1"), LiftOptions(mu_floor=floor), np.ones((K, 1)),
-                              np.zeros((K, 1)), H, np.zeros(K), mu_prev), 4
-    lane = lifting._LineLane(registry_get("identity_1"), np.zeros(1), np.ones((1, 1)), LiftOptions(mu_floor=floor))
+    (lanes, lane), rounds = _rules(registry_get("identity_1"), LiftOptions(mu_floor=floor)), 4
     assert lanes.rounds == lane.rounds == rounds
     for r in range(rounds):
         steps = lanes.next_step(H, T, r, e_prev, e, x_tol, mu_prev, mu_new, hermite).tolist()
@@ -1366,17 +1408,15 @@ def test_next_step_is_grown_with_the_mu_guard():
 
 @pytest.mark.parametrize("name", ["identity_1", "parabola_sub"])
 def test_one_lane_step_rule_divides_as_numpy(name):
-    """_LineLane's scalar step rule gives the array rule's step where
-    Newton's prediction divides by a correction whose square is 0 (0, or
-    one whose square underflows): inf or NaN, as numpy divides, where a
-    Python division would raise, in every round of the budget.  Under
-    lift_lines' float state neither rule warns (warnings are errors)."""
+    """The step rule under the float kernel set gives its step under
+    numpy's where Newton's prediction divides by a correction whose square
+    is 0 (0, or one whose square underflows): inf or NaN, as numpy divides,
+    where a Python division would raise, in every round of the budget.
+    Under lift_lines' float state neither warns (warnings are errors)."""
     e_prev, e = np.array([0.0, 0.0, 1e-170, 5e-324, 1e-170]), np.array([0.0, 1e-20, 1e-20, 0.0, 1e-170])
     K = len(e)
     H, T, x_tol, mu = np.full(K, 1e-3), np.full(K, 0.5), np.full(K, 1e-8), np.ones(K)
-    model = registry_get(name)
-    lanes = _lanes_at(model, LiftOptions(), np.ones((K, 1)), np.zeros((K, model.n)), H, T, mu)
-    lane = lifting._LineLane(model, np.zeros(model.n), np.ones((1, 1)), LiftOptions())
+    lanes, lane = _rules(registry_get(name), LiftOptions())
     for r in range(1, lanes.rounds):
         for hermite in (False, True):
             with np.errstate(**lifting._LINE_ERRSTATE):
@@ -1388,21 +1428,25 @@ def test_one_lane_step_rule_divides_as_numpy(name):
 
 def test_three_round_budget_keeps_the_three_round_rule():
     """A wide map's budget of three rounds sizes its steps as the rule
-    written for three rounds did, bit for bit: the last correction is e
-    after round 2 and e^3 / e0^2 after round 1 (e0 the first correction),
-    under the eighth root after Euler and the sixteenth after Hermite."""
+    written for three rounds did, bit for bit, under either kernel set:
+    the last correction is e after round 2 and e^3 / e0^2 after round 1
+    (e0 the first correction), under the eighth root after Euler and the
+    sixteenth after Hermite."""
     rng = np.random.default_rng(5)
     K = 5000
     e0, e = 10.0 ** rng.uniform(-6.0, 0.0, K), 10.0 ** rng.uniform(-18.0, -8.0, K)
     x_tol, H = 1e-8 * rng.uniform(1.0, 10.0, K), 10.0 ** rng.uniform(-8, -1, K)
     hermite, mu, T = rng.uniform(size=K) < 0.5, np.ones(K), np.zeros(K)
-    lanes = _lanes_at(registry_get("parabola_sub"), LiftOptions(), np.ones((K, 1)), np.zeros((K, 2)), H, T, mu)
+    lanes, lane = _rules(registry_get("parabola_sub"), LiftOptions())
     for r in (1, 2):
         last = np.maximum(e if r == 2 else e * e * e / (e0 * e0), 1e-300)
         root = np.sqrt(np.sqrt(np.sqrt(0.03 * x_tol / last)))
         np.sqrt(root, out=root, where=hermite)
         want = np.minimum(H * np.fmin(5.0, root), 1.0 - T)
         assert np.array_equal(lanes.next_step(H, T, r, e0, e, x_tol, mu, mu, hermite), want), r
+        got = [lane.next_step(*args) for args in zip(H.tolist(), T.tolist(), [r] * K, e0.tolist(), e.tolist(),
+                                                     x_tol.tolist(), mu.tolist(), mu.tolist(), hermite.tolist())]
+        assert np.array_equal(got, want), r
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -1412,15 +1456,15 @@ def test_four_round_budget_predicts_the_fourth_correction(r, hermite):
     in round r of a square map's four predicts the fourth round's
     correction c^7 e0^8 from its last two corrections: the step it grows
     to is H (_AIM x_tol / c^7 e0^8)^(1/16) after Euler, the 32nd root
-    after Hermite."""
+    after Hermite, under either kernel set."""
     c, e0, x_tol, H = 3.0, 1e-2, np.array([1e-8]), np.array([1e-3])
     seq = [e0]
     for _ in range(3):
         seq.append(c * seq[-1] ** 2)
-    lanes = _lanes_at(registry_get("identity_1"), LiftOptions(), np.ones((1, 1)), np.zeros((1, 1)), H,
-                      np.zeros(1), np.ones(1))
+    lanes, lane = _rules(registry_get("identity_1"), LiftOptions())
     h_next = lanes.next_step(H, np.zeros(1), r, np.array([seq[r - 1]]), np.array([seq[r]]), x_tol,
                              np.ones(1), np.ones(1), np.array([hermite]))
+    assert lane.next_step(1e-3, 0.0, r, seq[r - 1], seq[r], 1e-8, 1.0, 1.0, hermite) == h_next[0]
     growth = float(h_next[0] / H[0])
     assert 1.0 < growth < 5.0
     assert 0.03 * x_tol[0] / growth ** (32 if hermite else 16) == pytest.approx(c ** 7 * e0 ** 8, rel=1e-12)
